@@ -26,6 +26,8 @@ import os
 import sys
 import time
 
+from results_io import write_bench_json
+
 from repro.api.dsl import Q
 from repro.core.pass_store import PassStore
 from repro.core.provenance import ProvenanceRecord
@@ -108,24 +110,6 @@ def _timed_query(store: PassStore, predicate):
     return (time.perf_counter() - start) * 1e3, pairs, explain
 
 
-def _emit_bench_json(area: str, payload: dict) -> None:
-    """Persist headline numbers via the shared conftest helper (by path,
-    so it works as a script and under pytest alike)."""
-    import importlib.util
-    from pathlib import Path
-
-    name = "repro_bench_results"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().with_name("conftest.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    module.write_bench_json(area, payload)
-
-
 def run_benchmark(base: int, assert_timing: bool) -> int:
     flood = int(base * FLOOD_FACTOR)
     failures = 0
@@ -204,7 +188,7 @@ def run_benchmark(base: int, assert_timing: bool) -> int:
         # (and would spuriously trip the conftest regression warning).
         print(f"  (artifact not written: {base} != canonical {FULL_SIZE} records)")
         return failures
-    _emit_bench_json(
+    write_bench_json(
         "adaptive",
         {
             "tuple_sets": base,

@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 import time
 
+from results_io import write_bench_json
+
 from repro.api import connect
 from repro.core import GeoPoint, ProvenanceRecord, SensorReading, Timestamp, TupleSet
 
@@ -87,20 +89,9 @@ def _print_table(url: str, rows) -> None:
 
 def _emit_bench_json(url: str, rows) -> None:
     """Merge this sweep into BENCH_api_facade.json via the shared helper."""
-    import importlib.util
     import json
-    import sys
     from pathlib import Path
 
-    name = "repro_bench_results"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().with_name("conftest.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
     path = Path(__file__).resolve().parent / "results" / "BENCH_api_facade.json"
     document = {}
     if path.exists():
@@ -118,7 +109,7 @@ def _emit_bench_json(url: str, rows) -> None:
         }
         for size, looped_us, batched_us, speedup in rows
     ]
-    module.write_bench_json("api_facade", {"sweeps": sweeps})
+    write_bench_json("api_facade", {"sweeps": sweeps})
 
 
 def test_publish_many_is_cheaper_on_sqlite(tmp_path):

@@ -25,6 +25,8 @@ import argparse
 import sys
 import time
 
+from results_io import write_bench_json
+
 from repro.api.dsl import Q
 from repro.core.pass_store import PassStore
 from repro.core.provenance import ProvenanceRecord
@@ -32,24 +34,6 @@ from repro.core.provenance import ProvenanceRecord
 CHAIN_DEPTH = 1_000
 QUICK_CHAIN_DEPTH = 500
 QUERY_CHAINS = 5  # how many chain roots the timed query set probes
-
-
-def _emit_bench_json(area: str, payload: dict) -> None:
-    """Persist headline numbers via the shared conftest helper (by path,
-    so it works as a script and under pytest alike)."""
-    import importlib.util
-    from pathlib import Path
-
-    name = "repro_bench_results"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().with_name("conftest.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    module.write_bench_json(area, payload)
 
 
 def build_records(total_nodes: int, chain_depth: int):
@@ -153,7 +137,7 @@ def main(argv=None) -> int:
     if not args.quick:
         assert speedup >= 10.0, f"expected >= 10x over the naive full scan, got {speedup:.1f}x"
 
-    _emit_bench_json(
+    write_bench_json(
         "lineage",
         {
             "nodes": len(records),

@@ -216,14 +216,14 @@ def run_scrape_overhead() -> int:
             f"sampler produced no per-op series (got {names})",
             failures,
         )
-        export = daemon._export_text(None)
+        export = daemon.monitor.metrics_export(None)["text"]
         _check(
             "daemon_default_query_calls_total" in export
             and export.rstrip().endswith("# EOF"),
             "OpenMetrics exposition incomplete",
             failures,
         )
-        health = daemon._health_report(None)
+        health = daemon.monitor.health(None)
         _check(
             health["status"] == "ok",
             f"daemon unhealthy under benchmark load: {health}",

@@ -24,6 +24,8 @@ import random
 import sys
 import time
 
+from results_io import write_bench_json
+
 from repro.api.client import LocalClient
 from repro.api.dsl import Q
 from repro.core.attributes import GeoPoint, Timestamp
@@ -94,24 +96,6 @@ def _time_query(store: PassStore, predicate, force_full_scan: bool) -> float:
     return best
 
 
-def _emit_bench_json(area: str, payload: dict) -> None:
-    """Persist headline numbers via the shared conftest helper (by path,
-    so it works as a script and under pytest alike)."""
-    import importlib.util
-    from pathlib import Path
-
-    name = "repro_bench_results"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().with_name("conftest.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    module.write_bench_json(area, payload)
-
-
 def run_benchmark(count: int, assert_timing: bool, required_speedup: float) -> int:
     store = _build_store(count)
     client = LocalClient(store, owns_store=False)
@@ -158,7 +142,7 @@ def run_benchmark(count: int, assert_timing: bool, required_speedup: float) -> i
                 f"  TIMING FAILURE on {label}: {speedup:.1f}x < required {required_speedup}x"
             )
             failures += 1
-    _emit_bench_json(
+    write_bench_json(
         "query_planner",
         {
             "tuple_sets": count,

@@ -26,6 +26,8 @@ import sys
 import threading
 import time
 
+from results_io import write_bench_json
+
 from repro.api import connect
 from repro.api.dsl import Q
 from repro.core.attributes import GeoPoint, Timestamp
@@ -39,24 +41,6 @@ QUICK_CLIENTS, QUICK_OPS = 40, 8
 PARITY_SETS = 60
 
 _CITIES = ("london", "boston", "tokyo", "geneva")
-
-
-def _emit_bench_json(area: str, payload: dict) -> None:
-    """Persist headline numbers via the shared conftest helper (by path,
-    so it works as a script and under pytest alike)."""
-    import importlib.util
-    from pathlib import Path
-
-    name = "repro_bench_results"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().with_name("conftest.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    module.write_bench_json(area, payload)
 
 
 def _percentiles(samples, points=(50.0, 95.0, 99.0)) -> dict:
@@ -387,7 +371,7 @@ def run_concurrency(clients: int, ops: int, quick: bool = False) -> tuple:
 
 def run_benchmark(clients: int, ops: int, quick: bool = False) -> int:
     failures, facts = run_concurrency(clients, ops, quick)
-    _emit_bench_json(
+    write_bench_json(
         "server",
         {
             **facts,

@@ -25,6 +25,8 @@ import os
 import sys
 import time
 
+from results_io import write_bench_json
+
 from repro.core.attributes import GeoPoint, Timestamp
 from repro.core.provenance import ProvenanceRecord
 from repro.core.tupleset import TupleSet
@@ -178,7 +180,7 @@ def run_benchmark(ops_per_client: int, kernel_events: int, assert_timing: bool) 
     if results["centralized"]["crowd_util"] < results["dht"]["crowd_util"]:
         print("  UTILIZATION FAILURE: the warehouse should be the hottest server")
         failures += 1
-    _emit_bench_json(
+    write_bench_json(
         "sim",
         {
             "kernel_events": kernel_events,
@@ -194,24 +196,6 @@ def run_benchmark(ops_per_client: int, kernel_events: int, assert_timing: bool) 
         },
     )
     return failures
-
-
-def _emit_bench_json(area: str, payload: dict) -> None:
-    """Persist headline numbers via the shared conftest helper (by path,
-    so it works as a script and under pytest alike)."""
-    import importlib.util
-    from pathlib import Path
-
-    name = "repro_bench_results"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().with_name("conftest.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    module.write_bench_json(area, payload)
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from results_io import write_bench_json
+
 from repro.api.dsl import Q
 from repro.core.pass_store import PassStore
 from repro.core.provenance import ProvenanceRecord
@@ -41,23 +43,6 @@ QUICK_CHAIN_DEPTH = 200
 BATCH_SIZE = 5_000
 FULL_SHARD_SWEEP = (1, 2, 4, 8)
 REQUIRED_SPEEDUP = 3.0
-
-
-def _emit_bench_json(area: str, payload: dict) -> None:
-    """Persist headline numbers via the shared conftest helper (by path,
-    so it works as a script and under pytest alike)."""
-    import importlib.util
-
-    name = "repro_bench_results"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().with_name("conftest.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    module.write_bench_json(area, payload)
 
 
 def build_records(total_nodes: int, chain_depth: int):
@@ -205,7 +190,7 @@ def main(argv=None) -> int:
         elif not args.quick:
             print(f"(speedup gate skipped: {cores} core(s); honest numbers recorded)")
 
-        _emit_bench_json(
+        write_bench_json(
             "storage",
             {
                 "records": len(records),

@@ -27,6 +27,8 @@ import random
 import sys
 import time
 
+from results_io import write_bench_json
+
 from repro.api.dsl import Q
 from repro.core.attributes import GeoPoint, Timestamp
 from repro.core.provenance import ProvenanceRecord
@@ -35,26 +37,6 @@ from repro.stream.engine import StreamEngine
 FULL_SUBS, FULL_RECORDS = 1_000, 20_000
 QUICK_SUBS, QUICK_RECORDS = 400, 2_000
 
-
-def _emit_bench_json(area: str, payload: dict) -> None:
-    """Persist headline numbers via the shared conftest helper.
-
-    Loaded by path so it works both as a script and under pytest
-    (where the name ``conftest`` may already be another directory's).
-    """
-    import importlib.util
-    from pathlib import Path
-
-    name = "repro_bench_results"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().with_name("conftest.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    module.write_bench_json(area, payload)
 
 _CITIES = [f"city-{i:03d}" for i in range(100)]
 _DOMAINS = ["traffic", "weather", "medical", "volcano", "structural"]
@@ -161,7 +143,7 @@ def run_benchmark(subs: int, records: int, assert_timing: bool, required_speedup
     if assert_timing and speedup < required_speedup:
         print(f"  TIMING FAILURE: {speedup:.1f}x < required {required_speedup}x")
         failures += 1
-    _emit_bench_json(
+    write_bench_json(
         "stream",
         {
             "subscriptions": subs,

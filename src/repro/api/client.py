@@ -43,6 +43,7 @@ from repro.net.topology import Topology
 from repro.obs import MetricsRegistry, trace
 from repro.obs import health as obs_health
 from repro.query.explain import Explain
+from repro.server.ops import OBSERVED_OPS as _OBSERVED_OPS
 from repro.sim.workload import SimReport, simulate_publish_workload
 from repro.stream.engine import StreamEngine
 from repro.stream.subscription import Subscription
@@ -59,18 +60,6 @@ def _paginate(pnames: Sequence[PName], limit: Optional[int], offset: int) -> Tup
     if limit is not None:
         pnames = pnames[:limit]
     return list(pnames), total
-
-
-#: the façade ops every concrete client's overrides are observed on
-_OBSERVED_OPS = (
-    "publish",
-    "publish_many",
-    "query",
-    "explain",
-    "ancestors",
-    "descendants",
-    "locate",
-)
 
 
 def _observe_op(op: str, fn):
@@ -514,7 +503,7 @@ class LocalClient(PassClient):
         page, total = _paginate([pname for pname, _ in pairs], limit, offset)
         cost = self._local_cost()
         cost.rows_scanned = explain.rows_scanned
-        return Result(records=page, cost=cost, total=total, offset=offset)
+        return Result(records=page, cost=cost, total=total, offset=offset, explain=explain)
 
     def explain(self, query=None, *, origin: Optional[str] = None) -> Explain:
         lowered, _ = _lift_query_limit(query, None)

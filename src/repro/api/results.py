@@ -61,6 +61,10 @@ class Result:
     notes: List[str] = field(default_factory=list)
     total: Optional[int] = None
     offset: int = 0
+    #: how the target served a ``query`` (the :class:`~repro.query.explain.Explain`
+    #: of this very execution), where it reports one; local to the process
+    #: that ran the query -- it neither compares nor crosses the wire
+    explain: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.total is None:

@@ -446,12 +446,6 @@ def _build_client(domain: str, hours: float, seed: int, url: str = "memory://"):
     return workload, client, raw, derived
 
 
-def _build_store(domain: str, hours: float, seed: int):
-    """Deprecated: kept for embedders; use :func:`_build_client` / connect()."""
-    workload, client, raw, derived = _build_client(domain, hours, seed, "memory://")
-    return workload, client.store, raw, derived
-
-
 def _cmd_experiments(args, out) -> int:
     ids = [i.upper() for i in args.ids] if args.ids else None
     blocks = []

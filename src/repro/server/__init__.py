@@ -16,6 +16,11 @@ real:
   server with token auth, per-tenant namespaces (isolated stores and
   subscription registries) and an async build/rebuild-closure job
   endpoint (``task_id`` + status polling),
+* :mod:`repro.server.ops` -- the op table: every wire op declared once
+  (arguments, codecs, who serves it); remote stubs, daemon dispatch,
+  argument checks and the docs table all derive from it,
+* :mod:`repro.server.monitor` -- the daemon's monitoring half
+  (telemetry, sampler, OpenMetrics/health/alerts, ``/metrics`` HTTP),
 * :mod:`repro.server.remote` -- :class:`RemoteClient`, the thin client
   registered under ``pass://host:port`` in the :func:`repro.api.connect`
   URL registry, so every existing test, bench and example runs unchanged
@@ -32,7 +37,21 @@ Start a daemon from Python::
 or from a terminal with ``repro serve --port 7100``.
 """
 
-from repro.server.daemon import DaemonAddress, PassDaemon
-from repro.server.remote import RemoteClient
-
 __all__ = ["DaemonAddress", "PassDaemon", "RemoteClient"]
+
+#: loaded on first use: ``repro.api.client`` reads the op table
+#: (:mod:`repro.server.ops`) while ``repro.server.remote`` subclasses
+#: ``PassClient``, so importing this package must not import either end
+_LAZY_NAMES = {
+    "DaemonAddress": "repro.server.daemon",
+    "PassDaemon": "repro.server.daemon",
+    "RemoteClient": "repro.server.remote",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        from importlib import import_module
+
+        return getattr(import_module(_LAZY_NAMES[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

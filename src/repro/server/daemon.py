@@ -2,7 +2,11 @@
 
 :class:`PassDaemon` is an asyncio socket server exposing the complete
 :class:`~repro.api.client.PassClient` surface over the
-:mod:`repro.server.protocol` framing.  Design points:
+:mod:`repro.server.protocol` framing.  This module is lifecycle,
+tenancy, connections and dispatch; *which* ops exist, what arguments
+they take and who serves them is declared once in
+:mod:`repro.server.ops`, and everything the daemon knows about how it
+is doing lives in :mod:`repro.server.monitor`.  Design points:
 
 * **One loop, one thread.**  All operation handling runs on the event
   loop thread, so the (thread-unsafe) stores never see concurrent
@@ -18,25 +22,23 @@
   ``connect(backend_url)`` client (and hence its own store, planner,
   closure index and subscription registry); no query, lineage walk or
   standing query can cross the namespace.
+* **One dispatcher.**  Every request is looked up in the op table, has
+  its arguments checked and decoded there, and is then either forwarded
+  to the same-named façade method of the tenant's client, handed to one
+  of the few ``_handle_<op>`` methods that need the connection or the
+  job table, or answered by the monitor.
 * **Async jobs.**  ``rebuild_index`` returns a ``task_id`` immediately
   and runs the closure rebuild as a loop task; ``task_status`` polls it
   (pending → running → completed/failed), mirroring service APIs whose
   index builds outlive an HTTP request.
 * **Introspection.**  Every request is access-logged through the
   ``repro.server`` :mod:`logging` logger (op, tenant, duration, error
-  code); per-tenant op counters and latency histograms are served live
-  by the ``metrics`` wire op (rendered by ``repro top``); queries
-  slower than ``slow_query_ms`` get their :class:`Explain` tree written
-  to the slow-query log.  When the requester carries a trace context in
-  its frame, the daemon's ``daemon.<op>`` span -- and everything the
-  handler does beneath it -- stitches onto the caller's trace tree.
-* **Monitoring.**  A background sampler (default: every second) scrapes
-  the op telemetry into a bounded :class:`TimeSeriesStore`; the
-  ``metrics_export`` op renders it as OpenMetrics text (also served on
-  a plain ``--metrics-port`` HTTP endpoint alongside ``/health``), the
-  ``health`` op runs storage/closure/subscription/trace-ring checks,
-  and ``--alert-rules`` evaluates threshold and SLO burn-rate rules on
-  every tick (``alerts`` op, ``repro alerts``).
+  code) and folded into the monitor's per-tenant telemetry; queries
+  slower than ``slow_query_ms`` get the :class:`Explain` tree of the
+  execution that was timed written to the slow-query log.  When the
+  requester carries a trace context in its frame, the daemon's
+  ``daemon.<op>`` span -- and everything the handler does beneath it --
+  stitches onto the caller's trace tree.
 
 The daemon can run embedded (``start()``/``stop()`` around a background
 thread -- what the tests and benches do) or in the foreground
@@ -47,40 +49,18 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import logging
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.api.registry import connect
-from repro.errors import (
-    AuthError,
-    ConfigurationError,
-    PassError,
-    ProtocolError,
-    UnknownEntityError,
-)
-from repro.obs import Counter, Histogram, trace
-from repro.obs.alerts import AlertEngine, load_rules
-from repro.obs.export import OPENMETRICS_CONTENT_TYPE, openmetrics
-from repro.obs.health import (
-    closure_check,
-    evaluate as evaluate_health,
-    storage_check,
-    subscription_check,
-    trace_ring_check,
-)
-from repro.obs.timeseries import TimeSeriesStore
-from repro.server import protocol
-from repro.server.protocol import (
-    WIRE_VERSION,
-    encode_frame,
-    error_to_wire,
-    event_to_wire,
-)
+from repro.errors import AuthError, PassError, ProtocolError, UnknownEntityError
+from repro.obs import trace
+from repro.server import ops, protocol
+from repro.server.monitor import Monitor
+from repro.server.protocol import WIRE_VERSION, encode_frame, error_to_wire, event_to_wire
 
 __all__ = ["DaemonAddress", "PassDaemon"]
 
@@ -118,6 +98,7 @@ class _Connection:
         self.outbound: asyncio.Queue = asyncio.Queue()
         self.tenant: Optional[_Tenant] = None
         self.subscriptions: Dict[str, object] = {}
+        self.handler_task: Optional[asyncio.Task] = None
         self.writer_task: Optional[asyncio.Task] = None
         self.closing = False
 
@@ -127,89 +108,6 @@ class _Connection:
 
     def push_event(self, event) -> None:
         self.send({"push": "event", "event": event_to_wire(event)})
-
-
-class _Telemetry:
-    """Daemon introspection state: per-tenant op stats + slow-query ring.
-
-    All mutation happens on the loop thread (the dispatch path), so the
-    dict juggling needs no lock; the instruments themselves are the
-    :mod:`repro.obs` ones, giving the same streaming percentiles as
-    client-side metrics.
-    """
-
-    def __init__(self) -> None:
-        self.started = time.monotonic()
-        #: tenant -> op -> (calls, errors, latency histogram)
-        self._ops: Dict[str, Dict[str, tuple]] = {}
-        self._slow: deque = deque(maxlen=64)
-
-    def record(
-        self, tenant: str, op: str, duration_ms: float, error_code: Optional[str]
-    ) -> None:
-        ops = self._ops.setdefault(tenant, {})
-        entry = ops.get(op)
-        if entry is None:
-            entry = ops[op] = (
-                Counter(f"daemon.{op}"),
-                Counter(f"daemon.{op}.errors"),
-                Histogram(f"daemon.{op}.ms"),
-            )
-        calls, errors, latency = entry
-        calls.inc()
-        if error_code is not None:
-            errors.inc()
-        latency.observe(duration_ms)
-
-    def record_slow(
-        self,
-        tenant: str,
-        duration_ms: float,
-        explain: str,
-        misestimate: Optional[float] = None,
-    ) -> None:
-        self._slow.append(
-            {
-                "tenant": tenant,
-                "duration_ms": round(duration_ms, 3),
-                "explain": explain,
-                # How far off the planner's estimate was (>= 1.0, either
-                # direction); None when the explain was unavailable.
-                "misestimate": misestimate,
-            }
-        )
-
-    def snapshot(self, tenants=None, subscriptions=None) -> dict:
-        """The ``metrics`` op answer; restricted to ``tenants`` when given."""
-        uptime = max(time.monotonic() - self.started, 1e-9)
-        subscriptions = subscriptions or {}
-        names = set(self._ops) | set(subscriptions)
-        visible: Dict[str, dict] = {}
-        for name in sorted(names):
-            if tenants is not None and name not in tenants:
-                continue
-            blocks: Dict[str, dict] = {}
-            for op, (calls, errors, latency) in sorted(self._ops.get(name, {}).items()):
-                timing = latency.snapshot()
-                blocks[op] = {
-                    "count": calls.value,
-                    "errors": errors.value,
-                    "rate_per_s": calls.value / uptime,
-                    "mean_ms": timing["mean"],
-                    "p50_ms": timing["p50"],
-                    "p95_ms": timing["p95"],
-                    "p99_ms": timing["p99"],
-                }
-            visible[name] = {
-                "ops": blocks,
-                "active_subscriptions": subscriptions.get(name, 0),
-            }
-        slow = [
-            dict(entry)
-            for entry in self._slow
-            if tenants is None or entry["tenant"] in tenants
-        ]
-        return {"uptime_s": uptime, "tenants": visible, "slow_queries": slow}
 
 
 class PassDaemon:
@@ -232,7 +130,7 @@ class PassDaemon:
         unauthenticated and may name any tenant (default ``"default"``).
     slow_query_ms:
         When set, any ``query`` op slower than this many milliseconds
-        has its :class:`Explain` tree re-derived and written to the
+        has the :class:`Explain` tree of that execution written to the
         slow-query log (``repro.server`` logger, WARNING) and kept in
         the ring served by the ``metrics`` op.  ``None`` disables it.
     sample_interval_s:
@@ -277,32 +175,23 @@ class PassDaemon:
         self.backend_url = backend_url
         self.tokens = dict(tokens) if tokens else None
         self.slow_query_ms = slow_query_ms
-        if sample_interval_s is not None and sample_interval_s <= 0:
-            raise ConfigurationError("sample_interval_s must be positive")
-        self.sample_interval_s = sample_interval_s
         self.metrics_port = metrics_port
         self.metrics_address: Optional[DaemonAddress] = None
-        self.timeseries: Optional[TimeSeriesStore] = (
-            TimeSeriesStore(interval_s=sample_interval_s, retention=timeseries_retention)
-            if sample_interval_s is not None
-            else None
-        )
-        rules = load_rules(alert_rules) if alert_rules else []
-        if rules and self.timeseries is None:
-            raise ConfigurationError("alert rules need the sampler (sample_interval_s)")
-        self.alert_engine: Optional[AlertEngine] = (
-            AlertEngine(self.timeseries, rules) if rules else None
-        )
-        self.telemetry = _Telemetry()
         self.address: Optional[DaemonAddress] = None
         self._tenants: Dict[str, _Tenant] = {}
         self._connections: set = set()
+        self.monitor = Monitor(
+            self._connections,
+            self._tenants,
+            sample_interval_s=sample_interval_s,
+            timeseries_retention=timeseries_retention,
+            alert_rules=alert_rules,
+        )
+        #: the sampler's bounded history (``None`` when the sampler is off)
+        self.timeseries = self.monitor.series
         self._job_ids = itertools.count(1)
-        self._trace_check = trace_ring_check()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._metrics_server: Optional[asyncio.base_events.Server] = None
-        self._sampler_task: Optional[asyncio.Task] = None
         self._shutdown: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
@@ -374,16 +263,9 @@ class PassDaemon:
         )
         bound = self._server.sockets[0].getsockname()
         self.address = DaemonAddress(host=bound[0], port=bound[1])
-        if self.metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._handle_metrics_http, self.host, self.metrics_port
-            )
-            metrics_bound = self._metrics_server.sockets[0].getsockname()
-            self.metrics_address = DaemonAddress(
-                host=metrics_bound[0], port=metrics_bound[1]
-            )
-        if self.timeseries is not None:
-            self._sampler_task = self._loop.create_task(self._sampler())
+        metrics_bound = await self.monitor.start(self.host, self.metrics_port)
+        if metrics_bound is not None:
+            self.metrics_address = DaemonAddress(*metrics_bound)
         self._started.set()
         try:
             await self._shutdown.wait()
@@ -393,219 +275,32 @@ class PassDaemon:
             await self._close_everything()
 
     async def _close_everything(self) -> None:
-        if self._sampler_task is not None:
-            self._sampler_task.cancel()
-            try:
-                await self._sampler_task
-            except asyncio.CancelledError:
-                pass
-            self._sampler_task = None
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            await self._metrics_server.wait_closed()
-            self._metrics_server = None
+        await self.monitor.stop()
         self._server.close()
-        await self._server.wait_closed()
-        for connection in list(self._connections):
+        connections = list(self._connections)
+        for connection in connections:
             self._drop_subscriptions(connection)
             connection.send({"push": "goodbye", "reason": "daemon shutting down"})
             connection.closing = True
             connection.outbound.put_nowait(None)
-        writers = [c.writer_task for c in self._connections if c.writer_task is not None]
-        if writers:
-            # Let every writer flush its goodbye before the transports go.
-            await asyncio.gather(*writers, return_exceptions=True)
-        for connection in list(self._connections):
+        # Let every writer flush its goodbye before the transports go.
+        await asyncio.gather(
+            *(c.writer_task for c in connections if c.writer_task is not None),
+            return_exceptions=True,
+        )
+        for connection in connections:
             connection.writer.close()
+        # Each connection handler now reads EOF and unwinds on its own;
+        # leaving them for asyncio.run() to cancel mid-read would log a
+        # CancelledError traceback per live client.
+        await asyncio.gather(
+            *(c.handler_task for c in connections if c.handler_task is not None),
+            return_exceptions=True,
+        )
+        await self._server.wait_closed()
         for tenant in self._tenants.values():
             tenant.client.close()
         self._tenants.clear()
-
-    # ------------------------------------------------------------------
-    # Background sampler, health, exposition
-    # ------------------------------------------------------------------
-    async def _sampler(self) -> None:
-        """Scrape telemetry into the time-series store every interval.
-
-        Runs on the loop thread (an async task), so it reads the same
-        single-threaded telemetry state the dispatch path writes -- no
-        locks, no copies beyond the instrument snapshots themselves.
-        """
-        while True:
-            await asyncio.sleep(self.sample_interval_s)
-            try:
-                self._sample_tick(time.time())
-            except Exception:  # the sampler must never die mid-serve
-                _LOGGER.exception("sampler tick failed")
-
-    def _sample_tick(self, now: float) -> None:
-        store = self.timeseries
-        store.observe_gauge("daemon.connections", now, len(self._connections))
-        store.observe_counter(
-            "trace.spans_dropped", now, trace.ring_counters()["trace.spans_dropped"]
-        )
-        for tenant_name, count in self._subscription_counts().items():
-            store.observe_gauge(f"daemon.{tenant_name}.subscriptions", now, count)
-        for tenant_name, ops in self.telemetry._ops.items():
-            for op, (calls, errors, latency) in ops.items():
-                prefix = f"daemon.{tenant_name}.{op}"
-                store.observe_counter(prefix + ".calls", now, calls.value)
-                store.observe_counter(prefix + ".errors", now, errors.value)
-                store.observe_histogram(prefix + ".ms", now, latency.state())
-        for tenant_name, tenant in self._tenants.items():
-            tenant_store = getattr(tenant.client, "store", None)
-            if tenant_store is None:
-                continue
-            snapshot = tenant_store.storage_snapshot()
-            prefix = f"daemon.{tenant_name}.storage"
-            store.observe_gauge(prefix + ".shards", now, snapshot["shards"])
-            store.observe_gauge(prefix + ".records", now, snapshot["records"])
-            store.observe_counter(prefix + ".group_commits", now, snapshot["group_commits"])
-            store.observe_counter(prefix + ".parallel_scans", now, snapshot["parallel_scans"])
-            for entry in snapshot["per_shard"]:
-                store.observe_gauge(
-                    f"{prefix}.shard{entry['shard']:02d}.records", now, entry["records"]
-                )
-            # The adaptive engine's loop, as per-tenant series: plan-cache
-            # churn, drift invalidations, result-cache effectiveness,
-            # scheduled refreshes and closure switches.
-            cache = tenant_store.planner.cache_snapshot()
-            feedback = tenant_store.feedback.snapshot()
-            prefix = f"daemon.{tenant_name}.planner"
-            store.observe_gauge(prefix + ".cache_entries", now, cache["entries"])
-            store.observe_counter(prefix + ".cache_hits", now, cache["hits"])
-            store.observe_counter(prefix + ".cache_evictions", now, cache["evictions"])
-            store.observe_counter(
-                prefix + ".drift_invalidations", now, cache["drift_invalidations"]
-            )
-            store.observe_counter(
-                prefix + ".queries_observed", now, feedback["queries_observed"]
-            )
-            store.observe_counter(prefix + ".misestimates", now, feedback["misestimates"])
-            store.observe_counter(
-                prefix + ".stats_refreshes", now, feedback["stats_refreshes"]
-            )
-            store.observe_counter(
-                prefix + ".closure_switches", now, feedback["closure_switches"]
-            )
-            store.observe_counter(
-                prefix + ".result_cache_hits", now, feedback["result_cache"]["hits"]
-            )
-        if self.alert_engine is not None:
-            try:
-                self.alert_engine.evaluate(now)
-            except Exception:  # a bad rule must not kill sampling
-                _LOGGER.exception("alert evaluation failed")
-
-    def _subscription_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for connection in self._connections:
-            if connection.tenant is not None:
-                counts[connection.tenant.name] = counts.get(
-                    connection.tenant.name, 0
-                ) + len(connection.subscriptions)
-        return counts
-
-    @staticmethod
-    def _series_visible(name: str, scope: Optional[set]) -> bool:
-        """Tenant scoping for series names: ``daemon.<tenant>.*`` series
-        belong to that tenant; everything else (``trace.*``,
-        ``daemon.connections``) is global."""
-        if scope is None or not name.startswith("daemon."):
-            return True
-        rest = name[len("daemon."):]
-        if "." not in rest:
-            return True
-        return rest.split(".", 1)[0] in scope
-
-    def _export_text(self, scope: Optional[set] = None) -> str:
-        store = self.timeseries if self.timeseries is not None else TimeSeriesStore()
-        names = None
-        if scope is not None:
-            names = [n for n in store.names() if self._series_visible(n, scope)]
-        extra = {
-            "daemon.uptime_s": time.monotonic() - self.telemetry.started,
-            "daemon.connections": len(self._connections),
-        }
-        return openmetrics(store, extra_gauges=extra, names=names)
-
-    def _health_report(self, scope: Optional[set] = None) -> dict:
-        checks = [self._trace_check]
-        for name in sorted(self._tenants):
-            if scope is not None and name not in scope:
-                continue
-            store = getattr(self._tenants[name].client, "store", None)
-            if store is not None:
-                checks.append(storage_check(store, name=f"storage:{name}"))
-                checks.append(closure_check(store, name=f"closure:{name}"))
-
-        def visible_subscriptions():
-            out = []
-            for connection in self._connections:
-                if connection.tenant is None:
-                    continue
-                if scope is not None and connection.tenant.name not in scope:
-                    continue
-                out.extend(connection.subscriptions.values())
-            return out
-
-        checks.append(subscription_check(visible_subscriptions))
-        return evaluate_health(checks)
-
-    def _alerts_snapshot(self, scope: Optional[set] = None) -> dict:
-        engine = self.alert_engine
-        if engine is None:
-            return {"enabled": False, "reason": "no alert rules loaded"}
-        snapshot = engine.snapshot()
-        if scope is not None:
-            allowed = set()
-            for rule in engine.rules:
-                series = (
-                    [rule.series] if rule.kind == "threshold" else [rule.errors, rule.total]
-                )
-                if all(self._series_visible(s, scope) for s in series if s):
-                    allowed.add(rule.name)
-            snapshot["rules"] = [r for r in snapshot["rules"] if r["name"] in allowed]
-            snapshot["firing"] = [n for n in snapshot["firing"] if n in allowed]
-            snapshot["transitions"] = [
-                t for t in snapshot["transitions"] if t["rule"] in allowed
-            ]
-        snapshot["enabled"] = True
-        return snapshot
-
-    async def _handle_metrics_http(self, reader, writer) -> None:
-        """A deliberately tiny HTTP/1.1 responder for external scrapers."""
-        try:
-            request_line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            while True:  # consume headers up to the blank line
-                line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-                if not line or line in (b"\r\n", b"\n"):
-                    break
-            parts = request_line.decode("latin-1", "replace").split()
-            path = parts[1].split("?", 1)[0] if len(parts) >= 2 else "/"
-            if path in ("/", "/metrics"):
-                status = "200 OK"
-                content_type = OPENMETRICS_CONTENT_TYPE
-                body = self._export_text().encode("utf-8")
-            elif path == "/health":
-                report = self._health_report()
-                status = "200 OK" if report["status"] != "failing" else "503 Service Unavailable"
-                content_type = "application/json"
-                body = json.dumps(report).encode("utf-8")
-            else:
-                status = "404 Not Found"
-                content_type = "text/plain"
-                body = b"not found\n"
-            head = (
-                f"HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-            )
-            writer.write(head.encode("latin-1") + body)
-            await writer.drain()
-        except (asyncio.TimeoutError, ConnectionError):
-            pass
-        finally:
-            writer.close()
 
     # ------------------------------------------------------------------
     # Tenants and auth
@@ -628,9 +323,7 @@ class PassDaemon:
             self._tenants[name] = tenant
         return tenant
 
-    def _authenticate(self, args: dict) -> _Tenant:
-        token = args.get("token")
-        requested = args.get("tenant")
+    def _authenticate(self, token: Optional[str], requested: Optional[str]) -> _Tenant:
         if self.tokens is None:
             name = requested or "default"
         else:
@@ -652,6 +345,7 @@ class PassDaemon:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         connection = _Connection(reader, writer)
+        connection.handler_task = asyncio.current_task()
         self._connections.add(connection)
         connection.writer_task = asyncio.get_running_loop().create_task(
             self._drain(connection)
@@ -695,14 +389,19 @@ class PassDaemon:
             if not self._dispatch(connection, payload):
                 return
 
+    # ------------------------------------------------------------------
+    # Dispatch (runs on the loop thread)
+    # ------------------------------------------------------------------
     def _dispatch(self, connection: _Connection, payload: dict) -> bool:
         """Handle one request frame; False closes the connection.
 
-        The handler runs under a ``daemon.<op>`` span parented on the
-        trace context the request frame carried (if any), so a traced
-        remote call yields one stitched tree across the wire.  Every
-        request -- success or typed failure -- lands one access-log line
-        and one telemetry sample.
+        The op is looked up in :data:`repro.server.ops.OPS`, its
+        arguments are checked and decoded by the row, and the call runs
+        under a ``daemon.<op>`` span parented on the trace context the
+        request frame carried (if any), so a traced remote call yields
+        one stitched tree across the wire.  Every request -- success or
+        typed failure -- lands one access-log line and one telemetry
+        sample.
         """
         request_id = payload.get("id")
         op = payload.get("op")
@@ -714,41 +413,50 @@ class PassDaemon:
             if not isinstance(args, dict):
                 raise ProtocolError("request args must be an object")
             with trace.span(f"daemon.{op}", parent=payload.get("trace")):
-                if op == "hello":
-                    result = self._handle_hello(connection, args)
-                elif connection.tenant is None:
+                if op != "hello" and connection.tenant is None:
                     raise AuthError("first frame must be a 'hello' (auth handshake)")
-                else:
-                    handler = self._HANDLERS.get(op)
-                    if handler is None:
-                        raise ProtocolError(f"unknown op {op!r}")
-                    result = handler(self, connection, args)
+                row = ops.OPS.get(op)
+                if row is None:
+                    raise ProtocolError(f"unknown op {op!r}")
+                answer = self._serve(row, connection, row.decode_args(args))
+                result = row.result.to_wire(answer)
         except Exception as error:  # typed envelope, never a traceback
             envelope = error_to_wire(error)
             # Observe before sending: once the client holds the answer,
             # the access-log line and telemetry sample already exist.
-            self._observe_request(
-                connection, op, args, started, envelope.get("code", "error")
-            )
+            self._observe_request(connection, op, started, envelope.get("code", "error"))
             connection.send({"id": request_id, "ok": False, "error": envelope})
             return not isinstance(error, (AuthError, ProtocolError))
-        self._observe_request(connection, op, args, started, None)
+        self._observe_request(connection, op, started, None, answer)
         connection.send({"id": request_id, "ok": True, "result": result})
         return True
+
+    def _serve(self, row: ops.Op, connection: _Connection, values: dict):
+        """Route one decoded request to whoever the table says serves it."""
+        if row.served_by == ops.FORWARD:
+            served = getattr(connection.tenant.client, row.name)
+            # ``supports_lineage`` is a property of the façade, not a method.
+            return served(**values) if callable(served) else served
+        if row.served_by == ops.MONITOR:
+            # Open daemons show the whole house; token-authed connections
+            # only see their own tenant (no cross-tenant traffic intel).
+            scope = None if self.tokens is None else {connection.tenant.name}
+            return getattr(self.monitor, row.name)(scope)
+        return getattr(self, "_handle_" + row.name)(connection, **values)
 
     def _observe_request(
         self,
         connection: _Connection,
         op,
-        args: dict,
         started: float,
         error_code: Optional[str],
+        answer=None,
     ) -> None:
         """Access-log one request and fold it into the telemetry state."""
         duration_ms = (time.perf_counter() - started) * 1000.0
         opname = op if isinstance(op, str) else "?"
         tenant = connection.tenant.name if connection.tenant is not None else "-"
-        self.telemetry.record(tenant, opname, duration_ms, error_code)
+        self.monitor.record(tenant, opname, duration_ms, error_code)
         _LOGGER.info(
             "op=%s tenant=%s duration_ms=%.3f status=%s",
             opname,
@@ -761,34 +469,25 @@ class PassDaemon:
             and opname == "query"
             and self.slow_query_ms is not None
             and duration_ms >= self.slow_query_ms
-            and connection.tenant is not None
         ):
-            self._log_slow_query(connection, args, duration_ms)
+            self._log_slow_query(tenant, getattr(answer, "explain", None), duration_ms)
 
-    def _log_slow_query(
-        self, connection: _Connection, args: dict, duration_ms: float
-    ) -> None:
+    def _log_slow_query(self, tenant: str, explain, duration_ms: float) -> None:
+        """Log the plan of the execution that was timed (never a re-run)."""
         misestimate: Optional[float] = None
-        try:
-            payload = args.get("query")
-            explain = connection.tenant.client.explain(
-                None if payload is None else protocol.query_from_wire(payload),
-                origin=args.get("origin"),
-            )
+        if explain is None:
+            tree = "(explain unavailable: the target reports none with its results)"
+        else:
             tree = explain.format()
             # The estimate error is the *why* behind most slow queries:
             # report it (symmetric, >= 1.0) next to the duration so an
             # operator sees a stale plan without reading the whole tree.
             ratio = (explain.estimated_rows + 1.0) / (explain.actual_rows + 1.0)
             misestimate = round(max(ratio, 1.0 / ratio), 2)
-        except Exception as error:  # never fail a request over a log line
-            tree = f"(explain unavailable: {error})"
-        self.telemetry.record_slow(
-            connection.tenant.name, duration_ms, tree, misestimate=misestimate
-        )
+        self.monitor.record_slow(tenant, duration_ms, tree, misestimate=misestimate)
         _LOGGER.warning(
             "slow query: tenant=%s duration_ms=%.3f threshold_ms=%.3f misestimate=%s\n%s",
-            connection.tenant.name,
+            tenant,
             duration_ms,
             self.slow_query_ms,
             "n/a" if misestimate is None else f"{misestimate:.2f}x",
@@ -803,85 +502,21 @@ class PassDaemon:
         connection.subscriptions.clear()
 
     # ------------------------------------------------------------------
-    # Operation handlers (all run on the loop thread)
+    # Connection-stateful ops (ops.CONNECTION rows; arguments arrive
+    # checked and decoded, under their wire names)
     # ------------------------------------------------------------------
-    def _handle_hello(self, connection: _Connection, args: dict) -> dict:
-        tenant = self._authenticate(args)
-        connection.tenant = tenant
+    def _handle_hello(self, connection: _Connection, token=None, tenant=None) -> dict:
+        connection.tenant = self._authenticate(token, tenant)
         return {
             "wire_version": WIRE_VERSION,
-            "tenant": tenant.name,
-            "target": f"remote+{tenant.client.target}",
+            "tenant": connection.tenant.name,
+            "target": f"remote+{connection.tenant.client.target}",
         }
 
-    def _handle_ping(self, connection: _Connection, args: dict) -> dict:
+    def _handle_ping(self, connection: _Connection) -> dict:
         return {"wire_version": WIRE_VERSION}
 
-    def _handle_publish(self, connection: _Connection, args: dict) -> dict:
-        tuple_set = protocol.tuple_set_from_wire(args.get("tuple_set"))
-        result = connection.tenant.client.publish(tuple_set, origin=args.get("origin"))
-        return protocol.result_to_wire(result)
-
-    def _handle_publish_many(self, connection: _Connection, args: dict) -> dict:
-        payloads = args.get("tuple_sets")
-        if not isinstance(payloads, list):
-            raise ProtocolError("publish_many needs a 'tuple_sets' list")
-        tuple_sets = [protocol.tuple_set_from_wire(item) for item in payloads]
-        result = connection.tenant.client.publish_many(
-            tuple_sets, origin=args.get("origin")
-        )
-        return protocol.result_to_wire(result)
-
-    def _query_argument(self, args: dict):
-        payload = args.get("query")
-        return None if payload is None else protocol.query_from_wire(payload)
-
-    def _handle_query(self, connection: _Connection, args: dict) -> dict:
-        result = connection.tenant.client.query(
-            self._query_argument(args),
-            limit=args.get("limit"),
-            offset=args.get("offset", 0),
-            origin=args.get("origin"),
-        )
-        return protocol.result_to_wire(result)
-
-    def _handle_explain(self, connection: _Connection, args: dict) -> dict:
-        explain = connection.tenant.client.explain(
-            self._query_argument(args), origin=args.get("origin")
-        )
-        return protocol.explain_to_wire(explain)
-
-    def _handle_ancestors(self, connection: _Connection, args: dict) -> dict:
-        result = connection.tenant.client.ancestors(
-            protocol.pname_from_wire(args.get("pname")),
-            origin=args.get("origin"),
-            limit=args.get("limit"),
-            offset=args.get("offset", 0),
-        )
-        return protocol.result_to_wire(result)
-
-    def _handle_descendants(self, connection: _Connection, args: dict) -> dict:
-        result = connection.tenant.client.descendants(
-            protocol.pname_from_wire(args.get("pname")),
-            origin=args.get("origin"),
-            limit=args.get("limit"),
-            offset=args.get("offset", 0),
-        )
-        return protocol.result_to_wire(result)
-
-    def _handle_locate(self, connection: _Connection, args: dict) -> dict:
-        result = connection.tenant.client.locate(
-            protocol.pname_from_wire(args.get("pname")), origin=args.get("origin")
-        )
-        return protocol.result_to_wire(result)
-
-    def _handle_describe_record(self, connection: _Connection, args: dict):
-        record = connection.tenant.client.describe_record(
-            protocol.pname_from_wire(args.get("pname"))
-        )
-        return None if record is None else protocol.record_to_wire(record)
-
-    def _handle_stats(self, connection: _Connection, args: dict) -> dict:
+    def _handle_stats(self, connection: _Connection) -> dict:
         stats = dict(connection.tenant.client.stats())
         # The wire client reports the daemon-composed target name, so the
         # two ends of the connection agree on what "target" means.
@@ -889,95 +524,39 @@ class PassDaemon:
         stats["tenant"] = connection.tenant.name
         return stats
 
-    def _handle_metrics(self, connection: _Connection, args: dict) -> dict:
-        # Open daemons show the whole house; token-authed connections
-        # only see their own tenant (no cross-tenant traffic intel).
-        scope = None if self.tokens is None else {connection.tenant.name}
-        subscriptions: Dict[str, int] = {}
-        for other in self._connections:
-            if other.tenant is not None:
-                subscriptions[other.tenant.name] = subscriptions.get(
-                    other.tenant.name, 0
-                ) + len(other.subscriptions)
-        return self.telemetry.snapshot(tenants=scope, subscriptions=subscriptions)
-
-    def _handle_metrics_export(self, connection: _Connection, args: dict) -> dict:
-        scope = None if self.tokens is None else {connection.tenant.name}
-        return {
-            "content_type": OPENMETRICS_CONTENT_TYPE,
-            "text": self._export_text(scope),
-        }
-
-    def _handle_health(self, connection: _Connection, args: dict) -> dict:
-        scope = None if self.tokens is None else {connection.tenant.name}
-        return self._health_report(scope)
-
-    def _handle_alerts(self, connection: _Connection, args: dict) -> dict:
-        scope = None if self.tokens is None else {connection.tenant.name}
-        return self._alerts_snapshot(scope)
-
-    def _handle_timeseries(self, connection: _Connection, args: dict) -> dict:
-        if self.timeseries is None:
-            return {"enabled": False, "reason": "sampler disabled"}
-        scope = None if self.tokens is None else {connection.tenant.name}
-        names = None
-        if scope is not None:
-            names = [n for n in self.timeseries.names() if self._series_visible(n, scope)]
-        snapshot = self.timeseries.snapshot(names=names)
-        snapshot["enabled"] = True
-        return snapshot
-
-    def _handle_refresh(self, connection: _Connection, args: dict) -> None:
-        connection.tenant.client.refresh()
-        return None
-
-    def _handle_supports_lineage(self, connection: _Connection, args: dict) -> bool:
-        return connection.tenant.client.supports_lineage
-
-    # -- subscriptions ---------------------------------------------------
-    def _handle_subscribe(self, connection: _Connection, args: dict) -> dict:
+    def _handle_subscribe(
+        self, connection: _Connection, query=None, window=None, origin=None, name=None
+    ) -> dict:
         subscription = connection.tenant.client.subscribe(
-            self._query_argument(args),
-            callback=connection.push_event,
-            window=protocol.window_from_wire(args.get("window")),
-            origin=args.get("origin"),
-            name=args.get("name"),
+            query, callback=connection.push_event, window=window, origin=origin, name=name
         )
         connection.subscriptions[subscription.id] = subscription
         return subscription.stats()
 
-    def _handle_subscribe_descendants(self, connection: _Connection, args: dict) -> dict:
+    def _handle_subscribe_descendants(
+        self, connection: _Connection, pname, origin=None, name=None
+    ) -> dict:
         subscription = connection.tenant.client.subscribe_descendants(
-            protocol.pname_from_wire(args.get("pname")),
-            callback=connection.push_event,
-            origin=args.get("origin"),
-            name=args.get("name"),
+            pname, callback=connection.push_event, origin=origin, name=name
         )
         connection.subscriptions[subscription.id] = subscription
         return subscription.stats()
 
-    def _handle_unsubscribe(self, connection: _Connection, args: dict) -> bool:
-        subscription_id = args.get("sub")
-        subscription = connection.subscriptions.pop(subscription_id, None)
+    def _handle_unsubscribe(self, connection: _Connection, sub: str) -> bool:
+        subscription = connection.subscriptions.pop(sub, None)
         if subscription is None:
             return False
         return connection.tenant.client.unsubscribe(subscription)
 
-    def _handle_subscriptions(self, connection: _Connection, args: dict) -> list:
+    def _handle_subscriptions(self, connection: _Connection) -> list:
         return [sub.stats() for sub in connection.subscriptions.values()]
 
-    def _handle_flush_windows(self, connection: _Connection, args: dict) -> int:
-        # Window events land on this connection's push queue *before* the
-        # response frame (same queue, enqueued during this call).
-        return connection.tenant.client.flush_windows()
-
-    # -- async index build jobs -----------------------------------------
-    def _handle_rebuild_index(self, connection: _Connection, args: dict) -> dict:
+    def _handle_rebuild_index(self, connection: _Connection, strategy=None) -> dict:
         tenant = connection.tenant
         task_id = f"task-{next(self._job_ids)}"
         job = {"task_id": task_id, "status": "pending"}
         tenant.jobs[task_id] = job
-        self._loop.create_task(self._run_rebuild(tenant, job, args.get("strategy")))
+        self._loop.create_task(self._run_rebuild(tenant, job, strategy))
         return {"task_id": task_id, "status": "pending"}
 
     async def _run_rebuild(
@@ -993,36 +572,8 @@ class PassDaemon:
             job["status"] = "failed"
             job["error"] = error_to_wire(error)
 
-    def _handle_task_status(self, connection: _Connection, args: dict) -> dict:
-        task_id = args.get("task_id")
+    def _handle_task_status(self, connection: _Connection, task_id: str) -> dict:
         job = connection.tenant.jobs.get(task_id)
         if job is None:
             raise UnknownEntityError(f"unknown task {task_id!r}")
         return dict(job)
-
-    _HANDLERS = {
-        "ping": _handle_ping,
-        "publish": _handle_publish,
-        "publish_many": _handle_publish_many,
-        "query": _handle_query,
-        "explain": _handle_explain,
-        "ancestors": _handle_ancestors,
-        "descendants": _handle_descendants,
-        "locate": _handle_locate,
-        "describe_record": _handle_describe_record,
-        "stats": _handle_stats,
-        "metrics": _handle_metrics,
-        "metrics_export": _handle_metrics_export,
-        "health": _handle_health,
-        "alerts": _handle_alerts,
-        "timeseries": _handle_timeseries,
-        "refresh": _handle_refresh,
-        "supports_lineage": _handle_supports_lineage,
-        "subscribe": _handle_subscribe,
-        "subscribe_descendants": _handle_subscribe_descendants,
-        "unsubscribe": _handle_unsubscribe,
-        "subscriptions": _handle_subscriptions,
-        "flush_windows": _handle_flush_windows,
-        "rebuild_index": _handle_rebuild_index,
-        "task_status": _handle_task_status,
-    }

@@ -38,6 +38,7 @@ from repro.errors import (
 from repro.obs import MetricsRegistry, trace
 from repro.query.explain import Explain
 from repro.server import protocol
+from repro.server.ops import OPS
 from repro.stream.subscription import Subscription
 from repro.stream.windows import WindowSpec
 
@@ -91,7 +92,7 @@ class RemoteClient(PassClient):
             target=self._read_loop, name="pass-client-reader", daemon=True
         )
         self._reader.start()
-        hello = self._call("hello", token=token, tenant=tenant)
+        hello = self._invoke("hello", token=token, tenant=tenant)
         if hello.get("wire_version") != protocol.WIRE_VERSION:
             self.close()
             raise ProtocolError(
@@ -121,8 +122,7 @@ class RemoteClient(PassClient):
         with trace.span(f"rpc.{op}", attrs={"host": self.host, "port": self.port}):
             request_id = next(self._ids)
             pending = _Pending()
-            arguments = {name: value for name, value in args.items() if value is not None}
-            envelope = {"id": request_id, "op": op, "args": arguments}
+            envelope = {"id": request_id, "op": op, "args": args}
             context = trace.current_wire()
             if context is not None:
                 envelope["trace"] = context
@@ -149,6 +149,11 @@ class RemoteClient(PassClient):
                     envelope.get("code", "error"), envelope.get("message", "remote error")
                 )
             return payload.get("result")
+
+    def _invoke(self, op: str, **values):
+        """One op through the table: encode the arguments, call, decode the answer."""
+        row = OPS[op]
+        return row.result.from_wire(self._call(op, **row.encode_args(values)))
 
     def _read_loop(self) -> None:
         reason = "daemon closed the connection"
@@ -196,23 +201,10 @@ class RemoteClient(PassClient):
     # The façade protocol
     # ------------------------------------------------------------------
     def publish(self, tuple_set, origin: Optional[str] = None) -> Result:
-        return protocol.result_from_wire(
-            self._call(
-                "publish", tuple_set=protocol.tuple_set_to_wire(tuple_set), origin=origin
-            )
-        )
+        return self._invoke("publish", tuple_set=tuple_set, origin=origin)
 
     def publish_many(self, tuple_sets, origin: Optional[str] = None) -> Result:
-        return protocol.result_from_wire(
-            self._call(
-                "publish_many",
-                tuple_sets=[protocol.tuple_set_to_wire(ts) for ts in tuple_sets],
-                origin=origin,
-            )
-        )
-
-    def _query_wire(self, queryish) -> Optional[dict]:
-        return None if queryish is None else protocol.query_to_wire(as_query(queryish))
+        return self._invoke("publish_many", tuple_sets=tuple_sets, origin=origin)
 
     def query(
         self,
@@ -222,20 +214,10 @@ class RemoteClient(PassClient):
         offset: int = 0,
         origin: Optional[str] = None,
     ) -> Result:
-        return protocol.result_from_wire(
-            self._call(
-                "query",
-                query=self._query_wire(query),
-                limit=limit,
-                offset=offset or None,
-                origin=origin,
-            )
-        )
+        return self._invoke("query", query=query, limit=limit, offset=offset or None, origin=origin)
 
     def explain(self, query=None, *, origin: Optional[str] = None) -> Explain:
-        return protocol.explain_from_wire(
-            self._call("explain", query=self._query_wire(query), origin=origin)
-        )
+        return self._invoke("explain", query=query, origin=origin)
 
     def ancestors(
         self,
@@ -245,14 +227,8 @@ class RemoteClient(PassClient):
         limit: Optional[int] = None,
         offset: int = 0,
     ) -> Result:
-        return protocol.result_from_wire(
-            self._call(
-                "ancestors",
-                pname=coerce_pname(pname).digest,
-                origin=origin,
-                limit=limit,
-                offset=offset or None,
-            )
+        return self._invoke(
+            "ancestors", pname=pname, origin=origin, limit=limit, offset=offset or None
         )
 
     def descendants(
@@ -263,23 +239,15 @@ class RemoteClient(PassClient):
         limit: Optional[int] = None,
         offset: int = 0,
     ) -> Result:
-        return protocol.result_from_wire(
-            self._call(
-                "descendants",
-                pname=coerce_pname(pname).digest,
-                origin=origin,
-                limit=limit,
-                offset=offset or None,
-            )
+        return self._invoke(
+            "descendants", pname=pname, origin=origin, limit=limit, offset=offset or None
         )
 
     def locate(self, pname, origin: Optional[str] = None) -> Result:
-        return protocol.result_from_wire(
-            self._call("locate", pname=coerce_pname(pname).digest, origin=origin)
-        )
+        return self._invoke("locate", pname=pname, origin=origin)
 
     def stats(self) -> Dict[str, object]:
-        served = dict(self._call("stats"))
+        served = dict(self._invoke("stats"))
         served["tenant"] = self.tenant
         # Socket-side view: op counters/latencies observed by *this*
         # client, distinct from the daemon-side numbers in the rest.
@@ -293,7 +261,7 @@ class RemoteClient(PassClient):
         subscription counts; tenant-scoped when the daemon requires
         tokens, whole-daemon when it is open.  ``repro top`` renders it.
         """
-        return self._call("metrics")
+        return self._invoke("metrics")
 
     def metrics_export(self) -> Dict[str, object]:
         """The daemon's OpenMetrics text exposition (``metrics_export``).
@@ -302,31 +270,30 @@ class RemoteClient(PassClient):
         daemon's ``--metrics-port`` HTTP endpoint serves, tenant-scoped
         on a token-authed daemon.
         """
-        return self._call("metrics_export")
+        return self._invoke("metrics_export")
 
     def health(self) -> Dict[str, object]:
         """The daemon's health report (the ``health`` wire op)."""
-        return self._call("health")
+        return self._invoke("health")
 
     def alerts(self) -> Dict[str, object]:
         """The daemon's alert state (rules, firing set, transitions)."""
-        return self._call("alerts")
+        return self._invoke("alerts")
 
     def timeseries(self) -> Dict[str, object]:
         """The daemon's retained time-series history (``timeseries`` op)."""
-        return self._call("timeseries")
+        return self._invoke("timeseries")
 
     def describe_record(self, pname) -> Optional[ProvenanceRecord]:
-        payload = self._call("describe_record", pname=coerce_pname(pname).digest)
-        return None if payload is None else protocol.record_from_wire(payload)
+        return self._invoke("describe_record", pname=pname)
 
     def refresh(self) -> None:
-        self._call("refresh")
+        self._invoke("refresh")
 
     @property
     def supports_lineage(self) -> bool:
         if self._supports_lineage is None:
-            self._supports_lineage = bool(self._call("supports_lineage"))
+            self._supports_lineage = self._invoke("supports_lineage")
         return self._supports_lineage
 
     # ------------------------------------------------------------------
@@ -343,13 +310,7 @@ class RemoteClient(PassClient):
         overflow: str = "drop-oldest",
         name: Optional[str] = None,
     ) -> Subscription:
-        described = self._call(
-            "subscribe",
-            query=self._query_wire(query),
-            window=protocol.window_to_wire(window),
-            origin=origin,
-            name=name,
-        )
+        described = self._invoke("subscribe", query=query, window=window, origin=origin, name=name)
         return self._mirror_subscription(
             described,
             query=None if query is None else as_query(query),
@@ -371,12 +332,7 @@ class RemoteClient(PassClient):
         name: Optional[str] = None,
     ) -> Subscription:
         watched = coerce_pname(pname)
-        described = self._call(
-            "subscribe_descendants",
-            pname=watched.digest,
-            origin=origin,
-            name=name,
-        )
+        described = self._invoke("subscribe_descendants", pname=watched, origin=origin, name=name)
         return self._mirror_subscription(
             described,
             watched=watched,
@@ -386,28 +342,14 @@ class RemoteClient(PassClient):
             name=name,
         )
 
-    def _mirror_subscription(
-        self,
-        described: dict,
-        query=None,
-        watched=None,
-        window=None,
-        callback=None,
-        maxsize: int = 256,
-        overflow: str = "drop-oldest",
-        name: Optional[str] = None,
-    ) -> Subscription:
+    def _mirror_subscription(self, described: dict, **local) -> Subscription:
+        """The local twin of a daemon-side subscription: the daemon chose
+        id, kind and site; query/window/delivery options stay client-side."""
         subscription = Subscription(
             subscription_id=described["id"],
             kind=described["kind"],
-            query=query,
-            watched=watched,
-            window=window,
             site=described.get("site"),
-            callback=callback,
-            maxsize=maxsize,
-            overflow=overflow,
-            name=name,
+            **local,
         )
         with self._state_lock:
             self._subs[subscription.id] = subscription
@@ -417,7 +359,7 @@ class RemoteClient(PassClient):
         subscription_id = (
             subscription.id if isinstance(subscription, Subscription) else subscription
         )
-        existed = bool(self._call("unsubscribe", sub=subscription_id))
+        existed = self._invoke("unsubscribe", sub=subscription_id)
         with self._state_lock:
             local = self._subs.pop(subscription_id, None)
         if local is not None:
@@ -434,7 +376,7 @@ class RemoteClient(PassClient):
         # The daemon enqueues the trailing window events on this
         # connection's push stream before the response frame, so they are
         # already in the local queues when this returns.
-        return int(self._call("flush_windows"))
+        return self._invoke("flush_windows")
 
     # ------------------------------------------------------------------
     # Async index build
@@ -446,13 +388,11 @@ class RemoteClient(PassClient):
         strategy before rebuilding (the adaptive engine's switch verb,
         available remotely through the same job plumbing).
         """
-        if strategy is None:
-            return self._call("rebuild_index")["task_id"]
-        return self._call("rebuild_index", strategy=strategy)["task_id"]
+        return self._invoke("rebuild_index", strategy=strategy)["task_id"]
 
     def job_status(self, task_id: str) -> Dict[str, object]:
         """One poll of an async job: status plus stats/error when finished."""
-        return self._call("task_status", task_id=task_id)
+        return self._invoke("task_status", task_id=task_id)
 
     def rebuild_lineage_index(
         self, strategy: Optional[str] = None, poll_interval: float = 0.02

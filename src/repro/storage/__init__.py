@@ -1,9 +1,8 @@
-"""Storage substrates: in-memory, SQLite and sharded backends, WAL, replication."""
+"""Storage substrates: in-memory, SQLite and sharded backends, and the WAL."""
 
 from repro.storage.backend import StorageBackend, StorageStats
 from repro.storage.factory import BACKEND_KINDS, make_backend
 from repro.storage.memory import MemoryBackend
-from repro.storage.replication import ReplicationManager
 from repro.storage.sharded import ShardedBackend, shard_of_digest
 from repro.storage.sqlite import SQLiteBackend
 from repro.storage.wal import ReplayReport, WalEntry, WriteAheadLog
@@ -20,5 +19,4 @@ __all__ = [
     "WriteAheadLog",
     "WalEntry",
     "ReplayReport",
-    "ReplicationManager",
 ]

@@ -113,6 +113,28 @@ class TestSlowQueryLog:
         assert slow[0]["duration_ms"] >= 0
         assert "rows" in slow[0]["explain"]
 
+    def test_the_slow_query_log_does_not_run_the_query_again(self, workload_sets):
+        with PassDaemon(slow_query_ms=0.0) as daemon:
+            with connect(daemon.address.url) as client:
+                _publish(client, workload_sets)
+                client.query(Q.attr("city") == "london", limit=3)
+                stats = client.stats()
+                slow = client.daemon_metrics()["slow_queries"]
+        # The logged tree is the Explain of the execution that was timed,
+        # so the store saw exactly one query (and one planner sighting).
+        assert stats["store"]["queries"] == 1
+        assert stats["planner"]["feedback"]["queries_observed"] == 1
+        assert slow[0]["misestimate"] >= 1.0
+
+    def test_targets_without_an_explain_log_it_as_unavailable(self, workload_sets):
+        with PassDaemon(backend_url="centralized://", slow_query_ms=0.0) as daemon:
+            with connect(daemon.address.url) as client:
+                _publish(client, workload_sets)
+                client.query(Q.attr("city") == "london", limit=3)
+                slow = client.daemon_metrics()["slow_queries"]
+        assert "explain unavailable" in slow[0]["explain"]
+        assert slow[0]["misestimate"] is None
+
     def test_disabled_threshold_logs_nothing_slow(self, caplog, workload_sets):
         with PassDaemon() as daemon:  # slow_query_ms=None
             with caplog.at_level(logging.INFO, logger="repro.server"):

@@ -9,6 +9,7 @@ unknown ops).
 
 from __future__ import annotations
 
+import logging
 import socket
 import time
 
@@ -106,6 +107,19 @@ def test_graceful_shutdown_says_goodbye_to_live_subscribers():
     with pytest.raises(NetworkError):
         client.stats()
     client.close()
+
+
+def test_stop_with_live_connections_lets_their_handlers_finish(caplog):
+    daemon = PassDaemon()
+    address = daemon.start()
+    idle = connect(address.url)  # connected, nothing in flight
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        daemon.stop()
+    # A handler cancelled mid-read is reported by the loop as
+    # "Exception in callback ... CancelledError".
+    assert [record.getMessage() for record in caplog.records] == []
+    assert daemon._connections == set()
+    idle.close()
 
 
 def test_client_disconnect_mid_stream_reclaims_server_subscriptions():

@@ -1,4 +1,4 @@
-"""Property-based round-trip tests for the PASS wire protocol.
+"""Property-based tests for the PASS wire protocol.
 
 Everything that crosses a ``pass://`` connection must survive
 serialization *exactly*: the full predicate algebra, queries, window
@@ -6,13 +6,18 @@ specs, records, tuple sets, results and explain trees.  Hypothesis
 drives arbitrary instances through ``*_to_wire`` -> JSON bytes ->
 ``*_from_wire`` and asserts identity; a parallel set of checks pins the
 framing layer and the stable error-code table (part of the protocol
-contract -- renaming a code is a wire-version break).
+contract -- renaming a code is a wire-version break).  The same
+strategies then attack a live daemon: for every op of the table and
+every field it declares, a value of the wrong JSON type (or a field the
+op does not declare) must come back as the typed ``protocol`` error
+naming op and field, followed by EOF.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import socket
 import string
 import struct
 
@@ -50,7 +55,7 @@ from repro.errors import (
     error_from_code,
 )
 from repro.query.explain import Explain
-from repro.server import protocol
+from repro.server import PassDaemon, ops, protocol
 from repro.stream.subscription import LineageEvent, MatchEvent, WindowEvent
 from repro.stream.windows import AGGREGATES, WindowSpec
 
@@ -361,3 +366,107 @@ def test_unknown_errors_degrade_to_the_generic_code():
 def test_wire_error_envelope_shape():
     envelope = protocol.error_to_wire(ProtocolError("bad frame"))
     assert envelope == {"code": "protocol", "message": "bad frame"}
+
+
+# ----------------------------------------------------------------------
+# Argument checks: every op x every declared field, against a live daemon
+# ----------------------------------------------------------------------
+json_values = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(names, st.integers(), max_size=2),
+)
+
+#: a well-formed wire value for each argument codec of the table
+VALID_WIRE_VALUES = {
+    ops.TEXT: names,
+    ops.INTEGER: st.integers(min_value=0, max_value=100),
+    ops.PNAME: pnames.map(lambda pname: pname.digest),
+    ops.QUERY: queries.map(protocol.query_to_wire),
+    ops.WINDOW: window_specs().map(protocol.window_to_wire),
+    ops.TUPLE_SET: tuple_sets.map(protocol.tuple_set_to_wire),
+    ops.TUPLE_SETS: st.lists(tuple_sets, max_size=2).map(ops.TUPLE_SETS.to_wire),
+}
+
+ATTACKS = settings(
+    max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@pytest.fixture(scope="module")
+def daemon():
+    with PassDaemon(sample_interval_s=None) as running:
+        yield running
+
+
+def _required_args(draw, op, besides=None):
+    return {
+        field.name: draw(VALID_WIRE_VALUES[field.codec])
+        for field in op.fields
+        if field.required and field is not besides
+    }
+
+
+def _answer_then_eof(daemon, op, args):
+    """Send ``op`` (after a hello, unless it *is* the hello); returns the
+    error envelope after checking that the daemon hung up behind it."""
+    with socket.create_connection((daemon.address.host, daemon.address.port), timeout=5) as sock:
+        stream = sock.makefile("rb")
+        if op != "hello":
+            sock.sendall(protocol.encode_frame({"id": 1, "op": "hello", "args": {}}))
+            assert protocol.read_frame(stream)["ok"] is True
+        sock.sendall(protocol.encode_frame({"id": 2, "op": op, "args": args}))
+        answer = protocol.read_frame(stream)
+        assert answer["id"] == 2 and answer["ok"] is False
+        assert protocol.read_frame(stream) is None, "protocol errors close the connection"
+        return answer["error"]
+
+
+def test_every_argument_codec_of_the_table_has_a_strategy():
+    used = {field.codec for op in ops.OPS.values() for field in op.fields}
+    assert used == set(VALID_WIRE_VALUES)
+
+
+@pytest.mark.parametrize(
+    "op,field",
+    [(op, field) for op in ops.OPS.values() for field in op.fields],
+    ids=lambda item: item.name,
+)
+@ATTACKS
+@given(data=st.data())
+def test_a_mistyped_field_is_a_protocol_error_naming_op_and_field(daemon, op, field, data):
+    wrong = data.draw(json_values.filter(lambda value: type(value) is not field.codec.json_type))
+    args = _required_args(data.draw, op, besides=field)
+    args[field.name] = wrong
+    error = _answer_then_eof(daemon, op.name, args)
+    assert error["code"] == "protocol", error
+    assert error["message"].startswith(f"{op.name}: field {field.name!r} must be a JSON "), error
+
+
+@pytest.mark.parametrize("op", list(ops.OPS.values()), ids=lambda op: op.name)
+@ATTACKS
+@given(data=st.data())
+def test_an_undeclared_field_is_a_protocol_error_naming_op_and_field(daemon, op, data):
+    declared = {field.name for field in op.fields}
+    stray = data.draw(names.filter(lambda name: name not in declared))
+    args = _required_args(data.draw, op)
+    args[stray] = data.draw(json_values)
+    error = _answer_then_eof(daemon, op.name, args)
+    assert error == {"code": "protocol", "message": f"{op.name}: unknown field {stray!r}"}
+
+
+@pytest.mark.parametrize(
+    "op",
+    [op for op in ops.OPS.values() if any(field.required for field in op.fields)],
+    ids=lambda op: op.name,
+)
+def test_a_missing_required_field_is_a_protocol_error_naming_it(daemon, op):
+    missing = next(field for field in op.fields if field.required)
+    error = _answer_then_eof(daemon, op.name, {})
+    assert error == {
+        "code": "protocol",
+        "message": f"{op.name}: missing required field {missing.name!r}",
+    }
