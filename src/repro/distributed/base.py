@@ -20,6 +20,12 @@ Every operation returns an :class:`OperationResult` carrying the answer
 plus the latency / message / byte cost the simulated network charged, so
 the harness can score the Section IV criteria without knowing anything
 about the model's internals.
+
+Cost is measured, not declared: a model states placement, routing and
+what it sends; the wrapper around each operation reads latency,
+messages and bytes off the :class:`~repro.sim.trace.OpTrace` the network
+facade captured.  The answer fields (``pnames``, ``rows_scanned``,
+``sites_contacted``, ``notes``) stay the model's to fill.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.pass_store import PassStore
 from repro.core.provenance import PName
@@ -37,11 +43,18 @@ from repro.errors import NetworkError, UnknownEntityError
 from repro.net.simulator import NetworkSimulator
 from repro.net.topology import Topology
 from repro.query.explain import Explain
+from repro.sim.trace import trace_elapsed_ms
 
 __all__ = ["OperationResult", "ArchitectureModel", "estimate_record_bytes", "NOTIFY_BYTES"]
 
 #: wire size of one subscription notification (pname + matched-event header)
 NOTIFY_BYTES = 144
+#: wire size of one pname pointer in a reply (replies carry at least one)
+POINTER_BYTES = 96
+#: wire size of a "where is this pname?" request
+LOCATE_REQUEST_BYTES = 128
+#: wire size of one frontier entry in a broadcast closure step
+CLOSURE_STEP_BYTES = 160
 
 
 def estimate_record_bytes(tuple_set: TupleSet) -> int:
@@ -79,9 +92,11 @@ class OperationResult:
     def merge(self, other: "OperationResult") -> "OperationResult":
         """Fold another operation's answer and cost into this one.
 
-        The one way to combine results: batched publishes and multi-step
-        operations use this instead of hand-summing the cost fields.
-        Returns ``self`` for chaining.
+        The one way to combine results of *separate* operations (the
+        façade's per-site batches, looped publishes in experiments).  An
+        operation invoked inside another returns zero cost -- the outer
+        operation's trace already holds its hops.  Returns ``self`` for
+        chaining.
         """
         self.pnames.extend(other.pnames)
         self.latency_ms += other.latency_ms
@@ -99,12 +114,17 @@ _TRACED_OPERATIONS = ("publish", "publish_batch", "query", "ancestors", "descend
 
 
 def _traced_operation(kind: str, method):
-    """Capture a model operation's message structure on its network facade.
+    """Capture a model operation's message structure and read its cost off it.
 
     The wrapper brackets the call with ``begin_operation``/``end_operation``
     (re-entrant, so an operation invoking another keeps one trace) and
     attaches the captured :class:`~repro.sim.trace.OpTrace` to the
-    returned :class:`OperationResult`.
+    returned :class:`OperationResult`.  The trace is the one definition
+    of the operation's cost: latency is its closed-form elapsed time
+    (sequential steps add, fan-outs take the slowest branch, background
+    hops wait for nobody), messages its hop count, bytes the sum of its
+    hop sizes.  Only the outermost operation gets a trace, so a nested
+    one reports zero and nothing is counted twice.
     """
 
     @functools.wraps(method)
@@ -115,7 +135,11 @@ def _traced_operation(kind: str, method):
         finally:
             trace = self.network.end_operation()
         if trace is not None and isinstance(result, OperationResult):
+            hops = trace.hops()
             result.trace = trace
+            result.latency_ms = trace_elapsed_ms(trace.steps)
+            result.messages = len(hops)
+            result.bytes = sum(hop.size_bytes for hop in hops)
         return result
 
     wrapper._sim_traced = True
@@ -131,6 +155,8 @@ class ArchitectureModel(ABC):
     supports_lineage = True
     #: Section IV-B/IV-C distinction: does the model require stable hosts?
     requires_stable_hosts = True
+    #: wire size of one query request in this architecture's dialect
+    query_request_bytes = 256
 
     def __init_subclass__(cls, **kwargs) -> None:
         """Every concrete operation override is trace-captured automatically.
@@ -185,13 +211,17 @@ class ArchitectureModel(ABC):
     def query(self, query: Query | Predicate, origin_site: str) -> OperationResult:
         """Run an attribute query issued by a consumer at ``origin_site``."""
 
-    @abstractmethod
     def ancestors(self, pname: PName, origin_site: str) -> OperationResult:
         """Transitive ancestors of ``pname`` (raises UnsupportedQueryError if unsupported)."""
+        return self._lineage(pname, origin_site, up=True)
 
-    @abstractmethod
     def descendants(self, pname: PName, origin_site: str) -> OperationResult:
         """Transitive descendants of ``pname`` (the taint query)."""
+        return self._lineage(pname, origin_site, up=False)
+
+    @abstractmethod
+    def _lineage(self, pname: PName, origin_site: str, up: bool) -> OperationResult:
+        """The closure walk behind :meth:`ancestors` (``up``) and :meth:`descendants`."""
 
     @abstractmethod
     def locate(self, pname: PName, origin_site: str) -> OperationResult:
@@ -250,20 +280,119 @@ class ArchitectureModel(ABC):
         """Per-site Explains of the most recent :meth:`query` call."""
         return list(self._query_explains)
 
-    def _charge(
+    # ------------------------------------------------------------------
+    # Message exchanges several architectures share
+    # ------------------------------------------------------------------
+    def _scatter_gather(
         self,
+        query: Query,
+        origin_site: str,
+        targets: Sequence[Tuple[str, PassStore]],
         result: OperationResult,
-        latency_ms: float,
-        messages: int,
-        size_bytes: int,
-        site: Optional[str] = None,
-    ) -> None:
-        """Accumulate cost onto a result (models call this after network sends)."""
-        result.latency_ms += latency_ms
-        result.messages += messages
-        result.bytes += size_bytes
-        if site is not None:
-            result.add_site(site)
+        request_kind: str = "query",
+        reply_kind: str = "query-response",
+    ) -> List[PName]:
+        """Ask each ``(site, store)`` in parallel: request -> planned query -> sized reply.
+
+        Each site's round trip is one branch of the fan-out, so the
+        operation waits for the slowest *round trip*.  Every site asked
+        is recorded on ``result``; returns the distinct matches in
+        digest order.
+        """
+        matches: List[PName] = []
+        with self.network.parallel() as fanout:
+            for site, store in targets:
+                with fanout.branch():
+                    self.network.send(origin_site, site, self.query_request_bytes, request_kind)
+                    local = self._planned_query(store, query, result)
+                    self.network.send(
+                        site, origin_site, POINTER_BYTES * max(1, len(local)), reply_kind
+                    )
+                matches.extend(local)
+                result.add_site(site)
+        return sorted(set(matches), key=lambda p: p.digest)
+
+    def _broadcast_gather(
+        self,
+        origin_site: str,
+        sites: Sequence[str],
+        request_bytes: int,
+        request_kind: str,
+        reply_kind: str,
+        answer: Callable[[str], List[PName]],
+    ) -> List[PName]:
+        """Broadcast one request to ``sites``, then gather their sized replies.
+
+        Two fan-outs back to back: the operation waits for the slowest
+        request, then for the slowest reply.  Returns every site's
+        ``answer(site)`` concatenated in site order.
+        """
+        self.network.broadcast(origin_site, sites, request_bytes, request_kind)
+        gathered: List[PName] = []
+        with self.network.parallel():
+            for site in sites:
+                local = answer(site)
+                self.network.send(
+                    site, origin_site, POINTER_BYTES * max(1, len(local)), reply_kind
+                )
+                gathered.extend(local)
+        return gathered
+
+    def _broadcast_closure(
+        self,
+        pname: PName,
+        origin_site: str,
+        up: bool,
+        stores: "SiteStores",
+        step_kind: str,
+        reply_kind: str,
+        round_compute_ms: float = 0.0,
+    ) -> OperationResult:
+        """Level-by-level closure for architectures with no lineage index.
+
+        Nobody knows which site holds a record's edges, so every
+        generation of the walk broadcasts the whole frontier to every
+        site and gathers the neighbours each one knows about;
+        ``round_compute_ms`` is per-round work at the asking site (a
+        mediator re-translating the step for every dialect).
+        """
+        result = OperationResult()
+        sites = self.topology.site_names
+        found: Set[PName] = set()
+        frontier: Set[PName] = {pname}
+        rounds = 0
+
+        def neighbours_at(site: str) -> List[PName]:
+            graph = stores.store(site).graph
+            neighbours: List[PName] = []
+            for node in frontier:
+                if node in graph:
+                    neighbours.extend(graph.parents(node) if up else graph.children(node))
+            return neighbours
+
+        while frontier:
+            rounds += 1
+            neighbours = self._broadcast_gather(
+                origin_site, sites, CLOSURE_STEP_BYTES * len(frontier), step_kind, reply_kind, neighbours_at
+            )
+            self.network.local_compute(round_compute_ms, origin_site)
+            frontier = {
+                neighbour
+                for neighbour in neighbours
+                if neighbour not in found and neighbour.digest != pname.digest
+            }
+            found |= frontier
+        result.sites_contacted = list(sites)
+        result.pnames = sorted(found, key=lambda p: p.digest)
+        result.notes.append(f"closure rounds: {rounds}")
+        self.queries_run += 1
+        return result
+
+    def _locate_round_trip(self, origin_site: str, holder: str, result: OperationResult) -> None:
+        """Ask ``holder`` where a pname's data lives; it answers with one pointer."""
+        self.network.send(origin_site, holder, LOCATE_REQUEST_BYTES, "locate")
+        self.network.send(holder, origin_site, POINTER_BYTES, "locate-response")
+        result.add_site(holder)
 
     # ------------------------------------------------------------------
     # Live subscriptions (repro.stream)
@@ -295,14 +424,15 @@ class ArchitectureModel(ABC):
         result: OperationResult,
         source: Optional[str] = None,
     ) -> None:
-        """Match a just-published tuple set and charge ``notify`` messages.
+        """Match a just-published tuple set and send its ``notify`` messages.
 
         ``source`` is the site the architecture disseminates from -- the
         warehouse for the centralized model, the placement/home site for
         partitioned models, the producing site otherwise.  Notifications
-        are push-style and asynchronous: their messages and bytes are
-        charged onto the publish result (resource consumption), but
-        their latency is *not* added to the publish critical path.
+        are push-style and asynchronous: as background hops of the
+        publish's trace their messages and bytes count towards its cost
+        (resource consumption), but their latency is *not* on the
+        publish critical path.
 
         Delivery is gated on the simulated send: a subscriber behind a
         network partition genuinely misses the event (nothing lands in
@@ -327,8 +457,6 @@ class ArchitectureModel(ABC):
                     result.notes.append(f"notify to {destination} dropped: unreachable")
                     continue
                 self.notifications_sent += 1
-                result.messages += 1
-                result.bytes += NOTIFY_BYTES
                 engine.deliver_one(subscription, event)
 
     # ------------------------------------------------------------------
@@ -352,18 +480,17 @@ class ArchitectureModel(ABC):
         }
 
 
-# The base class itself is not a subclass, so its concrete default
-# publish_batch is wrapped here; overrides are wrapped by __init_subclass__.
-ArchitectureModel.publish_batch = _traced_operation(
-    "publish_batch", ArchitectureModel.publish_batch
-)
+# The base class itself is not a subclass, so its concrete defaults are
+# wrapped here; overrides are wrapped by __init_subclass__.
+for _name in ("publish_batch", "ancestors", "descendants"):
+    setattr(ArchitectureModel, _name, _traced_operation(_name, getattr(ArchitectureModel, _name)))
 
 
 class SiteStores:
     """A convenience container mapping site name -> local PassStore.
 
     Several models keep one store per site; this helper creates them
-    lazily and exposes a couple of aggregate views.
+    up front and iterates them in site order.
     """
 
     def __init__(self, site_names: Sequence[str]) -> None:
@@ -384,11 +511,3 @@ class SiteStores:
     def items(self):
         """Iterate over (site, store) pairs, sorted by site name."""
         return sorted(self._stores.items())
-
-    def total_records(self) -> int:
-        """Total records across every site."""
-        return sum(len(store) for _, store in self.items())
-
-    def holders_of(self, pname: PName) -> List[str]:
-        """Sites whose local store has the record."""
-        return [site for site, store in self.items() if pname in store]

@@ -31,15 +31,17 @@ from repro.core.pass_store import PassStore
 from repro.core.provenance import PName
 from repro.core.query import Predicate, Query
 from repro.core.tupleset import TupleSet
-from repro.distributed.base import ArchitectureModel, OperationResult, estimate_record_bytes
+from repro.distributed.base import (
+    POINTER_BYTES,
+    ArchitectureModel,
+    OperationResult,
+    estimate_record_bytes,
+)
 from repro.errors import UnknownEntityError
 from repro.net.simulator import NetworkSimulator
 from repro.net.topology import Topology
 
 __all__ = ["CentralizedWarehouse"]
-
-_QUERY_REQUEST_BYTES = 256
-_POINTER_BYTES = 96
 
 
 class CentralizedWarehouse(ArchitectureModel):
@@ -102,7 +104,7 @@ class CentralizedWarehouse(ArchitectureModel):
     def publish(self, tuple_set: TupleSet, origin_site: str) -> OperationResult:
         result = OperationResult()
         record_bytes = estimate_record_bytes(tuple_set)
-        message = self.network.send(
+        self.network.send(
             origin_site, self.warehouse_site, record_bytes, "publish-provenance"
         )
         self.index.ingest_record(tuple_set.provenance)
@@ -110,17 +112,11 @@ class CentralizedWarehouse(ArchitectureModel):
         # Indexing is real work *at the warehouse*: under kernel replay it
         # occupies the warehouse server, which is what saturates under
         # concurrent publishers.
-        indexing_ms = self.network.local_compute(
+        self.network.local_compute(
             self.indexing_ms_per_update + self._queueing_delay_ms(), self.warehouse_site
         )
-        ack = self.network.send(self.warehouse_site, origin_site, 64, "publish-ack")
-        self._charge(
-            result,
-            message.latency_ms + indexing_ms + ack.latency_ms,
-            2,
-            record_bytes + 64,
-            self.warehouse_site,
-        )
+        self.network.send(self.warehouse_site, origin_site, 64, "publish-ack")
+        result.add_site(self.warehouse_site)
         result.pnames = [tuple_set.pname]
         self.published += 1
         # Subscribers are notified by the warehouse, which is where the
@@ -131,8 +127,8 @@ class CentralizedWarehouse(ArchitectureModel):
     def publish_batch(self, tuple_sets, origin_site: str) -> OperationResult:
         """Ship a whole batch of provenance records in one round trip.
 
-        The warehouse still charges indexing (and queueing, when
-        saturated) per record, but the batch pays wide-area latency and
+        The warehouse still spends indexing (and queueing, when
+        saturated) time per record, but the batch pays wide-area latency and
         per-message overhead once -- the bulk-update path a real central
         warehouse would expose.
         """
@@ -140,7 +136,7 @@ class CentralizedWarehouse(ArchitectureModel):
         if not tuple_sets:
             return result
         batch_bytes = sum(estimate_record_bytes(ts) for ts in tuple_sets)
-        message = self.network.send(
+        self.network.send(
             origin_site, self.warehouse_site, batch_bytes, "publish-provenance-batch"
         )
         indexing_ms = 0.0
@@ -149,15 +145,9 @@ class CentralizedWarehouse(ArchitectureModel):
             self._data_location[tuple_set.pname.digest] = origin_site
             indexing_ms += self.indexing_ms_per_update + self._queueing_delay_ms()
             result.pnames.append(tuple_set.pname)
-        indexing_ms = self.network.local_compute(indexing_ms, self.warehouse_site)
-        ack = self.network.send(self.warehouse_site, origin_site, 64, "publish-batch-ack")
-        self._charge(
-            result,
-            message.latency_ms + indexing_ms + ack.latency_ms,
-            2,
-            batch_bytes + 64,
-            self.warehouse_site,
-        )
+        self.network.local_compute(indexing_ms, self.warehouse_site)
+        self.network.send(self.warehouse_site, origin_site, 64, "publish-batch-ack")
+        result.add_site(self.warehouse_site)
         self.published += len(tuple_sets)
         for tuple_set in tuple_sets:
             self._notify_subscribers(tuple_set, origin_site, result, source=self.warehouse_site)
@@ -166,63 +156,35 @@ class CentralizedWarehouse(ArchitectureModel):
     def query(self, query: Query | Predicate, origin_site: str) -> OperationResult:
         query = self._start_query(query)
         result = OperationResult()
-        request = self.network.send(
-            origin_site, self.warehouse_site, _QUERY_REQUEST_BYTES, "query"
+        self.network.send(
+            origin_site, self.warehouse_site, self.query_request_bytes, "query"
         )
         matches = self._planned_query(self.index, query, result)
-        response_bytes = _POINTER_BYTES * max(1, len(matches))
-        response = self.network.send(
-            self.warehouse_site, origin_site, response_bytes, "query-response"
+        self.network.send(
+            self.warehouse_site, origin_site, POINTER_BYTES * max(1, len(matches)), "query-response"
         )
-        self._charge(
-            result,
-            request.latency_ms + response.latency_ms,
-            2,
-            _QUERY_REQUEST_BYTES + response_bytes,
-            self.warehouse_site,
-        )
+        result.add_site(self.warehouse_site)
         result.pnames = matches
         self.queries_run += 1
         return result
 
-    def ancestors(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=True)
-
-    def descendants(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=False)
-
     def _lineage(self, pname: PName, origin_site: str, up: bool) -> OperationResult:
         result = OperationResult()
-        request = self.network.send(
-            origin_site, self.warehouse_site, _QUERY_REQUEST_BYTES, "lineage-query"
+        self.network.send(
+            origin_site, self.warehouse_site, self.query_request_bytes, "lineage-query"
         )
         found = self.index.ancestors(pname) if up else self.index.descendants(pname)
-        response_bytes = _POINTER_BYTES * max(1, len(found))
-        response = self.network.send(
-            self.warehouse_site, origin_site, response_bytes, "lineage-response"
+        self.network.send(
+            self.warehouse_site, origin_site, POINTER_BYTES * max(1, len(found)), "lineage-response"
         )
-        self._charge(
-            result,
-            request.latency_ms + response.latency_ms,
-            2,
-            _QUERY_REQUEST_BYTES + response_bytes,
-            self.warehouse_site,
-        )
+        result.add_site(self.warehouse_site)
         result.pnames = sorted(found, key=lambda p: p.digest)
         self.queries_run += 1
         return result
 
     def locate(self, pname: PName, origin_site: str) -> OperationResult:
         result = OperationResult()
-        request = self.network.send(origin_site, self.warehouse_site, 128, "locate")
-        response = self.network.send(self.warehouse_site, origin_site, _POINTER_BYTES, "locate-response")
-        self._charge(
-            result,
-            request.latency_ms + response.latency_ms,
-            2,
-            128 + _POINTER_BYTES,
-            self.warehouse_site,
-        )
+        self._locate_round_trip(origin_site, self.warehouse_site, result)
         site = self._data_location.get(pname.digest)
         if site is None:
             result.notes.append("unknown pname")

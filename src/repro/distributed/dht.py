@@ -49,6 +49,8 @@ from repro.core.query import (
 )
 from repro.core.tupleset import TupleSet
 from repro.distributed.base import (
+    LOCATE_REQUEST_BYTES,
+    POINTER_BYTES,
     ArchitectureModel,
     OperationResult,
     estimate_record_bytes,
@@ -62,14 +64,6 @@ __all__ = ["DistributedHashTable"]
 
 _RING_BITS = 32
 _RING_SIZE = 2 ** _RING_BITS
-_QUERY_REQUEST_BYTES = 192
-_POINTER_BYTES = 96
-# A digest located this many times from the same origin gets its owner's
-# location cached at that origin, so later locates go direct (one round
-# trip) instead of paying O(log n) routed hops.  Ownership in this model
-# never moves, so a cached hint can only go stale if the record itself
-# disappears -- handled by falling back to full routing.
-_HOT_KEY_THRESHOLD = 3
 
 
 def _key(text: str) -> int:
@@ -92,6 +86,7 @@ class DistributedHashTable(ArchitectureModel):
     name = "dht"
     supports_lineage = True  # possible, but each edge costs a full routed lookup
     requires_stable_hosts = False
+    query_request_bytes = 192
 
     def __init__(
         self,
@@ -120,11 +115,6 @@ class DistributedHashTable(ArchitectureModel):
         self._attr_entries: Dict[str, Dict[str, Set[str]]] = {site: {} for site in self._sites}
         self._children: Dict[str, Set[str]] = {}
         self._data_location: Dict[str, str] = {}
-        # Hot-key location hints: origin site -> digest -> owning node.
-        self._locate_counts: Dict[Tuple[str, str], int] = {}
-        self._location_hints: Dict[str, Dict[str, str]] = {site: {} for site in self._sites}
-        self._hint_hits = 0
-        self._hints_placed = 0
 
     # ------------------------------------------------------------------
     # Ring mechanics
@@ -140,10 +130,8 @@ class DistributedHashTable(ArchitectureModel):
         """Number of overlay hops a lookup takes (Chord's O(log n))."""
         return max(1, int(math.ceil(math.log2(len(self._sites)))))
 
-    def _routed_lookup(
-        self, origin_site: str, key: int, size_bytes: int, kind: str
-    ) -> Tuple[str, float, int, int]:
-        """Route from origin to the key's owner; return (owner, latency, msgs, bytes).
+    def _routed_lookup(self, origin_site: str, key: int, size_bytes: int, kind: str) -> str:
+        """Route from origin to the key's owner; return the owner.
 
         Each overlay hop is a real message between (deterministically
         chosen) sites, so routing latency reflects geography even though
@@ -152,21 +140,15 @@ class DistributedHashTable(ArchitectureModel):
         """
         owner = self.successor(key)
         hops = self.route_hops(origin_site)
-        latency = 0.0
-        messages = 0
-        total_bytes = 0
         current = origin_site
         for hop in range(hops):
             if hop == hops - 1:
                 nxt = owner
             else:
                 nxt = self._sites[(self._sites.index(current) + hop + 1) % len(self._sites)]
-            message = self.network.send(current, nxt, size_bytes, kind)
-            latency += message.latency_ms
-            messages += 1
-            total_bytes += size_bytes
+            self.network.send(current, nxt, size_bytes, kind)
             current = nxt
-        return owner, latency, messages, total_bytes
+        return owner
 
     # ------------------------------------------------------------------
     # Interface
@@ -178,12 +160,12 @@ class DistributedHashTable(ArchitectureModel):
         record_bytes = estimate_record_bytes(tuple_set)
 
         # Store the record itself at hash(pname).
-        owner, latency, messages, sent = self._routed_lookup(
+        owner = self._routed_lookup(
             origin_site, _key(pname.digest), record_bytes, "dht-put-record"
         )
         self._records[owner][pname.digest] = record
         self._data_location[pname.digest] = owner
-        self._charge(result, latency, messages, sent, owner)
+        result.add_site(owner)
 
         # One index entry per queriable attribute value the record carries.
         for attribute in self.indexed_attributes:
@@ -191,22 +173,22 @@ class DistributedHashTable(ArchitectureModel):
             if value is None:
                 continue
             entry_key = _key(f"{attribute}={canonical_encode(value)}")
-            owner, latency, messages, sent = self._routed_lookup(
-                origin_site, entry_key, _POINTER_BYTES, "dht-put-index"
+            owner = self._routed_lookup(
+                origin_site, entry_key, POINTER_BYTES, "dht-put-index"
             )
             bucket = self._attr_entries[owner].setdefault(
                 f"{attribute}={canonical_encode(value)}", set()
             )
             bucket.add(pname.digest)
-            self._charge(result, latency, messages, sent, owner)
+            result.add_site(owner)
 
         # Reverse edges so descendant queries are answerable at the parent's node.
         for ancestor in record.ancestors:
-            owner, latency, messages, sent = self._routed_lookup(
-                origin_site, _key(ancestor.digest), _POINTER_BYTES, "dht-put-edge"
+            owner = self._routed_lookup(
+                origin_site, _key(ancestor.digest), POINTER_BYTES, "dht-put-edge"
             )
             self._children.setdefault(ancestor.digest, set()).add(pname.digest)
-            self._charge(result, latency, messages, sent, owner)
+            result.add_site(owner)
 
         result.pnames = [pname]
         self.published += 1
@@ -236,19 +218,19 @@ class DistributedHashTable(ArchitectureModel):
 
         attribute, value = equality
         entry_key = _key(f"{attribute}={canonical_encode(value)}")
-        owner, latency, messages, sent = self._routed_lookup(
-            origin_site, entry_key, _QUERY_REQUEST_BYTES, "dht-get-index"
+        owner = self._routed_lookup(
+            origin_site, entry_key, self.query_request_bytes, "dht-get-index"
         )
         digests = self._attr_entries[owner].get(f"{attribute}={canonical_encode(value)}", set())
         # Fetch each candidate record to evaluate the residual predicate.
         matches: List[PName] = []
         for digest in sorted(digests):
             pname = PName(digest)
-            record_owner, fetch_latency, fetch_messages, fetch_bytes = self._routed_lookup(
-                origin_site, _key(digest), _POINTER_BYTES, "dht-get-record"
+            record_owner = self._routed_lookup(
+                origin_site, _key(digest), POINTER_BYTES, "dht-get-record"
             )
             record = self._records[record_owner].get(digest)
-            self._charge(result, fetch_latency, fetch_messages, fetch_bytes, record_owner)
+            result.add_site(record_owner)
             if record is not None and query.predicate.matches(pname, record, oracle):
                 matches.append(pname)
         result.rows_scanned += len(digests)
@@ -258,7 +240,7 @@ class DistributedHashTable(ArchitectureModel):
             len(matches),
             f"DHT index-entry probe on {attribute!r} + per-candidate record fetch",
         )
-        self._charge(result, latency, messages, sent, owner)
+        result.add_site(owner)
         result.pnames = sorted(matches, key=lambda p: p.digest)
         if query.limit is not None:
             result.pnames = result.pnames[: query.limit]
@@ -274,32 +256,29 @@ class DistributedHashTable(ArchitectureModel):
     ) -> OperationResult:
         """No routable key: ask every node (the expensive fallback)."""
         result.notes.append("no routable attribute: flooded every ring node")
-        slowest = self.network.broadcast(
-            origin_site, self._sites, _QUERY_REQUEST_BYTES, "dht-flood-query"
-        )
-        matches: List[PName] = []
-        reply_latency = 0.0
+
+        def scan(site: str) -> List[PName]:
+            local: List[PName] = []
+            for digest, record in self._records[site].items():
+                pname = PName(digest)
+                if query.predicate.matches(pname, record, oracle):
+                    local.append(pname)
+            result.rows_scanned += len(self._records[site])
+            self._trace_scan(
+                site, len(self._records[site]), len(local), "DHT flood: scan of one node's records"
+            )
+            result.add_site(site)
+            return local
+
         # Replies race back in parallel; the consumer waits for the slowest.
-        with self.network.parallel():
-            for site in self._sites:
-                local: List[PName] = []
-                for digest, record in self._records[site].items():
-                    pname = PName(digest)
-                    if query.predicate.matches(pname, record, oracle):
-                        local.append(pname)
-                result.rows_scanned += len(self._records[site])
-                self._trace_scan(
-                    site, len(self._records[site]), len(local), "DHT flood: scan of one node's records"
-                )
-                response = self.network.send(
-                    site, origin_site, _POINTER_BYTES * max(1, len(local)), "dht-flood-reply"
-                )
-                reply_latency = max(reply_latency, response.latency_ms)
-                matches.extend(local)
-                result.messages += 2
-                result.bytes += _QUERY_REQUEST_BYTES + _POINTER_BYTES * max(1, len(local))
-                result.add_site(site)
-        result.latency_ms += slowest + reply_latency
+        matches = self._broadcast_gather(
+            origin_site,
+            self._sites,
+            self.query_request_bytes,
+            "dht-flood-query",
+            "dht-flood-reply",
+            scan,
+        )
         result.pnames = sorted(set(matches), key=lambda p: p.digest)
         if query.limit is not None:
             result.pnames = result.pnames[: query.limit]
@@ -313,8 +292,8 @@ class DistributedHashTable(ArchitectureModel):
 
         Each distinct ``DerivedFrom`` / ``AncestorOf`` focus costs one
         routed closure walk (one lookup per edge, each paying full
-        O(log n) routing), charged onto ``result`` and reported as a
-        lineage access path in the per-query explain trace.
+        O(log n) routing) inside the query's own trace, and is reported
+        as a lineage access path in the per-query explain trace.
         """
         targets: List[Tuple[bool, PName]] = []
         _collect_lineage_targets(predicate, targets)
@@ -353,12 +332,6 @@ class DistributedHashTable(ArchitectureModel):
                 return part.name, part.value
         return None
 
-    def ancestors(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=True)
-
-    def descendants(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=False)
-
     def _lineage(self, pname: PName, origin_site: str, up: bool) -> OperationResult:
         """Every edge traversal is a separate routed lookup: "so far nonexistent" support."""
         result = OperationResult()
@@ -370,16 +343,16 @@ class DistributedHashTable(ArchitectureModel):
     def _closure_walk(
         self, pname: PName, origin_site: str, up: bool, result: OperationResult
     ) -> Set[str]:
-        """Walk the closure one routed lookup per node; charge onto ``result``."""
+        """Walk the closure one routed lookup per node; owners are noted on ``result``."""
         found: Set[str] = set()
         frontier: Set[str] = {pname.digest}
         while frontier:
             next_frontier: Set[str] = set()
             for digest in sorted(frontier):
-                owner, latency, messages, sent = self._routed_lookup(
-                    origin_site, _key(digest), _POINTER_BYTES, "dht-closure-lookup"
+                owner = self._routed_lookup(
+                    origin_site, _key(digest), POINTER_BYTES, "dht-closure-lookup"
                 )
-                self._charge(result, latency, messages, sent, owner)
+                result.add_site(owner)
                 if up:
                     record = self._records[owner].get(digest)
                     neighbours = (
@@ -396,56 +369,15 @@ class DistributedHashTable(ArchitectureModel):
 
     def locate(self, pname: PName, origin_site: str) -> OperationResult:
         result = OperationResult()
-        hinted = self._location_hints[origin_site].get(pname.digest)
-        if hinted is not None:
-            # Hot-key hint: skip the overlay and ask the cached owner
-            # directly -- one round trip instead of O(log n) hops.
-            request = self.network.send(origin_site, hinted, 128, "dht-locate-direct")
-            reply = self.network.send(hinted, origin_site, _POINTER_BYTES, "dht-locate-reply")
-            self._charge(
-                result, request.latency_ms + reply.latency_ms, 2, 128 + _POINTER_BYTES, hinted
-            )
-            if pname.digest in self._records[hinted]:
-                result.add_site(hinted)
-                result.pnames = [pname]
-                result.notes.append("hot-key hint: routed directly to owner")
-                self._hint_hits += 1
-                return result
-            del self._location_hints[origin_site][pname.digest]
-            result.notes.append("hot-key hint was stale; re-routing")
-        owner, latency, messages, sent = self._routed_lookup(
-            origin_site, _key(pname.digest), 128, "dht-locate"
+        owner = self._routed_lookup(
+            origin_site, _key(pname.digest), LOCATE_REQUEST_BYTES, "dht-locate"
         )
-        self._charge(result, latency, messages, sent, owner)
+        result.add_site(owner)
         if pname.digest in self._records[owner]:
-            result.add_site(owner)
             result.pnames = [pname]
-            key = (origin_site, pname.digest)
-            count = self._locate_counts.get(key, 0) + 1
-            if count >= _HOT_KEY_THRESHOLD:
-                self._locate_counts.pop(key, None)
-                self._location_hints[origin_site][pname.digest] = owner
-                self._hints_placed += 1
-                result.notes.append("hot key: owner location cached at origin")
-            else:
-                self._locate_counts[key] = count
         else:
             result.notes.append("unknown pname")
         return result
-
-    def hot_key_stats(self) -> Dict[str, object]:
-        """Diagnostics for hot-key location hints (kept out of ``stats()``)."""
-        return {
-            "threshold": _HOT_KEY_THRESHOLD,
-            "tracked": len(self._locate_counts),
-            "hints_placed": self._hints_placed,
-            "hint_hits": self._hint_hits,
-            "hints": {
-                site: dict(sorted(hints.items()))
-                for site, hints in sorted(self._location_hints.items())
-                if hints
-            },
-        }
 
     # ------------------------------------------------------------------
     # Placement / scaling diagnostics (experiments E9 and E10)

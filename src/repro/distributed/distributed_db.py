@@ -27,12 +27,13 @@ The model:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.core.provenance import PName
 from repro.core.query import Predicate, Query
 from repro.core.tupleset import TupleSet
 from repro.distributed.base import (
+    POINTER_BYTES,
     ArchitectureModel,
     OperationResult,
     SiteStores,
@@ -45,8 +46,6 @@ __all__ = ["DistributedDatabase"]
 
 _PREPARE_BYTES = 128
 _COMMIT_BYTES = 64
-_QUERY_REQUEST_BYTES = 256
-_POINTER_BYTES = 96
 
 
 class DistributedDatabase(ArchitectureModel):
@@ -88,15 +87,13 @@ class DistributedDatabase(ArchitectureModel):
             participants.add(self.partition_for(ancestor))
 
         # Two-phase commit from the origin: prepare round, then commit round.
-        prepare_latency = self.network.broadcast(
+        self.network.broadcast(
             origin_site, sorted(participants), _PREPARE_BYTES + record_bytes, "txn-prepare"
         )
         with self.network.parallel():
-            vote_latency = max(
-                self.network.send(site, origin_site, 32, "txn-vote").latency_ms
-                for site in sorted(participants)
-            )
-        commit_latency = self.network.broadcast(
+            for site in sorted(participants):
+                self.network.send(site, origin_site, 32, "txn-vote")
+        self.network.broadcast(
             origin_site, sorted(participants), _COMMIT_BYTES, "txn-commit"
         )
 
@@ -107,14 +104,6 @@ class DistributedDatabase(ArchitectureModel):
             self._stores.store(self.partition_for(ancestor)).ingest_record(record)
         self._data_location[pname.digest] = origin_site
 
-        total_messages = 3 * len(participants)
-        total_bytes = len(participants) * (_PREPARE_BYTES + record_bytes + 32 + _COMMIT_BYTES)
-        self._charge(
-            result,
-            prepare_latency + vote_latency + commit_latency,
-            total_messages,
-            total_bytes,
-        )
         result.sites_contacted = sorted(participants)
         result.pnames = [pname]
         self.published += 1
@@ -127,36 +116,18 @@ class DistributedDatabase(ArchitectureModel):
         query = self._start_query(query)
         result = OperationResult()
         # Scatter to every partition, gather the matches.
-        scatter_latency = self.network.broadcast(
-            origin_site, self._sites, _QUERY_REQUEST_BYTES, "query"
-        )
-        matches: List[PName] = []
-        gather_latency = 0.0
-        with self.network.parallel():
-            for site in self._sites:
-                local = self._planned_query(self._stores.store(site), query, result)
-                matches.extend(local)
-                response = self.network.send(
-                    site, origin_site, _POINTER_BYTES * max(1, len(local)), "query-response"
-                )
-                gather_latency = max(gather_latency, response.latency_ms)
-        unique = sorted(set(matches), key=lambda p: p.digest)
-        self._charge(
-            result,
-            scatter_latency + gather_latency,
-            2 * len(self._sites),
-            len(self._sites) * (_QUERY_REQUEST_BYTES + _POINTER_BYTES),
+        matches = self._broadcast_gather(
+            origin_site,
+            self._sites,
+            self.query_request_bytes,
+            "query",
+            "query-response",
+            lambda site: self._planned_query(self._stores.store(site), query, result),
         )
         result.sites_contacted = list(self._sites)
-        result.pnames = unique
+        result.pnames = sorted(set(matches), key=lambda p: p.digest)
         self.queries_run += 1
         return result
-
-    def ancestors(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=True)
-
-    def descendants(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=False)
 
     def _lineage(self, pname: PName, origin_site: str, up: bool) -> OperationResult:
         """Level-by-level distributed closure: one message round per generation."""
@@ -169,14 +140,13 @@ class DistributedDatabase(ArchitectureModel):
             next_frontier: Set[PName] = set()
             # Each frontier element lives on one partition; ask them all in
             # parallel, so this round's latency is the slowest partition.
-            round_latency = 0.0
             contacted: Set[str] = set()
             with self.network.parallel() as fanout:
                 for node in sorted(frontier, key=lambda p: p.digest):
                     site = self.partition_for(node)
                     contacted.add(site)
                     with fanout.branch():
-                        request = self.network.send(origin_site, site, 128, "closure-step")
+                        self.network.send(origin_site, site, 128, "closure-step")
                         store = self._stores.store(site)
                         if node in store.graph:
                             neighbours = (
@@ -184,16 +154,12 @@ class DistributedDatabase(ArchitectureModel):
                             )
                         else:
                             neighbours = []
-                        response = self.network.send(
-                            site, origin_site, _POINTER_BYTES * max(1, len(neighbours)), "closure-reply"
+                        self.network.send(
+                            site, origin_site, POINTER_BYTES * max(1, len(neighbours)), "closure-reply"
                         )
-                    round_latency = max(round_latency, request.latency_ms + response.latency_ms)
                     for neighbour in neighbours:
                         if neighbour not in found and neighbour.digest != pname.digest:
                             next_frontier.add(neighbour)
-                    result.messages += 2
-                    result.bytes += 128 + _POINTER_BYTES * max(1, len(neighbours))
-            result.latency_ms += round_latency
             for site in sorted(contacted):
                 result.add_site(site)
             found |= next_frontier
@@ -205,12 +171,7 @@ class DistributedDatabase(ArchitectureModel):
 
     def locate(self, pname: PName, origin_site: str) -> OperationResult:
         result = OperationResult()
-        home = self.partition_for(pname)
-        request = self.network.send(origin_site, home, 128, "locate")
-        response = self.network.send(home, origin_site, _POINTER_BYTES, "locate-response")
-        self._charge(
-            result, request.latency_ms + response.latency_ms, 2, 128 + _POINTER_BYTES, home
-        )
+        self._locate_round_trip(origin_site, self.partition_for(pname), result)
         site = self._data_location.get(pname.digest)
         if site is None:
             result.notes.append("unknown pname")

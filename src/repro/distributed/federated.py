@@ -22,7 +22,7 @@ it does not know which site holds a record's lineage, so each step asks
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional
 
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.core.query import (
@@ -40,6 +40,7 @@ from repro.core.query import (
 )
 from repro.core.tupleset import TupleSet
 from repro.distributed.base import (
+    LOCATE_REQUEST_BYTES,
     ArchitectureModel,
     OperationResult,
     SiteStores,
@@ -50,9 +51,6 @@ from repro.net.simulator import NetworkSimulator
 from repro.net.topology import Topology
 
 __all__ = ["FederatedDatabase"]
-
-_QUERY_REQUEST_BYTES = 320  # translated queries are wordier
-_POINTER_BYTES = 96
 
 
 def _rename_predicate(predicate: Predicate, mapping: Mapping[str, str]) -> Predicate:
@@ -116,6 +114,7 @@ class FederatedDatabase(ArchitectureModel):
     name = "federated"
     supports_lineage = True
     requires_stable_hosts = True
+    query_request_bytes = 320  # translated queries are wordier
 
     def __init__(
         self,
@@ -155,10 +154,10 @@ class FederatedDatabase(ArchitectureModel):
         self._data_location[tuple_set.pname.digest] = origin_site
         # Local write: charged as a loopback message so resource accounting
         # still sees it, plus nothing crosses the wide area.
-        message = self.network.send(
+        self.network.send(
             origin_site, origin_site, estimate_record_bytes(tuple_set), "local-publish"
         )
-        self._charge(result, message.latency_ms, 1, message.size_bytes, origin_site)
+        result.add_site(origin_site)
         result.pnames = [tuple_set.pname]
         self.published += 1
         # Autonomous sites push their own notifications from where the
@@ -169,8 +168,6 @@ class FederatedDatabase(ArchitectureModel):
     def query(self, query: Query | Predicate, origin_site: str) -> OperationResult:
         query = self._start_query(query)
         result = OperationResult()
-        slowest = 0.0
-        matches: List[PName] = []
         # The mediator translates the query into each site's dialect (a
         # per-site latency cost paid serially at the mediator) before
         # fanning out; the sites' wrappers map their local names back
@@ -179,93 +176,40 @@ class FederatedDatabase(ArchitectureModel):
         # wrong answers.
         for site in self._sites:
             _ = _rename_predicate(query.predicate, self._schemas[site])
-        result.latency_ms += self.network.local_compute(
-            self.translation_ms * len(self._sites), origin_site
-        )
+        self.network.local_compute(self.translation_ms * len(self._sites), origin_site)
         # Transfer and evaluation happen in parallel across sites.
-        with self.network.parallel() as fanout:
-            for site in self._sites:
-                with fanout.branch():
-                    request = self.network.send(
-                        origin_site, site, _QUERY_REQUEST_BYTES, "federated-query"
-                    )
-                    local = self._planned_query(self._stores.store(site), query, result)
-                    response = self.network.send(
-                        site, origin_site, _POINTER_BYTES * max(1, len(local)), "federated-response"
-                    )
-                slowest = max(slowest, request.latency_ms + response.latency_ms)
-                matches.extend(local)
-                result.messages += 2
-                result.bytes += _QUERY_REQUEST_BYTES + _POINTER_BYTES * max(1, len(local))
-                result.add_site(site)
-        result.latency_ms += slowest
-        result.pnames = sorted(set(matches), key=lambda p: p.digest)
+        result.pnames = self._scatter_gather(
+            query,
+            origin_site,
+            self._stores.items(),
+            result,
+            request_kind="federated-query",
+            reply_kind="federated-response",
+        )
         self.queries_run += 1
         return result
-
-    def ancestors(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=True)
-
-    def descendants(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=False)
 
     def _lineage(self, pname: PName, origin_site: str, up: bool) -> OperationResult:
         """Level-by-level expansion, asking every autonomous site each round."""
-        result = OperationResult()
-        found: Set[PName] = set()
-        frontier: Set[PName] = {pname}
-        rounds = 0
-        while frontier:
-            rounds += 1
-            round_latency = self.network.broadcast(
-                origin_site, self._sites, 160 * len(frontier), "federated-closure-step"
-            )
-            result.messages += len(self._sites)
-            result.bytes += len(self._sites) * 160 * len(frontier)
-            next_frontier: Set[PName] = set()
-            reply_latency = 0.0
-            with self.network.parallel():
-                for site in self._sites:
-                    store = self._stores.store(site)
-                    neighbours: List[PName] = []
-                    for node in frontier:
-                        if node in store.graph:
-                            step = store.graph.parents(node) if up else store.graph.children(node)
-                            neighbours.extend(step)
-                    response = self.network.send(
-                        site, origin_site, _POINTER_BYTES * max(1, len(neighbours)), "federated-closure-reply"
-                    )
-                    reply_latency = max(reply_latency, response.latency_ms)
-                    result.messages += 1
-                    result.bytes += _POINTER_BYTES * max(1, len(neighbours))
-                    for neighbour in neighbours:
-                        if neighbour not in found and neighbour.digest != pname.digest:
-                            next_frontier.add(neighbour)
-            result.latency_ms += round_latency + reply_latency + self.network.local_compute(
-                self.translation_ms * len(self._sites), origin_site
-            )
-            found |= next_frontier
-            frontier = next_frontier
-        result.sites_contacted = list(self._sites)
-        result.pnames = sorted(found, key=lambda p: p.digest)
-        result.notes.append(f"closure rounds: {rounds}")
-        self.queries_run += 1
-        return result
+        return self._broadcast_closure(
+            pname,
+            origin_site,
+            up,
+            self._stores,
+            "federated-closure-step",
+            "federated-closure-reply",
+            round_compute_ms=self.translation_ms * len(self._sites),
+        )
 
     def locate(self, pname: PName, origin_site: str) -> OperationResult:
         result = OperationResult()
         site = self._data_location.get(pname.digest)
         if site is None:
             # The mediator has to ask everyone.
-            latency = self.network.broadcast(origin_site, self._sites, 128, "locate")
-            self._charge(result, latency, len(self._sites), 128 * len(self._sites))
+            self.network.broadcast(origin_site, self._sites, LOCATE_REQUEST_BYTES, "locate")
             result.notes.append("unknown pname")
             return result
-        request = self.network.send(origin_site, site, 128, "locate")
-        response = self.network.send(site, origin_site, _POINTER_BYTES, "locate-response")
-        self._charge(
-            result, request.latency_ms + response.latency_ms, 2, 128 + _POINTER_BYTES, site
-        )
+        self._locate_round_trip(origin_site, site, result)
         result.pnames = [pname]
         return result
 

@@ -28,7 +28,7 @@ straight out:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.attributes import canonical_encode
 from repro.core.naming import FilenameConvention
@@ -46,9 +46,6 @@ from repro.net.simulator import NetworkSimulator
 from repro.net.topology import Topology
 
 __all__ = ["HierarchicalNamespace"]
-
-_QUERY_REQUEST_BYTES = 256
-_POINTER_BYTES = 96
 
 
 class HierarchicalNamespace(ArchitectureModel):
@@ -112,15 +109,13 @@ class HierarchicalNamespace(ArchitectureModel):
         component = self._top_component(tuple_set)
         server = self.server_for_component(component)
         record_bytes = estimate_record_bytes(tuple_set)
-        message = self.network.send(origin_site, server, record_bytes, "namespace-publish")
-        ack = self.network.send(server, origin_site, 64, "namespace-ack")
+        self.network.send(origin_site, server, record_bytes, "namespace-publish")
+        self.network.send(server, origin_site, 64, "namespace-ack")
         self._stores.store(server).ingest_record(tuple_set.provenance)
         self._paths[tuple_set.pname.digest] = self.path_for(tuple_set)
         self._component_of[tuple_set.pname.digest] = component
         self._data_location[tuple_set.pname.digest] = origin_site
-        self._charge(
-            result, message.latency_ms + ack.latency_ms, 2, record_bytes + 64, server
-        )
+        result.add_site(server)
         result.pnames = [tuple_set.pname]
         self.published += 1
         # The namespace server owning the path component disseminates.
@@ -131,23 +126,9 @@ class HierarchicalNamespace(ArchitectureModel):
         query = self._start_query(query)
         result = OperationResult()
         targets = self._route(query)
-        slowest = 0.0
-        matches: List[PName] = []
-        with self.network.parallel() as fanout:
-            for server in targets:
-                with fanout.branch():
-                    request = self.network.send(origin_site, server, _QUERY_REQUEST_BYTES, "query")
-                    local = self._planned_query(self._stores.store(server), query, result)
-                    response = self.network.send(
-                        server, origin_site, _POINTER_BYTES * max(1, len(local)), "query-response"
-                    )
-                slowest = max(slowest, request.latency_ms + response.latency_ms)
-                matches.extend(local)
-                result.messages += 2
-                result.bytes += _QUERY_REQUEST_BYTES + _POINTER_BYTES * max(1, len(local))
-                result.add_site(server)
-        result.latency_ms += slowest
-        result.pnames = sorted(set(matches), key=lambda p: p.digest)
+        result.pnames = self._scatter_gather(
+            query, origin_site, [(server, self._stores.store(server)) for server in targets], result
+        )
         if len(targets) == len(self._sites):
             result.notes.append("non-primary attribute: broadcast to all servers")
         self.queries_run += 1
@@ -172,52 +153,16 @@ class HierarchicalNamespace(ArchitectureModel):
                 return [self.server_for_component(component)]
         return list(self._sites)
 
-    def ancestors(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=True)
-
-    def descendants(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=False)
-
     def _lineage(self, pname: PName, origin_site: str, up: bool) -> OperationResult:
         """Namespace servers hold no lineage index; expand by broadcasting each level."""
-        result = OperationResult()
-        found: Set[PName] = set()
-        frontier: Set[PName] = {pname}
-        rounds = 0
-        while frontier:
-            rounds += 1
-            round_latency = self.network.broadcast(
-                origin_site, self._sites, 160 * len(frontier), "namespace-closure-step"
-            )
-            result.messages += len(self._sites)
-            result.bytes += len(self._sites) * 160 * len(frontier)
-            reply_latency = 0.0
-            next_frontier: Set[PName] = set()
-            with self.network.parallel():
-                for server in self._sites:
-                    store = self._stores.store(server)
-                    neighbours: List[PName] = []
-                    for node in frontier:
-                        if node in store.graph:
-                            step = store.graph.parents(node) if up else store.graph.children(node)
-                            neighbours.extend(step)
-                    response = self.network.send(
-                        server, origin_site, _POINTER_BYTES * max(1, len(neighbours)), "namespace-closure-reply"
-                    )
-                    reply_latency = max(reply_latency, response.latency_ms)
-                    result.messages += 1
-                    result.bytes += _POINTER_BYTES * max(1, len(neighbours))
-                    for neighbour in neighbours:
-                        if neighbour not in found and neighbour.digest != pname.digest:
-                            next_frontier.add(neighbour)
-            result.latency_ms += round_latency + reply_latency
-            found |= next_frontier
-            frontier = next_frontier
-        result.sites_contacted = list(self._sites)
-        result.pnames = sorted(found, key=lambda p: p.digest)
-        result.notes.append(f"closure rounds: {rounds}")
-        self.queries_run += 1
-        return result
+        return self._broadcast_closure(
+            pname,
+            origin_site,
+            up,
+            self._stores,
+            "namespace-closure-step",
+            "namespace-closure-reply",
+        )
 
     def locate(self, pname: PName, origin_site: str) -> OperationResult:
         result = OperationResult()
@@ -226,11 +171,7 @@ class HierarchicalNamespace(ArchitectureModel):
             result.notes.append("unknown pname")
             return result
         server = self.server_for_component(component)
-        request = self.network.send(origin_site, server, 128, "locate")
-        response = self.network.send(server, origin_site, _POINTER_BYTES, "locate-response")
-        self._charge(
-            result, request.latency_ms + response.latency_ms, 2, 128 + _POINTER_BYTES, server
-        )
+        self._locate_round_trip(origin_site, server, result)
         site = self._data_location.get(pname.digest)
         if site is not None:
             result.add_site(site)

@@ -28,13 +28,14 @@ matching the centralized model on query capability.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.attributes import GeoPoint
 from repro.core.provenance import PName
 from repro.core.query import Predicate, Query
 from repro.core.tupleset import TupleSet
 from repro.distributed.base import (
+    POINTER_BYTES,
     ArchitectureModel,
     OperationResult,
     SiteStores,
@@ -46,15 +47,7 @@ from repro.net.topology import Topology
 
 __all__ = ["LocaleAwarePass"]
 
-_QUERY_REQUEST_BYTES = 256
-_POINTER_BYTES = 96
 _CATALOGUE_BYTES = 64
-# A digest located this many times from the same remote origin is "hot":
-# its provenance metadata gets replicated to that origin so further
-# locates (and lineage walks starting there) stay on-site.  Three repeats
-# keeps one-off probes -- everything the existing workloads do -- from
-# triggering replication.
-_HOT_KEY_THRESHOLD = 3
 
 
 class LocaleAwarePass(ArchitectureModel):
@@ -73,14 +66,6 @@ class LocaleAwarePass(ArchitectureModel):
         # everywhere is cheap; updates are piggybacked on publishes.
         self._catalogue: Dict[str, Set[str]] = {}
         self._home: Dict[str, str] = {}
-        # Hot-key placement: repeated locates of the same digest from the
-        # same origin are counted, and past _HOT_KEY_THRESHOLD the home
-        # pushes a metadata replica to the origin (paid once), after which
-        # that origin answers its own locates.
-        self._locate_counts: Dict[Tuple[str, str], int] = {}
-        self._replicas: Dict[str, Set[str]] = {}
-        self._replica_hits = 0
-        self._replicas_placed = 0
 
     # ------------------------------------------------------------------
     # Placement
@@ -107,14 +92,11 @@ class LocaleAwarePass(ArchitectureModel):
         home = self.placement_site(tuple_set, origin_site)
         record_bytes = estimate_record_bytes(tuple_set)
         if home == origin_site:
-            message = self.network.send(origin_site, home, record_bytes, "local-publish")
-            self._charge(result, message.latency_ms, 1, record_bytes, home)
+            self.network.send(origin_site, home, record_bytes, "local-publish")
         else:
-            message = self.network.send(origin_site, home, record_bytes, "nearby-publish")
-            ack = self.network.send(home, origin_site, 64, "publish-ack")
-            self._charge(
-                result, message.latency_ms + ack.latency_ms, 2, record_bytes + 64, home
-            )
+            self.network.send(origin_site, home, record_bytes, "nearby-publish")
+            self.network.send(home, origin_site, 64, "publish-ack")
+        result.add_site(home)
         self._stores.store(home).ingest(tuple_set)
         self._home[tuple_set.pname.digest] = home
 
@@ -126,11 +108,11 @@ class LocaleAwarePass(ArchitectureModel):
         for ancestor in tuple_set.provenance.ancestors:
             ancestor_home = self._home.get(ancestor.digest)
             if ancestor_home is not None and ancestor_home != home:
-                edge = self.network.send(
+                self.network.send(
                     home, ancestor_home, record_bytes, "cross-site-edge"
                 )
                 self._stores.store(ancestor_home).ingest_record(tuple_set.provenance)
-                self._charge(result, edge.latency_ms, 1, record_bytes, ancestor_home)
+                result.add_site(ancestor_home)
 
         # Catalogue maintenance: announce *new* attribute names only.
         new_names = [
@@ -141,10 +123,9 @@ class LocaleAwarePass(ArchitectureModel):
         if new_names:
             others = [site for site in self._sites if site != home]
             if others:
-                latency = self.network.broadcast(
+                self.network.broadcast(
                     home, others, _CATALOGUE_BYTES, "catalogue-update"
                 )
-                self._charge(result, latency, len(others), _CATALOGUE_BYTES * len(others))
             for name in new_names:
                 self._catalogue.setdefault(name, set()).add(home)
 
@@ -159,23 +140,9 @@ class LocaleAwarePass(ArchitectureModel):
         query = self._start_query(query)
         result = OperationResult()
         targets = self._route(query, origin_site)
-        matches: List[PName] = []
-        slowest = 0.0
-        with self.network.parallel() as fanout:
-            for site in targets:
-                with fanout.branch():
-                    request = self.network.send(origin_site, site, _QUERY_REQUEST_BYTES, "query")
-                    local = self._planned_query(self._stores.store(site), query, result)
-                    response = self.network.send(
-                        site, origin_site, _POINTER_BYTES * max(1, len(local)), "query-response"
-                    )
-                slowest = max(slowest, request.latency_ms + response.latency_ms)
-                matches.extend(local)
-                result.messages += 2
-                result.bytes += _QUERY_REQUEST_BYTES + _POINTER_BYTES * max(1, len(local))
-                result.add_site(site)
-        result.latency_ms += slowest
-        result.pnames = sorted(set(matches), key=lambda p: p.digest)
+        result.pnames = self._scatter_gather(
+            query, origin_site, [(site, self._stores.store(site)) for site in targets], result
+        )
         self.queries_run += 1
         return result
 
@@ -196,12 +163,6 @@ class LocaleAwarePass(ArchitectureModel):
         targets: Set[str] = set.union(*candidate_sets)
         return sorted(targets)
 
-    def ancestors(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=True)
-
-    def descendants(self, pname: PName, origin_site: str) -> OperationResult:
-        return self._lineage(pname, origin_site, up=False)
-
     def _lineage(self, pname: PName, origin_site: str, up: bool) -> OperationResult:
         """Start at the focus record's home; hop sites only when lineage does."""
         result = OperationResult()
@@ -209,8 +170,7 @@ class LocaleAwarePass(ArchitectureModel):
         if home is None:
             result.notes.append("unknown pname")
             return result
-        request = self.network.send(origin_site, home, _QUERY_REQUEST_BYTES, "lineage-query")
-        self._charge(result, request.latency_ms, 1, _QUERY_REQUEST_BYTES, home)
+        self.network.send(origin_site, home, self.query_request_bytes, "lineage-query")
 
         found: Set[PName] = set()
         visited_sites: Set[str] = set()
@@ -249,25 +209,15 @@ class LocaleAwarePass(ArchitectureModel):
                 remote_by_site,
                 key=lambda site: self.topology.latency_ms(current_site, site),
             )
-            hop = self.network.send(current_site, next_site, _QUERY_REQUEST_BYTES, "lineage-hop")
-            reply = self.network.send(
-                next_site, origin_site, _POINTER_BYTES * max(1, len(found)), "lineage-reply"
-            )
-            self._charge(
-                result,
-                hop.latency_ms + reply.latency_ms,
-                2,
-                _QUERY_REQUEST_BYTES + _POINTER_BYTES * max(1, len(found)),
-                next_site,
+            self.network.send(current_site, next_site, self.query_request_bytes, "lineage-hop")
+            self.network.send(
+                next_site, origin_site, POINTER_BYTES * max(1, len(found)), "lineage-reply"
             )
             frontier = remote_by_site[next_site]
             current_site = next_site
 
-        response = self.network.send(
-            home, origin_site, _POINTER_BYTES * max(1, len(found)), "lineage-response"
-        )
-        self._charge(
-            result, response.latency_ms, 1, _POINTER_BYTES * max(1, len(found)), home
+        self.network.send(
+            home, origin_site, POINTER_BYTES * max(1, len(found)), "lineage-response"
         )
         result.pnames = sorted(found, key=lambda p: p.digest)
         result.sites_contacted = sorted(visited_sites)
@@ -280,67 +230,9 @@ class LocaleAwarePass(ArchitectureModel):
         if home is None:
             result.notes.append("unknown pname")
             return result
-        if origin_site != home and origin_site in self._replicas.get(pname.digest, set()):
-            # Hot-key replica: the origin holds this record's metadata, so
-            # the locate never leaves the site.
-            local = self.network.send(origin_site, origin_site, _POINTER_BYTES, "locate-local")
-            self._charge(result, local.latency_ms, 1, _POINTER_BYTES, origin_site)
-            result.add_site(origin_site)
-            result.notes.append("hot-key replica: answered locally")
-            result.pnames = [pname]
-            self._replica_hits += 1
-            return result
-        request = self.network.send(origin_site, home, 128, "locate")
-        response = self.network.send(home, origin_site, _POINTER_BYTES, "locate-response")
-        self._charge(
-            result, request.latency_ms + response.latency_ms, 2, 128 + _POINTER_BYTES, home
-        )
-        result.add_site(home)
+        self._locate_round_trip(origin_site, home, result)
         result.pnames = [pname]
-        if origin_site != home:
-            self._note_locate(pname, origin_site, home, result)
         return result
-
-    def _note_locate(
-        self, pname: PName, origin_site: str, home: str, result: OperationResult
-    ) -> None:
-        """Count a remote locate; replicate the metadata once it runs hot."""
-        key = (origin_site, pname.digest)
-        count = self._locate_counts.get(key, 0) + 1
-        if count < _HOT_KEY_THRESHOLD:
-            self._locate_counts[key] = count
-            return
-        self._locate_counts.pop(key, None)
-        record = self._stores.store(home).get_record(pname)
-        record_bytes = len(record.to_json().encode("utf-8"))
-        push = self.network.send(home, origin_site, record_bytes, "hot-key-replicate")
-        self._stores.store(origin_site).ingest_record(record)
-        self._replicas.setdefault(pname.digest, set()).add(origin_site)
-        self._charge(result, push.latency_ms, 1, record_bytes, origin_site)
-        result.notes.append("hot key: metadata replicated to origin")
-        self._replicas_placed += 1
-
-    def hot_key_stats(self) -> Dict[str, object]:
-        """Diagnostics for hot-key replication (kept out of ``stats()``).
-
-        Includes the per-site result-cache hot keys sampled from each
-        local store's feedback collector: the same signal that drives the
-        single-store result cache feeds the placement decision here.
-        """
-        return {
-            "threshold": _HOT_KEY_THRESHOLD,
-            "tracked": len(self._locate_counts),
-            "replicas_placed": self._replicas_placed,
-            "replica_hits": self._replica_hits,
-            "replicas": {
-                digest: sorted(sites) for digest, sites in sorted(self._replicas.items())
-            },
-            "site_hot_keys": {
-                site: store.feedback.hot_keys()
-                for site, store in self._stores.items()
-                if store.feedback.hot_keys()
-            },
-        }
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -28,7 +28,7 @@ precision/recall.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.pass_store import PassStore
 from repro.core.provenance import PName, ProvenanceRecord
@@ -46,8 +46,6 @@ from repro.net.topology import Topology
 
 __all__ = ["SoftStateIndex"]
 
-_QUERY_REQUEST_BYTES = 256
-_POINTER_BYTES = 96
 _SUMMARY_BYTES = 200  # a pushed index summary is smaller than the full record
 
 
@@ -170,10 +168,10 @@ class SoftStateIndex(ArchitectureModel):
         self._stores.store(origin_site).ingest_record(record)
         self._unpushed[origin_site].append(record)
         self._data_location[tuple_set.pname.digest] = origin_site
-        message = self.network.send(
+        self.network.send(
             origin_site, origin_site, estimate_record_bytes(tuple_set), "local-publish"
         )
-        self._charge(result, message.latency_ms, 1, message.size_bytes, origin_site)
+        result.add_site(origin_site)
         result.pnames = [tuple_set.pname]
         self.published += 1
         # Notifications are producer-pushed immediately -- unlike the zone
@@ -204,33 +202,20 @@ class SoftStateIndex(ArchitectureModel):
                 "the soft-state metadata model denies transitive closure (Section IV-B)"
             )
         result = OperationResult()
-        matches: List[PName] = []
-        slowest = 0.0
         # Zone indexes are queried in parallel; the slowest one gates.
-        with self.network.parallel() as fanout:
-            for zone, (index_site, _) in sorted(self._zones.items()):
-                with fanout.branch():
-                    request = self.network.send(origin_site, index_site, _QUERY_REQUEST_BYTES, "query")
-                    local = self._planned_query(self._zone_indexes[zone], query, result)
-                    response = self.network.send(
-                        index_site, origin_site, _POINTER_BYTES * max(1, len(local)), "query-response"
-                    )
-                slowest = max(slowest, request.latency_ms + response.latency_ms)
-                matches.extend(local)
-                result.messages += 2
-                result.bytes += _QUERY_REQUEST_BYTES + _POINTER_BYTES * max(1, len(local))
-                result.add_site(index_site)
-        result.latency_ms += slowest
-        result.pnames = sorted(set(matches), key=lambda p: p.digest)
+        result.pnames = self._scatter_gather(
+            query,
+            origin_site,
+            [
+                (index_site, self._zone_indexes[zone])
+                for zone, (index_site, _) in sorted(self._zones.items())
+            ],
+            result,
+        )
         self.queries_run += 1
         return result
 
-    def ancestors(self, pname: PName, origin_site: str) -> OperationResult:
-        raise UnsupportedQueryError(
-            "the soft-state metadata model denies transitive closure (Section IV-B)"
-        )
-
-    def descendants(self, pname: PName, origin_site: str) -> OperationResult:
+    def _lineage(self, pname: PName, origin_site: str, up: bool) -> OperationResult:
         raise UnsupportedQueryError(
             "the soft-state metadata model denies transitive closure (Section IV-B)"
         )
@@ -245,13 +230,8 @@ class SoftStateIndex(ArchitectureModel):
         order = sorted(self._zones, key=lambda name: 0 if name == zone else 1)
         for zone_name in order:
             index_site, _ = self._zones[zone_name]
-            request = self.network.send(origin_site, index_site, 128, "locate")
-            known = pname in self._zone_indexes[zone_name]
-            response = self.network.send(index_site, origin_site, _POINTER_BYTES, "locate-response")
-            self._charge(
-                result, request.latency_ms + response.latency_ms, 2, 128 + _POINTER_BYTES, index_site
-            )
-            if known and site is not None:
+            self._locate_round_trip(origin_site, index_site, result)
+            if pname in self._zone_indexes[zone_name] and site is not None:
                 if self._stores.store(site).is_removed(pname):
                     result.notes.append("stale index entry: data was removed")
                 result.add_site(site)

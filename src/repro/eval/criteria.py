@@ -116,33 +116,15 @@ class CriteriaScores:
         return mean([sample.latency_ms for sample in self.query_samples])
 
     # -- latency distributions (p50/p95/p99 alongside the means) --------------
-    def publish_latency_percentiles(self) -> Dict[str, float]:
-        """Publish-latency distribution: count/mean/p50/p95/p99/max."""
-        return latency_summary([sample.latency_ms for sample in self.publish_samples])
-
     def query_latency_percentiles(self) -> Dict[str, float]:
         """Attribute-query latency distribution: count/mean/p50/p95/p99/max."""
         return latency_summary([sample.latency_ms for sample in self.query_samples])
-
-    def lineage_latency_percentiles(self) -> Optional[Dict[str, float]]:
-        """Closure-latency distribution; None when the model refuses closure."""
-        if not self.supports_lineage:
-            return None
-        return latency_summary([sample.latency_ms for sample in self.lineage_samples])
-
-    def query_bytes(self) -> float:
-        """Mean network bytes per attribute query."""
-        return mean([sample.bytes for sample in self.query_samples])
 
     def lineage_latency_ms(self) -> Optional[float]:
         """Mean latency of closure queries; None when the model refuses them."""
         if not self.supports_lineage:
             return None
         return mean([sample.latency_ms for sample in self.lineage_samples])
-
-    def f1(self) -> float:
-        """Combined result-quality score."""
-        return f1_score(self.precision, self.recall)
 
     def usability_score(self) -> int:
         """How many of the paper's query classes the model supports (0-2)."""

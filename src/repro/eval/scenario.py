@@ -18,7 +18,6 @@ from repro.api.client import PassClient, wrap
 from repro.core.attributes import GeoPoint
 from repro.core.pass_store import PassStore
 from repro.core.provenance import PName
-from repro.core.query import Query
 from repro.core.tupleset import TupleSet
 from repro.distributed import (
     ArchitectureModel,
@@ -164,7 +163,3 @@ def ground_truth_store(tuple_sets: Sequence[TupleSet]) -> PassStore:
     client.publish_many(tuple_sets)
     return client.store
 
-
-def ground_truth_answer(store: PassStore, query: Query) -> List[PName]:
-    """The oracle's answer to a query (convenience wrapper)."""
-    return store.query(query)

@@ -8,16 +8,16 @@ time an architecture model sends a logical message,
 :class:`~repro.net.topology.Topology`) and records its size, kind and
 endpoints.
 
-Since the discrete-event kernel (:mod:`repro.sim`) landed, the simulator
-is also the *event-emitting facade* of each operation: while a model
-operation runs, every ``send`` appends a hop to the operation's
-:class:`~repro.sim.trace.OpTrace`, :meth:`broadcast` and
+The simulator is also the *event-emitting facade* of each operation:
+while a model operation runs, every ``send`` appends a hop to the
+operation's :class:`~repro.sim.trace.OpTrace`, :meth:`broadcast` and
 :meth:`parallel` mark fan-out groups, and :meth:`local_compute` marks
-processing delays.  The captured trace replays through the kernel so
-concurrent clients genuinely queue at shared sites.  Without a kernel,
-behaviour is the degenerate mode: per-message latencies are returned
-immediately and models compose them arithmetically (sequential hops add,
-parallel fan-out takes the maximum) -- exactly the pre-kernel numbers.
+processing delays.  That captured trace is the one definition of what
+the operation cost: the model layer reads latency (sequential hops add,
+a fan-out takes its slowest branch), messages and bytes off it, and the
+discrete-event kernel (:mod:`repro.sim`) replays the same trace so
+concurrent clients genuinely queue at shared sites.  Nothing composes
+per-message latencies by hand.
 """
 
 from __future__ import annotations
@@ -218,9 +218,8 @@ class NetworkSimulator:
     def parallel(self):
         """Mark a fan-out: everything sent inside starts together.
 
-        The operation's clock advances to the *slowest* branch, which is
-        the composition every scatter/gather and fan-in loop in the
-        architecture models already uses arithmetically.
+        The operation's clock advances to the *slowest* branch -- in the
+        trace's closed-form latency and under kernel replay alike.
         """
         if self._trace is None:
             yield _ParallelHandle(self, None)
@@ -236,9 +235,11 @@ class NetworkSimulator:
     def local_compute(self, ms: float, site: str = "") -> float:
         """Record a processing delay on the operation's critical path.
 
-        Returns ``ms`` so models can keep charging it arithmetically;
+        The delay is part of the captured trace, so it counts towards
+        the operation's latency without the caller adding anything up;
         during kernel replay a ``site``-bound compute also occupies that
-        site's server (concurrent operations queue behind it).
+        site's server (concurrent operations queue behind it).  Returns
+        ``ms`` unchanged, as a convenience.
         """
         if ms > 0:
             self._record_step(Compute(ms, site))
@@ -260,8 +261,8 @@ class NetworkSimulator:
         ``background=True`` marks asynchronous hops (subscription
         notifications): they are captured and replayed -- and do load
         the destination's server -- but the operation does not wait for
-        them, matching the models' "latency not on the critical path"
-        accounting.
+        them: they count towards its messages and bytes, never its
+        latency.
         """
         if size_bytes < 0:
             raise NetworkError("message size must be non-negative")
@@ -293,8 +294,10 @@ class NetworkSimulator:
         """Send the same message to several sites; return the slowest latency.
 
         The architectures use this for fan-out steps (ask every site,
-        wait for all answers): the operation's latency is the maximum of
-        the individual latencies, while bandwidth is charged per copy.
+        wait for all answers): the copies are one parallel group of the
+        trace, so the operation waits for the slowest while bandwidth is
+        charged per copy.  The returned maximum is informational; cost
+        is read off the trace.
         """
         slowest = 0.0
         with self.parallel():

@@ -16,8 +16,9 @@ the only randomness is a :class:`random.Random` seeded from
 byte-identical event journals (:meth:`SimKernel.journal_digest`).
 
 Degenerate mode (the :meth:`SimConfig.degenerate` default: zero service
-time, zero jitter) reproduces the pre-kernel composed latencies exactly;
-the parity tests assert that for every architecture model.
+time, zero jitter) reproduces each trace's closed-form latency -- the
+figure the operation itself reports -- exactly; the parity tests assert
+that for every architecture model.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class SimConfig:
 
     @classmethod
     def degenerate(cls, seed: int = 0) -> "SimConfig":
-        """The parity configuration: kernel replay equals composed latency."""
+        """The parity configuration: kernel replay equals the trace's closed form."""
         return cls(seed=seed)
 
 

@@ -10,11 +10,13 @@ discrete-event kernel (:mod:`repro.sim.kernel`) replays it in virtual
 time, where hops contend for per-site servers with other in-flight
 operations.
 
-The structure is exact with respect to the models' own latency
-arithmetic: replaying a trace through a *degenerate* kernel (no service
-time, no jitter, no contention) yields precisely the latency the model
-composed by hand -- :func:`trace_elapsed_ms` computes that closed form
-and the parity tests pin the equality for every model.
+The trace is also the one definition of what the operation cost:
+:func:`trace_elapsed_ms` is its latency in closed form, the hop count
+its messages, the hop sizes its bytes -- the model layer fills every
+:class:`~repro.distributed.base.OperationResult` from them.  Replaying a
+trace through a *degenerate* kernel (no service time, no jitter, no
+contention) yields precisely that closed form; the parity tests pin the
+equality for every model.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class Hop:
     """One message: ``source`` -> ``destination``, with its base latency.
 
     ``base_latency_ms`` is the topology's propagation latency (the value
-    the model's own arithmetic used); the kernel adds seeded jitter and
+    the closed form adds up); the kernel adds seeded jitter and
     destination-server queueing on top.  ``critical=False`` marks
     asynchronous hops (subscription notifications): they are scheduled
     and load the destination server, but the operation does not wait for
@@ -100,9 +102,11 @@ def trace_elapsed_ms(steps: List[Step]) -> float:
     """The degenerate (no-queueing, no-jitter) elapsed time of a step list.
 
     Sequential steps add, parallel groups take the slowest branch, and
-    non-critical hops contribute nothing -- the exact closed form the
-    architecture models compose by hand, used by the parity tests as the
-    independent oracle for kernel replay.
+    non-critical hops contribute nothing.  This is the latency every
+    architecture-model operation reports, and the parity tests' oracle
+    for kernel replay.  (Plain ``+=``, never ``sum()``: Python 3.12's
+    ``sum`` compensates float addition, and the figure must not depend
+    on the interpreter version.)
     """
     elapsed = 0.0
     for step in steps:

@@ -299,8 +299,8 @@ class WorkloadRunner:
                 return
             trace = getattr(result, "trace", None)
             if trace is None:
-                # Costless (or untraced) operation: charge its composed
-                # latency as pure pipeline delay.
+                # Untraced operation (not a model's): charge the latency
+                # it reports as pure pipeline delay.
                 trace = OpTrace(kind="op", origin="", steps=[Compute(result.latency_ms)])
 
             def op_done(end: float, ok: bool) -> None:

@@ -282,35 +282,6 @@ class TestDHT:
             model.max_supported_updaters(0.0)
 
 
-    def test_hot_key_locates_cache_owner_location(self, topology, traffic):
-        """Repeated locates of one digest from one origin cache the
-        owner's location there: later locates skip the O(log n) overlay
-        routing and go direct (one round trip)."""
-        raw, _ = traffic
-        model = DistributedHashTable(topology)
-        publish_all(model, raw, topology)
-        target = raw[0]
-        hops = model.route_hops("tokyo-site")
-        costs = [model.locate(target.pname, "tokyo-site").messages for _ in range(5)]
-        assert costs[:3] == [hops, hops, hops]
-        assert costs[3] == 2 and costs[4] == 2
-        located = model.locate(target.pname, "tokyo-site")
-        assert "hot-key hint: routed directly to owner" in located.notes
-        stats = model.hot_key_stats()
-        assert stats["hints_placed"] == 1 and stats["hint_hits"] == 3
-        # The hint is per-origin: another site still pays full routing.
-        assert model.locate(target.pname, "london-site").messages == model.route_hops(
-            "london-site"
-        )
-
-    def test_unknown_digests_never_earn_hints(self, topology, traffic):
-        raw, _ = traffic
-        model = DistributedHashTable(topology)
-        for _ in range(5):
-            assert "unknown pname" in model.locate(raw[0].pname, "london-site").notes
-        assert model.hot_key_stats()["hints_placed"] == 0
-
-
 class TestLocaleAware:
     def test_data_placed_at_nearest_site(self, topology, traffic):
         raw, _ = traffic
@@ -368,35 +339,3 @@ class TestLocaleAware:
         assert {london[0].pname, boston[0].pname}.issubset(ancestors.pname_set())
         descendants = model.descendants(boston[0].pname, "tokyo-site")
         assert cross.pname in descendants.pname_set()
-
-    def test_hot_key_locates_replicate_metadata_to_origin(self, topology, traffic):
-        """Three locates of the same digest from the same remote origin
-        cross the hot-key threshold: the home pushes a metadata replica
-        and further locates never leave the origin site."""
-        raw, _ = traffic
-        model = LocaleAwarePass(topology)
-        publish_all(model, raw, topology)
-        target = raw[0]
-        home = model.home_of(target.pname)
-        origin = "tokyo-site" if home != "tokyo-site" else "boston-site"
-        costs = [model.locate(target.pname, origin).messages for _ in range(5)]
-        # Two cold round trips, one round trip + replica push, then local.
-        assert costs[0] == 2 and costs[1] == 2 and costs[2] == 3
-        assert costs[3] == 1 and costs[4] == 1
-        located = model.locate(target.pname, origin)
-        assert located.sites_contacted == [origin]
-        assert "hot-key replica: answered locally" in located.notes
-        stats = model.hot_key_stats()
-        assert stats["replicas_placed"] == 1
-        assert stats["replica_hits"] == 3
-        assert stats["replicas"][target.pname.digest] == [origin]
-        assert target.pname in model.store_at(origin)
-
-    def test_one_off_locates_never_replicate(self, topology, traffic):
-        raw, _ = traffic
-        model = LocaleAwarePass(topology)
-        publish_all(model, raw, topology)
-        for tuple_set in raw:
-            model.locate(tuple_set.pname, "tokyo-site")
-        stats = model.hot_key_stats()
-        assert stats["replicas_placed"] == 0 and stats["replicas"] == {}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.provenance import PName
 from repro.distributed import CentralizedWarehouse, DistributedDatabase, OperationResult
 from repro.eval.scenario import origin_site_for, standard_topology
@@ -55,7 +57,31 @@ class TestPublishBatch:
         batch = batched_model.publish_batch(sets, "london-site")
         assert batch.pnames == combined.pnames
         assert batch.messages == combined.messages
-        assert batch.latency_ms == combined.latency_ms
+        # Same hops either way; one trace sums them in one pass, the loop
+        # sums per-publish subtotals -- equal up to float summation order.
+        assert batch.latency_ms == pytest.approx(combined.latency_ms, rel=1e-9)
+
+    def test_nested_operation_reports_zero_the_outer_one_the_whole_trace(self):
+        """The default batch loops publish(); only the outermost op has a trace."""
+        sets = self._sets()
+        inner = []
+
+        class Spy(DistributedDatabase):
+            def publish(self, tuple_set, origin_site):
+                result = super().publish(tuple_set, origin_site)
+                inner.append(result)
+                return result
+
+        model = Spy(standard_topology())
+        batch = model.publish_batch(sets, "london-site")
+        assert len(inner) == len(sets)
+        for nested in inner:
+            assert nested.trace is None
+            assert (nested.latency_ms, nested.messages, nested.bytes) == (0.0, 0, 0)
+        stats = model.network.stats
+        assert (batch.messages, batch.bytes) == (stats.messages, stats.bytes)
+        assert batch.messages == len(batch.trace.hops()) > 0
+        assert batch.latency_ms > 0.0
 
     def test_centralized_batch_single_round_trip(self):
         sets = self._sets()
