@@ -11,19 +11,27 @@ subsets of the attributes and values found in provenance metadata"
     attribute name -> canonical(value) -> set of PName digests
 
 plus a per-attribute sorted view to answer range queries on
-order-compatible values.  It is the workhorse index of the local PASS
-store and of the centralized / distributed architecture models.
+order-compatible values.  The view is built on the first range lookup
+or estimate that needs it -- an ingest-only store never pays for one --
+and from then on every new or emptied distinct value is slotted in or
+out by bisection, so a range query between two writes costs
+O(log d + matches), never a re-sort of the attribute.  It is the
+workhorse index of the local PASS store and of the centralized /
+distributed architecture models.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.attributes import (
     AttributeValue,
+    GeoPoint,
+    Timestamp,
+    _ordering_key,
     canonical_encode,
-    compare_values,
 )
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.errors import ConfigurationError
@@ -46,14 +54,19 @@ class AttributeIndex:
         self._only = set(indexed_attributes) if indexed_attributes is not None else None
         # attribute -> canonical value -> set of digests
         self._postings: Dict[str, Dict[str, Set[str]]] = {}
-        # attribute -> list of (value, canonical) kept for range scans;
-        # rebuilt lazily when dirty.
-        self._values: Dict[str, List[Tuple[AttributeValue, str]]] = {}
-        # attribute -> parallel list of (kind, sort_key) tuples, bisected
-        # by lookup_range so a range touches only the distinct values
+        # attribute -> the canonical encoding of every distinct value, in
+        # sort-key order; absent until a range lookup or estimate first
+        # needs it, kept in step by _add_one/remove from then on.  (The
+        # strings are the postings' own keys: an entry costs no object.)
+        self._values: Dict[str, List[str]] = {}
+        # attribute -> the parallel list of sort keys, bisected by
+        # lookup_range so a range touches only the distinct values
         # inside it instead of every distinct value of the attribute.
-        self._sort_keys: Dict[str, List[Tuple[str, object]]] = {}
-        self._dirty: Set[str] = set()
+        self._sort_keys: Dict[str, List[tuple]] = {}
+        # attribute -> canonical -> the list value itself.  Scalars are
+        # read back from their encoding when the view is built; a list's
+        # encoding cannot be (an item string may contain the separator).
+        self._list_values: Dict[str, Dict[str, tuple]] = {}
         self._entries = 0
         # attribute -> number of postings, for planner cost estimates.
         self._attr_entries: Dict[str, int] = {}
@@ -82,21 +95,45 @@ class AttributeIndex:
                 continue
             encoded = canonical_encode(value)
             bucket = postings.get(encoded)
-            if bucket and pname.digest in bucket:
-                bucket.discard(pname.digest)
-                self._entries -= 1
-                self._attr_entries[name] = self._attr_entries.get(name, 1) - 1
-                if not bucket:
-                    del postings[encoded]
-                    self._dirty.add(name)
+            if not bucket or pname.digest not in bucket:
+                continue
+            bucket.discard(pname.digest)
+            self._entries -= 1
+            self._attr_entries[name] = self._attr_entries.get(name, 1) - 1
+            if bucket:
+                continue
+            del postings[encoded]
+            if isinstance(value, tuple):
+                # (the value the view is keyed by, should two lists share an encoding)
+                value = self._list_values[name].pop(encoded)
+            keys = self._sort_keys.get(name)
+            if keys is not None:
+                # Equal keys (1, 1.0, True) sit side by side: walk the
+                # tie run for this encoding.
+                entries = self._values[name]
+                at = bisect_left(keys, _ordering_key(value))
+                while entries[at] != encoded:
+                    at += 1
+                del keys[at], entries[at]
 
     def _add_one(self, name: str, value: AttributeValue, digest: str) -> None:
         encoded = canonical_encode(value)
         postings = self._postings.setdefault(name, {})
-        bucket = postings.setdefault(encoded, set())
-        if not bucket:
-            # A value never seen for this attribute: the sorted view is stale.
-            self._dirty.add(name)
+        bucket = postings.get(encoded)
+        if bucket is None:
+            bucket = postings[encoded] = set()
+            if isinstance(value, tuple):
+                self._list_values.setdefault(name, {})[encoded] = value
+            keys = self._sort_keys.get(name)
+            if keys is not None:
+                # After its equals: where a stable sort of the postings
+                # dict, which just gained this value at its end, puts it.
+                # Sensor feeds arrive in order (sequence numbers, window
+                # times), so look at the end before bisecting cold memory.
+                key = _ordering_key(value)
+                at = len(keys) if not keys or keys[-1] <= key else bisect_right(keys, key)
+                keys.insert(at, key)
+                self._values[name].insert(at, encoded)
         if digest not in bucket:
             bucket.add(digest)
             self._entries += 1
@@ -150,12 +187,13 @@ class AttributeIndex:
         bisected on the bounds, so the lookup touches only the distinct
         values actually inside the range (O(log d + matches)).
         """
-        if low is None and high is None:
-            raise ConfigurationError("range lookup needs at least one bound")
+        entries, lo_idx, hi_idx = self._range_bounds(
+            attribute, low, high, include_low, include_high
+        )
         result: Set[str] = set()
         postings = self._postings.get(attribute, {})
-        for _, encoded in self._range_slice(attribute, low, high, include_low, include_high):
-            result |= postings.get(encoded, set())
+        for encoded in entries[lo_idx:hi_idx]:
+            result |= postings[encoded]
         return {PName(d) for d in result}
 
     def lookup_all(self, attribute: str) -> Set[PName]:
@@ -193,12 +231,10 @@ class AttributeIndex:
         Costs two bisections; it never walks buckets, so the planner can
         afford to estimate every candidate range before choosing one.
         """
-        bounds = self._range_bounds(attribute, low, high, include_low, include_high)
-        if bounds is None:
-            # Unorderable bound kinds: assume the whole attribute qualifies.
-            return self.attribute_entry_count(attribute)
-        entries, lo_idx, hi_idx = bounds
-        distinct_in_range = max(0, hi_idx - lo_idx)
+        entries, lo_idx, hi_idx = self._range_bounds(
+            attribute, low, high, include_low, include_high
+        )
+        distinct_in_range = hi_idx - lo_idx
         cardinality = len(entries)
         if cardinality == 0 or distinct_in_range == 0:
             return 0
@@ -207,54 +243,58 @@ class AttributeIndex:
 
     def distinct_values(self, attribute: str) -> List[AttributeValue]:
         """Every distinct value indexed under ``attribute`` (sorted when possible)."""
-        return [value for value, _ in self._sorted_values(attribute)]
+        return [self._value_of(attribute, encoded) for encoded in self._sorted_values(attribute)]
 
     def cardinality(self, attribute: str) -> int:
         """Number of distinct values indexed for ``attribute``."""
         return len(self._postings.get(attribute, {}))
 
-    def selectivity(self, attribute: str, value: AttributeValue) -> float:
-        """Fraction of postings for ``attribute`` matching ``value`` (0 when unseen)."""
-        postings = self._postings.get(attribute, {})
-        total = sum(len(bucket) for bucket in postings.values())
-        if total == 0:
-            return 0.0
-        return len(postings.get(canonical_encode(value), set())) / total
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _sorted_values(self, attribute: str) -> List[Tuple[AttributeValue, str]]:
-        postings = self._postings.get(attribute)
-        if postings is None:
-            return []
-        if attribute in self._dirty or attribute not in self._values:
-            decoded = [(self._decode_for_sort(encoded), encoded) for encoded in postings]
-            decoded.sort(key=lambda item: (item[0][0], item[0][1]))
-            self._values[attribute] = [(key[2], encoded) for key, encoded in decoded]
-            self._sort_keys[attribute] = [(key[0], key[1]) for key, _ in decoded]
-            self._dirty.discard(attribute)
-        return self._values[attribute]
+    def _sorted_values(self, attribute: str) -> List[str]:
+        entries = self._values.get(attribute)
+        if entries is None:
+            postings = self._postings.get(attribute)
+            if postings is None:
+                return []
+            keyed = [
+                (_ordering_key(self._value_of(attribute, encoded)), encoded) for encoded in postings
+            ]
+            # Stable, so equal keys keep the postings dict's order.
+            keyed.sort(key=itemgetter(0))
+            self._sort_keys[attribute] = [key for key, _ in keyed]
+            entries = self._values[attribute] = [encoded for _, encoded in keyed]
+        return entries
+
+    def _value_of(self, attribute: str, encoded: str) -> AttributeValue:
+        value = self._list_values.get(attribute, {}).get(encoded)
+        return self._decode_for_sort(encoded) if value is None else value
 
     def _range_bounds(
         self, attribute, low, high, include_low, include_high
-    ) -> Optional[Tuple[List[Tuple[AttributeValue, str]], int, int]]:
+    ) -> Tuple[List[str], int, int]:
         """Bisect the sorted view down to ``(entries, lo_idx, hi_idx)``.
 
-        Returns ``None`` when a bound's kind cannot be bisected (list
-        values) -- callers then fall back to the linear filter.
+        Entries and bounds are keyed by the one ordering the comparison
+        predicates use (:func:`repro.core.attributes.compare_values` via
+        ``_ordering_key``), so a bisected range can never disagree with
+        predicate evaluation.
         """
+        if low is None and high is None:
+            raise ConfigurationError("range lookup needs at least one bound")
         entries = self._sorted_values(attribute)
         keys = self._sort_keys.get(attribute, [])
-        low_key = self._bound_key(low) if low is not None else None
-        high_key = self._bound_key(high) if high is not None else None
-        if (low is not None and low_key is None) or (high is not None and high_key is None):
-            return None
-        kinds = {key[0] for key in (low_key, high_key) if key is not None}
-        if len(kinds) > 1:
+        try:
+            low_key = None if low is None else _ordering_key(low)
+            high_key = None if high is None else _ordering_key(high)
+        except ConfigurationError:
+            # Not an attribute value: nothing compares inside it.
+            return entries, 0, 0
+        kind = (low_key or high_key)[0]
+        if (high_key or low_key)[0] != kind:
             # Bounds of different kinds: no value can satisfy both.
             return entries, 0, 0
-        kind = kinds.pop()
         if low_key is None:
             lo_idx = bisect_left(keys, (kind,))
         elif include_low:
@@ -271,79 +311,19 @@ class AttributeIndex:
             hi_idx = bisect_left(keys, high_key)
         return entries, lo_idx, max(lo_idx, hi_idx)
 
-    def _range_slice(
-        self, attribute, low, high, include_low, include_high
-    ) -> List[Tuple[AttributeValue, str]]:
-        bounds = self._range_bounds(attribute, low, high, include_low, include_high)
-        if bounds is None:
-            return [
-                (value, encoded)
-                for value, encoded in self._sorted_values(attribute)
-                if self._in_range(value, low, high, include_low, include_high)
-            ]
-        entries, lo_idx, hi_idx = bounds
-        return entries[lo_idx:hi_idx]
-
     @staticmethod
-    def _bound_key(value: AttributeValue) -> Optional[Tuple[str, object]]:
-        """The (kind, sort_key) a bound occupies in the sorted view, or None.
-
-        Delegates to the same ordering the comparison predicates use
-        (:func:`repro.core.attributes.compare_values` via
-        ``_ordering_key``), so a bisected range can never disagree with
-        predicate evaluation.  List bounds sort under the ``zzz``
-        catch-all segment, which has no total order against the
-        ordering key -- return None so the caller falls back to the
-        linear filter.
-        """
-        from repro.core.attributes import _ordering_key
-
-        try:
-            kind, key = _ordering_key(value)
-        except ConfigurationError:
-            return None
-        if kind == "list":
-            return None
-        return (kind, key)
-
-    @staticmethod
-    def _decode_for_sort(encoded: str):
-        """Build a sort key from a canonical encoding, keeping the original value."""
-        from repro.core.attributes import GeoPoint, Timestamp
-
+    def _decode_for_sort(encoded: str) -> AttributeValue:
+        """The scalar a canonical encoding stands for."""
         tag, _, body = encoded.partition(":")
         if tag == "i":
-            value: AttributeValue = int(body)
-            return ("num", float(value), value)
+            return int(body)
         if tag == "f":
-            value = float(body)
-            return ("num", value, value)
+            return float(body)
         if tag == "b":
-            value = bool(int(body))
-            return ("num", float(value), value)
+            return bool(int(body))
         if tag == "t":
-            value = Timestamp(float(body))
-            return ("num", value.seconds, value)
-        if tag == "s":
-            return ("str", body, body)
+            return Timestamp(float(body))
         if tag == "g":
             lat_text, _, lon_text = body.partition(",")
-            value = GeoPoint(float(lat_text), float(lon_text))
-            return ("geo", (value.latitude, value.longitude), value)
-        # Lists and anything else sort after scalars, by raw encoding.
-        return ("zzz", encoded, encoded)
-
-    @staticmethod
-    def _in_range(value, low, high, include_low, include_high) -> bool:
-        try:
-            if low is not None:
-                cmp = compare_values(value, low)
-                if cmp < 0 or (cmp == 0 and not include_low):
-                    return False
-            if high is not None:
-                cmp = compare_values(value, high)
-                if cmp > 0 or (cmp == 0 and not include_high):
-                    return False
-        except ConfigurationError:
-            return False
-        return True
+            return GeoPoint(float(lat_text), float(lon_text))
+        return body

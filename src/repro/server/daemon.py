@@ -13,11 +13,15 @@ is doing lives in :mod:`repro.server.monitor`.  Design points:
   access; concurrency between clients is interleaving at frame
   boundaries, exactly like a single-threaded network server over an
   embedded store.
-* **One outbound queue per connection.**  Responses *and* subscription
-  pushes funnel through a single per-connection queue drained by a
-  writer task, so a client that calls ``flush_windows`` sees the window
-  events pushed *before* the flush response -- the same happens-before
-  order an in-process consumer observes.
+* **One ordered, bounded transport per connection.**  Responses *and*
+  subscription pushes are encoded and written to the connection's
+  transport on the loop thread; transport writes are FIFO, so a client
+  that calls ``flush_windows`` sees the window events pushed *before*
+  the flush response -- the order an in-process consumer observes.  A
+  peer that stops reading its replies stops being read (``drain()``); a
+  subscriber with more than :data:`MAX_WRITE_BACKLOG_BYTES` of pushes
+  unsent is shed; before ``hello`` a frame may announce at most
+  :data:`MAX_PREAUTH_FRAME_BYTES` (``docs/SERVER.md`` § Bounds).
 * **Tenants are separate stores.**  Each tenant name maps to its own
   ``connect(backend_url)`` client (and hence its own store, planner,
   closure index and subscription registry); no query, lineage walk or
@@ -66,6 +70,11 @@ __all__ = ["DaemonAddress", "PassDaemon"]
 
 _LOGGER = logging.getLogger("repro.server")
 
+#: unsent bytes above which a connection is shed rather than written to
+MAX_WRITE_BACKLOG_BYTES = 4 * 1024 * 1024
+#: the largest frame whose body is read before ``hello``
+MAX_PREAUTH_FRAME_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class DaemonAddress:
@@ -90,24 +99,41 @@ class _Tenant:
 
 
 class _Connection:
-    """Per-connection state: auth, outbound queue, owned subscriptions."""
+    """Per-connection state: auth, the outbound transport, owned subscriptions."""
 
-    def __init__(self, reader, writer) -> None:
-        self.reader = reader
+    def __init__(self, writer, monitor: Monitor, handler_task: asyncio.Task) -> None:
         self.writer = writer
-        self.outbound: asyncio.Queue = asyncio.Queue()
+        self.monitor = monitor
+        self.handler_task = handler_task
         self.tenant: Optional[_Tenant] = None
         self.subscriptions: Dict[str, object] = {}
-        self.handler_task: Optional[asyncio.Task] = None
-        self.writer_task: Optional[asyncio.Task] = None
         self.closing = False
 
     def send(self, payload: dict) -> None:
-        if not self.closing:
-            self.outbound.put_nowait(payload)
+        self.write(encode_frame(payload))
+
+    def write(self, frame: bytes) -> None:
+        """Hand one frame to the transport, or shed a peer too far behind on its reading."""
+        if self.closing:
+            return
+        backlog = self.writer.transport.get_write_buffer_size()
+        if backlog > MAX_WRITE_BACKLOG_BYTES:  # before the write: any one legal frame fits
+            self.close()
+            self.monitor.record_shed(self.tenant.name if self.tenant else "-", backlog)
+        else:
+            self.writer.write(frame)
 
     def push_event(self, event) -> None:
         self.send({"push": "event", "event": event_to_wire(event)})
+
+    def close(self) -> None:
+        """Stop writing; flush first only if the peer is keeping up (else that wait has no end)."""
+        self.closing = True
+        transport = self.writer.transport
+        if transport.get_write_buffer_size():
+            transport.abort()
+        else:
+            transport.close()
 
 
 class PassDaemon:
@@ -281,22 +307,11 @@ class PassDaemon:
         for connection in connections:
             self._drop_subscriptions(connection)
             connection.send({"push": "goodbye", "reason": "daemon shutting down"})
-            connection.closing = True
-            connection.outbound.put_nowait(None)
-        # Let every writer flush its goodbye before the transports go.
-        await asyncio.gather(
-            *(c.writer_task for c in connections if c.writer_task is not None),
-            return_exceptions=True,
-        )
-        for connection in connections:
-            connection.writer.close()
+            connection.close()
         # Each connection handler now reads EOF and unwinds on its own;
         # leaving them for asyncio.run() to cancel mid-read would log a
         # CancelledError traceback per live client.
-        await asyncio.gather(
-            *(c.handler_task for c in connections if c.handler_task is not None),
-            return_exceptions=True,
-        )
+        await asyncio.gather(*(c.handler_task for c in connections), return_exceptions=True)
         await self._server.wait_closed()
         for tenant in self._tenants.values():
             tenant.client.close()
@@ -344,45 +359,25 @@ class PassDaemon:
     # Connection handling
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
-        connection = _Connection(reader, writer)
-        connection.handler_task = asyncio.current_task()
+        connection = _Connection(writer, self.monitor, asyncio.current_task())
         self._connections.add(connection)
-        connection.writer_task = asyncio.get_running_loop().create_task(
-            self._drain(connection)
-        )
         try:
-            await self._read_loop(connection)
+            await self._read_loop(connection, reader)
         finally:
             self._drop_subscriptions(connection)
-            connection.closing = True
-            connection.outbound.put_nowait(None)
-            await connection.writer_task
-            writer.close()
+            connection.close()
             self._connections.discard(connection)
 
-    async def _drain(self, connection: _Connection) -> None:
-        while True:
-            payload = await connection.outbound.get()
-            if payload is None:
-                return
-            try:
-                connection.writer.write(encode_frame(payload))
-                await connection.writer.drain()
-            except (ConnectionError, RuntimeError):
-                return  # peer went away; the read loop notices EOF
-
-    async def _read_loop(self, connection: _Connection) -> None:
+    async def _read_loop(self, connection: _Connection, reader) -> None:
         while not self._shutdown.is_set():
             try:
-                header = await connection.reader.readexactly(4)
+                await connection.writer.drain()  # blocks only while the peer is behind on its replies
+                length = protocol.frame_length(await reader.readexactly(4))
+                if connection.tenant is None and length > MAX_PREAUTH_FRAME_BYTES:
+                    raise ProtocolError(f"frame of {length} bytes precedes the 'hello'")
+                payload = protocol.decode_body(await reader.readexactly(length))
             except (asyncio.IncompleteReadError, ConnectionError):
                 return  # client disconnected (possibly mid-stream)
-            try:
-                length = protocol.frame_length(header)
-                body = await connection.reader.readexactly(length)
-                payload = protocol.decode_body(body)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
             except ProtocolError as error:
                 connection.send({"id": None, "ok": False, "error": error_to_wire(error)})
                 return  # cannot trust the framing any more
@@ -407,6 +402,7 @@ class PassDaemon:
         op = payload.get("op")
         args = payload.get("args") or {}
         started = time.perf_counter()
+        served = False
         try:
             if not isinstance(op, str):
                 raise ProtocolError(f"request lacks an op: {payload!r}")
@@ -420,15 +416,18 @@ class PassDaemon:
                     raise ProtocolError(f"unknown op {op!r}")
                 answer = self._serve(row, connection, row.decode_args(args))
                 result = row.result.to_wire(answer)
+            # Past here a failure is the answer's (too large, not JSON): still typed, not fatal.
+            served = True
+            frame = encode_frame({"id": request_id, "ok": True, "result": result})
         except Exception as error:  # typed envelope, never a traceback
             envelope = error_to_wire(error)
             # Observe before sending: once the client holds the answer,
             # the access-log line and telemetry sample already exist.
             self._observe_request(connection, op, started, envelope.get("code", "error"))
             connection.send({"id": request_id, "ok": False, "error": envelope})
-            return not isinstance(error, (AuthError, ProtocolError))
+            return served or not isinstance(error, (AuthError, ProtocolError))
         self._observe_request(connection, op, started, None, answer)
-        connection.send({"id": request_id, "ok": True, "result": result})
+        connection.write(frame)
         return True
 
     def _serve(self, row: ops.Op, connection: _Connection, values: dict):

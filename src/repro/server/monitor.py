@@ -5,7 +5,8 @@ knows about *how it is doing*, as opposed to what it serves:
 
 * per-tenant op counters and latency histograms plus the slow-query
   ring, fed by the dispatcher (:meth:`Monitor.record`,
-  :meth:`Monitor.record_slow`),
+  :meth:`Monitor.record_slow`) and by connections it sheds
+  (:meth:`Monitor.record_shed`),
 * the background sampler scraping those (and each tenant store's
   storage/planner counters) into a bounded
   :class:`~repro.obs.timeseries.TimeSeriesStore`, with alert rules
@@ -140,6 +141,17 @@ class Monitor:
                 # direction); None when the explain was unavailable.
                 "misestimate": misestimate,
             }
+        )
+
+    def record_shed(self, tenant: str, backlog_bytes: int) -> None:
+        """A connection dropped for not reading its pushes: counted as a
+        failed ``shed`` row of the tenant's op table, so it is served,
+        sampled and alertable like any op."""
+        self.record(tenant, "shed", 0.0, "slow_consumer")
+        _LOGGER.warning(
+            "shed slow consumer: tenant=%s backlog_bytes=%d (it stopped reading its pushes)",
+            tenant,
+            backlog_bytes,
         )
 
     # ------------------------------------------------------------------

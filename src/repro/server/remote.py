@@ -6,15 +6,19 @@ inbound frame stream: response frames wake the caller waiting on that
 request id, push frames are routed to the local
 :class:`~repro.stream.subscription.Subscription` mirror they belong to
 (callback or pull queue, exactly as in-process).  Because the daemon
-funnels every outbound frame through one ordered queue per connection,
-a window event always arrives *before* the ``flush_windows`` response
-that caused it -- so the in-process consumption idioms (``flush`` then
-``drain``) work unchanged across the socket.
+writes every outbound frame to the connection's transport in order, on
+one thread, a window event always arrives *before* the
+``flush_windows`` response that caused it -- so the in-process
+consumption idioms (``flush`` then ``drain``) work unchanged across the
+socket.
 
 Wire errors come back as stable codes and are re-raised as the same
 :mod:`repro.errors` type the server caught; a vanished daemon surfaces
 as :class:`~repro.errors.NetworkError` on every outstanding and
-subsequent call.
+subsequent call.  So does being *shed*: a client that stops consuming
+its push stream until the daemon holds more than its per-connection
+backlog bound for it (``repro.server.daemon.MAX_WRITE_BACKLOG_BYTES``)
+has its connection reset; reconnect and re-subscribe to recover.
 """
 
 from __future__ import annotations
@@ -373,9 +377,9 @@ class RemoteClient(PassClient):
             return list(self._subs.values())
 
     def flush_windows(self) -> int:
-        # The daemon enqueues the trailing window events on this
-        # connection's push stream before the response frame, so they are
-        # already in the local queues when this returns.
+        # The daemon writes the trailing window events to this
+        # connection before the response frame, so they are already in
+        # the local queues when this returns.
         return self._invoke("flush_windows")
 
     # ------------------------------------------------------------------

@@ -9,8 +9,10 @@ unknown ops).
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
 import socket
+import threading
 import time
 
 import pytest
@@ -22,9 +24,11 @@ from repro.errors import (
     AuthError,
     NetworkError,
     PassError,
+    ProtocolError,
     UnknownEntityError,
 )
-from repro.server import PassDaemon, protocol
+from repro.server import PassDaemon, ops, protocol
+from repro.server import daemon as daemon_module
 
 
 def _tuple_set(tag: str, sequence: int = 0, ancestors=()) -> TupleSet:
@@ -317,5 +321,134 @@ def test_typed_store_errors_keep_the_connection_open():
                 client.publish(impostor)  # non-identical data, same provenance
             # Same connection still serves requests afterwards.
             assert client.query(Q.attr("tag") == "dup").total == 1
+    finally:
+        daemon.stop()
+
+
+def test_an_answer_too_large_for_a_frame_fails_typed_and_keeps_the_connection(monkeypatch):
+    daemon = PassDaemon()
+    address = daemon.start()
+    try:
+        # A short client timeout: an unanswered request fails here in
+        # seconds, not at the 30 s default.
+        with connect(f"{address.url}?timeout=3") as client:
+            client.publish_many([_tuple_set("bulky", sequence) for sequence in range(40)])
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1500)
+            with pytest.raises(ProtocolError, match="exceeds"):
+                client.query(Q.attr("tag") == "bulky")
+            monkeypatch.undo()
+            # The request that could not be answered was answered -- typed --
+            # and so is everything after it on the same connection.
+            assert client.query(Q.attr("tag") == "bulky").total == 40
+            served = client.daemon_metrics()["tenants"]["default"]["ops"]["query"]
+            assert (served["count"], served["errors"]) == (2, 1)
+    finally:
+        daemon.stop()
+
+
+def _on_loop(daemon: PassDaemon, read):
+    """Evaluate ``read()`` on the daemon's loop thread (its state is single-threaded)."""
+    future = concurrent.futures.Future()
+    daemon._loop.call_soon_threadsafe(lambda: future.set_result(read()))
+    return future.result(timeout=5)
+
+
+def _stalled_subscriber(address) -> socket.socket:
+    """A raw peer subscribed to every ``_tuple_set`` that then never reads again."""
+    stalled = socket.socket()
+    # Keep the kernel from absorbing the backlog the daemon should be counting.
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stalled.settimeout(5)
+    stalled.connect((address.host, address.port))
+    assert _raw_request(stalled, {"id": 1, "op": "hello", "args": {}})["ok"]
+    matching = ops.OPS["subscribe"].encode_args({"query": Q.attr("domain") == "daemon-test"})
+    assert _raw_request(stalled, {"id": 2, "op": "subscribe", "args": matching})["ok"]
+    return stalled
+
+
+def _largest_backlog(daemon: PassDaemon) -> int:
+    return _on_loop(
+        daemon,
+        lambda: max(c.writer.transport.get_write_buffer_size() for c in daemon._connections),
+    )
+
+
+def test_a_subscriber_that_never_reads_is_shed_and_nobody_else_notices(monkeypatch, caplog):
+    limit = 256 * 1024
+    monkeypatch.setattr(daemon_module, "MAX_WRITE_BACKLOG_BYTES", limit)
+    daemon = PassDaemon()
+    address = daemon.start()
+    stalled = _stalled_subscriber(address)
+    try:
+        heard = []
+        with connect(f"{address.url}?timeout=5") as publisher, connect(address.url) as bystander:
+            bystander.subscribe(Q.attr("tag") == "batch-0", callback=heard.append)
+            peak = 0
+            with caplog.at_level(logging.WARNING, logger="repro.server"):
+                for batch in range(200):
+                    sets = [_tuple_set(f"batch-{batch}", 50 * batch + n) for n in range(50)]
+                    assert publisher.publish_many(sets).total == 50
+                    peak = max(peak, _largest_backlog(daemon))
+                    served = publisher.daemon_metrics()["tenants"]["default"]["ops"]
+                    if "shed" in served:
+                        break
+            assert (served["shed"]["count"], served["shed"]["errors"]) == (1, 1)
+            assert [r.getMessage() for r in caplog.records if "shed slow consumer" in r.getMessage()]
+            # Between batches the daemon never held more than the bound
+            # plus the frame that crossed it.
+            assert 0 < peak < limit + 64 * 1024
+            # The stalled peer's standing query went with it; the others
+            # kept their connections, their pushes and their answers.
+            deadline = time.time() + 5
+            while len(daemon._connections) > 2 and time.time() < deadline:
+                time.sleep(0.01)
+            assert len(daemon._connections) == 2
+            assert publisher.daemon_metrics()["tenants"]["default"]["active_subscriptions"] == 1
+            assert len(heard) == 50
+            assert bystander.query(Q.attr("tag") == "batch-0").total == 50
+    finally:
+        stalled.close()
+        daemon.stop()
+
+
+def test_stop_does_not_wait_for_a_peer_that_is_behind_on_its_reading():
+    daemon = PassDaemon()
+    address = daemon.start()
+    stalled = _stalled_subscriber(address)
+    try:
+        with connect(f"{address.url}?timeout=5") as publisher:
+            for batch in range(200):
+                publisher.publish_many([_tuple_set("behind", 50 * batch + n) for n in range(50)])
+                if _largest_backlog(daemon):
+                    break
+            assert _largest_backlog(daemon) > 0, "the peer's kernel buffers never filled"
+        stopper = threading.Thread(target=daemon.stop)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive(), "stop() is waiting on the stalled peer"
+    finally:
+        stalled.close()
+        daemon.stop()
+
+
+def test_an_oversized_frame_before_hello_is_refused_unread():
+    daemon = PassDaemon()
+    address = daemon.start()
+    try:
+        sock = socket.create_connection((address.host, address.port), timeout=2)
+        # Only the header: a daemon that waits for the announced megabyte
+        # never answers, and the read below times out.
+        sock.sendall((1024 * 1024).to_bytes(4, "big"))
+        stream = sock.makefile("rb")
+        answer = protocol.read_frame(stream)
+        assert answer["ok"] is False
+        assert answer["error"]["code"] == "protocol"
+        assert "hello" in answer["error"]["message"]
+        assert protocol.read_frame(stream) is None
+        sock.close()
+        # After the handshake the ordinary frame cap applies.
+        with connect(address.url) as client:
+            bulk = [_tuple_set("x" * 2000, sequence) for sequence in range(60)]
+            assert client.publish_many(bulk).total == 60  # one frame > 64 KiB
     finally:
         daemon.stop()

@@ -24,9 +24,11 @@ from repro.core import (
     TupleSet,
     TupleSetWindower,
 )
+from repro.core.attributes import canonical_encode
 from repro.core.closure import make_closure
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import PName
+from repro.core.query import AttributeRange
 from repro.errors import CycleError
 from repro.index import AttributeIndex
 from repro.storage import MemoryBackend, WalEntry, WriteAheadLog
@@ -48,6 +50,20 @@ scalar_values = st.one_of(
     ),
 )
 attribute_maps = st.dictionaries(attr_names, scalar_values, min_size=1, max_size=6)
+# Values for the sorted-view test.  Every example starts from the cross-kind
+# ties (all order as 1.0, yet index under four encodings) and adds scalars
+# and lists.  A list's canonical encoding joins its items with ";", so item
+# strings avoid it -- ("a;s:b",) and ("a", "b") would share one bucket.
+TIED_VALUES = [1, 1.0, True, Timestamp(1.0)]
+list_values = st.lists(
+    st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.booleans(),
+        st.text(alphabet=string.ascii_lowercase, max_size=3),
+    ),
+    max_size=3,
+).map(tuple)
+indexable_values = st.one_of(scalar_values, list_values)
 
 COMMON_SETTINGS = settings(
     max_examples=40,
@@ -182,8 +198,6 @@ class TestIndexProperties:
             index.add(record.pname(), record)
         # Every (name, value) present in some record must be findable and
         # must return exactly the records a full scan would.
-        from repro.core.attributes import canonical_encode
-
         for probe in stored:
             for name, value in probe.attributes.items():
                 expected = {
@@ -193,6 +207,95 @@ class TestIndexProperties:
                     and canonical_encode(r.get(name)) == canonical_encode(value)
                 }
                 assert index.lookup(name, value) == expected
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        pool=st.lists(indexable_values, max_size=6).map(lambda more: TIED_VALUES + more),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "add_value", "remove", "range", "estimate"]),
+                st.sampled_from(["a", "b"]),
+                st.integers(min_value=0, max_value=3),  # which data set
+                st.integers(min_value=0, max_value=63),  # first value / low bound
+                st.integers(min_value=0, max_value=63),  # second value / high bound
+                st.sampled_from(["closed", "open-low", "open-high", "no-low", "no-high"]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_sorted_view_stays_equal_to_a_rebuilt_one(self, pool, steps):
+        """Any interleaving of writes and range reads leaves the incrementally
+        kept view answering like a brute-force scan with the range predicate and
+        holding, entry for entry, what a fresh index of the same postings builds."""
+        index = AttributeIndex()
+        pnames = [ProvenanceRecord({"n": n}).pname() for n in range(4)]
+        # attribute -> canonical -> [value, digests], in the index's own
+        # dict order: emptied buckets leave, re-added values go to the end.
+        oracle = {}
+
+        def oracle_add(name, value, pname):
+            bucket = oracle.setdefault(name, {}).setdefault(canonical_encode(value), [value, set()])
+            bucket[1].add(pname)
+
+        for op, name, who, first, second, shape in steps:
+            pname = pnames[who]
+            one, two = pool[first % len(pool)], pool[second % len(pool)]
+            if op == "add":
+                record = ProvenanceRecord({"a": one, "b": two})
+                index.add(pname, record)
+                oracle_add("a", one, pname)
+                oracle_add("b", two, pname)
+            elif op == "add_value":
+                index.add_value(pname, name, one)
+                oracle_add(name, one, pname)
+            elif op == "remove":
+                record = ProvenanceRecord({"a": one, "b": two})
+                index.remove(pname, record)
+                for attr, value in record.attributes.items():
+                    buckets = oracle.get(attr, {})
+                    bucket = buckets.get(canonical_encode(value))
+                    if bucket is not None:
+                        bucket[1].discard(pname)
+                        if not bucket[1]:
+                            del buckets[canonical_encode(value)]
+            else:
+                low = None if shape == "no-low" else one
+                high = None if shape == "no-high" else two
+                include_low, include_high = shape != "open-low", shape != "open-high"
+                # The scan's own predicate (``compare_values`` underneath).
+                scan = AttributeRange(name, low, high, include_low, include_high)
+                matching = [
+                    digests
+                    for value, digests in oracle.get(name, {}).values()
+                    if scan.matches(None, {name: value})
+                ]
+                if op == "range":
+                    found = index.lookup_range(name, low, high, include_low, include_high)
+                    assert found == set().union(*matching)
+                else:
+                    postings = sum(len(d) for _, d in oracle.get(name, {}).values())
+                    expected = (
+                        max(1, round(len(matching) * postings / len(oracle[name])))
+                        if matching
+                        else 0
+                    )
+                    estimate = index.estimate_range(name, low, high, include_low, include_high)
+                    assert estimate == expected
+
+            rebuilt = AttributeIndex()
+            for attr, buckets in oracle.items():
+                for value, digests in buckets.values():
+                    for digest in digests:
+                        rebuilt.add_value(digest, attr, value)
+            assert index.entry_count() == rebuilt.entry_count()
+            for attr in index._values:  # only the views some read has built
+                rebuilt.distinct_values(attr)
+                # (an attribute emptied by removes has no view to rebuild)
+                assert index._sort_keys[attr] == rebuilt._sort_keys.get(attr, [])
+                assert index._values[attr] == rebuilt._values.get(attr, [])
+                values = index.distinct_values(attr)
+                assert [canonical_encode(value) for value in values] == index._values[attr]
 
 
 # ----------------------------------------------------------------------
