@@ -40,7 +40,7 @@ from repro.core.closure import ClosureStrategy, LabelledClosure, make_closure
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import Annotation, PName, ProvenanceRecord
 from repro.core.query import LineageOracle, Predicate, Query
-from repro.core.tupleset import SensorReading, TupleSet
+from repro.core.tupleset import SensorReading, TupleSet, readings_from_json, readings_to_json
 from repro.errors import (
     DuplicateProvenanceError,
     UnknownEntityError,
@@ -177,22 +177,7 @@ class PassStore(LineageOracle):
         data set; re-ingesting it is idempotent, but a different data set
         claiming identical provenance is rejected.
         """
-        record = tuple_set.provenance
-        pname = record.pname()
-        payload = self._encode_readings(tuple_set.readings)
-        existing = self.backend.get_payload(pname)
-        if self.backend.has_record(pname):
-            if existing is not None and existing != payload:
-                raise DuplicateProvenanceError(
-                    f"non-identical data offered under identical provenance {pname}"
-                )
-            # Idempotent re-ingest of the same data set.
-            if existing is None:
-                self.backend.put_payload(pname, payload)
-            return pname
-        pname = self._register(record, payload)
-        self._fire_ingest_hooks(pname, record)
-        return pname
+        return self._ingest_entries([(tuple_set.provenance, self._encode_readings(tuple_set))])[0]
 
     def ingest_record(self, record: ProvenanceRecord) -> PName:
         """Store a provenance record without any payload (metadata only).
@@ -200,12 +185,7 @@ class PassStore(LineageOracle):
         Useful for registering ancestors known only by provenance (e.g.
         records received from another site).
         """
-        pname = record.pname()
-        if self.backend.has_record(pname):
-            return pname
-        pname = self._register(record, None)
-        self._fire_ingest_hooks(pname, record)
-        return pname
+        return self._ingest_entries([(record, None)])[0]
 
     def ingest_many(self, tuple_sets: Sequence[TupleSet]) -> List[PName]:
         """Batched :meth:`ingest`: one backend batch write for the fresh records.
@@ -217,63 +197,65 @@ class PassStore(LineageOracle):
         on durable backends that is a single transaction, which is what
         makes the batched publish path measurably cheaper per tuple set.
         """
+        return self._ingest_entries(
+            [(ts.provenance, self._encode_readings(ts)) for ts in tuple_sets]
+        )
+
+    def _ingest_entries(
+        self, entries: Sequence[Tuple[ProvenanceRecord, Optional[bytes]]]
+    ) -> List[PName]:
+        """The one write path: ``(record, payload-or-None)`` entries in, PNames out.
+
+        A single publish is a batch of one, so on a durable backend its
+        record and payload commit in the same transaction.  Entries whose
+        PName is already known (stored, or earlier in this batch) are
+        never rewritten; the P3 check happens here and nowhere else.
+        """
         pnames: List[PName] = []
-        fresh: List[Tuple[PName, ProvenanceRecord, bytes]] = []
-        batch_payloads: Dict[str, bytes] = {}
-        for tuple_set in tuple_sets:
-            record = tuple_set.provenance
+        fresh: List[Tuple[ProvenanceRecord, Optional[bytes]]] = []
+        batch_payloads: Dict[str, Optional[bytes]] = {}
+        for record, payload in entries:
             pname = record.pname()
-            payload = self._encode_readings(tuple_set.readings)
-            if pname.digest in batch_payloads or self.backend.has_record(pname):
-                known = batch_payloads.get(pname.digest)
-                if known is None:
-                    known = self.backend.get_payload(pname)
-                if known is not None and known != payload:
-                    raise DuplicateProvenanceError(
-                        f"non-identical data offered under identical provenance {pname}"
-                    )
-                if known is None:
-                    # Record known without payload (metadata-only ingest):
-                    # idempotently attach the data now, as ingest() would.
-                    self.backend.put_payload(pname, payload)
-                    batch_payloads[pname.digest] = payload
-                pnames.append(pname)
-                continue
-            batch_payloads[pname.digest] = payload
-            fresh.append((pname, record, payload))
             pnames.append(pname)
-        with trace.span("storage.put_batch", attrs={"records": len(fresh)}):
-            self.backend.put_batch([(record, payload) for _, record, payload in fresh])
-        for pname, record, _ in fresh:
-            self._index_record(pname, record)
+            if pname.digest not in batch_payloads and not self.backend.has_record(pname):
+                batch_payloads[pname.digest] = payload
+                fresh.append((record, payload))
+                continue
+            if payload is None:
+                continue
+            known = batch_payloads.get(pname.digest)
+            if known is None:
+                known = self.backend.get_payload(pname)
+            if known is not None and known != payload:
+                raise DuplicateProvenanceError(
+                    f"non-identical data offered under identical provenance {pname}"
+                )
+            # P4: a data set whose data was removed stays removed; only a
+            # record known without payload (metadata-only ingest) gets the
+            # data attached now.
+            if known is None and not self.backend.is_removed(pname):
+                self.backend.put_payload(pname, payload)
+                batch_payloads[pname.digest] = payload
+        if fresh:
+            with trace.span("storage.put_batch", attrs={"records": len(fresh)}):
+                self.backend.put_batch(fresh)
+        for record, _ in fresh:
+            self._index_record(record.pname(), record)
+        self.stats.ingested += len(fresh)
         # Hooks fire only after the *whole* batch (backend transaction and
         # every record's indexes/graph edges) has committed, so a hook that
         # queries the store mid-batch cannot observe a torn batch either.
-        for pname, record, _ in fresh:
-            self._fire_ingest_hooks(pname, record)
+        for record, _ in fresh:
+            self._fire_ingest_hooks(record.pname(), record)
         return pnames
 
-    def _register(self, record: ProvenanceRecord, payload: Optional[bytes]) -> PName:
-        pname = record.pname()
-        self.backend.put_record(record)
-        if payload is not None:
-            self.backend.put_payload(pname, payload)
-        self._index_record(pname, record)
-        return pname
-
     def _index_record(self, pname: PName, record: ProvenanceRecord) -> None:
-        """Graph, closure and index maintenance for a newly stored record."""
+        """Graph, closure and index maintenance for a stored record."""
         # P2: provenance is queryable, including recursively.
         self.closure.add_node(pname)
         for ancestor in record.ancestors:
             self.closure.add_node(ancestor)
             self.closure.add_edge(pname, ancestor)
-
-        self._maintain_indexes(pname, record)
-        self.stats.ingested += 1
-
-    def _maintain_indexes(self, pname: PName, record: ProvenanceRecord) -> None:
-        """Multi-dimensional index + statistics maintenance for one record."""
         self.attribute_index.add(pname, record)
         start = record.get("window_start")
         end = record.get("window_end")
@@ -450,16 +432,6 @@ class PassStore(LineageOracle):
         _, explain = self.query_explain(query)
         return explain
 
-    def lookup_attribute(self, name: str, value) -> List[PName]:
-        """Direct equality lookup through the attribute index."""
-        self.stats.queries += 1
-        hits = self.attribute_index.lookup(name, value)
-        # One probe, counted once; the hits are materialized for the
-        # caller, so they count as scanned records.
-        self.stats.index_hits += 1
-        self.stats.records_scanned += len(hits)
-        return sorted(hits, key=lambda p: p.digest)
-
     # ------------------------------------------------------------------
     # Lineage queries (transitive closure)
     # ------------------------------------------------------------------
@@ -545,11 +517,7 @@ class PassStore(LineageOracle):
 
     def _rebuild_from_backend(self) -> None:
         for pname, record in self.backend.iter_records():
-            self.closure.add_node(pname)
-            for ancestor in record.ancestors:
-                self.closure.add_node(ancestor)
-                self.closure.add_edge(pname, ancestor)
-            self._maintain_indexes(pname, record)
+            self._index_record(pname, record)
             if self.backend.is_removed(pname) and pname in self.graph:
                 self.graph.mark_removed(pname)
         if len(self.graph):
@@ -678,63 +646,14 @@ class PassStore(LineageOracle):
     # Reading (de)serialisation
     # ------------------------------------------------------------------
     @staticmethod
-    def _encode_readings(readings: Sequence[SensorReading]) -> bytes:
-        payload = []
-        for reading in readings:
-            item = {
-                "sensor_id": reading.sensor_id,
-                "timestamp": reading.timestamp.seconds,
-                "values": {
-                    key: _reading_value_to_json(value) for key, value in reading.values.items()
-                },
-            }
-            if reading.location is not None:
-                item["location"] = [reading.location.latitude, reading.location.longitude]
-            payload.append(item)
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    def _encode_readings(readings: Iterable[SensorReading]) -> bytes:
+        """Canonical payload bytes; P3 compares these byte for byte."""
+        items = readings_to_json(readings)
+        return json.dumps(items, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     @staticmethod
     def _decode_readings(payload: bytes) -> List[SensorReading]:
-        items = json.loads(payload.decode("utf-8"))
-        readings = []
-        for item in items:
-            location = None
-            if "location" in item:
-                location = GeoPoint(item["location"][0], item["location"][1])
-            readings.append(
-                SensorReading(
-                    sensor_id=item["sensor_id"],
-                    timestamp=Timestamp(item["timestamp"]),
-                    values={
-                        key: _reading_value_from_json(value)
-                        for key, value in item["values"].items()
-                    },
-                    location=location,
-                )
-            )
-        return readings
-
-
-def _reading_value_to_json(value):
-    if isinstance(value, Timestamp):
-        return {"__type__": "timestamp", "seconds": value.seconds}
-    if isinstance(value, GeoPoint):
-        return {"__type__": "geopoint", "lat": value.latitude, "lon": value.longitude}
-    if isinstance(value, tuple):
-        return {"__type__": "list", "items": [_reading_value_to_json(item) for item in value]}
-    return value
-
-
-def _reading_value_from_json(value):
-    if isinstance(value, dict):
-        kind = value.get("__type__")
-        if kind == "timestamp":
-            return Timestamp(value["seconds"])
-        if kind == "geopoint":
-            return GeoPoint(value["lat"], value["lon"])
-        if kind == "list":
-            return tuple(_reading_value_from_json(item) for item in value["items"])
-    return value
+        return readings_from_json(json.loads(payload.decode("utf-8")))
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.attributes import (
     AttributeValue,
+    GeoPoint,
+    Timestamp,
     canonical_encode,
     ensure_attribute_map,
 )
@@ -273,7 +275,11 @@ class ProvenanceRecord:
     # Serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-serialisable representation (used by the SQLite backend)."""
+        """JSON-serialisable representation.
+
+        The SQLite backend persists it (``ancestors`` here is the only
+        stored copy of the lineage edges) and the wire protocol sends it.
+        """
         return {
             "attributes": {
                 name: _value_to_json(value) for name, value in self._attributes.items()
@@ -361,8 +367,6 @@ class ProvenanceRecord:
 # JSON helpers for attribute values
 # ----------------------------------------------------------------------
 def _value_to_json(value: AttributeValue):
-    from repro.core.attributes import GeoPoint, Timestamp
-
     if isinstance(value, Timestamp):
         return {"__type__": "timestamp", "seconds": value.seconds}
     if isinstance(value, GeoPoint):
@@ -373,8 +377,6 @@ def _value_to_json(value: AttributeValue):
 
 
 def _value_from_json(value):
-    from repro.core.attributes import GeoPoint, Timestamp
-
     if isinstance(value, dict):
         kind = value.get("__type__")
         if kind == "timestamp":
@@ -387,9 +389,10 @@ def _value_from_json(value):
     return value
 
 
-# Public names: the wire protocol (repro.server) encodes attribute
-# values with exactly the convention the SQLite backend persists, so a
-# value round-trips identically through either path.
+# Public names: the readings codec (repro.core.tupleset) and the wire
+# protocol (repro.server) encode values with exactly the convention the
+# SQLite backend persists, so a value round-trips identically through
+# every path.  This module is the only place the tag key is spelled.
 value_to_json = _value_to_json
 value_from_json = _value_from_json
 

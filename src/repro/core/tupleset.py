@@ -14,6 +14,9 @@ This module provides:
 * :class:`TupleSetWindower` -- groups a stream of readings into tuple
   sets by fixed time window (the "all the readings of a particular type
   over the span of one hour or one minute" example from the paper).
+* :func:`readings_to_json` / :func:`readings_from_json` -- the one
+  plain-JSON form of a list of readings; stored payloads and wire frames
+  are both built from it.
 """
 
 from __future__ import annotations
@@ -22,10 +25,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.core.attributes import AttributeValue, GeoPoint, Timestamp, ensure_attribute_map
-from repro.core.provenance import Agent, PName, ProvenanceRecord
+from repro.core.provenance import Agent, PName, ProvenanceRecord, value_from_json, value_to_json
 from repro.errors import ProvenanceError
 
-__all__ = ["SensorReading", "TupleSet", "TupleSetWindower"]
+__all__ = [
+    "SensorReading",
+    "TupleSet",
+    "TupleSetWindower",
+    "readings_to_json",
+    "readings_from_json",
+]
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,46 @@ class SensorReading:
         if self.location is not None:
             base += 16
         return base
+
+
+def readings_to_json(readings: Iterable[SensorReading]) -> List[dict]:
+    """The plain-JSON form of ``readings``.
+
+    Values ride the tagged convention of
+    :func:`repro.core.provenance.value_to_json`; ``location`` is present
+    only when the reading carries one.  The store persists the canonical
+    dump of this list and the wire protocol sends the list itself, so the
+    key set and nesting here are a stored *and* a wire format.
+    """
+    items = []
+    for reading in readings:
+        item = {
+            "sensor_id": reading.sensor_id,
+            "timestamp": reading.timestamp.seconds,
+            "values": {key: value_to_json(value) for key, value in reading.values.items()},
+        }
+        if reading.location is not None:
+            item["location"] = [reading.location.latitude, reading.location.longitude]
+        items.append(item)
+    return items
+
+
+def readings_from_json(items) -> List[SensorReading]:
+    """Inverse of :func:`readings_to_json`; malformed input raises."""
+    readings = []
+    for item in items:
+        location = None
+        if "location" in item:
+            location = GeoPoint(item["location"][0], item["location"][1])
+        readings.append(
+            SensorReading(
+                sensor_id=item["sensor_id"],
+                timestamp=Timestamp(item["timestamp"]),
+                values={key: value_from_json(value) for key, value in item["values"].items()},
+                location=location,
+            )
+        )
+    return readings
 
 
 class TupleSet:

@@ -59,7 +59,7 @@ from repro.core.query import (
     Query,
     TimeWindowOverlaps,
 )
-from repro.core.tupleset import SensorReading, TupleSet
+from repro.core.tupleset import TupleSet, readings_from_json, readings_to_json
 from repro.errors import ProtocolError, error_code
 from repro.query.explain import Explain
 from repro.stream.subscription import LineageEvent, MatchEvent, WindowEvent
@@ -405,41 +405,18 @@ def record_from_wire(payload) -> ProvenanceRecord:
 
 
 def tuple_set_to_wire(tuple_set: TupleSet) -> dict:
-    readings = []
-    for reading in tuple_set:
-        item = {
-            "sensor_id": reading.sensor_id,
-            "timestamp": reading.timestamp.seconds,
-            "values": {key: value_to_json(value) for key, value in reading.values.items()},
-        }
-        if reading.location is not None:
-            item["location"] = [reading.location.latitude, reading.location.longitude]
-        readings.append(item)
-    return {"provenance": record_to_wire(tuple_set.provenance), "readings": readings}
+    return {
+        "provenance": record_to_wire(tuple_set.provenance),
+        "readings": readings_to_json(tuple_set),
+    }
 
 
 def tuple_set_from_wire(payload) -> TupleSet:
     if not isinstance(payload, dict):
         raise ProtocolError(f"tuple set payload must be an object, got {payload!r}")
     record = record_from_wire(payload.get("provenance"))
-    readings = []
     try:
-        for item in payload.get("readings", []):
-            location = None
-            if "location" in item:
-                location = GeoPoint(item["location"][0], item["location"][1])
-            readings.append(
-                SensorReading(
-                    sensor_id=item["sensor_id"],
-                    timestamp=Timestamp(item["timestamp"]),
-                    values={
-                        key: value_from_json(value) for key, value in item["values"].items()
-                    },
-                    location=location,
-                )
-            )
-    except ProtocolError:
-        raise
+        readings = readings_from_json(payload.get("readings", []))
     except Exception as error:
         raise ProtocolError(f"malformed readings payload: {error}") from None
     return TupleSet(readings, record)

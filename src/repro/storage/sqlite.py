@@ -1,26 +1,29 @@
 """SQLite-backed storage backend.
 
 This is the durable prototype substrate: provenance records, tuple-set
-payloads and removal markers in three tables, with SQLite's own WAL
-journalling enabled.  A fault-injection hook lets experiment E11 crash
-the backend after a configurable number of writes, then re-open the
-database and (optionally) replay the library-level
+payloads, removal markers and index snapshots in four tables, with
+SQLite's own WAL journalling enabled.  A fault-injection hook lets
+experiment E11 crash the backend after a configurable number of writes,
+then re-open the database and (optionally) replay the library-level
 :class:`~repro.storage.wal.WriteAheadLog` to verify the recovery story.
 
 Schema
 ------
 ``records(pname TEXT PRIMARY KEY, body TEXT)``
-    The provenance record as canonical JSON.
+    The provenance record as canonical JSON.  Its ``ancestors`` list is
+    the only stored copy of the lineage edges; the store rebuilds its
+    graph from it on open.
 ``payloads(pname TEXT PRIMARY KEY, body BLOB)``
     The serialised readings of the tuple set.
 ``removed(pname TEXT PRIMARY KEY)``
     PNames whose data was removed (provenance retained).
-``ancestry(child TEXT, parent TEXT, PRIMARY KEY (child, parent))``
-    Redundant edge table so ancestry queries can also be issued in SQL;
-    kept in sync with the records.
 ``index_blobs(name TEXT PRIMARY KEY, body BLOB)``
     Auxiliary index snapshots (the :mod:`repro.lineage` reachability
     labelling), so reopening the store does not re-derive them.
+
+A file written before the edge copy was dropped still holds a fifth
+table of ``(child, parent)`` rows; it is neither read, written nor
+dropped here (see docs/STORAGE.md, "Schema and write path").
 """
 
 from __future__ import annotations
@@ -48,12 +51,6 @@ CREATE TABLE IF NOT EXISTS payloads (
 CREATE TABLE IF NOT EXISTS removed (
     pname TEXT PRIMARY KEY
 );
-CREATE TABLE IF NOT EXISTS ancestry (
-    child  TEXT NOT NULL,
-    parent TEXT NOT NULL,
-    PRIMARY KEY (child, parent)
-);
-CREATE INDEX IF NOT EXISTS ancestry_parent ON ancestry(parent);
 CREATE TABLE IF NOT EXISTS index_blobs (
     name TEXT PRIMARY KEY,
     body BLOB NOT NULL
@@ -123,15 +120,10 @@ class SQLiteBackend(StorageBackend):
     def put_record(self, record: ProvenanceRecord) -> None:
         self._check_open()
         self._maybe_crash()
-        digest = record.pname().digest
-        body = record.to_json()
         with self._connection:
             self._connection.execute(
-                "INSERT OR REPLACE INTO records (pname, body) VALUES (?, ?)", (digest, body)
-            )
-            self._connection.executemany(
-                "INSERT OR IGNORE INTO ancestry (child, parent) VALUES (?, ?)",
-                [(digest, ancestor.digest) for ancestor in record.ancestors],
+                "INSERT OR REPLACE INTO records (pname, body) VALUES (?, ?)",
+                (record.pname().digest, record.to_json()),
             )
         self.stats.puts += 1
 
@@ -154,14 +146,6 @@ class SQLiteBackend(StorageBackend):
             self._connection.executemany(
                 "INSERT OR REPLACE INTO records (pname, body) VALUES (?, ?)",
                 [(record.pname().digest, record.to_json()) for record, _ in entries],
-            )
-            self._connection.executemany(
-                "INSERT OR IGNORE INTO ancestry (child, parent) VALUES (?, ?)",
-                [
-                    (record.pname().digest, ancestor.digest)
-                    for record, _ in entries
-                    for ancestor in record.ancestors
-                ],
             )
             self._connection.executemany(
                 "INSERT OR REPLACE INTO payloads (pname, body) VALUES (?, ?)",
@@ -318,46 +302,6 @@ class SQLiteBackend(StorageBackend):
     def removed_pnames(self) -> List[PName]:
         self._check_open()
         cursor = self._connection.execute("SELECT pname FROM removed ORDER BY pname")
-        return [PName(row[0]) for row in cursor]
-
-    # ------------------------------------------------------------------
-    # SQL-level ancestry (used by tests to cross-check the graph)
-    # ------------------------------------------------------------------
-    def sql_ancestors(self, pname: PName) -> List[PName]:
-        """Transitive ancestors computed with a recursive SQL CTE.
-
-        Exists to demonstrate (and test) that the edge table is
-        sufficient to answer closure queries in plain SQL, and to give
-        the benchmarks a "relational engine" comparison point.
-        """
-        self._check_open()
-        cursor = self._connection.execute(
-            """
-            WITH RECURSIVE up(pname) AS (
-                SELECT parent FROM ancestry WHERE child = ?
-                UNION
-                SELECT ancestry.parent FROM ancestry JOIN up ON ancestry.child = up.pname
-            )
-            SELECT pname FROM up
-            """,
-            (pname.digest,),
-        )
-        return [PName(row[0]) for row in cursor]
-
-    def sql_descendants(self, pname: PName) -> List[PName]:
-        """Transitive descendants via a recursive SQL CTE (see :meth:`sql_ancestors`)."""
-        self._check_open()
-        cursor = self._connection.execute(
-            """
-            WITH RECURSIVE down(pname) AS (
-                SELECT child FROM ancestry WHERE parent = ?
-                UNION
-                SELECT ancestry.child FROM ancestry JOIN down ON ancestry.parent = down.pname
-            )
-            SELECT pname FROM down
-            """,
-            (pname.digest,),
-        )
         return [PName(row[0]) for row in cursor]
 
     # ------------------------------------------------------------------

@@ -22,7 +22,12 @@ from repro.core import (
     Timestamp,
     TupleSet,
 )
-from repro.errors import DuplicateProvenanceError, UnknownEntityError
+from repro.errors import (
+    CrashInjectedError,
+    DuplicateProvenanceError,
+    ProvenanceError,
+    UnknownEntityError,
+)
 from repro.storage.sqlite import SQLiteBackend
 
 
@@ -122,6 +127,14 @@ class TestIngest:
         assert readings[0].sensor_id == "sensor-0"
         assert readings[0].values["v"] == 0.0
 
+    def test_stored_payload_with_an_unknown_value_tag_raises(self, store):
+        ts = _tuple_set("a")
+        store.ingest(ts)
+        tagged = b'[{"sensor_id":"s","timestamp":0.0,"values":{"v":{"__type__":"matrix"}}}]'
+        store.backend.put_payload(ts.pname, tagged)
+        with pytest.raises(ProvenanceError, match="matrix"):
+            store.get_readings(ts.pname)
+
     def test_get_tuple_set_round_trip(self, store):
         ts = _tuple_set("a")
         store.ingest(ts)
@@ -160,11 +173,6 @@ class TestQueries:
         pairs = store.query_records(AttributeEquals("label", "a"))
         assert pairs[0][0] == ts.pname
         assert pairs[0][1].get("label") == "a"
-
-    def test_lookup_attribute(self, store):
-        ts = _tuple_set("a")
-        store.ingest(ts)
-        assert store.lookup_attribute("label", "a") == [ts.pname]
 
     def test_lineage_predicates_in_queries(self, store):
         parent = _tuple_set("parent")
@@ -290,6 +298,45 @@ class TestPassProperties:
         assert store.ancestors(child.pname) == {parent.pname}
         assert store.verify_invariants() == []
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "sqlite-reopened"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["ingest", "ingest_many"])
+    def test_p4_republishing_removed_data_keeps_it_removed(self, tmp_path, durable, batched):
+        def open_store():
+            return PassStore(SQLiteBackend(tmp_path / "pass.db")) if durable else PassStore()
+
+        def publish(store, ts):
+            return store.ingest_many([ts])[0] if batched else store.ingest(ts)
+
+        store = open_store()
+        ts = _tuple_set("a")
+        publish(store, ts)
+        store.remove_data(ts.pname)
+        # A record first known by provenance alone is not "removed": it
+        # still gets its data attached by a later full publish.
+        late = _tuple_set("late")
+        store.ingest_record(late.provenance)
+        if durable:
+            store.backend.close()
+            store = open_store()
+        fired = []
+        store.add_ingest_hook(lambda pname, record: fired.append(pname))
+
+        assert publish(store, ts) == ts.pname
+        assert store.is_removed(ts.pname)
+        assert store.get_readings(ts.pname) == []
+        # The payload is gone, so P3 has nothing to compare against: the
+        # only safe answer to *different* data under that PName is the
+        # same one -- nothing is attached.
+        other = TupleSet(_tuple_set("a", readings_count=5).readings, ts.provenance)
+        assert publish(store, other) == ts.pname
+        assert store.get_readings(ts.pname) == []
+
+        assert publish(store, late) == late.pname
+        assert store.get_readings(late.pname) == late.readings
+        assert not store.is_removed(late.pname)
+        assert fired == []
+        assert store.verify_invariants() == []
+
     def test_remove_unknown_raises(self, store):
         with pytest.raises(UnknownEntityError):
             store.remove_data(_tuple_set("ghost").pname)
@@ -324,3 +371,36 @@ class TestSQLiteBackedStore:
         assert reopened.is_removed(parent.pname)
         assert reopened.ancestors(child.pname) == {parent.pname}
         assert reopened.query(AttributeEquals("label", "parent")) == [parent.pname]
+
+    def test_crash_inside_a_single_publish_leaves_neither_record_nor_payload(self, tmp_path):
+        path = tmp_path / "crash.db"
+        ts = _tuple_set("a")
+        # A publish is two writes (record + payload) in one transaction;
+        # the crash lands on the second.
+        store = PassStore(SQLiteBackend(path, crash_after_writes=1))
+        with pytest.raises(CrashInjectedError):
+            store.ingest(ts)
+
+        reopened = PassStore(SQLiteBackend(path))
+        assert len(reopened) == 0
+        assert ts.pname not in reopened
+        assert reopened.backend.get_payload(ts.pname) is None
+        assert reopened.verify_invariants() == []
+
+    def test_crash_inside_a_batch_leaves_nothing_of_the_batch(self, tmp_path):
+        path = tmp_path / "crash.db"
+        before = _tuple_set("before")
+        batch = [_tuple_set(label) for label in "abc"]
+        # 2 writes for the acknowledged publish, then the crash on the
+        # 4th of the batch's 6.
+        store = PassStore(SQLiteBackend(path, crash_after_writes=5))
+        store.ingest(before)
+        with pytest.raises(CrashInjectedError):
+            store.ingest_many(batch)
+
+        reopened = PassStore(SQLiteBackend(path))
+        assert reopened.pnames() == [before.pname]
+        assert reopened.get_readings(before.pname) == before.readings
+        for ts in batch:
+            assert reopened.backend.get_payload(ts.pname) is None
+        assert reopened.verify_invariants() == []

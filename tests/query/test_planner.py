@@ -270,13 +270,6 @@ class TestAccounting:
         store.query(IsRaw(True))
         assert store.stats.full_scans == before + 1
 
-    def test_lookup_attribute_accounting(self, store):
-        before_hits = store.stats.index_hits
-        before_scanned = store.stats.records_scanned
-        hits = store.lookup_attribute("city", "city-7")
-        assert store.stats.index_hits == before_hits + 1
-        assert store.stats.records_scanned == before_scanned + len(hits)
-
     def test_query_records_fetches_each_record_once(self, store):
         before = store.backend.stats.gets
         pairs = store.query_records(AttributeEquals("city", "city-4"))

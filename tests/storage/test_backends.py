@@ -167,17 +167,6 @@ class TestSQLiteSpecific:
         assert reopened.is_removed(record.pname())
         reopened.close()
 
-    def test_recursive_sql_ancestors_and_descendants(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "cte.db")
-        a = _record("a")
-        b = _record("b", ancestors=(a.pname(),))
-        c = _record("c", ancestors=(b.pname(),))
-        for record in (a, b, c):
-            backend.put_record(record)
-        assert set(backend.sql_ancestors(c.pname())) == {a.pname(), b.pname()}
-        assert set(backend.sql_descendants(a.pname())) == {b.pname(), c.pname()}
-        backend.close()
-
     def test_crash_injection_after_n_writes(self, tmp_path):
         backend = SQLiteBackend(tmp_path / "crash.db", crash_after_writes=2)
         backend.put_record(_record("a"))

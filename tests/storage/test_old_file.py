@@ -1,0 +1,133 @@
+"""A database written before the edge copy was dropped still opens and works.
+
+The file is built with the old schema as hand DDL -- five tables, the
+fifth being the ``ancestry`` edge copy and its index -- and holds one
+payload whose bytes are a literal captured from the old readings codec.
+The first test does not depend on which side of that change the code is
+on and passes on both; the second pins what the change did to the schema.
+"""
+
+from __future__ import annotations
+
+import sqlite3
+
+from repro.core import GeoPoint, PassStore, ProvenanceRecord, SensorReading, Timestamp, TupleSet
+from repro.core.query import AttributeEquals
+from repro.storage import SQLiteBackend
+
+OLD_SCHEMA = """
+CREATE TABLE records (pname TEXT PRIMARY KEY, body TEXT NOT NULL);
+CREATE TABLE payloads (pname TEXT PRIMARY KEY, body BLOB NOT NULL);
+CREATE TABLE removed (pname TEXT PRIMARY KEY);
+CREATE TABLE ancestry (child TEXT NOT NULL, parent TEXT NOT NULL, PRIMARY KEY (child, parent));
+CREATE INDEX ancestry_parent ON ancestry(parent);
+CREATE TABLE index_blobs (name TEXT PRIMARY KEY, body BLOB NOT NULL);
+"""
+
+#: ``PassStore._encode_readings(OLD_READINGS)`` as the old codec wrote it
+OLD_PAYLOAD = (
+    b'[{"location":[51.5,-0.12],"sensor_id":"cam-0","timestamp":0.5,"values":{"at":{"__type__":'
+    b'"geopoint","lat":51.5,"lon":-0.12},"seen":{"__type__":"timestamp","seconds":1.0},"speed":'
+    b'42.5,"tags":{"__type__":"list","items":["a",2,{"__type__":"timestamp","seconds":3.0}]}}},'
+    b'{"sensor_id":"cam-1","timestamp":1.5,"values":{"count":7,"note":"x","ok":true}}]'
+)
+OLD_READINGS = [
+    SensorReading(
+        "cam-0",
+        Timestamp(0.5),
+        {
+            "speed": 42.5,
+            "seen": Timestamp(1.0),
+            "at": GeoPoint(51.5, -0.12),
+            "tags": ("a", 2, Timestamp(3.0)),
+        },
+        location=GeoPoint(51.5, -0.12),
+    ),
+    SensorReading("cam-1", Timestamp(1.5), {"count": 7, "ok": True, "note": "x"}),
+]
+BOGUS = "0" * 64
+
+
+def _old_file(path):
+    root = ProvenanceRecord(
+        {
+            "domain": "traffic",
+            "label": "old-file",
+            "window_start": Timestamp(0.0),
+            "window_end": Timestamp(300.0),
+        }
+    )
+    child = root.derive({"domain": "traffic", "stage": "derived"})
+    assert root.pname().digest.startswith("837ac386e08a4c7c")  # the captured payload's PName
+    connection = sqlite3.connect(path)
+    connection.executescript(OLD_SCHEMA)
+    connection.executemany(
+        "INSERT INTO records VALUES (?, ?)",
+        [(record.pname().digest, record.to_json()) for record in (root, child)],
+    )
+    connection.execute("INSERT INTO payloads VALUES (?, ?)", (root.pname().digest, OLD_PAYLOAD))
+    # The true edge, plus one no record vouches for: an answer built from
+    # this table instead of the records would show it.
+    connection.executemany(
+        "INSERT INTO ancestry VALUES (?, ?)",
+        [(child.pname().digest, root.pname().digest), (root.pname().digest, BOGUS)],
+    )
+    connection.commit()
+    connection.close()
+    return TupleSet(OLD_READINGS, root), child
+
+
+def _tables(path):
+    connection = sqlite3.connect(path)
+    try:
+        rows = connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        return {name for (name,) in rows}
+    finally:
+        connection.close()
+
+
+def test_old_file_reads_rebuilds_and_takes_publishes(tmp_path):
+    path = tmp_path / "old.db"
+    old, child = _old_file(path)
+    store = PassStore(SQLiteBackend(path))
+
+    assert len(store) == 2
+    assert store.get_readings(old.pname) == OLD_READINGS
+    assert store.query(AttributeEquals("label", "old-file")) == [old.pname]
+    assert store.ancestors(child.pname()) == {old.pname}
+    assert store.descendants(old.pname) == {child.pname()}
+    assert store.ancestors(old.pname) == set()
+
+    # Idempotent re-publish: P3 compares the old bytes with today's
+    # encoding of the same readings, so this raises unless they are equal.
+    assert store.ingest(old) == old.pname
+    assert PassStore._encode_readings(OLD_READINGS) == OLD_PAYLOAD
+
+    fresh = old.derive(
+        [SensorReading("cam-2", Timestamp(2.0), {"v": 1})], {"domain": "traffic", "stage": "new"}
+    )
+    store.ingest(fresh)
+    store.backend.close()
+
+    reopened = PassStore(SQLiteBackend(path))
+    assert len(reopened) == 3
+    assert reopened.descendants(old.pname) == {child.pname(), fresh.pname}
+    assert reopened.get_readings(fresh.pname) == fresh.readings
+    assert reopened.verify_invariants() == []
+
+
+def test_edge_copy_is_not_created_and_an_old_one_is_left_alone(tmp_path):
+    fresh_path = tmp_path / "fresh.db"
+    SQLiteBackend(fresh_path).close()
+    assert _tables(fresh_path) == {"records", "payloads", "removed", "index_blobs"}
+
+    old_path = tmp_path / "old.db"
+    old, _ = _old_file(old_path)
+    store = PassStore(SQLiteBackend(old_path))
+    store.ingest(old.derive([], {"domain": "traffic", "stage": "new"}))
+    store.backend.close()
+    # Neither dropped (no destructive migration) nor grown.
+    assert "ancestry" in _tables(old_path)
+    connection = sqlite3.connect(old_path)
+    assert connection.execute("SELECT COUNT(*) FROM ancestry").fetchone() == (2,)
+    connection.close()

@@ -4,17 +4,21 @@ These check the properties the paper relies on for *arbitrary* inputs:
 provenance identity is canonical and collision-free in practice, the
 provenance DAG never admits cycles and its closure strategies agree, the
 attribute index agrees with a brute-force scan, windowing partitions the
-reading stream, and the WAL round-trips every entry.
+reading stream, the readings codec round-trips and is the same on disk
+and on the wire, and the WAL round-trips every entry.
 """
 
 from __future__ import annotations
 
+import json
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import (
     GeoPoint,
     PassStore,
@@ -31,23 +35,26 @@ from repro.core.provenance import PName
 from repro.core.query import AttributeRange
 from repro.errors import CycleError
 from repro.index import AttributeIndex
+from repro.server import protocol
 from repro.storage import MemoryBackend, WalEntry, WriteAheadLog
 
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
 attr_names = st.text(alphabet=string.ascii_lowercase + "_", min_size=1, max_size=12)
+timestamps = st.builds(Timestamp, st.floats(min_value=0, max_value=10**9, allow_nan=False))
+geopoints = st.builds(
+    GeoPoint,
+    st.floats(min_value=-90, max_value=90, allow_nan=False),
+    st.floats(min_value=-180, max_value=180, allow_nan=False),
+)
 scalar_values = st.one_of(
     st.integers(min_value=-10**9, max_value=10**9),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.text(max_size=20),
     st.booleans(),
-    st.builds(Timestamp, st.floats(min_value=0, max_value=10**9, allow_nan=False)),
-    st.builds(
-        GeoPoint,
-        st.floats(min_value=-90, max_value=90, allow_nan=False),
-        st.floats(min_value=-180, max_value=180, allow_nan=False),
-    ),
+    timestamps,
+    geopoints,
 )
 attribute_maps = st.dictionaries(attr_names, scalar_values, min_size=1, max_size=6)
 # Values for the sorted-view test.  Every example starts from the cross-kind
@@ -361,6 +368,63 @@ class TestStoreInvariantProperties:
         for pname, remove in zip(ingested, remove_mask):
             if remove and pname in store:
                 assert store.get_record(pname) is not None
+
+
+# ----------------------------------------------------------------------
+# The readings codec: one definition, stored and on the wire
+# ----------------------------------------------------------------------
+# Lists hold scalars only: ``coerce_value`` refuses a list inside a list,
+# so a nested list cannot reach the codec.
+reading_values = st.one_of(scalar_values, st.lists(scalar_values, max_size=3).map(tuple))
+sensor_readings = st.builds(
+    SensorReading,
+    sensor_id=st.text(min_size=1, max_size=8),
+    timestamp=timestamps,
+    values=st.dictionaries(attr_names, reading_values, max_size=4),
+    location=st.one_of(st.none(), geopoints),
+)
+TAG = "__type__"
+
+
+def modules_spelling_the_tag(sources) -> list:
+    """Names of the ``(name, source)`` pairs whose source spells the tag, in any quoting."""
+    return sorted(name for name, source in sources if TAG in source)
+
+
+class TestReadingsCodecProperties:
+    @COMMON_SETTINGS
+    @given(readings=st.lists(sensor_readings, max_size=4))
+    def test_stored_and_wire_forms_round_trip_and_agree(self, readings):
+        payload = PassStore._encode_readings(readings)
+        assert PassStore._decode_readings(payload) == readings
+
+        tuple_set = TupleSet(readings, ProvenanceRecord({"domain": "x"}))
+        wire = json.loads(json.dumps(protocol.tuple_set_to_wire(tuple_set)))
+        assert protocol.tuple_set_from_wire(wire).readings == readings
+        canonical = json.dumps(wire["readings"], sort_keys=True, separators=(",", ":"))
+        assert payload == canonical.encode("utf-8")
+
+    def test_the_value_tag_is_spelled_in_one_module(self):
+        package = Path(repro.__file__).resolve().parent
+        sources = [
+            (path.relative_to(package).as_posix(), path.read_text(encoding="utf-8"))
+            for path in package.rglob("*.py")
+        ]
+        assert len(sources) > 50
+        assert modules_spelling_the_tag(sources) == ["core/provenance.py"]
+
+    def test_the_guard_catches_a_second_copy_of_the_tag(self):
+        seeded = [
+            ("core/provenance.py", 'return {"__type__": "timestamp"}'),
+            ("core/tupleset.py", "item = {'sensor_id': reading.sensor_id}"),
+            ("core/pass_store.py", "kind = value.get('__type__')"),
+            ("server/protocol.py", 'if value.get("__type__") == "list":'),
+        ]
+        assert modules_spelling_the_tag(seeded) == [
+            "core/pass_store.py",
+            "core/provenance.py",
+            "server/protocol.py",
+        ]
 
 
 # ----------------------------------------------------------------------
