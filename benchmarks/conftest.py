@@ -1,33 +1,19 @@
-"""Shared fixtures and helpers for the benchmark suite.
+"""The host stamp every benchmark artifact carries.
 
-Each ``bench_eN_*.py`` file regenerates one experiment table from
-DESIGN.md / EXPERIMENTS.md.  The ``run_experiment_benchmark`` fixture
-times the experiment once (they are macro-benchmarks, not
-micro-benchmarks), writes a machine-readable result under
-``benchmarks/results/`` and checks the claim-level assertions passed in
-by the caller.
-
-:func:`write_bench_json` is the one write path for benchmark artifacts:
-every bench -- experiment tables and the subsystem benches
-(``bench_stream``, ``bench_lineage``, ``bench_server``, ...) -- persists
-its numbers as ``results/BENCH_<area>.json`` so the perf trajectory is
-diffable across PRs instead of living in scrollback.
+This file keeps its old name and place although it no longer holds a
+pytest fixture: ``benchmarks/layers/run.py`` loads it *by path* for the
+stamp (``git_sha`` included), ``BENCHMARK.json`` forbids a PR that
+measures itself from editing ``benchmarks/layers/``, and
+``benchmarks/pairs.py`` imports the same function -- so the stamp has one
+definition, here.  It imports nothing outside the standard library.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
-import sys
 from pathlib import Path
-
-import pytest
-
-from repro.eval.report import format_experiment
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def _git_sha() -> str:
@@ -46,11 +32,8 @@ def _git_sha() -> str:
 
 
 def host_environment() -> dict:
-    """The host stamp embedded in every benchmark artifact.
-
-    Enough to tell a code regression apart from an interpreter, OS or
-    hardware change when diffing ``BENCH_*.json`` across PRs.
-    """
+    """Enough to tell a code regression apart from an interpreter, OS or
+    hardware change when two artifacts are compared."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -59,101 +42,3 @@ def host_environment() -> dict:
         "cpu_count": os.cpu_count(),
         "git_sha": _git_sha(),
     }
-
-
-#: Warn when a bench's committed headline metric moves this much in the
-#: wrong direction -- advisory, because timing on shared machines is
-#: noisy; the point is to make the regression visible in the run output
-#: before the new artifact silently overwrites the old number.
-_HEADLINE_REGRESSION_FACTOR = 0.25
-
-
-def _check_headline_regression(area: str, path: Path, document: dict) -> None:
-    """Compare the new headline metric against the committed artifact."""
-    new = document.get("headline")
-    if not isinstance(new, dict) or not path.exists():
-        return
-    try:
-        old = json.loads(path.read_text(encoding="utf-8")).get("headline")
-    except (OSError, json.JSONDecodeError):
-        return
-    if not isinstance(old, dict) or old.get("metric") != new.get("metric"):
-        return
-    try:
-        old_value, new_value = float(old["value"]), float(new["value"])
-    except (KeyError, TypeError, ValueError):
-        return
-    if old_value <= 0:
-        return
-    higher_is_better = bool(new.get("higher_is_better"))
-    change = (new_value - old_value) / old_value
-    regressed = (
-        change < -_HEADLINE_REGRESSION_FACTOR
-        if higher_is_better
-        else change > _HEADLINE_REGRESSION_FACTOR
-    )
-    if regressed:
-        print(
-            f"\nWARNING: BENCH_{area}.json headline {new['metric']!r} regressed"
-            f" {abs(change) * 100.0:.0f}% vs the committed artifact"
-            f" ({old_value:g} -> {new_value:g}); code regression or host change?",
-            file=sys.stderr,
-        )
-
-
-def write_bench_json(area: str, payload: dict) -> Path:
-    """Persist one benchmark's numbers as ``results/BENCH_<area>.json``.
-
-    ``payload`` should carry the bench's headline metrics (throughput,
-    p50/p95/p99, gate ratios); the :func:`host_environment` stamp is
-    added so a regression can be told apart from a host change.  A
-    payload with a ``headline`` block (``{"metric", "value",
-    "higher_is_better"}``) is first diffed against the committed
-    artifact, warning when the metric moved >25% the wrong way.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    document = dict(payload)
-    document.setdefault("area", area)
-    document.setdefault("environment", host_environment())
-    path = RESULTS_DIR / f"BENCH_{area}.json"
-    _check_headline_regression(area, path, document)
-    path.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
-
-
-def percentiles(samples, points=(50.0, 95.0, 99.0)) -> dict:
-    """``{"p50": ..., "p95": ..., "p99": ...}`` by nearest-rank (no numpy)."""
-    if not samples:
-        return {f"p{point:g}": None for point in points}
-    ordered = sorted(samples)
-    facts = {}
-    for point in points:
-        rank = max(0, min(len(ordered) - 1, round(point / 100.0 * len(ordered)) - 1))
-        facts[f"p{point:g}"] = ordered[rank]
-    return facts
-
-
-@pytest.fixture
-def run_experiment_benchmark(benchmark):
-    """Run an experiment function once under pytest-benchmark and save its result."""
-
-    def runner(experiment_fn, *args, **kwargs):
-        result = benchmark.pedantic(
-            experiment_fn, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
-        table = format_experiment(result)
-        write_bench_json(
-            result.experiment_id,
-            {
-                "experiment": result.experiment_id,
-                "title": result.title,
-                "table": table.splitlines(),
-            },
-        )
-        print()
-        print(table)
-        return result
-
-    return runner

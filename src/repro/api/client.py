@@ -38,7 +38,7 @@ from repro.core.pass_store import PassStore
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.core.tupleset import TupleSet
 from repro.distributed.base import ArchitectureModel, OperationResult
-from repro.errors import ConfigurationError, PassError
+from repro.errors import ConfigurationError, PassError, QueryError
 from repro.net.topology import Topology
 from repro.obs import MetricsRegistry, trace
 from repro.obs import health as obs_health
@@ -53,7 +53,15 @@ __all__ = ["PassClient", "LocalClient", "ModelClient", "wrap"]
 
 
 def _paginate(pnames: Sequence[PName], limit: Optional[int], offset: int) -> Tuple[List[PName], int]:
-    """Slice a full answer into a page; returns ``(page, total)``."""
+    """Slice a full answer into a page; returns ``(page, total)``.
+
+    Every paged call of every client ends here (a ``pass://`` call does
+    on the daemon, which answers the error typed), so this is where a
+    negative ``limit`` or ``offset`` is refused: a Python slice would
+    count it from the end and return a wrong page without complaint.
+    """
+    if offset < 0 or (limit is not None and limit < 0):
+        raise QueryError(f"limit and offset must not be negative (got limit={limit}, offset={offset})")
     total = len(pnames)
     if offset:
         pnames = pnames[offset:]

@@ -901,8 +901,8 @@ def _cmd_serve(args, out) -> int:
         return 2
     address = daemon.start()
     auth = f"{len(tokens)} token(s)" if tokens else "open (no auth)"
-    # One banner line on stdout: scripts (and bench_obs.py) readline it
-    # for the bound address.  Metrics-endpoint facts go to the logger.
+    # One banner line on stdout: scripts (and the subprocess test in
+    # tests/obs/test_alerts.py) readline it for the bound address.  Metrics-endpoint facts go to the logger.
     if daemon.metrics_address is not None:
         logging.getLogger("repro.server").info(
             "metrics endpoint at http://%s:%d/metrics",

@@ -3,8 +3,9 @@ query suites, the PASS properties and provenance abstraction (E1-E4, E13, E14).
 
 Each ``run_eN`` function is self-contained: it builds its workload,
 measures, and returns an :class:`~repro.eval.result.ExperimentResult`.
-Sizes are chosen so a single experiment completes in a few seconds; the
-benchmark wrappers in ``benchmarks/`` simply call these functions.
+Sizes are chosen so a single experiment completes in a few seconds;
+``repro experiments`` and ``tests/eval/test_experiments.py`` call these
+functions and check the shape of each claim.
 """
 
 from __future__ import annotations

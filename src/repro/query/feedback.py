@@ -188,8 +188,8 @@ class FeedbackCollector:
         from repro.stream.dispatch import DispatchIndex
 
         self._store = store
-        #: master switch (benchmarks compare against the static engine
-        #: by flipping this off; everything becomes a no-op).
+        #: master switch (tests compare against the static engine by
+        #: flipping this off; everything becomes a no-op).
         self.enabled = True
 
         # -- drift detection ------------------------------------------

@@ -83,8 +83,8 @@ class StreamEngine:
     ----------
     use_index:
         When False, every record is evaluated against every query
-        subscription (the naive baseline ``bench_stream.py`` measures
-        the dispatch index against).  Match results are identical either
+        subscription (the reference path ``tests/stream`` compares the
+        dispatch index against).  Match results are identical either
         way; only the work differs.
     lineage_oracle:
         Optional ``is_ancestor(watched, candidate) -> bool`` callable.

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Q, Result, connect
-from repro.errors import UnsupportedQueryError
+from repro.api.client import ModelClient
+from repro.errors import QueryError, UnsupportedQueryError
 from repro.sensors.workloads import TrafficWorkload
 
 ALL_TARGETS = [
@@ -89,6 +90,18 @@ class TestProtocolAcrossTargets:
         assert isinstance(answer, Result)
         assert answer.pname_set() == expected
 
+    def test_ordered_query_matches_ground_truth(self, target, truth):
+        """A store answers ``order_by`` in one order at any shard count, in
+        process or behind a daemon; a model merges per-site answers and
+        promises the set."""
+        question = Q.find(Q.attr("city") == "london").order_by("window_start")
+        expected = truth.query(question).records
+        answer = target.query(question).records
+        if isinstance(target, ModelClient):
+            assert set(answer) == set(expected)
+        else:
+            assert answer == expected
+
     def test_pagination_is_uniform(self, target, truth):
         question = Q.attr("city") == "london"
         full = target.query(question)
@@ -97,6 +110,23 @@ class TestProtocolAcrossTargets:
         assert page.total == full.total
         assert page.records == full.records[1:4]
         assert page.has_more == (full.total > 4)
+
+    def test_negative_pagination_is_refused_not_counted_from_the_end(self, target, workload_sets):
+        """``limit=-3`` used to drop the last three records and ``offset=-2``
+        to return the last two; on ``pass://`` the daemon answers it typed."""
+        raw, derived = workload_sets
+        question = Q.attr("city") == "london"
+        for paging in ({"limit": -3}, {"offset": -2}, {"limit": 2, "offset": -1}):
+            with pytest.raises(QueryError, match="must not be negative"):
+                target.query(question, **paging)
+        if target.supports_lineage:
+            with pytest.raises(QueryError, match="must not be negative"):
+                target.ancestors(derived[0], limit=-1)
+            with pytest.raises(QueryError, match="must not be negative"):
+                target.descendants(raw[0], offset=-1)
+        # A refusal is an answer: the client (and its connection) carries on.
+        assert target.query(question, limit=0).records == []
+        assert target.query(question, limit=1).total > 1
 
     def test_query_own_limit_still_reports_true_total(self, target, truth):
         """A ``Q.find(...).limit(n)`` must not corrupt total/has_more."""
@@ -169,8 +199,10 @@ class TestBatchedPublish:
             looped_cost.merge(looped.publish(tuple_set))
         batched = connect("centralized://")
         batched_cost = batched.publish_many(sets)
-        # Batches pay two messages per origin-site group instead of two per set.
-        assert batched_cost.cost.messages < looped_cost.cost.messages
+        # Batches pay two messages per origin-site group (london, boston)
+        # instead of two per set, so the saving grows with the batch.
+        assert looped_cost.cost.messages == 2 * len(sets)
+        assert batched_cost.cost.messages == 2 * 2
         assert batched_cost.cost.latency_ms < looped_cost.cost.latency_ms
         # ... without changing what got published.
         question = Q.attr("city") == "london"

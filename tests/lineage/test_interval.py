@@ -120,6 +120,17 @@ class TestCorrectness:
             assert subject.ancestors(node) == reference.ancestors(node)
             assert subject.descendants(node) == reference.descendants(node)
 
+    def test_labels_stay_linear_on_derivation_chains(self):
+        """Compressed labelling: a node's maps name the chains it touches,
+        not the nodes it reaches, so 10 chains of 100 derivations hold
+        <= 4 entries per node where materialised sets would hold ~100."""
+        chains = [[_pname(f"c{chain}-{step}") for step in range(100)] for chain in range(10)]
+        closure = _build([(child, parent) for chain in chains for parent, child in zip(chain, chain[1:])])
+        assert closure.descendants(chains[0][0]) == set(chains[0][1:])
+        stats = closure.index_stats()
+        assert stats["chains"] == 10
+        assert stats["label_entries"] <= 4 * 1000
+
     def test_operations_counter_is_monotone(self, diamond):
         names, edges = diamond
         closure = _build(edges)

@@ -206,18 +206,24 @@ class TestServeEndToEnd:
         env["PYTHONPATH"] = os.path.abspath(
             os.path.join(os.path.dirname(__file__), "..", "..", "src")
         )
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0",
-                "--sample-interval", "0.1",
-                "--alert-rules", os.path.abspath(EXAMPLES),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            env=env,
-        )
+        # stderr goes to a file, not a pipe nobody drains while the daemon
+        # logs; ``-u`` so a stray print() reaches stdout before SIGTERM.
+        log_path = tmp_path / "serve.stderr"
+        with open(log_path, "w", encoding="utf-8") as log:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-u", "-m", "repro", "serve",
+                    "--port", "0",
+                    "--sample-interval", "0.1",
+                    "--alert-rules", os.path.abspath(EXAMPLES),
+                    "--log-level", "info",
+                    "--slow-query-ms", "0",
+                ],
+                stdout=subprocess.PIPE,
+                stderr=log,
+                text=True,
+                env=env,
+            )
         try:
             banner = proc.stdout.readline()
             assert " at pass://" in banner, banner
@@ -253,4 +259,13 @@ class TestServeEndToEnd:
                 assert "daemon_default_query_calls_total" in export["text"]
         finally:
             proc.terminate()
-            proc.wait(timeout=10)
+            rest_of_stdout, _ = proc.communicate(timeout=10)
+        # The banner was the only thing on stdout: library code never prints.
+        assert rest_of_stdout.strip() == ""
+        # What a deployment's log collector sees: one structured access-log
+        # line per request, and (at --slow-query-ms 0) each query's plan.
+        logged = log_path.read_text(encoding="utf-8")
+        assert "op=query tenant=default" in logged
+        assert "op=alerts tenant=default" in logged
+        assert "status=ok" in logged
+        assert "slow query" in logged

@@ -102,6 +102,26 @@ class TestDriftInvalidation:
             scanned, _ = store.query_explain(predicate, force_full_scan=True)
             assert {p for p, _ in planned} == {p for p, _ in scanned}
 
+    def test_answers_match_the_static_engine_on_every_probe_through_the_shift(self):
+        """Feedback changes how candidates are generated, never the answer:
+        through the stale plan, the probe that re-ranks and the new plan."""
+        adaptive, static = _shifted_store(), _shifted_store()
+        static.feedback.enabled = False
+        wide = (Q.attr("city") == HOT) & Q.attr("sequence").between(0, 100_000)
+        for store in (adaptive, static):
+            for _ in range(3):
+                store.query_explain(wide)
+            _flood(store, 1000, 800)
+        adapted_at = None
+        for probe in range(12):
+            adaptive_pairs, explain = adaptive.query_explain(_narrow(probe))
+            static_pairs, _ = static.query_explain(_narrow(probe))
+            assert {p for p, _ in adaptive_pairs} == {p for p, _ in static_pairs}
+            assert adaptive_pairs
+            if explain.adapted and adapted_at is None:
+                adapted_at = probe
+        assert adapted_at is not None and 0 < adapted_at < 11
+
     def test_cooldown_bounds_replan_churn(self):
         """Consuming a drift mark starts a cooldown: the same shape is
         not re-marked while it elapses, even if misestimates continue."""

@@ -196,6 +196,34 @@ def test_ops_before_hello_are_refused():
         daemon.stop()
 
 
+def test_two_hundred_connections_held_open_at_once_all_complete_their_ops():
+    """Real sockets, real threads: every client is connected before any
+    starts, the daemon counts them all live, and no op of any client fails."""
+    clients, publishes = 200, 6
+    with PassDaemon() as daemon:
+        url = f"{daemon.address.url}?tenant=crowd"
+        barrier = threading.Barrier(clients + 1, timeout=30)
+
+        def work(index: int) -> int:
+            with connect(url) as client:
+                barrier.wait()  # everyone holds a connection ...
+                barrier.wait()  # ... and the gauge below has been read
+                for sequence in range(publishes):
+                    client.publish(_tuple_set(f"client-{index}", sequence))
+                return client.query(Q.attr("tag") == f"client-{index}").total
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=clients) as pool:
+            futures = [pool.submit(work, index) for index in range(clients)]
+            barrier.wait()
+            with connect(daemon.address.url) as observer:
+                exposition = observer.metrics_export()["text"]
+            barrier.wait()
+            totals = [future.result(timeout=30) for future in futures]
+    live = [line for line in exposition.splitlines() if line.startswith("daemon_connections ")]
+    assert live and float(live[0].split()[1]) >= clients + 1
+    assert totals == [publishes] * clients
+
+
 # ----------------------------------------------------------------------
 # Tenancy
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ compare.
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -24,7 +25,7 @@ from repro.errors import (
     QueryError,
     UnknownEntityError,
 )
-from repro.server import PassDaemon
+from repro.server import PassDaemon, protocol
 from repro.stream.windows import WindowSpec
 
 
@@ -70,22 +71,24 @@ def _sets(count: int, chain: bool = False):
 # ----------------------------------------------------------------------
 def test_full_facade_parity_with_memory(remote):
     sets = _sets(12, chain=True)
+
+    def wire(result) -> str:
+        """The whole Result -- records, total, offset, cost, notes -- as canonical JSON."""
+        return json.dumps(protocol.result_to_wire(result), sort_keys=True)
+
     with connect("memory://") as local:
-        for client in (local, remote):
-            client.publish_many(sets)
+        assert wire(remote.publish_many(sets)) == wire(local.publish_many(sets))
         for query in (
             Q.attr("city") == "london",
             Q.attr("sequence").between(2, 8),
             Q.derived_from(sets[0].pname),
+            Q.find(Q.attr("domain") == "remote-test").order_by("sequence"),
         ):
-            local_result = local.query(query)
-            remote_result = remote.query(query)
-            assert remote_result.records == local_result.records
-            assert remote_result.total == local_result.total
-        assert remote.ancestors(sets[-1]).records == local.ancestors(sets[-1]).records
-        assert (
-            remote.descendants(sets[0]).records == local.descendants(sets[0]).records
-        )
+            assert wire(remote.query(query)) == wire(local.query(query))
+            assert wire(remote.query(query, limit=3, offset=1)) == wire(local.query(query, limit=3, offset=1))
+        assert wire(remote.ancestors(sets[-1], limit=5)) == wire(local.ancestors(sets[-1], limit=5))
+        assert wire(remote.descendants(sets[0])) == wire(local.descendants(sets[0]))
+        assert wire(remote.locate(sets[3].pname)) == wire(local.locate(sets[3].pname))
         assert remote.locate(sets[3].pname).cost.sites == ["local"]
         local_explain = local.explain(Q.attr("city") == "boston")
         remote_explain = remote.explain(Q.attr("city") == "boston")

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.api import connect
-from repro.core import ProvenanceRecord, Timestamp, TupleSet
+from repro.core import GeoPoint, ProvenanceRecord, Timestamp, TupleSet
 from repro.distributed import CentralizedWarehouse, DistributedHashTable
 from repro.errors import ConfigurationError
 from repro.eval.harness import run_simulation_matrix
 from repro.eval.scenario import standard_topology
+from repro.net import Site, Topology
 from repro.sim import Schedule, SimConfig, WorkloadRunner, simulate_publish_workload
 
 
@@ -70,6 +71,41 @@ class TestConcurrency:
         warehouse_crowd = crowd.sites["warehouse"]
         assert warehouse_crowd["mean_wait_ms"] > solo.sites["warehouse"]["mean_wait_ms"]
         assert warehouse_crowd["utilization"] > solo.sites["warehouse"]["utilization"]
+
+    def test_the_ring_spreads_the_load_one_warehouse_queues_on(self):
+        """64 publishers on a metro deployment, in virtual time: the shared
+        warehouse's p99 degrades >= 5x against a lone client, the DHT's < 2x
+        -- the separation composing per-operation latencies cannot express."""
+        config = SimConfig(service_ms_per_message=0.2)
+        sets = _tuple_sets(128)
+
+        def metro() -> Topology:
+            # Sites within ~300 km: service and indexing time are comparable
+            # to the wire, which is where one shared server becomes the limit.
+            topology = Topology()
+            for index in range(32):
+                point = GeoPoint(44.0 + 2.0 * (index * 0.381966011 % 1.0), -1.0 + 2.0 * (index * 0.618033988 % 1.0))
+                topology.add_site(Site(f"metro-{index:02d}", point, kind="storage"))
+            topology.add_site(Site("warehouse", GeoPoint(45.0, 0.0), kind="warehouse"))
+            return topology
+
+        def degradation(build):
+            reports = [
+                simulate_publish_workload(build(), sets, clients=clients, config=config)
+                for clients in (1, 64)
+            ]
+            assert all(report.failed() == 0 for report in reports)
+            solo, crowd = reports
+            busiest = max(facts["utilization"] for facts in crowd.sites.values())
+            return crowd.summary()["p99"] / solo.summary()["p99"], busiest
+
+        central_ratio, central_busiest = degradation(
+            lambda: CentralizedWarehouse(metro(), warehouse_site="warehouse", indexing_ms_per_update=2.0)
+        )
+        dht_ratio, dht_busiest = degradation(lambda: DistributedHashTable(metro()))
+        assert central_ratio >= 5.0
+        assert dht_ratio < 2.0
+        assert central_busiest > dht_busiest
 
     def test_identical_seeds_reproduce_reports_byte_for_byte(self):
         config = SimConfig(seed=11, jitter=0.2, service_ms_per_message=1.0, journal=True)
