@@ -257,6 +257,8 @@ class PassStore(LineageOracle):
             self.closure.add_node(ancestor)
             self.closure.add_edge(pname, ancestor)
         self.attribute_index.add(pname, record)
+        for annotation in record.annotations:
+            self._index_annotation(pname, annotation)
         start = record.get("window_start")
         end = record.get("window_end")
         if isinstance(start, Timestamp) and isinstance(end, Timestamp):
@@ -374,14 +376,24 @@ class PassStore(LineageOracle):
     # Annotations
     # ------------------------------------------------------------------
     def annotate(self, pname: PName, annotation: Annotation) -> None:
-        """Attach an annotation to a stored data set and index it."""
+        """Attach an annotation to a stored data set and index it.
+
+        Afterwards ``Q.attr("annotation:<key>")`` reads the latest
+        annotation of that key (unless the record has an attribute of
+        that very name), here and after a reopen.
+        """
         record = self.get_record(pname)
         record.annotate(annotation)
         self.backend.put_record(record)
-        self.attribute_index.add_value(pname, f"annotation:{annotation.key}", annotation.value)
+        self._index_annotation(pname, annotation)
         # Annotation mutates a stored record in place; cached result
         # pairs may alias it, so drop them all (rare administrative op).
         self.feedback.invalidate_all()
+
+    def _index_annotation(self, pname: PName, annotation: Annotation) -> None:
+        # Postings of superseded values stay: an index probe yields
+        # candidates, and the residual reads the latest one off the record.
+        self.attribute_index.add_value(pname, f"annotation:{annotation.key}", annotation.value)
 
     # ------------------------------------------------------------------
     # Queries (PASS property P2)
@@ -518,7 +530,9 @@ class PassStore(LineageOracle):
     def _rebuild_from_backend(self) -> None:
         for pname, record in self.backend.iter_records():
             self._index_record(pname, record)
-            if self.backend.is_removed(pname) and pname in self.graph:
+        # One read of the markers, not one statement per record.
+        for pname in self.backend.removed_pnames():
+            if pname in self.graph:
                 self.graph.mark_removed(pname)
         if len(self.graph):
             self._restore_closure_index()

@@ -132,6 +132,9 @@ class Annotation:
             raise ProvenanceError("annotation key must be non-empty")
 
 
+_ABSENT = object()
+
+
 class ProvenanceRecord:
     """The full provenance of one tuple set.
 
@@ -227,8 +230,21 @@ class ProvenanceRecord:
         return list(self._annotations)
 
     def get(self, name: str, default: Optional[AttributeValue] = None):
-        """Return attribute ``name`` or ``default`` when absent."""
-        return self._attributes.get(name, default)
+        """Return attribute ``name`` or ``default`` when absent.
+
+        ``annotation:<key>`` names the latest annotation of that key, so
+        annotations are queryable like attributes; a real attribute of
+        that name wins, and identity (:meth:`canonical`) never sees it.
+        """
+        value = self._attributes.get(name, _ABSENT)
+        if value is not _ABSENT:
+            return value
+        if name.startswith("annotation:"):
+            key = name[len("annotation:"):]
+            for annotation in reversed(self._annotations):
+                if annotation.key == key:
+                    return annotation.value
+        return default
 
     def has_ancestor(self, pname: PName) -> bool:
         """True when ``pname`` is an *immediate* ancestor of this record."""

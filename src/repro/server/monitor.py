@@ -228,6 +228,10 @@ class Monitor:
                 store.observe_gauge(
                     f"{prefix}.shard{entry['shard']:02d}.records", now, entry["records"]
                 )
+            record_cache = snapshot["record_cache"]
+            store.observe_gauge(prefix + ".record_cache.entries", now, record_cache["entries"])
+            for key in ("hits", "misses", "evictions"):
+                store.observe_counter(f"{prefix}.record_cache.{key}", now, record_cache[key])
             # The adaptive engine's loop, as per-tenant series: plan-cache
             # churn, drift invalidations, result-cache effectiveness,
             # scheduled refreshes and closure switches.

@@ -236,7 +236,13 @@ class StorageBackend(ABC):
             "parallel_scans": self._parallel_scans,
             "parallel_probes": self._parallel_probes,
             "per_shard": self._per_shard_storage(),
+            "record_cache": self.record_cache_stats(),
         }
+
+    def record_cache_stats(self) -> dict:
+        """The decoded-record cache counters; all zero where records
+        are held decoded anyway (``memory://``)."""
+        return {"capacity": 0, "entries": 0, "hits": 0, "misses": 0, "evictions": 0}
 
     def _per_shard_storage(self) -> "List[dict]":
         """One entry per shard; the single-substrate default is shard 0."""

@@ -427,6 +427,13 @@ class ShardedBackend(StorageBackend):
             for index, shard in enumerate(self._shards)
         ]
 
+    def record_cache_stats(self) -> dict:
+        totals = super().record_cache_stats()
+        for shard in self._shards:
+            for key, value in shard.record_cache_stats().items():
+                totals[key] += value
+        return totals
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

@@ -21,6 +21,13 @@ Schema
     Auxiliary index snapshots (the :mod:`repro.lineage` reachability
     labelling), so reopening the store does not re-derive them.
 
+Read path
+---------
+Decoded records are kept in a bounded map (digest -> the
+:class:`~repro.core.provenance.ProvenanceRecord` object), filled only
+after a commit or a fetch and dropped on close; see docs/STORAGE.md,
+"Read path", for the coherence rules.
+
 A file written before the edge copy was dropped still holds a fifth
 table of ``(child, parent)`` rows; it is neither read, written nor
 dropped here (see docs/STORAGE.md, "Schema and write path").
@@ -31,13 +38,18 @@ from __future__ import annotations
 import sqlite3
 import time
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.errors import CrashInjectedError, StorageError
 from repro.storage.backend import StorageBackend, validate_batch_payloads
 
 __all__ = ["SQLiteBackend"]
+
+#: Decoded records kept per backend (per shard under ``?shards=N``);
+#: at the benchmark's record shape an entry is about 1.8 KB, so a full
+#: map is about 30 MB.  The oldest-inserted entry leaves first.
+RECORD_CACHE_CAPACITY = 16_384
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS records (
@@ -93,6 +105,28 @@ class SQLiteBackend(StorageBackend):
         self._writes_seen = 0
         self._crash_after_writes = crash_after_writes
         self._closed = False
+        # digest -> decoded record, shared with callers as MemoryBackend's are
+        self._decoded: Dict[str, ProvenanceRecord] = {}
+        self._cache_hits = 0
+        self._cache_misses = 0
+        self._cache_evictions = 0
+
+    def _remember(self, digest: str, record: ProvenanceRecord) -> None:
+        """Cache ``record``: only ever called with what the file holds."""
+        decoded = self._decoded
+        if digest not in decoded and len(decoded) >= RECORD_CACHE_CAPACITY:
+            del decoded[next(iter(decoded))]
+            self._cache_evictions += 1
+        decoded[digest] = record
+
+    def record_cache_stats(self) -> dict:
+        return {
+            "capacity": RECORD_CACHE_CAPACITY,
+            "entries": len(self._decoded),
+            "hits": self._cache_hits,
+            "misses": self._cache_misses,
+            "evictions": self._cache_evictions,
+        }
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -106,6 +140,7 @@ class SQLiteBackend(StorageBackend):
             self._connection.rollback()
             self._connection.close()
             self._closed = True
+            self._decoded.clear()
             raise CrashInjectedError(
                 f"injected crash after {self._crash_after_writes} writes"
             )
@@ -120,11 +155,17 @@ class SQLiteBackend(StorageBackend):
     def put_record(self, record: ProvenanceRecord) -> None:
         self._check_open()
         self._maybe_crash()
+        digest = record.pname().digest
+        # Dropped first, re-entered after the commit: annotate mutates the
+        # shared object before writing it, so if this raises, in-process
+        # reads must not show an annotation the file never got.
+        self._decoded.pop(digest, None)
         with self._connection:
             self._connection.execute(
                 "INSERT OR REPLACE INTO records (pname, body) VALUES (?, ?)",
-                (record.pname().digest, record.to_json()),
+                (digest, record.to_json()),
             )
+        self._remember(digest, record)
         self.stats.puts += 1
 
     def put_batch(self, entries) -> None:
@@ -157,6 +198,7 @@ class SQLiteBackend(StorageBackend):
             )
         self._note_group_commit(len(entries), (time.perf_counter() - started) * 1000.0)
         for record, payload in entries:
+            self._remember(record.pname().digest, record)
             self.stats.puts += 1
             if payload is not None:
                 self.stats.puts += 1
@@ -165,29 +207,46 @@ class SQLiteBackend(StorageBackend):
     def get_record(self, pname: PName) -> Optional[ProvenanceRecord]:
         self._check_open()
         self.stats.gets += 1
+        record = self._decoded.get(pname.digest)
+        if record is not None:
+            self._cache_hits += 1
+            return record
+        self._cache_misses += 1
         row = self._connection.execute(
             "SELECT body FROM records WHERE pname = ?", (pname.digest,)
         ).fetchone()
         if row is None:
             return None
-        return ProvenanceRecord.from_json(row[0])
+        record = ProvenanceRecord.from_json(row[0])
+        self._remember(pname.digest, record)
+        return record
 
     def get_records(self, pnames):
-        """Bulk fetch: chunked ``IN`` selects instead of one statement per record."""
+        """Bulk fetch: cached records first, then chunked ``IN`` selects
+        (one statement per chunk, not per record) for the misses."""
         self._check_open()
         pnames = list(pnames)
         self.stats.gets += len(pnames)
         found = {}
+        misses = []
+        for pname in pnames:
+            record = self._decoded.get(pname.digest)
+            if record is None:
+                misses.append(pname.digest)
+            else:
+                found[pname.digest] = record
+        self._cache_hits += len(pnames) - len(misses)
+        self._cache_misses += len(misses)
         chunk_size = 500  # stay far below SQLite's bound-parameter limit
-        for start in range(0, len(pnames), chunk_size):
-            chunk = pnames[start : start + chunk_size]
+        for start in range(0, len(misses), chunk_size):
+            chunk = misses[start : start + chunk_size]
             placeholders = ",".join("?" for _ in chunk)
             rows = self._connection.execute(
-                f"SELECT pname, body FROM records WHERE pname IN ({placeholders})",
-                [pname.digest for pname in chunk],
+                f"SELECT pname, body FROM records WHERE pname IN ({placeholders})", chunk
             ).fetchall()
             for digest, body in rows:
-                found[digest] = ProvenanceRecord.from_json(body)
+                record = found[digest] = ProvenanceRecord.from_json(body)
+                self._remember(digest, record)
         return [
             (pname, found[pname.digest]) for pname in pnames if pname.digest in found
         ]
@@ -201,9 +260,11 @@ class SQLiteBackend(StorageBackend):
 
     def iter_records(self) -> Iterator[Tuple[PName, ProvenanceRecord]]:
         self._check_open()
+        # A scan consults the map but never fills it: the reopen replay and
+        # full scans would otherwise pin the whole store (docs/STORAGE.md).
         cursor = self._connection.execute("SELECT pname, body FROM records")
         for digest, body in cursor:
-            yield PName(digest), ProvenanceRecord.from_json(body)
+            yield PName(digest), self._decoded.get(digest) or ProvenanceRecord.from_json(body)
 
     def record_count(self) -> int:
         self._check_open()
@@ -316,6 +377,7 @@ class SQLiteBackend(StorageBackend):
             self._connection.commit()
             self._connection.close()
             self._closed = True
+            self._decoded.clear()
 
     def _check_open(self) -> None:
         if self._closed:

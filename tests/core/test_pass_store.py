@@ -221,6 +221,47 @@ class TestAnnotations:
         assert any(a.key == "sensor-replaced" for a in record.annotations)
         assert store.query(AnnotationMatches("sensor-replaced", "cam-07")) == [ts.pname]
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "sqlite"])
+    def test_annotation_answers_attribute_predicates_before_and_after_reopen(
+        self, tmp_path, durable
+    ):
+        """``annotate`` says it indexes the annotation: ``annotation:<key>``
+        reads the latest one, by index probe and by full scan alike."""
+        def open_store():
+            return PassStore(backend=SQLiteBackend(tmp_path / "notes.db") if durable else None)
+
+        store = open_store()
+        noted, plain = _tuple_set("noted"), _tuple_set("plain")
+        store.ingest_many([noted, plain])
+        store.get_record(noted.pname)  # a warm read: annotate must reach it
+        store.annotate(noted.pname, Annotation("quality", "bad"))
+        store.annotate(noted.pname, Annotation("quality", "good"))
+        for reopened in range(2 if durable else 1):
+            if reopened:
+                store.backend.close()
+                store = open_store()
+            for force_full_scan in (False, True):
+                def answer(value):
+                    query = Query(AttributeEquals("annotation:quality", value))
+                    pairs, _ = store.query_explain(query, force_full_scan=force_full_scan)
+                    return [pname for pname, _ in pairs]
+
+                assert answer("good") == [noted.pname]
+                assert answer("bad") == []  # superseded
+            assert store.attribute_index.lookup("annotation:quality", "good") == {noted.pname}
+            assert store.get_record(noted.pname).get("annotation:quality") == "good"
+            assert store.get_record(plain.pname).get("annotation:quality") is None
+
+    def test_an_attribute_wins_over_an_annotation_of_its_name(self):
+        record = ProvenanceRecord({"annotation:quality": "attr", "label": "a"})
+        pname = record.pname()
+        record.annotate(Annotation("quality", "note"))
+        record.annotate(Annotation("label", "note"))
+        assert record.get("annotation:quality") == "attr"
+        assert record.get("annotation:label") == "note"
+        assert record.get("annotation:missing", "fallback") == "fallback"
+        assert record.pname() == pname and "note" not in record.canonical()
+
 
 class TestLineage:
     def _chain(self, store, depth=4):
@@ -371,6 +412,30 @@ class TestSQLiteBackedStore:
         assert reopened.is_removed(parent.pname)
         assert reopened.ancestors(child.pname) == {parent.pname}
         assert reopened.query(AttributeEquals("label", "parent")) == [parent.pname]
+
+    def test_reopen_reads_the_removal_markers_once(self, tmp_path):
+        """Not one ``is_removed`` statement per replayed record."""
+        path = tmp_path / "markers.db"
+        store = PassStore(backend=SQLiteBackend(path))
+        sets = [_tuple_set(label) for label in "abcde"]
+        store.ingest_many(sets)
+        store.remove_data(sets[1].pname)
+        store.remove_data(sets[3].pname)
+        store.backend.close()
+
+        class CountingBackend(SQLiteBackend):
+            is_removed_calls = 0
+
+            def is_removed(self, pname):
+                self.is_removed_calls += 1
+                return super().is_removed(pname)
+
+        backend = CountingBackend(path)
+        reopened = PassStore(backend=backend)
+        assert backend.is_removed_calls == 0
+        assert [reopened.graph.is_removed(ts.pname) for ts in sets] == [
+            False, True, False, True, False,
+        ]
 
     def test_crash_inside_a_single_publish_leaves_neither_record_nor_payload(self, tmp_path):
         path = tmp_path / "crash.db"

@@ -55,6 +55,28 @@ class TestSampler:
         assert "trace.spans_dropped" in names
         assert daemon.timeseries.kind("daemon.default.query.ms") == "histogram"
 
+    def test_sampler_emits_the_record_cache_series(self, tmp_path):
+        """The durable store's decoded-record cache is visible per tenant:
+        hits rise as a repeated lookup is served from it."""
+        url = f"sqlite:///{tmp_path}/pass.db"
+        with PassDaemon(backend_url=url, sample_interval_s=0.05) as daemon:
+            with connect(daemon.address.url) as client:
+                record = ProvenanceRecord({"sensor": "cam-1", "window_start": Timestamp(0.0)})
+                pname = client.publish(TupleSet([], record)).first()
+                for _ in range(3):
+                    client.describe_record(pname)
+                prefix = "daemon.default.storage.record_cache."
+
+                def sampled():
+                    point = daemon.timeseries.latest(prefix + "hits")
+                    return point is not None and point[1] >= 3
+
+                assert _wait_for(sampled)
+                names = daemon.timeseries.names()
+        assert {prefix + key for key in ("entries", "hits", "misses", "evictions")} <= set(names)
+        assert daemon.timeseries.kind(prefix + "entries") == "gauge"
+        assert daemon.timeseries.kind(prefix + "hits") == "counter"
+
     def test_sampler_off_disables_timeseries_and_alerts(self):
         with PassDaemon(sample_interval_s=None) as daemon:
             with connect(daemon.address.url) as client:

@@ -19,6 +19,7 @@ from repro.obs import (
     STATS_REMOTE_KEYS,
 )
 from repro.sensors.workloads import TrafficWorkload
+from repro.storage.sqlite import RECORD_CACHE_CAPACITY
 
 LOCAL_TARGETS = ["memory://", "sqlite://", "sqlite://?shards=4", "memory://?shards=2"]
 MODEL_TARGETS = [
@@ -83,9 +84,13 @@ STORAGE_BLOCK_KEYS = frozenset(
         "parallel_scans",
         "parallel_probes",
         "per_shard",
+        "record_cache",
         "closure_restore",
     }
 )
+
+#: the frozen sub-schema of the storage block's decoded-record cache row
+RECORD_CACHE_KEYS = frozenset({"capacity", "entries", "hits", "misses", "evictions"})
 
 
 #: the frozen sub-schema of stats()["planner"]["feedback"] wherever a
@@ -140,6 +145,15 @@ class TestGoldenKeys:
         assert set(storage) == STORAGE_BLOCK_KEYS
         assert set(storage["commit_ms"]) == {"total", "max"}
         assert len(storage["per_shard"]) == storage["shards"]
+        cache = storage["record_cache"]
+        assert set(cache) == RECORD_CACHE_KEYS
+        assert cache["entries"] <= cache["capacity"]
+        if target.startswith("memory://"):
+            # records are held decoded anyway: no cache, all zeros
+            assert set(cache.values()) == {0}
+        elif target.startswith("sqlite://"):
+            assert cache["capacity"] == RECORD_CACHE_CAPACITY * storage["shards"]
+            assert cache["entries"] == storage["records"]  # publish_many filled it
         if "shards=" in target:
             assert storage["kind"] == "sharded"
             assert storage["shards"] > 1

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
-from repro.core import ProvenanceRecord
+from repro.api import Q, connect
+from repro.core import Annotation, ProvenanceRecord, SensorReading, Timestamp, TupleSet
 from repro.errors import CrashInjectedError, StorageError
 from repro.storage import MemoryBackend, ShardedBackend, SQLiteBackend
 
@@ -143,8 +146,9 @@ class TestBackendContract:
         snapshot = backend.storage_stats()
         assert set(snapshot) == {
             "kind", "shards", "records", "group_commits", "batch_records",
-            "commit_ms", "parallel_scans", "parallel_probes", "per_shard",
+            "commit_ms", "parallel_scans", "parallel_probes", "per_shard", "record_cache",
         }
+        assert set(snapshot["record_cache"]) == {"capacity", "entries", "hits", "misses", "evictions"}
         assert snapshot["shards"] == backend.shard_count()
         assert len(snapshot["per_shard"]) == backend.shard_count()
 
@@ -192,3 +196,143 @@ class TestSQLiteSpecific:
         for pname in acknowledged:
             assert reopened.has_record(pname)
         reopened.close()
+
+
+class TestDecodedRecordCache:
+    """The bounded digest -> decoded-record map under ``SQLiteBackend``
+    (docs/STORAGE.md, "Read path"): what it may hold, and when."""
+
+    @staticmethod
+    def _set(label: int, parent=None) -> TupleSet:
+        attributes = {"domain": "traffic", "label": label}
+        record = ProvenanceRecord(attributes) if parent is None else parent.derive(attributes)
+        return TupleSet([SensorReading("s", Timestamp(float(label)), {"v": float(label)})], record)
+
+    def test_counts_every_record_asked_for(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "count.db")
+        records = [_record(label) for label in "abcd"]
+        backend.put_batch([(record, None) for record in records])
+        ghost = _record("ghost").pname()
+        assert backend.get_record(records[0].pname()) is records[0]
+        assert backend.get_record(ghost) is None
+        asked = [record.pname() for record in records] + [ghost, records[0].pname()]
+        assert [record for _, record in backend.get_records(asked)] == records + records[:1]
+        cache = backend.record_cache_stats()
+        assert (cache["hits"], cache["misses"]) == (6, 2)  # 8 records asked for, one twice
+        assert cache["entries"] == 4  # an absent record is not remembered
+        backend.close()
+
+    def test_annotate_is_visible_on_a_warm_read_and_after_reopen(self, tmp_path):
+        url = f"sqlite:///{tmp_path}/annotate.db"
+        client = connect(url)
+        pname = client.publish(self._set(1)).first()
+        assert client.describe_record(pname).annotations == []  # warm
+        note = Annotation("quality", "good", author="ops")
+        client.store.annotate(pname, note)
+        assert client.describe_record(pname).annotations == [note]
+        client.close()
+        client = connect(url)
+        assert client.describe_record(pname).annotations == [note]
+        client.close()
+
+    def test_a_rewritten_record_replaces_the_cached_object(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "replace.db")
+        first = _record("a")
+        backend.put_record(first)
+        second = ProvenanceRecord.from_json(first.to_json())  # same PName, another object
+        second.annotate(Annotation("quality", "good"))
+        backend.put_record(second)
+        assert backend.get_record(first.pname()) is second
+        assert backend.record_cache_stats()["entries"] == 1
+        backend.close()
+
+    def test_a_crashed_batch_leaves_nothing_behind(self, tmp_path):
+        path = tmp_path / "crash.db"
+        backend = SQLiteBackend(path, crash_after_writes=2)
+        kept = _record("kept")
+        backend.put_batch([(kept, b"data")])
+        batch = [_record(label) for label in "abc"]
+        with pytest.raises(CrashInjectedError):
+            backend.put_batch([(record, None) for record in batch])
+        assert backend.record_cache_stats()["entries"] == 0  # the crash path drops the map
+        reopened = SQLiteBackend(path)
+        assert reopened.has_record(kept.pname())
+        assert not any(reopened.has_record(record.pname()) for record in batch)
+        reopened.close()
+
+    def test_a_failed_batch_is_not_cached(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "failed.db")
+        backend.put_record(_record("kept"))
+        before = backend.record_cache_stats()["entries"]
+        batch = [_record(label) for label in "abc"]
+        backend._connection.execute("PRAGMA query_only=ON")
+        with pytest.raises(sqlite3.OperationalError):
+            backend.put_batch([(record, None) for record in batch])
+        backend._connection.execute("PRAGMA query_only=OFF")
+        assert backend.record_cache_stats()["entries"] == before
+        assert backend.get_records([record.pname() for record in batch]) == []
+        backend.close()
+
+    def test_a_put_record_that_raises_drops_the_entry(self, tmp_path):
+        """``annotate`` mutates the shared object, then writes it: if the
+        write fails, reads must not show what the file never got."""
+        backend = SQLiteBackend(tmp_path / "raise.db")
+        record = _record("a")
+        backend.put_record(record)
+        assert backend.get_record(record.pname()) is record
+        record.annotate(Annotation("quality", "never-written"))
+        backend._connection.execute("PRAGMA query_only=ON")
+        with pytest.raises(sqlite3.OperationalError):
+            backend.put_record(record)
+        backend._connection.execute("PRAGMA query_only=OFF")
+        assert backend.record_cache_stats()["entries"] == 0
+        fetched = backend.get_record(record.pname())
+        assert fetched is not record and fetched.annotations == []
+        backend.close()
+
+    def test_remove_data_with_a_warm_cache_keeps_the_record(self, tmp_path):
+        client = connect(f"sqlite:///{tmp_path}/remove.db")
+        pname = client.publish(self._set(1)).first()
+        record = client.describe_record(pname)  # warm
+        client.store.remove_data(pname)
+        assert client.describe_record(pname) is record  # P4: no record was touched
+        assert client.store.is_removed(pname)
+        assert client.store.get_readings(pname) == []
+        client.close()
+
+    def test_entries_never_exceed_the_capacity(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.storage.sqlite.RECORD_CACHE_CAPACITY", 4)
+        client = connect(f"sqlite:///{tmp_path}/bound.db")
+        sets = [self._set(label) for label in range(20)]
+        for tuple_set in sets[:10]:
+            client.publish(tuple_set)
+            assert client.store.backend.record_cache_stats()["entries"] <= 4
+        client.publish_many(sets[10:])
+        for _ in range(2):  # every record reads back, cached or not
+            for tuple_set in sets:
+                fetched = client.describe_record(tuple_set.pname)
+                assert fetched.to_json() == tuple_set.provenance.to_json()
+        assert len(client.query(Q.attr("domain") == "traffic")) == 20
+        cache = client.store.backend.record_cache_stats()
+        assert cache["capacity"] == 4 and cache["entries"] == 4
+        assert cache["evictions"] >= 16
+        client.close()
+
+    def test_scans_and_reopen_do_not_fill_it(self, tmp_path):
+        url = f"sqlite:///{tmp_path}/scan.db"
+        client = connect(url)
+        root = self._set(0)
+        client.publish_many([root, self._set(1, parent=root.provenance), self._set(2)])
+        client.store.remove_data(root.pname)
+        client.close()
+        client = connect(url)  # replays every record through iter_records
+        backend = client.store.backend
+        assert len(backend.scan_all()) == len(list(backend.iter_records())) == 3
+        assert len(client.store.pnames()) == 3
+        cache = backend.record_cache_stats()
+        assert (cache["entries"], cache["hits"], cache["misses"]) == (0, 0, 0)
+        # ... but a scan hands out what a fetch has already decoded
+        fetched = backend.get_record(root.pname)
+        assert dict(backend.scan_all())[root.pname] is fetched
+        client.close()
+        assert backend.record_cache_stats()["entries"] == 0  # close() drops it

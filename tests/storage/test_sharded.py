@@ -184,12 +184,23 @@ class TestGroupCommitAndParallelScans:
         snapshot = backend.storage_stats()
         assert set(snapshot) == {
             "kind", "shards", "records", "group_commits", "batch_records",
-            "commit_ms", "parallel_scans", "parallel_probes", "per_shard",
+            "commit_ms", "parallel_scans", "parallel_probes", "per_shard", "record_cache",
         }
         assert set(snapshot["commit_ms"]) == {"total", "max"}
         assert snapshot["kind"] == "sharded"
         assert snapshot["shards"] == 2
         assert [entry["shard"] for entry in snapshot["per_shard"]] == [0, 1]
+        backend.close()
+
+    def test_record_cache_row_is_the_sum_over_the_shards(self, tmp_path):
+        backend = ShardedBackend(str(tmp_path / "pass.db"), shards=3)
+        records = _records(12)
+        backend.put_batch([(record, None) for record in records])
+        backend.get_records([record.pname() for record in records] + [_record("ghost").pname()])
+        per_shard = [shard.record_cache_stats() for shard in backend.shard_backends]
+        total = backend.storage_stats()["record_cache"]
+        assert total == {key: sum(row[key] for row in per_shard) for key in total}
+        assert (total["entries"], total["hits"], total["misses"]) == (12, 12, 1)
         backend.close()
 
 

@@ -371,6 +371,86 @@ class TestStoreInvariantProperties:
 
 
 # ----------------------------------------------------------------------
+# The durable store's decoded-record cache: never a different answer
+# ----------------------------------------------------------------------
+_QUALITIES = ("good", "bad", "unknown")
+store_ops = st.one_of(
+    st.tuples(st.just("publish"), st.integers(0, 7), st.booleans()),
+    st.tuples(st.just("annotate"), st.integers(0, 7), st.sampled_from(_QUALITIES)),
+    st.tuples(st.just("remove"), st.integers(0, 7)),
+    st.tuples(st.just("query"), st.sampled_from(["label", "range", "quality", "derived"]),
+              st.integers(0, 7)),
+    st.tuples(st.just("reopen")),
+)
+
+
+class TestDecodedRecordCacheProperties:
+    @COMMON_SETTINGS
+    @given(ops=st.lists(store_ops, min_size=1, max_size=30))
+    def test_sqlite_answers_like_memory_through_a_four_entry_cache(self, ops, tmp_path_factory):
+        """publish / annotate / remove_data / query / reopen in any order:
+        ``sqlite:///`` (cache bound 4, so it evicts and refills all the
+        time) and ``memory://`` give the same answers and annotations."""
+        url = f"sqlite:///{tmp_path_factory.mktemp('cache')}/pass.db"
+        published = []  # PNames; each client gets record objects of its own
+
+        def pick(index):
+            return published[index % len(published)]
+
+        def tuple_set(label, derive):
+            ancestors = [pick(label)] if derive and published else []
+            record = ProvenanceRecord({"domain": "x", "label": label}, ancestors=ancestors)
+            return TupleSet([SensorReading("s", Timestamp(float(label)), {"v": float(label)})], record)
+
+        def question(kind, n):
+            if kind == "label":
+                return repro.Q.attr("label") == n
+            if kind == "range":
+                return repro.Q.attr("label") >= n
+            if kind == "quality":
+                return repro.Q.attr("annotation:quality") == _QUALITIES[n % 3]
+            return repro.Q.derived_from(pick(n)) if published else None
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.storage.sqlite.RECORD_CACHE_CAPACITY", 4)
+            clients = {"sqlite": repro.connect(url), "memory": repro.connect("memory://")}
+            try:
+                for op, *args in ops:
+                    if op == "publish":
+                        for client in clients.values():
+                            pname = client.publish(tuple_set(*args)).first()
+                        if pname not in published:
+                            published.append(pname)
+                    elif op == "reopen":
+                        clients["sqlite"].close()
+                        clients["sqlite"] = repro.connect(url)
+                    elif op == "query":
+                        answers = {
+                            name: sorted(p.digest for p in client.query(question(*args)))
+                            for name, client in clients.items()
+                        }
+                        assert answers["sqlite"] == answers["memory"]
+                    elif published:
+                        pname = pick(args[0])
+                        for client in clients.values():
+                            if op == "annotate":
+                                client.store.annotate(pname, repro.Annotation("quality", args[1]))
+                            else:
+                                client.store.remove_data(pname)
+                    cache = clients["sqlite"].stats()["storage"]["record_cache"]
+                    assert cache["entries"] <= cache["capacity"] == 4
+                for pname in published:
+                    described = {n: c.describe_record(pname) for n, c in clients.items()}
+                    # the whole record, annotations and their order included
+                    assert described["sqlite"].to_json() == described["memory"].to_json()
+                    removed = {n: c.store.is_removed(pname) for n, c in clients.items()}
+                    assert removed["sqlite"] == removed["memory"]
+            finally:
+                for client in clients.values():
+                    client.close()
+
+
+# ----------------------------------------------------------------------
 # The readings codec: one definition, stored and on the wire
 # ----------------------------------------------------------------------
 # Lists hold scalars only: ``coerce_value`` refuses a list inside a list,
