@@ -588,11 +588,16 @@ class LocalClient(PassClient):
             try:
                 # Strategies with persistable labelling (repro.lineage)
                 # checkpoint into the backend so the next open skips the
-                # rebuild; everything else is a no-op.
+                # rebuild, and a durable store that changed checkpoints its
+                # indexes so the next open skips the replay; everything
+                # else is a no-op.
                 self.store.persist_closure_index()
+                self.store.persist_index_checkpoint()
             except PassError:
                 pass  # a crashed/closed backend must not block close()
-            self.store.backend.close()
+            finally:
+                # Whatever the checkpoints raise, the connection is released.
+                self.store.backend.close()
 
 
 class ModelClient(PassClient):

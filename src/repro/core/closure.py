@@ -278,15 +278,15 @@ class LabelledClosure(ClosureStrategy):
 
     def __init__(self, graph: Optional[ProvenanceGraph] = None) -> None:
         super().__init__(graph)
-        self._ancestor_labels: Dict[str, Set[str]] = {}
-        self._descendant_labels: Dict[str, Set[str]] = {}
-        # If a pre-populated graph was supplied, build labels for it.
-        for node in self.graph.nodes():
-            self._ancestor_labels.setdefault(node.digest, set())
-            self._descendant_labels.setdefault(node.digest, set())
-        for child in self.graph.nodes():
-            for parent in self.graph.parents(child):
-                self._propagate(child.digest, parent.digest)
+        # If a pre-populated graph was supplied (a store opening over an
+        # adopted index checkpoint), build labels for it -- on the graph's
+        # digest-level views: this is most of what such an open still costs.
+        nodes = self.graph.node_digests()
+        self._ancestor_labels: Dict[str, Set[str]] = {digest: set() for digest in nodes}
+        self._descendant_labels: Dict[str, Set[str]] = {digest: set() for digest in nodes}
+        for child in nodes:
+            for parent in sorted(self.graph.parents_of(child)):
+                self._propagate(child, parent)
 
     def add_node(self, pname: PName) -> None:
         super().add_node(pname)

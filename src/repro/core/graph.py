@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.errors import CycleError, UnknownEntityError
@@ -90,6 +90,53 @@ class ProvenanceGraph:
         if pname.digest not in self._parents:
             raise UnknownEntityError(f"unknown node {pname}")
         self._removed.add(pname.digest)
+
+    def snapshot(self, position_of: Dict[str, int]) -> dict:
+        """Every node's parents, node by node in position order.
+
+        ``position_of`` numbers exactly this graph's nodes from 0, and
+        lists them in that order.  The removal marks are not part: the
+        backend keeps those itself.
+        """
+        return {
+            "parents": [sorted(position_of[parent] for parent in self._parents[digest]) for digest in position_of]
+        }
+
+    def restore(self, state: dict, digests: Sequence[str]) -> None:
+        """Adopt a :meth:`snapshot` into this empty graph; ``digests[position]`` names a node.
+
+        Raises :class:`~repro.errors.CycleError` when the edges do not
+        form a DAG and ``ValueError``/``TypeError``/``LookupError`` on
+        other state that no snapshot produces; the graph then stays empty.
+        """
+        listed = state["parents"]
+        parents: Dict[str, Set[str]] = {digest: set() for digest in digests}
+        children: Dict[str, Set[str]] = {digest: set() for digest in digests}
+        if not len(listed) == len(digests) == len(parents):
+            raise ValueError("one parent list per node, and no node twice")
+        for child, positions in zip(digests, listed):
+            if not positions:
+                continue
+            if min(positions) < 0:
+                raise ValueError("negative position")
+            for at in positions:
+                parents[child].add(digests[at])
+                children[digests[at]].add(child)
+        # Kahn's algorithm: whatever is never freed of its parents sits on a cycle.
+        # (topological_order() would do, at four times the cost: it sorts and wraps
+        # every node for its callers, and this runs inside every adopted open.)
+        waiting = {digest: len(found) for digest, found in parents.items()}
+        free = [digest for digest, count in waiting.items() if not count]
+        freed = 0
+        while free:
+            freed += 1
+            for child in children[free.pop()]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    free.append(child)
+        if freed != len(parents):
+            raise CycleError("checkpointed edges would create a provenance cycle")
+        self._parents, self._children = parents, children
 
     # ------------------------------------------------------------------
     # Basic lookups

@@ -32,6 +32,7 @@ sites, and the evaluation harness measures them through this interface.
 from __future__ import annotations
 
 import json
+import zlib
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.abstraction import AbstractedLineage, AbstractionEngine, AbstractionRule
@@ -43,6 +44,7 @@ from repro.core.query import LineageOracle, Predicate, Query
 from repro.core.tupleset import SensorReading, TupleSet, readings_from_json, readings_to_json
 from repro.errors import (
     DuplicateProvenanceError,
+    PassError,
     UnknownEntityError,
 )
 from repro.index.attribute_index import AttributeIndex
@@ -58,6 +60,17 @@ from repro.storage.backend import StorageBackend
 from repro.storage.memory import MemoryBackend
 
 __all__ = ["PassStore", "StoreStatistics"]
+
+#: the index checkpoint's name in the backend's blob table, and its layout number
+_CHECKPOINT_KEY = "index:checkpoint"
+_CHECKPOINT_FORMAT = 1
+#: what a ``restore()`` raises on state that no ``snapshot()`` produces
+_MALFORMED = (PassError, ValueError, TypeError, LookupError, AttributeError)
+
+
+def _names_crc(digests: Sequence[str]) -> int:
+    """Which records, in which order: tells one file's checkpoint from another's."""
+    return zlib.crc32("".join(digests).encode("ascii"))
 
 
 class StoreStatistics:
@@ -123,24 +136,33 @@ class PassStore(LineageOracle):
         site: str = "local",
     ) -> None:
         self.backend = backend if backend is not None else MemoryBackend()
-        self.graph = ProvenanceGraph()
+        self.site = site
+        self.stats = StoreStatistics()
+        self._indexed_attributes = None if indexed_attributes is None else sorted(set(indexed_attributes))
+        # True while an index holds what the backend's checkpoint does not.
+        self._checkpoint_stale = False
+        # What the open did about the index checkpoint (stats()["storage"]).
+        self._index_restore_report = {
+            "mode": "none",
+            "covered": 0,
+            "tail": 0,
+            "bytes": 0,
+            "reason": "no restore attempted",
+        }
+        # A durable backend may hold the indexes of an earlier session
+        # (docs/STORAGE.md, "Open path"); otherwise they start empty and
+        # _rebuild_from_backend replays every record into them.
+        indexes, replay_after = self._adopt_index_checkpoint() or (self._empty_indexes(), None)
+        self.graph, self.attribute_index, self.temporal_index, self.spatial_index, self.statistics = indexes
+        # The DAG-shape collector the statistics own (repro.core stays
+        # import-independent of repro.lineage; see make_closure).
+        self.graph_stats = self.statistics.graph
         if isinstance(closure, str):
             self.closure = make_closure(closure, self.graph)
         else:
             # Never adopt a caller-supplied strategy instance directly:
             # rebinding its graph would corrupt any other store sharing it.
             self.closure = closure.for_graph(self.graph)
-        self.attribute_index = AttributeIndex(indexed_attributes)
-        self.temporal_index = TemporalIndex()
-        self.spatial_index = SpatialIndex()
-        self.site = site
-        self.stats = StoreStatistics()
-        self.statistics = Statistics(
-            self.attribute_index, self.temporal_index, self.spatial_index
-        )
-        # The DAG-shape collector the statistics own (repro.core stays
-        # import-independent of repro.lineage; see make_closure).
-        self.graph_stats = self.statistics.graph
         self.planner = QueryPlanner(self)
         # The estimated-vs-actual feedback loop: drift-based plan
         # invalidation, statistics refresh scheduling, closure-strategy
@@ -164,7 +186,14 @@ class PassStore(LineageOracle):
         }
         # Rebuild in-memory structures if the backend already has records
         # (e.g. a SQLite file reopened after a crash).
-        self._rebuild_from_backend()
+        self._rebuild_from_backend(replay_after)
+
+    def _empty_indexes(self) -> tuple:
+        attribute_index = AttributeIndex(self._indexed_attributes)
+        temporal_index = TemporalIndex()
+        spatial_index = SpatialIndex()
+        statistics = Statistics(attribute_index, temporal_index, spatial_index)
+        return ProvenanceGraph(), attribute_index, temporal_index, spatial_index, statistics
 
     # ------------------------------------------------------------------
     # Ingest
@@ -268,6 +297,7 @@ class PassStore(LineageOracle):
             self.spatial_index.add(pname, location)
         self.statistics.observe(record)
         self.graph_stats.observe(pname, record.ancestors)
+        self._checkpoint_stale = True
 
     # ------------------------------------------------------------------
     # Post-commit ingest hooks (the repro.stream notification path)
@@ -386,6 +416,7 @@ class PassStore(LineageOracle):
         record.annotate(annotation)
         self.backend.put_record(record)
         self._index_annotation(pname, annotation)
+        self._checkpoint_stale = True
         # Annotation mutates a stored record in place; cached result
         # pairs may alias it, so drop them all (rare administrative op).
         self.feedback.invalidate_all()
@@ -527,15 +558,131 @@ class PassStore(LineageOracle):
                 violations.append(f"removed data set {pname.short} lost its provenance record")
         return violations
 
-    def _rebuild_from_backend(self) -> None:
-        for pname, record in self.backend.iter_records():
+    def _rebuild_from_backend(self, replay_after: Optional[int] = None) -> None:
+        """Replay the backend's records (those past the adopted checkpoint only)."""
+        replay = self.backend.iter_records() if replay_after is None else self.backend.iter_records(replay_after)
+        tail = 0
+        for pname, record in replay:
             self._index_record(pname, record)
+            tail += 1
+        self._index_restore_report["tail"] = tail
+        if replay_after is None and tail:
+            self._index_restore_report["mode"] = "replayed"
         # One read of the markers, not one statement per record.
         for pname in self.backend.removed_pnames():
             if pname in self.graph:
                 self.graph.mark_removed(pname)
         if len(self.graph):
             self._restore_closure_index()
+
+    # ------------------------------------------------------------------
+    # Index checkpoint (docs/STORAGE.md, "Open path")
+    # ------------------------------------------------------------------
+    def _adopt_index_checkpoint(self) -> Optional[Tuple[tuple, int]]:
+        """The indexes an earlier session checkpointed, if they still describe the backend.
+
+        Returns ``(indexes, marker)`` -- the five structures of
+        :meth:`_empty_indexes`, filled, and the backend marker of the last
+        record they cover -- or ``None`` with the reason recorded; the
+        caller then replays.  Refusing is always safe, adopting never
+        executes anything the blob holds: it is zlib over JSON.
+        """
+        report = self._index_restore_report
+
+        def refused(reason: str) -> None:
+            report["reason"] = reason
+
+        # (asked for no rows: only whether there is an order -- a backend
+        # without one is not asked for a blob it cannot have)
+        if self.backend.record_order(upto=0) is None:
+            return refused("backend keeps no record order (volatile, or sharded)")
+        blob = self.backend.get_index_blob(_CHECKPOINT_KEY)
+        if blob is None:
+            return refused("no checkpoint stored")
+        report["bytes"] = len(blob)
+        try:
+            # Bounded, so that a hostile blob cannot inflate without limit;
+            # a real one inflates about four times.
+            inflater = zlib.decompressobj()
+            text = inflater.decompress(blob, 64 * len(blob) + (1 << 20))
+            if not inflater.eof:
+                return refused("checkpoint does not decompress: truncated or oversized")
+            state = json.loads(text)
+        except zlib.error as error:
+            return refused(f"checkpoint does not decompress: {error}")
+        except (ValueError, RecursionError):
+            return refused("checkpoint is not JSON")
+        if not isinstance(state, dict) or state.get("format") != _CHECKPOINT_FORMAT:
+            found = state.get("format") if isinstance(state, dict) else type(state).__name__
+            return refused(f"checkpoint format {found!r}, this code reads {_CHECKPOINT_FORMAT}")
+        if state.get("indexed") != self._indexed_attributes:
+            return refused("indexed attributes changed since the checkpoint")
+        marker, count, bare = state.get("covered"), state.get("count"), state.get("bare")
+        # (a marker is a non-negative 64-bit integer)
+        if not (isinstance(marker, int) and 0 <= marker < 2**63 and isinstance(count, int) and isinstance(bare, list)):
+            return refused("malformed checkpoint header")
+        digests = self.backend.record_order(upto=marker)[0]
+        if len(digests) != count:
+            # INSERT OR REPLACE moved an annotated record past the marker.
+            return refused(f"covered row rewritten: {len(digests)} of {count} covered records remain")
+        if _names_crc(digests) != state.get("names_crc"):
+            return refused("checkpoint describes another file's records")
+        indexes = self._empty_indexes()
+        graph, attribute_index, temporal_index, spatial_index, statistics = indexes
+        try:
+            nodes = digests + [PName(str(digest)).digest for digest in bare]
+            graph.restore(state["graph"], nodes)
+            attribute_index.restore(state["attributes"], digests)
+            temporal_index.restore(state["temporal"], digests)
+            spatial_index.restore(state["spatial"], digests)
+            statistics.restore(state["statistics"])
+            statistics.graph.restore(state["graph_statistics"], nodes)
+        except _MALFORMED as error:
+            return refused(f"malformed checkpoint: {type(error).__name__}: {error}")
+        report.update(mode="adopted", covered=count, reason=None)
+        return indexes, marker
+
+    def persist_index_checkpoint(self) -> bool:
+        """Checkpoint the indexes into the backend; True when a blob was written.
+
+        A no-op unless an index changed since the last checkpoint and the
+        backend keeps a record order (a single SQLite file does; a volatile
+        or sharded one does not), so the façade calls it unconditionally on
+        ``close()``.  The write is O(store); records are named by position
+        in the backend's order.
+        """
+        order = self.backend.record_order() if self._checkpoint_stale else None
+        if order is None:
+            return False
+        digests, marker = order
+        nodes = self.graph.node_digests()
+        if not all(digest in nodes for digest in digests):
+            # A record written under this store, which never indexed it:
+            # leave the older checkpoint, the next open replays past it.
+            return False
+        position_of = {digest: position for position, digest in enumerate(digests)}
+        bare = sorted(digest for digest in nodes if digest not in position_of)
+        for digest in bare:
+            position_of[digest] = len(position_of)
+        state = {
+            "format": _CHECKPOINT_FORMAT,
+            "indexed": self._indexed_attributes,
+            "covered": marker,
+            "count": len(digests),
+            "names_crc": _names_crc(digests),
+            "bare": bare,
+            "graph": self.graph.snapshot(position_of),
+            "attributes": self.attribute_index.snapshot(position_of),
+            "temporal": self.temporal_index.snapshot(position_of),
+            "spatial": self.spatial_index.snapshot(position_of),
+            "statistics": self.statistics.checkpoint(),
+            "graph_statistics": self.graph_stats.checkpoint(position_of),
+        }
+        payload = zlib.compress(json.dumps(state, separators=(",", ":")).encode("utf-8"))
+        stored = self.backend.put_index_blob(_CHECKPOINT_KEY, payload)
+        if stored:
+            self._checkpoint_stale = False
+        return stored
 
     # ------------------------------------------------------------------
     # Closure-index persistence (repro.lineage)
@@ -654,6 +801,7 @@ class PassStore(LineageOracle):
         """
         snapshot = self.backend.storage_stats()
         snapshot["closure_restore"] = dict(self._closure_restore_report)
+        snapshot["index_restore"] = dict(self._index_restore_report)
         return snapshot
 
     # ------------------------------------------------------------------

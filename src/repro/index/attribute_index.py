@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.attributes import (
     AttributeValue,
     GeoPoint,
     Timestamp,
+    _encode_scalar,
     _ordering_key,
     canonical_encode,
 )
@@ -138,6 +139,53 @@ class AttributeIndex:
             bucket.add(digest)
             self._entries += 1
             self._attr_entries[name] = self._attr_entries.get(name, 0) + 1
+
+    # ------------------------------------------------------------------
+    # Checkpoint (the store persists it so that a reopen need not replay)
+    # ------------------------------------------------------------------
+    def snapshot(self, position_of: Dict[str, int]) -> dict:
+        """The postings as JSON-ready data, each PName named by ``position_of`` its digest.
+
+        The sorted views are left out: the first range lookup rebuilds
+        them, as it does after a replay.
+        """
+        return {
+            "postings": {
+                name: {encoded: sorted(position_of[d] for d in bucket) for encoded, bucket in buckets.items()}
+                for name, buckets in self._postings.items()
+            },
+            "lists": {
+                name: {encoded: [_encode_scalar(item) for item in value] for encoded, value in values.items()}
+                for name, values in self._list_values.items()
+            },
+        }
+
+    def restore(self, state: dict, digests: Sequence[str]) -> None:
+        """Adopt a :meth:`snapshot` into this empty index; ``digests[position]`` names a PName.
+
+        State that no snapshot produces raises (``ValueError``, ``TypeError``,
+        ``LookupError`` or ``AttributeError``) and leaves the index as it was.
+        """
+        postings: Dict[str, Dict[str, Set[str]]] = {}
+        attr_entries: Dict[str, int] = {}
+        for name, listed in state["postings"].items():
+            if not self.covers(name):
+                raise ValueError(f"postings for {name!r}, which this index does not cover")
+            buckets = postings[name] = {}
+            entries = 0
+            for encoded, positions in listed.items():
+                if min(positions) < 0:
+                    raise ValueError("negative position")
+                bucket = buckets[encoded] = {digests[at] for at in positions}
+                entries += len(bucket)
+            attr_entries[name] = entries
+        list_values = {
+            name: {encoded: tuple(self._decode_for_sort(item) for item in items) for encoded, items in values.items()}
+            for name, values in state["lists"].items()
+        }
+        self._postings, self._list_values = postings, list_values
+        self._attr_entries = attr_entries
+        self._entries = sum(attr_entries.values())
 
     # ------------------------------------------------------------------
     # Introspection

@@ -16,7 +16,7 @@ entirely sufficient here: tuple sets have one representative location
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.attributes import GeoPoint
 from repro.core.provenance import PName
@@ -57,6 +57,30 @@ class SpatialIndex:
 
     def __len__(self) -> int:
         return len(self._points)
+
+    def snapshot(self, position_of: Dict[str, int]) -> dict:
+        """The points column by column, each PName named by ``position_of`` its digest."""
+        return {
+            "lats": [point.latitude for point in self._points.values()],
+            "lons": [point.longitude for point in self._points.values()],
+            "positions": [position_of[digest] for digest in self._points],
+        }
+
+    def restore(self, state: dict, digests: Sequence[str]) -> None:
+        """Adopt a :meth:`snapshot` into this empty index; raises, and changes
+        nothing, on state that no snapshot produces."""
+        lats, lons, positions = state["lats"], state["lons"], state["positions"]
+        if not len(lats) == len(lons) == len(positions):
+            raise ValueError("point columns of unequal length")
+        if positions and min(positions) < 0:
+            raise ValueError("negative position")
+        # One (validated, immutable) point per distinct place: sensors stay put.
+        places = {place: GeoPoint(float(place[0]), float(place[1])) for place in set(zip(lats, lons))}
+        points = {digests[at]: places[place] for at, place in zip(positions, zip(lats, lons))}
+        cells: Dict[Tuple[int, int], Set[str]] = {}
+        for digest, point in points.items():
+            cells.setdefault(self._cell_of(point), set()).add(digest)
+        self._points, self._cells = points, cells
 
     def location_of(self, pname: PName) -> Optional[GeoPoint]:
         """The indexed location of ``pname``, or None when not indexed."""

@@ -21,7 +21,7 @@ easy to verify.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.attributes import Timestamp
 from repro.core.provenance import PName
@@ -51,6 +51,30 @@ class TemporalIndex:
 
     def __len__(self) -> int:
         return len(self._intervals)
+
+    def snapshot(self, position_of: Dict[str, int]) -> dict:
+        """The intervals column by column, each PName named by ``position_of`` its digest."""
+        return {
+            "starts": [start for start, _, _ in self._intervals],
+            "ends": [end for _, end, _ in self._intervals],
+            "positions": [position_of[digest] for _, _, digest in self._intervals],
+        }
+
+    def restore(self, state: dict, digests: Sequence[str]) -> None:
+        """Adopt a :meth:`snapshot` into this empty index; raises, and changes
+        nothing, on state that no snapshot produces."""
+        starts, ends, positions = state["starts"], state["ends"], state["positions"]
+        if not len(starts) == len(ends) == len(positions):
+            raise ValueError("interval columns of unequal length")
+        if positions and min(positions) < 0:
+            raise ValueError("negative position")
+        # Sorted again (one pass over a sorted list): bisection rests on it.
+        intervals = sorted(zip(map(float, starts), map(float, ends), [digests[at] for at in positions]))
+        durations = [end - start for start, end, _ in intervals]
+        if durations and not min(durations) >= 0:
+            raise ValueError("interval end precedes its start")
+        self._intervals = intervals
+        self._max_duration = max(durations, default=0.0)
 
     # ------------------------------------------------------------------
     # Queries

@@ -20,7 +20,7 @@ feed estimates, and estimates affect cost, never correctness.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.provenance import PName
 
@@ -115,6 +115,30 @@ class GraphStatistics:
         self.depth_histogram = histogram
         self._depth_total = total
         self.max_depth = max(histogram, default=0)
+
+    def checkpoint(self, position_of: Dict[str, int]) -> dict:
+        """Every node's depth in position order, and the two counters depths do not give.
+
+        ``position_of`` numbers exactly the nodes seen so far from 0, and
+        lists them in that order.
+        """
+        depths = [self._depth_of[digest] for digest in position_of]
+        return {"depths": depths, "edges": self.edges, "max_fan_in": self.max_fan_in}
+
+    def restore(self, state: dict, digests: Sequence[str]) -> None:
+        """Adopt a :meth:`checkpoint`; ``digests[position]`` names a node.  Raises on state that none produces."""
+        depths = [int(depth) for depth in state["depths"]]
+        if len(depths) != len(digests) or (depths and min(depths) < 0):
+            raise ValueError("one non-negative depth per node")
+        histogram: Dict[int, int] = {}
+        for depth in depths:
+            histogram[depth] = histogram.get(depth, 0) + 1
+        self.edges, self.max_fan_in = int(state["edges"]), int(state["max_fan_in"])
+        self._depth_of = dict(zip(digests, depths))
+        self.nodes = len(depths)
+        self.depth_histogram = histogram
+        self._depth_total = sum(depths)
+        self.max_depth = max(depths, default=0)
 
     def _ensure_node(self, digest: str) -> int:
         """Register an implicitly referenced ancestor; return its known depth."""

@@ -109,6 +109,26 @@ class Statistics:
         if isinstance(record.get("location"), GeoPoint):
             self.located_count += 1
 
+    def checkpoint(self) -> dict:
+        """The counters :meth:`observe` maintains, as JSON-ready data (not the shared graph collector's)."""
+        return {
+            "record_count": self.record_count,
+            "attribute_counts": self.attribute_counts,
+            "window": [self._window_min, self._window_max],
+            "windowed_count": self.windowed_count,
+            "located_count": self.located_count,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Adopt a :meth:`checkpoint`; raises on state that none produces."""
+        counts = {str(name): int(count) for name, count in state["attribute_counts"].items()}
+        window_min, window_max = (None if bound is None else float(bound) for bound in state["window"])
+        self.record_count = int(state["record_count"])
+        self.windowed_count = int(state["windowed_count"])
+        self.located_count = int(state["located_count"])
+        self.attribute_counts = counts
+        self._window_min, self._window_max = window_min, window_max
+
     # ------------------------------------------------------------------
     # Estimates
     # ------------------------------------------------------------------

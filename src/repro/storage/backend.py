@@ -126,6 +126,19 @@ class StorageBackend(ABC):
     def iter_records(self) -> Iterator[Tuple[PName, ProvenanceRecord]]:
         """Iterate over every stored ``(PName, record)`` pair."""
 
+    def record_order(self, upto: Optional[int] = None) -> "Optional[Tuple[List[str], int]]":
+        """``(digests in stored order, the last one's marker)``, or ``None``.
+
+        A backend whose records keep a stable order with a growing
+        integer marker (SQLite's rowid) answers; the store then names
+        records by position in its index checkpoint and, on open, passes
+        the marker to ``iter_records(after)`` to replay only what the
+        checkpoint does not cover.  ``upto`` stops at that marker.
+        ``None`` (the default) means no such order: no checkpoint is
+        written and every open replays.
+        """
+        return None
+
     def scan_all(self) -> "List[Tuple[PName, ProvenanceRecord]]":
         """Materialize every stored pair (the executor's full-scan path).
 

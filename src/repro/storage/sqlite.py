@@ -19,7 +19,8 @@ Schema
     PNames whose data was removed (provenance retained).
 ``index_blobs(name TEXT PRIMARY KEY, body BLOB)``
     Auxiliary index snapshots (the :mod:`repro.lineage` reachability
-    labelling), so reopening the store does not re-derive them.
+    labelling, the store's index checkpoint), so reopening the store
+    does not re-derive them; see docs/STORAGE.md, "Open path".
 
 Read path
 ---------
@@ -50,6 +51,7 @@ __all__ = ["SQLiteBackend"]
 #: at the benchmark's record shape an entry is about 1.8 KB, so a full
 #: map is about 30 MB.  The oldest-inserted entry leaves first.
 RECORD_CACHE_CAPACITY = 16_384
+_MAX_ROWID = 2**63 - 1
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS records (
@@ -258,13 +260,30 @@ class SQLiteBackend(StorageBackend):
         ).fetchone()
         return row is not None
 
-    def iter_records(self) -> Iterator[Tuple[PName, ProvenanceRecord]]:
+    def iter_records(self, after: int = 0) -> Iterator[Tuple[PName, ProvenanceRecord]]:
+        """Every pair in rowid order (those past rowid ``after`` only).
+
+        ``INSERT OR REPLACE`` gives a rewritten record a fresh rowid, so
+        that is commit order with an annotated record moved to the end:
+        the order the store replays in, and the one :meth:`record_order`
+        numbers records by.
+        """
         self._check_open()
         # A scan consults the map but never fills it: the reopen replay and
         # full scans would otherwise pin the whole store (docs/STORAGE.md).
-        cursor = self._connection.execute("SELECT pname, body FROM records")
+        cursor = self._connection.execute(
+            "SELECT pname, body FROM records WHERE rowid > ? ORDER BY rowid", (after,)
+        )
         for digest, body in cursor:
             yield PName(digest), self._decoded.get(digest) or ProvenanceRecord.from_json(body)
+
+    def record_order(self, upto: Optional[int] = None) -> Tuple[List[str], int]:
+        self._check_open()
+        rows = self._connection.execute(
+            "SELECT rowid, pname FROM records WHERE rowid <= ? ORDER BY rowid",
+            (_MAX_ROWID if upto is None else upto,),
+        ).fetchall()
+        return [digest for _, digest in rows], (rows[-1][0] if rows else 0)
 
     def record_count(self) -> int:
         self._check_open()

@@ -1,0 +1,487 @@
+"""The index checkpoint: a reopen that adopts it answers like one that replays.
+
+``LocalClient.close()`` writes the store's derived state (postings, edges,
+intervals, points, statistics) as one zlib-over-JSON blob; the next open
+adopts it when its header still describes the file and replays only the
+rows past it.  These tests hold adoption to replay and to ``memory://``,
+count the tail after a crash, and walk every reason a blob is refused.
+"""
+
+from __future__ import annotations
+
+import json
+import sqlite3
+import zlib
+
+import pytest
+
+import repro
+from repro import Q
+from repro.api.client import LocalClient
+from repro.core import GeoPoint, PassStore, ProvenanceRecord, SensorReading, Timestamp, TupleSet
+from repro.core.provenance import PName
+from repro.errors import CrashInjectedError
+from repro.storage import SQLiteBackend
+
+KEY = "index:checkpoint"
+CITIES = ("london", "boston", "oslo")
+PLACES = (GeoPoint(51.5, -0.12), GeoPoint(42.36, -71.06), GeoPoint(59.91, 10.75))
+UNSTORED = PName("ab" * 32)
+
+
+# ----------------------------------------------------------------------
+# A history every client can be taken through, and what it is then asked
+# ----------------------------------------------------------------------
+def _tuple_set(chain: int, link: int, parents=()) -> TupleSet:
+    sequence = chain * 100 + link
+    record = ProvenanceRecord(
+        {
+            "domain": "traffic",
+            "city": CITIES[chain % 3],
+            "sensor": f"s{chain}",
+            "sequence": sequence,
+            "window_start": Timestamp(60.0 * sequence),
+            "window_end": Timestamp(60.0 * sequence + 90.0),
+            "location": PLACES[chain % 3],
+            "tags": ("raw" if not parents else "derived", chain),
+        },
+        ancestors=list(parents),
+    )
+    return TupleSet([SensorReading(f"s{chain}", Timestamp(60.0 * sequence), {"v": float(link)})], record)
+
+
+def chains(count: int = 3, links: int = 6):
+    """``count`` derivation chains of ``links`` sets each, parents first."""
+    built = []
+    for chain in range(count):
+        previous = None
+        for link in range(links):
+            current = _tuple_set(chain, link, [previous.pname] if previous is not None else ())
+            built.append(current)
+            previous = current
+    return built
+
+
+def populate(client) -> dict:
+    """Single and batched publishes, a two-parent set, one whose ancestor was
+    never stored, annotations (one superseded) and a removal."""
+    sets = chains()
+    client.publish_many(sets[:9])
+    for tuple_set in sets[9:]:
+        client.publish(tuple_set)
+    merged = _tuple_set(7, 0, [sets[5].pname, sets[11].pname])
+    orphan = _tuple_set(8, 0, [UNSTORED])
+    client.publish_many([merged, orphan])
+    # annotations go to a root and to leaves: an annotated record is rewritten
+    # last, and a replay then sees it after its descendants (docs/STORAGE.md)
+    client.store.annotate(sets[0].pname, repro.Annotation("quality", "good"))
+    client.store.annotate(sets[0].pname, repro.Annotation("quality", "bad"))
+    client.store.annotate(merged.pname, repro.Annotation("quality", "good"))
+    client.store.annotate(sets[17].pname, repro.Annotation("reviewed", True))
+    client.store.remove_data(sets[7].pname)
+    return {"sets": sets, "merged": merged, "orphan": orphan}
+
+
+def answers(client, made: dict) -> dict:
+    """Every kind of answer the indexes serve, and what the planner did for it."""
+    sets, merged = made["sets"], made["merged"]
+    questions = {
+        "eq": Q.attr("city") == "boston",
+        "eq_list": Q.attr("tags") == ("derived", 1),
+        "range": Q.attr("sequence").between(3, 104),
+        "window": Q.between(120.0, 6100.0),
+        "near": Q.near(GeoPoint(51.4, -0.1), 50.0),
+        "conjunction": Q.all(Q.attr("city") == "london", Q.attr("sequence") >= 2),
+        "annotation": Q.attr("annotation:quality") == "good",
+        "annotation_superseded": Q.attr("annotation:quality") == "bad",
+        "derived_from": Q.derived_from(sets[6].pname),
+        "live_only": Q.find(Q.attr("sensor") == "s1").exclude_removed().build(),
+    }
+    found = {}
+    for name, question in questions.items():
+        result = client.query(question)
+        explain = result.explain
+        found[name] = (
+            sorted(pname.digest for pname in result.records),
+            explain.path_kind, explain.path, explain.estimated_rows, explain.rows_scanned, explain.used_index,
+        )
+    for name, pname in (("merged", merged.pname), ("mid", sets[3].pname), ("orphan", made["orphan"].pname)):
+        found["ancestors_" + name] = sorted(p.digest for p in client.ancestors(pname).records)
+        found["descendants_" + name] = sorted(p.digest for p in client.descendants(pname).records)
+    found["descendants_unstored"] = sorted(p.digest for p in client.descendants(UNSTORED).records)
+    store = client.store
+    found["removed"] = [store.is_removed(tuple_set.pname) for tuple_set in sets]
+    found["graph_removed"] = [store.graph.is_removed(tuple_set.pname) for tuple_set in sets]
+    found["statistics"] = store.statistics.snapshot()
+    found["index_entries"] = store.attribute_index.entry_count()
+    found["distinct_tags"] = store.attribute_index.distinct_values("tags")
+    found["invariants"] = store.verify_invariants()
+    return found
+
+
+# ----------------------------------------------------------------------
+# The blob, reached under the store
+# ----------------------------------------------------------------------
+def read_blob(path):
+    with sqlite3.connect(path) as connection:
+        row = connection.execute("SELECT body FROM index_blobs WHERE name = ?", (KEY,)).fetchone()
+    return None if row is None else bytes(row[0])
+
+
+def write_blob(path, body) -> None:
+    with sqlite3.connect(path) as connection:
+        connection.execute("DELETE FROM index_blobs WHERE name = ?", (KEY,))
+        if body is not None:
+            connection.execute("INSERT INTO index_blobs VALUES (?, ?)", (KEY, body))
+
+
+def edited(body: bytes, edit) -> bytes:
+    state = json.loads(zlib.decompress(body))
+    edit(state)
+    return zlib.compress(json.dumps(state).encode("utf-8"))
+
+
+def restore_report(client) -> dict:
+    return client.stats()["storage"]["index_restore"]
+
+
+@pytest.fixture(params=["", "?indexed=city,sequence,annotation:quality"], ids=["all", "indexed"])
+def suffix(request):
+    return request.param
+
+
+# ----------------------------------------------------------------------
+# (a) adoption == replay == memory://
+# ----------------------------------------------------------------------
+def test_adoption_replay_and_memory_give_the_same_answers(tmp_path, suffix):
+    path = tmp_path / "pass.db"
+    url = f"sqlite:///{path}{suffix}"
+    with repro.connect("memory://" + suffix) as memory:
+        made = populate(memory)
+        expected = answers(memory, made)
+    assert expected["invariants"] == []
+    assert expected["removed"].count(True) == 1
+
+    with repro.connect(url) as first:
+        populate(first)
+        assert restore_report(first)["mode"] == "none"
+        assert answers(first, made) == expected
+    blob = read_blob(path)
+    assert blob is not None
+
+    with repro.connect(url) as adopted:
+        report = restore_report(adopted)
+        assert report == {"mode": "adopted", "covered": 20, "tail": 0, "bytes": len(blob), "reason": None}
+        assert answers(adopted, made) == expected
+
+    write_blob(path, None)
+    with repro.connect(url) as replayed:
+        report = restore_report(replayed)
+        assert (report["mode"], report["covered"], report["tail"]) == ("replayed", 0, 20)
+        assert report["reason"] == "no checkpoint stored"
+        assert answers(replayed, made) == expected
+    # the replay left the indexes newer than the (absent) checkpoint: close wrote one
+    assert read_blob(path) is not None
+    with repro.connect(url) as adopted:
+        assert restore_report(adopted)["mode"] == "adopted"
+        assert answers(adopted, made) == expected
+
+
+def test_records_are_named_by_position_never_by_digest(tmp_path):
+    path = tmp_path / "pass.db"
+    with repro.connect(f"sqlite:///{path}") as client:
+        made = populate(client)
+    text = zlib.decompress(read_blob(path)).decode("utf-8")
+    for tuple_set in made["sets"]:
+        assert tuple_set.pname.digest not in text
+    # the one node that is no record has no position to go by
+    assert text.count(UNSTORED.digest) == 1
+
+
+def test_publishes_after_adoption_extend_the_adopted_indexes(tmp_path):
+    url = f"sqlite:///{tmp_path / 'pass.db'}"
+    extra = [_tuple_set(5, link) for link in range(3)]
+    with repro.connect("memory://") as memory:
+        made = populate(memory)
+        memory.publish_many(extra)
+        memory.store.annotate(made["sets"][8].pname, repro.Annotation("quality", "good"))
+        expected = answers(memory, made)
+    with repro.connect(url) as client:
+        populate(client)
+    with repro.connect(url) as client:
+        assert restore_report(client)["mode"] == "adopted"
+        client.publish_many(extra)
+        client.store.annotate(made["sets"][8].pname, repro.Annotation("quality", "good"))
+        assert answers(client, made) == expected
+    with repro.connect(url) as client:
+        assert restore_report(client)["covered"] == 23
+        assert answers(client, made) == expected
+
+
+def test_a_session_that_only_annotates_still_renews_the_checkpoint(tmp_path):
+    path = tmp_path / "pass.db"
+    sets = chains(1, 3)
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.publish_many(sets)
+    before = read_blob(path)
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.store.annotate(sets[1].pname, repro.Annotation("quality", "good"))
+    assert read_blob(path) != before
+    with repro.connect(f"sqlite:///{path}") as client:
+        report = restore_report(client)
+        assert (report["mode"], report["covered"], report["tail"]) == ("adopted", 3, 0)
+        assert client.query(Q.attr("annotation:quality") == "good").records == [sets[1].pname]
+
+
+# ----------------------------------------------------------------------
+# (b) crashes: the tail is what committed since the checkpoint
+# ----------------------------------------------------------------------
+def _crashing_client(path, writes: int) -> LocalClient:
+    return LocalClient(PassStore(SQLiteBackend(path, crash_after_writes=writes)))
+
+
+def test_a_crash_after_a_checkpoint_replays_only_what_committed_since(tmp_path):
+    path = tmp_path / "pass.db"
+    sets = chains(2, 6)
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.publish_many(sets[:5])
+
+    # a publish is two writes (record, payload) in one transaction: the
+    # fourth publish is refused its second write and commits nothing
+    crashing = _crashing_client(path, writes=7)
+    assert restore_report(crashing)["mode"] == "adopted"
+    committed = []
+    with pytest.raises(CrashInjectedError):
+        for tuple_set in sets[5:]:
+            crashing.publish(tuple_set)
+            committed.append(tuple_set)
+    assert len(committed) == 3
+    crashing.close()  # on a dead backend: swallowed, nothing written
+
+    with repro.connect("memory://") as memory:
+        memory.publish_many(sets[:5] + committed)
+        expected = {p.digest for p in memory.query(Q.attr("sensor") == "s1").records}
+        lineage = {p.digest for p in memory.ancestors(committed[-1].pname).records}
+    with repro.connect(f"sqlite:///{path}") as client:
+        report = restore_report(client)
+        assert (report["mode"], report["covered"], report["tail"]) == ("adopted", 5, 3)
+        assert {p.digest for p in client.query(Q.attr("sensor") == "s1").records} == expected
+        assert {p.digest for p in client.ancestors(committed[-1].pname).records} == lineage
+        assert len(client.store) == 8
+        assert client.store.verify_invariants() == []
+    with repro.connect(f"sqlite:///{path}") as client:
+        assert restore_report(client) == {
+            "mode": "adopted", "covered": 8, "tail": 0, "bytes": len(read_blob(path)), "reason": None,
+        }
+
+
+def test_an_annotation_that_outlived_its_session_refuses_the_checkpoint(tmp_path):
+    """``INSERT OR REPLACE`` moves the annotated record past the covered
+    rowid: fewer covered rows than the header counted, so the blob (which
+    lacks the annotation's posting) is not trusted."""
+    path = tmp_path / "pass.db"
+    sets = chains(1, 4)
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.publish_many(sets)
+    crashing = _crashing_client(path, writes=1)
+    crashing.store.annotate(sets[1].pname, repro.Annotation("quality", "good"))
+    with pytest.raises(CrashInjectedError):
+        crashing.publish(_tuple_set(4, 0))
+    crashing.close()
+
+    with repro.connect(f"sqlite:///{path}") as client:
+        report = restore_report(client)
+        assert (report["mode"], report["tail"]) == ("replayed", 4)
+        assert report["reason"] == "covered row rewritten: 3 of 4 covered records remain"
+        found = client.query(Q.attr("annotation:quality") == "good").records
+        assert found == [sets[1].pname]
+    with repro.connect(f"sqlite:///{path}") as client:
+        assert restore_report(client)["mode"] == "adopted"
+        assert client.query(Q.attr("annotation:quality") == "good").records == [sets[1].pname]
+
+
+def test_the_last_covered_record_rewritten_is_noticed_too(tmp_path):
+    """The rewritten row takes a rowid past the old maximum, never the one it had."""
+    path = tmp_path / "pass.db"
+    sets = chains(1, 3)
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.publish_many(sets)
+    crashing = _crashing_client(path, writes=1)
+    crashing.store.annotate(sets[-1].pname, repro.Annotation("quality", "good"))
+    crashing.store.backend._connection.close()  # the process dies here
+    with repro.connect(f"sqlite:///{path}") as client:
+        assert restore_report(client)["reason"].startswith("covered row rewritten")
+        assert client.query(Q.attr("annotation:quality") == "good").records == [sets[-1].pname]
+
+
+# ----------------------------------------------------------------------
+# (c) every reason a blob is refused
+# ----------------------------------------------------------------------
+def _break_format(state):
+    state["format"] = 99
+
+
+def _point_past_the_records(state):
+    state["attributes"]["postings"]["city"]["s:boston"][0] = state["count"] + 5
+
+
+def _point_before_the_records(state):
+    state["temporal"]["positions"][0] = -1
+
+
+def _close_a_cycle(state):
+    parents = state["graph"]["parents"]
+    child = next(at for at, listed in enumerate(parents) if listed)
+    parents[parents[child][0]].append(child)
+
+
+def _drop_a_section(state):
+    del state["spatial"]
+
+
+def _wrong_shape(state):
+    state["attributes"]["postings"] = ["not", "a", "mapping"]
+
+
+def _unequal_columns(state):
+    state["spatial"]["lats"].pop()
+
+
+def _bad_header(state):
+    state["covered"] = "all of them"
+
+
+def _duplicate_node(state):
+    state["bare"].append(state["bare"][0])
+    state["graph"]["parents"].append([])
+    state["graph_statistics"]["depths"].append(0)
+
+
+REFUSALS = {
+    "truncated zlib": (lambda body: body[: len(body) // 2], "checkpoint does not decompress"),
+    "not zlib": (lambda body: b"\x00" + body, "checkpoint does not decompress"),
+    "zlib bomb": (lambda body: zlib.compress(b" " * (80 << 20)), "checkpoint does not decompress"),
+    "non-JSON": (lambda body: zlib.compress(b"\x80 not json"), "checkpoint is not JSON"),
+    "JSON, not a checkpoint": (lambda body: zlib.compress(b"[1, 2]"), "checkpoint format 'list'"),
+    "wrong format number": (lambda body: edited(body, _break_format), "checkpoint format 99"),
+    "bad header": (lambda body: edited(body, _bad_header), "malformed checkpoint header"),
+    "position past the records": (lambda body: edited(body, _point_past_the_records), "malformed checkpoint: IndexError"),
+    "negative position": (lambda body: edited(body, _point_before_the_records), "malformed checkpoint: ValueError"),
+    "cyclic edge list": (lambda body: edited(body, _close_a_cycle), "malformed checkpoint: CycleError"),
+    "missing section": (lambda body: edited(body, _drop_a_section), "malformed checkpoint: KeyError"),
+    "wrong shape": (lambda body: edited(body, _wrong_shape), "malformed checkpoint: AttributeError"),
+    "unequal columns": (lambda body: edited(body, _unequal_columns), "malformed checkpoint: ValueError"),
+    "node listed twice": (lambda body: edited(body, _duplicate_node), "malformed checkpoint: ValueError"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(REFUSALS))
+def test_a_damaged_checkpoint_is_refused_and_replaced(tmp_path, damage):
+    spoil, reason = REFUSALS[damage]
+    path = tmp_path / "pass.db"
+    url = f"sqlite:///{path}"
+    with repro.connect(url) as client:
+        made = populate(client)
+        expected = answers(client, made)
+    spoiled = spoil(read_blob(path))
+    write_blob(path, spoiled)
+
+    with repro.connect(url) as client:
+        report = restore_report(client)
+        assert (report["mode"], report["covered"], report["tail"]) == ("replayed", 0, 20)
+        assert report["bytes"] == len(spoiled)
+        assert report["reason"].startswith(reason), report["reason"]
+        assert answers(client, made) == expected
+    assert read_blob(path) != spoiled
+    with repro.connect(url) as client:
+        assert restore_report(client)["mode"] == "adopted"
+        assert answers(client, made) == expected
+
+
+def test_changed_indexed_attributes_refuse_the_checkpoint(tmp_path):
+    path = tmp_path / "pass.db"
+    with repro.connect(f"sqlite:///{path}") as client:
+        made = populate(client)
+    narrowed = f"sqlite:///{path}?indexed=city"
+    with repro.connect("memory://?indexed=city") as memory:
+        populate(memory)
+        expected = answers(memory, made)
+    with repro.connect(narrowed) as client:
+        report = restore_report(client)
+        assert report["mode"] == "replayed"
+        assert report["reason"] == "indexed attributes changed since the checkpoint"
+        assert answers(client, made) == expected
+    with repro.connect(narrowed) as client:
+        assert restore_report(client)["mode"] == "adopted"
+        assert answers(client, made) == expected
+        assert client.store.attribute_index.indexed_attributes() == ["city"]
+
+
+def test_a_checkpoint_from_another_file_is_refused(tmp_path):
+    """Same record count, same covered rowid: only the names tell the files apart."""
+    mine, other = tmp_path / "mine.db", tmp_path / "other.db"
+    with repro.connect(f"sqlite:///{mine}") as client:
+        client.publish_many(chains(2, 3))
+    with repro.connect(f"sqlite:///{other}") as client:
+        client.publish_many([_tuple_set(chain, 0) for chain in range(10, 16)])
+    write_blob(mine, read_blob(other))
+    with repro.connect(f"sqlite:///{mine}") as client:
+        report = restore_report(client)
+        assert (report["mode"], report["tail"]) == ("replayed", 6)
+        assert report["reason"] == "checkpoint describes another file's records"
+        assert len(client.query(Q.attr("sensor") == "s1").records) == 3
+
+
+def test_sharded_and_memory_stores_replay_and_say_why(tmp_path):
+    url = f"sqlite:///{tmp_path / 'pass.db'}?shards=2"
+    with repro.connect(url) as client:
+        client.publish_many(chains(2, 3))
+    with repro.connect(url) as client:
+        report = restore_report(client)
+        assert (report["mode"], report["covered"], report["tail"], report["bytes"]) == ("replayed", 0, 6, 0)
+        assert report["reason"] == "backend keeps no record order (volatile, or sharded)"
+        assert client.store.backend.get_index_blob(KEY) is None
+    with repro.connect("memory://") as client:
+        client.publish_many(chains(1, 2))
+        assert restore_report(client) == {
+            "mode": "none", "covered": 0, "tail": 0, "bytes": 0,
+            "reason": "backend keeps no record order (volatile, or sharded)",
+        }
+        gets = client.store.backend.stats.gets
+        assert client.store.persist_index_checkpoint() is False
+        assert client.store.backend.stats.gets == gets
+
+
+# ----------------------------------------------------------------------
+# (d) a session that changes nothing writes nothing
+# ----------------------------------------------------------------------
+def test_a_clean_open_query_close_cycle_writes_nothing(tmp_path):
+    path = tmp_path / "pass.db"
+    with repro.connect(f"sqlite:///{path}") as client:
+        made = populate(client)
+    blob = read_blob(path)
+    for _ in range(2):
+        client = repro.connect(f"sqlite:///{path}")
+        backend = client.store.backend
+        assert restore_report(client)["mode"] == "adopted"
+        answers(client, made)
+        client.store.remove_data(made["sets"][2].pname)  # markers are the backend's, not the checkpoint's
+        puts = backend.stats.puts
+        client.close()
+        assert backend.stats.puts == puts
+        assert read_blob(path) == blob
+    with repro.connect(f"sqlite:///{path}") as client:
+        assert client.store.is_removed(made["sets"][2].pname)
+        assert client.store.graph.is_removed(made["sets"][2].pname)
+
+
+def test_a_record_written_under_the_store_is_not_claimed(tmp_path):
+    """The store checkpoints what it indexed; a row it never saw is left to the next replay."""
+    path = tmp_path / "pass.db"
+    sets = chains(1, 3)
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.publish_many(sets[:2])
+        client.store.backend.put_record(sets[2].provenance)
+    with repro.connect(f"sqlite:///{path}") as client:
+        assert restore_report(client)["mode"] == "replayed"
+        assert client.query(Q.attr("sequence") == 2).records == [sets[2].pname]

@@ -86,11 +86,15 @@ STORAGE_BLOCK_KEYS = frozenset(
         "per_shard",
         "record_cache",
         "closure_restore",
+        "index_restore",
     }
 )
 
 #: the frozen sub-schema of the storage block's decoded-record cache row
 RECORD_CACHE_KEYS = frozenset({"capacity", "entries", "hits", "misses", "evictions"})
+
+#: the frozen sub-schema of the storage block's index-checkpoint report
+INDEX_RESTORE_KEYS = frozenset({"mode", "covered", "tail", "bytes", "reason"})
 
 
 #: the frozen sub-schema of stats()["planner"]["feedback"] wherever a
@@ -148,6 +152,10 @@ class TestGoldenKeys:
         cache = storage["record_cache"]
         assert set(cache) == RECORD_CACHE_KEYS
         assert cache["entries"] <= cache["capacity"]
+        restore = storage["index_restore"]
+        assert set(restore) == INDEX_RESTORE_KEYS
+        # every target here opened an empty store: nothing adopted, nothing replayed
+        assert (restore["mode"], restore["covered"], restore["tail"], restore["bytes"]) == ("none", 0, 0, 0)
         if target.startswith("memory://"):
             # records are held decoded anyway: no cache, all zeros
             assert set(cache.values()) == {0}

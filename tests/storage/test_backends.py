@@ -198,6 +198,46 @@ class TestSQLiteSpecific:
         reopened.close()
 
 
+class TestSQLiteRecordOrder:
+    """``iter_records`` is in rowid order by statement, not by SQLite's choice of
+    scan: the reopen replay and the index checkpoint's positions rest on it."""
+
+    def test_a_rewritten_record_comes_last(self, tmp_path):
+        path = tmp_path / "order.db"
+        backend = SQLiteBackend(path)
+        records = [_record(label) for label in "abcde"]
+        backend.put_batch([(record, None) for record in records])
+        records[1].annotate(Annotation("quality", "good"))
+        backend.put_record(records[1])  # INSERT OR REPLACE: a fresh, larger rowid
+        expected = [records[at].pname() for at in (0, 2, 3, 4, 1)]
+        assert [pname for pname, _ in backend.iter_records()] == expected
+        digests, marker = backend.record_order()
+        assert digests == [pname.digest for pname in expected]
+        assert marker == 6  # five inserts, then the rewrite took the next rowid
+        assert backend.record_order(upto=4) == ([pname.digest for pname in expected[:3]], 4)
+        assert [pname for pname, _ in backend.iter_records(after=4)] == expected[3:]
+        assert backend.record_order(upto=0) == ([], 0)
+        backend.close()
+        # the same after a reopen: the order is the file's, not the session's
+        reopened = SQLiteBackend(path)
+        assert [pname for pname, _ in reopened.iter_records()] == expected
+        reopened.close()
+
+    def test_the_scan_asks_for_rowid_order(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "plan.db")
+        statements = []
+        backend._connection.set_trace_callback(statements.append)
+        list(backend.iter_records())
+        assert [text for text in statements if "FROM records" in text][0].endswith("ORDER BY rowid")
+        backend.close()
+
+    def test_backends_without_an_order_say_so(self, tmp_path):
+        assert MemoryBackend().record_order() is None
+        sharded = ShardedBackend(str(tmp_path / "sharded.db"), shards=2)
+        assert sharded.record_order() is None
+        sharded.close()
+
+
 class TestDecodedRecordCache:
     """The bounded digest -> decoded-record map under ``SQLiteBackend``
     (docs/STORAGE.md, "Read path"): what it may hold, and when."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sqlite3
 
+from repro.api import connect
 from repro.core import GeoPoint, PassStore, ProvenanceRecord, SensorReading, Timestamp, TupleSet
 from repro.core.query import AttributeEquals
 from repro.storage import SQLiteBackend
@@ -131,3 +132,40 @@ def test_edge_copy_is_not_created_and_an_old_one_is_left_alone(tmp_path):
     connection = sqlite3.connect(old_path)
     assert connection.execute("SELECT COUNT(*) FROM ancestry").fetchone() == (2,)
     connection.close()
+
+
+def _rows(path, table):
+    connection = sqlite3.connect(path)
+    try:
+        return connection.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
+    finally:
+        connection.close()
+
+
+def test_old_file_gains_an_index_checkpoint_that_older_code_never_reads(tmp_path):
+    """A file from before the index checkpoint holds no blob: it opens by
+    replay, answers, and the first ``close()`` adds one row to
+    ``index_blobs`` and changes nothing else.  Older code reads that table
+    by name (``closure:<strategy>`` only), so the new row is invisible to it."""
+    path = tmp_path / "old.db"
+    old, child = _old_file(path)
+    before = {table: _rows(path, table) for table in ("records", "payloads", "removed", "ancestry")}
+    assert _rows(path, "index_blobs") == []
+
+    with connect(f"sqlite:///{path}") as client:
+        report = client.stats()["storage"]["index_restore"]
+        assert (report["mode"], report["tail"], report["reason"]) == ("replayed", 2, "no checkpoint stored")
+        assert client.query(AttributeEquals("label", "old-file")).records == [old.pname]
+        assert client.ancestors(child.pname()).records == [old.pname]
+
+    assert {table: _rows(path, table) for table in before} == before
+    assert [name for name, _ in _rows(path, "index_blobs")] == ["index:checkpoint"]
+    assert _tables(path) == {"records", "payloads", "removed", "ancestry", "index_blobs"}
+
+    with connect(f"sqlite:///{path}") as client:
+        report = client.stats()["storage"]["index_restore"]
+        assert (report["mode"], report["covered"], report["tail"]) == ("adopted", 2, 0)
+        assert client.query(AttributeEquals("label", "old-file")).records == [old.pname]
+        assert client.descendants(old.pname).records == [child.pname()]
+        assert client.store.get_readings(old.pname) == OLD_READINGS
+        assert client.store.verify_invariants() == []

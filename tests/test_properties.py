@@ -15,7 +15,7 @@ import string
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -33,10 +33,11 @@ from repro.core.closure import make_closure
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import PName
 from repro.core.query import AttributeRange
-from repro.errors import CycleError
+from repro.api.client import LocalClient
+from repro.errors import CrashInjectedError, CycleError
 from repro.index import AttributeIndex
 from repro.server import protocol
-from repro.storage import MemoryBackend, WalEntry, WriteAheadLog
+from repro.storage import MemoryBackend, SQLiteBackend, WalEntry, WriteAheadLog
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -448,6 +449,108 @@ class TestDecodedRecordCacheProperties:
             finally:
                 for client in clients.values():
                     client.close()
+
+
+# ----------------------------------------------------------------------
+# The index checkpoint: however a session ended, the next one answers alike
+# ----------------------------------------------------------------------
+checkpoint_ops = st.one_of(
+    st.tuples(st.just("publish"), st.integers(0, 9), st.booleans()),
+    st.tuples(st.just("publish_many"), st.lists(st.tuples(st.integers(0, 9), st.booleans()), min_size=1, max_size=4)),
+    st.tuples(st.just("annotate"), st.integers(0, 9), st.sampled_from(_QUALITIES)),
+    st.tuples(st.just("remove"), st.integers(0, 9)),
+    st.tuples(st.just("reopen")),
+    # the session goes on over a backend that dies at its n-th write from here
+    st.tuples(st.just("crash_after"), st.integers(0, 5)),
+)
+
+
+class TestIndexCheckpointProperties:
+    # cheap examples (tens of ms), and the rarer endings -- a tail behind an
+    # adopted checkpoint, a refusal -- need a few ops to line up
+    @settings(COMMON_SETTINGS, max_examples=160)
+    @given(ops=st.lists(checkpoint_ops, min_size=1, max_size=24))
+    def test_sqlite_answers_like_memory_across_closes_and_crashes(self, ops, tmp_path_factory):
+        """publish / publish_many / annotate / remove_data, sessions ended by
+        ``close()`` (checkpoint written when stale) or by an injected crash
+        (none written; an op the crash cut short is retried in the next
+        session): every reopen -- adopted with a tail, adopted clean, or
+        refused and replayed -- answers like the ``memory://`` twin."""
+        path = tmp_path_factory.mktemp("checkpoint") / "pass.db"
+        url = f"sqlite:///{path}"
+        published = []
+
+        def pick(index):
+            return published[index % len(published)]
+
+        def tuple_set(label, derive):
+            ancestors = [pick(label)] if derive and published else []
+            record = ProvenanceRecord({"domain": "x", "label": label}, ancestors=ancestors)
+            return TupleSet([SensorReading("s", Timestamp(float(label)), {"v": float(label)})], record)
+
+        def apply(client, op, args):
+            if op == "publish":
+                return [client.publish(tuple_set(*args)).first()]
+            if op == "publish_many":
+                return list(client.publish_many([tuple_set(*entry) for entry in args[0]]).records)
+            if published and op == "annotate":
+                client.store.annotate(pick(args[0]), repro.Annotation("quality", args[1]))
+            elif published:
+                client.store.remove_data(pick(args[0]))
+            return []
+
+        def compare(durable, memory):
+            report = durable.stats()["storage"]["index_restore"]
+            event(f"opened: {report['mode']}, tail {'> 0' if report['tail'] else '0'}")
+            assert report["covered"] + report["tail"] == len(memory.store) == len(durable.store)
+            questions = [repro.Q.attr("label") >= 3, repro.Q.attr("annotation:quality") == "good"]
+            questions += [repro.Q.derived_from(pname) for pname in published[:3]]
+            for question in questions:
+                found = [sorted(p.digest for p in client.query(question)) for client in (durable, memory)]
+                assert found[0] == found[1]
+            for pname in published:
+                assert durable.describe_record(pname).to_json() == memory.describe_record(pname).to_json()
+                assert durable.store.is_removed(pname) == memory.store.is_removed(pname)
+                assert durable.store.graph.is_removed(pname) == memory.store.graph.is_removed(pname)
+                assert durable.store.ancestors(pname) == memory.store.ancestors(pname)
+                assert durable.store.descendants(pname) == memory.store.descendants(pname)
+            counted = [c.store.statistics for c in (durable, memory)]
+            assert counted[0].attribute_counts == counted[1].attribute_counts
+            assert counted[0].graph.nodes == counted[1].graph.nodes
+            assert durable.store.attribute_index.entry_count() == memory.store.attribute_index.entry_count()
+            assert durable.store.verify_invariants() == []
+
+        memory = repro.connect("memory://")
+        durable = repro.connect(url)
+        try:
+            for op, *args in ops:
+                if op == "reopen":
+                    durable.close()
+                    durable = repro.connect(url)
+                    compare(durable, memory)
+                    continue
+                if op == "crash_after":
+                    durable.close()
+                    durable = LocalClient(PassStore(SQLiteBackend(path, crash_after_writes=args[0])))
+                    compare(durable, memory)
+                    continue
+                try:
+                    apply(durable, op, args)
+                except CrashInjectedError:
+                    event(f"crashed in {op}")
+                    durable.close()  # on a dead backend: writes nothing
+                    durable = repro.connect(url)
+                    compare(durable, memory)  # what the dead session committed is all there
+                    apply(durable, op, args)
+                for pname in apply(memory, op, args):
+                    if pname not in published:
+                        published.append(pname)
+            durable.close()
+            durable = repro.connect(url)
+            compare(durable, memory)
+        finally:
+            durable.close()
+            memory.close()
 
 
 # ----------------------------------------------------------------------
