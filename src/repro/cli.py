@@ -776,7 +776,7 @@ def _cmd_lineage(args, out) -> int:
         print(f"fan-in:            max {graph['max_fan_in']}  mean {graph['mean_fan_in']}", file=out)
         print(f"expected reach:    {graph['expected_reach']} (planner estimate)", file=out)
         print(f"closure strategy:  {closure.get('strategy', '?')}", file=out)
-        for key in ("chains", "label_entries", "rebuilds", "incremental_merges", "dirty_edges"):
+        for key in ("chains", "labels", "label_entries", "label_builds", "rebuilds", "incremental_merges", "dirty_edges"):
             if key in closure:
                 print(f"  {key}: {closure[key]}", file=out)
         busiest = sorted(graph["depth_histogram"].items())[-5:]

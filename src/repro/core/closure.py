@@ -26,13 +26,17 @@ descendant set, and pairwise reachability.
 
 from __future__ import annotations
 
+import logging
+import time
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Dict, Optional, Set
 
+from repro.core.bulk import collector_paused
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import PName
 from repro.errors import UnknownEntityError
+from repro.obs import trace
 
 __all__ = [
     "ClosureStrategy",
@@ -42,6 +46,8 @@ __all__ = [
     "make_closure",
     "register_strategy",
 ]
+
+_LOGGER = logging.getLogger("repro.core")
 
 
 class ClosureStrategy(ABC):
@@ -271,6 +277,12 @@ class LabelledClosure(ClosureStrategy):
     Queries then cost a dictionary lookup.  This is the kind of
     structure the paper's research agenda asks for ("efficient support
     for transitive closure queries").
+
+    Made over an empty graph the labels are kept edge by edge from the
+    start.  Made over a populated one they are *pending* until the first
+    ``ancestors`` / ``descendants`` / ``reachable`` / ``estimate_*`` call
+    (or :meth:`rebuild`) builds them in one pass, once; ``index_stats()``
+    reports which and never forces the build (``docs/LINEAGE.md``).
     """
 
     name = "labelled"
@@ -278,55 +290,97 @@ class LabelledClosure(ClosureStrategy):
 
     def __init__(self, graph: Optional[ProvenanceGraph] = None) -> None:
         super().__init__(graph)
-        # If a pre-populated graph was supplied (a store opening over an
-        # adopted index checkpoint), build labels for it -- on the graph's
-        # digest-level views: this is most of what such an open still costs.
-        nodes = self.graph.node_digests()
-        self._ancestor_labels: Dict[str, Set[str]] = {digest: set() for digest in nodes}
-        self._descendant_labels: Dict[str, Set[str]] = {digest: set() for digest in nodes}
-        for child in nodes:
-            for parent in sorted(self.graph.parents_of(child)):
-                self._propagate(child, parent)
+        self._ancestor_labels: Dict[str, Set[str]] = {}
+        self._descendant_labels: Dict[str, Set[str]] = {}
+        # Over a graph that arrives populated (a store opening over its
+        # records) the labels are *pending*: writes reach the graph only,
+        # and the first call that reads a label builds them all.  An open
+        # that publishes and queries attributes never pays for them.
+        self._pending = len(self.graph) > 0
+        self.label_builds = 0
 
     def add_node(self, pname: PName) -> None:
         super().add_node(pname)
-        self._ancestor_labels.setdefault(pname.digest, set())
-        self._descendant_labels.setdefault(pname.digest, set())
+        if not self._pending:
+            self._ancestor_labels.setdefault(pname.digest, set())
+            self._descendant_labels.setdefault(pname.digest, set())
 
     def ancestors(self, pname: PName) -> Set[PName]:
         if pname not in self.graph:
             raise UnknownEntityError(f"unknown node {pname}")
+        if self._pending:
+            self._build_labels()
         self.operations += 1
         return {PName(d) for d in self._ancestor_labels.get(pname.digest, set())}
 
     def descendants(self, pname: PName) -> Set[PName]:
         if pname not in self.graph:
             raise UnknownEntityError(f"unknown node {pname}")
+        if self._pending:
+            self._build_labels()
         self.operations += 1
         return {PName(d) for d in self._descendant_labels.get(pname.digest, set())}
 
     def reachable(self, ancestor: PName, descendant: PName) -> bool:
         if descendant not in self.graph or ancestor not in self.graph:
             raise UnknownEntityError("unknown node in reachability query")
+        if self._pending:
+            self._build_labels()
         self.operations += 1
         return ancestor.digest in self._ancestor_labels.get(descendant.digest, set())
 
     def estimate_ancestors(self, pname: PName) -> Optional[int]:
+        if self._pending:
+            self._build_labels()
         labels = self._ancestor_labels.get(pname.digest)
         return None if labels is None else len(labels)
 
     def estimate_descendants(self, pname: PName) -> Optional[int]:
+        if self._pending:
+            self._build_labels()
         labels = self._descendant_labels.get(pname.digest)
         return None if labels is None else len(labels)
 
+    def rebuild(self) -> None:
+        """Drop every label set and build them now (also the pre-warm after an open)."""
+        self._build_labels()
+
     def index_stats(self) -> dict:
         facts = super().index_stats()
-        facts["label_entries"] = sum(len(s) for s in self._ancestor_labels.values()) + sum(
-            len(s) for s in self._descendant_labels.values()
-        )
+        facts["label_entries"] = self._label_entries()
+        facts["labels"] = "pending" if self._pending else "built"
+        facts["label_builds"] = self.label_builds
         return facts
 
+    def _label_entries(self) -> int:
+        return sum(len(s) for s in self._ancestor_labels.values()) + sum(
+            len(s) for s in self._descendant_labels.values()
+        )
+
+    def _build_labels(self) -> None:
+        """Every label set, from the graph as it stands; the labels are current afterwards."""
+        started = time.perf_counter()
+        with trace.span("closure.build_labels"), collector_paused():
+            # (on the graph's digest-level views: this is most of the cost)
+            nodes = self.graph.node_digests()
+            self._ancestor_labels = {digest: set() for digest in nodes}
+            self._descendant_labels = {digest: set() for digest in nodes}
+            for child in nodes:
+                for parent in sorted(self.graph.parents_of(child)):
+                    self._propagate(child, parent)
+        self._pending = False
+        self.label_builds += 1
+        if _LOGGER.isEnabledFor(logging.INFO):
+            _LOGGER.info(
+                "closure labels built: nodes=%d label_entries=%d duration_ms=%.3f",
+                len(nodes),
+                self._label_entries(),
+                (time.perf_counter() - started) * 1000.0,
+            )
+
     def _on_edge(self, child: PName, parent: PName) -> None:
+        if self._pending:
+            return
         self._ancestor_labels.setdefault(child.digest, set())
         self._descendant_labels.setdefault(child.digest, set())
         self._ancestor_labels.setdefault(parent.digest, set())

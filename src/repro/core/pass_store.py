@@ -32,11 +32,14 @@ sites, and the evaluation harness measures them through this interface.
 from __future__ import annotations
 
 import json
+import logging
+import time
 import zlib
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.abstraction import AbstractedLineage, AbstractionEngine, AbstractionRule
 from repro.core.attributes import GeoPoint, Timestamp
+from repro.core.bulk import collector_paused
 from repro.core.closure import ClosureStrategy, LabelledClosure, make_closure
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import Annotation, PName, ProvenanceRecord
@@ -60,6 +63,8 @@ from repro.storage.backend import StorageBackend
 from repro.storage.memory import MemoryBackend
 
 __all__ = ["PassStore", "StoreStatistics"]
+
+_LOGGER = logging.getLogger("repro.core")
 
 #: the index checkpoint's name in the backend's blob table, and its layout number
 _CHECKPOINT_KEY = "index:checkpoint"
@@ -149,20 +154,28 @@ class PassStore(LineageOracle):
             "bytes": 0,
             "reason": "no restore attempted",
         }
-        # A durable backend may hold the indexes of an earlier session
-        # (docs/STORAGE.md, "Open path"); otherwise they start empty and
-        # _rebuild_from_backend replays every record into them.
-        indexes, replay_after = self._adopt_index_checkpoint() or (self._empty_indexes(), None)
-        self.graph, self.attribute_index, self.temporal_index, self.spatial_index, self.statistics = indexes
-        # The DAG-shape collector the statistics own (repro.core stays
-        # import-independent of repro.lineage; see make_closure).
-        self.graph_stats = self.statistics.graph
-        if isinstance(closure, str):
-            self.closure = make_closure(closure, self.graph)
-        else:
-            # Never adopt a caller-supplied strategy instance directly:
-            # rebinding its graph would corrupt any other store sharing it.
-            self.closure = closure.for_graph(self.graph)
+        # What happened to the persisted closure labelling on open; the
+        # sharded restore path overwrites this with its adoption report.
+        self._closure_restore_report = {
+            "mode": "none",
+            "shards": self.backend.shard_count(),
+            "adopted": 0,
+            "stale": [],
+            "reason": "no restore attempted",
+        }
+        started = time.perf_counter()
+        # Everything a load allocates stays live (repro.core.bulk).
+        with collector_paused():
+            self._load_from_backend(closure)
+        report = self._index_restore_report
+        _LOGGER.info(
+            "store opened: mode=%s covered=%d tail=%d reason=%s duration_ms=%.3f",
+            report["mode"],
+            report["covered"],
+            report["tail"],
+            report["reason"],
+            (time.perf_counter() - started) * 1000.0,
+        )
         self.planner = QueryPlanner(self)
         # The estimated-vs-actual feedback loop: drift-based plan
         # invalidation, statistics refresh scheduling, closure-strategy
@@ -175,18 +188,6 @@ class PassStore(LineageOracle):
         # have all committed -- an observer that turns around and queries
         # the store sees the new record fully ingested, never half-way.
         self._ingest_hooks: List[Callable[[PName, ProvenanceRecord], None]] = []
-        # What happened to the persisted closure labelling on open; the
-        # sharded restore path overwrites this with its adoption report.
-        self._closure_restore_report = {
-            "mode": "none",
-            "shards": self.backend.shard_count(),
-            "adopted": 0,
-            "stale": [],
-            "reason": "no restore attempted",
-        }
-        # Rebuild in-memory structures if the backend already has records
-        # (e.g. a SQLite file reopened after a crash).
-        self._rebuild_from_backend(replay_after)
 
     def _empty_indexes(self) -> tuple:
         attribute_index = AttributeIndex(self._indexed_attributes)
@@ -285,6 +286,10 @@ class PassStore(LineageOracle):
         for ancestor in record.ancestors:
             self.closure.add_node(ancestor)
             self.closure.add_edge(pname, ancestor)
+        self._index_attributes(pname, record)
+
+    def _index_attributes(self, pname: PName, record: ProvenanceRecord) -> None:
+        """Everything :meth:`_index_record` maintains but the lineage."""
         self.attribute_index.add(pname, record)
         for annotation in record.annotations:
             self._index_annotation(pname, annotation)
@@ -558,12 +563,31 @@ class PassStore(LineageOracle):
                 violations.append(f"removed data set {pname.short} lost its provenance record")
         return violations
 
-    def _rebuild_from_backend(self, replay_after: Optional[int] = None) -> None:
-        """Replay the backend's records (those past the adopted checkpoint only)."""
+    def _load_from_backend(self, closure: ClosureStrategy | str) -> None:
+        """Indexes, graph and closure strategy for what the backend already holds.
+
+        A durable backend may hold the indexes of an earlier session
+        (docs/STORAGE.md, "Open path"); otherwise they start empty and
+        every record is replayed into them.  Either way the records fill
+        the *graph*, and the strategy is made over the filled graph
+        afterwards: labels that no lineage read has asked for yet are
+        not built by the open.
+        """
+        indexes, replay_after = self._adopt_index_checkpoint() or (self._empty_indexes(), None)
+        self.graph, self.attribute_index, self.temporal_index, self.spatial_index, self.statistics = indexes
+        # The DAG-shape collector the statistics own (repro.core stays
+        # import-independent of repro.lineage; see make_closure).
+        self.graph_stats = self.statistics.graph
+        # (a SQLite file reopened after a crash has rows past its checkpoint)
         replay = self.backend.iter_records() if replay_after is None else self.backend.iter_records(replay_after)
         tail = 0
         for pname, record in replay:
-            self._index_record(pname, record)
+            # (not graph.add_record: it would hash each decoded record for
+            # the name the backend just gave)
+            self.graph.add_node(pname)
+            for ancestor in record.ancestors:
+                self.graph.add_edge(pname, ancestor)
+            self._index_attributes(pname, record)
             tail += 1
         self._index_restore_report["tail"] = tail
         if replay_after is None and tail:
@@ -572,6 +596,12 @@ class PassStore(LineageOracle):
         for pname in self.backend.removed_pnames():
             if pname in self.graph:
                 self.graph.mark_removed(pname)
+        if isinstance(closure, str):
+            self.closure = make_closure(closure, self.graph)
+        else:
+            # Never adopt a caller-supplied strategy instance directly:
+            # rebinding its graph would corrupt any other store sharing it.
+            self.closure = closure.for_graph(self.graph)
         if len(self.graph):
             self._restore_closure_index()
 

@@ -96,13 +96,18 @@ class RemoteClient(PassClient):
             target=self._read_loop, name="pass-client-reader", daemon=True
         )
         self._reader.start()
-        hello = self._invoke("hello", token=token, tenant=tenant)
-        if hello.get("wire_version") != protocol.WIRE_VERSION:
+        try:
+            hello = self._invoke("hello", token=token, tenant=tenant)
+            if hello.get("wire_version") != protocol.WIRE_VERSION:
+                raise ProtocolError(
+                    f"daemon speaks wire version {hello.get('wire_version')}, "
+                    f"this client speaks {protocol.WIRE_VERSION}"
+                )
+        except BaseException:
+            # A refused hello leaves no client to close: release the socket
+            # and the reader thread here.
             self.close()
-            raise ProtocolError(
-                f"daemon speaks wire version {hello.get('wire_version')}, "
-                f"this client speaks {protocol.WIRE_VERSION}"
-            )
+            raise
         self.target = hello["target"]
         self.tenant = hello["tenant"]
         self._supports_lineage: Optional[bool] = None
@@ -437,6 +442,9 @@ class RemoteClient(PassClient):
             pass
         self._sock.close()
         self._reader.join(timeout=5)
+        # makefile() holds the descriptor open until the file is closed too;
+        # only now, because the reader thread was reading from it.
+        self._reader_file.close()
 
 
 @register_scheme("pass")

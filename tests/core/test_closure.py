@@ -151,3 +151,95 @@ class TestCostProfiles:
         closure = LabelledClosure(graph)
         assert closure.ancestors(c) == {a, b}
         assert closure.descendants(a) == {b, c}
+
+
+class TestPendingLabels:
+    """Labels over a populated graph wait for the first call that reads one."""
+
+    def _over_a_chain(self, depth=4):
+        nodes = [_pname(f"p{i}") for i in range(depth + 1)]
+        graph = ProvenanceGraph()
+        for child, parent in zip(nodes[1:], nodes):
+            graph.add_edge(child, parent)
+        return LabelledClosure(graph), nodes
+
+    def test_a_closure_over_an_empty_graph_is_never_pending(self):
+        closure = LabelledClosure()
+        assert closure.index_stats()["labels"] == "built"
+        a, b = _pname("a"), _pname("b")
+        closure.add_node(a)
+        closure.add_edge(b, a)
+        facts = closure.index_stats()
+        assert (facts["labels"], facts["label_builds"], facts["label_entries"]) == ("built", 0, 2)
+
+    def test_writes_while_pending_reach_the_graph_only(self):
+        closure, nodes = self._over_a_chain()
+        late = _pname("late")
+        closure.add_node(late)
+        closure.add_edge(late, nodes[-1])
+        assert late in closure.graph
+        facts = closure.index_stats()  # never forces the build
+        assert (facts["labels"], facts["label_builds"], facts["label_entries"]) == ("pending", 0, 0)
+        assert closure.operations == 0
+
+    @pytest.mark.parametrize(
+        "read",
+        ["ancestors", "descendants", "reachable", "estimate_ancestors", "estimate_descendants", "rebuild"],
+    )
+    def test_the_first_label_read_builds_once_and_the_second_builds_nothing(self, read):
+        closure, nodes = self._over_a_chain()
+        late = _pname("late")
+        closure.add_edge(late, nodes[-1])  # written while pending: must be in the build
+        argument = {"reachable": (nodes[0], late), "rebuild": ()}.get(read, (late,))
+        getattr(closure, read)(*argument)
+        assert closure.index_stats()["labels"] == "built"
+        assert closure.label_builds == 1
+        built = closure.operations
+        assert closure.estimate_ancestors(late) == len(nodes)
+        assert closure.estimate_descendants(nodes[0]) == len(nodes)
+        assert closure.reachable(nodes[0], late)
+        assert closure.ancestors(late) == set(nodes)
+        assert closure.label_builds == 1
+        assert closure.operations == built + 2  # two lookups, no propagation
+        # and from here on maintenance is incremental
+        later = _pname("later")
+        closure.add_edge(later, late)
+        assert closure.ancestors(later) == set(nodes) | {late}
+        assert closure.label_builds == 1
+
+    def test_lazy_and_edge_by_edge_labels_are_the_same_labels(self):
+        lazy, nodes = self._over_a_chain(depth=9)
+        eager = LabelledClosure()
+        for child, parent in zip(nodes[1:], nodes):
+            eager.add_edge(child, parent)
+        lazy.rebuild()
+        assert lazy.index_stats()["label_entries"] == eager.index_stats()["label_entries"]
+        assert lazy._ancestor_labels == eager._ancestor_labels
+        assert lazy._descendant_labels == eager._descendant_labels
+
+    def test_rebuild_recomputes_labels_that_went_wrong(self):
+        closure = _build("labelled", [(_pname("b"), _pname("a")), (_pname("c"), _pname("b"))])
+        reference = NaiveClosure(closure.graph)
+        closure._ancestor_labels[_pname("c").digest] = {_pname("c").digest}  # corrupted by hand
+        assert closure.ancestors(_pname("c")) != reference.ancestors(_pname("c"))
+        closure.rebuild()
+        for node in closure.graph.nodes():
+            assert closure.ancestors(node) == reference.ancestors(node)
+            assert closure.descendants(node) == reference.descendants(node)
+        assert closure.index_stats()["labels"] == "built"
+
+    def test_the_build_is_logged_and_traced(self, caplog):
+        from repro.obs import trace
+
+        closure, nodes = self._over_a_chain()
+        trace.enable()
+        try:
+            with caplog.at_level("INFO", logger="repro.core"):
+                closure.ancestors(nodes[-1])
+            names = [span.name for span in trace.drain()]
+        finally:
+            trace.disable()
+        assert names.count("closure.build_labels") == 1
+        messages = [record.getMessage() for record in caplog.records if record.name == "repro.core"]
+        assert len(messages) == 1
+        assert messages[0].startswith("closure labels built: nodes=5 label_entries=20 duration_ms=")

@@ -9,6 +9,7 @@ count the tail after a crash, and walk every reason a blob is refused.
 
 from __future__ import annotations
 
+import gc
 import json
 import sqlite3
 import zlib
@@ -485,3 +486,232 @@ def test_a_record_written_under_the_store_is_not_claimed(tmp_path):
     with repro.connect(f"sqlite:///{path}") as client:
         assert restore_report(client)["mode"] == "replayed"
         assert client.query(Q.attr("sequence") == 2).records == [sets[2].pname]
+
+
+# ----------------------------------------------------------------------
+# (e) an open leaves the closure labels to the first lineage read
+# ----------------------------------------------------------------------
+def labels(client) -> tuple:
+    closure = client.stats()["closure"]
+    return closure["labels"], closure["label_builds"], closure["label_entries"]
+
+
+def test_a_session_without_lineage_reads_never_builds_the_labels(tmp_path):
+    path = tmp_path / "pass.db"
+    url = f"sqlite:///{path}"
+    sets = chains(2, 6)
+    with repro.connect(url) as client:
+        client.publish_many(sets[:8])
+        assert labels(client) == ("built", 0, 32)  # a new file: kept edge by edge, never pending
+    with repro.connect(url) as client:
+        assert restore_report(client)["mode"] == "adopted"
+        assert labels(client) == ("pending", 0, 0)
+        client.publish(sets[8])  # derived: an edge into the adopted graph
+        client.publish(_tuple_set(4, 0))  # raw
+        client.publish_many(sets[9:])
+        assert len(client.query(Q.attr("sensor") == "s1").records) == 6
+        assert client.query(Q.attr("sequence").between(100, 103), limit=2).total == 4
+        assert labels(client) == ("pending", 0, 0)
+        assert client.store.closure.operations == 0
+    with repro.connect(url) as client:
+        # the pending session checkpointed its graph all the same
+        report = restore_report(client)
+        assert (report["mode"], report["covered"], report["tail"]) == ("adopted", 13, 0)
+        assert labels(client) == ("pending", 0, 0)
+        assert sorted(p.digest for p in client.ancestors(sets[-1].pname).records) == sorted(
+            s.pname.digest for s in sets[6:11]
+        )
+        assert labels(client) == ("built", 1, 60)
+        client.descendants(sets[0].pname)
+        assert client.query(Q.derived_from(sets[0].pname)).total == 5
+        assert labels(client) == ("built", 1, 60)
+
+
+@pytest.mark.parametrize("first_read", ["ancestors", "derived_from", "explain"])
+def test_a_replayed_open_leaves_the_labels_pending_too(tmp_path, first_read):
+    path = tmp_path / "pass.db"
+    url = f"sqlite:///{path}"
+    sets = chains(2, 6)
+    with repro.connect(url) as client:
+        client.publish_many(sets)
+    write_blob(path, None)
+    with repro.connect(url) as client:
+        assert restore_report(client)["mode"] == "replayed"
+        assert labels(client) == ("pending", 0, 0)
+        if first_read == "ancestors":
+            assert client.ancestors(sets[5].pname).total == 5
+        elif first_read == "derived_from":
+            assert client.query(Q.derived_from(sets[6].pname)).total == 5
+        else:
+            assert client.explain(Q.derived_from(sets[6].pname)).path_kind == "lineage-descendants"
+        assert labels(client) == ("built", 1, 60)
+        assert client.descendants(sets[0].pname).total == 5
+        assert labels(client) == ("built", 1, 60)
+
+
+def test_rebuilding_the_lineage_index_builds_pending_labels_now(tmp_path):
+    url = f"sqlite:///{tmp_path / 'pass.db'}"
+    sets = chains(2, 6)
+    with repro.connect(url) as client:
+        client.publish_many(sets)
+    with repro.connect(url) as client:
+        stats = client.rebuild_lineage_index()
+        assert (stats["labels"], stats["label_builds"], stats["label_entries"]) == ("built", 1, 60)
+        client.ancestors(sets[5].pname)
+        assert labels(client) == ("built", 1, 60)
+        # ... and run again it recomputes them, which is what the verb promises
+        client.store.closure._descendant_labels[sets[0].pname.digest].clear()
+        assert client.descendants(sets[0].pname).total == 0
+        assert client.rebuild_lineage_index()["label_builds"] == 2
+        assert client.descendants(sets[0].pname).total == 5
+
+
+def test_a_descendant_watch_fires_on_the_first_publish_after_an_open(tmp_path):
+    url = f"sqlite:///{tmp_path / 'pass.db'}"
+    sets = chains(1, 4)
+    with repro.connect(url) as client:
+        client.publish_many(sets[:3])
+    with repro.connect(url) as client:
+        seen = []
+        client.subscribe_descendants(sets[0].pname, callback=seen.append)
+        assert client.stats()["stream"]["lineage_matching"] == "shared-index"
+        assert labels(client)[0] == "pending"
+        client.publish(_tuple_set(5, 0))  # unrelated: asks the closure, matches nothing
+        client.publish(sets[3])
+        assert [event.pname for event in seen] == [sets[3].pname]
+        assert labels(client) == ("built", 1, 12)
+
+
+def test_the_open_is_logged_once_with_what_it_did(tmp_path, caplog):
+    path = tmp_path / "pass.db"
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.publish_many(chains(1, 3))
+    with caplog.at_level("INFO", logger="repro.core"):
+        with repro.connect(f"sqlite:///{path}") as client:
+            client.query(Q.attr("city") == "london")
+    messages = [record.getMessage() for record in caplog.records if record.name == "repro.core"]
+    assert len(messages) == 1
+    assert messages[0].startswith("store opened: mode=adopted covered=3 tail=0 reason=None duration_ms=")
+
+
+# ----------------------------------------------------------------------
+# (f) the collector is as the caller had it, however the open ends
+# ----------------------------------------------------------------------
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_an_open_leaves_the_collector_as_it_found_it(tmp_path, collector):
+    path = tmp_path / "pass.db"
+    url = f"sqlite:///{path}"
+    sets = chains(2, 4)
+    with repro.connect(url) as client:
+        client.publish_many(sets)
+        assert gc.isenabled() is collector
+    for blob_kept in (True, False):
+        if not blob_kept:
+            write_blob(path, None)
+        with repro.connect(url) as client:
+            assert gc.isenabled() is collector
+            assert restore_report(client)["mode"] == ("adopted" if blob_kept else "replayed")
+            client.ancestors(sets[3].pname)  # the label build pauses it too
+            assert gc.isenabled() is collector
+    with repro.connect("memory://") as client:
+        assert gc.isenabled() is collector
+
+
+def test_the_load_and_the_label_build_run_with_the_collector_paused(tmp_path, monkeypatch):
+    from repro.core.closure import LabelledClosure
+
+    url = f"sqlite:///{tmp_path / 'pass.db'}"
+    sets = chains(1, 3)
+    with repro.connect(url) as client:
+        client.publish_many(sets)
+    seen = []
+
+    def recorded(method):
+        def wrapper(self, *args):
+            seen.append((method.__name__, gc.isenabled()))
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(SQLiteBackend, "removed_pnames", recorded(SQLiteBackend.removed_pnames))
+    monkeypatch.setattr(LabelledClosure, "_propagate", recorded(LabelledClosure._propagate))
+    assert gc.isenabled()
+    with repro.connect(url) as client:
+        client.ancestors(sets[2].pname)
+        assert seen == [("removed_pnames", False), ("_propagate", False), ("_propagate", False)]
+        client.publish(_tuple_set(0, 3, [sets[2].pname]))  # an ordinary write is not a bulk load
+        assert seen[-1] == ("_propagate", True)
+
+
+def _garbage_file(path):
+    path.write_bytes(b"not a database at all" * 100)
+    return lambda: repro.connect(f"sqlite:///{path}")
+
+
+def _undecodable_record(path):
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.publish_many(chains(1, 3))
+    write_blob(path, None)
+    with sqlite3.connect(path) as connection:
+        connection.execute("UPDATE records SET body = '{' WHERE rowid = 2")
+    return lambda: repro.connect(f"sqlite:///{path}")
+
+
+def _crashed_backend(path):
+    backend = SQLiteBackend(path, crash_after_writes=0)
+    with pytest.raises(CrashInjectedError):
+        backend.put_record(chains(1, 1)[0].provenance)
+    return lambda: PassStore(backend)
+
+
+@pytest.mark.parametrize("failure", [_garbage_file, _undecodable_record, _crashed_backend])
+def test_an_open_that_raises_leaves_the_collector_as_it_found_it(tmp_path, collector, failure):
+    opening = failure(tmp_path / "pass.db")
+    with pytest.raises(Exception) as raised:
+        opening()
+    assert not isinstance(raised.value, AssertionError)
+    assert gc.isenabled() is collector
+
+
+# ----------------------------------------------------------------------
+# (g) strategies that were lazy already open as they did
+# ----------------------------------------------------------------------
+def test_interval_and_sharded_opens_report_what_they_always_did(tmp_path):
+    sets = chains(3, 5)
+    full = {"mode": "full", "adopted": 1, "shards": 1, "stale": [], "reason": None}
+    for suffix, restored in (("?shards=2", {**full, "adopted": 2, "shards": 2}), ("?closure=interval", full)):
+        path = tmp_path / f"pass{len(suffix)}.db"
+        url = f"sqlite:///{path}{suffix}"
+        with repro.connect(url) as client:
+            client.publish_many(sets[:10])
+            client.descendants(sets[0].pname)  # a labelling to persist
+        with repro.connect(url) as client:
+            storage = client.stats()["storage"]
+            assert storage["closure_restore"] == restored
+            closure = client.stats()["closure"]
+            assert "labels" not in closure and "label_builds" not in closure
+            assert (closure["built"], closure["rebuilds"], closure["dirty_edges"], closure["label_entries"]) == (
+                True, 0, 0, 20,
+            )
+            client.publish_many(sets[10:])
+            assert client.stats()["closure"]["dirty_edges"] == 4
+            assert client.ancestors(sets[-1].pname).total == 4
+            closure = client.stats()["closure"]
+            assert (closure["rebuilds"], closure["incremental_merges"], closure["label_entries"]) == (0, 4, 30)
+    # the single file with its labelling blob gone: refused, rebuilt on the first read
+    with sqlite3.connect(path) as connection:
+        connection.execute("DELETE FROM index_blobs WHERE name LIKE 'closure:%'")
+    with repro.connect(url) as client:
+        assert client.stats()["storage"]["closure_restore"] == {
+            "mode": "none", "adopted": 0, "shards": 1, "stale": [], "reason": "no persisted labelling",
+        }
+        assert client.stats()["closure"]["built"] is False
+        assert client.ancestors(sets[-1].pname).total == 4
+        assert client.stats()["closure"]["rebuilds"] == 1

@@ -118,6 +118,18 @@ RESULT_CACHE_KEYS = frozenset(
     {"entries", "hits", "misses", "invalidations", "evictions"}
 )
 
+#: stats()["closure"] per strategy.  Only ``labelled`` has labels that an
+#: open can leave pending, so only it reports ``labels`` / ``label_builds``;
+#: the others omit both (``interval`` says ``built`` / ``rebuilds`` of its own).
+CLOSURE_BLOCK_KEYS = {
+    "labelled": frozenset({"strategy", "operations", "label_entries", "labels", "label_builds"}),
+    "interval": frozenset(
+        {"strategy", "operations", "built", "chains", "label_entries", "dirty_edges", "rebuilds", "incremental_merges"}
+    ),
+    "memoized": frozenset({"strategy", "operations"}),
+    "naive": frozenset({"strategy", "operations"}),
+}
+
 
 class TestGoldenKeys:
     def test_documented_keys_are_present(self, exercised):
@@ -186,6 +198,28 @@ class TestGoldenKeys:
         # The cumulative plan-cache counters ride alongside it.
         cache = stats["planner"]["cache"]
         assert {"entries", "hits", "evictions", "drift_invalidations"} <= set(cache)
+
+    def test_closure_block_keeps_its_documented_schema(self, exercised):
+        """Per strategy; a store that was never reopened has its labels
+        ``built`` by zero builds, and no time is ever in the block."""
+        target, client = exercised
+        stats = client.stats()
+        if target in MODEL_TARGETS:
+            assert "closure" not in stats  # architecture models carry no closure block
+            return
+        closure = stats["closure"]
+        assert set(closure) == CLOSURE_BLOCK_KEYS[closure["strategy"]]
+        assert closure["strategy"] == ("interval" if "shards=" in target else "labelled")
+        if closure["strategy"] == "labelled":
+            assert (closure["labels"], closure["label_builds"]) == ("built", 0)
+
+    @pytest.mark.parametrize("strategy", sorted(CLOSURE_BLOCK_KEYS))
+    def test_closure_block_per_strategy(self, strategy, workload_sets):
+        raw, derived = workload_sets
+        with connect(f"memory://?closure={strategy}") as client:
+            client.publish_many(raw + derived)
+            client.ancestors(derived[-1].pname)
+            assert set(client.stats()["closure"]) == CLOSURE_BLOCK_KEYS[strategy]
 
     def test_obs_block_has_the_registry_shape(self, exercised):
         _, client = exercised

@@ -10,7 +10,10 @@ compare.
 
 from __future__ import annotations
 
+import gc
 import json
+import socket
+import threading
 import time
 
 import pytest
@@ -20,6 +23,7 @@ from repro.api.client import LocalClient, ModelClient
 from repro.api.dsl import Q
 from repro.core import ProvenanceRecord, SensorReading, Timestamp, TupleSet
 from repro.errors import (
+    AuthError,
     ConfigurationError,
     NetworkError,
     QueryError,
@@ -226,3 +230,42 @@ def test_close_deactivates_local_subscription_mirrors(daemon):
     subscription = client.subscribe(Q.attr("city") == "london")
     client.close()
     assert subscription.active is False
+
+
+@pytest.fixture
+def collector_off():
+    """So that only ``close()`` can release a descriptor, never a collection."""
+    was = gc.isenabled()
+    gc.disable()
+    yield
+    if was:
+        gc.enable()
+
+
+def test_close_releases_the_socket_descriptor(daemon, collector_off):
+    client = connect(f"{daemon.address.url}?tenant=descriptor")
+    assert client._sock.fileno() >= 0
+    client.close()
+    # sock.makefile() shares the descriptor: it is free once both are closed
+    assert client._reader_file.closed
+    assert client._sock.fileno() == -1
+
+
+def test_a_refused_hello_releases_the_socket_and_its_reader_thread(collector_off, monkeypatch):
+    made = []
+    create_connection = socket.create_connection
+
+    def recording(*args, **kwargs):
+        made.append(create_connection(*args, **kwargs))
+        return made[-1]
+
+    def readers():
+        return [thread for thread in threading.enumerate() if thread.name == "pass-client-reader"]
+
+    monkeypatch.setattr(socket, "create_connection", recording)
+    before = readers()
+    with PassDaemon(tokens={"good": "acme"}) as guarded:
+        with pytest.raises(AuthError):
+            connect(f"{guarded.address.url}?token=bad")
+    assert len(made) == 1 and made[0].fileno() == -1
+    assert readers() == before

@@ -154,6 +154,70 @@ class TestGraphProperties:
             # A node is never its own ancestor (acyclicity).
             assert node not in naive.ancestors(node)
 
+    @settings(COMMON_SETTINGS, max_examples=100)
+    @given(
+        parent_choices=st.lists(
+            st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=3),
+            min_size=3,
+            max_size=10,
+        ),
+        quarters_loaded=st.integers(min_value=0, max_value=4),
+        steps=st.lists(
+            st.one_of(
+                st.just(("write",)),
+                st.tuples(
+                    st.sampled_from(
+                        ["ancestors", "descendants", "reachable", "estimate_ancestors", "estimate_descendants"]
+                    ),
+                    st.integers(min_value=0, max_value=100),
+                    st.integers(min_value=0, max_value=100),
+                ),
+            ),
+            min_size=4,
+            max_size=30,
+        ),
+    )
+    def test_labels_built_on_first_read_answer_like_a_fresh_walk(self, parent_choices, quarters_loaded, steps):
+        """Part of a DAG is in the graph before the labelled closure is made
+        (its labels are then pending), the rest arrives through it; wherever
+        the first read falls among the writes, every answer is the BFS one."""
+        nodes, edges = _dag_edges(parent_choices)
+        loaded = len(edges) * quarters_loaded // 4
+        graph = ProvenanceGraph()
+        for child, parent in edges[:loaded]:
+            graph.add_edge(child, parent)
+        labelled = make_closure("labelled", graph)
+        naive = make_closure("naive", graph)  # walks the same graph, keeps nothing
+        pending = edges[loaded:]
+        writes = len(pending)
+        assert labelled.index_stats()["labels"] == ("pending" if loaded else "built")
+        steps = steps + [("write",)] * len(pending) + [("ancestors", at, 0) for at in range(len(nodes))]
+        reads = 0
+        for step in steps:
+            if step[0] == "write":
+                if pending:
+                    child, parent = pending.pop(0)
+                    labelled.add_node(child)
+                    labelled.add_node(parent)
+                    labelled.add_edge(child, parent)
+                continue
+            present = [node for node in nodes if node in graph]
+            if not present:
+                continue
+            kind, first, second = step
+            node, other = present[first % len(present)], present[second % len(present)]
+            if not reads and loaded:
+                event("first read %s the writes" % ("after" if not pending else "before" if len(pending) == writes else "between"))
+            reads += 1
+            if kind == "reachable":
+                assert labelled.reachable(other, node) == naive.reachable(other, node)
+            elif kind.startswith("estimate_"):
+                assert getattr(labelled, kind)(node) == len(getattr(naive, kind[len("estimate_"):])(node))
+            else:
+                assert getattr(labelled, kind)(node) == getattr(naive, kind)(node)
+            assert labelled.index_stats()["labels"] == "built"
+        assert labelled.label_builds == (1 if loaded else 0)
+
     @COMMON_SETTINGS
     @given(
         parent_choices=st.lists(
