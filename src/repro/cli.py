@@ -62,6 +62,7 @@ available programmatically, and the storage/architecture target is a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional, Sequence
 
@@ -436,14 +437,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
 def _build_client(domain: str, hours: float, seed: int, url: str = "memory://"):
-    """Generate a workload and publish it (batched) into a connect() target."""
+    """Generate a workload and publish it (batched) into a connect() target.
+
+    The client is closed when the block ends: a durable target gets its
+    index checkpoint, so the next open adopts the file instead of
+    replaying it (docs/STORAGE.md, "Open path").
+    """
     workload = _WORKLOADS[domain](seed=seed)
     raw, derived = workload.all_sets(hours=hours)
-    client = connect(url)
-    client.publish_many(raw + derived)
-    client.refresh()
-    return workload, client, raw, derived
+    with connect(url) as client:
+        client.publish_many(raw + derived)
+        client.refresh()
+        yield workload, client, raw, derived
 
 
 def _cmd_experiments(args, out) -> int:
@@ -461,29 +468,29 @@ def _cmd_experiments(args, out) -> int:
 
 
 def _cmd_workload(args, out) -> int:
-    workload, client, raw, derived = _build_client(args.domain, args.hours, args.seed, args.store)
-    facts = workload.describe()
-    stats = client.stats()
-    print(f"domain:            {facts['domain']}", file=out)
-    print(f"networks:          {', '.join(facts['networks'])}", file=out)
-    print(f"sensors:           {facts['sensors']}", file=out)
-    print(f"simulated hours:   {args.hours}", file=out)
-    print(f"store:             {args.store} (target: {stats['target']})", file=out)
-    print(f"raw tuple sets:    {len(raw)}", file=out)
-    print(f"derived tuple sets:{len(derived)}", file=out)
-    print(f"readings:          {sum(len(ts) for ts in raw)}", file=out)
-    store = getattr(client, "store", None)
-    if store is not None:
-        print(f"store size:        {len(store)} records", file=out)
-        print(
-            f"derivation depth:  {max(store.graph.ancestry_depth_distribution() or {0: 0})}",
-            file=out,
-        )
-        violations = store.verify_invariants()
-        print(f"invariants:        {'ok' if not violations else violations}", file=out)
-    else:
-        print(f"published:         {stats.get('published', len(raw) + len(derived))}", file=out)
-    return 0
+    with _build_client(args.domain, args.hours, args.seed, args.store) as (workload, client, raw, derived):
+        facts = workload.describe()
+        stats = client.stats()
+        print(f"domain:            {facts['domain']}", file=out)
+        print(f"networks:          {', '.join(facts['networks'])}", file=out)
+        print(f"sensors:           {facts['sensors']}", file=out)
+        print(f"simulated hours:   {args.hours}", file=out)
+        print(f"store:             {args.store} (target: {stats['target']})", file=out)
+        print(f"raw tuple sets:    {len(raw)}", file=out)
+        print(f"derived tuple sets:{len(derived)}", file=out)
+        print(f"readings:          {sum(len(ts) for ts in raw)}", file=out)
+        store = getattr(client, "store", None)
+        if store is not None:
+            print(f"store size:        {len(store)} records", file=out)
+            print(
+                f"derivation depth:  {max(store.graph.ancestry_depth_distribution() or {0: 0})}",
+                file=out,
+            )
+            violations = store.verify_invariants()
+            print(f"invariants:        {'ok' if not violations else violations}", file=out)
+        else:
+            print(f"published:         {stats.get('published', len(raw) + len(derived))}", file=out)
+        return 0
 
 
 def _coerce_scalar(raw_value: str):
@@ -566,8 +573,8 @@ def _cmd_explain(args, out) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    _, client, *_ = _build_client(args.domain, args.hours, args.seed, args.store)
-    explain = client.explain(predicate)
+    with _build_client(args.domain, args.hours, args.seed, args.store) as (_, client, *_):
+        explain = client.explain(predicate)
     print(explain.format(), file=out)
     return 0
 
@@ -616,47 +623,47 @@ def _cmd_watch(args, out) -> int:
 
     workload = _WORKLOADS[args.domain](seed=args.seed)
     raw, derived = workload.all_sets(hours=args.hours)
-    client = connect(args.store)
-    shown = 0
+    with connect(args.store) as client:
+        shown = 0
 
-    def on_event(event) -> None:
-        nonlocal shown
-        if shown >= args.limit:
-            return
-        shown += 1
-        if isinstance(event, WindowEvent):
-            group = "" if event.group is None else f" {args.group_by}={event.group}"
-            value = "-" if event.value is None else f"{event.value:g}"
-            print(
-                f"window [{event.window_start:g}, {event.window_end:g})"
-                f"{group}  {event.aggregate}={value} over {event.count} match(es)",
-                file=out,
-            )
-        elif isinstance(event, MatchEvent):
-            print(f"match {event.pname.short}  {_summarise_record(event.record)}", file=out)
+        def on_event(event) -> None:
+            nonlocal shown
+            if shown >= args.limit:
+                return
+            shown += 1
+            if isinstance(event, WindowEvent):
+                group = "" if event.group is None else f" {args.group_by}={event.group}"
+                value = "-" if event.value is None else f"{event.value:g}"
+                print(
+                    f"window [{event.window_start:g}, {event.window_end:g})"
+                    f"{group}  {event.aggregate}={value} over {event.count} match(es)",
+                    file=out,
+                )
+            elif isinstance(event, MatchEvent):
+                print(f"match {event.pname.short}  {_summarise_record(event.record)}", file=out)
 
-    subscription = client.subscribe(predicate, callback=on_event, window=window)
-    client.publish_many(raw + derived)
-    client.refresh()
-    if window is not None:
-        client.flush_windows()  # trailing partial windows still report
+        subscription = client.subscribe(predicate, callback=on_event, window=window)
+        client.publish_many(raw + derived)
+        client.refresh()
+        if window is not None:
+            client.flush_windows()  # trailing partial windows still report
 
-    facts = subscription.stats()
-    print(
-        f"-- watched {len(raw) + len(derived)} published tuple set(s): "
-        f"{facts['matched']} event(s) matched, {facts['delivered']} delivered"
-        + (f" ({shown} shown)" if facts["delivered"] > shown else ""),
-        file=out,
-    )
-    stats = client.stats()
-    notify = stats.get("traffic", {}).get("by_kind", {}).get("notify")
-    if notify is not None:
+        facts = subscription.stats()
         print(
-            f"-- dissemination: {notify['messages']} notify message(s), "
-            f"{notify['bytes']} bytes over the simulated network",
+            f"-- watched {len(raw) + len(derived)} published tuple set(s): "
+            f"{facts['matched']} event(s) matched, {facts['delivered']} delivered"
+            + (f" ({shown} shown)" if facts["delivered"] > shown else ""),
             file=out,
         )
-    return 0
+        stats = client.stats()
+        notify = stats.get("traffic", {}).get("by_kind", {}).get("notify")
+        if notify is not None:
+            print(
+                f"-- dissemination: {notify['messages']} notify message(s), "
+                f"{notify['bytes']} bytes over the simulated network",
+                file=out,
+            )
+        return 0
 
 
 def _format_summary(summary) -> str:
@@ -695,68 +702,72 @@ def _cmd_simulate(args, out) -> int:
     if args.ops is not None:
         tuple_sets = tuple_sets[: args.ops]
 
-    client = connect(args.store)
-    if not hasattr(client, "simulate"):
-        print(
-            f"error: {args.store!r} is a local store; "
-            "simulate needs an architecture model (e.g. centralized://, dht://?sites=32)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        report = client.simulate(
-            tuple_sets,
-            clients=args.clients,
-            config=config,
-            schedule=schedule,
-            think_ms=args.think_ms,
-        )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    print(f"target:             {args.store} ({client.target})", file=out)
-    print(f"clients:            {report.clients} concurrent, closed loop", file=out)
-    print(
-        f"operations:         {len(report.records) - report.failed()} ok, "
-        f"{report.failed()} failed",
-        file=out,
-    )
-    print(f"virtual time:       {report.virtual_ms:g} ms", file=out)
-    print(
-        f"kernel events:      {report.events} "
-        f"({report.events_per_second():,.0f} events/s wall)",
-        file=out,
-    )
-    print(f"latency (all):      {_format_summary(report.summary())}", file=out)
-    for kind, summary in report.by_kind().items():
-        print(f"  {kind:<17} {_format_summary(summary)}", file=out)
-    busiest = sorted(
-        report.sites.items(), key=lambda item: -item[1]["utilization"]
-    )[:5]
-    if busiest:
-        print("site utilization (top 5):", file=out)
-        for site, facts in busiest:
+    with connect(args.store) as client:
+        if not hasattr(client, "simulate"):
             print(
-                f"  {site:<17} {facts['utilization'] * 100:5.1f}%  "
-                f"served {facts['served']}  mean wait {facts['mean_wait_ms']:g} ms",
-                file=out,
+                f"error: {args.store!r} is a local store; "
+                "simulate needs an architecture model (e.g. centralized://, dht://?sites=32)",
+                file=sys.stderr,
             )
-    if report.schedule_applied:
+            return 2
+        try:
+            report = client.simulate(
+                tuple_sets,
+                clients=args.clients,
+                config=config,
+                schedule=schedule,
+                think_ms=args.think_ms,
+            )
+        except ConfigurationError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+
+        print(f"target:             {args.store} ({client.target})", file=out)
+        print(f"clients:            {report.clients} concurrent, closed loop", file=out)
         print(
-            f"schedule:           {len(report.schedule_applied)} action(s): "
-            + "; ".join(report.schedule_applied),
+            f"operations:         {len(report.records) - report.failed()} ok, "
+            f"{report.failed()} failed",
             file=out,
         )
-    if report.notifications_lost:
-        print(f"notifications lost: {report.notifications_lost}", file=out)
-    print(f"journal:            sha256 {report.journal_digest}", file=out)
-    return 0
+        print(f"virtual time:       {report.virtual_ms:g} ms", file=out)
+        print(
+            f"kernel events:      {report.events} "
+            f"({report.events_per_second():,.0f} events/s wall)",
+            file=out,
+        )
+        print(f"latency (all):      {_format_summary(report.summary())}", file=out)
+        for kind, summary in report.by_kind().items():
+            print(f"  {kind:<17} {_format_summary(summary)}", file=out)
+        busiest = sorted(
+            report.sites.items(), key=lambda item: -item[1]["utilization"]
+        )[:5]
+        if busiest:
+            print("site utilization (top 5):", file=out)
+            for site, facts in busiest:
+                print(
+                    f"  {site:<17} {facts['utilization'] * 100:5.1f}%  "
+                    f"served {facts['served']}  mean wait {facts['mean_wait_ms']:g} ms",
+                    file=out,
+                )
+        if report.schedule_applied:
+            print(
+                f"schedule:           {len(report.schedule_applied)} action(s): "
+                + "; ".join(report.schedule_applied),
+                file=out,
+            )
+        if report.notifications_lost:
+            print(f"notifications lost: {report.notifications_lost}", file=out)
+        print(f"journal:            sha256 {report.journal_digest}", file=out)
+        return 0
 
 
 def _cmd_lineage(args, out) -> int:
     """Lineage inspection: ancestors / path / stats over a generated workload."""
-    _, client, raw, derived = _build_client(args.domain, args.hours, args.seed, args.store)
+    with _build_client(args.domain, args.hours, args.seed, args.store) as (_, client, _, derived):
+        return _lineage_report(args, out, client, derived)
+
+
+def _lineage_report(args, out, client, derived) -> int:
     if args.lineage_command == "stats":
         stats = client.stats()
         planner = stats.get("planner") or {}
@@ -843,23 +854,23 @@ def _cmd_query(args, out) -> int:
         return 2
     name, _, raw_value = args.predicate.partition("=")
     value = _coerce_scalar(raw_value)
-    _, client, *_ = _build_client(args.domain, args.hours, args.seed, args.store)
-    answer = client.query(Q.attr(name) == value, limit=args.limit)
-    print(f"{answer.total} data sets match {name}={value!r}", file=out)
-    for pname in answer:
-        record = client.describe_record(pname)
-        if record is None:
-            print(f"  {pname.short}", file=out)
-            continue
-        summary = ", ".join(
-            f"{key}={record.get(key)}"
-            for key in ("domain", "network", "stage", "window_start")
-            if record.get(key) is not None
-        )
-        print(f"  {pname.short}  {summary}", file=out)
-    if answer.has_more:
-        print(f"  ... and {answer.total - len(answer)} more", file=out)
-    return 0
+    with _build_client(args.domain, args.hours, args.seed, args.store) as (_, client, *_):
+        answer = client.query(Q.attr(name) == value, limit=args.limit)
+        print(f"{answer.total} data sets match {name}={value!r}", file=out)
+        for pname in answer:
+            record = client.describe_record(pname)
+            if record is None:
+                print(f"  {pname.short}", file=out)
+                continue
+            summary = ", ".join(
+                f"{key}={record.get(key)}"
+                for key in ("domain", "network", "stage", "window_start")
+                if record.get(key) is not None
+            )
+            print(f"  {pname.short}  {summary}", file=out)
+        if answer.has_more:
+            print(f"  ... and {answer.total - len(answer)} more", file=out)
+        return 0
 
 
 def _cmd_serve(args, out) -> int:
@@ -1138,8 +1149,8 @@ def _cmd_trace(args, out) -> int:
     tracing.enable()
     try:
         with tracing.span("cli.trace", attrs={"domain": args.domain, "store": args.store}):
-            _, client, *_ = _build_client(args.domain, args.hours, args.seed, args.store)
-            answer = client.query(predicate)
+            with _build_client(args.domain, args.hours, args.seed, args.store) as (_, client, *_):
+                answer = client.query(predicate)
         collected = tracing.spans()
         payload = tracing.chrome_trace(collected)
     finally:

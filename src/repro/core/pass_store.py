@@ -44,7 +44,7 @@ from repro.core.closure import ClosureStrategy, LabelledClosure, make_closure
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import Annotation, PName, ProvenanceRecord
 from repro.core.query import LineageOracle, Predicate, Query
-from repro.core.tupleset import SensorReading, TupleSet, readings_from_json, readings_to_json
+from repro.core.tupleset import SensorReading, TupleSet, readings_from_json, readings_to_bytes
 from repro.errors import (
     DuplicateProvenanceError,
     PassError,
@@ -240,14 +240,20 @@ class PassStore(LineageOracle):
         record and payload commit in the same transaction.  Entries whose
         PName is already known (stored, or earlier in this batch) are
         never rewritten; the P3 check happens here and nowhere else.
+
+        Every stored record is a graph node -- after any open, and after
+        every :meth:`_index_record` (:meth:`verify_invariants` reports one
+        that is not) -- so the backend is asked about a PName only when
+        the graph knows it: as a record, or merely as somebody's ancestor.
         """
         pnames: List[PName] = []
         fresh: List[Tuple[ProvenanceRecord, Optional[bytes]]] = []
         batch_payloads: Dict[str, Optional[bytes]] = {}
+        graph, has_record = self.graph, self.backend.has_record
         for record, payload in entries:
             pname = record.pname()
             pnames.append(pname)
-            if pname.digest not in batch_payloads and not self.backend.has_record(pname):
+            if pname.digest not in batch_payloads and not (pname in graph and has_record(pname)):
                 batch_payloads[pname.digest] = payload
                 fresh.append((record, payload))
                 continue
@@ -344,10 +350,20 @@ class PassStore(LineageOracle):
             return
         if self.backend.shard_count() > 1:
             return
-        advised = self.feedback.advise_closure(self.closure.name)
-        if advised is not None and advised != self.closure.name:
+        current = self.closure.name
+        advised = self.feedback.advise_closure(current)
+        if advised is not None and advised != current:
+            # The publish that trips the check pays for the rebuild: say so.
+            started = time.perf_counter()
             self.rebuild_closure_index(strategy=advised)
             self.feedback.note_closure_switch()
+            _LOGGER.info(
+                "closure strategy switched: from=%s to=%s nodes=%d duration_ms=%.3f",
+                current,
+                advised,
+                len(self.graph),
+                (time.perf_counter() - started) * 1000.0,
+            )
 
     # ------------------------------------------------------------------
     # Basic retrieval
@@ -551,6 +567,9 @@ class PassStore(LineageOracle):
             if pname.digest in seen_digests:
                 violations.append(f"duplicate PName in backend: {pname}")
             seen_digests[pname.digest] = pname
+            # The write path takes a PName the graph has never seen for fresh.
+            if pname not in self.graph:
+                violations.append(f"stored record {pname.short} is not a graph node")
             # P4: every ancestor referenced must still be present in the graph.
             for ancestor in record.ancestors:
                 if ancestor not in self.graph:
@@ -840,8 +859,7 @@ class PassStore(LineageOracle):
     @staticmethod
     def _encode_readings(readings: Iterable[SensorReading]) -> bytes:
         """Canonical payload bytes; P3 compares these byte for byte."""
-        items = readings_to_json(readings)
-        return json.dumps(items, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return readings_to_bytes(readings)
 
     @staticmethod
     def _decode_readings(payload: bytes) -> List[SensorReading]:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.attributes import (
@@ -52,6 +53,9 @@ __all__ = [
     "ProvenanceRecord",
     "value_to_json",
     "value_from_json",
+    "canonical_json",
+    "plain_json_text",
+    "value_json_text",
 ]
 
 
@@ -353,8 +357,32 @@ class ProvenanceRecord:
         return cls(attributes, ancestors, agents, annotations)
 
     def to_json(self) -> str:
-        """Compact JSON encoding of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """The canonical dump of :meth:`to_dict`, written straight from the values.
+
+        This is ``records.body``: byte for byte
+        ``json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))``
+        (tests/test_properties.py holds the two equal), with the keys
+        of every object spelled here in sorted order.
+        """
+        agents = ",".join(
+            [
+                f'{{"kind":{plain_json_text(agent.kind)},"metadata":{{{_members_text(agent.metadata)}}},'
+                f'"name":{plain_json_text(agent.name)},"version":{plain_json_text(agent.version)}}}'
+                for agent in self._agents
+            ]
+        )
+        ancestors = ",".join([plain_json_text(ancestor.digest) for ancestor in self._ancestors])
+        annotations = ",".join(
+            [
+                f'{{"author":{plain_json_text(ann.author)},"key":{plain_json_text(ann.key)},'
+                f'"timestamp":{plain_json_text(ann.timestamp)},"value":{value_json_text(ann.value)}}}'
+                for ann in self._annotations
+            ]
+        )
+        return (
+            f'{{"agents":[{agents}],"ancestors":[{ancestors}],"annotations":[{annotations}],'
+            f'"attributes":{{{_members_text(self._attributes)}}}}}'
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ProvenanceRecord":
@@ -411,6 +439,70 @@ def _value_from_json(value):
 # every path.  This module is the only place the tag key is spelled.
 value_to_json = _value_to_json
 value_from_json = _value_from_json
+
+
+# ----------------------------------------------------------------------
+# The stored text form, written without the intermediate dicts
+# ----------------------------------------------------------------------
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``: the one
+#: generic encoder both stored bodies are defined by.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_quote = json.encoder.encode_basestring_ascii
+_float_text = float.__repr__
+_int_text = int.__repr__
+
+
+def plain_json_text(obj) -> str:
+    """``canonical_json(obj)`` for a value that is plain JSON already.
+
+    Exact ``str``, finite ``float`` and ``int`` are written directly;
+    everything else (``None``, ``bool``, subclasses, ``nan``) is handed
+    to the generic encoder, so the two cannot differ.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is float:
+        if isfinite(obj):
+            return _float_text(obj)
+    elif kind is int:
+        return _int_text(obj)
+    return canonical_json(obj)
+
+
+def value_json_text(value: AttributeValue) -> str:
+    """``canonical_json(value_to_json(value))``, written straight from ``value``.
+
+    Fast paths go by *exact* type; a subclass, a non-finite float or a
+    type :func:`value_to_json` passes through falls back to the generic
+    encoder on ``value_to_json(value)``.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is float:
+        if isfinite(value):
+            return _float_text(value)
+    elif kind is int:
+        return _int_text(value)
+    elif kind is bool:
+        return "true" if value else "false"
+    elif kind is Timestamp:
+        return f'{{"__type__":"timestamp","seconds":{plain_json_text(value.seconds)}}}'
+    elif kind is GeoPoint:
+        return (
+            f'{{"__type__":"geopoint","lat":{plain_json_text(value.latitude)},'
+            f'"lon":{plain_json_text(value.longitude)}}}'
+        )
+    elif kind is tuple:
+        items = ",".join([value_json_text(item) for item in value])
+        return f'{{"__type__":"list","items":[{items}]}}'
+    return canonical_json(_value_to_json(value))
+
+
+def _members_text(mapping: Mapping[str, AttributeValue]) -> str:
+    """The members of a name -> value object, names sorted, braces left to the caller."""
+    return ",".join([f"{_quote(name)}:{value_json_text(mapping[name])}" for name in sorted(mapping)])
 
 
 def merge_provenance(

@@ -15,8 +15,9 @@ This module provides:
   sets by fixed time window (the "all the readings of a particular type
   over the span of one hour or one minute" example from the paper).
 * :func:`readings_to_json` / :func:`readings_from_json` -- the one
-  plain-JSON form of a list of readings; stored payloads and wire frames
-  are both built from it.
+  plain-JSON form of a list of readings; wire frames are built from it,
+  and :func:`readings_to_bytes` writes its canonical dump (the stored
+  payload) straight from the readings.
 """
 
 from __future__ import annotations
@@ -25,7 +26,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.core.attributes import AttributeValue, GeoPoint, Timestamp, ensure_attribute_map
-from repro.core.provenance import Agent, PName, ProvenanceRecord, value_from_json, value_to_json
+from repro.core.provenance import (
+    Agent,
+    PName,
+    ProvenanceRecord,
+    canonical_json,
+    plain_json_text,
+    value_from_json,
+    value_json_text,
+    value_to_json,
+)
 from repro.errors import ProvenanceError
 
 __all__ = [
@@ -33,6 +43,7 @@ __all__ = [
     "TupleSet",
     "TupleSetWindower",
     "readings_to_json",
+    "readings_to_bytes",
     "readings_from_json",
 ]
 
@@ -100,6 +111,43 @@ def readings_to_json(readings: Iterable[SensorReading]) -> List[dict]:
             item["location"] = [reading.location.latitude, reading.location.longitude]
         items.append(item)
     return items
+
+
+def readings_to_bytes(readings: Iterable[SensorReading]) -> bytes:
+    """The stored payload: the canonical dump of :func:`readings_to_json`.
+
+    Byte for byte ``canonical_json(readings_to_json(readings))``, which
+    P3 compares and old files hold (tests/test_properties.py holds the
+    two equal), written without building the list of dicts.  A tuple set
+    is one sensor's window, so the part of an item that spells the
+    sensor and its place is built once per distinct pair in this call;
+    a set that mixes sensors merely builds more of them.
+    """
+    heads: Dict[tuple, str] = {}
+    items = []
+    for reading in readings:
+        sensor_id, location = reading.sensor_id, reading.location
+        if type(sensor_id) is not str:
+            # Keys that compare equal (True, 1, 1.0) are spelled differently.
+            items.append(canonical_json(readings_to_json((reading,))[0]))
+            continue
+        # The place by identity: equal points (0.0 and -0.0, 1 and 1.0) are too.
+        key = (sensor_id, id(location))
+        head = heads.get(key)
+        if head is None:
+            head = f'"sensor_id":{plain_json_text(sensor_id)}'
+            if location is not None:
+                latitude = plain_json_text(location.latitude)
+                head = f'"location":[{latitude},{plain_json_text(location.longitude)}],{head}'
+            heads[key] = head
+        values = reading.values
+        members = ",".join(
+            [f"{plain_json_text(name)}:{value_json_text(values[name])}" for name in sorted(values)]
+        )
+        items.append(
+            f'{{{head},"timestamp":{plain_json_text(reading.timestamp.seconds)},"values":{{{members}}}}}'
+        )
+    return f'[{",".join(items)}]'.encode("ascii")
 
 
 def readings_from_json(items) -> List[SensorReading]:

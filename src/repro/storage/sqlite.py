@@ -185,26 +185,22 @@ class SQLiteBackend(StorageBackend):
             if payload is not None:
                 self._maybe_crash()
         started = time.perf_counter()
+        rows = [(record.pname().digest, record, payload) for record, payload in entries]
+        payload_rows = [(digest, bytes(payload)) for digest, _, payload in rows if payload is not None]
         with self._connection:
             self._connection.executemany(
                 "INSERT OR REPLACE INTO records (pname, body) VALUES (?, ?)",
-                [(record.pname().digest, record.to_json()) for record, _ in entries],
+                [(digest, record.to_json()) for digest, record, _ in rows],
             )
-            self._connection.executemany(
-                "INSERT OR REPLACE INTO payloads (pname, body) VALUES (?, ?)",
-                [
-                    (record.pname().digest, bytes(payload))
-                    for record, payload in entries
-                    if payload is not None
-                ],
-            )
+            if payload_rows:
+                self._connection.executemany(
+                    "INSERT OR REPLACE INTO payloads (pname, body) VALUES (?, ?)", payload_rows
+                )
         self._note_group_commit(len(entries), (time.perf_counter() - started) * 1000.0)
-        for record, payload in entries:
-            self._remember(record.pname().digest, record)
-            self.stats.puts += 1
-            if payload is not None:
-                self.stats.puts += 1
-                self.stats.payload_bytes += len(payload)
+        for digest, record, _ in rows:
+            self._remember(digest, record)
+        self.stats.puts += len(entries) + len(payload_rows)
+        self.stats.payload_bytes += sum(len(body) for _, body in payload_rows)
 
     def get_record(self, pname: PName) -> Optional[ProvenanceRecord]:
         self._check_open()

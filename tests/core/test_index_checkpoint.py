@@ -442,6 +442,7 @@ def test_sharded_and_memory_stores_replay_and_say_why(tmp_path):
         assert (report["mode"], report["covered"], report["tail"], report["bytes"]) == ("replayed", 0, 6, 0)
         assert report["reason"] == "backend keeps no record order (volatile, or sharded)"
         assert client.store.backend.get_index_blob(KEY) is None
+        assert client.store.verify_invariants() == []
     with repro.connect("memory://") as client:
         client.publish_many(chains(1, 2))
         assert restore_report(client) == {
@@ -483,9 +484,12 @@ def test_a_record_written_under_the_store_is_not_claimed(tmp_path):
     with repro.connect(f"sqlite:///{path}") as client:
         client.publish_many(sets[:2])
         client.store.backend.put_record(sets[2].provenance)
+        # ... and is what the write path's "unknown to the graph is fresh" may not meet
+        assert client.store.verify_invariants() == [f"stored record {sets[2].pname.short} is not a graph node"]
     with repro.connect(f"sqlite:///{path}") as client:
         assert restore_report(client)["mode"] == "replayed"
         assert client.query(Q.attr("sequence") == 2).records == [sets[2].pname]
+        assert client.store.verify_invariants() == []
 
 
 # ----------------------------------------------------------------------

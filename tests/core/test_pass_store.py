@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.core import (
     Agent,
     AgentIs,
@@ -469,3 +470,135 @@ class TestSQLiteBackedStore:
         for ts in batch:
             assert reopened.backend.get_payload(ts.pname) is None
         assert reopened.verify_invariants() == []
+
+
+# ----------------------------------------------------------------------
+# The duplicate check asks the graph first, the backend only about a name it knows
+# ----------------------------------------------------------------------
+TARGETS = {
+    "memory": ("memory://", False),
+    "sqlite": ("sqlite:///{dir}/pass.db", False),
+    "sqlite-reopened": ("sqlite:///{dir}/pass.db", True),
+    "sharded": ("sqlite:///{dir}/pass.db?shards=2", False),
+    "sharded-reopened": ("sqlite:///{dir}/pass.db?shards=2", True),
+}
+
+
+class TestDuplicatesThroughTheGraphFirstCheck:
+    """P3/P4 on every way a PName can already be known, before and after a reopen."""
+
+    @pytest.fixture(params=list(TARGETS), autouse=True)
+    def target(self, request, tmp_path):
+        template, self.reopens = TARGETS[request.param]
+        self.url = template.format(dir=tmp_path)
+        self.opened = []
+        yield
+        for client in self.opened:
+            client.close()
+
+    def session(self, client):
+        """The client to go on with: the same one, or a reopen of its file."""
+        if not self.reopens:
+            return client
+        client.close()
+        self.opened.append(repro.connect(self.url))
+        return self.opened[-1]
+
+    @staticmethod
+    def _stored(client) -> list:
+        """Every row identity the backend can show: a rewrite would move one."""
+        backend = client.store.backend
+        order = backend.record_order()
+        return order if order is not None else sorted(p.digest for p, _ in backend.iter_records())
+
+    def test_the_same_set_again_is_idempotent_and_rewrites_nothing(self):
+        first, second = _tuple_set("a", readings_count=3), _tuple_set("b")
+        with repro.connect(self.url) as client:
+            client.publish_many([first, second])
+            client = self.session(client)
+            store, fired = client.store, []
+            store.add_ingest_hook(lambda pname, record: fired.append(pname))
+            stored, entries, ingested = self._stored(client), store.attribute_index.entry_count(), store.stats.ingested
+            assert client.publish(first).first() == first.pname
+            assert list(client.publish_many([second, first, second]).records) == [second.pname, first.pname, second.pname]
+            assert self._stored(client) == stored and len(store) == 2
+            assert store.attribute_index.entry_count() == entries
+            assert fired == [] and store.stats.ingested == ingested
+            assert store.get_readings(first.pname) == first.readings
+            assert store.verify_invariants() == []
+
+    def test_different_data_under_the_same_provenance_is_refused(self):
+        honest = _tuple_set("a", readings_count=3)
+        impostor = TupleSet(honest.readings[:1], honest.provenance)
+        with repro.connect(self.url) as client:
+            # inside one batch, against nothing stored
+            with pytest.raises(DuplicateProvenanceError):
+                client.publish_many([honest, impostor])
+            assert len(client.store) == 0
+            client.publish(honest)
+            client = self.session(client)
+            with pytest.raises(DuplicateProvenanceError):
+                client.publish(impostor)
+            with pytest.raises(DuplicateProvenanceError):
+                client.publish_many([_tuple_set("b"), impostor])
+            assert client.store.get_readings(honest.pname) == honest.readings
+            assert _tuple_set("b").pname not in client.store
+            assert client.store.verify_invariants() == []
+
+    def test_a_name_first_seen_as_an_ancestor_is_stored_and_indexed_when_published(self):
+        parent = _tuple_set("parent")
+        child = _tuple_set("child", ancestors=[parent.pname])
+        with repro.connect(self.url) as client:
+            client.publish(child)
+            assert parent.pname in client.store.graph and parent.pname not in client.store
+            client = self.session(client)
+            assert client.publish(parent).first() == parent.pname
+            store = client.store
+            assert parent.pname in store and len(store) == 2
+            assert store.get_readings(parent.pname) == parent.readings
+            assert store.query(AttributeEquals("label", "parent")) == [parent.pname]
+            assert store.descendants(parent.pname) == {child.pname}
+            assert store.verify_invariants() == []
+
+    def test_a_metadata_only_record_gets_its_data_attached_once(self):
+        late = _tuple_set("late", readings_count=3)
+        with repro.connect(self.url) as client:
+            client.store.ingest_record(late.provenance)
+            client = self.session(client)
+            stored = self._stored(client)
+            assert client.store.get_readings(late.pname) == []
+            assert client.publish(late).first() == late.pname
+            assert client.store.get_readings(late.pname) == late.readings
+            with pytest.raises(DuplicateProvenanceError):
+                client.publish(TupleSet(late.readings[:1], late.provenance))
+            assert self._stored(client) == stored
+            assert client.store.verify_invariants() == []
+
+    def test_removed_data_stays_removed(self):
+        gone = _tuple_set("gone")
+        with repro.connect(self.url) as client:
+            client.publish(gone)
+            client.store.remove_data(gone.pname)
+            client = self.session(client)
+            assert client.publish(gone).first() == gone.pname
+            assert list(client.publish_many([gone]).records) == [gone.pname]
+            assert client.store.is_removed(gone.pname)
+            assert client.store.get_readings(gone.pname) == []
+            assert client.store.verify_invariants() == []
+
+    def test_the_backend_is_asked_only_about_names_the_graph_knows(self, monkeypatch):
+        parent, other = _tuple_set("parent"), _tuple_set("other")
+        child = _tuple_set("child", ancestors=[parent.pname])
+        with repro.connect(self.url) as client:
+            client.publish(other)
+            client = self.session(client)
+            backend, asked = client.store.backend, []
+            probe = backend.has_record
+            monkeypatch.setattr(backend, "has_record", lambda pname: asked.append(pname) or probe(pname))
+            client.publish_many([child, _tuple_set("x"), _tuple_set("y")])  # never seen: no probe
+            assert asked == []
+            client.publish(parent)  # known as child's ancestor, not stored: probed, found fresh
+            client.publish(other)  # stored: probed, found
+            client.publish_many([_tuple_set("z"), other])
+            assert asked == [parent.pname, other.pname, other.pname]
+            assert len(client.store) == 6

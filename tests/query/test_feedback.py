@@ -339,20 +339,35 @@ class TestClosureSwitching:
         store.graph_stats.nodes = nodes
         store.graph_stats.max_depth = depth
 
-    def test_switches_labelled_to_interval_on_big_graphs(self):
+    @staticmethod
+    def _switches_logged(caplog) -> list:
+        return [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "repro.core" and record.getMessage().startswith("closure strategy switched")
+        ]
+
+    def test_switches_labelled_to_interval_on_big_graphs(self, caplog):
         store = PassStore()
         _populate(store, 10)
         assert store.closure.name == "labelled"
         self._force_check(store, nodes=9000, depth=10)
-        store.ingest(TupleSet([], _record(HOT, 9000)))
+        with caplog.at_level("INFO", logger="repro.core"):
+            store.ingest(TupleSet([], _record(HOT, 9000)))
+            store.ingest(TupleSet([], _record(HOT, 9001)))
         assert store.closure.name == "interval"
         assert store.feedback.snapshot()["closure_switches"] == 1
+        # the publish that paid for the rebuild says so, once
+        (message,) = self._switches_logged(caplog)
+        assert message.startswith(f"closure strategy switched: from=labelled to=interval nodes={len(store.graph) - 1} duration_ms=")
 
-    def test_hysteresis_keeps_middling_graphs_put(self):
+    def test_hysteresis_keeps_middling_graphs_put(self, caplog):
         store = PassStore()
         _populate(store, 10)
         self._force_check(store, nodes=5000, depth=50)
-        store.ingest(TupleSet([], _record(HOT, 9000)))
+        with caplog.at_level("INFO", logger="repro.core"):
+            store.ingest(TupleSet([], _record(HOT, 9000)))
+        assert self._switches_logged(caplog) == []
         assert store.closure.name == "labelled"
         assert store.feedback.advise_closure("interval") is None
         assert store.feedback.advise_closure("labelled") is None

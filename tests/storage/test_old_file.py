@@ -5,6 +5,11 @@ fifth being the ``ancestry`` edge copy and its index -- and holds one
 payload whose bytes are a literal captured from the old readings codec.
 The first test does not depend on which side of that change the code is
 on and passes on both; the second pins what the change did to the schema.
+
+``OLD_BODY`` is the other stored form, a ``records.body`` captured from
+the generic encoder (``json.dumps(record.to_dict(), sort_keys=True, ...)``)
+before the stored forms were written straight from the values: a file
+that holds rows of both writers is, byte for byte, a file of one.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import sqlite3
 
 from repro.api import connect
 from repro.core import GeoPoint, PassStore, ProvenanceRecord, SensorReading, Timestamp, TupleSet
+from repro.core.provenance import Agent, Annotation, PName
 from repro.core.query import AttributeEquals
 from repro.storage import SQLiteBackend
 
@@ -47,6 +53,52 @@ OLD_READINGS = [
     SensorReading("cam-1", Timestamp(1.5), {"count": 7, "ok": True, "note": "x"}),
 ]
 BOGUS = "0" * 64
+
+#: ``OLD_RECORD.to_json()`` as the generic encoder wrote it
+OLD_BODY = (
+    '{"agents":[{"kind":"program","metadata":{"kernel":3,"ok":false,"since":{"__type__":"timestam'
+    'p","seconds":10.5}},"name":"sharpen","version":"1.2"},{"kind":"sensor-network","metadata":{}'
+    ',"name":"congestion-zone","version":""}],"ancestors":["ababababababababababababababababababa'
+    'bababababababababababababab","cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd'
+    'cd"],"annotations":[{"author":"ops","key":"quality","timestamp":12.5,"value":"good"},{"autho'
+    'r":"","key":"reviewed","timestamp":null,"value":true},{"author":"ops","key":"moved","timesta'
+    'mp":13,"value":{"__type__":"geopoint","lat":0.0,"lon":0.5}}],"attributes":{"big":18446744073'
+    '709551617,"domain":"traffic","huge":1e+22,"label":"golden \\"body\\"\\n\\u00e9\\u2603","lanes":3,'
+    '"location":{"__type__":"geopoint","lat":51.5,"lon":-0.12},"negative_zero":-0.0,"none_yet":{"'
+    '__type__":"list","items":[]},"open":true,"sixteen":1e+16,"speed_limit":48.3,"tags":{"__type_'
+    '_":"list","items":["a",2,2.5,false,{"__type__":"timestamp","seconds":3.0},{"__type__":"geopo'
+    'int","lat":1,"lon":-2}]},"tiny":1e-07,"window_end":{"__type__":"timestamp","seconds":300},"w'
+    'indow_start":{"__type__":"timestamp","seconds":0.0}}}'
+)
+OLD_RECORD = ProvenanceRecord(
+    {
+        "domain": "traffic",
+        "label": 'golden "body"\n\u00e9\u2603',
+        "window_start": Timestamp(0.0),
+        "window_end": Timestamp(300),
+        "location": GeoPoint(51.5, -0.12),
+        "speed_limit": 48.3,
+        "big": 2**64 + 1,
+        "tiny": 1e-07,
+        "huge": 1e22,
+        "sixteen": 1e16,
+        "negative_zero": -0.0,
+        "lanes": 3,
+        "open": True,
+        "tags": ("a", 2, 2.5, False, Timestamp(3.0), GeoPoint(1, -2)),
+        "none_yet": (),
+    },
+    ancestors=[PName("ab" * 32), PName("cd" * 32)],
+    agents=[
+        Agent("program", "sharpen", "1.2", {"kernel": 3, "since": Timestamp(10.5), "ok": False}),
+        Agent("sensor-network", "congestion-zone"),
+    ],
+    annotations=[
+        Annotation("quality", "good", "ops", 12.5),
+        Annotation("reviewed", True),
+        Annotation("moved", GeoPoint(0.0, 0.5), "ops", 13),
+    ],
+)
 
 
 def _old_file(path):
@@ -169,3 +221,52 @@ def test_old_file_gains_an_index_checkpoint_that_older_code_never_reads(tmp_path
         assert client.descendants(old.pname).records == [child.pname()]
         assert client.store.get_readings(old.pname) == OLD_READINGS
         assert client.store.verify_invariants() == []
+
+
+def test_stored_bodies_are_what_the_generic_encoder_wrote():
+    assert OLD_RECORD.pname().digest.startswith("b9ff90c75e651784")  # the captured body's PName
+    assert OLD_RECORD.to_json() == OLD_BODY
+    assert ProvenanceRecord.from_json(OLD_BODY).to_json() == OLD_BODY
+
+
+def test_a_file_of_old_and_new_rows_is_a_file_written_today(tmp_path):
+    """The two literals as rows, then today's write path beside them: the
+    same bytes, and the same answers, as a file today's code wrote alone."""
+    golden = TupleSet(OLD_READINGS, OLD_RECORD)
+    fresh = golden.derive(
+        [SensorReading("cam-2", Timestamp(2.0), {"v": 1})], {"domain": "traffic", "stage": "new"}
+    )
+    mixed, today = tmp_path / "mixed.db", tmp_path / "today.db"
+    connection = sqlite3.connect(mixed)
+    connection.executescript(OLD_SCHEMA)
+    connection.execute("INSERT INTO records VALUES (?, ?)", (golden.pname.digest, OLD_BODY))
+    connection.execute("INSERT INTO payloads VALUES (?, ?)", (golden.pname.digest, OLD_PAYLOAD))
+    connection.commit()
+    connection.close()
+
+    def answers(client) -> dict:
+        found = {
+            "label": client.query(AttributeEquals("label", OLD_RECORD.get("label"))).records,
+            "quality": client.query(AttributeEquals("annotation:quality", "good")).records,
+            "descendants": client.descendants(golden.pname).records,
+            "ancestors": sorted(p.digest for p in client.ancestors(fresh.pname).records),
+            "bodies": [client.describe_record(ts.pname).to_json() for ts in (golden, fresh)],
+            "readings": [client.store.get_readings(ts.pname) for ts in (golden, fresh)],
+            "invariants": client.store.verify_invariants(),
+        }
+        assert found["label"] == found["quality"] == [golden.pname]
+        assert found["descendants"] == [fresh.pname] and found["invariants"] == []
+        return found
+
+    found = {}
+    for path, sets in ((mixed, [fresh]), (today, [golden, fresh])):
+        with connect(f"sqlite:///{path}") as client:
+            client.publish_many(sets)
+            # idempotent against either writer's rows: P3 compares the bytes
+            assert client.publish(golden).first() == golden.pname
+            found[path] = answers(client)
+        with connect(f"sqlite:///{path}") as client:
+            assert answers(client) == found[path]
+    assert found[mixed] == found[today]
+    assert _rows(mixed, "records") == _rows(today, "records")
+    assert _rows(mixed, "payloads") == _rows(today, "payloads")

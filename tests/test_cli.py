@@ -348,6 +348,34 @@ class TestLineageCommand:
         assert code == 2
 
 
+class TestCommandsCloseTheirClient:
+    """A one-shot command closes what it opened: its file has a checkpoint to adopt."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["workload", "traffic"],
+            ["query", "traffic", "city=london"],
+            ["explain", "traffic", "city=london"],
+            ["lineage", "stats", "traffic"],
+            ["lineage", "ancestors", "traffic"],
+            ["lineage", "path", "weather"],
+            ["trace", "traffic", "city=london"],
+            ["watch", "traffic", "city=london"],
+        ],
+        ids=lambda command: "-".join(command[:2]),
+    )
+    def test_the_file_a_command_wrote_is_adopted_by_the_next_open(self, command, tmp_path):
+        from repro.api import connect
+
+        url = f"sqlite:///{tmp_path / 'pass.db'}"
+        assert main([*command, "--hours", "0.5", "--store", url], out=io.StringIO()) == 0
+        with connect(url) as client:
+            report = client.stats()["storage"]["index_restore"]
+            assert report["covered"] == client.stats()["records"] > 0
+            assert (report["mode"], report["tail"], report["reason"]) == ("adopted", 0, None)
+
+
 class TestServeCommand:
     def test_parser_accepts_serve_options(self):
         args = build_parser().parse_args(
@@ -390,6 +418,8 @@ class TestServeCommand:
         finally:
             process.terminate()
             process.wait(timeout=10)
+            process.stdout.close()
+            process.stderr.close()
 
 
 def _serve_tuple_set():

@@ -31,8 +31,9 @@ from repro.core import (
 from repro.core.attributes import canonical_encode
 from repro.core.closure import make_closure
 from repro.core.graph import ProvenanceGraph
-from repro.core.provenance import PName
+from repro.core.provenance import PName, plain_json_text, value_json_text, value_to_json
 from repro.core.query import AttributeRange
+from repro.core.tupleset import readings_to_bytes, readings_to_json
 from repro.api.client import LocalClient
 from repro.errors import CrashInjectedError, CycleError
 from repro.index import AttributeIndex
@@ -510,6 +511,8 @@ class TestDecodedRecordCacheProperties:
                     assert described["sqlite"].to_json() == described["memory"].to_json()
                     removed = {n: c.store.is_removed(pname) for n, c in clients.items()}
                     assert removed["sqlite"] == removed["memory"]
+                for client in clients.values():
+                    assert client.store.verify_invariants() == []
             finally:
                 for client in clients.values():
                     client.close()
@@ -632,6 +635,91 @@ sensor_readings = st.builds(
 )
 TAG = "__type__"
 
+# ----------------------------------------------------------------------
+# The stored forms are written straight from the values: byte parity with
+# the generic encoder, over everything a value, a name or a number can be
+# ----------------------------------------------------------------------
+class Count(int):
+    """An ``int`` subclass: a fast path that goes by ``isinstance`` would take it for an int."""
+
+    def __repr__(self) -> str:
+        return f"Count({int(self)})"
+
+
+class Ratio(float):
+    def __repr__(self) -> str:
+        return f"Ratio({float(self)})"
+
+
+class Label(str):
+    pass
+
+
+EDGE_FLOATS = [0.0, -0.0, 1e16, 1e22, 1e-7, 5e-324, 0.1, 1 / 3, 2.0**53, float("nan"), float("inf"), float("-inf")]
+EDGE_INTS = [0, 1, -1, 2**63 - 1, 2**63, -(2**63) - 1, 2**64 + 1, 10**40]
+any_floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+any_ints = st.one_of(st.integers(), st.sampled_from(EDGE_INTS))
+# every code point but the surrogates: quotes, backslashes, controls, non-ASCII, astral
+any_text = st.text(max_size=12)
+names = st.text(min_size=1, max_size=8)
+numbers = st.one_of(any_floats, any_ints, st.booleans(), any_ints.map(Count), any_floats.map(Ratio))
+wide_timestamps = st.builds(Timestamp, numbers)
+wide_geopoints = st.builds(
+    GeoPoint,
+    st.one_of(st.floats(min_value=-90, max_value=90), st.integers(-90, 90), st.sampled_from([0.0, -0.0, 0, True])),
+    st.one_of(st.floats(min_value=-180, max_value=180), st.integers(-180, 180), st.sampled_from([0.0, -0.0, 0, 1.0, 1])),
+)
+wide_scalars = st.one_of(
+    numbers,
+    any_text,
+    any_text.map(Label),
+    wide_timestamps,
+    wide_geopoints,
+)
+wide_values = st.one_of(wide_scalars, st.lists(wide_scalars, max_size=3).map(tuple))
+wide_maps = st.dictionaries(names, wide_values, max_size=5)
+wide_agents = st.builds(repro.Agent, kind=names, name=names, version=any_text, metadata=wide_maps)
+wide_annotations = st.builds(
+    repro.Annotation,
+    key=names,
+    # not coerced on the way in: a list stays a list
+    value=st.one_of(wide_values, st.lists(st.one_of(numbers, any_text), max_size=3)),
+    author=any_text,
+    timestamp=st.one_of(st.none(), numbers),
+)
+wide_records = st.builds(
+    ProvenanceRecord,
+    attributes=st.dictionaries(names, wide_values, min_size=1, max_size=6),
+    ancestors=st.lists(st.integers(0, 5).map(lambda n: ProvenanceRecord({"n": n}).pname()), max_size=3),
+    agents=st.lists(wide_agents, max_size=2),
+    annotations=st.lists(wide_annotations, max_size=3),
+)
+
+
+@st.composite
+def wide_readings(draw):
+    """Readings of a few sensors at a few places, the places shared *and* merely equal."""
+    sensors = draw(st.lists(st.one_of(names, names.map(Label), st.sampled_from([True, 1, 1.0])), min_size=1, max_size=3))
+    places = draw(st.lists(st.one_of(st.none(), wide_geopoints), min_size=1, max_size=3))
+    return draw(
+        st.lists(
+            st.builds(
+                SensorReading,
+                sensor_id=st.sampled_from(sensors),
+                timestamp=wide_timestamps,
+                values=wide_maps,
+                location=st.sampled_from(places),
+            ),
+            max_size=6,
+        )
+    )
+
+
+def canonical(plain) -> str:
+    """The generic encoder both stored forms are defined by."""
+    return json.dumps(plain, sort_keys=True, separators=(",", ":"))
+
+
 
 def modules_spelling_the_tag(sources) -> list:
     """Names of the ``(name, source)`` pairs whose source spells the tag, in any quoting."""
@@ -650,6 +738,49 @@ class TestReadingsCodecProperties:
         assert protocol.tuple_set_from_wire(wire).readings == readings
         canonical = json.dumps(wire["readings"], sort_keys=True, separators=(",", ":"))
         assert payload == canonical.encode("utf-8")
+
+    @settings(COMMON_SETTINGS, max_examples=300)
+    @given(readings=wide_readings())
+    def test_stored_readings_are_the_canonical_dump_of_the_wire_form(self, readings):
+        assert readings_to_bytes(readings) == canonical(readings_to_json(readings)).encode("utf-8")
+
+    @settings(COMMON_SETTINGS, max_examples=300)
+    @given(record=wide_records)
+    def test_a_stored_record_body_is_the_canonical_dump_of_its_dict(self, record):
+        assert record.to_json() == canonical(record.to_dict())
+
+    @settings(COMMON_SETTINGS, max_examples=300)
+    @given(value=st.one_of(wide_values, st.none(), st.lists(numbers, max_size=2)))
+    def test_a_value_text_is_the_canonical_dump_of_its_json_form(self, value):
+        assert value_json_text(value) == canonical(value_to_json(value))
+        assert plain_json_text(value_to_json(value)) == canonical(value_to_json(value))
+
+    def test_the_stored_forms_on_the_cases_a_shortcut_would_get_wrong(self):
+        here, there = GeoPoint(0.0, 1), GeoPoint(-0.0, 1.0)
+        assert here == there and hash(here) == hash(there)
+        readings = [
+            SensorReading("s", Timestamp(1), {"b": True, "a": 1, "c": 1e16, "d": 0.1}, here),
+            SensorReading("s", Timestamp(2.0), {}, there),  # an equal place, spelled differently
+            SensorReading("s", Timestamp(3.0), {"v": (1.0, True)}),  # the same sensor, nowhere
+            SensorReading("s", Timestamp(4.0), {"z": Count(7)}, here),
+            SensorReading(True, Timestamp(5.0), {}, here),  # True == 1 == 1.0, three spellings
+            SensorReading(1, Timestamp(6.0), {}, here),
+        ]
+        assert readings_to_bytes(readings) == (
+            b'[{"location":[0.0,1],"sensor_id":"s","timestamp":1,"values":{"a":1,"b":true,"c":1e+16,"d":0.1}},'
+            b'{"location":[-0.0,1.0],"sensor_id":"s","timestamp":2.0,"values":{}},'
+            b'{"sensor_id":"s","timestamp":3.0,"values":{"v":{"%s":"list","items":[1.0,true]}}},'
+            b'{"location":[0.0,1],"sensor_id":"s","timestamp":4.0,"values":{"z":7}},'
+            b'{"location":[0.0,1],"sensor_id":true,"timestamp":5.0,"values":{}},'
+            b'{"location":[0.0,1],"sensor_id":1,"timestamp":6.0,"values":{}}]' % TAG.encode()
+        )
+        assert readings_to_bytes(readings) == canonical(readings_to_json(readings)).encode("utf-8")
+        assert readings_to_bytes(iter(readings)) == readings_to_bytes(readings)
+        record = ProvenanceRecord({"b": True, "a": 1, "c": 1e16, "d": 0.1, "e": Ratio(2.5), "f": float("nan")})
+        assert record.to_json() == (
+            '{"agents":[],"ancestors":[],"annotations":[],'
+            '"attributes":{"a":1,"b":true,"c":1e+16,"d":0.1,"e":2.5,"f":NaN}}'
+        )
 
     def test_the_value_tag_is_spelled_in_one_module(self):
         package = Path(repro.__file__).resolve().parent
