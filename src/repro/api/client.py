@@ -52,8 +52,11 @@ from repro.stream.windows import WindowSpec
 __all__ = ["PassClient", "LocalClient", "ModelClient", "wrap"]
 
 
-def _paginate(pnames: Sequence[PName], limit: Optional[int], offset: int) -> Tuple[List[PName], int]:
+def _paginate(pnames: Sequence, limit: Optional[int], offset: int) -> Tuple[list, int]:
     """Slice a full answer into a page; returns ``(page, total)``.
+
+    (The answer's names are PNames, or a local store's digests, which
+    its client wraps once the page is cut.)
 
     Every paged call of every client ends here (a ``pass://`` call does
     on the daemon, which answers the error typed), so this is where a
@@ -507,11 +510,14 @@ class LocalClient(PassClient):
         origin: Optional[str] = None,
     ) -> Result:
         lowered, limit = _lift_query_limit(query, limit)
-        pairs, explain = self.store.query_explain(lowered)
-        page, total = _paginate([pname for pname, _ in pairs], limit, offset)
+        digests, explain = self.store.query_explain(lowered)
+        # Names stay digest strings until here: only the page is wrapped.
+        page, total = _paginate(digests, limit, offset)
         cost = self._local_cost()
         cost.rows_scanned = explain.rows_scanned
-        return Result(records=page, cost=cost, total=total, offset=offset, explain=explain)
+        return Result(
+            records=[PName(digest) for digest in page], cost=cost, total=total, offset=offset, explain=explain
+        )
 
     def explain(self, query=None, *, origin: Optional[str] = None) -> Explain:
         lowered, _ = _lift_query_limit(query, None)

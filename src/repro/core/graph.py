@@ -190,6 +190,10 @@ class ProvenanceGraph:
         """Every node digest (a live view; do not mutate the graph while iterating)."""
         return self._parents.keys()
 
+    def removed_digests(self) -> Set[str]:
+        """Digests of the nodes marked removed (a live view; read-only)."""
+        return self._removed
+
     def parents_of(self, digest: str) -> Set[str]:
         """Immediate ancestor digests of ``digest`` (empty for unknown nodes)."""
         return self._parents.get(digest, _NO_EDGES)

@@ -83,8 +83,9 @@ class StoreStatistics:
 
     Accounting rules (kept honest by the planner's executor):
 
-    * ``records_scanned`` -- records materialized and evaluated to
-      answer queries (index-served candidates included),
+    * ``records_scanned`` -- candidates examined to answer queries: the
+      records a scan read, or the entries an index probe yielded
+      (whether or not their records then had to be fetched),
     * ``index_hits`` -- index *probes* executed, each counted exactly
       once; probes whose results are discarded are never charged,
     * ``full_scans`` -- queries that fell back to scanning every record,
@@ -438,13 +439,15 @@ class PassStore(LineageOracle):
         self.backend.put_record(record)
         self._index_annotation(pname, annotation)
         self._checkpoint_stale = True
-        # Annotation mutates a stored record in place; cached result
-        # pairs may alias it, so drop them all (rare administrative op).
+        # An annotation changes what ``annotation:<key>`` queries match,
+        # and no anchor sees it: drop every cached result (rare
+        # administrative op).
         self.feedback.invalidate_all()
 
     def _index_annotation(self, pname: PName, annotation: Annotation) -> None:
-        # Postings of superseded values stay: an index probe yields
-        # candidates, and the residual reads the latest one off the record.
+        # Postings of superseded values stay: a probe on an ``annotation:``
+        # name is never exact -- it yields candidates, and the residual
+        # reads the latest value off the record.
         self.attribute_index.add_value(pname, f"annotation:{annotation.key}", annotation.value)
 
     # ------------------------------------------------------------------
@@ -456,30 +459,40 @@ class PassStore(LineageOracle):
         A bare predicate is wrapped in a default :class:`Query`.
         Execution goes through the cost-based planner
         (:mod:`repro.query`): the predicate is normalized, the cheapest
-        index access path (or a full scan) generates candidates, and the
-        full predicate is evaluated on the survivors.
+        index access path (or a full scan) generates candidates, and
+        whatever the path did not answer exactly is evaluated on them.
         """
-        pairs, _ = self.query_explain(query)
-        return [pname for pname, _ in pairs]
+        digests, _ = self.query_explain(query)
+        return [PName(digest) for digest in digests]
 
     def query_records(self, query: Query | Predicate) -> List[Tuple[PName, ProvenanceRecord]]:
         """Like :meth:`query` but returns ``(PName, record)`` pairs.
 
-        The pairs come straight from the executor's candidate
-        materialization -- records are read from the backend once, not
-        re-fetched per result.
+        Records the executor read to answer are reused; the rest (all of
+        them, when an index answered alone) are fetched here, once each.
         """
-        pairs, _ = self.query_explain(query)
-        return pairs
+        digests, fetched, _ = self._execute(query)
+        pnames = [PName(digest) for digest in digests]
+        missing = [pname for pname in pnames if pname.digest not in fetched]
+        if missing:
+            fetched.update((pname.digest, record) for pname, record in self.backend.get_records(missing))
+        return [(pname, fetched[pname.digest]) for pname in pnames]
 
     def query_explain(
         self, query: Query | Predicate, force_full_scan: bool = False
-    ) -> Tuple[List[Tuple[PName, ProvenanceRecord]], Explain]:
-        """Planned execution returning ``(pairs, Explain)``.
+    ) -> Tuple[List[str], Explain]:
+        """Planned execution returning ``(digests, Explain)``.
 
-        ``force_full_scan`` bypasses the planner's path choice (parity
-        tests and benchmark baselines use it).
+        The matches come as the executor names them, by digest string;
+        callers wrap what they hand out (:meth:`query` all of it, the
+        façade a page).  ``force_full_scan`` bypasses the planner's path
+        choice (parity tests and benchmark baselines use it).
         """
+        digests, _, explain = self._execute(query, force_full_scan)
+        return digests, explain
+
+    def _execute(self, query: Query | Predicate, force_full_scan: bool = False):
+        """Count the query and run it: the executor's ``(digests, fetched, Explain)``."""
         if isinstance(query, Predicate):
             query = Query(predicate=query)
         self.stats.queries += 1

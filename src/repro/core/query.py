@@ -34,6 +34,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 from repro.core.attributes import (
     AttributeValue,
     GeoPoint,
+    _ordering_key,
     canonical_encode,
     compare_values,
 )
@@ -465,8 +466,10 @@ class Query:
         Whether to include data sets whose underlying data was removed
         (their provenance survives; PASS property P4).
     order_by:
-        Optional attribute name to sort results by (ascending); records
-        lacking the attribute sort last.
+        Optional attribute name to sort results by, ascending *by value*
+        -- the ordering :class:`AttributeRange` compares with, so
+        ``2 < 9 < 10`` and ``1``, ``1.0``, ``True`` tie; ties go by
+        digest, and records lacking the attribute sort last.
     """
 
     predicate: Predicate = TRUE
@@ -495,9 +498,9 @@ class Query:
     ) -> List[PName]:
         """Evaluate against an iterable of ``(PName, ProvenanceRecord)`` pairs.
 
-        This is the generic scan path; stores with indexes narrow
-        ``candidates`` first and then call this for the residual
-        predicate.
+        This is the generic scan path: the whole predicate on every
+        candidate.  (The planner's executor tests only what its access
+        path left unanswered, then shares :meth:`arrange`.)
         """
         return [pname for pname, _ in self.evaluate_pairs(candidates, lineage, removed)]
 
@@ -507,28 +510,27 @@ class Query:
         lineage: Optional[LineageOracle] = None,
         removed: Optional[Callable[[PName], bool]] = None,
     ) -> List[tuple]:
-        """Like :meth:`evaluate` but keeps the ``(PName, record)`` pairs.
-
-        The planner's executor uses this so callers wanting records
-        (``query_records``) do not have to re-fetch what the candidate
-        step already materialized.
-        """
+        """Like :meth:`evaluate` but keeps the ``(PName, record)`` pairs."""
         matched: List[tuple] = []
         for pname, record in candidates:
             if not self.include_removed and removed is not None and removed(pname):
                 continue
             if self.predicate.matches(pname, record, lineage):
                 matched.append((pname, record))
+        return self.arrange(matched)
+
+    def arrange(self, matched: List[tuple]) -> List[tuple]:
+        """``order_by`` and ``limit`` applied to ``(PName, record)`` pairs that already matched."""
         if self.order_by is not None:
             order_attr = self.order_by
 
             def sort_key(item):
                 value = item[1].get(order_attr)
                 if value is None:
-                    return (1, "")
-                return (0, canonical_encode(value))
+                    return (1, (), item[0].digest)
+                return (0, _ordering_key(value), item[0].digest)
 
-            matched.sort(key=sort_key)
+            matched = sorted(matched, key=sort_key)
         if self.limit is not None:
             matched = matched[: self.limit]
         return matched

@@ -257,10 +257,10 @@ class ArchitectureModel(ABC):
         :meth:`query_explains` -- the one way models consult a per-site
         PASS store on the query path.
         """
-        pairs, explain = store.query_explain(query)
+        digests, explain = store.query_explain(query)
         result.rows_scanned += explain.rows_scanned
         self._query_explains.append(explain)
-        return [pname for pname, _ in pairs]
+        return [PName(digest) for digest in digests]
 
     def _trace_scan(self, site: str, rows_scanned: int, matched: int, what: str) -> None:
         """Record a non-planner scan (models keeping raw record maps) in the trace."""

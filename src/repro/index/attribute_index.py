@@ -41,7 +41,11 @@ __all__ = ["AttributeIndex"]
 
 
 class AttributeIndex:
-    """Inverted index from attribute values to PNames.
+    """Inverted index from attribute values to PName digests.
+
+    Lookups answer in digest strings, the form every structure under the
+    query executor is keyed by; the executor's readers wrap what they
+    hand out.
 
     Parameters
     ----------
@@ -207,18 +211,17 @@ class AttributeIndex:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def lookup(self, attribute: str, value: AttributeValue) -> Set[PName]:
-        """Exact-match lookup; returns the (possibly empty) set of PNames."""
-        postings = self._postings.get(attribute, {})
-        digests = postings.get(canonical_encode(value), set())
-        return {PName(d) for d in digests}
+    def lookup(self, attribute: str, value: AttributeValue) -> Set[str]:
+        """Exact-match lookup: the digests carrying ``attribute == value``.
 
-    def lookup_any(self, attribute: str, values: Iterable[AttributeValue]) -> Set[PName]:
+        The bucket itself when there is one (a live view: callers must
+        not mutate it), else a fresh empty set.
+        """
+        return self._postings.get(attribute, {}).get(canonical_encode(value)) or set()
+
+    def lookup_any(self, attribute: str, values: Iterable[AttributeValue]) -> Set[str]:
         """Union of exact-match lookups over several values."""
-        result: Set[PName] = set()
-        for value in values:
-            result |= self.lookup(attribute, value)
-        return result
+        return set().union(*(self.lookup(attribute, value) for value in values))
 
     def lookup_range(
         self,
@@ -227,7 +230,7 @@ class AttributeIndex:
         high: Optional[AttributeValue] = None,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> Set[PName]:
+    ) -> Set[str]:
         """Range lookup over order-compatible values of one attribute.
 
         Values of a kind incompatible with the bounds are skipped (they
@@ -238,18 +241,12 @@ class AttributeIndex:
         entries, lo_idx, hi_idx = self._range_bounds(
             attribute, low, high, include_low, include_high
         )
-        result: Set[str] = set()
         postings = self._postings.get(attribute, {})
-        for encoded in entries[lo_idx:hi_idx]:
-            result |= postings[encoded]
-        return {PName(d) for d in result}
+        return set().union(*(postings[encoded] for encoded in entries[lo_idx:hi_idx]))
 
-    def lookup_all(self, attribute: str) -> Set[PName]:
-        """Every PName carrying ``attribute`` at all (the 'exists' lookup)."""
-        result: Set[str] = set()
-        for bucket in self._postings.get(attribute, {}).values():
-            result |= bucket
-        return {PName(d) for d in result}
+    def lookup_all(self, attribute: str) -> Set[str]:
+        """Every digest carrying ``attribute`` at all (the 'exists' lookup)."""
+        return set().union(*self._postings.get(attribute, {}).values())
 
     # ------------------------------------------------------------------
     # Cardinality estimates (planner cost model; never fetch records)

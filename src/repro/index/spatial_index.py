@@ -6,17 +6,23 @@ likely search by sensor location", or combining data "geographically
 with data from other cities".
 
 :class:`SpatialIndex` buckets locations into fixed-size latitude /
-longitude grid cells and answers radius and bounding-box queries by
-scanning the candidate cells and filtering by exact distance.  A grid is
-entirely sufficient here: tuple sets have one representative location
-(the network centroid), counts are modest, and the benchmarks care about
-*which* architecture touches the index, not about R-tree constants.
+longitude grid cells and answers radius queries by scanning the
+candidate cells and filtering by exact distance -- the comparison
+:class:`~repro.core.query.NearLocation` makes, so the planner lets the
+probe answer alone.  A grid is entirely sufficient here: tuple sets have
+one representative location (the network centroid), counts are modest,
+and the benchmarks care about *which* architecture touches the index,
+not about R-tree constants.
+
+Sensors stay put, so many tuple sets share one location: a cell holds
+its distinct *places*, each with the digests recorded there, and a
+radius query measures a place once however many tuple sets it carries.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 
 from repro.core.attributes import GeoPoint
 from repro.core.provenance import PName
@@ -26,7 +32,7 @@ __all__ = ["SpatialIndex"]
 
 
 class SpatialIndex:
-    """Maps geographic points to PNames using a fixed-resolution grid.
+    """Maps geographic points to PName digests using a fixed-resolution grid.
 
     Parameters
     ----------
@@ -40,7 +46,12 @@ class SpatialIndex:
         if cell_degrees <= 0:
             raise ConfigurationError("cell_degrees must be positive")
         self._cell = float(cell_degrees)
-        self._cells: Dict[Tuple[int, int], Set[str]] = {}
+        # cell -> (latitude, longitude) -> the place's point and the digests
+        # located there (keyed by the bare coordinates: a tuple of floats
+        # hashes and compares in C, a GeoPoint through two Python calls)
+        self._cells: Dict[Tuple[int, int], Dict[Tuple[float, float], Tuple[GeoPoint, Set[str]]]] = {}
+        # cell -> how many digests its places hold (the planner's estimate)
+        self._population: Dict[Tuple[int, int], int] = {}
         self._points: Dict[str, GeoPoint] = {}
 
     # ------------------------------------------------------------------
@@ -51,9 +62,21 @@ class SpatialIndex:
         digest = pname.digest
         previous = self._points.get(digest)
         if previous is not None:
-            self._cells.get(self._cell_of(previous), set()).discard(digest)
+            cell, place = self._cell_of(previous), (previous.latitude, previous.longitude)
+            bucket = self._cells[cell][place][1]
+            bucket.discard(digest)
+            if not bucket:
+                # (a place nobody is at must not be measured, nor answer)
+                del self._cells[cell][place]
+            self._population[cell] -= 1
         self._points[digest] = location
-        self._cells.setdefault(self._cell_of(location), set()).add(digest)
+        cell, place = self._cell_of(location), (location.latitude, location.longitude)
+        held = self._cells.setdefault(cell, {}).get(place)
+        if held is None:
+            self._cells[cell][place] = (location, {digest})
+        else:
+            held[1].add(digest)
+        self._population[cell] = self._population.get(cell, 0) + 1
 
     def __len__(self) -> int:
         return len(self._points)
@@ -77,43 +100,36 @@ class SpatialIndex:
         # One (validated, immutable) point per distinct place: sensors stay put.
         places = {place: GeoPoint(float(place[0]), float(place[1])) for place in set(zip(lats, lons))}
         points = {digests[at]: places[place] for at, place in zip(positions, zip(lats, lons))}
-        cells: Dict[Tuple[int, int], Set[str]] = {}
+        cells: Dict[Tuple[int, int], dict] = {}
+        # One bucket per place, found by the shared point's identity (two
+        # spellings of one place, 1 and 1.0, share the bucket as well).
+        bucket_of = {
+            id(point): cells.setdefault(self._cell_of(point), {}).setdefault(
+                (point.latitude, point.longitude), (point, set())
+            )[1]
+            for point in places.values()
+        }
         for digest, point in points.items():
-            cells.setdefault(self._cell_of(point), set()).add(digest)
-        self._points, self._cells = points, cells
-
-    def location_of(self, pname: PName) -> Optional[GeoPoint]:
-        """The indexed location of ``pname``, or None when not indexed."""
-        return self._points.get(pname.digest)
+            bucket_of[id(point)].add(digest)
+        population = {
+            cell: sum(len(bucket) for _, bucket in held.values()) for cell, held in cells.items()
+        }
+        self._points, self._cells, self._population = points, cells, population
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def within_radius(self, centre: GeoPoint, radius_km: float) -> Set[PName]:
-        """PNames indexed within ``radius_km`` of ``centre``."""
+    def within_radius(self, centre: GeoPoint, radius_km: float) -> Set[str]:
+        """Digests indexed within ``radius_km`` of ``centre``."""
         if radius_km < 0:
             raise ConfigurationError("radius_km must be non-negative")
-        result: Set[PName] = set()
-        for digest in self._candidates(centre, radius_km):
-            if self._points[digest].distance_km(centre) <= radius_km:
-                result.add(PName(digest))
-        return result
-
-    def in_box(
-        self,
-        south_west: GeoPoint,
-        north_east: GeoPoint,
-    ) -> Set[PName]:
-        """PNames inside the latitude/longitude box (inclusive)."""
-        if north_east.latitude < south_west.latitude:
-            raise ConfigurationError("box north edge is south of its south edge")
-        result: Set[PName] = set()
-        for digest, point in self._points.items():
-            if (
-                south_west.latitude <= point.latitude <= north_east.latitude
-                and self._lon_between(point.longitude, south_west.longitude, north_east.longitude)
-            ):
-                result.add(PName(digest))
+        result: Set[str] = set()
+        for cell in self._candidate_cells(centre, radius_km):
+            places = self._cells.get(cell)
+            if places:
+                for place, bucket in places.values():
+                    if place.distance_km(centre) <= radius_km:
+                        result |= bucket
         return result
 
     def estimate_within(self, centre: GeoPoint, radius_km: float) -> int:
@@ -125,18 +141,8 @@ class SpatialIndex:
         """
         if radius_km < 0:
             raise ConfigurationError("radius_km must be non-negative")
-        return sum(
-            len(self._cells.get(cell, ())) for cell in self._candidate_cells(centre, radius_km)
-        )
-
-    def nearest(self, centre: GeoPoint, count: int = 1) -> List[PName]:
-        """The ``count`` indexed PNames closest to ``centre``."""
-        if count <= 0:
-            raise ConfigurationError("count must be positive")
-        ranked = sorted(
-            self._points.items(), key=lambda item: item[1].distance_km(centre)
-        )
-        return [PName(digest) for digest, _ in ranked[:count]]
+        population = self._population
+        return sum(population.get(cell, 0) for cell in self._candidate_cells(centre, radius_km))
 
     # ------------------------------------------------------------------
     # Internals
@@ -161,15 +167,3 @@ class SpatialIndex:
         for d_lat in range(-lat_span, lat_span + 1):
             for d_lon in range(-lon_span, lon_span + 1):
                 yield (centre_cell[0] + d_lat, centre_cell[1] + d_lon)
-
-    def _candidates(self, centre: GeoPoint, radius_km: float) -> Iterable[str]:
-        for cell in self._candidate_cells(centre, radius_km):
-            for digest in self._cells.get(cell, ()):  # pragma: no branch
-                yield digest
-
-    @staticmethod
-    def _lon_between(lon: float, west: float, east: float) -> bool:
-        if west <= east:
-            return west <= lon <= east
-        # Box crosses the antimeridian.
-        return lon >= west or lon <= east

@@ -6,11 +6,10 @@ constraint: "show me the heart rate from moment of arrival until now",
 "aggregated over time to estimate the effects of changing Zone size".
 
 :class:`TemporalIndex` maps time intervals (a tuple set's
-``window_start``/``window_end``) to PNames and answers three questions:
-
-* which tuple sets *overlap* a query interval,
-* which are entirely *contained* in it,
-* which cover a single instant.
+``window_start``/``window_end``) to PName digests and answers which
+tuple sets *overlap* a query interval -- exactly what
+:class:`~repro.core.query.TimeWindowOverlaps` asks, closed interval
+against closed interval, so the planner lets the probe answer alone.
 
 The implementation keeps intervals in a list sorted by start time with
 binary search on the start bound; for the workload sizes the benchmarks
@@ -21,7 +20,7 @@ easy to verify.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.attributes import Timestamp
 from repro.core.provenance import PName
@@ -79,41 +78,13 @@ class TemporalIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def overlapping(self, start: Timestamp, end: Timestamp) -> Set[PName]:
-        """PNames whose interval overlaps [start, end] (closed intervals)."""
-        if end.seconds < start.seconds:
-            raise ConfigurationError("query end precedes its start")
-        result: Set[PName] = set()
-        # Any overlapping interval must start at or before the query end,
-        # and (because intervals are at most _max_duration long) at or
-        # after query start - max_duration.
-        low = start.seconds - self._max_duration
-        begin = self._lower_bound(low)
-        for idx in range(begin, len(self._intervals)):
-            iv_start, iv_end, digest = self._intervals[idx]
-            if iv_start > end.seconds:
-                break
-            if iv_end >= start.seconds:
-                result.add(PName(digest))
-        return result
-
-    def contained(self, start: Timestamp, end: Timestamp) -> Set[PName]:
-        """PNames whose interval lies entirely inside [start, end]."""
-        if end.seconds < start.seconds:
-            raise ConfigurationError("query end precedes its start")
-        result: Set[PName] = set()
-        begin = self._lower_bound(start.seconds)
-        for idx in range(begin, len(self._intervals)):
-            iv_start, iv_end, digest = self._intervals[idx]
-            if iv_start > end.seconds:
-                break
-            if iv_start >= start.seconds and iv_end <= end.seconds:
-                result.add(PName(digest))
-        return result
-
-    def at(self, instant: Timestamp) -> Set[PName]:
-        """PNames whose interval covers a single instant."""
-        return self.overlapping(instant, instant)
+    def overlapping(self, start: Timestamp, end: Timestamp) -> Set[str]:
+        """Digests whose interval overlaps [start, end] (closed intervals)."""
+        begin, finish = self._visited(start, end)
+        query_start = start.seconds
+        return {
+            digest for _, iv_end, digest in self._intervals[begin:finish] if iv_end >= query_start
+        }
 
     def estimate_overlapping(self, start: Timestamp, end: Timestamp) -> int:
         """Upper bound on :meth:`overlapping`'s result size, in O(log n).
@@ -123,25 +94,22 @@ class TemporalIndex:
         the window, so this over-estimates, which is safe for a planner
         deciding whether the index beats a full scan.
         """
-        if end.seconds < start.seconds:
-            raise ConfigurationError("query end precedes its start")
-        begin = self._lower_bound(start.seconds - self._max_duration)
-        # First interval starting strictly after the query end.
-        finish = bisect_left(self._intervals, (end.seconds, float("inf"), "\uffff"))
+        begin, finish = self._visited(start, end)
         return max(0, finish - begin)
-
-    def span(self) -> Optional[Tuple[Timestamp, Timestamp]]:
-        """(earliest start, latest end) over everything indexed, or None."""
-        if not self._intervals:
-            return None
-        earliest = self._intervals[0][0]
-        latest = max(end for _, end, _ in self._intervals)
-        return (Timestamp(earliest), Timestamp(latest))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _lower_bound(self, start_seconds: float) -> int:
-        """Index of the first interval whose start is >= start_seconds."""
-        # The sentinel sorts before every real entry sharing the same start.
-        return bisect_left(self._intervals, (start_seconds, -float("inf"), ""))
+    def _visited(self, start: Timestamp, end: Timestamp) -> Tuple[int, int]:
+        """The slice of intervals an overlap scan must look at.
+
+        Any overlapping interval starts at or before the query end and
+        (because intervals are at most ``_max_duration`` long) at or
+        after query start - max_duration.
+        """
+        if end.seconds < start.seconds:
+            raise ConfigurationError("query end precedes its start")
+        # The sentinels sort before / after every real entry sharing the start.
+        begin = bisect_left(self._intervals, (start.seconds - self._max_duration, -float("inf"), ""))
+        finish = bisect_left(self._intervals, (end.seconds, float("inf"), "\uffff"))
+        return begin, finish

@@ -1,26 +1,29 @@
 """The executor: run a plan, account for it honestly, explain it.
 
-The executor is the one place candidate records are materialized and
-the residual predicate is evaluated, which gives it two jobs beyond
-producing ``(PName, record)`` pairs:
+The executor is the one place index hits become an answer, which gives
+it two jobs beyond producing names:
 
 * **accounting** -- each index probe bumps ``index_hits`` exactly once,
-  every record fetched for evaluation bumps ``records_scanned``, and
-  full scans are counted separately, so ``client.stats()`` reports what
-  actually happened;
+  every candidate examined for the answer (an index entry, or a record
+  a scan read) bumps ``records_scanned``, and full scans are counted
+  separately, so ``client.stats()`` reports what actually happened; the
+  records actually fetched show in the backend's ``gets``;
 * **explanation** -- every execution yields an
   :class:`~repro.query.explain.Explain` comparing the planner's estimate
   with the rows actually scanned and matched.
+
+Names travel as digest strings, the form the indexes, the graph and the
+backends are keyed by; a ``PName`` is made only for a record that must
+be fetched, and by the readers of :func:`execute` for what they return.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.provenance import PName, ProvenanceRecord
-from repro.core.query import Query
+from repro.core.provenance import ProvenanceRecord
+from repro.core.query import TRUE, Query
 from repro.obs import trace
 from repro.query.explain import Explain
 from repro.query.paths import FullScanPath
@@ -30,11 +33,13 @@ __all__ = ["execute"]
 
 def execute(
     store, query: Query, force_full_scan: bool = False
-) -> Tuple[List[Tuple[PName, ProvenanceRecord]], Explain]:
+) -> Tuple[List[str], Dict[str, ProvenanceRecord], Explain]:
     """Plan and run ``query`` against ``store``.
 
-    Returns the matching ``(PName, record)`` pairs (ordered and limited
-    per the query's options) plus the :class:`Explain` of what ran.
+    Returns the matching digests (ordered and limited per the query's
+    options), the records the run happened to fetch for them (by digest;
+    none when the index answered alone or the result cache did) and the
+    :class:`Explain` of what ran.
     """
     started = time.perf_counter()
     # One span covers plan + probe/scan + fetch + evaluate: the phase
@@ -51,16 +56,16 @@ def execute(
             # post-commit ingest hook, so a hit is always current.
             result_key = feedback.result_key(query)
             if result_key is not None:
-                cached_pairs = feedback.cached_result(result_key)
-                if cached_pairs is not None:
+                cached = feedback.cached_result(result_key)
+                if cached is not None:
                     op_span.set_attr("path", "result-cache")
-                    op_span.set_attr("rows", len(cached_pairs))
+                    op_span.set_attr("rows", len(cached))
                     explain = Explain(
                         site=store.site,
                         path="hot-key result cache",
                         path_kind="result-cache",
-                        estimated_rows=len(cached_pairs),
-                        actual_rows=len(cached_pairs),
+                        estimated_rows=len(cached),
+                        actual_rows=len(cached),
                         rows_scanned=0,
                         duration_ms=(time.perf_counter() - started) * 1000.0,
                         cache_hit=True,
@@ -68,13 +73,15 @@ def execute(
                         shape=result_key.shape,
                         adapted="hot-key: served from result cache",
                     )
-                    return list(cached_pairs), explain
+                    return list(cached), {}, explain
             # Accumulated drift/ingest volume schedules a statistics
             # rebuild; running it *before* planning lets the fresh
             # histograms price this very query.
             if feedback.refresh_due():
                 store.refresh_statistics()
         plan = store.planner.plan(query, force_full_scan=force_full_scan)
+        # (a live view of the removal marks every stored record's node carries)
+        removed = () if query.include_removed else store.graph.removed_digests()
         full_scan = isinstance(plan.path, FullScanPath)
         if full_scan:
             # scan_all is the backend's bulk-read entry point: sharded
@@ -82,48 +89,63 @@ def execute(
             # merge in digest order.
             candidates = store.backend.scan_all()
             store.stats.full_scans += 1
+            rows_scanned = len(candidates)
+            if removed:
+                candidates = [pair for pair in candidates if pair[0].digest not in removed]
         else:
             hits = plan.path.probe(store)
             store.stats.index_hits += plan.path.probes_run()
+            rows_scanned = len(hits)
             # Digest order keeps index-served answers deterministic across
-            # backends and runs (sets have no stable iteration order); the
-            # bulk fetch keeps durable backends at one statement per chunk
-            # instead of one per candidate.
-            candidates = store.backend.get_records(
-                sorted(hits, key=lambda p: p.digest)
-            )
-        store.stats.records_scanned += len(candidates)
+            # backends and runs (sets have no stable iteration order).
+            names = sorted(hits)
+            if removed:
+                names = [digest for digest in names if digest not in removed]
+            if plan.residual is TRUE and plan.path.index_only and query.order_by is None:
+                # Nothing to re-test, nothing to sort by: the hits *are*
+                # the answer, and no record is read for it.
+                candidates = None
+            else:
+                # The bulk fetch keeps durable backends at one statement
+                # per chunk instead of one per candidate; a name the store
+                # holds no record for (a closure can yield one) drops out.
+                candidates = store.backend.get_records(plan.path.pnames(names))
+        store.stats.records_scanned += rows_scanned
         if plan.cache_hit:
             store.stats.plan_cache_hits += 1
 
-        # The residual drops conjuncts the path answered exactly (a lineage
-        # probe already enumerated the closure; re-testing reachability per
-        # candidate would re-pay the walk).  Ordering/limit/removed-data
-        # options still apply in full.
-        residual = replace(query, predicate=plan.residual)
-        pairs = residual.evaluate_pairs(
-            candidates, lineage=store, removed=store.is_removed
-        )
+        fetched: Dict[str, ProvenanceRecord] = {}
+        if candidates is None:
+            digests = names if query.limit is None else names[: query.limit]
+        else:
+            # The residual drops conjuncts the path answered exactly; the
+            # ordering and limit options still apply in full.
+            if plan.residual is not TRUE:
+                matches = plan.residual.matches
+                candidates = [pair for pair in candidates if matches(pair[0], pair[1], store)]
+            for pname, record in query.arrange(candidates):
+                fetched[pname.digest] = record
+            digests = list(fetched)
         op_span.set_attr("path", plan.path.kind)
-        op_span.set_attr("rows_scanned", len(candidates))
-        op_span.set_attr("rows", len(pairs))
+        op_span.set_attr("rows_scanned", rows_scanned)
+        op_span.set_attr("rows", len(digests))
         if feedback is not None and not force_full_scan:
             feedback.observe_execution(
-                plan.shape, plan.estimated_rows, len(pairs), plan.cache_hit
+                plan.shape, plan.estimated_rows, len(digests), plan.cache_hit
             )
             if result_key is not None:
-                feedback.maybe_admit(result_key, pairs, len(candidates))
+                feedback.maybe_admit(result_key, digests, rows_scanned)
     explain = Explain(
         site=store.site,
         path=plan.path.describe(),
         path_kind=plan.path.kind,
         estimated_rows=plan.estimated_rows,
-        actual_rows=len(pairs),
-        rows_scanned=len(candidates),
+        actual_rows=len(digests),
+        rows_scanned=rows_scanned,
         duration_ms=(time.perf_counter() - started) * 1000.0,
         cache_hit=plan.cache_hit,
         used_index=not full_scan,
         shape=plan.shape,
         adapted=plan.adapted,
     )
-    return pairs, explain
+    return digests, fetched, explain

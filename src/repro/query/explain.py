@@ -28,7 +28,8 @@ class Explain:
     estimated_rows: int
     #: records that matched the predicate
     actual_rows: int
-    #: records materialized and evaluated to answer
+    #: candidates examined to answer: records a scan read, or entries an
+    #: index probe yielded (fetched or not)
     rows_scanned: int
     #: wall time of plan + execute, so estimated-vs-actual rows carry a
     #: latency column (distributed roots report the whole scatter/gather)

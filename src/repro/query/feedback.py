@@ -15,10 +15,11 @@ this module is the consumer that closes the loop.  One
   re-ranks it on the next hit (the fresh plan reports ``adapted``).
 * **Statistics refresh scheduling.**  Attribute statistics and the
   :class:`~repro.lineage.stats.GraphStatistics` depth histogram are
-  maintained incrementally and never revisited; accumulated drift or
-  ingest volume now schedules a full rebuild
-  (:meth:`PassStore.refresh_statistics`), fixing e.g. depths
-  understated by out-of-order ingest.
+  maintained incrementally and never revisited; accumulated drift (on
+  a store that has ingested since the last rebuild -- on an unchanged
+  one a rebuild reproduces the statistics it replaces) or ingest volume
+  schedules a full rebuild (:meth:`PassStore.refresh_statistics`),
+  fixing e.g. depths understated by out-of-order ingest.
 * **Adaptive closure strategy switching.**  The DAG-shape summary
   (node count, max depth) is checked every ``_CLOSURE_CHECK_INTERVAL``
   fresh ingests; when the graph outgrows the labelled strategy's sweet
@@ -27,7 +28,8 @@ this module is the consumer that closes the loop.  One
   back, with hysteresis, should the graph be small and shallow).
 * **Hot-key result caching with precise ingest invalidation.**  Exact
   repeats (same shape *and* constants) are counted; once a key is hot
-  its result is cached, bounded LRU, and invalidated precisely by the
+  its result -- the matching names, no records -- is cached, bounded
+  LRU, and invalidated precisely by the
   stream engine's anchor index (:class:`~repro.stream.dispatch.DispatchIndex`)
   from the post-commit ingest hook -- only an ingest that can match the
   cached predicate evicts it.  Lineage queries are never cached: an
@@ -80,7 +82,8 @@ _DRIFT_COOLDOWN = 64
 #: Shapes tracked for drift (LRU-bounded like the plan cache).
 _MAX_TRACKED_SHAPES = 512
 
-#: Refresh statistics after this many drift events ...
+#: Refresh statistics after this many drift events (once the store has
+#: ingested anything the rebuild could see) ...
 _REFRESH_DRIFT_EVENTS = 4
 #: ... or when the store grew by this factor since the last refresh
 #: (against at least _REFRESH_MIN_BASE records, so small stores don't
@@ -213,9 +216,7 @@ class FeedbackCollector:
 
         # -- hot-key result cache -------------------------------------
         self._key_counts: "OrderedDict[str, int]" = OrderedDict()
-        self._results: "OrderedDict[str, Tuple[Tuple[PName, ProvenanceRecord], ...]]" = (
-            OrderedDict()
-        )
+        self._results: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
         self._invalidation = DispatchIndex()
         self._result_hits = 0
         self._result_misses = 0
@@ -295,8 +296,14 @@ class FeedbackCollector:
     # Statistics refresh scheduling
     # ------------------------------------------------------------------
     def refresh_due(self) -> bool:
-        """True when accumulated drift or ingest volume warrants a rebuild."""
-        if not self.enabled:
+        """True when accumulated drift or ingest volume warrants a rebuild.
+
+        Everything the statistics are built from arrives by ingest
+        (attributes are immutable, annotations re-count nothing), so
+        drift on a store that has ingested nothing since the last
+        rebuild waits: the rebuild would reproduce what it replaces.
+        """
+        if not self.enabled or not self._ingested_since_refresh:
             return False
         if self._drift_since_refresh >= _REFRESH_DRIFT_EVENTS:
             return True
@@ -370,10 +377,8 @@ class FeedbackCollector:
         )
         return ResultKey(shape_key(predicate), token, predicate)
 
-    def cached_result(
-        self, key: ResultKey
-    ) -> Optional[Tuple[Tuple[PName, ProvenanceRecord], ...]]:
-        """The cached pairs for ``key``, counting the sighting either way."""
+    def cached_result(self, key: ResultKey) -> Optional[Tuple[str, ...]]:
+        """The cached digests for ``key``, counting the sighting either way."""
         self._note_sighting(key.token)
         entry = self._results.get(key.token)
         if entry is None:
@@ -383,16 +388,11 @@ class FeedbackCollector:
         self._result_hits += 1
         return entry
 
-    def maybe_admit(
-        self,
-        key: ResultKey,
-        pairs: List[Tuple[PName, ProvenanceRecord]],
-        rows_scanned: int,
-    ) -> None:
-        """Cache ``pairs`` once the key is hot, worthwhile, and anchorable."""
+    def maybe_admit(self, key: ResultKey, digests: List[str], rows_scanned: int) -> None:
+        """Cache ``digests`` once the key is hot, worthwhile, and anchorable."""
         if not self.enabled or key.token in self._results:
             return
-        if len(pairs) > _RESULT_CACHE_MAX_ROWS:
+        if len(digests) > _RESULT_CACHE_MAX_ROWS:
             return
         if rows_scanned < _RESULT_CACHE_MIN_SCANNED:
             return
@@ -404,7 +404,7 @@ class FeedbackCollector:
             # caching (and `candidates` would return it for any record).
             self._invalidation.remove(key.token)
             return
-        self._results[key.token] = tuple(pairs)
+        self._results[key.token] = tuple(digests)
         while len(self._results) > _RESULT_CACHE_MAX:
             evicted, _ = self._results.popitem(last=False)
             self._invalidation.remove(evicted)

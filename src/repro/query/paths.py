@@ -5,20 +5,25 @@ Each path knows three things:
 * how to *estimate* its result cardinality from the store's
   :class:`~repro.query.statistics.Statistics` and index metadata without
   fetching a single record,
-* how to *probe* the store's indexes for the candidate PNames,
+* how to *probe* the store's indexes for the candidate names -- digest
+  strings, the form every index, the graph and the backends are keyed
+  by; the executor's readers wrap what they hand out,
 * how many index probes it performs (so the store's counters can charge
   each probe exactly once).
 
-Paths only have to be **complete** -- return a superset of the true
-matches among stored records -- because the executor always evaluates
-the full predicate on the candidates.  Soundness therefore never
-depends on estimate quality; only performance does.
+Every path is **complete** -- it returns a superset of the true matches
+among stored records.  An :attr:`~AccessPath.exact` path returns no
+more than those, so the planner drops its conjunct from what the
+executor re-tests; and when nothing is left to re-test and the path is
+:attr:`~AccessPath.index_only`, the sorted hits are the answer and no
+record is fetched.  Soundness never depends on estimate quality; only
+performance does.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.attributes import AttributeValue, GeoPoint, Timestamp
 from repro.core.provenance import PName
@@ -41,7 +46,7 @@ __all__ = [
 
 
 class AccessPath(ABC):
-    """One way of producing candidate PNames for a query."""
+    """One way of producing candidate names (digests) for a query."""
 
     #: short machine-readable operator name, shown in Explain output
     kind = "abstract"
@@ -51,6 +56,12 @@ class AccessPath(ABC):
     #: predicate, so e.g. a lineage conjunct is never re-evaluated per
     #: candidate after its probe already enumerated the closure.
     exact = False
+    #: True when every name :meth:`probe` returns has a stored record:
+    #: with nothing left to re-test, the executor answers from the hits
+    #: without fetching.  The attribute, temporal and spatial indexes
+    #: hold stored records only; a closure can name an ancestor the
+    #: store has no record for, and the fetch is what drops it.
+    index_only = True
 
     @abstractmethod
     def describe(self) -> str:
@@ -61,8 +72,15 @@ class AccessPath(ABC):
         """Estimated candidate rows; must not fetch records."""
 
     @abstractmethod
-    def probe(self, store) -> Set[PName]:
-        """Execute the index probe(s) and return the candidate set."""
+    def probe(self, store) -> Set[str]:
+        """Execute the index probe(s) and return the candidate digests.
+
+        The set may be an index's own bucket: read it, never mutate it.
+        """
+
+    def pnames(self, digests: Sequence[str]) -> List[PName]:
+        """``digests`` (hits of the last :meth:`probe`) wrapped for a backend fetch."""
+        return [PName(digest) for digest in digests]
 
     @property
     def probe_count(self) -> int:
@@ -90,15 +108,35 @@ class FullScanPath(AccessPath):
     def estimate(self, store) -> int:
         return store.statistics.record_count
 
-    def probe(self, store) -> Set[PName]:  # pragma: no cover - executor special-cases
-        return {pname for pname, _ in store.backend.iter_records()}
+    def probe(self, store) -> Set[str]:  # pragma: no cover - executor special-cases
+        return {pname.digest for pname, _ in store.backend.iter_records()}
 
     @property
     def probe_count(self) -> int:
         return 0
 
 
-class EqualityProbe(AccessPath):
+class _AttributeProbe(AccessPath):
+    """Common ground of the four attribute-index probes.
+
+    They are exact on a real attribute: attributes are immutable, every
+    record carrying one has its posting, and the index is keyed by the
+    very ``canonical_encode`` / ``_ordering_key`` the predicates compare
+    with.  Not on an ``annotation:`` name: its buckets keep every value
+    ever attached while the predicate reads only the latest, and a real
+    attribute of that name wins over both -- those probes only generate
+    candidates, and the executor re-tests each.
+    """
+
+    #: the attribute probed; every subclass sets it
+    name: str
+
+    @property
+    def exact(self) -> bool:
+        return not self.name.startswith("annotation:")
+
+
+class EqualityProbe(_AttributeProbe):
     """One inverted-index bucket: ``attribute == value``."""
 
     kind = "attr-eq"
@@ -114,11 +152,11 @@ class EqualityProbe(AccessPath):
         # Bucket sizes are known exactly: one dict probe, no fetches.
         return store.attribute_index.count(self.name, self.value)
 
-    def probe(self, store) -> Set[PName]:
+    def probe(self, store) -> Set[str]:
         return store.attribute_index.lookup(self.name, self.value)
 
 
-class MultiProbe(AccessPath):
+class MultiProbe(_AttributeProbe):
     """Union of several equality buckets: ``attribute IN (v1, v2, ...)``."""
 
     kind = "attr-in"
@@ -133,7 +171,7 @@ class MultiProbe(AccessPath):
     def estimate(self, store) -> int:
         return store.attribute_index.count_any(self.name, self.values)
 
-    def probe(self, store) -> Set[PName]:
+    def probe(self, store) -> Set[str]:
         return store.attribute_index.lookup_any(self.name, self.values)
 
     @property
@@ -141,7 +179,7 @@ class MultiProbe(AccessPath):
         return len(self.values)
 
 
-class RangeProbe(AccessPath):
+class RangeProbe(_AttributeProbe):
     """Bisected scan of an attribute's sorted value view."""
 
     kind = "attr-range"
@@ -170,13 +208,13 @@ class RangeProbe(AccessPath):
             self.name, self.low, self.high, self.include_low, self.include_high
         )
 
-    def probe(self, store) -> Set[PName]:
+    def probe(self, store) -> Set[str]:
         return store.attribute_index.lookup_range(
             self.name, self.low, self.high, self.include_low, self.include_high
         )
 
 
-class ExistsProbe(AccessPath):
+class ExistsProbe(_AttributeProbe):
     """Union of every bucket of one attribute (``attribute exists``)."""
 
     kind = "attr-exists"
@@ -190,14 +228,20 @@ class ExistsProbe(AccessPath):
     def estimate(self, store) -> int:
         return store.attribute_index.attribute_entry_count(self.name)
 
-    def probe(self, store) -> Set[PName]:
+    def probe(self, store) -> Set[str]:
         return store.attribute_index.lookup_all(self.name)
 
 
 class TemporalOverlapProbe(AccessPath):
-    """Time-window overlap through the temporal index."""
+    """Time-window overlap through the temporal index.
+
+    Exact: the index holds exactly the records ingest gave a
+    ``Timestamp`` window, and compares closed intervals as
+    :class:`~repro.core.query.TimeWindowOverlaps` does.
+    """
 
     kind = "temporal-overlap"
+    exact = True
 
     def __init__(self, start: Timestamp, end: Timestamp) -> None:
         self.start = start
@@ -209,14 +253,20 @@ class TemporalOverlapProbe(AccessPath):
     def estimate(self, store) -> int:
         return store.temporal_index.estimate_overlapping(self.start, self.end)
 
-    def probe(self, store) -> Set[PName]:
+    def probe(self, store) -> Set[str]:
         return store.temporal_index.overlapping(self.start, self.end)
 
 
 class SpatialRadiusProbe(AccessPath):
-    """Geographic radius through the spatial grid index."""
+    """Geographic radius through the spatial grid index.
+
+    Exact: the index holds exactly the records with a ``GeoPoint``
+    ``location``, and keeps those ``<= radius`` away by the distance
+    :class:`~repro.core.query.NearLocation` computes.
+    """
 
     kind = "spatial-radius"
+    exact = True
 
     def __init__(self, centre: GeoPoint, radius_km: float) -> None:
         self.centre = centre
@@ -228,7 +278,7 @@ class SpatialRadiusProbe(AccessPath):
     def estimate(self, store) -> int:
         return store.spatial_index.estimate_within(self.centre, self.radius_km)
 
-    def probe(self, store) -> Set[PName]:
+    def probe(self, store) -> Set[str]:
         return store.spatial_index.within_radius(self.centre, self.radius_km)
 
 
@@ -240,16 +290,21 @@ class _LineageProbe(AccessPath):
     the :mod:`repro.lineage` interval index that is O(answer), and even
     the naive strategy pays one BFS instead of one per record.  The
     probe is *exact*: a stored record is in the probe set iff it matches
-    the lineage conjunct, so the executor never re-evaluates it.
+    the lineage conjunct, so the executor never re-evaluates it.  It is
+    not *index-only*: the closure also names ancestors known by their
+    PName alone, so the executor fetches -- under the PNames the closure
+    already made (:meth:`pnames`), not under fresh ones.
     """
 
     exact = True
+    index_only = False
     #: "ancestors" or "descendants"; subclasses pin it
     direction = "abstract"
 
     def __init__(self, focus: PName, include_self: bool = False) -> None:
         self.focus = focus
         self.include_self = include_self
+        self._named: Dict[str, PName] = {}
 
     def describe(self) -> str:
         suffix = " (incl. the focus itself)" if self.include_self else ""
@@ -270,7 +325,7 @@ class _LineageProbe(AccessPath):
             estimated = store.graph_stats.expected_reach()
         return estimated + (1 if self.include_self else 0)
 
-    def probe(self, store) -> Set[PName]:
+    def probe(self, store) -> Set[str]:
         with trace.span(
             "closure.probe",
             attrs={"direction": self.direction, "focus": self.focus.short},
@@ -281,12 +336,17 @@ class _LineageProbe(AccessPath):
                     if self.direction == "ancestors"
                     else store.closure.descendants
                 )
-                found = set(walker(self.focus))
+                named = {pname.digest: pname for pname in walker(self.focus)}
             else:
-                found = set()
+                named = {}
             if self.include_self:
-                found.add(self.focus)
-            return found
+                named[self.focus.digest] = self.focus
+            self._named = named
+            return set(named)
+
+    def pnames(self, digests: Sequence[str]) -> List[PName]:
+        named = self._named
+        return [named[digest] for digest in digests]
 
 
 class LineageAncestorsProbe(_LineageProbe):
@@ -312,6 +372,15 @@ class IndexIntersection(AccessPath):
         self.paths = list(paths)
         self._probes_run = 0
 
+    @property
+    def exact(self) -> bool:
+        return all(path.exact for path in self.paths)
+
+    @property
+    def index_only(self) -> bool:
+        # What survives the intersection is among every part's hits.
+        return any(path.index_only for path in self.paths)
+
     def describe(self) -> str:
         inner = " & ".join(path.describe() for path in self.paths)
         return f"intersection of [{inner}]"
@@ -320,8 +389,8 @@ class IndexIntersection(AccessPath):
         # Candidates fetched = the intersection; bounded by the smallest input.
         return min(path.estimate(store) for path in self.paths)
 
-    def probe(self, store) -> Set[PName]:
-        result: Optional[Set[PName]] = None
+    def probe(self, store) -> Set[str]:
+        result: Optional[Set[str]] = None
         self._probes_run = 0
         # Probe cheapest-first so later intersections shrink fast.
         for path in sorted(self.paths, key=lambda p: p.estimate(store)):
@@ -348,6 +417,14 @@ class IndexUnion(AccessPath):
     def __init__(self, paths: Sequence[AccessPath]) -> None:
         self.paths = list(paths)
 
+    @property
+    def exact(self) -> bool:
+        return all(path.exact for path in self.paths)
+
+    @property
+    def index_only(self) -> bool:
+        return all(path.index_only for path in self.paths)
+
     def describe(self) -> str:
         inner = " | ".join(path.describe() for path in self.paths)
         return f"union of [{inner}]"
@@ -355,11 +432,8 @@ class IndexUnion(AccessPath):
     def estimate(self, store) -> int:
         return sum(path.estimate(store) for path in self.paths)
 
-    def probe(self, store) -> Set[PName]:
-        result: Set[PName] = set()
-        for path in self.paths:
-            result |= path.probe(store)
-        return result
+    def probe(self, store) -> Set[str]:
+        return set().union(*(path.probe(store) for path in self.paths))
 
     @property
     def probe_count(self) -> int:

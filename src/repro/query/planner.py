@@ -15,9 +15,10 @@ Given a :class:`~repro.core.query.Query`, the planner:
    workloads -- same query, moving constants -- skip straight to path
    construction.
 
-The planner only chooses *candidate generation*; the executor always
-evaluates the full predicate on the candidates, so a bad estimate can
-cost time but never correctness.
+The planner chooses *candidate generation* and, from each chosen path's
+``exact`` flag, what is left for the executor to re-test on the
+candidates (the *residual*); a bad estimate can cost time but never
+correctness.
 """
 
 from __future__ import annotations
@@ -85,12 +86,12 @@ class Plan:
     #: estimated candidate rows at plan time
     estimated_rows: int
     #: what the executor actually evaluates on candidates: the predicate
-    #: minus conjuncts the chosen path answers *exactly* (lineage probes
-    #: enumerate the closure; re-testing reachability per candidate
-    #: would re-pay the walk).  Soundness: an exact conjunct holds for
-    #: every candidate by construction.  Deliberately non-defaulted: a
-    #: forgotten residual must be a TypeError, not a plan that filters
-    #: nothing.
+    #: minus conjuncts the chosen path answers *exactly* (see
+    #: ``AccessPath.exact``); ``TRUE`` when nothing is left, and then an
+    #: index-only path's hits are the answer.  Soundness: an exact
+    #: conjunct holds for every candidate by construction.  Deliberately
+    #: non-defaulted: a forgotten residual must be a TypeError, not a
+    #: plan that filters nothing.
     residual: Predicate
     #: why the adaptive engine re-ranked this shape (None = nothing
     #: adapted); carried onto the execution's Explain verbatim
@@ -237,10 +238,11 @@ class QueryPlanner:
         if best.estimate(store) >= record_count and not best.exact:
             # The "index" would touch everything; scanning is cheaper
             # than probing plus fetching every record by name.  Exact
-            # probes (lineage) are exempt: even an everything-sized
-            # closure enumeration beats a scan that re-tests
-            # reachability once per record -- so before giving up,
-            # fall back to the cheapest exact option if there is one.
+            # probes are exempt: their conjunct is not re-tested (an
+            # everything-sized closure enumeration beats re-testing
+            # reachability once per record) and an index-only answer
+            # fetches nothing at all -- so before giving up, fall back
+            # to the cheapest exact option if there is one.
             exact_ranked = [option for option in ranked if option[0].exact]
             if not exact_ranked:
                 return FullScanPath(), ("full",), predicate
@@ -265,15 +267,17 @@ class QueryPlanner:
 
         Dropping is only sound for *exact* paths inside a conjunction:
         every candidate the path (or an intersection containing it)
-        yields already satisfies the conjunct.  Inexact paths keep their
-        conjunct in the residual, as before.
+        yields already satisfies the conjunct.  Inexact paths (a probe on
+        an ``annotation:`` name) keep their conjunct in the residual.
         """
         covered = [conjunct for path, conjunct in chosen if path.exact]
         if not covered:
             return predicate
-        remaining = [c for c in self._conjuncts_of(predicate) if c not in covered]
-        if not remaining:
+        conjuncts = self._conjuncts_of(predicate)
+        if len(covered) == len(conjuncts):
+            # (the chosen conjuncts are distinct members of the conjunction)
             return TRUE
+        remaining = [c for c in conjuncts if c not in covered]
         if len(remaining) == 1:
             return remaining[0]
         return And(tuple(remaining))

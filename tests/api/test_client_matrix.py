@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import Q, Result, connect
 from repro.api.client import ModelClient
+from repro.core import ProvenanceRecord, Timestamp, TupleSet
 from repro.errors import QueryError, UnsupportedQueryError
 from repro.sensors.workloads import TrafficWorkload
 
@@ -80,6 +81,52 @@ def target(request, workload_sets):
     assert len(published) == len(raw) + len(derived)
     yield client
     client.close()
+
+
+#: ``order_by("n")`` sorts by value, the ordering ranges compare with: lists
+#: before numbers before strings (by kind tag), ``2 < 9 < 10 < 100``, the
+#: four spellings of one tie (the inner list) broken by digest, and sets
+#: without ``n`` last
+ORDERED_VALUES = [(3, 1), -5, [1, 1.0, True, Timestamp(1.0)], 1.5, 2, 9, 10, 100, "ten", None]
+
+
+@pytest.fixture
+def fresh_daemon_url():
+    """A daemon of the test's own: what it publishes stays out of the shared one."""
+    from repro.server import PassDaemon
+
+    with PassDaemon() as daemon:
+        yield daemon.address.url
+
+
+@pytest.mark.parametrize("url", [url for url in ALL_TARGETS if url != "pass+sharded://"])
+def test_order_by_orders_by_value_not_by_canonical_text(url, request):
+    """By canonical text ``-5, 1.5, 10, 100, 2, 9`` came back as ``1.5, -5, 10, 100, 2, 9``."""
+    if url == "pass://":
+        url = request.getfixturevalue("fresh_daemon_url")
+    expected, sets = [], []
+    for value in ORDERED_VALUES:
+        tied = []
+        for spelling in value if isinstance(value, list) else [value]:
+            # (found by ``domain``: one of the few attributes the DHT model indexes)
+            attributes = {"domain": "ordering", "serial": len(sets)}
+            if spelling is not None:
+                attributes["n"] = spelling
+            sets.append(TupleSet([], ProvenanceRecord(attributes)))
+            tied.append(sets[-1].pname)
+        expected.extend(sorted(tied, key=lambda pname: pname.digest))
+    with connect(url) as client:
+        client.publish_many(sets[::-1])
+        client.refresh()
+        question = Q.find(Q.attr("domain") == "ordering").order_by("n")
+        answer = client.query(question)
+        assert answer.total == len(expected) == 13
+        if isinstance(client, ModelClient):
+            # a model merges per-site answers and promises the set
+            assert set(answer.records) == set(expected)
+        else:
+            assert answer.records == expected
+            assert client.query(question, limit=3, offset=2).records == expected[2:5]
 
 
 class TestProtocolAcrossTargets:

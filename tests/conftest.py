@@ -7,10 +7,16 @@ fast; anything that needs scale builds its own data.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core import Agent, GeoPoint, PassStore, ProvenanceRecord, SensorReading, Timestamp, TupleSet
 from repro.eval.scenario import build_all_models, standard_topology
 from repro.sensors.workloads import MedicalWorkload, TrafficWorkload
+
+# ``--hypothesis-profile=thorough``: five times the examples and no
+# deadline, for the suites whose ``@settings`` leave the example count to
+# the profile (CI re-runs the planner-parity and index properties so).
+settings.register_profile("thorough", max_examples=5 * settings.default.max_examples, deadline=None)
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ class TestHookOrdering:
                     "backend": store.backend.has_record(pname),
                     "payload": store.backend.get_payload(pname) is not None,
                     "graph": pname in store.graph,
-                    "attr_index": pname in store.attribute_index.lookup("city", "london"),
+                    "attr_index": pname.digest in store.attribute_index.lookup("city", "london"),
                     "queryable": pname in store.query(AttributeEquals("sequence", record.get("sequence"))),
                     "counted": store.stats.ingested,
                 }

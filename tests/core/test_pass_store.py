@@ -17,6 +17,7 @@ from repro.core import (
     GeoPoint,
     IsRaw,
     PassStore,
+    PName,
     ProvenanceRecord,
     Query,
     SensorReading,
@@ -210,7 +211,7 @@ class TestQueries:
         ts = _tuple_set("a")
         store.ingest(ts)
         hits = store.spatial_index.within_radius(GeoPoint(51.5, -0.12), 10.0)
-        assert ts.pname in hits
+        assert ts.pname.digest in hits
 
 
 class TestAnnotations:
@@ -244,12 +245,12 @@ class TestAnnotations:
             for force_full_scan in (False, True):
                 def answer(value):
                     query = Query(AttributeEquals("annotation:quality", value))
-                    pairs, _ = store.query_explain(query, force_full_scan=force_full_scan)
-                    return [pname for pname, _ in pairs]
+                    digests, _ = store.query_explain(query, force_full_scan=force_full_scan)
+                    return [PName(digest) for digest in digests]
 
                 assert answer("good") == [noted.pname]
                 assert answer("bad") == []  # superseded
-            assert store.attribute_index.lookup("annotation:quality", "good") == {noted.pname}
+            assert store.attribute_index.lookup("annotation:quality", "good") == {noted.pname.digest}
             assert store.get_record(noted.pname).get("annotation:quality") == "good"
             assert store.get_record(plain.pname).get("annotation:quality") is None
 

@@ -247,6 +247,20 @@ class TestQueryEvaluation:
         cities = [dict(candidates)[p].get("city") for p in ordered]
         assert cities == sorted(cities)
 
+    def test_order_by_orders_by_value_with_ties_by_digest(self):
+        """Not by canonical text, which put ``10`` and ``100`` before ``2``
+        and ``1.5`` before ``-5``."""
+        values = [9, 10, 100, 2, -5, 1.5, 1, 1.0, True, Timestamp(1.0), (3, 1), "ten"]
+        records = [ProvenanceRecord({"serial": at, "n": value}) for at, value in enumerate(values)]
+        records.append(ProvenanceRecord({"serial": len(values)}))  # no ``n``: last
+        candidates = [(record.pname(), record) for record in records]
+        ordered = [dict(candidates)[p].get("n") for p in Query(TRUE, order_by="n").evaluate(candidates)]
+        assert ordered[:2] == [(3, 1), -5] and ordered[6:] == [1.5, 2, 9, 10, 100, "ten", None]
+        tied = Query(TRUE, order_by="n").evaluate(candidates)[2:6]
+        assert sorted(repr(value) for value in ordered[2:6]) == sorted(map(repr, [1, 1.0, True, Timestamp(1.0)]))
+        assert tied == sorted(tied, key=lambda pname: pname.digest)
+        assert Query(TRUE, order_by="n", limit=3).evaluate(candidates) == Query(TRUE, order_by="n").evaluate(candidates)[:3]
+
     def test_order_by_missing_attribute_sorts_last(self):
         records = [
             ProvenanceRecord({"domain": "traffic", "city": "london"}),

@@ -8,7 +8,7 @@ from repro.api.client import LocalClient
 from repro.api.dsl import Q
 from repro.core.attributes import GeoPoint, Timestamp
 from repro.core.pass_store import PassStore
-from repro.core.provenance import PName, ProvenanceRecord
+from repro.core.provenance import Annotation, PName, ProvenanceRecord
 from repro.core.query import (
     And,
     AttributeEquals,
@@ -141,13 +141,43 @@ class TestPathSelection:
             (AttributeEquals("city", "city-3"), DerivedFrom(parent.pname()))
         )
         pairs, explain = store.query_explain(predicate)
-        assert [pname for pname, _ in pairs] == [child.pname()]
+        assert pairs == [child.pname().digest]
         assert explain.used_index
 
-    def test_unselective_equality_falls_back_to_scan(self, store):
-        # Every record is domain=traffic; probing buys nothing over scanning.
+    def test_a_lineage_answer_wraps_each_name_once(self, store, monkeypatch):
+        """The closure makes the PNames; the fetch reuses them (unwrapping to
+        digests for the executor and wrapping again cost 3 us a query)."""
+        root = ProvenanceRecord({"domain": "traffic", "stage": "raw-y"})
+        derived = [
+            ProvenanceRecord({"domain": "traffic", "stage": "derived-y", "step": step}, ancestors=(root.pname(),))
+            for step in range(6)
+        ]
+        store.ingest_many([TupleSet([], record) for record in (root, *derived)])
+        store.descendants(root.pname())  # labels built before counting
+        made = []
+        validate = PName.__post_init__
+        monkeypatch.setattr(PName, "__post_init__", lambda self: made.append(self.digest) or validate(self))
+        digests, explain = store.query_explain(DerivedFrom(root.pname()))
+        assert explain.path_kind == "lineage-descendants"
+        assert sorted(made) == digests == sorted(record.pname().digest for record in derived)
+
+    def test_unselective_equality_answers_from_the_index(self, store):
+        # Every record is domain=traffic.  The probe is exact, so its bucket
+        # *is* the answer: no record is read, where a scan reads them all.
+        before = store.backend.stats.gets
         explain = store.explain(AttributeEquals("domain", "traffic"))
+        assert explain.path_kind == "attr-eq"
+        assert explain.rows_scanned == explain.actual_rows == 200
+        assert store.backend.stats.gets == before
+
+    def test_unselective_inexact_probe_still_falls_back_to_scan(self, store):
+        # An ``annotation:`` bucket only yields candidates, each to be
+        # fetched and re-tested: touching everything, it loses to a scan.
+        for pname in store.pnames():
+            store.annotate(pname, Annotation("reviewed", True))
+        explain = store.explain(AttributeEquals("annotation:reviewed", True))
         assert explain.path_kind == "full-scan"
+        assert explain.actual_rows == 200
 
     def test_restricted_index_is_not_consulted(self):
         store = PassStore(indexed_attributes=["domain"])
@@ -179,8 +209,8 @@ class TestParityOnOptions:
         query = Query(predicate=AttributeEquals("city", "city-5"), include_removed=False)
         planned, _ = store.query_explain(query)
         scanned, _ = store.query_explain(query, force_full_scan=True)
-        assert {p for p, _ in planned} == {p for p, _ in scanned}
-        assert victim not in {p for p, _ in planned}
+        assert set(planned) == set(scanned)
+        assert victim.digest not in planned
 
 
 class TestPlanCache:
@@ -205,7 +235,7 @@ class TestPlanCache:
         assert explain.cache_hit
         assert explain.path_kind == "temporal-overlap"
         scanned, _ = store.query_explain(later, force_full_scan=True)
-        assert {p for p, _ in pairs} == {p for p, _ in scanned}
+        assert set(pairs) == set(scanned)
         assert len(pairs) == 1  # the [6000, 6059] tile
 
     def test_cached_intersection_rebinds(self, store):
@@ -220,7 +250,7 @@ class TestPlanCache:
         assert explain.cache_hit
         assert explain.path_kind == "index-intersection"
         scanned, _ = store.query_explain(rebound, force_full_scan=True)
-        assert {p for p, _ in pairs} == {p for p, _ in scanned}
+        assert set(pairs) == set(scanned)
 
     def test_growth_invalidates_cached_shape(self, store):
         store.explain(AttributeEquals("city", "city-1"))
@@ -341,7 +371,7 @@ class TestStatistics:
         scanned, _ = store.query_explain(
             AttributeEquals("city", "c1"), force_full_scan=True
         )
-        assert {p for p, _ in pairs} == {p for p, _ in scanned}
+        assert set(pairs) == set(scanned)
         store.backend.close()
 
     def test_rebuild_restores_statistics(self, tmp_path):
@@ -375,5 +405,5 @@ class TestPlannerIsolation:
         )
         planned, _ = store.query_explain(predicate)
         scanned, _ = store.query_explain(predicate, force_full_scan=True)
-        assert {p for p, _ in planned} == {p for p, _ in scanned}
+        assert set(planned) == set(scanned)
         assert len(planned) == 160

@@ -260,7 +260,8 @@ class TestGraphProperties:
 # Attribute index vs brute force
 # ----------------------------------------------------------------------
 class TestIndexProperties:
-    @COMMON_SETTINGS
+    # (example counts left to the Hypothesis profile: see tests/conftest.py)
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(records=st.lists(attribute_maps, min_size=1, max_size=15))
     def test_index_lookup_matches_scan(self, records):
         index = AttributeIndex()
@@ -274,14 +275,18 @@ class TestIndexProperties:
         for probe in stored:
             for name, value in probe.attributes.items():
                 expected = {
-                    r.pname()
+                    r.pname().digest
                     for r in stored
                     if r.get(name) is not None
                     and canonical_encode(r.get(name)) == canonical_encode(value)
                 }
                 assert index.lookup(name, value) == expected
 
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=max(150, settings.default.max_examples),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     @given(
         pool=st.lists(indexable_values, max_size=6).map(lambda more: TIED_VALUES + more),
         steps=st.lists(
@@ -309,7 +314,7 @@ class TestIndexProperties:
 
         def oracle_add(name, value, pname):
             bucket = oracle.setdefault(name, {}).setdefault(canonical_encode(value), [value, set()])
-            bucket[1].add(pname)
+            bucket[1].add(pname.digest)
 
         for op, name, who, first, second, shape in steps:
             pname = pnames[who]
@@ -329,7 +334,7 @@ class TestIndexProperties:
                     buckets = oracle.get(attr, {})
                     bucket = buckets.get(canonical_encode(value))
                     if bucket is not None:
-                        bucket[1].discard(pname)
+                        bucket[1].discard(pname.digest)
                         if not bucket[1]:
                             del buckets[canonical_encode(value)]
             else:
@@ -360,7 +365,7 @@ class TestIndexProperties:
             for attr, buckets in oracle.items():
                 for value, digests in buckets.values():
                     for digest in digests:
-                        rebuilt.add_value(digest, attr, value)
+                        rebuilt.add_value(PName(digest), attr, value)
             assert index.entry_count() == rebuilt.entry_count()
             for attr in index._values:  # only the views some read has built
                 rebuilt.distinct_values(attr)
