@@ -491,7 +491,7 @@ class LocalClient(PassClient):
         pname = coerce_pname(pname)
         if pname not in self.store.graph:
             return []  # watching a not-yet-published pname is fine
-        return sorted(self.store.descendants(pname), key=lambda p: p.digest)
+        return self._lineage_page(self.store.descendant_digests(pname), None, 0).records
 
     def publish(self, tuple_set: TupleSet, origin: Optional[str] = None) -> Result:
         pname = self.store.ingest(tuple_set)
@@ -531,7 +531,7 @@ class LocalClient(PassClient):
         limit: Optional[int] = None,
         offset: int = 0,
     ) -> Result:
-        found = self.store.ancestors(coerce_pname(pname))
+        found = self.store.ancestor_digests(coerce_pname(pname))
         return self._lineage_page(found, limit, offset)
 
     def descendants(
@@ -542,13 +542,15 @@ class LocalClient(PassClient):
         limit: Optional[int] = None,
         offset: int = 0,
     ) -> Result:
-        found = self.store.descendants(coerce_pname(pname))
+        found = self.store.descendant_digests(coerce_pname(pname))
         return self._lineage_page(found, limit, offset)
 
-    def _lineage_page(self, found, limit: Optional[int], offset: int) -> Result:
-        ordered = sorted(found, key=lambda p: p.digest)
-        page, total = _paginate(ordered, limit, offset)
-        return Result(records=page, cost=self._local_cost(), total=total, offset=offset)
+    def _lineage_page(self, found: List[str], limit: Optional[int], offset: int) -> Result:
+        # As in query(): digest strings until here, only the page is wrapped.
+        page, total = _paginate(sorted(found), limit, offset)
+        return Result(
+            records=[PName(digest) for digest in page], cost=self._local_cost(), total=total, offset=offset
+        )
 
     def locate(self, pname, origin: Optional[str] = None) -> Result:
         pname = coerce_pname(pname)

@@ -30,7 +30,7 @@ import logging
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.bulk import collector_paused
 from repro.core.graph import ProvenanceGraph
@@ -57,7 +57,9 @@ class ClosureStrategy(ABC):
     be added through :meth:`add_edge` (or :meth:`add_record_edges`) so the
     strategy can maintain whatever auxiliary state it needs.  The
     ``operations`` counter tracks how many node visits / set updates the
-    strategy performed, which is what experiment E3 reports.
+    strategy performed, which is what experiment E3 reports.  A strategy
+    implements the digest-level pair ``ancestor_digests`` /
+    ``descendant_digests``; the ``Set[PName]`` answers wrap those here.
     """
 
     #: short machine-readable name used by benchmarks and reports
@@ -103,16 +105,28 @@ class ClosureStrategy(ABC):
 
     # -- queries ---------------------------------------------------------
     @abstractmethod
-    def ancestors(self, pname: PName) -> Set[PName]:
-        """All transitive ancestors of ``pname``."""
+    def ancestor_digests(self, pname: PName) -> List[str]:
+        """The digest of every transitive ancestor of ``pname``.
+
+        Each once, ``pname``'s own never, in no particular order; a new
+        list the caller may do anything with.
+        """
 
     @abstractmethod
+    def descendant_digests(self, pname: PName) -> List[str]:
+        """The digest of every transitive descendant of ``pname`` (as :meth:`ancestor_digests`)."""
+
+    def ancestors(self, pname: PName) -> Set[PName]:
+        """All transitive ancestors of ``pname``."""
+        return {PName(digest) for digest in self.ancestor_digests(pname)}
+
     def descendants(self, pname: PName) -> Set[PName]:
         """All transitive descendants of ``pname``."""
+        return {PName(digest) for digest in self.descendant_digests(pname)}
 
     def reachable(self, ancestor: PName, descendant: PName) -> bool:
         """True when ``descendant`` was (transitively) derived from ``ancestor``."""
-        return ancestor in self.ancestors(descendant)
+        return ancestor.digest in self.ancestor_digests(descendant)
 
     # -- planner estimates ------------------------------------------------
     def estimate_ancestors(self, pname: PName) -> Optional[int]:
@@ -178,13 +192,13 @@ class NaiveClosure(ClosureStrategy):
 
     name = "naive"
 
-    def ancestors(self, pname: PName) -> Set[PName]:
+    def ancestor_digests(self, pname: PName) -> List[str]:
         return self._bfs(pname, up=True)
 
-    def descendants(self, pname: PName) -> Set[PName]:
+    def descendant_digests(self, pname: PName) -> List[str]:
         return self._bfs(pname, up=False)
 
-    def _bfs(self, pname: PName, up: bool) -> Set[PName]:
+    def _bfs(self, pname: PName, up: bool) -> List[str]:
         if pname not in self.graph:
             raise UnknownEntityError(f"unknown node {pname}")
         step = self.graph.parents if up else self.graph.children
@@ -197,7 +211,7 @@ class NaiveClosure(ClosureStrategy):
                 if neighbour.digest not in seen:
                     seen.add(neighbour.digest)
                     frontier.append(neighbour)
-        return {PName(d) for d in seen}
+        return list(seen)
 
 
 class MemoizedClosure(ClosureStrategy):
@@ -216,11 +230,11 @@ class MemoizedClosure(ClosureStrategy):
         self._ancestor_cache: Dict[str, Set[str]] = {}
         self._descendant_cache: Dict[str, Set[str]] = {}
 
-    def ancestors(self, pname: PName) -> Set[PName]:
-        return {PName(d) for d in self._cached(pname, up=True)}
+    def ancestor_digests(self, pname: PName) -> List[str]:
+        return list(self._cached(pname, up=True))  # the entry itself stays the cache's
 
-    def descendants(self, pname: PName) -> Set[PName]:
-        return {PName(d) for d in self._cached(pname, up=False)}
+    def descendant_digests(self, pname: PName) -> List[str]:
+        return list(self._cached(pname, up=False))
 
     def rebuild(self) -> None:
         # Rebuilding a cache means starting it cold; entries repopulate
@@ -305,21 +319,21 @@ class LabelledClosure(ClosureStrategy):
             self._ancestor_labels.setdefault(pname.digest, set())
             self._descendant_labels.setdefault(pname.digest, set())
 
-    def ancestors(self, pname: PName) -> Set[PName]:
-        if pname not in self.graph:
-            raise UnknownEntityError(f"unknown node {pname}")
-        if self._pending:
-            self._build_labels()
-        self.operations += 1
-        return {PName(d) for d in self._ancestor_labels.get(pname.digest, set())}
+    def ancestor_digests(self, pname: PName) -> List[str]:
+        return self._labels_of(pname, up=True)
 
-    def descendants(self, pname: PName) -> Set[PName]:
+    def descendant_digests(self, pname: PName) -> List[str]:
+        return self._labels_of(pname, up=False)
+
+    def _labels_of(self, pname: PName, up: bool) -> List[str]:
         if pname not in self.graph:
             raise UnknownEntityError(f"unknown node {pname}")
         if self._pending:
             self._build_labels()
         self.operations += 1
-        return {PName(d) for d in self._descendant_labels.get(pname.digest, set())}
+        labels = self._ancestor_labels if up else self._descendant_labels
+        # A copy: whatever a caller does with it, the label set stays as built.
+        return list(labels.get(pname.digest, ()))
 
     def reachable(self, ancestor: PName, descendant: PName) -> bool:
         if descendant not in self.graph or ancestor not in self.graph:

@@ -73,8 +73,11 @@ class ProvenanceGraph:
         self.add_node(child)
         self.add_node(parent)
         # The edge child->parent creates a cycle iff child is already an
-        # ancestor of parent.
-        if self._reaches(parent.digest, child.digest, self._parents):
+        # ancestor of parent -- which takes a child of its own: a set
+        # nothing derives from yet (every newly published one) needs no walk.
+        if self._children[child.digest] and self._reaches(
+            parent.digest, child.digest, self._parents
+        ):
             raise CycleError(
                 f"edge {child.short} -> {parent.short} would create a provenance cycle"
             )

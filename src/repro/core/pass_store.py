@@ -341,10 +341,11 @@ class PassStore(LineageOracle):
         self._maybe_adapt_closure()
 
     def _maybe_adapt_closure(self) -> None:
-        """Amortized DAG-shape check: switch ``labelled <-> interval``
-        through the same rebuild plumbing the daemon's async job uses.
+        """Amortized DAG-shape check: switch ``labelled <-> interval``.
 
-        Sharded backends are exempt -- their partitioned checkpoint
+        The new strategy is built inside the publish that tripped the
+        check; it is checkpointed when the store closes, as any labelling
+        is.  Sharded backends are exempt -- their partitioned checkpoint
         format is interval-only, so the default must stand.
         """
         if not self.feedback.closure_check_due():
@@ -356,7 +357,8 @@ class PassStore(LineageOracle):
         if advised is not None and advised != current:
             # The publish that trips the check pays for the rebuild: say so.
             started = time.perf_counter()
-            self.rebuild_closure_index(strategy=advised)
+            self.closure = make_closure(advised, self.graph)
+            self.closure.rebuild()
             self.feedback.note_closure_switch()
             _LOGGER.info(
                 "closure strategy switched: from=%s to=%s nodes=%d duration_ms=%.3f",
@@ -520,19 +522,26 @@ class PassStore(LineageOracle):
 
     def ancestors(self, pname: PName) -> Set[PName]:
         """All data sets ``pname`` was transitively derived from."""
-        self.stats.lineage_queries += 1
-        if pname not in self.graph:
-            raise UnknownEntityError(f"unknown data set {pname}")
-        with trace.span("closure.ancestors", attrs={"focus": pname.short}):
-            return self.closure.ancestors(pname)
+        return self._lineage(self.closure.ancestors, "closure.ancestors", pname)
 
     def descendants(self, pname: PName) -> Set[PName]:
         """All data sets transitively derived from ``pname`` (the taint set)."""
+        return self._lineage(self.closure.descendants, "closure.descendants", pname)
+
+    def ancestor_digests(self, pname: PName) -> List[str]:
+        """:meth:`ancestors` as digest strings: a new list, each once, in no order."""
+        return self._lineage(self.closure.ancestor_digests, "closure.ancestors", pname)
+
+    def descendant_digests(self, pname: PName) -> List[str]:
+        """:meth:`descendants` as digest strings: a new list, each once, in no order."""
+        return self._lineage(self.closure.descendant_digests, "closure.descendants", pname)
+
+    def _lineage(self, enumerate_closure, span_name: str, pname: PName):
         self.stats.lineage_queries += 1
         if pname not in self.graph:
             raise UnknownEntityError(f"unknown data set {pname}")
-        with trace.span("closure.descendants", attrs={"focus": pname.short}):
-            return self.closure.descendants(pname)
+        with trace.span(span_name, attrs={"focus": pname.short}):
+            return enumerate_closure(pname)
 
     def raw_sources(self, pname: PName) -> Set[PName]:
         """The raw (underived) data sets at the bottom of ``pname``'s lineage."""
@@ -826,9 +835,9 @@ class PassStore(LineageOracle):
         checkpoint was written.
 
         ``strategy`` swaps the closure strategy *before* rebuilding --
-        the adaptive engine's ``labelled <-> interval`` switch and the
-        daemon's ``rebuild_index`` job both route through here, so a
-        switch is observable the same way on every connect target.
+        the daemon's ``rebuild_index`` job routes through here, so a
+        requested switch is observable the same way on every connect
+        target.
         """
         switched_from = None
         if strategy is not None and strategy != self.closure.name:

@@ -42,7 +42,7 @@ the versioned rebuild fallback the SQLite backend relies on.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.closure import ClosureStrategy, register_strategy
 from repro.core.graph import ProvenanceGraph
@@ -216,34 +216,36 @@ class IntervalClosure(ClosureStrategy):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def ancestors(self, pname: PName) -> Set[PName]:
+    # Chains share no node and a label map names a chain once: the
+    # prefixes (suffixes) are disjoint, so concatenating lists each digest
+    # once.  A node's own chain is among its labels at its own position,
+    # where the slice stops short of (starts past) the focus.
+
+    def ancestor_digests(self, pname: PName) -> List[str]:
         self._require(pname)
         self._ensure_current()
         self.operations += 1
         labels = self._up.get(pname.digest)
         if not labels:
-            return set()
-        found: Set[PName] = set()
+            return []
+        own_chain, _ = self._chain_of[pname.digest]
+        found: List[str] = []
         for chain, last in labels.items():
-            members = self._chains[chain]
-            for digest in members[: last + 1]:
-                if digest != pname.digest:
-                    found.add(PName(digest))
+            found += self._chains[chain][: last if chain == own_chain else last + 1]
         self.operations += len(found)
         return found
 
-    def descendants(self, pname: PName) -> Set[PName]:
+    def descendant_digests(self, pname: PName) -> List[str]:
         self._require(pname)
         self._ensure_current()
         self.operations += 1
         labels = self._down.get(pname.digest)
         if not labels:
-            return set()
-        found: Set[PName] = set()
+            return []
+        own_chain, _ = self._chain_of[pname.digest]
+        found: List[str] = []
         for chain, first in labels.items():
-            for digest in self._chains[chain][first:]:
-                if digest != pname.digest:
-                    found.add(PName(digest))
+            found += self._chains[chain][first + 1 if chain == own_chain else first :]
         self.operations += len(found)
         return found
 

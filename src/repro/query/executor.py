@@ -79,7 +79,7 @@ def execute(
             # histograms price this very query.
             if feedback.refresh_due():
                 store.refresh_statistics()
-        plan = store.planner.plan(query, force_full_scan=force_full_scan)
+        plan = store.planner.plan(query, force_full_scan=force_full_scan, key=result_key)
         # (a live view of the removal marks every stored record's node carries)
         removed = () if query.include_removed else store.graph.removed_digests()
         full_scan = isinstance(plan.path, FullScanPath)

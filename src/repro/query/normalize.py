@@ -22,7 +22,7 @@ paper's sliding-window workloads.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, Dict, List
 
 from repro.core.query import (
     TRUE,
@@ -91,44 +91,49 @@ def shape_key(predicate: Predicate) -> str:
     Commutative children are keyed in sorted order so ``a=1 & b=2`` and
     ``b=2 & a=1`` share one cache entry.
     """
-    if isinstance(predicate, Not):
-        return f"not({shape_key(predicate.part)})"
-    if isinstance(predicate, And):
-        return "and(" + ",".join(sorted(shape_key(p) for p in predicate.parts)) + ")"
-    if isinstance(predicate, Or):
-        return "or(" + ",".join(sorted(shape_key(p) for p in predicate.parts)) + ")"
-    if isinstance(predicate, AttributeEquals):
-        return f"eq[{predicate.name}]"
-    if isinstance(predicate, AttributeRange):
-        bounds = (
-            f"{'l' if predicate.low is not None else ''}"
-            f"{'L' if predicate.include_low else ''}"
-            f"{'h' if predicate.high is not None else ''}"
-            f"{'H' if predicate.include_high else ''}"
-        )
-        return f"range[{predicate.name}:{bounds}]"
-    if isinstance(predicate, AttributeIn):
-        return f"in[{predicate.name}:{len(predicate.values)}]"
-    if isinstance(predicate, AttributeContains):
-        return f"contains[{predicate.name}]"
-    if isinstance(predicate, AttributeExists):
-        return f"exists[{predicate.name}]"
-    if isinstance(predicate, NearLocation):
-        return f"near[{predicate.name}]"
-    if isinstance(predicate, TimeWindowOverlaps):
-        return f"window[{predicate.start_attr}:{predicate.end_attr}]"
-    if isinstance(predicate, AgentIs):
-        return "agent"
-    if isinstance(predicate, AnnotationMatches):
-        return f"annotation[{predicate.key}]"
-    if isinstance(predicate, IsRaw):
-        return f"raw[{predicate.raw}]"
-    if isinstance(predicate, DerivedFrom):
-        return "derived-from"
-    if isinstance(predicate, AncestorOf):
-        return "ancestor-of"
-    if predicate is TRUE:
-        return "true"
-    # Unknown predicate classes are keyed by type so user extensions
-    # still cache (conservatively: one entry per extension type).
-    return f"other[{type(predicate).__name__}]"
+    keyer = _SHAPE_OF.get(type(predicate))
+    if keyer is None:
+        # A subclass keeps its parent's key; any other predicate class is
+        # keyed by type so user extensions still cache (conservatively:
+        # one entry per extension type).
+        for base in type(predicate).__mro__[1:]:
+            if base in _SHAPE_OF:
+                return _SHAPE_OF[base](predicate)
+        return f"other[{type(predicate).__name__}]"
+    return keyer(predicate)
+
+
+def _commutative_key(word: str) -> Callable[[Predicate], str]:
+    return lambda predicate: f"{word}(" + ",".join(sorted(map(shape_key, predicate.parts))) + ")"
+
+
+def _range_key(predicate: AttributeRange) -> str:
+    bounds = (
+        f"{'l' if predicate.low is not None else ''}"
+        f"{'L' if predicate.include_low else ''}"
+        f"{'h' if predicate.high is not None else ''}"
+        f"{'H' if predicate.include_high else ''}"
+    )
+    return f"range[{predicate.name}:{bounds}]"
+
+
+#: one lookup on ``type(predicate)``: an ``isinstance`` chain over these
+#: (``ABCMeta`` classes, so each test runs in Python) was 1-3.5 us a key
+_SHAPE_OF: Dict[type, Callable[[Predicate], str]] = {
+    Not: lambda p: f"not({shape_key(p.part)})",
+    And: _commutative_key("and"),
+    Or: _commutative_key("or"),
+    AttributeEquals: lambda p: f"eq[{p.name}]",
+    AttributeRange: _range_key,
+    AttributeIn: lambda p: f"in[{p.name}:{len(p.values)}]",
+    AttributeContains: lambda p: f"contains[{p.name}]",
+    AttributeExists: lambda p: f"exists[{p.name}]",
+    NearLocation: lambda p: f"near[{p.name}]",
+    TimeWindowOverlaps: lambda p: f"window[{p.start_attr}:{p.end_attr}]",
+    AgentIs: lambda p: "agent",
+    AnnotationMatches: lambda p: f"annotation[{p.key}]",
+    IsRaw: lambda p: f"raw[{p.raw}]",
+    DerivedFrom: lambda p: "derived-from",
+    AncestorOf: lambda p: "ancestor-of",
+    type(TRUE): lambda p: "true",
+}

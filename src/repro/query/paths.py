@@ -23,7 +23,7 @@ performance does.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.core.attributes import AttributeValue, GeoPoint, Timestamp
 from repro.core.provenance import PName
@@ -292,8 +292,7 @@ class _LineageProbe(AccessPath):
     probe is *exact*: a stored record is in the probe set iff it matches
     the lineage conjunct, so the executor never re-evaluates it.  It is
     not *index-only*: the closure also names ancestors known by their
-    PName alone, so the executor fetches -- under the PNames the closure
-    already made (:meth:`pnames`), not under fresh ones.
+    PName alone, so the executor fetches.
     """
 
     exact = True
@@ -304,7 +303,6 @@ class _LineageProbe(AccessPath):
     def __init__(self, focus: PName, include_self: bool = False) -> None:
         self.focus = focus
         self.include_self = include_self
-        self._named: Dict[str, PName] = {}
 
     def describe(self) -> str:
         suffix = " (incl. the focus itself)" if self.include_self else ""
@@ -332,21 +330,16 @@ class _LineageProbe(AccessPath):
         ):
             if self.focus in store.graph:
                 walker = (
-                    store.closure.ancestors
+                    store.closure.ancestor_digests
                     if self.direction == "ancestors"
-                    else store.closure.descendants
+                    else store.closure.descendant_digests
                 )
-                named = {pname.digest: pname for pname in walker(self.focus)}
+                found = set(walker(self.focus))
             else:
-                named = {}
+                found = set()
             if self.include_self:
-                named[self.focus.digest] = self.focus
-            self._named = named
-            return set(named)
-
-    def pnames(self, digests: Sequence[str]) -> List[PName]:
-        named = self._named
-        return [named[digest] for digest in digests]
+                found.add(self.focus.digest)
+            return found
 
 
 class LineageAncestorsProbe(_LineageProbe):

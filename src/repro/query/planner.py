@@ -42,6 +42,7 @@ from repro.core.query import (
     Query,
     TimeWindowOverlaps,
 )
+from repro.query.feedback import ResultKey
 from repro.query.normalize import normalize, shape_key
 from repro.query.paths import (
     AccessPath,
@@ -133,10 +134,17 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def plan(self, query: Query, force_full_scan: bool = False) -> Plan:
-        """Choose an access path for ``query``."""
-        predicate = normalize(query.predicate)
-        shape = shape_key(predicate)
+    def plan(
+        self, query: Query, force_full_scan: bool = False, key: Optional[ResultKey] = None
+    ) -> Plan:
+        """Choose an access path for ``query``.
+
+        ``key`` is the query's result-cache identity when the executor
+        derived one: the normalized predicate and its shape are taken
+        from it instead of being worked out a second time.
+        """
+        predicate = normalize(query.predicate) if key is None else key.predicate
+        shape = shape_key(predicate) if key is None else key.shape
         if force_full_scan:
             path: AccessPath = FullScanPath()
             return Plan(

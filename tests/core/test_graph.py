@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.core import ProvenanceGraph, ProvenanceRecord
@@ -66,6 +69,84 @@ class TestConstruction:
         graph = ProvenanceGraph()
         with pytest.raises(UnknownEntityError):
             graph.parents(_pname("missing"))
+
+
+def _cycle_edges(length: int):
+    """``(child, parent)`` edges n1->n0, n2->n1, ... closed by n0->n(length-1)."""
+    names = [_pname(f"n{index}") for index in range(length)]
+    return [(names[(index + 1) % length], names[index]) for index in range(length)]
+
+
+def _count_reaches(graph: ProvenanceGraph, monkeypatch) -> list:
+    """Every ``_reaches`` call on ``graph`` from here on, as ``(start, target)``."""
+    calls = []
+    walk = graph._reaches
+
+    def counted(start, target, adjacency):
+        calls.append((start, target))
+        return walk(start, target, adjacency)
+
+    monkeypatch.setattr(graph, "_reaches", counted)
+    return calls
+
+
+class TestCycleCheck:
+    """The walk is skipped for a set nothing derives from, and only for that."""
+
+    @staticmethod
+    def _assert_only_the_closing_edge_is_refused(order):
+        graph = ProvenanceGraph()
+        for child, parent in order[:-1]:
+            graph.add_edge(child, parent)
+        child, parent = order[-1]
+        assert graph.children(child), "whatever closes a cycle already has a child"
+        with pytest.raises(CycleError):
+            graph.add_edge(child, parent)
+        assert parent not in graph.parents(child)
+        assert len(graph.topological_order()) == len(order)
+
+    def test_every_insertion_order_of_a_3_cycle_is_refused(self):
+        for order in itertools.permutations(_cycle_edges(3)):
+            self._assert_only_the_closing_edge_is_refused(order)
+
+    def test_a_long_chain_closed_at_its_root_is_refused_in_any_order(self):
+        edges = _cycle_edges(40)
+        shuffler = random.Random(24)
+        orders = [list(edges), list(reversed(edges))]
+        for _ in range(20):
+            orders.append(shuffler.sample(edges, len(edges)))
+        for order in orders:
+            self._assert_only_the_closing_edge_is_refused(order)
+
+    def test_a_fresh_leaf_is_not_walked_for(self, monkeypatch):
+        graph = ProvenanceGraph()
+        calls = _count_reaches(graph, monkeypatch)
+        a, b, c, d = (_pname(label) for label in "abcd")
+        graph.add_edge(b, a)  # both new
+        graph.add_edge(c, b)  # a new child of a known parent
+        graph.add_edge(c, a)  # a second parent for a set still nothing derives from
+        assert calls == []
+        # a's record arrives after its descendants': a has children, so the walk runs
+        graph.add_edge(a, d)
+        assert calls == [(d.digest, a.digest)]
+        with pytest.raises(CycleError):
+            graph.add_edge(a, c)
+        assert len(calls) == 2
+
+    def test_a_store_walks_only_for_a_late_ancestor(self, monkeypatch):
+        from repro.core import PassStore, TupleSet
+
+        store = PassStore()
+        calls = _count_reaches(store.graph, monkeypatch)
+        root = ProvenanceRecord({"label": "root"})
+        middle = root.derive({"label": "middle"})
+        leaf = middle.derive({"label": "leaf"})
+        store.ingest(TupleSet([], root))
+        store.ingest(TupleSet([], leaf))  # names middle as its parent before middle is stored
+        assert calls == []
+        store.ingest(TupleSet([], middle))  # leaf derives from it already: one edge, one walk
+        assert calls == [(root.pname().digest, middle.pname().digest)]
+        assert store.ancestors(leaf.pname()) == {root.pname(), middle.pname()}
 
 
 class TestTraversal:

@@ -10,7 +10,12 @@ estimated-vs-actual rows in the explain tree; ``client.ancestors`` /
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import Q, connect
 from repro.core import ProvenanceRecord, TupleSet
@@ -209,6 +214,104 @@ class TestLineagePagination:
             first = client.descendants(chain[0]).records
             for _ in range(3):
                 assert client.descendants(chain[0]).records == first
+
+
+    @pytest.mark.parametrize("closure", ["naive", "memoized", "labelled", "interval"])
+    def test_an_include_self_probe_leaves_the_closure_alone(self, closure, chainload):
+        """The probe adds the focus to *its* candidates, never to the strategy's labels."""
+        chain, unrelated = chainload
+        middle = chain[2]
+        with connect(f"memory://?closure={closure}") as client:
+            client.publish_many(chain + [unrelated])
+            for _ in range(2):
+                assert middle.pname in client.query(Q.derived_from(middle, include_self=True)).records
+                assert middle.pname in client.query(Q.ancestor_of(middle, include_self=True)).records
+                down = client.descendants(middle)
+                assert (down.total, down.records) == (3, sorted(ts.pname for ts in chain[3:]))
+                up = client.ancestors(middle)
+                assert (up.total, up.records) == (2, sorted(ts.pname for ts in chain[:2]))
+
+
+@st.composite
+def lineage_cases(draw):
+    """A small DAG (parents by index, always earlier), a publish order, and paged reads."""
+    node_count = draw(st.integers(min_value=2, max_value=10))
+    parents = [
+        sorted(draw(st.sets(st.integers(min_value=0, max_value=index - 1), max_size=3))) if index else []
+        for index in range(node_count)
+    ]
+    # (an ancestor's record may arrive after its descendants')
+    publish_order = draw(st.permutations(range(node_count)))
+    reads = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=node_count - 1),
+                st.booleans(),
+                st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+                st.integers(min_value=0, max_value=6),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return parents, publish_order, reads
+
+
+def _closure_by_index(parents, focus: int, up: bool) -> set:
+    """The oracle: a plain walk over the generated parent lists."""
+    step = parents if up else [
+        [child for child, listed in enumerate(parents) if index in listed] for index in range(len(parents))
+    ]
+    seen, frontier = set(), [focus]
+    while frontier:
+        for neighbour in step[frontier.pop()]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
+    return seen
+
+
+def _assert_pages(client, sets, parents, reads, where: str) -> None:
+    for focus, up, limit, offset in reads:
+        read = client.ancestors if up else client.descendants
+        full = sorted(sets[index].pname.digest for index in _closure_by_index(parents, focus, up))
+        page = read(sets[focus], limit=limit, offset=offset)
+        wanted = full[offset:] if limit is None else full[offset : offset + limit]
+        assert [pname.digest for pname in page.records] == wanted, where
+        assert page.total == len(full), where
+
+
+def _trip_the_automatic_switch(client) -> None:
+    """Make the next publish find a DAG summary that wants ``interval`` (tests/query/test_feedback.py)."""
+    store = client.store
+    assert store.closure.name == "labelled"
+    store.feedback._ingests_since_closure_check = 10_000
+    store.graph_stats.nodes = 9000
+    client.publish(_tuple_set(424242, city="boston"))
+    assert store.closure.name == "interval"
+
+
+class TestGeneratedPaging:
+    """A page is a slice of the *sorted* full answer, whichever strategy and store serve it."""
+
+    @given(case=lineage_cases(), durable=st.booleans())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_pages_are_slices_of_the_sorted_answer(self, case, durable):
+        parents, publish_order, reads = case
+        sets = []
+        for index, listed in enumerate(parents):
+            sets.append(_tuple_set(index, parents=[sets[parent].pname for parent in listed]))
+        with tempfile.TemporaryDirectory() as directory:
+            url = f"sqlite:///{os.path.join(directory, 'pass.db')}" if durable else "memory://"
+            with connect(url) as client:
+                for index in publish_order:
+                    client.publish(sets[index])
+                _assert_pages(client, sets, parents, reads, "labelled, as published")
+                _trip_the_automatic_switch(client)
+                _assert_pages(client, sets, parents, reads, "after the automatic switch")
+            if durable:
+                with connect(url) as client:
+                    _assert_pages(client, sets, parents, reads, "reopened")
 
 
 class TestDepthSatellite:

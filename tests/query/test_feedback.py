@@ -382,6 +382,34 @@ class TestClosureSwitching:
         (message,) = self._switches_logged(caplog)
         assert message.startswith(f"closure strategy switched: from=labelled to=interval nodes={len(store.graph) - 1} duration_ms=")
 
+    def test_an_automatic_switch_rebuilds_now_and_checkpoints_at_close(self, tmp_path, caplog):
+        """The publish that trips the switch builds the index; ``close()`` writes its blob."""
+        import repro
+
+        url = f"sqlite:///{tmp_path}/pass.db"
+        client = repro.connect(url)
+        store = client.store
+        _populate(store, 10)
+        before = store.backend.stats.puts
+        store.ingest(TupleSet([], _record(HOT, 8999)))
+        puts_of_a_publish = store.backend.stats.puts - before
+        self._force_check(store, nodes=9000, depth=10)
+        before = store.backend.stats.puts
+        with caplog.at_level("INFO", logger="repro.core"):
+            store.ingest(TupleSet([], _record(HOT, 9000)))
+        assert store.closure.name == "interval"
+        assert store.closure.index_stats()["rebuilds"] == 1  # built inside that publish
+        assert store.backend.stats.puts - before == puts_of_a_publish  # and nothing written for it
+        assert store.backend.get_index_blob("closure:interval") is None
+        (message,) = self._switches_logged(caplog)
+        assert message.startswith("closure strategy switched: from=labelled to=interval nodes=12 duration_ms=")
+        assert float(message.rsplit("duration_ms=", 1)[1]) >= 0.0
+        client.close()
+        with repro.connect(url + "?closure=interval") as reopened:
+            assert reopened.store.backend.get_index_blob("closure:interval") is not None
+            assert reopened.stats()["storage"]["closure_restore"]["mode"] == "full"
+            assert reopened.store.closure.index_stats()["rebuilds"] == 0
+
     def test_hysteresis_keeps_middling_graphs_put(self, caplog):
         store = PassStore()
         _populate(store, 10)

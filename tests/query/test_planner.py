@@ -145,8 +145,9 @@ class TestPathSelection:
         assert explain.used_index
 
     def test_a_lineage_answer_wraps_each_name_once(self, store, monkeypatch):
-        """The closure makes the PNames; the fetch reuses them (unwrapping to
-        digests for the executor and wrapping again cost 3 us a query)."""
+        """The probe keeps the closure's digests; the fetch makes the PNames,
+        one per name (wrapping in the closure and again for the fetch cost 3 us
+        a query)."""
         root = ProvenanceRecord({"domain": "traffic", "stage": "raw-y"})
         derived = [
             ProvenanceRecord({"domain": "traffic", "stage": "derived-y", "step": step}, ancestors=(root.pname(),))
