@@ -21,16 +21,6 @@ from repro.server import protocol
 
 __all__ = ["Codec", "Field", "Op", "OPS", "OBSERVED_OPS", "operations_table"]
 
-#: how a decoded JSON value's Python type is named in error messages
-_JSON_NAMES = {
-    str: "string",
-    int: "integer",
-    float: "number",
-    bool: "boolean",
-    dict: "object",
-    list: "array",
-}
-
 
 def _same(value):
     return value
@@ -158,7 +148,7 @@ class Op:
             if type(raw) is not field.codec.json_type:
                 raise ProtocolError(
                     f"{self.name}: field {field.name!r} must be a JSON "
-                    f"{_JSON_NAMES[field.codec.json_type]}, got {_JSON_NAMES[type(raw)]}"
+                    f"{protocol.JSON_NAMES[field.codec.json_type]}, got {protocol.JSON_NAMES[type(raw)]}"
                 )
             try:
                 values[field.name] = field.codec.from_wire(raw)

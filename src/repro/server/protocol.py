@@ -10,15 +10,27 @@ bytes of UTF-8 JSON.  Three frame shapes travel over a connection:
   for subscription deliveries and ``{"push": "goodbye", ...}`` when the
   daemon shuts down with the connection still open.
 
-Everything the :class:`~repro.api.client.PassClient` surface passes --
-tuple sets, queries (the full predicate algebra), window specs, results,
-explain trees, subscription events -- has a ``*_to_wire`` /
-``*_from_wire`` pair here, and every :mod:`repro.errors` exception maps
-to a stable code (:func:`repro.errors.error_code`) so the client
-re-raises the same type the server caught.  Attribute values ride the
-same tagged-JSON convention the SQLite backend persists
-(:func:`repro.core.provenance.value_to_json`), so a value round-trips
-identically through either path.
+Every dataclass the :class:`~repro.api.client.PassClient` surface passes
+-- the sixteen predicates, queries, window specs, results and their
+cost, subscription events -- is declared *once*, as one
+:class:`WireType` row: a tag, then the fields in envelope order, each
+``key[=attribute][:codec]``.  One engine derives both directions:
+
+* encoding picks the row by class, falling back along the MRO (a
+  subclass keeps its parent's form); decoding picks it by the tag;
+* a field whose attribute has a dataclass default may be absent and
+  takes that default; every other field is required;
+* a field's JSON type comes from the dataclass annotation (``str``,
+  ``bool``, ``int`` -- which no ``bool`` is --, ``float`` -- which an
+  ``int`` is --, ``List[str]``, ``Optional[...]``) or from its codec; a
+  mismatch is a :class:`ProtocolError` naming the type and the field.
+  A value the dataclass refuses raises its own typed error, as in-process.
+
+Records, tuple sets and explain trees keep the forms their own classes
+define.  Every :mod:`repro.errors` exception maps to a stable code
+(:func:`repro.errors.error_code`) so the client re-raises the type the
+server caught.  Attribute values ride the tagged JSON the SQLite backend
+persists (:func:`repro.core.provenance.value_to_json`).
 
 Monitoring ops (``metrics``, ``metrics_export``, ``health``,
 ``alerts``, ``timeseries``) return plain JSON objects and need no
@@ -30,9 +42,11 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import IO, Optional
+from dataclasses import MISSING, fields
+from operator import attrgetter
+from typing import IO, Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
-from repro.core.attributes import GeoPoint, Timestamp
+from repro.core.attributes import Timestamp
 from repro.core.provenance import (
     PName,
     ProvenanceRecord,
@@ -55,12 +69,11 @@ from repro.core.query import (
     NearLocation,
     Not,
     Or,
-    Predicate,
     Query,
     TimeWindowOverlaps,
 )
 from repro.core.tupleset import TupleSet, readings_from_json, readings_to_json
-from repro.errors import ProtocolError, error_code
+from repro.errors import PassError, ProtocolError, error_code
 from repro.query.explain import Explain
 from repro.stream.subscription import LineageEvent, MatchEvent, WindowEvent
 from repro.stream.windows import WindowSpec
@@ -68,27 +81,12 @@ from repro.stream.windows import WindowSpec
 from repro.api.results import Cost, Result
 
 __all__ = [
-    "MAX_FRAME_BYTES",
-    "WIRE_VERSION",
-    "encode_frame",
-    "read_frame",
-    "error_to_wire",
-    "predicate_to_wire",
-    "predicate_from_wire",
-    "query_to_wire",
-    "query_from_wire",
-    "window_to_wire",
-    "window_from_wire",
-    "tuple_set_to_wire",
-    "tuple_set_from_wire",
-    "record_to_wire",
-    "record_from_wire",
-    "result_to_wire",
-    "result_from_wire",
-    "explain_to_wire",
-    "explain_from_wire",
-    "event_to_wire",
-    "event_from_wire",
+    "MAX_FRAME_BYTES", "WIRE_VERSION", "JSON_NAMES", "WIRE_TYPES", "WireType",
+    "encode_frame", "read_frame", "error_to_wire",
+    "predicate_to_wire", "predicate_from_wire", "query_to_wire", "query_from_wire",
+    "window_to_wire", "window_from_wire", "tuple_set_to_wire", "tuple_set_from_wire",
+    "record_to_wire", "record_from_wire", "result_to_wire", "result_from_wire",
+    "explain_to_wire", "explain_from_wire", "event_to_wire", "event_from_wire",
 ]
 
 #: bumped on any incompatible change to frames, ops or error codes
@@ -181,215 +179,7 @@ def pname_from_wire(digest) -> PName:
 
 
 # ----------------------------------------------------------------------
-# Predicates and queries
-# ----------------------------------------------------------------------
-def predicate_to_wire(predicate: Predicate) -> dict:
-    """Serialize any predicate of the core algebra."""
-    if predicate is TRUE or type(predicate).__name__ == "_AlwaysTrue":
-        return {"kind": "true"}
-    if isinstance(predicate, AttributeEquals):
-        return {"kind": "eq", "name": predicate.name, "value": value_to_json(predicate.value)}
-    if isinstance(predicate, AttributeRange):
-        return {
-            "kind": "range",
-            "name": predicate.name,
-            "low": None if predicate.low is None else value_to_json(predicate.low),
-            "high": None if predicate.high is None else value_to_json(predicate.high),
-            "include_low": predicate.include_low,
-            "include_high": predicate.include_high,
-        }
-    if isinstance(predicate, AttributeContains):
-        return {"kind": "contains", "name": predicate.name, "needle": predicate.needle}
-    if isinstance(predicate, AttributeIn):
-        return {
-            "kind": "in",
-            "name": predicate.name,
-            "values": [value_to_json(value) for value in predicate.values],
-        }
-    if isinstance(predicate, AttributeExists):
-        return {"kind": "exists", "name": predicate.name}
-    if isinstance(predicate, NearLocation):
-        return {
-            "kind": "near",
-            "name": predicate.name,
-            "lat": predicate.centre.latitude,
-            "lon": predicate.centre.longitude,
-            "radius_km": predicate.radius_km,
-        }
-    if isinstance(predicate, TimeWindowOverlaps):
-        return {
-            "kind": "overlaps",
-            "start": predicate.start.seconds,
-            "end": predicate.end.seconds,
-            "start_attr": predicate.start_attr,
-            "end_attr": predicate.end_attr,
-        }
-    if isinstance(predicate, AgentIs):
-        return {
-            "kind": "agent",
-            "name": predicate.name,
-            "agent_kind": predicate.kind,
-            "version": predicate.version,
-        }
-    if isinstance(predicate, AnnotationMatches):
-        return {
-            "kind": "annotation",
-            "key": predicate.key,
-            "value": None if predicate.value is None else value_to_json(predicate.value),
-        }
-    if isinstance(predicate, IsRaw):
-        return {"kind": "is_raw", "raw": predicate.raw}
-    if isinstance(predicate, And):
-        return {"kind": "and", "parts": [predicate_to_wire(part) for part in predicate.parts]}
-    if isinstance(predicate, Or):
-        return {"kind": "or", "parts": [predicate_to_wire(part) for part in predicate.parts]}
-    if isinstance(predicate, Not):
-        return {"kind": "not", "part": predicate_to_wire(predicate.part)}
-    if isinstance(predicate, DerivedFrom):
-        return {
-            "kind": "derived_from",
-            "ancestor": predicate.ancestor.digest,
-            "include_self": predicate.include_self,
-        }
-    if isinstance(predicate, AncestorOf):
-        return {
-            "kind": "ancestor_of",
-            "descendant": predicate.descendant.digest,
-            "include_self": predicate.include_self,
-        }
-    raise ProtocolError(f"predicate {type(predicate).__name__} has no wire form")
-
-
-def predicate_from_wire(payload) -> Predicate:
-    """Inverse of :func:`predicate_to_wire`."""
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"predicate payload must be an object, got {payload!r}")
-    kind = payload.get("kind")
-    try:
-        if kind == "true":
-            return TRUE
-        if kind == "eq":
-            return AttributeEquals(payload["name"], value_from_json(payload["value"]))
-        if kind == "range":
-            return AttributeRange(
-                payload["name"],
-                low=None if payload["low"] is None else value_from_json(payload["low"]),
-                high=None if payload["high"] is None else value_from_json(payload["high"]),
-                include_low=payload["include_low"],
-                include_high=payload["include_high"],
-            )
-        if kind == "contains":
-            return AttributeContains(payload["name"], payload["needle"])
-        if kind == "in":
-            return AttributeIn(
-                payload["name"], tuple(value_from_json(value) for value in payload["values"])
-            )
-        if kind == "exists":
-            return AttributeExists(payload["name"])
-        if kind == "near":
-            return NearLocation(
-                payload["name"],
-                GeoPoint(payload["lat"], payload["lon"]),
-                payload["radius_km"],
-            )
-        if kind == "overlaps":
-            return TimeWindowOverlaps(
-                Timestamp(payload["start"]),
-                Timestamp(payload["end"]),
-                start_attr=payload["start_attr"],
-                end_attr=payload["end_attr"],
-            )
-        if kind == "agent":
-            return AgentIs(payload["name"], payload["agent_kind"], payload["version"])
-        if kind == "annotation":
-            value = payload["value"]
-            return AnnotationMatches(
-                payload["key"], None if value is None else value_from_json(value)
-            )
-        if kind == "is_raw":
-            return IsRaw(payload["raw"])
-        if kind == "and":
-            return And(tuple(predicate_from_wire(part) for part in payload["parts"]))
-        if kind == "or":
-            return Or(tuple(predicate_from_wire(part) for part in payload["parts"]))
-        if kind == "not":
-            return Not(predicate_from_wire(payload["part"]))
-        if kind == "derived_from":
-            return DerivedFrom(pname_from_wire(payload["ancestor"]), payload["include_self"])
-        if kind == "ancestor_of":
-            return AncestorOf(pname_from_wire(payload["descendant"]), payload["include_self"])
-    except ProtocolError:
-        raise
-    except Exception as error:
-        raise ProtocolError(f"malformed {kind!r} predicate: {error}") from None
-    raise ProtocolError(f"unknown predicate kind {kind!r}")
-
-
-def query_to_wire(query: Query) -> dict:
-    return {
-        "predicate": predicate_to_wire(query.predicate),
-        "limit": query.limit,
-        "include_removed": query.include_removed,
-        "order_by": query.order_by,
-    }
-
-
-def query_from_wire(payload) -> Query:
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"query payload must be an object, got {payload!r}")
-    try:
-        return Query(
-            predicate=predicate_from_wire(payload["predicate"]),
-            limit=payload.get("limit"),
-            include_removed=payload.get("include_removed", True),
-            order_by=payload.get("order_by"),
-        )
-    except ProtocolError:
-        raise
-    except Exception as error:
-        raise ProtocolError(f"malformed query: {error}") from None
-
-
-# ----------------------------------------------------------------------
-# Window specs
-# ----------------------------------------------------------------------
-def window_to_wire(window: Optional[WindowSpec]) -> Optional[dict]:
-    if window is None:
-        return None
-    return {
-        "size_seconds": window.size_seconds,
-        "slide_seconds": window.slide_seconds,
-        "aggregate": window.aggregate,
-        "value_attr": window.value_attr,
-        "group_by": window.group_by,
-        "time_attr": window.time_attr,
-    }
-
-
-def window_from_wire(payload) -> Optional[WindowSpec]:
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"window payload must be an object, got {payload!r}")
-    try:
-        return WindowSpec(
-            size_seconds=payload["size_seconds"],
-            slide_seconds=payload.get("slide_seconds"),
-            aggregate=payload.get("aggregate", "count"),
-            value_attr=payload.get("value_attr"),
-            group_by=payload.get("group_by"),
-            time_attr=payload.get("time_attr", "window_start"),
-        )
-    except ProtocolError:
-        raise
-    except KeyError as error:
-        raise ProtocolError(f"malformed window spec: missing {error}") from None
-    # ConfigurationError from WindowSpec validation propagates typed: the
-    # server maps it onto its stable code for the client to re-raise.
-
-
-# ----------------------------------------------------------------------
-# Records and tuple sets
+# Records, tuple sets and explain trees: forms their own classes define
 # ----------------------------------------------------------------------
 def record_to_wire(record: ProvenanceRecord) -> dict:
     return record.to_dict()
@@ -422,49 +212,6 @@ def tuple_set_from_wire(payload) -> TupleSet:
     return TupleSet(readings, record)
 
 
-# ----------------------------------------------------------------------
-# Results, cost, explain
-# ----------------------------------------------------------------------
-def result_to_wire(result: Result) -> dict:
-    return {
-        "records": [pname.digest for pname in result.records],
-        "cost": {
-            "latency_ms": result.cost.latency_ms,
-            "messages": result.cost.messages,
-            "bytes": result.cost.bytes,
-            "rows_scanned": result.cost.rows_scanned,
-            "sites": list(result.cost.sites),
-        },
-        "notes": list(result.notes),
-        "total": result.total,
-        "offset": result.offset,
-    }
-
-
-def result_from_wire(payload) -> Result:
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"result payload must be an object, got {payload!r}")
-    try:
-        cost_payload = payload.get("cost", {})
-        return Result(
-            records=[pname_from_wire(digest) for digest in payload.get("records", [])],
-            cost=Cost(
-                latency_ms=cost_payload.get("latency_ms", 0.0),
-                messages=cost_payload.get("messages", 0),
-                bytes=cost_payload.get("bytes", 0),
-                rows_scanned=cost_payload.get("rows_scanned", 0),
-                sites=list(cost_payload.get("sites", [])),
-            ),
-            notes=list(payload.get("notes", [])),
-            total=payload.get("total"),
-            offset=payload.get("offset", 0),
-        )
-    except ProtocolError:
-        raise
-    except Exception as error:
-        raise ProtocolError(f"malformed result payload: {error}") from None
-
-
 def explain_to_wire(explain: Explain) -> dict:
     return explain.to_dict()
 
@@ -479,69 +226,246 @@ def explain_from_wire(payload) -> Explain:
 
 
 # ----------------------------------------------------------------------
-# Subscription events (the push feed)
+# The engine: one row per wire type, both directions derived from it
 # ----------------------------------------------------------------------
-def event_to_wire(event) -> dict:
-    if isinstance(event, MatchEvent):
-        return {
-            "type": "match",
-            "sub": event.subscription_id,
-            "pname": event.pname.digest,
-            "record": record_to_wire(event.record),
-        }
-    if isinstance(event, WindowEvent):
-        return {
-            "type": "window",
-            "sub": event.subscription_id,
-            "window_start": event.window_start,
-            "window_end": event.window_end,
-            "group": None if event.group is None else value_to_json(event.group),
-            "aggregate": event.aggregate,
-            "value": event.value,
-            "count": event.count,
-        }
-    if isinstance(event, LineageEvent):
-        return {
-            "type": "lineage",
-            "sub": event.subscription_id,
-            "watched": event.watched.digest,
-            "pname": event.pname.digest,
-            "record": record_to_wire(event.record),
-        }
-    raise ProtocolError(f"event {type(event).__name__} has no wire form")
+#: how a JSON value's Python type is named in error messages
+JSON_NAMES = {
+    str: "string", int: "integer", float: "number", bool: "boolean", dict: "object", list: "array", type(None): "null"
+}
 
 
-def event_from_wire(payload):
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"event payload must be an object, got {payload!r}")
-    kind = payload.get("type")
-    try:
-        if kind == "match":
-            return MatchEvent(
-                subscription_id=payload["sub"],
-                pname=pname_from_wire(payload["pname"]),
-                record=record_from_wire(payload["record"]),
-            )
-        if kind == "window":
-            group = payload["group"]
-            return WindowEvent(
-                subscription_id=payload["sub"],
-                window_start=payload["window_start"],
-                window_end=payload["window_end"],
-                group=None if group is None else value_from_json(group),
-                aggregate=payload["aggregate"],
-                value=payload["value"],
-                count=payload["count"],
-            )
-        if kind == "lineage":
-            return LineageEvent(
-                subscription_id=payload["sub"],
-                watched=pname_from_wire(payload["watched"]),
-                pname=pname_from_wire(payload["pname"]),
-                record=record_from_wire(payload["record"]),
-            )
-    except ProtocolError:
-        raise
-    except Exception as error:
-        raise ProtocolError(f"malformed {kind!r} event: {error}") from None
-    raise ProtocolError(f"unknown event type {kind!r}")
+def _is_optional(hint) -> bool:
+    return get_origin(hint) is Union and type(None) in get_args(hint)
+
+
+def _json_types(hint):
+    """``(types, items, words)`` of annotation ``hint``: the JSON types a value
+    may have, the types of its items if it is an array, and their name.
+
+    ``object`` (and any union but ``Optional[X]``) admits every value, so
+    its ``types`` is ``None``; a hint with no JSON form fails at import.
+    """
+    if _is_optional(hint):
+        inner = [arg for arg in get_args(hint) if arg is not type(None)]
+        types, items, words = _json_types(inner[0] if len(inner) == 1 else object)
+        return (None, None, words) if types is None else (types | {type(None)}, items, f"{words} or null")
+    if hint is object or get_origin(hint) is Union:
+        return None, None, "value"
+    if get_origin(hint) is list:
+        items, _, words = _json_types(*get_args(hint))
+        return frozenset({list}), items, f"array of {words}s"
+    if hint is float:
+        return frozenset({float, int}), None, "number"
+    if hint in JSON_NAMES:  # exactly that JSON type: true is no integer here
+        return frozenset({hint}), None, JSON_NAMES[hint]
+    raise TypeError(f"no JSON form for {hint!r}")
+
+
+class _Codec(NamedTuple):
+    """A field value that is not its own JSON: the JSON shape it rides as, both ways."""
+
+    hint: object
+    to_wire: Callable
+    from_wire: Callable
+
+
+#: the codecs a field may name after ``:`` (the nested ones look their rows up at call time)
+_CODECS = {
+    "value": _Codec(object, value_to_json, value_from_json),
+    "values": _Codec(
+        list, lambda values: list(map(value_to_json, values)), lambda items: tuple(map(value_from_json, items))
+    ),
+    "pname": _Codec(str, attrgetter("digest"), pname_from_wire),
+    "pnames": _Codec(
+        list, lambda pnames: [pname.digest for pname in pnames], lambda digests: list(map(pname_from_wire, digests))
+    ),
+    "time": _Codec(get_type_hints(Timestamp)["seconds"], attrgetter("seconds"), Timestamp),
+    "record": _Codec(dict, record_to_wire, record_from_wire),
+    "predicate": _Codec(dict, lambda part: _PREDICATES.encode(part), lambda item: _PREDICATES.decode(item)),
+    "parts": _Codec(
+        list, lambda parts: list(map(_PREDICATES.encode, parts)), lambda items: tuple(map(_PREDICATES.decode, items))
+    ),
+    "cost": _Codec(dict, lambda cost: _COST.encode(cost), lambda item: _COST.decode(item)),
+}
+
+
+class _Field(NamedTuple):
+    key: str
+    #: the constructor keyword; ``centre.latitude`` names a field of a nested dataclass
+    attribute: str
+    get: Callable
+    to_wire: Optional[Callable]
+    from_wire: Optional[Callable]
+    #: the JSON types the value may have (None: any) and, for an array, its items'
+    types: Optional[frozenset]
+    items: Optional[frozenset]
+    words: str
+    required: bool
+
+    def admits(self, value) -> bool:
+        """Whether a decoded JSON value has this field's type."""
+        if self.types is None:
+            return True
+        if type(value) not in self.types:
+            return False
+        return self.items is None or value is None or self.items.issuperset(map(type, value))
+
+
+class WireType:
+    """One dataclass's wire form: a tag (or none) and its fields in envelope order.
+
+    ``spec`` lists the fields as ``key[=attribute][:codec]`` words; the
+    attribute defaults to the key, a field without a codec rides as its
+    own JSON.  Getters, defaults and JSON types are resolved here, once.
+    """
+
+    def __init__(self, cls, label: str, spec: str, head: Optional[dict] = None, make=None):
+        self.cls = cls
+        self.label = label
+        self.head = head or {}
+        self.make = make or cls
+        hints = get_type_hints(cls)
+        defaulted = {
+            item.name for item in fields(cls) if item.default is not MISSING or item.default_factory is not MISSING
+        }
+        self.fields = tuple(self._field(word, hints, defaulted) for word in spec.split())
+        self._encoders = tuple((field.key, field.get, field.to_wire) for field in self.fields)
+        self._decoders = tuple(
+            (field.key, field.attribute, field.from_wire, field.types, field.items, field.required, field)
+            for field in self.fields
+        )
+        # a dotted attribute is decoded under its own name, then gathered into its dataclass
+        self._nested: dict = {}
+        for field in self.fields:
+            outer, _, member = field.attribute.partition(".")
+            if member:
+                self._nested.setdefault(outer, (hints[outer], []))[1].append(member)
+
+    @staticmethod
+    def _field(word: str, hints: dict, defaulted: set) -> _Field:
+        key, _, codec_name = word.partition(":")
+        key, _, attribute = key.partition("=")
+        attribute = attribute or key
+        head, _, member = attribute.partition(".")
+        annotation = get_type_hints(hints[head])[member] if member else hints[head]
+        codec = _CODECS[codec_name] if codec_name else None
+        hint = annotation if codec is None else codec.hint
+        if codec is not None and _is_optional(annotation):
+            hint = Optional[hint]
+        types, items, words = _json_types(hint)
+        required = bool(member) or head not in defaulted
+        to_wire, from_wire = (None, None) if codec is None else codec[1:]
+        return _Field(key, attribute, attrgetter(attribute), to_wire, from_wire, types, items, words, required)
+
+    def encode(self, obj) -> dict:
+        wire = self.head.copy()
+        for key, get, to_wire in self._encoders:
+            value = get(obj)
+            wire[key] = value if value is None or to_wire is None else to_wire(value)
+        return wire
+
+    def decode(self, payload):
+        if type(payload) is not dict:
+            raise ProtocolError(f"{self.label} payload must be an object, got {payload!r}")
+        values = {}
+        try:
+            for key, name, from_wire, types, items, required, field in self._decoders:
+                try:
+                    raw = payload[key]
+                except KeyError:
+                    if required:
+                        raise ProtocolError(f"{self.label}: missing required field {key!r}") from None
+                    continue
+                if types is not None and (type(raw) not in types or items is not None and not field.admits(raw)):
+                    raise ProtocolError(
+                        f"{self.label}: field {key!r} must be a JSON {field.words}, "
+                        f"got {JSON_NAMES.get(type(raw), type(raw).__name__)}"
+                    )
+                values[name] = raw if raw is None or from_wire is None else from_wire(raw)
+            for outer, (nested, members) in self._nested.items():
+                values[outer] = nested(**{member: values.pop(f"{outer}.{member}") for member in members})
+            return self.make(**values)
+        except PassError:
+            raise
+        except Exception as error:
+            raise ProtocolError(f"malformed {self.label}: {error}") from None
+
+
+class _Tagged:
+    """Rows told apart by one tag key: predicates by ``kind``, events by ``type``."""
+
+    def __init__(self, noun: str, key: str, rows) -> None:
+        self.noun, self.key = noun, key
+        self.rows = tuple(
+            WireType(cls, f"{tag!r} {noun}", spec, {key: tag}, *make) for tag, cls, spec, *make in rows
+        )
+        self._by_class = {row.cls: row for row in self.rows}
+        self._by_tag = {row.head[key]: row for row in self.rows}
+
+    def encode(self, obj) -> dict:
+        for cls in type(obj).__mro__:
+            row = self._by_class.get(cls)
+            if row is not None:
+                return row.encode(obj)
+        raise ProtocolError(f"{self.noun} {type(obj).__name__} has no wire form")
+
+    def decode(self, payload):
+        if type(payload) is not dict:
+            raise ProtocolError(f"{self.noun} payload must be an object, got {payload!r}")
+        tag = payload.get(self.key)
+        row = self._by_tag.get(tag) if type(tag) is str else None
+        if row is None:
+            raise ProtocolError(f"unknown {self.noun} {self.key} {tag!r}")
+        return row.decode(payload)
+
+
+# ----------------------------------------------------------------------
+# The declarations
+# ----------------------------------------------------------------------
+_PREDICATES = _Tagged("predicate", "kind", (
+    ("true", type(TRUE), "", lambda: TRUE),
+    ("eq", AttributeEquals, "name value:value"),
+    ("range", AttributeRange, "name low:value high:value include_low include_high"),
+    ("contains", AttributeContains, "name needle"),
+    ("in", AttributeIn, "name values:values"),
+    ("exists", AttributeExists, "name"),
+    ("near", NearLocation, "name lat=centre.latitude lon=centre.longitude radius_km"),
+    ("overlaps", TimeWindowOverlaps, "start:time end:time start_attr end_attr"),
+    ("agent", AgentIs, "name agent_kind=kind version"),
+    ("annotation", AnnotationMatches, "key value:value"),
+    ("is_raw", IsRaw, "raw"),
+    ("and", And, "parts:parts"),
+    ("or", Or, "parts:parts"),
+    ("not", Not, "part:predicate"),
+    ("derived_from", DerivedFrom, "ancestor:pname include_self"),
+    ("ancestor_of", AncestorOf, "descendant:pname include_self"),
+))
+_QUERY = WireType(Query, "query", "predicate:predicate limit include_removed order_by")
+_WINDOW = WireType(WindowSpec, "window", "size_seconds slide_seconds aggregate value_attr group_by time_attr")
+_COST = WireType(Cost, "cost", "latency_ms messages bytes rows_scanned sites")
+_RESULT = WireType(Result, "result", "records:pnames cost:cost notes total offset")
+_EVENTS = _Tagged("event", "type", (
+    ("match", MatchEvent, "sub=subscription_id pname:pname record:record"),
+    ("window", WindowEvent, "sub=subscription_id window_start window_end group:value aggregate value count"),
+    ("lineage", LineageEvent, "sub=subscription_id watched:pname pname:pname record:record"),
+))
+
+#: every declared row, for the tests that hold the declaration complete
+WIRE_TYPES = (*_PREDICATES.rows, _QUERY, _WINDOW, _COST, _RESULT, *_EVENTS.rows)
+
+predicate_to_wire = _PREDICATES.encode
+predicate_from_wire = _PREDICATES.decode
+query_to_wire = _QUERY.encode
+query_from_wire = _QUERY.decode
+result_to_wire = _RESULT.encode
+result_from_wire = _RESULT.decode
+event_to_wire = _EVENTS.encode
+event_from_wire = _EVENTS.decode
+
+
+def window_to_wire(window: Optional[WindowSpec]) -> Optional[dict]:
+    return None if window is None else _WINDOW.encode(window)
+
+
+def window_from_wire(payload) -> Optional[WindowSpec]:
+    return None if payload is None else _WINDOW.decode(payload)

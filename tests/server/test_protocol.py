@@ -6,15 +6,21 @@ specs, records, tuple sets, results and explain trees.  Hypothesis
 drives arbitrary instances through ``*_to_wire`` -> JSON bytes ->
 ``*_from_wire`` and asserts identity; a parallel set of checks pins the
 framing layer and the stable error-code table (part of the protocol
-contract -- renaming a code is a wire-version break).  The same
-strategies then attack a live daemon: for every op of the table and
-every field it declares, a value of the wrong JSON type (or a field the
-op does not declare) must come back as the typed ``protocol`` error
-naming op and field, followed by EOF.
+contract -- renaming a code is a wire-version break).  The dataclass
+codecs are derived from one declaration row per wire type
+(``protocol.WIRE_TYPES``), so every row is round-tripped, and the
+engine's rules -- MRO dispatch, absent fields taking their dataclass
+default, JSON types read off the annotations -- are held row by row.
+The same strategies then attack a live daemon: for every op of the
+table and every field it declares, and for every typed field nested in
+a query or window it carries, a value of the wrong JSON type (or a field
+the op does not declare) must come back as the typed ``protocol`` error
+naming op or kind and field, followed by EOF.
 """
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import socket
@@ -25,6 +31,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api.results import Cost, Result
+from repro.core import query as query_module
 from repro.core.attributes import GeoPoint, Timestamp
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.core.query import (
@@ -43,14 +51,17 @@ from repro.core.query import (
     NearLocation,
     Not,
     Or,
+    Predicate,
     Query,
     TimeWindowOverlaps,
 )
 from repro.core.tupleset import SensorReading, TupleSet
 from repro.errors import (
     ERROR_CODES,
+    ConfigurationError,
     PassError,
     ProtocolError,
+    QueryError,
     error_code,
     error_from_code,
 )
@@ -62,6 +73,8 @@ from repro.stream.windows import AGGREGATES, WindowSpec
 COMMON = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+#: the example count is the profile's: five times over under ``--hypothesis-profile=thorough``
+ROUND_TRIPS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -81,10 +94,11 @@ scalars = st.one_of(
 )
 pnames = st.binary(min_size=32, max_size=32).map(lambda raw: PName(raw.hex()))
 
-leaf_predicates = st.one_of(
-    st.just(TRUE),
-    st.builds(AttributeEquals, names, scalars),
-    st.builds(
+#: one strategy per leaf predicate class of the algebra
+LEAF_PREDICATES = {
+    type(TRUE): st.just(TRUE),
+    AttributeEquals: st.builds(AttributeEquals, names, scalars),
+    AttributeRange: st.builds(
         AttributeRange,
         names,
         low=scalars,  # at least one bound is required; high may stay open
@@ -92,10 +106,10 @@ leaf_predicates = st.one_of(
         include_low=st.booleans(),
         include_high=st.booleans(),
     ),
-    st.builds(AttributeContains, names, st.text(min_size=1, max_size=10)),
-    st.builds(AttributeIn, names, st.lists(scalars, min_size=1, max_size=4).map(tuple)),
-    st.builds(AttributeExists, names),
-    st.builds(
+    AttributeContains: st.builds(AttributeContains, names, st.text(min_size=1, max_size=10)),
+    AttributeIn: st.builds(AttributeIn, names, st.lists(scalars, min_size=1, max_size=4).map(tuple)),
+    AttributeExists: st.builds(AttributeExists, names),
+    NearLocation: st.builds(
         NearLocation,
         names,
         st.builds(
@@ -105,7 +119,7 @@ leaf_predicates = st.one_of(
         ),
         st.floats(min_value=0.1, max_value=20000, allow_nan=False),
     ),
-    st.builds(
+    TimeWindowOverlaps: st.builds(
         TimeWindowOverlaps,
         st.builds(Timestamp, st.floats(min_value=0, max_value=10**8, allow_nan=False)),
         st.builds(
@@ -114,12 +128,13 @@ leaf_predicates = st.one_of(
         start_attr=names,
         end_attr=names,
     ),
-    st.builds(AgentIs, st.none() | names, st.none() | names, st.none() | names),
-    st.builds(AnnotationMatches, names, st.none() | scalars),
-    st.builds(IsRaw, st.booleans()),
-    st.builds(DerivedFrom, pnames, st.booleans()),
-    st.builds(AncestorOf, pnames, st.booleans()),
-)
+    AgentIs: st.builds(AgentIs, names, st.none() | names, st.none() | names),
+    AnnotationMatches: st.builds(AnnotationMatches, names, st.none() | scalars),
+    IsRaw: st.builds(IsRaw, st.booleans()),
+    DerivedFrom: st.builds(DerivedFrom, pnames, st.booleans()),
+    AncestorOf: st.builds(AncestorOf, pnames, st.booleans()),
+}
+leaf_predicates = st.one_of(*LEAF_PREDICATES.values())
 predicates = st.recursive(
     leaf_predicates,
     lambda children: st.one_of(
@@ -172,6 +187,45 @@ readings = st.builds(
     ),
 )
 tuple_sets = st.builds(TupleSet, st.lists(readings, max_size=4), records)
+costs = st.builds(
+    Cost,
+    latency_ms=st.floats(min_value=0, max_value=10**6, allow_nan=False),
+    messages=st.integers(min_value=0, max_value=10**6),
+    bytes=st.integers(min_value=0, max_value=10**9),
+    rows_scanned=st.integers(min_value=0, max_value=10**6),
+    sites=st.lists(names, max_size=3),
+)
+
+#: one strategy per declared wire type
+INSTANCES = {
+    **LEAF_PREDICATES,
+    And: st.builds(And, st.lists(predicates, min_size=1, max_size=3).map(tuple)),
+    Or: st.builds(Or, st.lists(predicates, min_size=1, max_size=3).map(tuple)),
+    Not: st.builds(Not, predicates),
+    Query: queries,
+    WindowSpec: window_specs(),
+    Cost: costs,
+    Result: st.builds(
+        Result,
+        records=st.lists(pnames, max_size=5),
+        cost=costs,
+        notes=st.lists(st.text(max_size=30), max_size=3),
+        total=st.none() | st.integers(min_value=0, max_value=10**6),
+        offset=st.integers(min_value=0, max_value=1000),
+    ),
+    MatchEvent: st.builds(MatchEvent, names, pnames, records),
+    WindowEvent: st.builds(
+        WindowEvent,
+        names,
+        st.floats(min_value=0, max_value=10**9, allow_nan=False),
+        st.floats(min_value=0, max_value=10**9, allow_nan=False),
+        st.none() | scalars,
+        st.sampled_from(AGGREGATES),
+        st.none() | st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+    LineageEvent: st.builds(LineageEvent, names, pnames, pnames, records),
+}
 
 
 def _through_json(payload):
@@ -232,8 +286,6 @@ def test_tuple_set_round_trip(tuple_set):
     offset=st.integers(min_value=0, max_value=1000),
 )
 def test_result_round_trip(pname_list, latency, messages, notes, total, offset):
-    from repro.api.results import Cost, Result
-
     result = Result(
         records=pname_list,
         cost=Cost(latency_ms=latency, messages=messages, sites=["a", "b"]),
@@ -300,6 +352,150 @@ def test_event_round_trips(record, sub):
     decoded = protocol.event_from_wire(_through_json(protocol.event_to_wire(window)))
     assert isinstance(decoded, WindowEvent)
     assert (decoded.group, decoded.value, decoded.count) == ("london", 41.5, 3)
+
+
+# ----------------------------------------------------------------------
+# The declaration: complete, and its three rules hold for every row
+# ----------------------------------------------------------------------
+def _public_codec(row):
+    """The public ``*_to_wire`` / ``*_from_wire`` pair a row is reached through."""
+    if "kind" in row.head:
+        return protocol.predicate_to_wire, protocol.predicate_from_wire
+    if "type" in row.head:
+        return protocol.event_to_wire, protocol.event_from_wire
+    return {
+        Query: (protocol.query_to_wire, protocol.query_from_wire),
+        WindowSpec: (protocol.window_to_wire, protocol.window_from_wire),
+        Result: (protocol.result_to_wire, protocol.result_from_wire),
+        # a cost only travels inside a result
+        Cost: (
+            lambda cost: protocol.result_to_wire(Result(cost=cost))["cost"],
+            lambda payload: protocol.result_from_wire({"cost": payload}).cost,
+        ),
+    }[row.cls]
+
+
+def _row_id(row):
+    return row.label.replace("'", "").replace(" ", "-")
+
+
+def test_every_predicate_and_event_class_has_exactly_one_row():
+    declared = [row.cls for row in protocol.WIRE_TYPES]
+    concrete = {
+        cls
+        for cls in vars(query_module).values()
+        if isinstance(cls, type) and issubclass(cls, Predicate) and not inspect.isabstract(cls)
+    }
+    assert type(TRUE) in concrete and len(concrete) == 16
+    for cls in concrete | {MatchEvent, WindowEvent, LineageEvent, Query, WindowSpec, Result, Cost}:
+        assert declared.count(cls) == 1, cls.__name__
+    assert len(declared) == len(concrete) + 7
+
+
+def test_every_row_has_a_strategy():
+    assert {row.cls for row in protocol.WIRE_TYPES} == set(INSTANCES)
+
+
+@pytest.mark.parametrize("row", protocol.WIRE_TYPES, ids=_row_id)
+@ROUND_TRIPS
+@given(data=st.data())
+def test_every_row_round_trips_through_json(row, data):
+    value = data.draw(INSTANCES[row.cls])
+    to_wire, from_wire = _public_codec(row)
+    wire = _through_json(to_wire(value))
+    assert from_wire(wire) == value
+    assert _through_json(to_wire(from_wire(wire))) == wire
+
+
+def test_the_trivial_predicate_decodes_to_the_one_instance():
+    assert protocol.predicate_from_wire({"kind": "true"}) is TRUE
+    assert protocol.query_from_wire({}).predicate is TRUE
+
+
+def test_a_subclass_keeps_its_parents_form():
+    class CityIs(AttributeEquals):
+        pass
+
+    wire = protocol.predicate_to_wire(CityIs("city", "london"))
+    assert wire == {"kind": "eq", "name": "city", "value": "london"}
+    assert protocol.predicate_from_wire(wire) == AttributeEquals("city", "london")
+
+
+def test_an_undeclared_class_has_no_wire_form():
+    class Never(Predicate):
+        def matches(self, pname, record, lineage=None) -> bool:
+            return False
+
+    with pytest.raises(ProtocolError, match="predicate Never has no wire form"):
+        protocol.predicate_to_wire(Never())
+    with pytest.raises(ProtocolError, match="predicate Never has no wire form"):
+        protocol.predicate_to_wire(Not(Never()))
+    with pytest.raises(ProtocolError, match="event str has no wire form"):
+        protocol.event_to_wire("match")
+
+
+@pytest.mark.parametrize(
+    "decode,payload,message",
+    [
+        (protocol.predicate_from_wire, {"kind": "nope"}, "unknown predicate kind 'nope'"),
+        (protocol.predicate_from_wire, {"name": "city"}, "unknown predicate kind None"),
+        (protocol.predicate_from_wire, {"kind": ["eq"]}, "unknown predicate kind ['eq']"),
+        (protocol.event_from_wire, {"type": "nope"}, "unknown event type 'nope'"),
+        (protocol.predicate_from_wire, ["kind", "eq"], "predicate payload must be an object"),
+        (protocol.query_from_wire, "everything", "query payload must be an object"),
+    ],
+)
+def test_an_unknown_tag_or_a_non_object_is_refused(decode, payload, message):
+    with pytest.raises(ProtocolError) as caught:
+        decode(payload)
+    assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "decode,payload,expected",
+    [
+        (protocol.predicate_from_wire, {"kind": "range", "name": "n", "low": 1}, AttributeRange("n", low=1)),
+        (protocol.predicate_from_wire, {"kind": "is_raw"}, IsRaw()),
+        (protocol.predicate_from_wire, {"kind": "agent", "name": "emt"}, AgentIs("emt")),
+        (protocol.predicate_from_wire, {"kind": "derived_from", "ancestor": "ab" * 32}, DerivedFrom(PName("ab" * 32))),
+        (protocol.query_from_wire, {}, Query()),
+        (protocol.query_from_wire, {"limit": 3}, Query(limit=3)),
+        (protocol.window_from_wire, {"size_seconds": 60}, WindowSpec(60)),
+        (protocol.result_from_wire, {}, Result()),
+        (protocol.result_from_wire, {"cost": {"messages": 2}}, Result(cost=Cost(messages=2))),
+    ],
+)
+def test_an_absent_defaulted_field_takes_the_dataclass_default(decode, payload, expected):
+    assert decode(payload) == expected
+
+
+@pytest.mark.parametrize(
+    "decode,payload,message",
+    [
+        (protocol.predicate_from_wire, {"kind": "range", "low": 1}, "'range' predicate: missing required field 'name'"),
+        (protocol.predicate_from_wire, {"kind": "eq", "name": "n"}, "'eq' predicate: missing required field 'value'"),
+        (
+            protocol.predicate_from_wire,
+            {"kind": "near", "name": "at", "lat": 1.0, "radius_km": 2.0},
+            "'near' predicate: missing required field 'lon'",
+        ),
+        (protocol.predicate_from_wire, {"kind": "not"}, "'not' predicate: missing required field 'part'"),
+        (protocol.window_from_wire, {"aggregate": "count"}, "window: missing required field 'size_seconds'"),
+        (protocol.event_from_wire, {"type": "match", "sub": "s"}, "'match' event: missing required field 'pname'"),
+    ],
+)
+def test_an_absent_required_field_is_refused(decode, payload, message):
+    with pytest.raises(ProtocolError) as caught:
+        decode(payload)
+    assert str(caught.value) == message
+
+
+def test_a_value_the_dataclass_refuses_keeps_its_own_type():
+    # The same typed error an in-process caller gets from the constructor.
+    with pytest.raises(QueryError, match="at least one bound"):
+        protocol.predicate_from_wire({"kind": "range", "name": "n"})
+    with pytest.raises(ConfigurationError, match="unknown aggregate"):
+        protocol.window_from_wire({"size_seconds": 60, "aggregate": "median"})
 
 
 # ----------------------------------------------------------------------
@@ -470,3 +666,88 @@ def test_a_missing_required_field_is_a_protocol_error_naming_it(daemon, op):
         "code": "protocol",
         "message": f"{op.name}: missing required field {missing.name!r}",
     }
+
+
+# ----------------------------------------------------------------------
+# Nested field types: every declared field refuses a mistyped JSON value
+# ----------------------------------------------------------------------
+#: every field of every row whose JSON type can be wrong (a tagged value can be any JSON)
+TYPED_FIELDS = [(row, field) for row in protocol.WIRE_TYPES for field in row.fields if field.types is not None]
+
+#: the frames that decoded to a different question before nested fields were
+#: checked: P4-removed sets included, a predicate matching nothing, IN ('a', 'b'), LIMIT 1
+DIFFERENT_QUESTIONS = {
+    "include_removed-no": (Query, {"include_removed": "no"}, "query", "include_removed"),
+    "is_raw-no": (IsRaw, {"kind": "is_raw", "raw": "no"}, "'is_raw' predicate", "raw"),
+    "in-a-string": (AttributeIn, {"kind": "in", "name": "n", "values": "ab"}, "'in' predicate", "values"),
+    "limit-true": (Query, {"limit": True}, "query", "limit"),
+}
+
+
+def _mistyped(field, data):
+    return data.draw((json_values | st.none()).filter(lambda value: not field.admits(value)))
+
+
+def _request_carrying(row, payload):
+    """The op and args of a request carrying ``payload`` as a value of ``row``."""
+    if "kind" in row.head:
+        return "query", {"query": {"predicate": payload}}
+    if row.cls is Query:
+        return "query", {"query": payload}
+    assert row.cls is WindowSpec
+    return "subscribe", {"window": payload}
+
+
+def _field_id(item):
+    return f"{_row_id(item[0])}.{item[1].key}"
+
+
+#: the typed fields a request can carry (results, costs and events only travel to the client)
+REQUEST_FIELDS = [
+    (row, field) for row, field in TYPED_FIELDS if "kind" in row.head or row.cls in (Query, WindowSpec)
+]
+
+
+def test_every_plain_field_is_typed():
+    untyped = [
+        (row.label, field.key)
+        for row in protocol.WIRE_TYPES
+        for field in row.fields
+        if field.types is None and field.from_wire is None
+    ]
+    assert untyped == []
+    assert len(TYPED_FIELDS) > 50 and len(REQUEST_FIELDS) > 30
+
+
+@pytest.mark.parametrize("row,field", TYPED_FIELDS, ids=list(map(_field_id, TYPED_FIELDS)))
+@ATTACKS
+@given(data=st.data())
+def test_a_mistyped_nested_field_is_a_protocol_error_naming_kind_and_field(row, field, data):
+    to_wire, from_wire = _public_codec(row)
+    payload = _through_json(to_wire(data.draw(INSTANCES[row.cls])))
+    payload[field.key] = _mistyped(field, data)
+    with pytest.raises(ProtocolError) as caught:
+        from_wire(payload)
+    assert str(caught.value).startswith(f"{row.label}: field {field.key!r} must be a JSON {field.words}, got ")
+
+
+@pytest.mark.parametrize("row,field", REQUEST_FIELDS, ids=list(map(_field_id, REQUEST_FIELDS)))
+@ATTACKS
+@given(data=st.data())
+def test_a_mistyped_nested_field_closes_the_connection(daemon, row, field, data):
+    to_wire, _ = _public_codec(row)
+    payload = _through_json(to_wire(data.draw(INSTANCES[row.cls])))
+    payload[field.key] = _mistyped(field, data)
+    error = _answer_then_eof(daemon, *_request_carrying(row, payload))
+    assert error["code"] == "protocol", error
+    assert error["message"].startswith(f"{row.label}: field {field.key!r} must be a JSON "), error
+
+
+@pytest.mark.parametrize("cls,payload,label,key", DIFFERENT_QUESTIONS.values(), ids=list(DIFFERENT_QUESTIONS))
+def test_the_frames_that_asked_a_different_question_are_refused(daemon, cls, payload, label, key):
+    row = next(row for row in protocol.WIRE_TYPES if row.cls is cls)
+    with pytest.raises(ProtocolError) as caught:
+        _public_codec(row)[1](payload)
+    assert str(caught.value).startswith(f"{label}: field {key!r} must be a JSON ")
+    error = _answer_then_eof(daemon, *_request_carrying(row, payload))
+    assert error["code"] == "protocol" and error["message"] == str(caught.value)
