@@ -880,7 +880,12 @@ class PassStore(LineageOracle):
     # ------------------------------------------------------------------
     @staticmethod
     def _encode_readings(readings: Iterable[SensorReading]) -> bytes:
-        """Canonical payload bytes; P3 compares these byte for byte."""
+        """Canonical payload bytes; P3 compares these byte for byte.
+
+        A tuple set received over the wire carries them already.
+        """
+        if isinstance(readings, TupleSet) and readings.payload is not None:
+            return readings.payload
         return readings_to_bytes(readings)
 
     @staticmethod

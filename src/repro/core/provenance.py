@@ -440,6 +440,16 @@ def _value_from_json(value):
 value_to_json = _value_to_json
 value_from_json = _value_from_json
 
+#: how a JSON value's Python type is named in error messages
+JSON_NAMES = {
+    str: "string", int: "integer", float: "number", bool: "boolean", dict: "object", list: "array", type(None): "null"
+}
+
+
+def json_name(value) -> str:
+    """The JSON name of ``value``'s type, for error messages."""
+    return JSON_NAMES.get(type(value), type(value).__name__)
+
 
 # ----------------------------------------------------------------------
 # The stored text form, written without the intermediate dicts

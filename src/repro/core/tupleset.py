@@ -17,26 +17,29 @@ This module provides:
 * :func:`readings_to_json` / :func:`readings_from_json` -- the one
   plain-JSON form of a list of readings; wire frames are built from it,
   and :func:`readings_to_bytes` writes its canonical dump (the stored
-  payload) straight from the readings.
+  payload) straight from the readings; :func:`readings_payload_from_json`
+  writes it straight from the JSON a tuple set arrives as over the wire.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
-from repro.core.attributes import AttributeValue, GeoPoint, Timestamp, ensure_attribute_map
+from repro.core.attributes import AttributeValue, GeoPoint, Timestamp, coerce_value, ensure_attribute_map
 from repro.core.provenance import (
     Agent,
     PName,
     ProvenanceRecord,
     canonical_json,
+    json_name,
     plain_json_text,
     value_from_json,
     value_json_text,
     value_to_json,
 )
-from repro.errors import ProvenanceError
+from repro.errors import PassError, ProvenanceError
 
 __all__ = [
     "SensorReading",
@@ -45,6 +48,7 @@ __all__ = [
     "readings_to_json",
     "readings_to_bytes",
     "readings_from_json",
+    "readings_payload_from_json",
 ]
 
 
@@ -150,6 +154,74 @@ def readings_to_bytes(readings: Iterable[SensorReading]) -> bytes:
     return f'[{",".join(items)}]'.encode("ascii")
 
 
+_READING_KEYS = frozenset({"sensor_id", "timestamp", "values", "location"})
+_PLAIN = frozenset({str, int, float, bool})  # by exact type, as JSON decodes them
+_NUMBERS = frozenset({int, float})  # no boolean is a number here
+_NUMBER_FIELDS = {Timestamp: ("seconds",), GeoPoint: ("latitude", "longitude")}
+
+
+def readings_payload_from_json(items) -> bytes:
+    """The stored payload of readings received as JSON, checked in one walk and one dump.
+
+    Byte for byte ``readings_to_bytes(readings_from_json(items))`` wherever
+    that pair accepts ``items`` (tests/test_properties.py holds them equal),
+    with no :class:`SensorReading` built.  Stricter where the pair stored
+    different data: no key but ``sensor_id`` (a non-empty string),
+    ``timestamp`` (a number), ``values`` and ``location`` (two numbers), and
+    numbers inside tagged values.  A refusal names the reading and the field.
+    """
+    if type(items) is not list:
+        raise ProvenanceError(f"readings must be a JSON array, got {json_name(items)}")
+    canonical, place = items, None
+    for index, item in enumerate(items):
+        try:
+            if type(item) is not dict:
+                raise ProvenanceError(f"must be a JSON object, got {json_name(item)}")
+            if not _READING_KEYS.issuperset(item):
+                raise ProvenanceError(f"unknown field {min(item.keys() - _READING_KEYS)!r}")
+            sensor_id, timestamp, values = item.get("sensor_id"), item.get("timestamp"), item.get("values")
+            if type(sensor_id) is not str or not sensor_id:
+                raise ProvenanceError(f"field 'sensor_id' must be a non-empty JSON string, got {sensor_id!r}")
+            if type(timestamp) not in _NUMBERS:
+                raise ProvenanceError(f"field 'timestamp' must be a JSON number, got {json_name(timestamp)}")
+            if type(values) is not dict or "" in values:
+                raise ProvenanceError(f"field 'values' must be a JSON object of named values, got {values!r}")
+            if "location" in item:
+                location = item["location"]
+                if type(location) is not list or len(location) != 2 or not _NUMBERS.issuperset(map(type, location)):
+                    raise ProvenanceError(f"field 'location' must be two JSON numbers, got {location!r}")
+                if location != place:  # a set is mostly one place: range-check it once
+                    try:
+                        GeoPoint(*location)
+                    except PassError as error:
+                        raise ProvenanceError(f"field 'location': {error}") from None
+                    place = location
+            if not _PLAIN.issuperset(map(type, values.values())):
+                if canonical is items:
+                    canonical = list(items)
+                canonical[index] = {**item, "values": {name: _stored_value(name, raw) for name, raw in values.items()}}
+        except PassError as error:
+            raise ProvenanceError(f"reading {index}: {error}") from None
+    return canonical_json(canonical).encode("ascii")
+
+
+def _stored_value(name: str, raw):
+    """The stored JSON form of one received value that is not plain."""
+    if type(raw) in _PLAIN:
+        return raw
+    try:
+        if type(raw) is dict and type(raw.get("items", [])) is not list:
+            raise ProvenanceError("'items' must be a JSON array")  # else a string decodes to its characters
+        value = coerce_value(value_from_json(raw))
+        for part in value if type(value) is tuple else (value,):
+            fields = _NUMBER_FIELDS.get(type(part), ())
+            if not _NUMBERS.issuperset(type(getattr(part, field)) for field in fields):
+                raise ProvenanceError(f"a tagged {type(part).__name__}'s {' and '.join(fields)} must be JSON numbers")
+        return value_to_json(value)
+    except (PassError, KeyError, TypeError) as error:  # a member missing, or a place of strings
+        raise ProvenanceError(f"field 'values': value {name!r}: {error}") from None
+
+
 def readings_from_json(items) -> List[SensorReading]:
     """Inverse of :func:`readings_to_json`; malformed input raises."""
     readings = []
@@ -177,7 +249,7 @@ class TupleSet:
     by every index and architecture model in the library.
     """
 
-    __slots__ = ("_readings", "_provenance")
+    __slots__ = ("_decoded", "_provenance", "_payload")
 
     def __init__(
         self,
@@ -186,11 +258,36 @@ class TupleSet:
     ) -> None:
         if not isinstance(provenance, ProvenanceRecord):
             raise ProvenanceError("a TupleSet requires a ProvenanceRecord")
-        self._readings: List[SensorReading] = list(readings)
-        for reading in self._readings:
+        self._decoded: Optional[List[SensorReading]] = list(readings)
+        for reading in self._decoded:
             if not isinstance(reading, SensorReading):
                 raise ProvenanceError(f"expected SensorReading, got {reading!r}")
         self._provenance = provenance
+        self._payload: Optional[bytes] = None
+
+    @classmethod
+    def from_payload(cls, payload: bytes, provenance: ProvenanceRecord) -> "TupleSet":
+        """A tuple set whose readings are the stored payload ``payload``.
+
+        ``payload`` is what :func:`readings_payload_from_json` returns.  The
+        readings are decoded from it (by :func:`readings_from_json`) the
+        first time something reads them; storing the set never does.
+        """
+        tuple_set = cls((), provenance)
+        tuple_set._decoded = None
+        tuple_set._payload = payload
+        return tuple_set
+
+    @property
+    def payload(self) -> Optional[bytes]:
+        """The stored payload the set was built from, or None (see :meth:`from_payload`)."""
+        return self._payload
+
+    @property
+    def _readings(self) -> List[SensorReading]:
+        if self._decoded is None:  # built from a payload, never read so far
+            self._decoded = readings_from_json(json.loads(self._payload))
+        return self._decoded
 
     # ------------------------------------------------------------------
     # Identity and provenance

@@ -17,8 +17,10 @@ is doing lives in :mod:`repro.server.monitor`.  Design points:
   subscription pushes are encoded and written to the connection's
   transport on the loop thread; transport writes are FIFO, so a client
   that calls ``flush_windows`` sees the window events pushed *before*
-  the flush response -- the order an in-process consumer observes.  A
-  peer that stops reading its replies stops being read (``drain()``); a
+  the flush response -- the order an in-process consumer observes.  Each
+  connection is an :class:`asyncio.Protocol` that splits frames in its
+  read callback and dispatches them inline.  A peer that stops reading
+  its replies stops being read (``pause_writing`` pauses reading); a
   subscriber with more than :data:`MAX_WRITE_BACKLOG_BYTES` of pushes
   unsent is shed; before ``hello`` a frame may announce at most
   :data:`MAX_PREAUTH_FRAME_BYTES` (``docs/SERVER.md`` § Bounds).
@@ -98,16 +100,68 @@ class _Tenant:
         self.jobs: Dict[str, dict] = {}
 
 
-class _Connection:
-    """Per-connection state: auth, the outbound transport, owned subscriptions."""
+class _Connection(asyncio.Protocol):
+    """One client connection: its frames dispatched inline as they complete, auth, owned subscriptions.
 
-    def __init__(self, writer, monitor: Monitor, handler_task: asyncio.Task) -> None:
-        self.writer = writer
-        self.monitor = monitor
-        self.handler_task = handler_task
+    While the transport's write buffer is over its high-water mark the
+    connection is not read, and frames already buffered wait too.
+    """
+
+    def __init__(self, daemon: "PassDaemon") -> None:
+        self.daemon = daemon
+        self.transport: Optional[asyncio.Transport] = None
         self.tenant: Optional[_Tenant] = None
         self.subscriptions: Dict[str, object] = {}
         self.closing = False
+        #: resolved once the transport is gone (what shutdown waits on)
+        self.closed = daemon._loop.create_future()
+        self._received = bytearray()
+        self._writing_paused = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.daemon._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.closing = True
+        self.daemon._drop_subscriptions(self)
+        self.daemon._connections.discard(self)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self._received += data
+        self._read_frames()
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        self.transport.resume_reading()
+        self._read_frames()
+
+    def _read_frames(self) -> None:
+        """Dispatch every complete frame received, until writing pauses or the connection closes."""
+        received, start = self._received, 0
+        while not (self._writing_paused or self.closing) and len(received) - start >= 4:
+            try:
+                length = protocol.frame_length(received[start : start + 4])
+                if self.tenant is None and length > MAX_PREAUTH_FRAME_BYTES:
+                    raise ProtocolError(f"frame of {length} bytes precedes the 'hello'")
+                end = start + 4 + length
+                if len(received) < end:
+                    break
+                payload = protocol.decode_body(received[start + 4 : end])
+            except ProtocolError as error:
+                self.send({"id": None, "ok": False, "error": error_to_wire(error)})
+                self.close()  # cannot trust the framing any more
+                return
+            start = end
+            if not self.daemon._dispatch(self, payload):
+                self.close()
+                return
+        del received[:start]
 
     def send(self, payload: dict) -> None:
         self.write(encode_frame(payload))
@@ -116,12 +170,12 @@ class _Connection:
         """Hand one frame to the transport, or shed a peer too far behind on its reading."""
         if self.closing:
             return
-        backlog = self.writer.transport.get_write_buffer_size()
+        backlog = self.transport.get_write_buffer_size()
         if backlog > MAX_WRITE_BACKLOG_BYTES:  # before the write: any one legal frame fits
             self.close()
-            self.monitor.record_shed(self.tenant.name if self.tenant else "-", backlog)
+            self.daemon.monitor.record_shed(self.tenant.name if self.tenant else "-", backlog)
         else:
-            self.writer.write(frame)
+            self.transport.write(frame)
 
     def push_event(self, event) -> None:
         self.send({"push": "event", "event": event_to_wire(event)})
@@ -129,11 +183,10 @@ class _Connection:
     def close(self) -> None:
         """Stop writing; flush first only if the peer is keeping up (else that wait has no end)."""
         self.closing = True
-        transport = self.writer.transport
-        if transport.get_write_buffer_size():
-            transport.abort()
+        if self.transport.get_write_buffer_size():
+            self.transport.abort()
         else:
-            transport.close()
+            self.transport.close()
 
 
 class PassDaemon:
@@ -284,9 +337,7 @@ class PassDaemon:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
+        self._server = await self._loop.create_server(lambda: _Connection(self), self.host, self.port)
         bound = self._server.sockets[0].getsockname()
         self.address = DaemonAddress(host=bound[0], port=bound[1])
         metrics_bound = await self.monitor.start(self.host, self.metrics_port)
@@ -308,10 +359,9 @@ class PassDaemon:
             self._drop_subscriptions(connection)
             connection.send({"push": "goodbye", "reason": "daemon shutting down"})
             connection.close()
-        # Each connection handler now reads EOF and unwinds on its own;
-        # leaving them for asyncio.run() to cancel mid-read would log a
-        # CancelledError traceback per live client.
-        await asyncio.gather(*(c.handler_task for c in connections), return_exceptions=True)
+        # Wait for every transport to finish closing, so none is left for
+        # asyncio.run() to tear down mid-flight.
+        await asyncio.gather(*(c.closed for c in connections))
         await self._server.wait_closed()
         for tenant in self._tenants.values():
             tenant.client.close()
@@ -354,35 +404,6 @@ class PassDaemon:
         if not isinstance(name, str) or not name or "/" in name or "\\" in name:
             raise AuthError(f"malformed tenant name {name!r}")
         return self._tenant(name)
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        connection = _Connection(writer, self.monitor, asyncio.current_task())
-        self._connections.add(connection)
-        try:
-            await self._read_loop(connection, reader)
-        finally:
-            self._drop_subscriptions(connection)
-            connection.close()
-            self._connections.discard(connection)
-
-    async def _read_loop(self, connection: _Connection, reader) -> None:
-        while not self._shutdown.is_set():
-            try:
-                await connection.writer.drain()  # blocks only while the peer is behind on its replies
-                length = protocol.frame_length(await reader.readexactly(4))
-                if connection.tenant is None and length > MAX_PREAUTH_FRAME_BYTES:
-                    raise ProtocolError(f"frame of {length} bytes precedes the 'hello'")
-                payload = protocol.decode_body(await reader.readexactly(length))
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return  # client disconnected (possibly mid-stream)
-            except ProtocolError as error:
-                connection.send({"id": None, "ok": False, "error": error_to_wire(error)})
-                return  # cannot trust the framing any more
-            if not self._dispatch(connection, payload):
-                return
 
     # ------------------------------------------------------------------
     # Dispatch (runs on the loop thread)

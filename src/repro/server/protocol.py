@@ -48,8 +48,10 @@ from typing import IO, Callable, NamedTuple, Optional, Union, get_args, get_orig
 
 from repro.core.attributes import Timestamp
 from repro.core.provenance import (
+    JSON_NAMES,
     PName,
     ProvenanceRecord,
+    json_name,
     value_from_json,
     value_to_json,
 )
@@ -72,7 +74,7 @@ from repro.core.query import (
     Query,
     TimeWindowOverlaps,
 )
-from repro.core.tupleset import TupleSet, readings_from_json, readings_to_json
+from repro.core.tupleset import TupleSet, readings_payload_from_json, readings_to_json
 from repro.errors import PassError, ProtocolError, error_code
 from repro.query.explain import Explain
 from repro.stream.subscription import LineageEvent, MatchEvent, WindowEvent
@@ -96,6 +98,8 @@ WIRE_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+#: ``json.dumps(payload, separators=(",", ":"))``, built once rather than per frame
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +107,7 @@ _LENGTH = struct.Struct(">I")
 # ----------------------------------------------------------------------
 def encode_frame(payload: dict) -> bytes:
     """One wire frame: length prefix + compact JSON body."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _compact_json(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} cap")
     return _LENGTH.pack(len(body)) + body
@@ -202,14 +206,15 @@ def tuple_set_to_wire(tuple_set: TupleSet) -> dict:
 
 
 def tuple_set_from_wire(payload) -> TupleSet:
+    """The readings are checked and written as their stored payload, never decoded."""
     if not isinstance(payload, dict):
         raise ProtocolError(f"tuple set payload must be an object, got {payload!r}")
     record = record_from_wire(payload.get("provenance"))
     try:
-        readings = readings_from_json(payload.get("readings", []))
-    except Exception as error:
+        stored = readings_payload_from_json(payload.get("readings", []))
+    except PassError as error:
         raise ProtocolError(f"malformed readings payload: {error}") from None
-    return TupleSet(readings, record)
+    return TupleSet.from_payload(stored, record)
 
 
 def explain_to_wire(explain: Explain) -> dict:
@@ -228,12 +233,6 @@ def explain_from_wire(payload) -> Explain:
 # ----------------------------------------------------------------------
 # The engine: one row per wire type, both directions derived from it
 # ----------------------------------------------------------------------
-#: how a JSON value's Python type is named in error messages
-JSON_NAMES = {
-    str: "string", int: "integer", float: "number", bool: "boolean", dict: "object", list: "array", type(None): "null"
-}
-
-
 def _is_optional(hint) -> bool:
     return get_origin(hint) is Union and type(None) in get_args(hint)
 
@@ -379,7 +378,7 @@ class WireType:
                 if types is not None and (type(raw) not in types or items is not None and not field.admits(raw)):
                     raise ProtocolError(
                         f"{self.label}: field {key!r} must be a JSON {field.words}, "
-                        f"got {JSON_NAMES.get(type(raw), type(raw).__name__)}"
+                        f"got {json_name(raw)}"
                     )
                 values[name] = raw if raw is None or from_wire is None else from_wire(raw)
             for outer, (nested, members) in self._nested.items():

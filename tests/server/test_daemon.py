@@ -397,7 +397,7 @@ def _stalled_subscriber(address) -> socket.socket:
 def _largest_backlog(daemon: PassDaemon) -> int:
     return _on_loop(
         daemon,
-        lambda: max(c.writer.transport.get_write_buffer_size() for c in daemon._connections),
+        lambda: max(c.transport.get_write_buffer_size() for c in daemon._connections),
     )
 
 
@@ -480,3 +480,115 @@ def test_an_oversized_frame_before_hello_is_refused_unread():
             assert client.publish_many(bulk).total == 60  # one frame > 64 KiB
     finally:
         daemon.stop()
+
+
+# ----------------------------------------------------------------------
+# Framing in the read callback
+# ----------------------------------------------------------------------
+def _received_chunks(monkeypatch) -> list:
+    """The size of every chunk the daemon's connections are handed, in order."""
+    chunks = []
+    received = daemon_module._Connection.data_received
+    monkeypatch.setattr(
+        daemon_module._Connection, "data_received", lambda self, data: (chunks.append(len(data)), received(self, data))[1]
+    )
+    return chunks
+
+
+def _send_in_segments(sock: socket.socket, *pieces: bytes) -> None:
+    """Each piece its own segment, given time to be read before the next."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    for piece in pieces:
+        sock.sendall(piece)
+        time.sleep(0.005)
+
+
+HELLO = protocol.encode_frame({"id": 1, "op": "hello", "args": {}})
+PING = protocol.encode_frame({"id": 2, "op": "ping", "args": {}})
+
+
+def test_a_frame_delivered_one_byte_at_a_time_is_answered(monkeypatch):
+    chunks = _received_chunks(monkeypatch)
+    with PassDaemon(sample_interval_s=None) as daemon:
+        with socket.create_connection((daemon.address.host, daemon.address.port), timeout=5) as sock:
+            _send_in_segments(sock, *(HELLO[i : i + 1] for i in range(len(HELLO))))
+            answer = protocol.read_frame(sock.makefile("rb"))
+    assert answer["id"] == 1 and answer["ok"] is True
+    assert sum(chunks) == len(HELLO) and len(chunks) >= 3, chunks
+
+
+def test_two_frames_in_one_segment_are_both_answered_in_order(monkeypatch):
+    chunks = _received_chunks(monkeypatch)
+    with PassDaemon(sample_interval_s=None) as daemon:
+        with socket.create_connection((daemon.address.host, daemon.address.port), timeout=5) as sock:
+            sock.sendall(HELLO + PING)
+            stream = sock.makefile("rb")
+            answers = [protocol.read_frame(stream), protocol.read_frame(stream)]
+    assert [(answer["id"], answer["ok"]) for answer in answers] == [(1, True), (2, True)]
+    assert chunks == [len(HELLO) + len(PING)]
+
+
+def test_a_header_split_across_segments_is_joined(monkeypatch):
+    chunks = _received_chunks(monkeypatch)
+    with PassDaemon(sample_interval_s=None) as daemon:
+        with socket.create_connection((daemon.address.host, daemon.address.port), timeout=5) as sock:
+            _send_in_segments(sock, HELLO[:1], HELLO[1:3], HELLO[3:6], HELLO[6:] + PING[:2], PING[2:])
+            stream = sock.makefile("rb")
+            answers = [protocol.read_frame(stream), protocol.read_frame(stream)]
+    assert [(answer["id"], answer["ok"]) for answer in answers] == [(1, True), (2, True)]
+    assert sum(chunks) == len(HELLO) + len(PING) and len(chunks) >= 3, chunks
+
+
+def test_the_pre_hello_cap_admits_its_size_and_refuses_one_byte_more_from_a_split_header():
+    cap = daemon_module.MAX_PREAUTH_FRAME_BYTES
+    hello = b'{"id":1,"op":"hello","args":{},"pad":"'
+    body = hello + b"x" * (cap - len(hello) - 2) + b'"}'
+    assert len(body) == cap
+    with PassDaemon(sample_interval_s=None) as daemon:
+        with socket.create_connection((daemon.address.host, daemon.address.port), timeout=5) as sock:
+            sock.sendall(cap.to_bytes(4, "big") + body)
+            assert protocol.read_frame(sock.makefile("rb"))["ok"] is True
+        with socket.create_connection((daemon.address.host, daemon.address.port), timeout=5) as sock:
+            # Only the header, in two pieces: the refusal cannot wait for a body.
+            _send_in_segments(sock, (cap + 1).to_bytes(4, "big")[:2], (cap + 1).to_bytes(4, "big")[2:])
+            stream = sock.makefile("rb")
+            answer = protocol.read_frame(stream)
+            assert answer["ok"] is False and answer["error"]["code"] == "protocol"
+            assert answer["error"]["message"] == f"frame of {cap + 1} bytes precedes the 'hello'"
+            assert protocol.read_frame(stream) is None
+
+
+def test_a_peer_that_stops_reading_its_replies_stops_being_read():
+    requests = 200
+    with PassDaemon(sample_interval_s=None) as daemon:
+        with connect(daemon.address.url) as client:
+            client.publish_many([_tuple_set("wide", sequence) for sequence in range(1000)])
+        query = ops.OPS["query"].encode_args({"query": Q.attr("tag") == "wide", "limit": 1000})
+        frames = [protocol.encode_frame({"id": n, "op": "query", "args": query}) for n in range(1, requests + 1)]
+
+        def served() -> int:
+            ops_served = _on_loop(daemon, lambda: daemon.monitor.metrics(None)["tenants"]["default"]["ops"])
+            return ops_served.get("query", {}).get("count", 0)
+
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10)
+            sock.connect((daemon.address.host, daemon.address.port))
+            sock.sendall(HELLO + b"".join(frames))  # ~70 KB of answer each, none read yet
+            counts = [served()]
+            deadline = time.time() + 10
+            while time.time() < deadline:
+                time.sleep(0.25)
+                counts.append(served())
+                if counts[-1] == counts[-2] > 0:
+                    break
+            stalled_at = counts[-1]
+            assert 0 < stalled_at < requests, counts
+            # What waits is the requests, not their answers: the daemon holds
+            # about one answer past the transport's high-water mark.
+            assert _largest_backlog(daemon) < 64 * 1024 + 80 * 1024
+            stream = sock.makefile("rb")
+            answers = [protocol.read_frame(stream) for _ in range(requests + 1)]
+    assert [answer["id"] for answer in answers] == [1, *range(1, requests + 1)]
+    assert all(answer["ok"] for answer in answers)
+    assert answers[-1]["result"]["total"] == 1000

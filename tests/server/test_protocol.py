@@ -31,6 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import connect
 from repro.api.results import Cost, Result
 from repro.core import query as query_module
 from repro.core.attributes import GeoPoint, Timestamp
@@ -55,7 +56,7 @@ from repro.core.query import (
     Query,
     TimeWindowOverlaps,
 )
-from repro.core.tupleset import SensorReading, TupleSet
+from repro.core.tupleset import SensorReading, TupleSet, readings_to_bytes
 from repro.errors import (
     ERROR_CODES,
     ConfigurationError,
@@ -751,3 +752,67 @@ def test_the_frames_that_asked_a_different_question_are_refused(daemon, cls, pay
     assert str(caught.value).startswith(f"{label}: field {key!r} must be a JSON ")
     error = _answer_then_eof(daemon, *_request_carrying(row, payload))
     assert error["code"] == "protocol" and error["message"] == str(caught.value)
+
+
+# ----------------------------------------------------------------------
+# Readings: checked field by field, stored without a SensorReading
+# ----------------------------------------------------------------------
+#: the readings that were accepted and stored as different data before
+#: each field was checked: verbatim timestamps, a truncated place, a dropped key
+REFUSED_READINGS = {
+    "timestamp-true": ({"timestamp": True}, "field 'timestamp' must be a JSON number, got boolean"),
+    "timestamp-yesterday": ({"timestamp": "yesterday"}, "field 'timestamp' must be a JSON number, got string"),
+    "timestamp-null": ({"timestamp": None}, "field 'timestamp' must be a JSON number, got null"),
+    "location-three": ({"location": [1.0, 2.0, 99]}, "field 'location' must be two JSON numbers"),
+    "location-true": ({"location": [True, 2.0]}, "field 'location' must be two JSON numbers, got [True, 2.0]"),
+    "sensor_id-number": ({"sensor_id": 7}, "field 'sensor_id' must be a non-empty JSON string, got 7"),
+    "unknown-key": ({"unit": "kph"}, "unknown field 'unit'"),
+    "timestamp-value-text": (
+        {"values": {"t": {"__type__": "timestamp", "seconds": "noon"}}},
+        "field 'values': value 't': a tagged Timestamp's seconds must be JSON numbers",
+    ),
+}
+
+
+def _set_carrying(reading_fields: dict) -> dict:
+    """A tuple set's wire form whose second reading is overridden by ``reading_fields``."""
+    readings = [
+        {"sensor_id": "cam-1", "timestamp": 1.0, "values": {"v": 1}, "location": [1.0, 2.0]},
+        {"sensor_id": "cam-1", "timestamp": 2.0, "values": {"v": 2}, "location": [1.0, 2.0], **reading_fields},
+    ]
+    return {"provenance": protocol.record_to_wire(ProvenanceRecord({"domain": "readings"})), "readings": readings}
+
+
+@pytest.mark.parametrize("fields,message", REFUSED_READINGS.values(), ids=list(REFUSED_READINGS))
+def test_a_reading_that_would_be_stored_as_different_data_is_refused(daemon, fields, message):
+    payload = _set_carrying(fields)
+    with pytest.raises(ProtocolError) as caught:
+        protocol.tuple_set_from_wire(payload)
+    assert str(caught.value).startswith(f"malformed readings payload: reading 1: {message}")
+    error = _answer_then_eof(daemon, "publish", {"tuple_set": payload})
+    assert error == {"code": "protocol", "message": str(caught.value)}
+    error = _answer_then_eof(daemon, "publish_many", {"tuple_sets": [_set_carrying({}), payload]})
+    assert error == {"code": "protocol", "message": str(caught.value)}
+
+
+def test_a_published_set_is_stored_without_building_a_reading(daemon, monkeypatch):
+    place = GeoPoint(51.5, -0.12)
+    sets = [
+        TupleSet(
+            [SensorReading("cam-1", Timestamp(60.0 * n + i), {"v": i, "tags": ("a", i)}, place) for i in range(8)],
+            ProvenanceRecord({"domain": "counted", "n": n}),
+        )
+        for n in range(3)
+    ]
+    built = []
+    original = SensorReading.__post_init__
+    monkeypatch.setattr(SensorReading, "__post_init__", lambda self: (built.append(self), original(self))[1])
+    with connect(f"{daemon.address.url}?tenant=counted") as client:
+        client.publish(sets[0])
+        client.publish_many(sets[1:])
+    assert built == []
+    monkeypatch.undo()
+    store = daemon._tenants["counted"].client.store
+    for tuple_set in sets:
+        assert store.backend.get_payload(tuple_set.pname) == readings_to_bytes(tuple_set)
+        assert store.get_readings(tuple_set.pname) == tuple_set.readings

@@ -33,9 +33,9 @@ from repro.core.closure import make_closure
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import PName, plain_json_text, value_json_text, value_to_json
 from repro.core.query import AttributeRange
-from repro.core.tupleset import readings_to_bytes, readings_to_json
+from repro.core.tupleset import readings_from_json, readings_payload_from_json, readings_to_bytes, readings_to_json
 from repro.api.client import LocalClient
-from repro.errors import CrashInjectedError, CycleError
+from repro.errors import CrashInjectedError, CycleError, ProvenanceError
 from repro.index import AttributeIndex
 from repro.server import protocol
 from repro.storage import MemoryBackend, SQLiteBackend, WalEntry, WriteAheadLog
@@ -808,6 +808,178 @@ class TestReadingsCodecProperties:
             "core/provenance.py",
             "server/protocol.py",
         ]
+
+
+# ----------------------------------------------------------------------
+# Readings received as JSON are stored in one walk: the same bytes the
+# decode-then-encode pair wrote, and refused wherever that pair refused
+# ----------------------------------------------------------------------
+ABSENT = object()  # a reading without the key
+wire_numbers = st.one_of(any_floats, any_ints)
+wire_scalars = st.one_of(wire_numbers, st.booleans(), any_text)
+latitudes = st.one_of(st.floats(min_value=-90, max_value=90), st.integers(-90, 90), st.sampled_from([0.0, -0.0, 0]))
+longitudes = st.one_of(st.floats(min_value=-180, max_value=180), st.integers(-180, 180), st.sampled_from([-0.0, 1]))
+bad_coordinates = st.sampled_from([True, False, 91, -180.5, float("nan"), float("inf"), "1", None, [1]])
+extra_members = st.sampled_from([{}, {}, {"note": "dropped"}, {"note": None, "more": [1]}])
+
+
+def tagged(kind, **members):
+    """A tagged value's strategy; ``extra_members`` are what a re-tag drops."""
+    return st.builds(lambda extra, **drawn: {TAG: kind, **drawn, **extra}, extra_members, **members)
+
+
+timestamps_tagged = tagged("timestamp", seconds=wire_numbers)
+places_tagged = tagged("geopoint", lat=latitudes, lon=longitudes)
+list_items = st.one_of(wire_scalars, timestamps_tagged, places_tagged)
+good_values = st.one_of(
+    wire_scalars,
+    timestamps_tagged,
+    places_tagged,
+    st.lists(wire_scalars, max_size=3),  # untagged: stored as a tagged list
+    tagged("list", items=st.lists(list_items, max_size=3)),
+)
+bad_values = st.one_of(
+    st.none(),
+    tagged("timestamp", seconds=st.one_of(st.booleans(), any_text, st.none(), st.lists(wire_numbers, max_size=1))),
+    tagged("geopoint", lat=bad_coordinates, lon=longitudes),
+    tagged("geopoint", lat=latitudes, lon=bad_coordinates),
+    st.lists(st.one_of(st.none(), timestamps_tagged, st.lists(wire_scalars, max_size=1)), min_size=1, max_size=2),
+    tagged("list", items=st.one_of(any_text, st.dictionaries(names, wire_scalars, max_size=2))),
+    tagged("list", items=st.lists(st.one_of(st.none(), tagged("list", items=st.just([]))), min_size=1, max_size=2)),
+    st.sampled_from([{}, {TAG: "unknown"}, {TAG: 5}, {"seconds": 1}, {TAG: "timestamp"}]),
+)
+#: each breaks one reading in one way; the two walks refuse some, and used to store the rest
+faults = st.one_of(
+    st.tuples(st.just("sensor_id"), st.sampled_from(["", 1, True, None, ["s"]])),
+    st.tuples(st.just("timestamp"), st.one_of(st.booleans(), any_text, st.none(), st.just([1.0]))),
+    st.tuples(st.just("values"), st.sampled_from([[], None, "v", 1])),
+    st.tuples(
+        st.just("location"),
+        st.one_of(
+            st.tuples(bad_coordinates, longitudes).map(list),
+            st.tuples(latitudes, bad_coordinates).map(list),
+            st.sampled_from([[1.0, 2.0, 99], [1.0], [], None, "ab", {"lat": 1}]),
+        ),
+    ),
+    st.tuples(st.sampled_from(["extra", "sensor", "place"]), wire_scalars),
+    st.tuples(st.sampled_from(["sensor_id", "timestamp", "values"]), st.just(ABSENT)),
+    st.tuples(st.just("value"), bad_values),
+    st.tuples(st.just("value name"), st.just("")),
+)
+
+
+@st.composite
+def wire_readings(draw):
+    """A readings list as a peer may send it: what a client writes, and at times one fault."""
+    sensors = draw(st.lists(names, min_size=1, max_size=3))
+    places = draw(st.lists(st.one_of(st.just(ABSENT), st.tuples(latitudes, longitudes)), min_size=1, max_size=3))
+    reading = st.fixed_dictionaries(
+        {
+            "sensor_id": st.sampled_from(sensors),
+            "timestamp": wire_numbers,
+            "values": st.dictionaries(names, good_values, max_size=4),
+            # a list of its own per reading, as decoded JSON has: equal places, not shared ones
+            "location": st.sampled_from(places).map(lambda place: place if place is ABSENT else list(place)),
+        }
+    )
+    items = draw(st.lists(reading, max_size=5))
+    if items and draw(st.booleans()):
+        item = draw(st.sampled_from(items))
+        key, value = draw(faults)
+        if key == "value":
+            item["values"][draw(names)] = value
+        elif key == "value name":
+            item["values"][value] = 1
+        else:
+            item[key] = value
+        event(f"fault: {key}")
+    items = [{key: value for key, value in item.items() if value is not ABSENT} for item in items]
+    items = draw(st.one_of(st.just(items), st.just(items), st.sampled_from([{}, "", None, "ab", [None], [[]]])))
+    # Through JSON text, as a frame body is: nan, -0.0 and big integers survive it.
+    if draw(st.booleans()):
+        items = json.loads(json.dumps(items))
+    if draw(st.booleans()) and isinstance(items, list):
+        items = [dict(reversed(item.items())) if isinstance(item, dict) else item for item in items]  # any key order
+    return items
+
+
+def spelled(readings) -> list:
+    """The readings by ``repr``, values sorted by name: nan is no nan, and True == 1 == 1.0."""
+    return [
+        (reading.sensor_id, repr(reading.timestamp), sorted(map(repr, reading.values.items())), repr(reading.location))
+        for reading in readings
+    ]
+
+
+def two_walks(items):
+    """What the decode-then-encode pair stores for ``items``; None if it refuses."""
+    try:
+        return readings_to_bytes(readings_from_json(items))
+    except Exception:
+        return None
+
+
+def one_walk(items):
+    """What the one walk stores for ``items``; None if it refuses (typed)."""
+    try:
+        return readings_payload_from_json(items)
+    except ProvenanceError:
+        return None
+
+
+class TestWireReadingsProperties:
+    @settings(COMMON_SETTINGS, max_examples=400)
+    @given(items=wire_readings())
+    def test_the_one_walk_stores_what_the_two_walks_stored_and_refuses_what_they_refused(self, items):
+        stored, before = one_walk(items), two_walks(items)
+        event("accepted" if stored is not None else "refused by both" if before is None else "refused now")
+        if before is None:
+            assert stored is None
+        if stored is None:
+            return
+        event(f"accepted {len(items)} readings, tagged values: {TAG.encode() in stored}")
+        assert stored == before
+        lazy = TupleSet.from_payload(stored, ProvenanceRecord({"domain": "x"}))
+        assert lazy.payload is stored
+        eager = readings_from_json(items)
+        assert spelled(lazy.readings) == spelled(eager)
+        assert spelled(lazy) == spelled(eager) and len(lazy) == len(eager)
+        assert readings_to_bytes(lazy) == stored
+
+    def test_the_one_walk_on_the_cases_a_shortcut_gets_wrong(self):
+        items = [
+            {
+                "sensor_id": "s",
+                "timestamp": 1,  # an int stays an int
+                "location": [0.0, 1],
+                "values": {"b": True, "a": 1, "l": {TAG: "list", "items": [1, {TAG: "timestamp", "seconds": 2, "x": 0}]}},
+            },
+            {"sensor_id": "s", "timestamp": 2.0, "location": [-0.0, 1.0], "values": {"u": [1.0, True, "a"], "n": -0.0}},
+            {"values": {"g": {TAG: "geopoint", "lat": 1, "lon": 2.0, "alt": 9}}, "timestamp": 3, "sensor_id": "s"},
+        ]
+        expected = (
+            b'[{"location":[0.0,1],"sensor_id":"s","timestamp":1,'
+            b'"values":{"a":1,"b":true,"l":{"%(t)s":"list","items":[1,{"%(t)s":"timestamp","seconds":2}]}}},'
+            b'{"location":[-0.0,1.0],"sensor_id":"s","timestamp":2.0,'
+            b'"values":{"n":-0.0,"u":{"%(t)s":"list","items":[1.0,true,"a"]}}},'
+            b'{"sensor_id":"s","timestamp":3,"values":{"g":{"%(t)s":"geopoint","lat":1,"lon":2.0}}}]'
+        ) % {b"t": TAG.encode()}
+        assert readings_payload_from_json(items) == expected
+        assert readings_to_bytes(readings_from_json(items)) == expected
+
+    def test_each_lazy_set_decodes_its_own_payload_once(self):
+        record = ProvenanceRecord({"domain": "x"})
+        first = [{"sensor_id": "a", "timestamp": 1.0, "values": {"v": 1}}]
+        second = [{"sensor_id": "b", "timestamp": 2, "values": {"v": [2]}, "location": [1, 2]}]
+        sets = [TupleSet.from_payload(readings_payload_from_json(items), record) for items in (first, second)]
+        for tuple_set, items in zip(sets, (first, second)):
+            assert tuple_set.readings == readings_from_json(items)
+            assert tuple_set.readings == readings_from_json(items)  # the cached list, not another
+            assert tuple_set._readings is tuple_set._readings
+            assert PassStore._encode_readings(tuple_set) is tuple_set.payload
+        built = TupleSet(readings_from_json(first), record)
+        assert built.payload is None
+        assert PassStore._encode_readings(built) == sets[0].payload
 
 
 # ----------------------------------------------------------------------
