@@ -143,6 +143,14 @@ class ClosureStrategy(ABC):
         return None
 
     # -- persistence -------------------------------------------------------
+    def has_snapshot(self) -> bool:
+        """True when :meth:`snapshot` has a labelling to return.
+
+        Asked first, so that a strategy with nothing to persist costs no
+        :meth:`ProvenanceGraph.fingerprint` (a walk of every edge).
+        """
+        return False
+
     def snapshot(self, fingerprint: Dict[str, int]) -> Optional[dict]:
         """A JSON-serialisable snapshot of the strategy's auxiliary state.
 

@@ -155,6 +155,10 @@ class PassStore(LineageOracle):
             "bytes": 0,
             "reason": "no restore attempted",
         }
+        # True while the backend holds the closure's labelling as it
+        # stands: restored by the open, or written since, and no edge,
+        # node, rebuild or switch after that.
+        self._labelling_stored = False
         # What happened to the persisted closure labelling on open; the
         # sharded restore path overwrites this with its adoption report.
         self._closure_restore_report = {
@@ -170,12 +174,13 @@ class PassStore(LineageOracle):
             self._load_from_backend(closure)
         report = self._index_restore_report
         _LOGGER.info(
-            "store opened: mode=%s covered=%d tail=%d reason=%s duration_ms=%.3f",
+            "store opened: mode=%s covered=%d tail=%d reason=%s duration_ms=%.3f deferred=%d",
             report["mode"],
             report["covered"],
             report["tail"],
             report["reason"],
             (time.perf_counter() - started) * 1000.0,
+            len(self.unbuilt_sections()),
         )
         self.planner = QueryPlanner(self)
         # The estimated-vs-actual feedback loop: drift-based plan
@@ -289,6 +294,7 @@ class PassStore(LineageOracle):
     def _index_record(self, pname: PName, record: ProvenanceRecord) -> None:
         """Graph, closure and index maintenance for a stored record."""
         # P2: provenance is queryable, including recursively.
+        self._labelling_stored = False
         self.closure.add_node(pname)
         for ancestor in record.ancestors:
             self.closure.add_node(ancestor)
@@ -794,6 +800,7 @@ class PassStore(LineageOracle):
             self._closure_restore_report["reason"] = "unreadable labelling blob"
             return False
         adopted = self.closure.restore(state, self.graph.fingerprint())
+        self._labelling_stored = adopted
         if adopted:
             self._closure_restore_report = {
                 "mode": "full",
@@ -810,19 +817,21 @@ class PassStore(LineageOracle):
         """Snapshot the closure strategy's labelling into the backend.
 
         Returns True when something was persisted.  Strategies without
-        persistable state (naive/memoized/labelled) and backends without
-        blob storage both make this a no-op, so callers can invoke it
-        unconditionally (the façade does, on ``close()``).
+        persistable state (naive/memoized/labelled), a labelling the
+        backend already holds as it stands, and backends without blob
+        storage all make this a no-op that hashes nothing, so callers can
+        invoke it unconditionally (the façade does, on ``close()``).
         """
         if self.backend.shard_count() > 1:
             from repro.lineage.partition import persist_partitioned
 
             return persist_partitioned(self)
-        state = self.closure.snapshot(self.graph.fingerprint())
-        if state is None:
+        if self._labelling_stored or not self.closure.has_snapshot():
             return False
+        state = self.closure.snapshot(self.graph.fingerprint())
         payload = json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        return self.backend.put_index_blob(self._closure_index_key(), payload)
+        self._labelling_stored = self.backend.put_index_blob(self._closure_index_key(), payload)
+        return self._labelling_stored
 
     def rebuild_closure_index(self, strategy: Optional[str] = None) -> dict:
         """Force-rebuild the closure index and checkpoint it; returns stats.
@@ -844,6 +853,7 @@ class PassStore(LineageOracle):
             switched_from = self.closure.name
             self.closure = make_closure(strategy, self.graph)
         self.closure.rebuild()
+        self._labelling_stored = False
         persisted = self.persist_closure_index()
         stats = dict(self.closure.index_stats())
         stats["persisted"] = persisted
@@ -872,8 +882,21 @@ class PassStore(LineageOracle):
         """
         snapshot = self.backend.storage_stats()
         snapshot["closure_restore"] = dict(self._closure_restore_report)
-        snapshot["index_restore"] = dict(self._index_restore_report)
+        snapshot["index_restore"] = dict(self._index_restore_report, deferred=self.unbuilt_sections())
         return snapshot
+
+    def unbuilt_sections(self) -> List[str]:
+        """The checkpointed index sections no probe has built yet, sorted.
+
+        ``attributes:<name>`` per attribute, ``spatial`` and ``temporal``;
+        empty unless the open adopted a checkpoint (docs/STORAGE.md).
+        """
+        sections = [f"attributes:{name}" for name in self.attribute_index.unbuilt()]
+        if not self.spatial_index.built:
+            sections.append("spatial")
+        if not self.temporal_index.built:
+            sections.append("temporal")
+        return sections
 
     # ------------------------------------------------------------------
     # Reading (de)serialisation

@@ -18,11 +18,21 @@ out by bisection, so a range query between two writes costs
 O(log d + matches), never a re-sort of the attribute.  It is the
 workhorse index of the local PASS store and of the centralized /
 distributed architecture models.
+
+An index restored from a checkpoint holds each attribute's postings
+*unbuilt*: checked whole when the store opens, built on the first probe
+that needs that attribute.  A write that reaches an unbuilt attribute
+first is kept, in order, and applied by that build.  An unbuilt
+attribute maps to ``None`` in the postings, so a probe of a built one
+runs the same dictionary lookups as ever and only a miss asks whether
+there is a section to build (``docs/STORAGE.md``, *What an open builds
+and what it defers*).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -36,6 +46,7 @@ from repro.core.attributes import (
 )
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.errors import ConfigurationError
+from repro.index.sections import check_positions
 
 __all__ = ["AttributeIndex"]
 
@@ -57,8 +68,15 @@ class AttributeIndex:
 
     def __init__(self, indexed_attributes: Optional[Iterable[str]] = None) -> None:
         self._only = set(indexed_attributes) if indexed_attributes is not None else None
-        # attribute -> canonical value -> set of digests
-        self._postings: Dict[str, Dict[str, Set[str]]] = {}
+        # attribute -> canonical value -> set of digests; None while the
+        # attribute's checkpointed section is unbuilt (the key keeps the
+        # checkpoint's order for the next snapshot)
+        self._postings: Dict[str, Optional[Dict[str, Set[str]]]] = {}
+        # attribute -> (its checkpointed section, the writes that reached
+        # it since, in order): what the first probe of it builds from
+        self._unbuilt: Dict[str, Tuple[Dict[str, list], List[Tuple[AttributeValue, str]]]] = {}
+        # the digests a checkpointed section's positions name
+        self._section_digests: Sequence[str] = ()
         # attribute -> the canonical encoding of every distinct value, in
         # sort-key order; absent until a range lookup or estimate first
         # needs it, kept in step by _add_one/remove from then on.  (The
@@ -95,7 +113,7 @@ class AttributeIndex:
     def remove(self, pname: PName, record: ProvenanceRecord) -> None:
         """Remove a record's postings (used only by soft-state expiry)."""
         for name, value in record.attributes.items():
-            postings = self._postings.get(name)
+            postings = self._postings.get(name) or self._build(name)
             if not postings:
                 continue
             encoded = canonical_encode(value)
@@ -123,7 +141,11 @@ class AttributeIndex:
 
     def _add_one(self, name: str, value: AttributeValue, digest: str) -> None:
         encoded = canonical_encode(value)
-        postings = self._postings.setdefault(name, {})
+        postings = self._postings.get(name)
+        if postings is None:
+            if name in self._unbuilt:
+                return self._keep_pending(name, encoded, value, digest)
+            postings = self._postings[name] = {}
         bucket = postings.get(encoded)
         if bucket is None:
             bucket = postings[encoded] = set()
@@ -144,15 +166,52 @@ class AttributeIndex:
             self._entries += 1
             self._attr_entries[name] = self._attr_entries.get(name, 0) + 1
 
+    def _keep_pending(self, name: str, encoded: str, value: AttributeValue, digest: str) -> None:
+        """A write to an unbuilt attribute: kept for the build, which applies it."""
+        section, tail = self._unbuilt[name]
+        tail.append((value, digest))
+        if isinstance(value, tuple) and encoded not in section:
+            # entered now, where a built index enters a new list value, so
+            # that the next snapshot lists list values in write order
+            self._list_values.setdefault(name, {}).setdefault(encoded, value)
+
+    def _build(self, attribute: str) -> Dict[str, Set[str]]:
+        """Build ``attribute``'s checkpointed postings, then its pending writes.
+
+        Returns the postings; ``{}`` (not stored) when the attribute has
+        no section waiting.  A section passed :meth:`restore`'s checks,
+        so building it raises nothing.
+        """
+        pending = self._unbuilt.pop(attribute, None)
+        if pending is None:
+            return {}
+        section, tail = pending
+        digests = self._section_digests
+        postings = self._postings[attribute] = {
+            encoded: {digests[at] for at in positions} for encoded, positions in section.items()
+        }
+        entries = sum(map(len, postings.values()))
+        self._attr_entries[attribute] = entries
+        self._entries += entries
+        for value, digest in tail:
+            self._add_one(attribute, value, digest)
+        return postings
+
+    def _build_all(self) -> None:
+        for name in list(self._unbuilt):
+            self._build(name)
+
     # ------------------------------------------------------------------
     # Checkpoint (the store persists it so that a reopen need not replay)
     # ------------------------------------------------------------------
     def snapshot(self, position_of: Dict[str, int]) -> dict:
         """The postings as JSON-ready data, each PName named by ``position_of`` its digest.
 
-        The sorted views are left out: the first range lookup rebuilds
-        them, as it does after a replay.
+        Unbuilt attributes are built first.  The sorted views are left
+        out: the first range lookup rebuilds them, as it does after a
+        replay.
         """
+        self._build_all()
         return {
             "postings": {
                 name: {encoded: sorted(position_of[d] for d in bucket) for encoded, bucket in buckets.items()}
@@ -167,29 +226,29 @@ class AttributeIndex:
     def restore(self, state: dict, digests: Sequence[str]) -> None:
         """Adopt a :meth:`snapshot` into this empty index; ``digests[position]`` names a PName.
 
-        State that no snapshot produces raises (``ValueError``, ``TypeError``,
-        ``LookupError`` or ``AttributeError``) and leaves the index as it was.
+        Every attribute's postings are checked now and left unbuilt: the
+        first probe that needs one builds it.  State that no snapshot
+        produces raises here (``ValueError``, ``TypeError``, ``LookupError``
+        or ``AttributeError``) and leaves the index as it was.
         """
-        postings: Dict[str, Dict[str, Set[str]]] = {}
-        attr_entries: Dict[str, int] = {}
-        for name, listed in state["postings"].items():
+        postings: Dict[str, Optional[Dict[str, Set[str]]]] = {}
+        unbuilt = {}
+        for name, section in state["postings"].items():
             if not self.covers(name):
                 raise ValueError(f"postings for {name!r}, which this index does not cover")
-            buckets = postings[name] = {}
-            entries = 0
-            for encoded, positions in listed.items():
-                if min(positions) < 0:
-                    raise ValueError("negative position")
-                bucket = buckets[encoded] = {digests[at] for at in positions}
-                entries += len(bucket)
-            attr_entries[name] = entries
+            # (a bucket that is no list raises here, as building it would)
+            positions = list(chain.from_iterable(section.values()))
+            if not all(section.values()):
+                raise ValueError("empty posting bucket")
+            check_positions(positions, len(digests))
+            postings[name] = None
+            unbuilt[name] = (section, [])
         list_values = {
             name: {encoded: tuple(self._decode_for_sort(item) for item in items) for encoded, items in values.items()}
             for name, values in state["lists"].items()
         }
         self._postings, self._list_values = postings, list_values
-        self._attr_entries = attr_entries
-        self._entries = sum(attr_entries.values())
+        self._unbuilt, self._section_digests = unbuilt, digests
 
     # ------------------------------------------------------------------
     # Introspection
@@ -199,8 +258,13 @@ class AttributeIndex:
         return sorted(self._postings)
 
     def entry_count(self) -> int:
-        """Total number of (attribute, value, pname) postings."""
+        """Total number of (attribute, value, pname) postings (builds every unbuilt attribute)."""
+        self._build_all()
         return self._entries
+
+    def unbuilt(self) -> List[str]:
+        """The attributes whose checkpointed postings no probe has needed yet, sorted."""
+        return sorted(self._unbuilt)
 
     def covers(self, attribute: str) -> bool:
         """True when lookups on ``attribute`` can use the index."""
@@ -217,7 +281,8 @@ class AttributeIndex:
         The bucket itself when there is one (a live view: callers must
         not mutate it), else a fresh empty set.
         """
-        return self._postings.get(attribute, {}).get(canonical_encode(value)) or set()
+        postings = self._postings.get(attribute) or self._build(attribute)
+        return postings.get(canonical_encode(value)) or set()
 
     def lookup_any(self, attribute: str, values: Iterable[AttributeValue]) -> Set[str]:
         """Union of exact-match lookups over several values."""
@@ -246,14 +311,16 @@ class AttributeIndex:
 
     def lookup_all(self, attribute: str) -> Set[str]:
         """Every digest carrying ``attribute`` at all (the 'exists' lookup)."""
-        return set().union(*self._postings.get(attribute, {}).values())
+        postings = self._postings.get(attribute) or self._build(attribute)
+        return set().union(*postings.values())
 
     # ------------------------------------------------------------------
     # Cardinality estimates (planner cost model; never fetch records)
     # ------------------------------------------------------------------
     def count(self, attribute: str, value: AttributeValue) -> int:
         """Exact posting count for one value (free: one dict probe)."""
-        return len(self._postings.get(attribute, {}).get(canonical_encode(value), ()))
+        postings = self._postings.get(attribute) or self._build(attribute)
+        return len(postings.get(canonical_encode(value), ()))
 
     def count_any(self, attribute: str, values: Iterable[AttributeValue]) -> int:
         """Upper bound on a multi-probe's result size (buckets may overlap)."""
@@ -261,7 +328,11 @@ class AttributeIndex:
 
     def attribute_entry_count(self, attribute: str) -> int:
         """Total postings under ``attribute`` (records carrying it, counted per value)."""
-        return self._attr_entries.get(attribute, 0)
+        entries = self._attr_entries.get(attribute)
+        if entries is None:
+            self._build(attribute)
+            entries = self._attr_entries.get(attribute, 0)
+        return entries
 
     def estimate_range(
         self,
@@ -291,8 +362,16 @@ class AttributeIndex:
         return [self._value_of(attribute, encoded) for encoded in self._sorted_values(attribute)]
 
     def cardinality(self, attribute: str) -> int:
-        """Number of distinct values indexed for ``attribute``."""
-        return len(self._postings.get(attribute, {}))
+        """Number of distinct values indexed for ``attribute``.
+
+        Counted without building an unbuilt attribute (``stats()`` asks
+        for every attribute's): a checked section's buckets are non-empty.
+        """
+        postings = self._postings.get(attribute)
+        if postings is not None:
+            return len(postings)
+        section, tail = self._unbuilt.get(attribute, ({}, ()))
+        return len(section.keys() | {canonical_encode(value) for value, _ in tail})
 
     # ------------------------------------------------------------------
     # Internals
@@ -302,7 +381,9 @@ class AttributeIndex:
         if entries is None:
             postings = self._postings.get(attribute)
             if postings is None:
-                return []
+                if attribute not in self._unbuilt:
+                    return []
+                postings = self._build(attribute)
             keyed = [
                 (_ordering_key(self._value_of(attribute, encoded)), encoded) for encoded in postings
             ]

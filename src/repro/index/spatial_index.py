@@ -17,16 +17,22 @@ not about R-tree constants.
 Sensors stay put, so many tuple sets share one location: a cell holds
 its distinct *places*, each with the digests recorded there, and a
 radius query measures a place once however many tuple sets it carries.
+
+An index restored from a checkpoint is checked whole and left unbuilt
+(an :class:`_UnbuiltSpatialIndex`) until its first probe builds it and
+it becomes a plain :class:`SpatialIndex` again; writes that reach it
+first wait for that build.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.attributes import GeoPoint
 from repro.core.provenance import PName
 from repro.errors import ConfigurationError
+from repro.index.sections import check_positions
 
 __all__ = ["SpatialIndex"]
 
@@ -41,6 +47,9 @@ class SpatialIndex:
         few tens of kilometres at mid latitudes -- city scale, matching
         the paper's "Boston traffic data belongs in Boston" granularity.
     """
+
+    #: False while a restored index waits for its first probe
+    built = True
 
     def __init__(self, cell_degrees: float = 0.5) -> None:
         if cell_degrees <= 0:
@@ -90,31 +99,19 @@ class SpatialIndex:
         }
 
     def restore(self, state: dict, digests: Sequence[str]) -> None:
-        """Adopt a :meth:`snapshot` into this empty index; raises, and changes
-        nothing, on state that no snapshot produces."""
+        """Adopt a :meth:`snapshot` into this empty index, unbuilt until its first probe.
+
+        Raises, and changes nothing, on state that no snapshot produces.
+        """
         lats, lons, positions = state["lats"], state["lons"], state["positions"]
         if not len(lats) == len(lons) == len(positions):
             raise ValueError("point columns of unequal length")
-        if positions and min(positions) < 0:
-            raise ValueError("negative position")
-        # One (validated, immutable) point per distinct place: sensors stay put.
-        places = {place: GeoPoint(float(place[0]), float(place[1])) for place in set(zip(lats, lons))}
-        points = {digests[at]: places[place] for at, place in zip(positions, zip(lats, lons))}
-        cells: Dict[Tuple[int, int], dict] = {}
-        # One bucket per place, found by the shared point's identity (two
-        # spellings of one place, 1 and 1.0, share the bucket as well).
-        bucket_of = {
-            id(point): cells.setdefault(self._cell_of(point), {}).setdefault(
-                (point.latitude, point.longitude), (point, set())
-            )[1]
-            for point in places.values()
-        }
-        for digest, point in points.items():
-            bucket_of[id(point)].add(digest)
-        population = {
-            cell: sum(len(bucket) for _, bucket in held.values()) for cell, held in cells.items()
-        }
-        self._points, self._cells, self._population = points, cells, population
+        check_positions(positions, len(digests))
+        _check_degrees(lats, 90.0, "latitude")
+        _check_degrees(lons, 180.0, "longitude")
+        self._section = (lats, lons, positions, digests)
+        self._tail: List[Tuple[PName, GeoPoint]] = []
+        self.__class__ = _UnbuiltSpatialIndex
 
     # ------------------------------------------------------------------
     # Queries
@@ -167,3 +164,67 @@ class SpatialIndex:
         for d_lat in range(-lat_span, lat_span + 1):
             for d_lon in range(-lon_span, lon_span + 1):
                 yield (centre_cell[0] + d_lat, centre_cell[1] + d_lon)
+
+
+def _check_degrees(values: Sequence, limit: float, name: str) -> None:
+    """Raise what a :class:`GeoPoint` of any of ``values`` outside ±``limit`` would
+    (``TypeError`` for a value that is no number)."""
+    if values and (min(values) < -limit or max(values) > limit or any(map(math.isnan, values))):
+        outside = next(value for value in values if not -limit <= value <= limit)
+        raise ConfigurationError(f"{name} out of range: {outside}")
+
+
+class _UnbuiltSpatialIndex(SpatialIndex):
+    """A restored :class:`SpatialIndex` before its first probe.
+
+    :meth:`add` keeps the move for the build; a probe, a length or a
+    snapshot builds the checked section, replays the kept moves in order,
+    and turns the object into a plain :class:`SpatialIndex` -- from then
+    on no call goes through this class.
+    """
+
+    built = False
+
+    def add(self, pname: PName, location: GeoPoint) -> None:
+        self._tail.append((pname, location))
+
+    def _build(self) -> None:
+        (lats, lons, positions, digests), tail = self._section, self._tail
+        # One (immutable) point per distinct place: sensors stay put.
+        places = {place: GeoPoint(float(place[0]), float(place[1])) for place in set(zip(lats, lons))}
+        points = {digests[at]: places[place] for at, place in zip(positions, zip(lats, lons))}
+        cells: Dict[Tuple[int, int], dict] = {}
+        # One bucket per place, found by the shared point's identity (two
+        # spellings of one place, 1 and 1.0, share the bucket as well).
+        bucket_of = {
+            id(point): cells.setdefault(self._cell_of(point), {}).setdefault(
+                (point.latitude, point.longitude), (point, set())
+            )[1]
+            for point in places.values()
+        }
+        for digest, point in points.items():
+            bucket_of[id(point)].add(digest)
+        population = {
+            cell: sum(len(bucket) for _, bucket in held.values()) for cell, held in cells.items()
+        }
+        self._points, self._cells, self._population = points, cells, population
+        del self._section, self._tail
+        self.__class__ = SpatialIndex
+        for pname, location in tail:
+            self.add(pname, location)
+
+    def __len__(self) -> int:
+        self._build()
+        return len(self)
+
+    def snapshot(self, position_of: Dict[str, int]) -> dict:
+        self._build()
+        return self.snapshot(position_of)
+
+    def within_radius(self, centre: GeoPoint, radius_km: float) -> Set[str]:
+        self._build()
+        return self.within_radius(centre, radius_km)
+
+    def estimate_within(self, centre: GeoPoint, radius_km: float) -> int:
+        self._build()
+        return self.estimate_within(centre, radius_km)

@@ -15,22 +15,32 @@ The implementation keeps intervals in a list sorted by start time with
 binary search on the start bound; for the workload sizes the benchmarks
 use (10^4-10^5 windows) this is comfortably fast and, more importantly,
 easy to verify.
+
+An index restored from a checkpoint is checked whole and left unbuilt
+(an :class:`_UnbuiltTemporalIndex`) until its first probe builds it and
+it becomes a plain :class:`TemporalIndex` again; writes that reach it
+first wait for that build.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import sub
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.attributes import Timestamp
 from repro.core.provenance import PName
 from repro.errors import ConfigurationError
+from repro.index.sections import check_positions
 
 __all__ = ["TemporalIndex"]
 
 
 class TemporalIndex:
     """Maps time intervals to PNames."""
+
+    #: False while a restored index waits for its first probe
+    built = True
 
     def __init__(self) -> None:
         # Sorted list of (start_seconds, end_seconds, digest).
@@ -60,20 +70,21 @@ class TemporalIndex:
         }
 
     def restore(self, state: dict, digests: Sequence[str]) -> None:
-        """Adopt a :meth:`snapshot` into this empty index; raises, and changes
-        nothing, on state that no snapshot produces."""
+        """Adopt a :meth:`snapshot` into this empty index, unbuilt until its first probe.
+
+        Raises, and changes nothing, on state that no snapshot produces.
+        """
         starts, ends, positions = state["starts"], state["ends"], state["positions"]
         if not len(starts) == len(ends) == len(positions):
             raise ValueError("interval columns of unequal length")
-        if positions and min(positions) < 0:
-            raise ValueError("negative position")
-        # Sorted again (one pass over a sorted list): bisection rests on it.
-        intervals = sorted(zip(map(float, starts), map(float, ends), [digests[at] for at in positions]))
-        durations = [end - start for start, end, _ in intervals]
+        check_positions(positions, len(digests))
+        starts, ends = list(map(float, starts)), list(map(float, ends))
+        durations = list(map(sub, ends, starts))
         if durations and not min(durations) >= 0:
             raise ValueError("interval end precedes its start")
-        self._intervals = intervals
-        self._max_duration = max(durations, default=0.0)
+        self._section = (starts, ends, positions, digests, max(durations, default=0.0))
+        self._tail: List[Tuple[float, float, str]] = []
+        self.__class__ = _UnbuiltTemporalIndex
 
     # ------------------------------------------------------------------
     # Queries
@@ -113,3 +124,45 @@ class TemporalIndex:
         begin = bisect_left(self._intervals, (start.seconds - self._max_duration, -float("inf"), ""))
         finish = bisect_left(self._intervals, (end.seconds, float("inf"), "\uffff"))
         return begin, finish
+
+
+class _UnbuiltTemporalIndex(TemporalIndex):
+    """A restored :class:`TemporalIndex` before its first probe.
+
+    :meth:`add` keeps the interval for the build; a probe or a snapshot
+    builds the checked section, adds the kept intervals, and turns the
+    object into a plain :class:`TemporalIndex` -- from then on no call
+    goes through this class.
+    """
+
+    built = False
+
+    def add(self, pname: PName, start: Timestamp, end: Timestamp) -> None:
+        if end.seconds < start.seconds:
+            raise ConfigurationError("interval end precedes its start")
+        self._tail.append((start.seconds, end.seconds, pname.digest))
+
+    def __len__(self) -> int:
+        return len(self._section[2]) + len(self._tail)
+
+    def _build(self) -> None:
+        starts, ends, positions, digests, max_duration = self._section
+        tail = self._tail
+        # Sorted once over the section and the tail: what the section's
+        # sorted order plus one insort per kept interval would give.
+        self._intervals = sorted([*zip(starts, ends, map(digests.__getitem__, positions)), *tail])
+        self._max_duration = max([max_duration, *(end - start for start, end, _ in tail)])
+        del self._section, self._tail
+        self.__class__ = TemporalIndex
+
+    def snapshot(self, position_of: Dict[str, int]) -> dict:
+        self._build()
+        return self.snapshot(position_of)
+
+    def overlapping(self, start: Timestamp, end: Timestamp) -> Set[str]:
+        self._build()
+        return self.overlapping(start, end)
+
+    def estimate_overlapping(self, start: Timestamp, end: Timestamp) -> int:
+        self._build()
+        return self.estimate_overlapping(start, end)

@@ -288,6 +288,9 @@ class IntervalClosure(ClosureStrategy):
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
+    def has_snapshot(self) -> bool:
+        return self._built
+
     def snapshot(self, fingerprint: Dict[str, int]) -> Optional[dict]:
         if not self._built:
             # Nothing has forced a labelling yet (no lineage query ran);

@@ -146,6 +146,15 @@ def restore_report(client) -> dict:
     return client.stats()["storage"]["index_restore"]
 
 
+#: the attributes every ``_tuple_set`` carries
+ATTRIBUTES = ("city", "domain", "location", "sensor", "sequence", "tags", "window_end", "window_start")
+
+
+def every_section(*attributes) -> list:
+    """``index_restore["deferred"]`` of an open that adopted postings of ``attributes`` and probed nothing yet."""
+    return sorted(f"attributes:{name}" for name in attributes) + ["spatial", "temporal"]
+
+
 @pytest.fixture(params=["", "?indexed=city,sequence,annotation:quality"], ids=["all", "indexed"])
 def suffix(request):
     return request.param
@@ -172,7 +181,13 @@ def test_adoption_replay_and_memory_give_the_same_answers(tmp_path, suffix):
 
     with repro.connect(url) as adopted:
         report = restore_report(adopted)
-        assert report == {"mode": "adopted", "covered": 20, "tail": 0, "bytes": len(blob), "reason": None}
+        indexed = ["city", "sequence", "annotation:quality"]
+        if not suffix:
+            indexed = [*ATTRIBUTES, "annotation:quality", "annotation:reviewed"]
+        assert report == {
+            "mode": "adopted", "covered": 20, "tail": 0, "bytes": len(blob), "reason": None,
+            "deferred": every_section(*indexed),
+        }
         assert answers(adopted, made) == expected
 
     write_blob(path, None)
@@ -273,6 +288,7 @@ def test_a_crash_after_a_checkpoint_replays_only_what_committed_since(tmp_path):
     with repro.connect(f"sqlite:///{path}") as client:
         assert restore_report(client) == {
             "mode": "adopted", "covered": 8, "tail": 0, "bytes": len(read_blob(path)), "reason": None,
+            "deferred": every_section(*ATTRIBUTES),
         }
 
 
@@ -447,7 +463,7 @@ def test_sharded_and_memory_stores_replay_and_say_why(tmp_path):
         client.publish_many(chains(1, 2))
         assert restore_report(client) == {
             "mode": "none", "covered": 0, "tail": 0, "bytes": 0,
-            "reason": "backend keeps no record order (volatile, or sharded)",
+            "reason": "backend keeps no record order (volatile, or sharded)", "deferred": [],
         }
         gets = client.store.backend.stats.gets
         assert client.store.persist_index_checkpoint() is False
@@ -475,6 +491,66 @@ def test_a_clean_open_query_close_cycle_writes_nothing(tmp_path):
     with repro.connect(f"sqlite:///{path}") as client:
         assert client.store.is_removed(made["sets"][2].pname)
         assert client.store.graph.is_removed(made["sets"][2].pname)
+
+
+@pytest.mark.parametrize("strategy", ["interval", "labelled"])
+def test_a_clean_close_neither_hashes_nor_rewrites_the_labelling(tmp_path, monkeypatch, strategy):
+    """A read-only session leaves the labelling it restored where it is; a
+    strategy with no labelling to write never walks the graph for one."""
+    from repro.core.graph import ProvenanceGraph
+
+    url = f"sqlite:///{tmp_path / 'pass.db'}?closure={strategy}"
+    sets = chains(2, 5)
+    with repro.connect(url) as client:
+        client.publish_many(sets[:8])
+        client.descendants(sets[0].pname)  # an interval labelling to persist
+    fingerprints = []
+    fingerprint = ProvenanceGraph.fingerprint
+    monkeypatch.setattr(ProvenanceGraph, "fingerprint", lambda graph: fingerprints.append(1) or fingerprint(graph))
+    restored = "full" if strategy == "interval" else "none"
+    for _ in range(2):
+        client = repro.connect(url)
+        assert client.stats()["storage"]["closure_restore"]["mode"] == restored
+        assert client.ancestors(sets[4].pname).total == 4
+        backend, puts = client.store.backend, client.store.backend.stats.puts
+        fingerprints.clear()
+        client.close()
+        assert (backend.stats.puts, fingerprints) == (puts, [])
+    # a session that adds an edge writes its labelling again, and the next open adopts it
+    with repro.connect(url) as client:
+        client.publish_many(sets[8:])
+        assert client.ancestors(sets[-1].pname).total == 4
+        backend, puts = client.store.backend, client.store.backend.stats.puts
+    assert backend.stats.puts == puts + (2 if strategy == "interval" else 1)  # (the labelling) and the index checkpoint
+    with repro.connect(url) as client:
+        assert client.stats()["storage"]["closure_restore"]["mode"] == restored
+        assert client.descendants(sets[5].pname).total == 4
+
+
+def test_a_dirty_close_writes_the_blob_an_eager_open_would(tmp_path):
+    """Sections left unbuilt until the close snapshot as if the open had built
+    them all: same bytes, list values written to unbuilt attributes included."""
+    path = tmp_path / "pass.db"
+    with repro.connect(f"sqlite:///{path}") as client:
+        made = populate(client)
+    twin = tmp_path / "twin.db"
+    twin.write_bytes(path.read_bytes())
+    late = [_tuple_set(9, 0)]
+    for name in ("sensor", "city"):  # a first list value, for attributes the checkpoint holds
+        attributes = dict(late[0].provenance.attributes, **{name: ("late", len(late))})
+        late.append(TupleSet([], ProvenanceRecord(attributes)))
+    for file, eager in ((path, False), (twin, True)):
+        with repro.connect(f"sqlite:///{file}") as client:
+            store = client.store
+            if eager:
+                store.attribute_index.entry_count(), len(store.spatial_index)
+                store.temporal_index.estimate_overlapping(Timestamp(0.0), Timestamp(0.0))
+                assert store.unbuilt_sections() == []
+            client.publish_many(late)
+            store.annotate(made["sets"][4].pname, repro.Annotation("quality", "fair"))
+            client.query(Q.attr("city") == "london")
+            assert (store.unbuilt_sections() == []) is eager
+    assert read_blob(path) == read_blob(twin)
 
 
 def test_a_record_written_under_the_store_is_not_claimed(tmp_path):

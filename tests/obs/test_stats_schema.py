@@ -94,7 +94,7 @@ STORAGE_BLOCK_KEYS = frozenset(
 RECORD_CACHE_KEYS = frozenset({"capacity", "entries", "hits", "misses", "evictions"})
 
 #: the frozen sub-schema of the storage block's index-checkpoint report
-INDEX_RESTORE_KEYS = frozenset({"mode", "covered", "tail", "bytes", "reason"})
+INDEX_RESTORE_KEYS = frozenset({"mode", "covered", "tail", "bytes", "reason", "deferred"})
 
 
 #: the frozen sub-schema of stats()["planner"]["feedback"] wherever a
@@ -168,6 +168,7 @@ class TestGoldenKeys:
         assert set(restore) == INDEX_RESTORE_KEYS
         # every target here opened an empty store: nothing adopted, nothing replayed
         assert (restore["mode"], restore["covered"], restore["tail"], restore["bytes"]) == ("none", 0, 0, 0)
+        assert restore["deferred"] == []
         if target.startswith("memory://"):
             # records are held decoded anyway: no cache, all zeros
             assert set(cache.values()) == {0}

@@ -11,8 +11,11 @@ and on the wire, and the WAL round-trips every entry.
 from __future__ import annotations
 
 import json
+import sqlite3
 import string
+import zlib
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -620,6 +623,174 @@ class TestIndexCheckpointProperties:
             durable.close()
             durable = repro.connect(url)
             compare(durable, memory)
+        finally:
+            durable.close()
+            memory.close()
+
+
+# ----------------------------------------------------------------------
+# Index sections an adopted open left unbuilt: built on first touch, alike
+# ----------------------------------------------------------------------
+#: London, Oxford, Cambridge: 50 km around one finds it alone, 200 km all three
+_PLACES = (GeoPoint(51.5, -0.12), GeoPoint(51.75, -1.26), GeoPoint(52.2, 0.12))
+_PROBES = ("label", "quality", "tags", "range", "window", "near")
+deferred_ops = st.one_of(
+    st.tuples(st.just("publish"), st.integers(0, 9), st.booleans()),
+    st.tuples(st.just("publish_many"), st.lists(st.tuples(st.integers(0, 9), st.booleans()), min_size=1, max_size=4)),
+    st.tuples(st.just("annotate"), st.integers(0, 9), st.sampled_from(_QUALITIES)),
+    st.tuples(st.just("remove"), st.integers(0, 9)),
+    # each kind touches exactly one section
+    st.tuples(st.just("probe"), st.sampled_from(_PROBES), st.integers(0, 9)),
+    st.tuples(st.just("reopen")),
+    # the next reopen finds a position past the records in one section of the blob
+    st.tuples(st.just("damage"), st.sampled_from(["attributes", "temporal", "spatial"])),
+)
+
+
+def _damaged(body: bytes, section: str) -> Optional[bytes]:
+    """``body`` with one position of ``section`` past the records; None when it names none."""
+    state = json.loads(zlib.decompress(body))
+    if section == "attributes":
+        buckets = [positions for listed in state["attributes"]["postings"].values() for positions in listed.values()]
+    else:
+        buckets = [state[section]["positions"]]
+    if not buckets or not buckets[0]:
+        return None
+    buckets[0][0] = state["count"] + 5
+    return zlib.compress(json.dumps(state).encode("utf-8"))
+
+
+class TestDeferredSectionProperties:
+    # (example counts left to the Hypothesis profile: see tests/conftest.py)
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=st.lists(deferred_ops, min_size=1, max_size=24))
+    def test_sections_built_on_first_touch_answer_like_memory(self, ops, tmp_path_factory):
+        """From an adopted open: publish / publish_many / annotate / remove_data
+        and one-section probes in any order around clean and dirty closes.
+        Every probe answers, and estimates, like the ``memory://`` twin and
+        builds at most its own section; a close after a session that changed
+        no index writes nothing; a damaged section is refused at the open,
+        touched or not."""
+        path = tmp_path_factory.mktemp("deferred") / "pass.db"
+        url = f"sqlite:///{path}"
+        published = []
+
+        def pick(index):
+            return published[index % len(published)]
+
+        def tuple_set(label, derive):
+            ancestors = [pick(label)] if derive and published else []
+            attributes = {
+                "domain": "x",
+                "label": label,
+                "tags": ("t", label % 2),
+                "window_start": Timestamp(60.0 * label),
+                "window_end": Timestamp(60.0 * label + 90.0),
+                "location": _PLACES[label % 3],
+            }
+            record = ProvenanceRecord(attributes, ancestors=ancestors)
+            return TupleSet([SensorReading("s", Timestamp(float(label)), {"v": float(label)})], record)
+
+        def apply(client, op, args):
+            if op == "publish":
+                return [client.publish(tuple_set(*args)).first()]
+            if op == "publish_many":
+                return list(client.publish_many([tuple_set(*entry) for entry in args[0]]).records)
+            if published and op == "annotate":
+                client.store.annotate(pick(args[0]), repro.Annotation("quality", args[1]))
+            elif published:
+                client.store.remove_data(pick(args[0]))
+            return []
+
+        def probe(client, kind, n):
+            """``(answer, the index's own estimate)`` and the section both come from."""
+            store, attributes = client.store, client.store.attribute_index
+            # (odd n asks wide: a window or a radius around every set)
+            quality, start, end = _QUALITIES[n % 3], Timestamp(60.0 * n), Timestamp(60.0 * n + 100.0 + 900.0 * (n % 2))
+            radius = 50.0 if n % 2 == 0 else 200.0
+            question, section, estimate = {
+                "label": (repro.Q.attr("label") == n, "attributes:label", lambda: attributes.count("label", n)),
+                "quality": (
+                    repro.Q.attr("annotation:quality") == quality,
+                    "attributes:annotation:quality",
+                    lambda: attributes.count("annotation:quality", quality),
+                ),
+                "tags": (
+                    repro.Q.attr("tags") == ("t", n % 2),
+                    "attributes:tags",
+                    lambda: attributes.count("tags", ("t", n % 2)),
+                ),
+                "range": (
+                    repro.Q.attr("label").between(n, n + 3),
+                    "attributes:label",
+                    lambda: attributes.estimate_range("label", n, n + 3),
+                ),
+                "window": (
+                    repro.Q.between(start.seconds, end.seconds),
+                    "temporal",
+                    lambda: store.temporal_index.estimate_overlapping(start, end),
+                ),
+                "near": (
+                    repro.Q.near(_PLACES[n % 3], radius),
+                    "spatial",
+                    lambda: store.spatial_index.estimate_within(_PLACES[n % 3], radius),
+                ),
+            }[kind]
+            return (sorted(p.digest for p in client.query(question)), estimate()), section
+
+        def reopen(durable, changed: bool, damage: Optional[str]):
+            backend, puts = durable.store.backend, durable.store.backend.stats.puts
+            durable.close()
+            if not changed:
+                assert backend.stats.puts == puts, "a close after a session that changed no index wrote"
+            with sqlite3.connect(path) as connection:
+                row = connection.execute("SELECT body FROM index_blobs WHERE name = 'index:checkpoint'").fetchone()
+                spoiled = _damaged(bytes(row[0]), damage) if row is not None and damage else None
+                if spoiled is not None:
+                    connection.execute("UPDATE index_blobs SET body = ? WHERE name = 'index:checkpoint'", (spoiled,))
+            durable = repro.connect(url)
+            report = durable.stats()["storage"]["index_restore"]
+            event(f"opened: {report['mode']}, deferred {len(report['deferred'])}")
+            if spoiled is not None:
+                assert (report["mode"], report["reason"][:20]) == ("replayed", "malformed checkpoint"), report
+            if report["mode"] != "adopted":
+                assert report["deferred"] == []
+            return durable, report["tail"] > 0
+
+        memory = repro.connect("memory://")
+        durable = repro.connect(url)
+        try:
+            initial = [tuple_set(label, False) for label in range(3)]
+            published.extend(entry.pname for entry in initial)
+            initial += [tuple_set(label, True) for label in range(3, 6)]
+            published.extend(entry.pname for entry in initial[3:])
+            for client in (memory, durable):
+                client.publish_many(initial)
+            durable, changed = reopen(durable, True, None)
+            damage = None
+            for op, *args in ops:
+                if op == "damage":
+                    damage = args[0]
+                elif op == "reopen":
+                    durable, changed = reopen(durable, changed, damage)
+                    damage = None
+                elif op == "probe":
+                    unbuilt = set(durable.store.unbuilt_sections())
+                    found, section = probe(durable, *args)
+                    assert found == probe(memory, *args)[0]
+                    assert unbuilt - set(durable.store.unbuilt_sections()) <= {section}
+                else:
+                    apply(durable, op, args)
+                    for pname in apply(memory, op, args):
+                        if pname not in published:
+                            published.append(pname)
+                    changed = changed or op != "remove"
+            durable, _ = reopen(durable, changed, None)
+            for kind in _PROBES:
+                for n in (0, 1):
+                    assert probe(durable, kind, n)[0] == probe(memory, kind, n)[0]
+            assert durable.store.attribute_index.entry_count() == memory.store.attribute_index.entry_count()
+            assert durable.store.verify_invariants() == []
         finally:
             durable.close()
             memory.close()
