@@ -438,7 +438,7 @@ class LocalClient(PassClient):
         self._stream: Optional[StreamEngine] = None
         self._closed = False
         # One registry serves the whole stats() schema: each pre-existing
-        # snapshot (store counters, backend, planner cache + statistics,
+        # snapshot (store counters, backend, planner statistics + feedback,
         # closure index, stream engine, sim) registers as a provider, and
         # the façade's op wrapper records rates/latency into the same
         # registry under "obs".
@@ -453,7 +453,6 @@ class LocalClient(PassClient):
         self.metrics.register_provider(
             "planner",
             lambda: {
-                "cache": self.store.planner.cache_snapshot(),
                 "statistics": self.store.statistics.snapshot(),
                 "feedback": self.store.feedback.snapshot(),
             },

@@ -12,7 +12,7 @@ Three subcommands cover what a user wants from a terminal:
   PassClient façade against a freshly generated workload,
 * ``explain`` -- run a query the same way and print the planner's
   EXPLAIN: the access path chosen, estimated vs. actual rows, rows
-  scanned and plan-cache status.  Beyond ``name=value``, the predicate
+  scanned and result-cache status.  Beyond ``name=value``, the predicate
   grammar accepts ``name<=v``/``name>=v``/``name<v``/``name>v`` ranges
   and ``name~substring``; ``--window START,END`` and
   ``--near LAT,LON,KM`` AND in the temporal and spatial fast paths,

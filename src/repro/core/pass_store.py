@@ -88,9 +88,7 @@ class StoreStatistics:
       (whether or not their records then had to be fetched),
     * ``index_hits`` -- index *probes* executed, each counted exactly
       once; probes whose results are discarded are never charged,
-    * ``full_scans`` -- queries that fell back to scanning every record,
-    * ``plan_cache_hits`` -- queries whose predicate shape was already
-      analysed by the planner.
+    * ``full_scans`` -- queries that fell back to scanning every record.
     """
 
     def __init__(self) -> None:
@@ -100,7 +98,6 @@ class StoreStatistics:
         self.records_scanned = 0
         self.index_hits = 0
         self.full_scans = 0
-        self.plan_cache_hits = 0
 
     def snapshot(self) -> dict:
         """The counters as a plain dict."""
@@ -111,7 +108,6 @@ class StoreStatistics:
             "records_scanned": self.records_scanned,
             "index_hits": self.index_hits,
             "full_scans": self.full_scans,
-            "plan_cache_hits": self.plan_cache_hits,
         }
 
 
@@ -183,9 +179,8 @@ class PassStore(LineageOracle):
             len(self.unbuilt_sections()),
         )
         self.planner = QueryPlanner(self)
-        # The estimated-vs-actual feedback loop: drift-based plan
-        # invalidation, statistics refresh scheduling, closure-strategy
-        # advice and the hot-key result cache (repro.query.feedback).
+        # Closure-strategy advice and the hot-key result cache
+        # (repro.query.feedback).
         self.feedback = FeedbackCollector(self)
         self._abstraction_rules: List[AbstractionRule] = []
         # Post-commit ingest observers (the repro.stream engine hooks in
@@ -860,18 +855,6 @@ class PassStore(LineageOracle):
         if switched_from is not None:
             stats["switched_from"] = switched_from
         return stats
-
-    def refresh_statistics(self) -> dict:
-        """Rebuild attribute statistics and the DAG-shape summary in place.
-
-        The feedback loop schedules this on accumulated drift or ingest
-        volume; operators can call it directly.  Returns the fresh
-        statistics snapshot.
-        """
-        self.statistics.rebuild(record for _, record in self.backend.iter_records())
-        self.graph_stats.recompute(self.graph)
-        self.feedback.note_refreshed()
-        return self.statistics.snapshot()
 
     def storage_snapshot(self) -> dict:
         """The frozen ``stats()["storage"]`` block for this store.

@@ -14,8 +14,9 @@ estimate is a counter read:
 
 The depth of a record is fixed at ingest from what is known *then*;
 out-of-order ingest (a child arriving before its ancestor's own record)
-can understate depths.  That is acceptable by construction: statistics
-feed estimates, and estimates affect cost, never correctness.
+understates depths, and nothing recomputes them later.  That is
+acceptable by construction: statistics feed estimates, and estimates
+affect cost, never correctness.
 """
 
 from __future__ import annotations
@@ -68,53 +69,6 @@ class GraphStatistics:
         self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + 1
         self._depth_total += depth
         self.max_depth = max(self.max_depth, depth)
-
-    def recompute(self, graph) -> None:
-        """Recompute every counter from the live graph (scheduled refresh).
-
-        The incremental path fixes a record's depth at ingest time, so
-        out-of-order ingest (child before ancestor) understates depths
-        forever.  The feedback loop periodically calls this with the
-        store's :class:`~repro.core.graph.ProvenanceGraph`: one memoized
-        longest-path pass over ``parents_of`` (the graph is acyclic by
-        construction) rebuilds the histogram with *true* depths.
-        """
-        depth_of: Dict[str, int] = {}
-        for digest in graph.node_digests():
-            if digest in depth_of:
-                continue
-            stack = [digest]
-            while stack:
-                current = stack[-1]
-                if current in depth_of:
-                    stack.pop()
-                    continue
-                parents = graph.parents_of(current)
-                pending = [p for p in parents if p not in depth_of]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                depth_of[current] = max(
-                    (depth_of[p] + 1 for p in parents), default=0
-                )
-                stack.pop()
-        histogram: Dict[int, int] = {}
-        total = 0
-        edges = 0
-        fan_in = 0
-        for digest, depth in depth_of.items():
-            histogram[depth] = histogram.get(depth, 0) + 1
-            total += depth
-            parent_count = len(graph.parents_of(digest))
-            edges += parent_count
-            fan_in = max(fan_in, parent_count)
-        self._depth_of = depth_of
-        self.nodes = len(depth_of)
-        self.edges = edges
-        self.max_fan_in = fan_in
-        self.depth_histogram = histogram
-        self._depth_total = total
-        self.max_depth = max(histogram, default=0)
 
     def checkpoint(self, position_of: Dict[str, int]) -> dict:
         """Every node's depth in position order, and the two counters depths do not give.

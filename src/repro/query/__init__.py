@@ -7,12 +7,14 @@ indexes on every ingest; this package is what finally puts them all on
 the read path:
 
 * :mod:`repro.query.normalize` -- predicate canonicalization and the
-  value-free shape keys the plan cache is keyed by,
+  value-free shape keys explain output reports,
 * :mod:`repro.query.statistics` -- ingest-maintained statistics feeding
   the cost model,
 * :mod:`repro.query.paths` -- the physical access paths (index probes,
   scans, intersections, unions),
-* :mod:`repro.query.planner` -- the cost-based path choice + plan cache,
+* :mod:`repro.query.planner` -- the cost-based path choice, made per query,
+* :mod:`repro.query.feedback` -- closure-strategy advice and the hot-key
+  result cache,
 * :mod:`repro.query.executor` -- execution, honest accounting and
   :class:`~repro.query.explain.Explain` output.
 

@@ -74,11 +74,6 @@ def execute(
                         adapted="hot-key: served from result cache",
                     )
                     return list(cached), {}, explain
-            # Accumulated drift/ingest volume schedules a statistics
-            # rebuild; running it *before* planning lets the fresh
-            # histograms price this very query.
-            if feedback.refresh_due():
-                store.refresh_statistics()
         plan = store.planner.plan(query, force_full_scan=force_full_scan, key=result_key)
         # (a live view of the removal marks every stored record's node carries)
         removed = () if query.include_removed else store.graph.removed_digests()
@@ -111,8 +106,6 @@ def execute(
                 # holds no record for (a closure can yield one) drops out.
                 candidates = store.backend.get_records(plan.path.pnames(names))
         store.stats.records_scanned += rows_scanned
-        if plan.cache_hit:
-            store.stats.plan_cache_hits += 1
 
         fetched: Dict[str, ProvenanceRecord] = {}
         if candidates is None:
@@ -129,12 +122,8 @@ def execute(
         op_span.set_attr("path", plan.path.kind)
         op_span.set_attr("rows_scanned", rows_scanned)
         op_span.set_attr("rows", len(digests))
-        if feedback is not None and not force_full_scan:
-            feedback.observe_execution(
-                plan.shape, plan.estimated_rows, len(digests), plan.cache_hit
-            )
-            if result_key is not None:
-                feedback.maybe_admit(result_key, digests, rows_scanned)
+        if result_key is not None:
+            feedback.maybe_admit(result_key, digests, rows_scanned)
     explain = Explain(
         site=store.site,
         path=plan.path.describe(),
@@ -143,9 +132,7 @@ def execute(
         actual_rows=len(digests),
         rows_scanned=rows_scanned,
         duration_ms=(time.perf_counter() - started) * 1000.0,
-        cache_hit=plan.cache_hit,
         used_index=not full_scan,
         shape=plan.shape,
-        adapted=plan.adapted,
     )
     return digests, fetched, explain

@@ -2,7 +2,7 @@
 
 Every planned execution produces an :class:`Explain`: which access path
 ran, what the planner expected, what actually happened, and whether the
-plan cache already knew the query's shape.  Distributed targets nest one
+answer came from the hot-key result cache.  Distributed targets nest one
 child per participating site under an aggregate root.
 """
 
@@ -34,14 +34,14 @@ class Explain:
     #: wall time of plan + execute, so estimated-vs-actual rows carry a
     #: latency column (distributed roots report the whole scatter/gather)
     duration_ms: float = 0.0
-    #: True when the predicate shape was already in the plan cache
+    #: True when the answer was served from the hot-key result cache
     cache_hit: bool = False
     #: True when an index (not a full scan) produced the candidates
     used_index: bool = False
-    #: value-free predicate shape (the plan-cache key)
+    #: value-free predicate shape (structure and attribute names)
     shape: Optional[str] = None
-    #: why the adaptive engine deviated from the cached/static plan
-    #: (drift re-rank, hot-key cache hit); ``None`` when nothing adapted
+    #: why the execution skipped the planner (a hot-key result-cache
+    #: hit); ``None`` on an ordinary planned execution
     adapted: Optional[str] = None
     notes: List[str] = field(default_factory=list)
     #: per-site explains for distributed targets
@@ -98,7 +98,7 @@ class Explain:
             f"   rows scanned: {self.rows_scanned}"
             f"   duration: {self.duration_ms:.3f} ms",
             f"{pad}  index used: {'yes' if self.used_index else 'no'}"
-            f"   plan cache: {'hit' if self.cache_hit else 'miss'}",
+            f"   result cache: {'hit' if self.cache_hit else 'miss'}",
         ]
         if self.adapted is not None:
             lines.append(f"{pad}  adapted: {self.adapted}")

@@ -1,25 +1,8 @@
-"""The estimated-vs-actual feedback loop (adaptive query engine).
+"""What the store learns from the queries and ingests it serves.
 
-Every planned execution already records what the planner expected
-(``estimated_rows``) and what actually happened (``actual_rows``) --
-this module is the consumer that closes the loop.  One
-:class:`FeedbackCollector` rides on each
-:class:`~repro.core.pass_store.PassStore` and drives four mechanisms:
+One :class:`FeedbackCollector` rides on each
+:class:`~repro.core.pass_store.PassStore` and drives two mechanisms:
 
-* **Drift-based plan-cache invalidation.**  The planner's staleness
-  guard only watches record-count growth, so a cached selection whose
-  observed selectivity drifts on a stable store would keep its stale
-  plan forever.  The collector keeps a sliding window of misestimate
-  flags per plan shape; when enough recent runs misestimated by
-  ``>= _DRIFT_RATIO``, the shape is marked and the planner evicts and
-  re-ranks it on the next hit (the fresh plan reports ``adapted``).
-* **Statistics refresh scheduling.**  Attribute statistics and the
-  :class:`~repro.lineage.stats.GraphStatistics` depth histogram are
-  maintained incrementally and never revisited; accumulated drift (on
-  a store that has ingested since the last rebuild -- on an unchanged
-  one a rebuild reproduces the statistics it replaces) or ingest volume
-  schedules a full rebuild (:meth:`PassStore.refresh_statistics`),
-  fixing e.g. depths understated by out-of-order ingest.
 * **Adaptive closure strategy switching.**  The DAG-shape summary
   (node count, max depth) is checked every ``_CLOSURE_CHECK_INTERVAL``
   fresh ingests; when the graph outgrows the labelled strategy's sweet
@@ -36,14 +19,16 @@ this module is the consumer that closes the loop.  One
   out-of-order ingest can make *old* records start matching, which no
   anchor on the new record would catch.
 
-Everything is O(1) per query and per ingest (amortized), and the whole
-loop surfaces as the frozen ``stats()["planner"]["feedback"]`` block.
+Plans are not remembered at all: the planner prices every query from
+its own constants (:mod:`repro.query.planner`).  Everything here is
+O(1) per query and per ingest (amortized), and the whole collector
+surfaces as the frozen ``stats()["planner"]["feedback"]`` block.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import List, Optional, Tuple
 
 from repro.core.attributes import canonical_encode
 from repro.core.provenance import PName, ProvenanceRecord
@@ -65,31 +50,6 @@ from repro.errors import ConfigurationError
 from repro.query.normalize import normalize, shape_key
 
 __all__ = ["FeedbackCollector", "ResultKey"]
-
-#: A run misestimates when (estimated+1)/(actual+1) falls outside
-#: [1/ratio, ratio].
-_DRIFT_RATIO = 4.0
-#: Sliding window of misestimate flags kept per plan shape.
-_DRIFT_WINDOW = 8
-#: Don't judge a shape on fewer runs than this.
-_DRIFT_MIN_SAMPLES = 4
-#: Fraction of the window that must misestimate to declare drift.
-_DRIFT_FRACTION = 0.5
-#: After a drift invalidation, leave the (re-ranked) shape alone for
-#: this many observations -- bounds replan churn when the misestimate
-#: is intrinsic (a selective residual no access path can see).
-_DRIFT_COOLDOWN = 64
-#: Shapes tracked for drift (LRU-bounded like the plan cache).
-_MAX_TRACKED_SHAPES = 512
-
-#: Refresh statistics after this many drift events (once the store has
-#: ingested anything the rebuild could see) ...
-_REFRESH_DRIFT_EVENTS = 4
-#: ... or when the store grew by this factor since the last refresh
-#: (against at least _REFRESH_MIN_BASE records, so small stores don't
-#: churn).
-_REFRESH_INGEST_FACTOR = 2.0
-_REFRESH_MIN_BASE = 256
 
 #: Check the DAG shape for a closure-strategy switch every N fresh ingests.
 _CLOSURE_CHECK_INTERVAL = 1024
@@ -134,45 +94,44 @@ def _constants_token(predicate: Predicate) -> Optional[str]:
     Mirrors :func:`~repro.query.normalize.shape_key` (commutative
     children sorted) but keeps the constants, canonically encoded --
     two queries produce the same token iff they ask the same question.
+    Every attribute name and encoded value is quoted as a string
+    literal, so separators inside them can never make two questions
+    read alike.
     """
     try:
         if predicate is TRUE:
             return "true"
-        if isinstance(predicate, And):
+        if isinstance(predicate, (And, Or)):
             parts = [_constants_token(p) for p in predicate.parts]
             if any(part is None for part in parts):
                 return None
-            return "and(" + ",".join(sorted(parts)) + ")"  # type: ignore[arg-type]
-        if isinstance(predicate, Or):
-            parts = [_constants_token(p) for p in predicate.parts]
-            if any(part is None for part in parts):
-                return None
-            return "or(" + ",".join(sorted(parts)) + ")"  # type: ignore[arg-type]
+            word = "and" if isinstance(predicate, And) else "or"
+            return f"{word}(" + ",".join(sorted(parts)) + ")"  # type: ignore[arg-type]
         if isinstance(predicate, AttributeEquals):
-            return f"eq[{predicate.name}={canonical_encode(predicate.value)}]"
+            return f"eq[{predicate.name!r}={canonical_encode(predicate.value)!r}]"
         if isinstance(predicate, AttributeIn):
-            values = ",".join(sorted(canonical_encode(v) for v in predicate.values))
-            return f"in[{predicate.name}:{values}]"
+            values = ",".join(sorted(repr(canonical_encode(v)) for v in predicate.values))
+            return f"in[{predicate.name!r}:{values}]"
         if isinstance(predicate, AttributeRange):
-            low = "" if predicate.low is None else canonical_encode(predicate.low)
-            high = "" if predicate.high is None else canonical_encode(predicate.high)
+            low = "" if predicate.low is None else repr(canonical_encode(predicate.low))
+            high = "" if predicate.high is None else repr(canonical_encode(predicate.high))
             return (
-                f"range[{predicate.name}:{low}:{int(predicate.include_low)}"
+                f"range[{predicate.name!r}:{low}:{int(predicate.include_low)}"
                 f":{high}:{int(predicate.include_high)}]"
             )
         if isinstance(predicate, AttributeExists):
-            return f"exists[{predicate.name}]"
+            return f"exists[{predicate.name!r}]"
         if isinstance(predicate, AttributeContains):
-            return f"contains[{predicate.name}={predicate.needle}]"
+            return f"contains[{predicate.name!r}={predicate.needle!r}]"
         if isinstance(predicate, NearLocation):
             centre = predicate.centre
             return (
-                f"near[{predicate.name}:{centre.latitude!r}:{centre.longitude!r}"
+                f"near[{predicate.name!r}:{centre.latitude!r}:{centre.longitude!r}"
                 f":{predicate.radius_km!r}]"
             )
         if isinstance(predicate, TimeWindowOverlaps):
             return (
-                f"window[{predicate.start_attr}:{predicate.end_attr}"
+                f"window[{predicate.start_attr!r}:{predicate.end_attr!r}"
                 f":{predicate.start.seconds!r}:{predicate.end.seconds!r}]"
             )
     except (ConfigurationError, AttributeError):
@@ -183,7 +142,7 @@ def _constants_token(predicate: Predicate) -> Optional[str]:
 
 
 class FeedbackCollector:
-    """Per-store consumer of estimated-vs-actual execution feedback."""
+    """Per-store closure-strategy advice and hot-key result cache."""
 
     def __init__(self, store) -> None:
         # Deferred: repro.stream's package __init__ reaches repro.api,
@@ -191,24 +150,6 @@ class FeedbackCollector:
         from repro.stream.dispatch import DispatchIndex
 
         self._store = store
-        #: master switch (tests compare against the static engine by
-        #: flipping this off; everything becomes a no-op).
-        self.enabled = True
-
-        # -- drift detection ------------------------------------------
-        self._windows: "OrderedDict[str, Deque[int]]" = OrderedDict()
-        self._drift_marks: Dict[str, str] = {}
-        self._cooldown: Dict[str, int] = {}
-        self._queries_observed = 0
-        self._misestimates = 0
-        self._drift_events = 0
-        self._plans_invalidated = 0
-
-        # -- statistics refresh scheduling ----------------------------
-        self._drift_since_refresh = 0
-        self._ingested_since_refresh = 0
-        self._records_at_refresh = 0
-        self._stats_refreshes = 0
 
         # -- closure strategy advisor ---------------------------------
         self._ingests_since_closure_check = 0
@@ -224,106 +165,10 @@ class FeedbackCollector:
         self._result_evictions = 0
 
     # ------------------------------------------------------------------
-    # Drift detection (fed by the executor, consumed by the planner)
-    # ------------------------------------------------------------------
-    def observe_execution(
-        self, shape: str, estimated_rows: int, actual_rows: int, cache_hit: bool
-    ) -> None:
-        """Fold one execution's estimate error into the shape's window."""
-        if not self.enabled:
-            return
-        self._queries_observed += 1
-        ratio = (estimated_rows + 1.0) / (actual_rows + 1.0)
-        misestimated = ratio >= _DRIFT_RATIO or ratio <= 1.0 / _DRIFT_RATIO
-        if misestimated:
-            self._misestimates += 1
-        cooldown = self._cooldown.get(shape, 0)
-        if cooldown:
-            if cooldown <= 1:
-                del self._cooldown[shape]
-            else:
-                self._cooldown[shape] = cooldown - 1
-            return
-        window = self._window(shape)
-        if not cache_hit:
-            # Fresh analysis: drop any stale mark and judge the new
-            # selection on its own record.
-            self._drift_marks.pop(shape, None)
-            window.clear()
-        window.append(1 if misestimated else 0)
-        if not cache_hit or len(window) < _DRIFT_MIN_SAMPLES:
-            return
-        miscount = sum(window)
-        if miscount / len(window) >= _DRIFT_FRACTION and shape not in self._drift_marks:
-            self._drift_events += 1
-            self._drift_since_refresh += 1
-            self._drift_marks[shape] = (
-                f"drift: {miscount}/{len(window)} recent runs misestimated"
-                f" >={_DRIFT_RATIO:g}x; plan re-ranked"
-            )
-            window.clear()
-
-    def should_replan(self, shape: str) -> Optional[str]:
-        """Consume a drift mark: the planner evicts the shape and re-ranks.
-
-        Returns the human-readable reason (the plan's ``adapted``
-        annotation) or ``None``.  Consuming a mark starts the shape's
-        cooldown so an intrinsic misestimate can't thrash the cache.
-        """
-        if not self.enabled:
-            return None
-        reason = self._drift_marks.pop(shape, None)
-        if reason is None:
-            return None
-        self._plans_invalidated += 1
-        self._cooldown[shape] = _DRIFT_COOLDOWN
-        return reason
-
-    def _window(self, shape: str) -> Deque[int]:
-        window = self._windows.get(shape)
-        if window is None:
-            window = deque(maxlen=_DRIFT_WINDOW)
-            self._windows[shape] = window
-            while len(self._windows) > _MAX_TRACKED_SHAPES:
-                evicted, _ = self._windows.popitem(last=False)
-                self._drift_marks.pop(evicted, None)
-                self._cooldown.pop(evicted, None)
-        else:
-            self._windows.move_to_end(shape)
-        return window
-
-    # ------------------------------------------------------------------
-    # Statistics refresh scheduling
-    # ------------------------------------------------------------------
-    def refresh_due(self) -> bool:
-        """True when accumulated drift or ingest volume warrants a rebuild.
-
-        Everything the statistics are built from arrives by ingest
-        (attributes are immutable, annotations re-count nothing), so
-        drift on a store that has ingested nothing since the last
-        rebuild waits: the rebuild would reproduce what it replaces.
-        """
-        if not self.enabled or not self._ingested_since_refresh:
-            return False
-        if self._drift_since_refresh >= _REFRESH_DRIFT_EVENTS:
-            return True
-        base = max(self._records_at_refresh, _REFRESH_MIN_BASE)
-        return self._ingested_since_refresh >= base * _REFRESH_INGEST_FACTOR
-
-    def note_refreshed(self) -> None:
-        """Reset the refresh triggers (called by ``refresh_statistics``)."""
-        self._stats_refreshes += 1
-        self._drift_since_refresh = 0
-        self._ingested_since_refresh = 0
-        self._records_at_refresh = self._store.statistics.record_count
-
-    # ------------------------------------------------------------------
     # Closure strategy advisor
     # ------------------------------------------------------------------
     def closure_check_due(self) -> bool:
         """Amortized: true once per ``_CLOSURE_CHECK_INTERVAL`` fresh ingests."""
-        if not self.enabled:
-            return False
         if self._ingests_since_closure_check < _CLOSURE_CHECK_INTERVAL:
             return False
         self._ingests_since_closure_check = 0
@@ -337,8 +182,6 @@ class FeedbackCollector:
         alone.  Thresholds are hysteretic: the up and down regions are
         disjoint, so the store can never flap between strategies.
         """
-        if not self.enabled:
-            return None
         graph_stats = self._store.graph_stats
         nodes = graph_stats.nodes
         depth = graph_stats.max_depth
@@ -365,14 +208,14 @@ class FeedbackCollector:
         intermediate record can make *old* records start matching, and
         no anchor on the new record would invalidate the entry.
         """
-        if not self.enabled or query.requires_lineage:
+        if query.requires_lineage:
             return None
         predicate = normalize(query.predicate)
         constants = _constants_token(predicate)
         if constants is None:
             return None
         token = (
-            f"{constants}|order={query.order_by}|limit={query.limit}"
+            f"{constants}|order={query.order_by!r}|limit={query.limit}"
             f"|removed={int(query.include_removed)}"
         )
         return ResultKey(shape_key(predicate), token, predicate)
@@ -390,7 +233,7 @@ class FeedbackCollector:
 
     def maybe_admit(self, key: ResultKey, digests: List[str], rows_scanned: int) -> None:
         """Cache ``digests`` once the key is hot, worthwhile, and anchorable."""
-        if not self.enabled or key.token in self._results:
+        if key.token in self._results:
             return
         if len(digests) > _RESULT_CACHE_MAX_ROWS:
             return
@@ -432,10 +275,7 @@ class FeedbackCollector:
     # Ingest-path maintenance (called from the store's post-commit hook)
     # ------------------------------------------------------------------
     def on_ingest(self, pname: PName, record: ProvenanceRecord) -> None:
-        """Precise invalidation + scheduling counters for one fresh record."""
-        if not self.enabled:
-            return
-        self._ingested_since_refresh += 1
+        """Precise invalidation + the closure-check counter for one fresh record."""
         self._ingests_since_closure_check += 1
         if self._results:
             for token in self._invalidation.candidates(record):
@@ -456,12 +296,6 @@ class FeedbackCollector:
     def snapshot(self) -> dict:
         """The frozen ``stats()["planner"]["feedback"]`` block."""
         return {
-            "enabled": self.enabled,
-            "queries_observed": self._queries_observed,
-            "misestimates": self._misestimates,
-            "drift_events": self._drift_events,
-            "plans_invalidated": self._plans_invalidated,
-            "stats_refreshes": self._stats_refreshes,
             "closure_switches": self._closure_switches,
             "hot_keys": self.hot_keys(),
             "result_cache": {

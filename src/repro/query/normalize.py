@@ -3,7 +3,7 @@
 Queries arrive in whatever shape the caller composed -- DSL sugar,
 nested conjunctions, double negations.  The planner wants one canonical
 shape so that (a) sargable conjuncts are easy to extract and (b) queries
-that differ only in their constants share a plan-cache entry.
+that differ only in their constants report one shape.
 
 :func:`normalize` applies the classic rewrites:
 
@@ -16,8 +16,8 @@ that differ only in their constants share a plan-cache entry.
 :func:`shape_key` reduces a (normalized) predicate to a string that
 keeps structure, predicate types and attribute names but drops the
 constants -- two time-window queries over different windows share a
-shape, which is exactly what makes the plan cache useful for the
-paper's sliding-window workloads.
+shape (``Explain.shape``), which groups the paper's sliding-window
+workloads in explain output and slow-query logs.
 """
 
 from __future__ import annotations
@@ -86,16 +86,15 @@ def _normalize(predicate: Predicate, negated: bool) -> Predicate:
 
 
 def shape_key(predicate: Predicate) -> str:
-    """A value-free structural key for the plan cache.
+    """A value-free structural key (``Explain.shape``).
 
     Commutative children are keyed in sorted order so ``a=1 & b=2`` and
-    ``b=2 & a=1`` share one cache entry.
+    ``b=2 & a=1`` share one shape.
     """
     keyer = _SHAPE_OF.get(type(predicate))
     if keyer is None:
         # A subclass keeps its parent's key; any other predicate class is
-        # keyed by type so user extensions still cache (conservatively:
-        # one entry per extension type).
+        # keyed by its type name.
         for base in type(predicate).__mro__[1:]:
             if base in _SHAPE_OF:
                 return _SHAPE_OF[base](predicate)

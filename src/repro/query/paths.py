@@ -357,7 +357,12 @@ class LineageDescendantsProbe(_LineageProbe):
 
 
 class IndexIntersection(AccessPath):
-    """Intersect several index paths (conjunctions of selective conjuncts)."""
+    """Intersect several index paths (conjunctions of selective conjuncts).
+
+    ``paths`` come cheapest-first (the planner orders them by the
+    estimates it ranked with), so later intersections shrink fast and
+    running the probe prices nothing.
+    """
 
     kind = "index-intersection"
 
@@ -385,8 +390,7 @@ class IndexIntersection(AccessPath):
     def probe(self, store) -> Set[str]:
         result: Optional[Set[str]] = None
         self._probes_run = 0
-        # Probe cheapest-first so later intersections shrink fast.
-        for path in sorted(self.paths, key=lambda p: p.estimate(store)):
+        for path in self.paths:
             hits = path.probe(store)
             self._probes_run += path.probes_run()
             result = hits if result is None else (result & hits)

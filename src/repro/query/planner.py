@@ -6,14 +6,17 @@ Given a :class:`~repro.core.query.Query`, the planner:
 2. extracts every *sargable* conjunct -- one the store's indexes can
    answer -- and builds a candidate access path for each
    (:mod:`repro.query.paths`),
-3. estimates each candidate's cardinality from the store's
+3. estimates each candidate's cardinality -- once -- from the store's
    :class:`~repro.query.statistics.Statistics` and index metadata,
 4. picks the cheapest path, upgrading to an index intersection when a
-   second conjunct is selective enough to pay for its probe,
-5. caches the analysis keyed by the predicate's *shape* (structure and
-   attribute names, constants stripped), so the paper's sliding-window
-   workloads -- same query, moving constants -- skip straight to path
-   construction.
+   second conjunct is selective enough to pay for its probe.
+
+Every query is planned from its own constants: nothing is remembered
+between queries, so a plan can never be one chosen for another query's
+values (the paper's sliding-window workloads move their constants on
+every probe).  Each option's estimate is taken once and never fetches
+a record, so a fresh analysis costs about what replaying a remembered
+one did.
 
 The planner chooses *candidate generation* and, from each chosen path's
 ``exact`` flag, what is left for the executor to re-test on the
@@ -23,7 +26,6 @@ correctness.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -61,11 +63,6 @@ from repro.query.paths import (
 
 __all__ = ["Plan", "QueryPlanner"]
 
-#: Re-analyse a cached shape once the store has grown/shrunk this much.
-_CACHE_STALENESS_FACTOR = 4.0
-#: LRU bound on cached shapes (long-lived stores see unbounded shape
-#: variety, e.g. AttributeIn arities; the cache must not grow with them).
-_CACHE_MAX_SHAPES = 512
 #: A second index probe joins an intersection only when it narrows to
 #: at most this fraction of the store.
 _INTERSECTION_SELECTIVITY = 0.5
@@ -80,10 +77,8 @@ class Plan:
     predicate: Predicate
     #: chosen candidate generator
     path: AccessPath
-    #: value-free cache key of the predicate
+    #: value-free structure of the predicate (``Explain.shape``)
     shape: str
-    #: True when the shape's analysis came from the plan cache
-    cache_hit: bool
     #: estimated candidate rows at plan time
     estimated_rows: int
     #: what the executor actually evaluates on candidates: the predicate
@@ -94,28 +89,6 @@ class Plan:
     #: non-defaulted: a forgotten residual must be a TypeError, not a
     #: plan that filters nothing.
     residual: Predicate
-    #: why the adaptive engine re-ranked this shape (None = nothing
-    #: adapted); carried onto the execution's Explain verbatim
-    adapted: Optional[str] = None
-
-
-@dataclass
-class _ShapeAnalysis:
-    """What the cache remembers about one predicate shape.
-
-    ``selection`` records *which strategy won*, by the shape keys of the
-    chosen conjuncts -- ``("full",)``, ``("single", conjunct_shape)`` or
-    ``("intersect", shape_a, shape_b)``.  Constants are rebound from the
-    incoming predicate on every hit, so sliding-window workloads reuse
-    the analysis without re-ranking every option.  Rebinding by shape is
-    always *sound*: for a conjunction, any sargable conjunct (or
-    intersection of conjuncts) is a complete candidate generator.
-    """
-
-    #: record count when the analysis was made (staleness guard)
-    record_count: int
-    selection: Tuple[str, ...]
-    hits: int = 0
 
 
 class QueryPlanner:
@@ -123,21 +96,11 @@ class QueryPlanner:
 
     def __init__(self, store) -> None:
         self._store = store
-        self._cache: "OrderedDict[str, _ShapeAnalysis]" = OrderedDict()
-        # Cumulative counters: per-entry hits die with their entry, so
-        # the snapshot must not be a sum over live entries (LRU eviction
-        # would silently deflate it).
-        self._hits = 0
-        self._evictions = 0
-        self._drift_invalidations = 0
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def plan(
         self, query: Query, force_full_scan: bool = False, key: Optional[ResultKey] = None
     ) -> Plan:
-        """Choose an access path for ``query``.
+        """Choose an access path for ``query`` from its own constants.
 
         ``key`` is the query's result-cache identity when the executor
         derived one: the normalized predicate and its shape are taken
@@ -146,104 +109,42 @@ class QueryPlanner:
         predicate = normalize(query.predicate) if key is None else key.predicate
         shape = shape_key(predicate) if key is None else key.shape
         if force_full_scan:
-            path: AccessPath = FullScanPath()
-            return Plan(
-                query, predicate, path, shape, False, path.estimate(self._store), predicate
-            )
-
-        cached = self._cache.get(shape)
-        adapted: Optional[str] = None
-        if cached is not None:
-            # The feedback loop may have marked this shape: its recent
-            # executions misestimated badly enough that the cached
-            # selection is suspect.  Evict and re-rank from scratch.
-            feedback = getattr(self._store, "feedback", None)
-            drift_reason = feedback.should_replan(shape) if feedback is not None else None
-            if drift_reason is not None:
-                del self._cache[shape]
-                self._drift_invalidations += 1
-                adapted = drift_reason
-                cached = None
-        if cached is not None and not self._stale(cached):
-            rebuilt = self._rebuild(predicate, cached.selection)
-            if rebuilt is not None:
-                path, residual = rebuilt
-                cached.hits += 1
-                self._hits += 1
-                self._cache.move_to_end(shape)
-                return Plan(
-                    query, predicate, path, shape, True, path.estimate(self._store), residual
-                )
-
-        path, selection, residual = self._choose_path(predicate)
-        self._cache[shape] = _ShapeAnalysis(
-            self._store.statistics.record_count, selection
-        )
-        self._cache.move_to_end(shape)
-        while len(self._cache) > _CACHE_MAX_SHAPES:
-            self._cache.popitem(last=False)
-            self._evictions += 1
-        return Plan(
-            query,
-            predicate,
-            path,
-            shape,
-            False,
-            path.estimate(self._store),
-            residual,
-            adapted=adapted,
-        )
-
-    def cache_snapshot(self) -> dict:
-        """Plan-cache facts for ``client.stats()`` and tests.
-
-        ``hits`` and ``evictions`` are cumulative over the planner's
-        lifetime -- an LRU eviction (or a drift invalidation) must not
-        erase the history of the entry it dropped.
-        """
-        return {
-            "entries": len(self._cache),
-            "hits": self._hits,
-            "evictions": self._evictions,
-            "drift_invalidations": self._drift_invalidations,
-        }
+            record_count = self._store.statistics.record_count
+            return Plan(query, predicate, FullScanPath(), shape, record_count, predicate)
+        path, estimated_rows, residual = self._choose_path(predicate)
+        return Plan(query, predicate, path, shape, estimated_rows, residual)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _stale(self, cached: _ShapeAnalysis) -> bool:
-        now = self._store.statistics.record_count
-        then = max(1, cached.record_count)
-        return now > then * _CACHE_STALENESS_FACTOR or now * _CACHE_STALENESS_FACTOR < then
-
     @staticmethod
     def _conjuncts_of(predicate: Predicate) -> Tuple[Predicate, ...]:
         if isinstance(predicate, And):
             return predicate.parts
         return (predicate,)
 
-    def _choose_path(
-        self, predicate: Predicate
-    ) -> Tuple[AccessPath, Tuple[str, ...], Predicate]:
-        """Full analysis: rank every sargable conjunct.
+    def _choose_path(self, predicate: Predicate) -> Tuple[AccessPath, int, Predicate]:
+        """Rank every sargable conjunct by its estimate, taken once.
 
-        Returns ``(path, selection, residual)`` where ``residual`` is the
-        predicate the executor must still evaluate on candidates (exact
-        conjuncts covered by the path are removed; see :class:`Plan`).
+        Returns ``(path, estimated_rows, residual)`` where ``residual`` is
+        the predicate the executor must still evaluate on candidates
+        (exact conjuncts covered by the path are removed; see
+        :class:`Plan`).
         """
         store = self._store
         record_count = store.statistics.record_count
-        options: List[Tuple[AccessPath, str, Predicate]] = []
+        options: List[Tuple[int, AccessPath, Predicate]] = []
         for conjunct in self._conjuncts_of(predicate):
             path = self._sargable(conjunct)
             if path is not None:
-                options.append((path, shape_key(conjunct), conjunct))
+                options.append((path.estimate(store), path, conjunct))
         if not options:
-            return FullScanPath(), ("full",), predicate
+            return FullScanPath(), record_count, predicate
 
-        ranked = sorted(options, key=lambda item: item[0].estimate(store))
-        best, best_shape, best_conjunct = ranked[0]
-        if best.estimate(store) >= record_count and not best.exact:
+        # Stable on ties: equal estimates keep the conjuncts' order.
+        ranked = sorted(options, key=lambda option: option[0])
+        best = ranked[0]
+        if best[0] >= record_count and not best[1].exact:
             # The "index" would touch everything; scanning is cheaper
             # than probing plus fetching every record by name.  Exact
             # probes are exempt: their conjunct is not re-tested (an
@@ -251,25 +152,20 @@ class QueryPlanner:
             # reachability once per record) and an index-only answer
             # fetches nothing at all -- so before giving up, fall back
             # to the cheapest exact option if there is one.
-            exact_ranked = [option for option in ranked if option[0].exact]
+            exact_ranked = [option for option in ranked if option[1].exact]
             if not exact_ranked:
-                return FullScanPath(), ("full",), predicate
-            best, best_shape, best_conjunct = exact_ranked[0]
-        if (
-            len(ranked) > 1
-            and ranked[1][0].estimate(store) <= record_count * _INTERSECTION_SELECTIVITY
-        ):
-            second, second_shape, second_conjunct = ranked[1]
-            chosen = [(best, best_conjunct), (second, second_conjunct)]
-            return (
-                IndexIntersection([best, second]),
-                ("intersect", best_shape, second_shape),
-                self._residual_of(predicate, chosen),
-            )
-        return best, ("single", best_shape), self._residual_of(predicate, [(best, best_conjunct)])
+                return FullScanPath(), record_count, predicate
+            best = exact_ranked[0]
+        best_rows, best_path, _ = best
+        second = next((option for option in ranked if option is not best), None)
+        if second is not None and second[0] <= record_count * _INTERSECTION_SELECTIVITY:
+            # Built best-first: the intersection probes in this order.
+            intersection = IndexIntersection([best_path, second[1]])
+            return intersection, min(best_rows, second[0]), self._residual_of(predicate, [best, second])
+        return best_path, best_rows, self._residual_of(predicate, [best])
 
     def _residual_of(
-        self, predicate: Predicate, chosen: List[Tuple[AccessPath, Predicate]]
+        self, predicate: Predicate, chosen: List[Tuple[int, AccessPath, Predicate]]
     ) -> Predicate:
         """The predicate minus conjuncts the chosen path answers exactly.
 
@@ -278,7 +174,7 @@ class QueryPlanner:
         yields already satisfies the conjunct.  Inexact paths (a probe on
         an ``annotation:`` name) keep their conjunct in the residual.
         """
-        covered = [conjunct for path, conjunct in chosen if path.exact]
+        covered = [conjunct for _, path, conjunct in chosen if path.exact]
         if not covered:
             return predicate
         conjuncts = self._conjuncts_of(predicate)
@@ -289,35 +185,6 @@ class QueryPlanner:
         if len(remaining) == 1:
             return remaining[0]
         return And(tuple(remaining))
-
-    def _rebuild(
-        self, predicate: Predicate, selection: Tuple[str, ...]
-    ) -> Optional[Tuple[AccessPath, Predicate]]:
-        """Re-instantiate a cached strategy with the new predicate's constants.
-
-        Returns ``None`` when the selection no longer applies (a conjunct
-        shape disappeared) -- the caller then falls back to full analysis.
-        """
-        if selection[0] == "full":
-            return FullScanPath(), predicate
-        wanted = list(selection[1:])
-        chosen: List[Tuple[AccessPath, Predicate]] = []
-        for conjunct in self._conjuncts_of(predicate):
-            if not wanted:
-                break
-            conjunct_shape = shape_key(conjunct)
-            if conjunct_shape in wanted:
-                path = self._sargable(conjunct)
-                if path is None:
-                    return None
-                chosen.append((path, conjunct))
-                wanted.remove(conjunct_shape)
-        if wanted:
-            return None
-        residual = self._residual_of(predicate, chosen)
-        if selection[0] == "intersect":
-            return IndexIntersection([path for path, _ in chosen]), residual
-        return chosen[0][0], residual
 
     def _sargable(self, conjunct: Predicate) -> Optional[AccessPath]:
         """An index path answering ``conjunct`` completely, or None."""

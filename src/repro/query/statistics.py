@@ -5,7 +5,11 @@ must be cheap -- far cheaper than running any candidate plan.  The
 :class:`Statistics` collector therefore never scans anything: the store
 feeds it one :meth:`observe` call per ingested record, and everything
 else is a counter read or an O(log n) bisection delegated to the indexes
-it shares with the store.
+it shares with the store.  Nothing ever rebuilds the counters from the
+records: attributes are immutable and every record arrives by ingest, so
+the incremental counters are the ones a rebuild would produce (removal
+and annotation re-count nothing).  A reopened store adopts them from the
+index checkpoint or replays them.
 
 What it knows:
 
@@ -21,7 +25,7 @@ What it knows:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.attributes import GeoPoint, Timestamp
 from repro.core.provenance import ProvenanceRecord
@@ -74,25 +78,6 @@ class Statistics:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def rebuild(self, records: Iterable[ProvenanceRecord]) -> None:
-        """Reset the counters and re-observe every stored record.
-
-        The feedback loop's scheduled refresh: incremental counters are
-        append-only (removal never decrements, annotations re-count
-        nothing), so a store that drifted far enough from its last
-        refresh rebuilds them from the backend in one pass.  The shared
-        graph collector is *not* touched here -- it has its own
-        :meth:`~repro.lineage.stats.GraphStatistics.recompute`.
-        """
-        self.record_count = 0
-        self.attribute_counts = {}
-        self._window_min = None
-        self._window_max = None
-        self.windowed_count = 0
-        self.located_count = 0
-        for record in records:
-            self.observe(record)
-
     def observe(self, record: ProvenanceRecord) -> None:
         """Fold one freshly ingested record into the counters."""
         self.record_count += 1

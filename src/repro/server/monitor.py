@@ -232,20 +232,11 @@ class Monitor:
             store.observe_gauge(prefix + ".record_cache.entries", now, record_cache["entries"])
             for key in ("hits", "misses", "evictions"):
                 store.observe_counter(f"{prefix}.record_cache.{key}", now, record_cache[key])
-            # The adaptive engine's loop, as per-tenant series: plan-cache
-            # churn, drift invalidations, result-cache effectiveness,
-            # scheduled refreshes and closure switches.
-            cache = tenant_store.planner.cache_snapshot()
+            # The feedback collector, as per-tenant series: closure
+            # switches and result-cache effectiveness.
             feedback = tenant_store.feedback.snapshot()
             prefix = f"daemon.{tenant_name}.planner"
-            store.observe_gauge(prefix + ".cache_entries", now, cache["entries"])
-            store.observe_counter(prefix + ".cache_hits", now, cache["hits"])
-            store.observe_counter(prefix + ".cache_evictions", now, cache["evictions"])
-            store.observe_counter(
-                prefix + ".drift_invalidations", now, cache["drift_invalidations"]
-            )
-            for key in ("queries_observed", "misestimates", "stats_refreshes", "closure_switches"):
-                store.observe_counter(f"{prefix}.{key}", now, feedback[key])
+            store.observe_counter(prefix + ".closure_switches", now, feedback["closure_switches"])
             store.observe_counter(
                 prefix + ".result_cache_hits", now, feedback["result_cache"]["hits"]
             )

@@ -121,9 +121,10 @@ class TestSlowQueryLog:
                 stats = client.stats()
                 slow = client.daemon_metrics()["slow_queries"]
         # The logged tree is the Explain of the execution that was timed,
-        # so the store saw exactly one query (and one planner sighting).
+        # so the store saw exactly one query (and one result-cache lookup).
         assert stats["store"]["queries"] == 1
-        assert stats["planner"]["feedback"]["queries_observed"] == 1
+        result_cache = stats["planner"]["feedback"]["result_cache"]
+        assert result_cache["hits"] + result_cache["misses"] == 1
         assert slow[0]["misestimate"] >= 1.0
 
     def test_targets_without_an_explain_log_it_as_unavailable(self, workload_sets):

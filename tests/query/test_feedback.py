@@ -1,30 +1,26 @@
-"""Tests for the adaptive feedback loop and the plan-cache edge cases.
+"""Tests for what the store learns from its traffic.
 
-Covers the four feedback mechanisms (drift-based plan invalidation,
-statistics refresh scheduling, closure strategy switching, hot-key
-result caching) plus the plan-cache edges the planner suite left
-uncovered: LRU eviction at the shape cap, staleness in both growth
-directions, and rebind soundness after a drift invalidation.
+Covers fresh per-query planning (no plan outlives its query's
+constants), the two feedback mechanisms -- closure strategy switching
+and hot-key result caching -- and the result cache's key: two different
+questions must never share one.
 """
 
 from __future__ import annotations
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_planner_parity import _resolve, predicates
 
 from repro.api.dsl import Q
 from repro.core.pass_store import PassStore
 from repro.core.provenance import PName, ProvenanceRecord
-from repro.core.query import AttributeEquals, Query
+from repro.core.query import And, AttributeEquals, AttributeIn, Or, Query
 from repro.core.tupleset import TupleSet
-from repro.query import planner as planner_mod
-from repro.query.feedback import (
-    _DRIFT_COOLDOWN,
-    _DRIFT_MIN_SAMPLES,
-    _HOT_KEY_MIN_HITS,
-    _REFRESH_DRIFT_EVENTS,
-    _RESULT_CACHE_MIN_SCANNED,
-)
-from repro.query.planner import _CACHE_STALENESS_FACTOR, _ShapeAnalysis
+from repro.query import feedback as feedback_mod
+from repro.query.feedback import _HOT_KEY_MIN_HITS, _RESULT_CACHE_MIN_SCANNED
+from repro.query.normalize import normalize
+from repro.query.paths import EqualityProbe, IndexIntersection, RangeProbe
 
 HOT = "city-007"
 
@@ -60,151 +56,98 @@ def _narrow(probe: int):
     return (Q.attr("city") == HOT) & Q.attr("sequence").between(low, low + 10)
 
 
-class TestDriftInvalidation:
-    def _drive_to_drift(self, store: PassStore):
-        """Warm a single-probe plan, flood, then probe until it adapts."""
+class TestFreshPlans:
+    """Every query is planned from its own constants."""
+
+    def test_the_first_narrow_probe_after_a_flood_already_intersects(self):
+        """A wide plan warmed before the flood must not decide how the
+        narrow probes after it run: the very first one intersects and
+        stops scanning the flooded bucket."""
+        store = _shifted_store()
         wide = (Q.attr("city") == HOT) & Q.attr("sequence").between(0, 100_000)
         for _ in range(3):
             store.query_explain(wide)
         _flood(store, 1000, 800)
+        planned, explain = store.query_explain(_narrow(0))
+        assert explain.path_kind == "index-intersection"
+        assert explain.rows_scanned < 100  # the flooded bucket alone holds ~900
+        scanned, _ = store.query_explain(_narrow(0), force_full_scan=True)
+        assert planned and set(planned) == set(scanned)
+
+    def test_plan_estimates_each_sargable_conjunct_once(self, monkeypatch):
+        """Ranking, the scan fallback, the intersection test and the
+        plan's estimate share one number per option, and running the
+        intersection prices nothing."""
+        store = _shifted_store()
+        calls = []
+        for probe in (EqualityProbe, RangeProbe):
+            priced = probe.estimate
+
+            def counted(path, store, priced=priced):
+                calls.append(path.kind)
+                return priced(path, store)
+
+            monkeypatch.setattr(probe, "estimate", counted)
+        predicate = (
+            (Q.attr("city") == HOT)
+            & Q.attr("sequence").between(100, 110)
+            & Q.attr("city").contains("007")  # not sargable: never priced
+        )
+        plan = store.planner.plan(Q.find(predicate).build())
+        assert sorted(calls) == ["attr-eq", "attr-range"]
+        assert isinstance(plan.path, IndexIntersection)
+        assert [path.kind for path in plan.path.paths] == ["attr-range", "attr-eq"]
+        assert plan.estimated_rows == store.attribute_index.estimate_range("sequence", 100, 110, True, True)
+        calls.clear()
+        plan.path.probe(store)
+        assert calls == []
+
+    def _warm_then_flood(self, store: PassStore) -> None:
+        wide = (Q.attr("city") == HOT) & Q.attr("sequence").between(0, 100_000)
+        for _ in range(3):
+            store.query_explain(wide)
+        _flood(store, 1000, 800)
+
+    def test_answers_match_a_forced_scan_on_every_probe_through_the_shift(self):
+        """Planning changes how candidates are generated, never the answer."""
+        store = _shifted_store()
+        self._warm_then_flood(store)
         for probe in range(12):
-            pairs, explain = store.query_explain(_narrow(probe))
-            if explain.adapted:
-                return probe, pairs, explain
-        pytest.fail("drift never re-ranked the shape")
+            planned, _ = store.query_explain(_narrow(probe))
+            scanned, _ = store.query_explain(_narrow(probe), force_full_scan=True)
+            assert planned and set(planned) == set(scanned)
 
-    def test_drift_rerank_fires_and_reports_reason(self):
+    def test_every_narrow_probe_after_the_flood_stays_narrow(self):
+        """No probe pays for the flooded bucket, and the same state plans
+        the same way: the range probe leads the intersection every time."""
         store = _shifted_store()
-        _, _, explain = self._drive_to_drift(store)
-        assert "drift" in explain.adapted
-        assert not explain.cache_hit  # the re-ranked plan is a fresh analysis
-        assert store.planner.cache_snapshot()["drift_invalidations"] == 1
-        assert store.feedback.snapshot()["plans_invalidated"] == 1
-        assert store.feedback.snapshot()["drift_events"] >= 1
+        self._warm_then_flood(store)
+        for probe in range(12):
+            _, explain = store.query_explain(_narrow(probe))
+            assert explain.path_kind == "index-intersection"
+            assert explain.rows_scanned < 100
+            plan = store.planner.plan(Q.find(_narrow(probe)).build())
+            assert [path.kind for path in plan.path.paths] == ["attr-range", "attr-eq"]
 
-    def test_rerank_recovers_scan_volume(self):
-        """After the re-rank the plan stops scanning the flooded bucket."""
+    def test_fresh_constants_on_other_cities_stay_sound_after_the_flood(self):
+        """Constants the warm-up never saw -- cities in and out of the
+        flood -- each answer exactly like a forced full scan."""
         store = _shifted_store()
-        probe, _, explain = self._drive_to_drift(store)
-        # The stale equality probe scanned the whole ~880-row bucket;
-        # the re-ranked plan intersects with the narrow range.
-        assert explain.rows_scanned < 100
-        _, after = store.query_explain(_narrow(probe + 1))
-        assert after.cache_hit and after.rows_scanned < 100
-
-    def test_rebind_stays_sound_after_drift_invalidation(self):
-        """Fresh constants through the re-ranked selection must answer
-        exactly like a forced full scan."""
-        store = _shifted_store()
-        probe, _, _ = self._drive_to_drift(store)
-        for next_probe in range(probe + 1, probe + 4):
-            predicate = _narrow(next_probe)
+        self._warm_then_flood(store)
+        for city, low in ((HOT, 1500), ("city-001", 200), ("city-004", 0), ("city-999", 10)):
+            predicate = (Q.attr("city") == city) & Q.attr("sequence").between(low, low + 40)
             planned, _ = store.query_explain(predicate)
             scanned, _ = store.query_explain(predicate, force_full_scan=True)
             assert set(planned) == set(scanned)
 
-    def test_answers_match_the_static_engine_on_every_probe_through_the_shift(self):
-        """Feedback changes how candidates are generated, never the answer:
-        through the stale plan, the probe that re-ranks and the new plan."""
-        adaptive, static = _shifted_store(), _shifted_store()
-        static.feedback.enabled = False
-        wide = (Q.attr("city") == HOT) & Q.attr("sequence").between(0, 100_000)
-        for store in (adaptive, static):
-            for _ in range(3):
-                store.query_explain(wide)
-            _flood(store, 1000, 800)
-        adapted_at = None
-        for probe in range(12):
-            adaptive_pairs, explain = adaptive.query_explain(_narrow(probe))
-            static_pairs, _ = static.query_explain(_narrow(probe))
-            assert set(adaptive_pairs) == set(static_pairs)
-            assert adaptive_pairs
-            if explain.adapted and adapted_at is None:
-                adapted_at = probe
-        assert adapted_at is not None and 0 < adapted_at < 11
-
-    def test_cooldown_bounds_replan_churn(self):
-        """Consuming a drift mark starts a cooldown: the same shape is
-        not re-marked while it elapses, even if misestimates continue."""
-        store = PassStore()
-        feedback = store.feedback
-        shape = "eq[city]"
-        for _ in range(_DRIFT_MIN_SAMPLES):
-            feedback.observe_execution(shape, 1000, 1, cache_hit=True)
-        assert feedback.should_replan(shape) is not None
-        for _ in range(_DRIFT_COOLDOWN // 2):
-            feedback.observe_execution(shape, 1000, 1, cache_hit=True)
-        assert feedback.should_replan(shape) is None
-
-    def test_fresh_plan_clears_window_and_marks(self):
-        store = PassStore()
-        feedback = store.feedback
-        shape = "eq[city]"
-        for _ in range(_DRIFT_MIN_SAMPLES):
-            feedback.observe_execution(shape, 1000, 1, cache_hit=True)
-        # A fresh (non-cache-hit) execution wipes the pending mark: the
-        # new selection is judged on its own record.
-        feedback.observe_execution(shape, 10, 8, cache_hit=False)
-        assert feedback.should_replan(shape) is None
-
-    def test_misestimate_counts_both_directions(self):
-        store = PassStore()
-        feedback = store.feedback
-        feedback.observe_execution("a", 1000, 10, cache_hit=True)  # over
-        feedback.observe_execution("b", 10, 1000, cache_hit=True)  # under
-        feedback.observe_execution("c", 100, 90, cache_hit=True)  # fine
-        assert feedback.snapshot()["misestimates"] == 2
-
-    def test_disabled_feedback_never_replans(self):
+    def test_the_estimate_follows_the_flood_on_the_next_plan(self):
+        """Growth is priced by the very next query, with nothing to invalidate."""
         store = _shifted_store()
-        store.feedback.enabled = False
-        wide = (Q.attr("city") == HOT) & Q.attr("sequence").between(0, 100_000)
-        for _ in range(3):
-            store.query_explain(wide)
+        predicate = Q.find(Q.attr("city") == HOT).build()
+        assert store.planner.plan(predicate).estimated_rows == 100
         _flood(store, 1000, 800)
-        for probe in range(12):
-            _, explain = store.query_explain(_narrow(probe))
-            assert explain.adapted is None
-        assert store.planner.cache_snapshot()["drift_invalidations"] == 0
-
-
-class TestPlanCacheEdges:
-    def test_lru_eviction_at_shape_cap_keeps_cumulative_counters(self, monkeypatch):
-        monkeypatch.setattr(planner_mod, "_CACHE_MAX_SHAPES", 4)
-        store = PassStore()
-        _populate(store, 100)
-        for attr in ("city", "sequence", "domain"):
-            store.query_explain(Q.attr(attr) == "x")
-            store.query_explain(Q.attr(attr) == "x")  # a hit per shape
-        for index in range(6):  # distinct shapes overflow the cap
-            store.query_explain(Q.attr(f"extra-{index}").exists())
-        snapshot = store.planner.cache_snapshot()
-        assert snapshot["entries"] <= 4
-        assert snapshot["evictions"] >= 5
-        # Hits survive the evictions: the counter is cumulative, not a
-        # sum over live entries.
-        assert snapshot["hits"] >= 3
-
-    def test_staleness_on_growth_forces_reanalysis(self):
-        store = PassStore()
-        _populate(store, 100)
-        predicate = Q.attr("city") == "city-001"
-        assert store.explain(predicate).cache_hit is False
-        assert store.explain(predicate).cache_hit is True
-        _populate(store, int(100 * _CACHE_STALENESS_FACTOR) + 100)
-        assert store.explain(predicate).cache_hit is False
-
-    def test_staleness_guard_watches_both_directions(self):
-        """record_count can only shrink via rebuilds, so the shrink
-        direction is asserted on _stale directly."""
-        store = PassStore()
-        _populate(store, 100)
-        grown = _ShapeAnalysis(record_count=10, selection=("full",))
-        shrunk = _ShapeAnalysis(record_count=100 * 10, selection=("full",))
-        fresh = _ShapeAnalysis(record_count=100, selection=("full",))
-        assert store.planner._stale(grown) is True
-        assert store.planner._stale(shrunk) is True
-        assert store.planner._stale(fresh) is False
+        assert store.planner.plan(predicate).estimated_rows == 900
+        assert store.planner.plan(Q.find(Q.attr("city") == "city-001").build()).estimated_rows == 100
 
 
 class TestResultCache:
@@ -271,6 +214,24 @@ class TestResultCache:
         _, explain = store.query_explain(self._hot_query())
         assert explain.path_kind != "result-cache"
 
+    def test_lru_eviction_at_the_entry_cap_keeps_cumulative_counters(self, monkeypatch):
+        monkeypatch.setattr(feedback_mod, "_RESULT_CACHE_MAX", 2)
+        store = self._cache_store()
+        _populate(store, 300, cities=3)  # ~100 rows per city: every probe clears the floor
+        for city in ("city-000", "city-001", "city-002", HOT):
+            query = Query(AttributeEquals("city", city))
+            for _ in range(_HOT_KEY_MIN_HITS + 1):
+                _, explain = store.query_explain(query)
+            assert explain.path_kind == "result-cache"  # a hit per key
+        cache = store.feedback.snapshot()["result_cache"]
+        assert cache["entries"] == 2
+        assert cache["evictions"] == 2
+        # Hits survive the evictions: the counter is cumulative, not a
+        # sum over live entries.
+        assert cache["hits"] == 4
+        _, explain = store.query_explain(Query(AttributeEquals("city", "city-000")))
+        assert explain.path_kind != "result-cache"  # evicted first, least recently used
+
     def test_small_scans_are_never_cached(self):
         """A probe under the scan floor re-runs faster than the cache
         bookkeeping it would displace."""
@@ -297,59 +258,116 @@ class TestResultCache:
             assert explain.path_kind != "result-cache"
 
 
-class TestRefreshScheduling:
-    def test_ingest_volume_schedules_refresh(self):
-        store = PassStore()
-        _populate(store, 600)  # > 2 x the 256-record base
-        assert store.feedback.refresh_due() is True
-        store.query_explain(Q.attr("city") == "city-001")
-        snapshot = store.feedback.snapshot()
-        assert snapshot["stats_refreshes"] == 1
-        assert store.feedback.refresh_due() is False
+class TestStatisticsWithoutRefresh:
+    """Ingest-time statistics are the ones a rebuild would produce, and
+    queries never touch them."""
 
-    def test_drift_on_an_unchanged_store_rebuilds_nothing_until_a_publish(self):
-        """A conjunction whose min-of-inputs estimate is intrinsically >= 4x
-        off drifts forever; rebuilding statistics nothing was written to
-        reproduces them (at 30+ ms a time on a few thousand records)."""
+    def test_ingest_time_attribute_counts_equal_a_recount(self):
         store = _shifted_store()
-        store.query_explain(_narrow(0))  # the preload's ingest-volume rebuild
-        assert store.feedback.snapshot()["stats_refreshes"] == 1
-        before = store.statistics.snapshot()
-        for probe in range(400):
-            _, explain = store.query_explain(_narrow(probe % 80))
-            assert explain.estimated_rows >= 4 * max(1, explain.actual_rows)
-        snapshot = store.feedback.snapshot()
-        assert snapshot["drift_events"] >= _REFRESH_DRIFT_EVENTS
-        assert snapshot["stats_refreshes"] == 1
-        assert store.statistics.snapshot() == before
-        store.ingest(TupleSet([], _record("city-000", 5000)))
-        store.query_explain(_narrow(0))
-        assert store.feedback.snapshot()["stats_refreshes"] == 2
-        assert store.feedback.refresh_due() is False
+        _flood(store, 1000, 800)
+        store.ingest(TupleSet([], ProvenanceRecord({"extra": 1})))
+        recount = {}
+        for pname in store.pnames():
+            for name in store.get_record(pname).attributes:
+                recount[name] = recount.get(name, 0) + 1
+        assert store.statistics.attribute_counts == recount
+        assert store.statistics.record_count == len(store.pnames()) == 1801
 
-    def test_refresh_recomputes_out_of_order_depths(self):
-        """Incremental depth tracking understates lineage that arrives
-        child-first; the scheduled rebuild corrects it."""
+    def test_queries_leave_the_statistics_as_they_found_them(self):
+        store = _shifted_store()
+        _flood(store, 1000, 800)
+        before = store.statistics.snapshot()
+        graph_before = store.graph_stats.snapshot()
+        for probe in range(200):
+            store.query_explain(_narrow(probe % 80))
+        assert store.statistics.snapshot() == before
+        assert store.graph_stats.snapshot() == graph_before
+
+    def test_parents_first_ingest_records_exact_depths(self):
         store = PassStore()
         grand = TupleSet([], _record("city-001", 0))
         parent = TupleSet([], _record("city-002", 1, ancestors=(grand.pname,)))
         child = TupleSet([], _record("city-003", 2, ancestors=(parent.pname,)))
-        # Child first: its depth is fixed at 1 before the parent's own
-        # depth (1, via the grandparent) is known -- true depth is 2.
-        store.ingest(child)
-        store.ingest(parent)
-        store.ingest(grand)
-        assert store.graph_stats.max_depth == 1
-        store.refresh_statistics()
+        for tuple_set in (grand, parent, child):
+            store.ingest(tuple_set)
         assert store.graph_stats.max_depth == 2
+        assert store.graph_stats.depth_histogram == {0: 1, 1: 1, 2: 1}
+        assert store.graph_stats.depth_of(child.pname) == 2
 
-    def test_refresh_rebuilds_attribute_statistics(self):
+    def test_child_first_ingest_understates_depth_but_not_lineage(self):
+        """Nothing recomputes depths, so child-first lineage keeps the
+        understated depth fixed at ingest; the answers stay exact."""
         store = PassStore()
-        _populate(store, 100)
-        store.statistics.attribute_counts.clear()  # simulate skew
-        store.refresh_statistics()
-        assert store.statistics.attribute_counts["city"] == 100
-        assert store.statistics.record_count == 100
+        grand = TupleSet([], _record("city-001", 0))
+        parent = TupleSet([], _record("city-002", 1, ancestors=(grand.pname,)))
+        child = TupleSet([], _record("city-003", 2, ancestors=(parent.pname,)))
+        for tuple_set in (child, parent, grand):
+            store.ingest(tuple_set)
+        assert store.graph_stats.max_depth == 1
+        assert store.ancestors(child.pname) == {parent.pname, grand.pname}
+        found = store.query(Q.derived_from(grand.pname))
+        assert set(found) == {parent.pname, child.pname}
+
+
+def _tagged_store(attributes: dict, count: int) -> PassStore:
+    store = PassStore()
+    store.ingest_many(
+        [TupleSet([], ProvenanceRecord(dict(attributes, sequence=i))) for i in range(count)]
+    )
+    return store
+
+
+def _canonical(predicate) -> str:
+    """``predicate`` as text with commutative parts sorted: equal iff the same question."""
+    if isinstance(predicate, (And, Or)):
+        return f"{type(predicate).__name__}({sorted(_canonical(part) for part in predicate.parts)})"
+    if isinstance(predicate, AttributeIn):
+        return f"AttributeIn({predicate.name!r}, {sorted(repr(value) for value in predicate.values)})"
+    return repr(predicate)
+
+
+#: a fixed population for the lineage placeholders of the parity suite's predicates
+_LINEAGE_TARGETS = [ProvenanceRecord({"serial": index}) for index in range(3)]
+
+
+class TestResultCacheKeys:
+    """A hot key's cached answer is only ever served to the same question."""
+
+    def _heat(self, store: PassStore, query: Query) -> list:
+        for _ in range(_HOT_KEY_MIN_HITS + 1):
+            answer, explain = store.query_explain(query)
+        assert explain.path_kind == "result-cache"
+        return answer
+
+    def test_in_values_holding_separators_do_not_collide(self):
+        store = _tagged_store({"tag": "x,s:y"}, 100)
+        for index, tag in enumerate(("x", "x", "x", "y", "y")):
+            store.ingest(TupleSet([], ProvenanceRecord({"tag": tag, "sequence": 1000 + index})))
+        assert len(self._heat(store, Query(AttributeIn("tag", ("x,s:y",))))) == 100
+        answer, explain = store.query_explain(Query(AttributeIn("tag", ("x", "y"))))
+        assert explain.path_kind != "result-cache"
+        assert len(answer) == 5
+
+    def test_names_and_values_holding_separators_do_not_collide(self):
+        store = _tagged_store({"a": "b=s:c"}, 100)
+        for index in range(5):
+            store.ingest(TupleSet([], ProvenanceRecord({"a=s:b": "c", "sequence": 1000 + index})))
+        assert len(self._heat(store, Query(AttributeEquals("a", "b=s:c")))) == 100
+        answer, explain = store.query_explain(Query(AttributeEquals("a=s:b", "c")))
+        assert explain.path_kind != "result-cache"
+        assert len(answer) == 5
+
+    @given(st.lists(predicates, min_size=2, max_size=8))
+    @settings(deadline=None)
+    def test_equal_tokens_mean_equal_normalized_predicates(self, drawn):
+        feedback = PassStore().feedback
+        asked = {}
+        for predicate in drawn:
+            key = feedback.result_key(Query(_resolve(predicate, _LINEAGE_TARGETS)))
+            if key is None:
+                continue
+            canonical = _canonical(normalize(key.predicate))
+            assert asked.setdefault(key.token, canonical) == canonical
 
 
 class TestClosureSwitching:

@@ -1,4 +1,4 @@
-"""Tests for predicate normalization and plan-cache shape keys."""
+"""Tests for predicate normalization and value-free shape keys."""
 
 from __future__ import annotations
 

@@ -214,53 +214,51 @@ class TestParityOnOptions:
         assert victim.digest not in planned
 
 
-class TestPlanCache:
-    def test_same_shape_hits_cache(self, store):
+class TestPlansFromConstants:
+    """No plan outlives the query it was made for."""
+
+    def test_same_shape_plans_the_same_path_for_each_window(self, store):
         first = store.explain(TimeWindowOverlaps(Timestamp(0.0), Timestamp(300.0)))
         later = store.explain(TimeWindowOverlaps(Timestamp(3000.0), Timestamp(3300.0)))
-        assert not first.cache_hit
-        assert later.cache_hit
-        assert store.planner.cache_snapshot()["hits"] >= 1
+        assert first.shape == later.shape
+        assert first.path_kind == later.path_kind == "temporal-overlap"
+        assert first.actual_rows == later.actual_rows == 6
 
-    def test_different_shapes_miss(self, store):
-        store.explain(AttributeEquals("city", "city-1"))
+    def test_different_shapes_choose_their_own_paths(self, store):
+        assert store.explain(AttributeEquals("city", "city-1")).path_kind == "attr-eq"
         other = store.explain(AttributeRange("sequence", low=1, high=2))
-        assert not other.cache_hit
+        assert other.path_kind == "attr-range"
+        assert other.actual_rows == 2
 
-    def test_cached_strategy_rebinds_new_constants(self, store):
-        # Prime the cache with one window, hit it with another: the
-        # rebound plan must answer the *new* constants correctly.
+    def test_a_later_window_answers_its_own_constants(self, store):
         store.explain(TimeWindowOverlaps(Timestamp(0.0), Timestamp(59.0)))
         later = TimeWindowOverlaps(Timestamp(6000.0), Timestamp(6059.0))
         pairs, explain = store.query_explain(later)
-        assert explain.cache_hit
         assert explain.path_kind == "temporal-overlap"
         scanned, _ = store.query_explain(later, force_full_scan=True)
         assert set(pairs) == set(scanned)
         assert len(pairs) == 1  # the [6000, 6059] tile
 
-    def test_cached_intersection_rebinds(self, store):
-        shape_primer = And(
-            (AttributeEquals("city", "city-3"), AttributeRange("sequence", low=0, high=40))
+    def test_a_later_intersection_answers_its_own_constants(self, store):
+        store.explain(
+            And((AttributeEquals("city", "city-3"), AttributeRange("sequence", low=0, high=40)))
         )
-        store.explain(shape_primer)
-        rebound = And(
+        later = And(
             (AttributeEquals("city", "city-7"), AttributeRange("sequence", low=100, high=140))
         )
-        pairs, explain = store.query_explain(rebound)
-        assert explain.cache_hit
+        pairs, explain = store.query_explain(later)
         assert explain.path_kind == "index-intersection"
-        scanned, _ = store.query_explain(rebound, force_full_scan=True)
+        scanned, _ = store.query_explain(later, force_full_scan=True)
         assert set(pairs) == set(scanned)
+        assert len(pairs) == 4
 
-    def test_growth_invalidates_cached_shape(self, store):
-        store.explain(AttributeEquals("city", "city-1"))
+    def test_growth_is_priced_by_the_next_plan(self, store):
+        predicate = AttributeEquals("city", "city-1")
+        assert store.explain(predicate).estimated_rows == 20
         for index in range(1000, 2200):
-            store.ingest(
-                TupleSet([], ProvenanceRecord({"domain": "traffic", "sequence": index}))
-            )
-        refreshed = store.explain(AttributeEquals("city", "city-1"))
-        assert not refreshed.cache_hit
+            store.ingest(TupleSet([], ProvenanceRecord({"city": "city-1", "sequence": index})))
+        grown = store.explain(predicate)
+        assert grown.estimated_rows == grown.actual_rows == 1220
 
 
 class TestAccounting:
@@ -321,7 +319,7 @@ class TestExplainSurface:
         text = store.explain(TimeWindowOverlaps(Timestamp(0.0), Timestamp(300.0))).format()
         assert "temporal-overlap" in text
         assert "estimated rows" in text
-        assert "plan cache" in text
+        assert "result cache: miss" in text
 
     def test_facade_explain(self, store):
         client = LocalClient(store, owns_store=False)

@@ -64,7 +64,7 @@ class TestExplainCommand:
         text = out.getvalue()
         assert code == 0
         assert "estimated rows" in text
-        assert "plan cache" in text
+        assert "result cache" in text
 
     def test_window_option_uses_temporal_path(self):
         out = io.StringIO()

@@ -1,17 +1,22 @@
 """References resolve: a path the docs, the CI workflow or the verify skill
-quotes names a file that exists.
+quotes names a file that exists, and a stats block the docs print has the
+keys the live one has.
 
 Deleting or renaming a script without its doc line fails here, so "where
-is that number from" cannot point at nothing.
+is that number from" cannot point at nothing; removing a stats key without
+its doc line fails here too.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+
+import repro
 
 REPO = Path(__file__).resolve().parent.parent
 CI = REPO / ".github" / "workflows" / "ci.yml"
@@ -66,3 +71,25 @@ def test_every_quoted_path_exists(source):
     assert dangling_paths(text) == []
     if source == CI:
         assert dangling_commands(text) == []
+
+
+def documented_block(text: str, heading: str) -> dict:
+    """The dict literal printed as ``# `` comment lines in the first code block under ``heading``."""
+    section = text.split(heading, 1)[1]
+    block = section.split("```", 2)[1]
+    lines = [line.strip()[1:] for line in block.splitlines() if line.strip().startswith("#")]
+    body = "\n".join(lines)
+    return ast.literal_eval(body[body.index("{") : body.rindex("}") + 1])
+
+
+def test_the_block_reader_bites_on_a_seeded_example():
+    text = '## Block\n\n```python\nstats()\n# {\n#   "a": 1,\n#   "b": {"c": 2},\n# }\n```\n'
+    assert documented_block(text, "## Block") == {"a": 1, "b": {"c": 2}}
+
+
+def test_the_documented_feedback_block_has_the_live_keys():
+    documented = documented_block((REPO / "docs" / "ADAPTIVE.md").read_text(encoding="utf-8"), "## Reading the feedback block")
+    with repro.connect("memory://") as client:
+        live = client.stats()["planner"]["feedback"]
+    assert set(documented) == set(live)
+    assert set(documented["result_cache"]) == set(live["result_cache"])
