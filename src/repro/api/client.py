@@ -593,12 +593,9 @@ class LocalClient(PassClient):
             self._stream = None
         if self.owns_store:
             try:
-                # Strategies with persistable labelling (repro.lineage)
-                # checkpoint into the backend so the next open skips the
-                # rebuild, and a durable store that changed checkpoints its
-                # indexes so the next open skips the replay; everything
-                # else is a no-op.
-                self.store.persist_closure_index()
+                # A durable store whose indexes or closure labelling
+                # changed checkpoints them, so the next open skips the
+                # replay and the label build; everything else is a no-op.
                 self.store.persist_index_checkpoint()
             except PassError:
                 pass  # a crashed/closed backend must not block close()

@@ -21,7 +21,10 @@ a common interface, so the PASS store (and experiment E3) can swap them
   approach).  Queries are set lookups; updates pay the propagation cost.
 
 All strategies answer the same three questions: the ancestor set, the
-descendant set, and pairwise reachability.
+descendant set, and pairwise reachability.  A strategy whose labelling is
+worth keeping across sessions (``interval``) hands it to the store as one
+more section of the index checkpoint, nodes named by checkpoint position
+(:meth:`ClosureStrategy.snapshot`, docs/STORAGE.md "Open path").
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import logging
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.bulk import collector_paused
 from repro.core.graph import ProvenanceGraph
@@ -144,32 +147,28 @@ class ClosureStrategy(ABC):
 
     # -- persistence -------------------------------------------------------
     def has_snapshot(self) -> bool:
-        """True when :meth:`snapshot` has a labelling to return.
-
-        Asked first, so that a strategy with nothing to persist costs no
-        :meth:`ProvenanceGraph.fingerprint` (a walk of every edge).
-        """
+        """True when :meth:`snapshot` has a labelling to return (asked first: it builds nothing)."""
         return False
 
-    def snapshot(self, fingerprint: Dict[str, int]) -> Optional[dict]:
-        """A JSON-serialisable snapshot of the strategy's auxiliary state.
+    def snapshot(self, position_of: Dict[str, int]) -> Optional[dict]:
+        """The labelling as the index checkpoint's ``closure`` section, or ``None``.
 
-        ``fingerprint`` (from :meth:`ProvenanceGraph.fingerprint`) is
-        embedded so :meth:`restore` can refuse a snapshot that does not
-        match the graph it is being applied to.  ``None`` means the
-        strategy has nothing worth persisting (the default).
+        ``position_of`` numbers the graph's nodes as the checkpoint does
+        (:meth:`ProvenanceGraph.snapshot`); the section names nodes by
+        those positions and carries ``strategy``, this strategy's name.
+        ``None`` means there is nothing worth persisting (the default).
         """
         return None
 
-    def restore(self, state: dict, fingerprint: Dict[str, int]) -> bool:
-        """Adopt a previously snapshotted state; True on success.
+    def restore(self, section: dict, nodes: Sequence[str]) -> None:
+        """Adopt a :meth:`snapshot` section; ``nodes[position]`` names a node.
 
-        Must be *safe to refuse*: on any mismatch (format version,
-        fingerprint, strategy name) the method returns False and leaves
-        the strategy in a state from which it can rebuild on its own
-        (the versioned rebuild fallback).
+        Called on a fresh strategy over the graph the same checkpoint
+        restored, so the checkpoint's header vouches for the nodes.
+        Raises ``ValueError``/``TypeError``/``LookupError`` on state no
+        snapshot produces; the strategy then stays as it was made.
         """
-        return False
+        raise ValueError(f"the {self.name} strategy keeps no labelling")
 
     def rebuild(self) -> None:
         """Recompute the strategy's auxiliary structures from the graph.

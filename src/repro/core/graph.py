@@ -15,7 +15,6 @@ disappearing, which is what PASS property P4 requires.
 
 from __future__ import annotations
 
-import zlib
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -204,21 +203,6 @@ class ProvenanceGraph:
     def children_of(self, digest: str) -> Set[str]:
         """Immediate descendant digests of ``digest`` (empty for unknown nodes)."""
         return self._children.get(digest, _NO_EDGES)
-
-    def fingerprint(self) -> Dict[str, int]:
-        """A cheap, order-independent digest of the graph's structure.
-
-        Used to validate persisted reachability-index snapshots against
-        the graph actually rebuilt from a backend: same node set + same
-        edge set => same fingerprint.  XOR-combining per-element CRCs
-        makes the value independent of insertion order in O(V + E).
-        """
-        crc = 0
-        for digest, parents in self._parents.items():
-            crc ^= zlib.crc32(digest.encode("ascii"))
-            for parent in parents:
-                crc ^= zlib.crc32(f"{digest}->{parent}".encode("ascii"))
-        return {"nodes": len(self._parents), "edges": self.edge_count(), "crc": crc}
 
     # ------------------------------------------------------------------
     # Reachability (transitive closure)

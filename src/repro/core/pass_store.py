@@ -40,7 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.core.abstraction import AbstractedLineage, AbstractionEngine, AbstractionRule
 from repro.core.attributes import GeoPoint, Timestamp
 from repro.core.bulk import collector_paused
-from repro.core.closure import ClosureStrategy, LabelledClosure, make_closure
+from repro.core.closure import ClosureStrategy, make_closure
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import Annotation, PName, ProvenanceRecord
 from repro.core.query import LineageOracle, Predicate, Query
@@ -76,6 +76,15 @@ _MALFORMED = (PassError, ValueError, TypeError, LookupError, AttributeError)
 def _names_crc(digests: Sequence[str]) -> int:
     """Which records, in which order: tells one file's checkpoint from another's."""
     return zlib.crc32("".join(digests).encode("ascii"))
+
+
+def _strategy_over(closure: ClosureStrategy | str, graph: ProvenanceGraph) -> ClosureStrategy:
+    """The strategy ``closure`` names, made over ``graph``.
+
+    Never a caller-supplied instance itself: rebinding its graph would
+    corrupt any other store sharing it.
+    """
+    return make_closure(closure, graph) if isinstance(closure, str) else closure.for_graph(graph)
 
 
 class StoreStatistics:
@@ -151,19 +160,12 @@ class PassStore(LineageOracle):
             "bytes": 0,
             "reason": "no restore attempted",
         }
-        # True while the backend holds the closure's labelling as it
-        # stands: restored by the open, or written since, and no edge,
+        # True while the checkpoint holds the closure's labelling as it
+        # stands: adopted by the open, or written since, and no edge,
         # node, rebuild or switch after that.
         self._labelling_stored = False
-        # What happened to the persisted closure labelling on open; the
-        # sharded restore path overwrites this with its adoption report.
-        self._closure_restore_report = {
-            "mode": "none",
-            "shards": self.backend.shard_count(),
-            "adopted": 0,
-            "stale": [],
-            "reason": "no restore attempted",
-        }
+        # What the open did about the checkpoint's closure section.
+        self._closure_restore_report = {"mode": "none", "reason": "index checkpoint not adopted"}
         started = time.perf_counter()
         # Everything a load allocates stays live (repro.core.bulk).
         with collector_paused():
@@ -346,12 +348,9 @@ class PassStore(LineageOracle):
 
         The new strategy is built inside the publish that tripped the
         check; it is checkpointed when the store closes, as any labelling
-        is.  Sharded backends are exempt -- their partitioned checkpoint
-        format is interval-only, so the default must stand.
+        is.
         """
         if not self.feedback.closure_check_due():
-            return
-        if self.backend.shard_count() > 1:
             return
         current = self.closure.name
         advised = self.feedback.advise_closure(current)
@@ -613,9 +612,12 @@ class PassStore(LineageOracle):
         every record is replayed into them.  Either way the records fill
         the *graph*, and the strategy is made over the filled graph
         afterwards: labels that no lineage read has asked for yet are
-        not built by the open.
+        not built by the open.  The one exception is a labelling the
+        checkpoint holds for this strategy, adopted when no record came
+        after it.
         """
-        indexes, replay_after = self._adopt_index_checkpoint() or (self._empty_indexes(), None)
+        adopted = self._adopt_index_checkpoint(closure)
+        indexes, replay_after, labelling = adopted or (self._empty_indexes(), None, None)
         self.graph, self.attribute_index, self.temporal_index, self.spatial_index, self.statistics = indexes
         # The DAG-shape collector the statistics own (repro.core stays
         # import-independent of repro.lineage; see make_closure).
@@ -638,26 +640,32 @@ class PassStore(LineageOracle):
         for pname in self.backend.removed_pnames():
             if pname in self.graph:
                 self.graph.mark_removed(pname)
-        if isinstance(closure, str):
-            self.closure = make_closure(closure, self.graph)
-        else:
-            # Never adopt a caller-supplied strategy instance directly:
-            # rebinding its graph would corrupt any other store sharing it.
-            self.closure = closure.for_graph(self.graph)
-        if len(self.graph):
-            self._restore_closure_index()
+        if labelling is not None and not tail:
+            self.closure = labelling
+            self._labelling_stored = True
+            self._closure_restore_report = {"mode": "full", "reason": None}
+            return
+        if labelling is not None:
+            # (the replay reached the graph only: the labels do not cover the tail)
+            self._closure_restore_report["reason"] = "records past the checkpoint"
+        self.closure = _strategy_over(closure, self.graph)
 
     # ------------------------------------------------------------------
     # Index checkpoint (docs/STORAGE.md, "Open path")
     # ------------------------------------------------------------------
-    def _adopt_index_checkpoint(self) -> Optional[Tuple[tuple, int]]:
+    def _adopt_index_checkpoint(
+        self, closure: ClosureStrategy | str
+    ) -> Optional[Tuple[tuple, int, Optional[ClosureStrategy]]]:
         """The indexes an earlier session checkpointed, if they still describe the backend.
 
-        Returns ``(indexes, marker)`` -- the five structures of
-        :meth:`_empty_indexes`, filled, and the backend marker of the last
-        record they cover -- or ``None`` with the reason recorded; the
-        caller then replays.  Refusing is always safe, adopting never
-        executes anything the blob holds: it is zlib over JSON.
+        Returns ``(indexes, marker, labelling)`` -- the five structures of
+        :meth:`_empty_indexes`, filled, the backend marker of the last
+        record they cover, and the ``closure`` strategy over the filled
+        graph with its checkpointed labels (``None`` when the checkpoint
+        holds none of that strategy's) -- or ``None`` with the reason
+        recorded; the caller then replays.  Refusing is always safe,
+        adopting never executes anything the blob holds: it is zlib over
+        JSON.
         """
         report = self._index_restore_report
 
@@ -709,21 +717,33 @@ class PassStore(LineageOracle):
             spatial_index.restore(state["spatial"], digests)
             statistics.restore(state["statistics"])
             statistics.graph.restore(state["graph_statistics"], nodes)
+            labelling = None
+            section = state.get("closure")
+            wanted = closure if isinstance(closure, str) else closure.name
+            if section is None:
+                self._closure_restore_report["reason"] = "checkpoint holds no labelling"
+            elif section["strategy"] != wanted:
+                self._closure_restore_report["reason"] = f"checkpoint holds the {section['strategy']} labelling"
+            else:
+                labelling = _strategy_over(closure, graph)
+                labelling.restore(section, nodes)
         except _MALFORMED as error:
             return refused(f"malformed checkpoint: {type(error).__name__}: {error}")
         report.update(mode="adopted", covered=count, reason=None)
-        return indexes, marker
+        return indexes, marker, labelling
 
     def persist_index_checkpoint(self) -> bool:
-        """Checkpoint the indexes into the backend; True when a blob was written.
+        """Checkpoint the indexes and the closure's labelling; True when a blob was written.
 
-        A no-op unless an index changed since the last checkpoint and the
-        backend keeps a record order (a single SQLite file does; a volatile
-        or sharded one does not), so the façade calls it unconditionally on
-        ``close()``.  The write is O(store); records are named by position
-        in the backend's order.
+        A no-op unless the backend keeps a record order (a single SQLite
+        file does; a volatile or sharded one does not) and the checkpoint
+        is stale: an index changed since it was written, or the closure
+        holds a labelling it does not.  So the façade calls it
+        unconditionally on ``close()``.  The write is O(store); records
+        are named by position in the backend's order.
         """
-        order = self.backend.record_order() if self._checkpoint_stale else None
+        stale = self._checkpoint_stale or (not self._labelling_stored and self.closure.has_snapshot())
+        order = self.backend.record_order() if stale else None
         if order is None:
             return False
         digests, marker = order
@@ -750,93 +770,25 @@ class PassStore(LineageOracle):
             "statistics": self.statistics.checkpoint(),
             "graph_statistics": self.graph_stats.checkpoint(position_of),
         }
+        section = self.closure.snapshot(position_of)
+        if section is not None:
+            state["closure"] = section
         payload = zlib.compress(json.dumps(state, separators=(",", ":")).encode("utf-8"))
         stored = self.backend.put_index_blob(_CHECKPOINT_KEY, payload)
         if stored:
             self._checkpoint_stale = False
+            self._labelling_stored = section is not None
         return stored
-
-    # ------------------------------------------------------------------
-    # Closure-index persistence (repro.lineage)
-    # ------------------------------------------------------------------
-    def _closure_index_key(self) -> str:
-        return f"closure:{self.closure.name}"
-
-    def _restore_closure_index(self) -> bool:
-        """Adopt a persisted reachability labelling, if it still matches.
-
-        Called after a backend rebuild: the graph has been reconstructed
-        from the records, so the snapshot's structural fingerprint can
-        be checked against reality.  Any mismatch (different strategy,
-        stale snapshot, corrupt blob) falls back to the strategy's own
-        lazy rebuild -- restoring is an optimization, never a must.
-
-        On a sharded backend the labelling is checkpointed per shard
-        (:mod:`repro.lineage.partition`): shards whose records did not
-        change are adopted as-is, and additions-only drift is caught up
-        incrementally instead of triggering a global recompute.
-        """
-        if self.backend.shard_count() > 1:
-            from repro.lineage.partition import restore_partitioned
-
-            report = restore_partitioned(self)
-            self._closure_restore_report = report
-            return report["mode"] in ("full", "partial")
-        blob = self.backend.get_index_blob(self._closure_index_key())
-        if blob is None:
-            self._closure_restore_report["reason"] = "no persisted labelling"
-            return False
-        try:
-            state = json.loads(blob.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._closure_restore_report["reason"] = "unreadable labelling blob"
-            return False
-        if not isinstance(state, dict):
-            self._closure_restore_report["reason"] = "unreadable labelling blob"
-            return False
-        adopted = self.closure.restore(state, self.graph.fingerprint())
-        self._labelling_stored = adopted
-        if adopted:
-            self._closure_restore_report = {
-                "mode": "full",
-                "shards": 1,
-                "adopted": 1,
-                "stale": [],
-                "reason": None,
-            }
-        else:
-            self._closure_restore_report["reason"] = "snapshot was refused by the strategy"
-        return adopted
-
-    def persist_closure_index(self) -> bool:
-        """Snapshot the closure strategy's labelling into the backend.
-
-        Returns True when something was persisted.  Strategies without
-        persistable state (naive/memoized/labelled), a labelling the
-        backend already holds as it stands, and backends without blob
-        storage all make this a no-op that hashes nothing, so callers can
-        invoke it unconditionally (the façade does, on ``close()``).
-        """
-        if self.backend.shard_count() > 1:
-            from repro.lineage.partition import persist_partitioned
-
-            return persist_partitioned(self)
-        if self._labelling_stored or not self.closure.has_snapshot():
-            return False
-        state = self.closure.snapshot(self.graph.fingerprint())
-        payload = json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        self._labelling_stored = self.backend.put_index_blob(self._closure_index_key(), payload)
-        return self._labelling_stored
 
     def rebuild_closure_index(self, strategy: Optional[str] = None) -> dict:
         """Force-rebuild the closure index and checkpoint it; returns stats.
 
         The administrative verb behind the daemon's async build job
         (and any operator who suspects a stale labelling): recompute the
-        strategy's structures from the live graph, persist the fresh
-        snapshot where the strategy supports it, and report the
-        resulting :meth:`ClosureStrategy.index_stats` plus whether a
-        checkpoint was written.
+        strategy's structures from the live graph, write the index
+        checkpoint when it is stale (:meth:`persist_index_checkpoint`),
+        and report the resulting :meth:`ClosureStrategy.index_stats`
+        plus whether this call wrote it.
 
         ``strategy`` swaps the closure strategy *before* rebuilding --
         the daemon's ``rebuild_index`` job routes through here, so a
@@ -849,7 +801,7 @@ class PassStore(LineageOracle):
             self.closure = make_closure(strategy, self.graph)
         self.closure.rebuild()
         self._labelling_stored = False
-        persisted = self.persist_closure_index()
+        persisted = self.persist_index_checkpoint()
         stats = dict(self.closure.index_stats())
         stats["persisted"] = persisted
         if switched_from is not None:
@@ -860,8 +812,8 @@ class PassStore(LineageOracle):
         """The frozen ``stats()["storage"]`` block for this store.
 
         The backend's storage profile (kind, shard layout, group-commit
-        and parallel-scan counters) plus what happened to the persisted
-        closure labelling when the store was opened.
+        and parallel-scan counters) plus what the open did about the
+        index checkpoint and its closure section.
         """
         snapshot = self.backend.storage_stats()
         snapshot["closure_restore"] = dict(self._closure_restore_report)
@@ -905,14 +857,10 @@ class PassStore(LineageOracle):
 from repro.api.registry import ConnectionSpec, register_scheme  # noqa: E402
 
 
-def _store_from_spec(
-    spec: ConnectionSpec,
-    backend: Optional[StorageBackend],
-    default_closure: str = "labelled",
-) -> PassStore:
+def _store_from_spec(spec: ConnectionSpec, backend: Optional[StorageBackend]) -> PassStore:
     return PassStore(
         backend=backend,
-        closure=spec.text("closure", default_closure),
+        closure=spec.text("closure", "labelled"),
         indexed_attributes=spec.listing("indexed"),
         site=spec.text("site", "local"),
     )
@@ -929,12 +877,8 @@ def _connect_memory(spec: ConnectionSpec):
     from repro.api.client import LocalClient
     from repro.storage.factory import make_backend
 
-    shards = _spec_shards(spec)
-    backend = make_backend("memory", shards=shards)
-    # A sharded store defaults to the interval strategy: its labelling is
-    # the one the partitioned per-shard checkpoint format can persist.
-    default_closure = "interval" if shards > 1 else "labelled"
-    return LocalClient(_store_from_spec(spec, backend, default_closure))
+    backend = make_backend("memory", shards=_spec_shards(spec))
+    return LocalClient(_store_from_spec(spec, backend))
 
 
 @register_scheme("sqlite")
@@ -948,7 +892,5 @@ def _connect_sqlite(spec: ConnectionSpec):
     from repro.api.client import LocalClient
     from repro.storage.factory import make_backend
 
-    shards = _spec_shards(spec)
-    backend = make_backend("sqlite", path=spec.database_path(), shards=shards)
-    default_closure = "interval" if shards > 1 else "labelled"
-    return LocalClient(_store_from_spec(spec, backend, default_closure))
+    backend = make_backend("sqlite", path=spec.database_path(), shards=_spec_shards(spec))
+    return LocalClient(_store_from_spec(spec, backend))

@@ -11,15 +11,10 @@ scale:
   (``connect("memory://?closure=interval")``): O(labels) membership,
   output-sensitive enumeration, O(V * k) memory instead of the labelled
   strategy's O(V^2) sets, maintained lazily from a dirty set and
-  persistable through the storage backend.
+  persisted as the ``closure`` section of the store's index checkpoint.
 * :class:`~repro.lineage.stats.GraphStatistics` -- ingest-maintained
   depth-histogram / fan-out statistics the cost-based planner prices
   lineage probes with.
-* :mod:`~repro.lineage.partition` -- per-shard checkpointing of the
-  interval labelling for digest-partitioned backends
-  (``sqlite:///pass.db?shards=N``): shards whose records did not change
-  adopt their labels on reopen, additions-only drift is caught up
-  incrementally, and only loss forces a full rebuild.
 * The planner-facing access paths
   :class:`~repro.query.paths.LineageAncestorsProbe` and
   :class:`~repro.query.paths.LineageDescendantsProbe` (re-exported here;
@@ -34,7 +29,6 @@ invariants, and guidance on choosing a closure strategy.
 """
 
 from repro.lineage.interval import IntervalClosure
-from repro.lineage.partition import persist_partitioned, restore_partitioned
 from repro.lineage.stats import GraphStatistics
 from repro.query.paths import LineageAncestorsProbe, LineageDescendantsProbe
 
@@ -43,6 +37,4 @@ __all__ = [
     "IntervalClosure",
     "LineageAncestorsProbe",
     "LineageDescendantsProbe",
-    "persist_partitioned",
-    "restore_partitioned",
 ]

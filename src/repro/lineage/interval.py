@@ -33,16 +33,18 @@ batch is large relative to the graph, rebuilds the decomposition
 outright.  Labels only tighten during incremental merges, so the
 worklist converges and the ``operations`` counter stays monotone.
 
-The index is also **persistable**: :meth:`snapshot` emits the chains and
-labels together with the graph's structural fingerprint, and
-:meth:`restore` refuses anything that does not match byte-for-byte --
-the versioned rebuild fallback the SQLite backend relies on.
+The labelling is also **persistable**: :meth:`snapshot` names the chains
+and labels by checkpoint position, and the store writes them as the
+``closure`` section of its index checkpoint.  The checkpoint's header
+proves which records the positions name, so :meth:`restore` only checks
+that the section is well formed; a store whose checkpoint is refused, or
+has records past it, rebuilds lazily on the first lineage read instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.closure import ClosureStrategy, register_strategy
 from repro.core.graph import ProvenanceGraph
@@ -51,8 +53,6 @@ from repro.errors import UnknownEntityError
 
 __all__ = ["IntervalClosure"]
 
-#: bump when the snapshot layout changes; restore() refuses other versions
-_SNAPSHOT_FORMAT = 1
 #: dirty batches beyond this fraction of the graph trigger a full rebuild
 _REBUILD_FRACTION = 0.25
 #: ... but never rebuild for batches smaller than this (churny ingest)
@@ -291,51 +291,42 @@ class IntervalClosure(ClosureStrategy):
     def has_snapshot(self) -> bool:
         return self._built
 
-    def snapshot(self, fingerprint: Dict[str, int]) -> Optional[dict]:
+    def snapshot(self, position_of: Dict[str, int]) -> Optional[dict]:
         if not self._built:
             # Nothing has forced a labelling yet (no lineage query ran);
             # persisting would mean building one just to write it out.
             # The next open rebuilds lazily anyway -- skip.
             return None
         self._ensure_current()
+        down, up = self._down, self._up
         return {
-            "format": _SNAPSHOT_FORMAT,
             "strategy": self.name,
-            "fingerprint": dict(fingerprint),
-            "chains": [list(chain) for chain in self._chains],
-            # JSON objects key on strings; labels travel as [chain, pos] pairs
-            "down": {d: sorted(label.items()) for d, label in self._down.items()},
-            "up": {d: sorted(label.items()) for d, label in self._up.items()},
+            "chains": [[position_of[digest] for digest in chain] for chain in self._chains],
+            # per node, in position order: [chain, position, chain, position, ...]
+            "down": [_flat(down.get(digest)) for digest in position_of],
+            "up": [_flat(up.get(digest)) for digest in position_of],
         }
 
-    def restore(self, state: dict, fingerprint: Dict[str, int]) -> bool:
-        try:
-            if state.get("format") != _SNAPSHOT_FORMAT or state.get("strategy") != self.name:
-                return False
-            if dict(state["fingerprint"]) != dict(fingerprint):
-                return False
-            chains = [list(chain) for chain in state["chains"]]
-            down = {
-                digest: {int(chain): int(pos) for chain, pos in pairs}
-                for digest, pairs in state["down"].items()
-            }
-            up = {
-                digest: {int(chain): int(pos) for chain, pos in pairs}
-                for digest, pairs in state["up"].items()
-            }
-        except (KeyError, TypeError, ValueError):
-            return False
-        self._chains = chains
-        self._chain_of = {
+    def restore(self, section: dict, nodes: Sequence[str]) -> None:
+        chains = []
+        for listed in section["chains"]:
+            if listed and min(listed) < 0:
+                raise ValueError("negative position")
+            chains.append([nodes[at] for at in listed])
+        chain_of = {
             digest: (chain_id, position)
             for chain_id, chain in enumerate(chains)
             for position, digest in enumerate(chain)
         }
-        self._down = down
-        self._up = up
+        if len(chain_of) != sum(map(len, chains)):
+            raise ValueError("a node on two chains")
+        down = _labels(section["down"], nodes, chains)
+        up = _labels(section["up"], nodes, chains)
+        if down.keys() != chain_of.keys() or up.keys() != chain_of.keys():
+            raise ValueError("labels for other nodes than the chains hold")
+        self._chains, self._chain_of, self._down, self._up = chains, chain_of, down, up
         self._dirty.clear()
         self._built = True
-        return True
 
     # ------------------------------------------------------------------
     # Reporting
@@ -361,3 +352,26 @@ class IntervalClosure(ClosureStrategy):
     def _require(self, pname: PName) -> None:
         if pname not in self.graph:
             raise UnknownEntityError(f"unknown node {pname}")
+
+
+def _flat(label: Optional[Dict[int, int]]) -> List[int]:
+    """A label map as one flat ``[chain, position, ...]`` list (``[]`` for an unlabelled node)."""
+    return [value for pair in sorted(label.items()) for value in pair] if label else []
+
+
+def _labels(listed: list, nodes: Sequence[str], chains: List[List[str]]) -> Dict[str, Dict[int, int]]:
+    """The label maps of :meth:`IntervalClosure.snapshot`'s flat lists, checked against ``chains``."""
+    if len(listed) != len(nodes):
+        raise ValueError("one label list per node")
+    labels: Dict[str, Dict[int, int]] = {}
+    for digest, flat in zip(nodes, listed):
+        if not flat:
+            continue
+        if len(flat) % 2:
+            raise ValueError("a label list of odd length")
+        label = dict(zip(flat[::2], flat[1::2]))
+        for chain, position in label.items():
+            if chain < 0 or not 0 <= position < len(chains[chain]):
+                raise ValueError("a label past its chain")
+        labels[digest] = label
+    return labels

@@ -73,7 +73,9 @@ def _normalize(predicate: Predicate, negated: bool) -> Predicate:
                 if flip:
                     return TRUE  # a TRUE branch makes the disjunction trivial
                 continue  # TRUE conjuncts never constrain anything
-            if part not in kept:
+            # (`in` compares with ==, which merges n == 1 with n == True and
+            # n == 1.0; the store tells them apart, and so do their reprs)
+            if part not in kept or repr(part) not in map(repr, kept):
                 kept.append(part)
         if not kept:
             return TRUE

@@ -18,12 +18,12 @@ manifest blob on shard 0 at creation time; reopening with a different
 count raises :class:`~repro.errors.StorageError` instead of silently
 scattering new records under a different partitioning.
 
-Non-digest state is homed deterministically: auxiliary index blobs
-(including the closure labelling's boundary index, see
-:mod:`repro.lineage.partition`) live on shard 0 through the ordinary
-``put_index_blob`` API, while :meth:`ShardedBackend.put_shard_index_blob`
-addresses one shard's blob store explicitly for per-shard closure
-snapshots.
+Non-digest state is homed deterministically: store-wide blobs (the
+manifest) live on shard 0 through the ordinary ``put_index_blob`` API.
+A sharded backend keeps no record order across its shards, so a store
+over it writes no index checkpoint: every open replays the records, and
+the closure labelling is built on the first lineage read, as on
+``memory://``.
 
 See ``docs/STORAGE.md`` for the sharding scheme, group-commit semantics
 and guidance on choosing ``shards=N``.
@@ -358,7 +358,7 @@ class ShardedBackend(StorageBackend):
     # Auxiliary index snapshots
     # ------------------------------------------------------------------
     def put_index_blob(self, name: str, payload: bytes) -> bool:
-        """Store-wide blobs (closure boundary index, ...) home on shard 0."""
+        """Store-wide blobs home on shard 0."""
         self._check_open()
         with self._locks[0]:
             return self._shards[0].put_index_blob(name, payload)
@@ -372,23 +372,6 @@ class ShardedBackend(StorageBackend):
         self._check_open()
         with self._locks[0]:
             return self._shards[0].delete_index_blob(name)
-
-    def put_shard_index_blob(self, shard: int, name: str, payload: bytes) -> bool:
-        """Persist a blob in one shard's own blob store (per-shard closure
-        labels live next to the records they describe)."""
-        self._check_open()
-        with self._locks[shard]:
-            return self._shards[shard].put_index_blob(name, payload)
-
-    def get_shard_index_blob(self, shard: int, name: str) -> Optional[bytes]:
-        self._check_open()
-        with self._locks[shard]:
-            return self._shards[shard].get_index_blob(name)
-
-    def delete_shard_index_blob(self, shard: int, name: str) -> bool:
-        self._check_open()
-        with self._locks[shard]:
-            return self._shards[shard].delete_index_blob(name)
 
     # ------------------------------------------------------------------
     # Removal markers

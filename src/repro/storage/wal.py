@@ -9,7 +9,9 @@ a recovery procedure that repairs them.
 :class:`WriteAheadLog` is a deliberately small, file-based redo log:
 
 * every intended operation (``put_record``, ``put_payload``,
-  ``mark_removed``) is appended as one JSON line with a CRC;
+  ``mark_removed``, and ``put_index_blob`` for the store's one index
+  checkpoint, closure labelling included) is appended as one JSON line
+  with a CRC;
 * a crash can be injected after any append, leaving the log ahead of the
   backing store (the normal WAL situation) or tearing the final line
   (simulating a partial sector write);
@@ -144,10 +146,10 @@ class WriteAheadLog:
     def log_put_index_blob(self, name: str, payload: bytes) -> WalEntry:
         """Log an intent to persist an auxiliary index snapshot.
 
-        The reachability labelling of :mod:`repro.lineage` is recovered
-        like any other acknowledged write: replay re-installs the
-        snapshot, and the store's fingerprint check decides whether it
-        still matches the recovered records.
+        The index checkpoint (closure labelling included) is recovered
+        like any other acknowledged write: replay re-installs the blob,
+        and the store's checkpoint header check decides whether it still
+        describes the recovered records.
         """
         return self._append("put_index_blob", name, payload.hex())
 

@@ -10,9 +10,11 @@ count the tail after a crash, and walk every reason a blob is refused.
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import sqlite3
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +376,14 @@ def _duplicate_node(state):
     state["graph_statistics"]["depths"].append(0)
 
 
+def _label_past_the_nodes(state):
+    state["closure"]["chains"][0][0] = len(state["graph"]["parents"]) + 5
+
+
+def _non_list_chain(state):
+    state["closure"]["chains"][0] = 7
+
+
 REFUSALS = {
     "truncated zlib": (lambda body: body[: len(body) // 2], "checkpoint does not decompress"),
     "not zlib": (lambda body: b"\x00" + body, "checkpoint does not decompress"),
@@ -389,6 +399,10 @@ REFUSALS = {
     "wrong shape": (lambda body: edited(body, _wrong_shape), "malformed checkpoint: AttributeError"),
     "unequal columns": (lambda body: edited(body, _unequal_columns), "malformed checkpoint: ValueError"),
     "node listed twice": (lambda body: edited(body, _duplicate_node), "malformed checkpoint: ValueError"),
+    "labelling position past the nodes": (
+        lambda body: edited(body, _label_past_the_nodes), "malformed checkpoint: IndexError"
+    ),
+    "non-list chain": (lambda body: edited(body, _non_list_chain), "malformed checkpoint: TypeError"),
 }
 
 
@@ -396,7 +410,7 @@ REFUSALS = {
 def test_a_damaged_checkpoint_is_refused_and_replaced(tmp_path, damage):
     spoil, reason = REFUSALS[damage]
     path = tmp_path / "pass.db"
-    url = f"sqlite:///{path}"
+    url = f"sqlite:///{path}?closure=interval"  # (so that the blob holds a labelling too)
     with repro.connect(url) as client:
         made = populate(client)
         expected = answers(client, made)
@@ -412,6 +426,7 @@ def test_a_damaged_checkpoint_is_refused_and_replaced(tmp_path, damage):
     assert read_blob(path) != spoiled
     with repro.connect(url) as client:
         assert restore_report(client)["mode"] == "adopted"
+        assert client.stats()["storage"]["closure_restore"]["mode"] == "full"
         assert answers(client, made) == expected
 
 
@@ -470,6 +485,18 @@ def test_sharded_and_memory_stores_replay_and_say_why(tmp_path):
         assert client.store.backend.stats.gets == gets
 
 
+@pytest.mark.parametrize("target", ["memory://?closure=interval", "memory://?shards=2&closure=interval"])
+def test_closing_a_store_with_no_record_order_puts_nothing(target):
+    """A labelling is checkpointed where the indexes are, and these keep no checkpoint."""
+    with repro.connect(target) as client:
+        sets = chains(2, 4)
+        client.publish_many(sets)
+        assert client.ancestors(sets[-1].pname).total == 3
+        assert client.rebuild_lineage_index()["persisted"] is False
+        backend, puts = client.store.backend, client.store.backend.stats.puts
+    assert backend.stats.puts == puts
+
+
 # ----------------------------------------------------------------------
 # (d) a session that changes nothing writes nothing
 # ----------------------------------------------------------------------
@@ -494,34 +521,28 @@ def test_a_clean_open_query_close_cycle_writes_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("strategy", ["interval", "labelled"])
-def test_a_clean_close_neither_hashes_nor_rewrites_the_labelling(tmp_path, monkeypatch, strategy):
-    """A read-only session leaves the labelling it restored where it is; a
-    strategy with no labelling to write never walks the graph for one."""
-    from repro.core.graph import ProvenanceGraph
-
+def test_a_clean_close_neither_hashes_nor_rewrites_the_labelling(tmp_path, strategy):
+    """A read-only session leaves the labelling it restored where it is, and
+    a session that changes it writes one checkpoint, labelling included."""
     url = f"sqlite:///{tmp_path / 'pass.db'}?closure={strategy}"
     sets = chains(2, 5)
     with repro.connect(url) as client:
         client.publish_many(sets[:8])
         client.descendants(sets[0].pname)  # an interval labelling to persist
-    fingerprints = []
-    fingerprint = ProvenanceGraph.fingerprint
-    monkeypatch.setattr(ProvenanceGraph, "fingerprint", lambda graph: fingerprints.append(1) or fingerprint(graph))
     restored = "full" if strategy == "interval" else "none"
     for _ in range(2):
         client = repro.connect(url)
         assert client.stats()["storage"]["closure_restore"]["mode"] == restored
         assert client.ancestors(sets[4].pname).total == 4
         backend, puts = client.store.backend, client.store.backend.stats.puts
-        fingerprints.clear()
         client.close()
-        assert (backend.stats.puts, fingerprints) == (puts, [])
+        assert backend.stats.puts == puts
     # a session that adds an edge writes its labelling again, and the next open adopts it
     with repro.connect(url) as client:
         client.publish_many(sets[8:])
         assert client.ancestors(sets[-1].pname).total == 4
         backend, puts = client.store.backend, client.store.backend.stats.puts
-    assert backend.stats.puts == puts + (2 if strategy == "interval" else 1)  # (the labelling) and the index checkpoint
+    assert backend.stats.puts == puts + 1  # the index checkpoint, which carries the labelling
     with repro.connect(url) as client:
         assert client.stats()["storage"]["closure_restore"]["mode"] == restored
         assert client.descendants(sets[5].pname).total == 4
@@ -764,34 +785,88 @@ def test_an_open_that_raises_leaves_the_collector_as_it_found_it(tmp_path, colle
 # (g) strategies that were lazy already open as they did
 # ----------------------------------------------------------------------
 def test_interval_and_sharded_opens_report_what_they_always_did(tmp_path):
+    """The interval labelling rides the one checkpoint and is adopted only with
+    it, tail-free; a sharded store keeps no checkpoint and labels lazily."""
     sets = chains(3, 5)
-    full = {"mode": "full", "adopted": 1, "shards": 1, "stale": [], "reason": None}
-    for suffix, restored in (("?shards=2", {**full, "adopted": 2, "shards": 2}), ("?closure=interval", full)):
-        path = tmp_path / f"pass{len(suffix)}.db"
-        url = f"sqlite:///{path}{suffix}"
-        with repro.connect(url) as client:
-            client.publish_many(sets[:10])
-            client.descendants(sets[0].pname)  # a labelling to persist
-        with repro.connect(url) as client:
-            storage = client.stats()["storage"]
-            assert storage["closure_restore"] == restored
-            closure = client.stats()["closure"]
-            assert "labels" not in closure and "label_builds" not in closure
-            assert (closure["built"], closure["rebuilds"], closure["dirty_edges"], closure["label_entries"]) == (
-                True, 0, 0, 20,
-            )
-            client.publish_many(sets[10:])
-            assert client.stats()["closure"]["dirty_edges"] == 4
-            assert client.ancestors(sets[-1].pname).total == 4
-            closure = client.stats()["closure"]
-            assert (closure["rebuilds"], closure["incremental_merges"], closure["label_entries"]) == (0, 4, 30)
-    # the single file with its labelling blob gone: refused, rebuilt on the first read
+    path = tmp_path / "pass.db"
+    url = f"sqlite:///{path}?closure=interval"
+    with repro.connect(url) as client:
+        client.publish_many(sets[:10])
+        client.descendants(sets[0].pname)  # a labelling to persist
     with sqlite3.connect(path) as connection:
-        connection.execute("DELETE FROM index_blobs WHERE name LIKE 'closure:%'")
+        assert connection.execute("SELECT name FROM index_blobs").fetchall() == [(KEY,)]
+    with repro.connect(url) as client:
+        storage = client.stats()["storage"]
+        assert storage["closure_restore"] == {"mode": "full", "reason": None}
+        closure = client.stats()["closure"]
+        assert "labels" not in closure and "label_builds" not in closure
+        assert (closure["built"], closure["rebuilds"], closure["dirty_edges"], closure["label_entries"]) == (
+            True, 0, 0, 20,
+        )
+        client.publish_many(sets[10:])
+        assert client.stats()["closure"]["dirty_edges"] == 4
+        assert client.ancestors(sets[-1].pname).total == 4
+        closure = client.stats()["closure"]
+        assert (closure["rebuilds"], closure["incremental_merges"], closure["label_entries"]) == (0, 4, 30)
+    # a record past the checkpoint: the indexes are adopted, the labels rebuilt on the first read
+    late = _tuple_set(2, 5, [sets[-1].pname])
+    backend = SQLiteBackend(path)
+    backend.put_record(late.provenance)
+    backend.close()
+    with repro.connect(url) as client:
+        assert restore_report(client)["tail"] == 1
+        assert client.stats()["storage"]["closure_restore"] == {
+            "mode": "none", "reason": "records past the checkpoint",
+        }
+        assert client.stats()["closure"]["built"] is False
+        assert client.ancestors(late.pname).total == 5
+        assert client.stats()["closure"]["rebuilds"] == 1
+    # the checkpoint gone: replayed, and rebuilt on the first read
+    write_blob(path, None)
     with repro.connect(url) as client:
         assert client.stats()["storage"]["closure_restore"] == {
-            "mode": "none", "adopted": 0, "shards": 1, "stale": [], "reason": "no persisted labelling",
+            "mode": "none", "reason": "index checkpoint not adopted",
         }
         assert client.stats()["closure"]["built"] is False
         assert client.ancestors(sets[-1].pname).total == 4
         assert client.stats()["closure"]["rebuilds"] == 1
+    # a sharded store: the default strategy, its labels built on the first read after an open
+    sharded = f"sqlite:///{tmp_path / 'sharded.db'}?shards=2"
+    with repro.connect(sharded) as client:
+        client.publish_many(sets)
+        client.descendants(sets[0].pname)
+    with repro.connect(sharded) as client:
+        assert client.stats()["storage"]["closure_restore"] == {
+            "mode": "none", "reason": "index checkpoint not adopted",
+        }
+        assert labels(client)[:2] == ("pending", 0)
+        assert client.ancestors(sets[-1].pname).total == 4
+        assert labels(client)[:2] == ("built", 1)
+
+
+def _benchmark_restore_modes() -> dict:
+    """``RESTORE_MODES`` of the benchmark's metric tables, loaded by path (it imports only the stdlib)."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "layers" / "metrics.py"
+    spec = importlib.util.spec_from_file_location("layers_metrics_for_restore_modes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RESTORE_MODES
+
+
+@pytest.mark.parametrize(
+    "target", ["memory://", "sqlite:///{}", "sqlite:///{}?closure=interval", "sqlite:///{}?shards=2"]
+)
+def test_every_restore_mode_is_one_the_benchmark_decodes(tmp_path, target):
+    """The benchmark turns ``closure_restore.mode`` into a number by this table:
+    a mode outside it would fail the run, on a fresh open or a reopen."""
+    restore_modes = _benchmark_restore_modes()
+    url = target.format(tmp_path / "pass.db")
+    sets = chains(2, 4)
+    seen = []
+    for lineage_read in (False, True, False):
+        with repro.connect(url) as client:
+            seen.append(client.stats()["storage"]["closure_restore"]["mode"])
+            client.publish_many(sets)
+            if lineage_read:
+                client.descendants(sets[0].pname)
+    assert set(seen) <= set(restore_modes), seen

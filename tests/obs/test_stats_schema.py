@@ -158,6 +158,7 @@ class TestGoldenKeys:
         cache = storage["record_cache"]
         assert set(cache) == RECORD_CACHE_KEYS
         assert cache["entries"] <= cache["capacity"]
+        assert set(storage["closure_restore"]) == {"mode", "reason"}
         restore = storage["index_restore"]
         assert set(restore) == INDEX_RESTORE_KEYS
         # every target here opened an empty store: nothing adopted, nothing replayed
@@ -202,9 +203,8 @@ class TestGoldenKeys:
             return
         closure = stats["closure"]
         assert set(closure) == CLOSURE_BLOCK_KEYS[closure["strategy"]]
-        assert closure["strategy"] == ("interval" if "shards=" in target else "labelled")
-        if closure["strategy"] == "labelled":
-            assert (closure["labels"], closure["label_builds"]) == ("built", 0)
+        assert closure["strategy"] == "labelled"  # sharded or not
+        assert (closure["labels"], closure["label_builds"]) == ("built", 0)
 
     @pytest.mark.parametrize("strategy", sorted(CLOSURE_BLOCK_KEYS))
     def test_closure_block_per_strategy(self, strategy, workload_sets):

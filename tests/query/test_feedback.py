@@ -401,7 +401,7 @@ class TestClosureSwitching:
         assert message.startswith(f"closure strategy switched: from=labelled to=interval nodes={len(store.graph) - 1} duration_ms=")
 
     def test_an_automatic_switch_rebuilds_now_and_checkpoints_at_close(self, tmp_path, caplog):
-        """The publish that trips the switch builds the index; ``close()`` writes its blob."""
+        """The publish that trips the switch builds the index; ``close()`` checkpoints it."""
         import repro
 
         url = f"sqlite:///{tmp_path}/pass.db"
@@ -418,13 +418,12 @@ class TestClosureSwitching:
         assert store.closure.name == "interval"
         assert store.closure.index_stats()["rebuilds"] == 1  # built inside that publish
         assert store.backend.stats.puts - before == puts_of_a_publish  # and nothing written for it
-        assert store.backend.get_index_blob("closure:interval") is None
+        assert store.backend.get_index_blob("index:checkpoint") is None
         (message,) = self._switches_logged(caplog)
         assert message.startswith("closure strategy switched: from=labelled to=interval nodes=12 duration_ms=")
         assert float(message.rsplit("duration_ms=", 1)[1]) >= 0.0
         client.close()
         with repro.connect(url + "?closure=interval") as reopened:
-            assert reopened.store.backend.get_index_blob("closure:interval") is not None
             assert reopened.stats()["storage"]["closure_restore"]["mode"] == "full"
             assert reopened.store.closure.index_stats()["rebuilds"] == 0
 
@@ -452,16 +451,16 @@ class TestClosureSwitching:
         assert store.feedback.advise_closure("naive") is None
         assert store.feedback.advise_closure("memoized") is None
 
-    def test_sharded_stores_never_switch(self):
+    def test_sharded_stores_switch_like_any_other(self):
         from repro.storage.sharded import ShardedBackend
 
         store = PassStore(backend=ShardedBackend(shards=2, kind="memory"))
         _populate(store, 10)
-        before = store.closure.name
+        assert store.closure.name == "labelled"
         self._force_check(store, nodes=9000, depth=10)
         store.ingest(TupleSet([], _record(HOT, 9000)))
-        assert store.closure.name == before
-        assert store.feedback.snapshot()["closure_switches"] == 0
+        assert store.closure.name == "interval"
+        assert store.feedback.snapshot()["closure_switches"] == 1
 
     def test_rebuild_reports_the_switch(self):
         store = PassStore()

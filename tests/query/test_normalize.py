@@ -38,6 +38,14 @@ class TestNormalize:
     def test_duplicates_dropped(self):
         assert normalize(And((EQ_A, EQ_B, EQ_A))) == And((EQ_A, EQ_B))
 
+    def test_equal_but_differently_typed_constants_are_kept(self):
+        """``1 == True == 1.0`` in Python, but not to the store: no part may merge."""
+        one, true, real = (AttributeEquals("n", value) for value in (1, True, 1.0))
+        assert normalize(And((one, true))) == And((one, true))
+        assert normalize(Or((one, true, real))) == Or((one, true, real))
+        assert normalize(And((Not(one), Not(true)))) == And((Not(one), Not(true)))
+        assert normalize(And((one, true, one))) == And((one, true))
+
     def test_single_part_collapses(self):
         assert normalize(And((EQ_A, EQ_A))) == EQ_A
 

@@ -14,7 +14,9 @@ that holds rows of both writers is, byte for byte, a file of one.
 
 from __future__ import annotations
 
+import json
 import sqlite3
+import zlib
 
 from repro.api import connect
 from repro.core import GeoPoint, PassStore, ProvenanceRecord, SensorReading, Timestamp, TupleSet
@@ -270,3 +272,57 @@ def test_a_file_of_old_and_new_rows_is_a_file_written_today(tmp_path):
     assert found[mixed] == found[today]
     assert _rows(mixed, "records") == _rows(today, "records")
     assert _rows(mixed, "payloads") == _rows(today, "payloads")
+
+
+def _parent_layout_file(path, sets):
+    """A file as the code before the closure section wrote it: a format-1 index
+    checkpoint without a ``closure`` key, beside a ``closure:interval`` blob in
+    that code's own format (digest-keyed JSON under a graph fingerprint)."""
+    with connect(f"sqlite:///{path}") as client:  # labelled: its checkpoint holds no labelling
+        client.publish_many(sets)
+    digests = [tuple_set.pname.digest for tuple_set in sets]
+    crc = 0
+    for child, parent in zip(digests[1:], digests):
+        crc ^= zlib.crc32(child.encode("ascii")) ^ zlib.crc32(f"{child}->{parent}".encode("ascii"))
+    crc ^= zlib.crc32(digests[0].encode("ascii"))
+    blob = {
+        "format": 1,
+        "strategy": "interval",
+        "fingerprint": {"nodes": len(digests), "edges": len(digests) - 1, "crc": crc},
+        "chains": [digests],
+        "down": {digest: [[0, position]] for position, digest in enumerate(digests)},
+        "up": {digest: [[0, position]] for position, digest in enumerate(digests)},
+    }
+    connection = sqlite3.connect(path)
+    body = json.dumps(blob, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    connection.execute("INSERT INTO index_blobs VALUES (?, ?)", ("closure:interval", body))
+    connection.commit()
+    connection.close()
+    return body
+
+
+def test_a_parent_layout_file_rebuilds_its_labelling_once_and_checkpoints_it(tmp_path):
+    """The old labelling blob is left unread, like the ``ancestry`` table: the
+    first lineage read builds the labels, and the next close puts them in
+    the one checkpoint, which the open after adopts."""
+    path = tmp_path / "parent.db"
+    sets, previous = [], None
+    for step in range(6):
+        record = ProvenanceRecord({"domain": "traffic", "step": step}, ancestors=[previous] if previous else [])
+        sets.append(TupleSet([], record))
+        previous = record.pname()
+    old_blob = _parent_layout_file(path, sets)
+    url = f"sqlite:///{path}?closure=interval"
+
+    with connect(url) as client:
+        storage = client.stats()["storage"]
+        assert storage["index_restore"]["mode"] == "adopted"
+        assert storage["closure_restore"] == {"mode": "none", "reason": "checkpoint holds no labelling"}
+        assert client.ancestors(sets[-1].pname).records == sorted(ts.pname for ts in sets[:-1])
+        assert client.descendants(sets[2].pname).total == 3
+        assert client.stats()["closure"]["rebuilds"] == 1
+    with connect(url) as client:
+        assert client.stats()["storage"]["closure_restore"] == {"mode": "full", "reason": None}
+        assert client.ancestors(sets[-1].pname).total == 5
+        assert client.stats()["closure"]["rebuilds"] == 0
+    assert dict(_rows(path, "index_blobs"))["closure:interval"] == old_blob

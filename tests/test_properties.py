@@ -543,16 +543,20 @@ checkpoint_ops = st.one_of(
 class TestIndexCheckpointProperties:
     # cheap examples (tens of ms), and the rarer endings -- a tail behind an
     # adopted checkpoint, a refusal -- need a few ops to line up
-    @settings(COMMON_SETTINGS, max_examples=160)
+    @pytest.mark.parametrize("closure", ["labelled", "interval"])
+    # (160, or five times that under the thorough profile: tests/conftest.py)
+    @settings(COMMON_SETTINGS, max_examples=160 * settings.default.max_examples // 100)
     @given(ops=st.lists(checkpoint_ops, min_size=1, max_size=24))
-    def test_sqlite_answers_like_memory_across_closes_and_crashes(self, ops, tmp_path_factory):
+    def test_sqlite_answers_like_memory_across_closes_and_crashes(self, closure, ops, tmp_path_factory):
         """publish / publish_many / annotate / remove_data, sessions ended by
         ``close()`` (checkpoint written when stale) or by an injected crash
         (none written; an op the crash cut short is retried in the next
         session): every reopen -- adopted with a tail, adopted clean, or
-        refused and replayed -- answers like the ``memory://`` twin."""
+        refused and replayed -- answers like the ``memory://`` twin.  Under
+        ``interval`` the checkpoint carries the labelling too, adopted only
+        by a reopen with no tail."""
         path = tmp_path_factory.mktemp("checkpoint") / "pass.db"
-        url = f"sqlite:///{path}"
+        url = f"sqlite:///{path}?closure={closure}"
         published = []
 
         def pick(index):
@@ -576,7 +580,8 @@ class TestIndexCheckpointProperties:
 
         def compare(durable, memory):
             report = durable.stats()["storage"]["index_restore"]
-            event(f"opened: {report['mode']}, tail {'> 0' if report['tail'] else '0'}")
+            labelling = durable.stats()["storage"]["closure_restore"]["mode"]
+            event(f"opened: {report['mode']}, tail {'> 0' if report['tail'] else '0'}, labelling {labelling}")
             assert report["covered"] + report["tail"] == len(memory.store) == len(durable.store)
             questions = [repro.Q.attr("label") >= 3, repro.Q.attr("annotation:quality") == "good"]
             questions += [repro.Q.derived_from(pname) for pname in published[:3]]
@@ -606,7 +611,7 @@ class TestIndexCheckpointProperties:
                     continue
                 if op == "crash_after":
                     durable.close()
-                    durable = LocalClient(PassStore(SQLiteBackend(path, crash_after_writes=args[0])))
+                    durable = LocalClient(PassStore(SQLiteBackend(path, crash_after_writes=args[0]), closure))
                     compare(durable, memory)
                     continue
                 try:
