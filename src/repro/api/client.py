@@ -398,11 +398,12 @@ class PassClient(ABC):
     def rebuild_lineage_index(self, strategy: Optional[str] = None) -> Dict[str, object]:
         """Force-rebuild the target's closure index; returns its stats.
 
-        Local stores recompute and checkpoint synchronously; the remote
-        client submits the daemon's async build job and polls it to
-        completion.  ``strategy`` switches the closure strategy
-        (``"labelled"`` / ``"interval"`` / ...) before rebuilding -- the
-        same plumbing the adaptive engine's auto-switch uses.  Targets
+        Local stores recompute synchronously (and write the index
+        checkpoint if it is stale); the remote client submits the
+        daemon's async build job and polls it to completion.
+        ``strategy`` switches the closure strategy (``"labelled"`` /
+        ``"interval"`` / ...) before rebuilding -- the one way a store's
+        strategy changes after it is opened.  Targets
         without a rebuildable index raise
         :class:`~repro.errors.IndexError_`.
         """
@@ -593,9 +594,9 @@ class LocalClient(PassClient):
             self._stream = None
         if self.owns_store:
             try:
-                # A durable store whose indexes or closure labelling
-                # changed checkpoints them, so the next open skips the
-                # replay and the label build; everything else is a no-op.
+                # A durable store whose indexes changed checkpoints
+                # them, so the next open skips the replay; everything
+                # else is a no-op.
                 self.store.persist_index_checkpoint()
             except PassError:
                 pass  # a crashed/closed backend must not block close()

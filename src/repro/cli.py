@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--store",
             default="memory://",
             help="connect() URL of the target (default: memory://); "
-            "try memory://?closure=interval for the interval index",
+            "?closure= picks the strategy (default: interval)",
         )
         if name in ("ancestors", "path"):
             sub.add_argument(

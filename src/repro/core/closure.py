@@ -21,10 +21,10 @@ a common interface, so the PASS store (and experiment E3) can swap them
   approach).  Queries are set lookups; updates pay the propagation cost.
 
 All strategies answer the same three questions: the ancestor set, the
-descendant set, and pairwise reachability.  A strategy whose labelling is
-worth keeping across sessions (``interval``) hands it to the store as one
-more section of the index checkpoint, nodes named by checkpoint position
-(:meth:`ClosureStrategy.snapshot`, docs/STORAGE.md "Open path").
+descendant set, and pairwise reachability.  A labelling is derived
+state: no strategy serialises it, and one made over a populated graph
+(a store opening over its records) is built in bulk by its first read,
+the same way for every strategy (:meth:`ClosureStrategy._build_in_bulk`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import logging
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.bulk import collector_paused
 from repro.core.graph import ProvenanceGraph
@@ -145,31 +145,6 @@ class ClosureStrategy(ABC):
         """Cheap descendant-count estimate for the query planner, or ``None``."""
         return None
 
-    # -- persistence -------------------------------------------------------
-    def has_snapshot(self) -> bool:
-        """True when :meth:`snapshot` has a labelling to return (asked first: it builds nothing)."""
-        return False
-
-    def snapshot(self, position_of: Dict[str, int]) -> Optional[dict]:
-        """The labelling as the index checkpoint's ``closure`` section, or ``None``.
-
-        ``position_of`` numbers the graph's nodes as the checkpoint does
-        (:meth:`ProvenanceGraph.snapshot`); the section names nodes by
-        those positions and carries ``strategy``, this strategy's name.
-        ``None`` means there is nothing worth persisting (the default).
-        """
-        return None
-
-    def restore(self, section: dict, nodes: Sequence[str]) -> None:
-        """Adopt a :meth:`snapshot` section; ``nodes[position]`` names a node.
-
-        Called on a fresh strategy over the graph the same checkpoint
-        restored, so the checkpoint's header vouches for the nodes.
-        Raises ``ValueError``/``TypeError``/``LookupError`` on state no
-        snapshot produces; the strategy then stays as it was made.
-        """
-        raise ValueError(f"the {self.name} strategy keeps no labelling")
-
     def rebuild(self) -> None:
         """Recompute the strategy's auxiliary structures from the graph.
 
@@ -180,10 +155,36 @@ class ClosureStrategy(ABC):
         drop/refresh their structures here.
         """
 
+    def _build_in_bulk(self) -> None:
+        """Run :meth:`_label_every_node` the one way a labelling is built in bulk.
+
+        With the cyclic collector paused (everything the build allocates
+        stays live, :mod:`repro.core.bulk`), inside one
+        ``closure.build_labels`` span, and said at INFO on ``repro.core``
+        with its size and time.
+        """
+        started = time.perf_counter()
+        with trace.span("closure.build_labels"), collector_paused():
+            self._label_every_node()
+        if _LOGGER.isEnabledFor(logging.INFO):
+            _LOGGER.info(
+                "closure labels built: nodes=%d label_entries=%d duration_ms=%.3f",
+                len(self.graph),
+                self._label_entries(),
+                (time.perf_counter() - started) * 1000.0,
+            )
+
+    def _label_every_node(self) -> None:
+        """Label every node of the graph as it stands (a strategy with labels overrides this)."""
+
     # -- reporting ---------------------------------------------------------
     def index_stats(self) -> dict:
         """Facts about the strategy's auxiliary structures (CLI / stats())."""
         return {"strategy": self.name, "operations": self.operations}
+
+    def _label_entries(self) -> int:
+        """Entries the materialized labels hold (0 for a strategy without labels)."""
+        return 0
 
     # -- hooks -------------------------------------------------------------
     def _on_edge(self, child: PName, parent: PName) -> None:
@@ -380,24 +381,18 @@ class LabelledClosure(ClosureStrategy):
 
     def _build_labels(self) -> None:
         """Every label set, from the graph as it stands; the labels are current afterwards."""
-        started = time.perf_counter()
-        with trace.span("closure.build_labels"), collector_paused():
-            # (on the graph's digest-level views: this is most of the cost)
-            nodes = self.graph.node_digests()
-            self._ancestor_labels = {digest: set() for digest in nodes}
-            self._descendant_labels = {digest: set() for digest in nodes}
-            for child in nodes:
-                for parent in sorted(self.graph.parents_of(child)):
-                    self._propagate(child, parent)
+        self._build_in_bulk()
         self._pending = False
         self.label_builds += 1
-        if _LOGGER.isEnabledFor(logging.INFO):
-            _LOGGER.info(
-                "closure labels built: nodes=%d label_entries=%d duration_ms=%.3f",
-                len(nodes),
-                self._label_entries(),
-                (time.perf_counter() - started) * 1000.0,
-            )
+
+    def _label_every_node(self) -> None:
+        # (on the graph's digest-level views: this is most of the cost)
+        nodes = self.graph.node_digests()
+        self._ancestor_labels = {digest: set() for digest in nodes}
+        self._descendant_labels = {digest: set() for digest in nodes}
+        for child in nodes:
+            for parent in sorted(self.graph.parents_of(child)):
+                self._propagate(child, parent)
 
     def _on_edge(self, child: PName, parent: PName) -> None:
         if self._pending:

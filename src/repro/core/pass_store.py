@@ -78,15 +78,6 @@ def _names_crc(digests: Sequence[str]) -> int:
     return zlib.crc32("".join(digests).encode("ascii"))
 
 
-def _strategy_over(closure: ClosureStrategy | str, graph: ProvenanceGraph) -> ClosureStrategy:
-    """The strategy ``closure`` names, made over ``graph``.
-
-    Never a caller-supplied instance itself: rebinding its graph would
-    corrupt any other store sharing it.
-    """
-    return make_closure(closure, graph) if isinstance(closure, str) else closure.for_graph(graph)
-
-
 class StoreStatistics:
     """Counters the evaluation harness reads off a store.
 
@@ -130,8 +121,10 @@ class PassStore(LineageOracle):
     closure:
         Transitive-closure strategy, by instance or by name
         (``"naive"`` / ``"memoized"`` / ``"labelled"`` / ``"interval"``).
-        Default is the labelled strategy; the interval strategy
-        (:mod:`repro.lineage`) scales to much deeper/larger lineage.
+        Default is the interval strategy (:mod:`repro.lineage`), the
+        service closure; the other three are chosen by hand (experiment
+        E3, test oracles), and nothing switches a store's strategy but
+        :meth:`rebuild_closure_index`.
     indexed_attributes:
         Restrict the attribute index to these names (``None`` = all).
     site:
@@ -142,7 +135,7 @@ class PassStore(LineageOracle):
     def __init__(
         self,
         backend: Optional[StorageBackend] = None,
-        closure: ClosureStrategy | str = "labelled",
+        closure: ClosureStrategy | str = "interval",
         indexed_attributes: Optional[Iterable[str]] = None,
         site: str = "local",
     ) -> None:
@@ -160,12 +153,6 @@ class PassStore(LineageOracle):
             "bytes": 0,
             "reason": "no restore attempted",
         }
-        # True while the checkpoint holds the closure's labelling as it
-        # stands: adopted by the open, or written since, and no edge,
-        # node, rebuild or switch after that.
-        self._labelling_stored = False
-        # What the open did about the checkpoint's closure section.
-        self._closure_restore_report = {"mode": "none", "reason": "index checkpoint not adopted"}
         started = time.perf_counter()
         # Everything a load allocates stays live (repro.core.bulk).
         with collector_paused():
@@ -181,9 +168,8 @@ class PassStore(LineageOracle):
             len(self.unbuilt_sections()),
         )
         self.planner = QueryPlanner(self)
-        # Closure-strategy advice and the hot-key result cache
-        # (repro.query.feedback).
-        self.feedback = FeedbackCollector(self)
+        # The hot-key result cache (repro.query.feedback).
+        self.feedback = FeedbackCollector()
         self._abstraction_rules: List[AbstractionRule] = []
         # Post-commit ingest observers (the repro.stream engine hooks in
         # here).  Hooks fire strictly after the backend write, the graph
@@ -291,7 +277,6 @@ class PassStore(LineageOracle):
     def _index_record(self, pname: PName, record: ProvenanceRecord) -> None:
         """Graph, closure and index maintenance for a stored record."""
         # P2: provenance is queryable, including recursively.
-        self._labelling_stored = False
         self.closure.add_node(pname)
         for ancestor in record.ancestors:
             self.closure.add_node(ancestor)
@@ -341,32 +326,6 @@ class PassStore(LineageOracle):
         self.feedback.on_ingest(pname, record)
         for hook in list(self._ingest_hooks):
             hook(pname, record)
-        self._maybe_adapt_closure()
-
-    def _maybe_adapt_closure(self) -> None:
-        """Amortized DAG-shape check: switch ``labelled <-> interval``.
-
-        The new strategy is built inside the publish that tripped the
-        check; it is checkpointed when the store closes, as any labelling
-        is.
-        """
-        if not self.feedback.closure_check_due():
-            return
-        current = self.closure.name
-        advised = self.feedback.advise_closure(current)
-        if advised is not None and advised != current:
-            # The publish that trips the check pays for the rebuild: say so.
-            started = time.perf_counter()
-            self.closure = make_closure(advised, self.graph)
-            self.closure.rebuild()
-            self.feedback.note_closure_switch()
-            _LOGGER.info(
-                "closure strategy switched: from=%s to=%s nodes=%d duration_ms=%.3f",
-                current,
-                advised,
-                len(self.graph),
-                (time.perf_counter() - started) * 1000.0,
-            )
 
     # ------------------------------------------------------------------
     # Basic retrieval
@@ -611,13 +570,11 @@ class PassStore(LineageOracle):
         (docs/STORAGE.md, "Open path"); otherwise they start empty and
         every record is replayed into them.  Either way the records fill
         the *graph*, and the strategy is made over the filled graph
-        afterwards: labels that no lineage read has asked for yet are
-        not built by the open.  The one exception is a labelling the
-        checkpoint holds for this strategy, adopted when no record came
-        after it.
+        afterwards: its labelling is derived state, never checkpointed,
+        and built by the first lineage read rather than by the open.
         """
-        adopted = self._adopt_index_checkpoint(closure)
-        indexes, replay_after, labelling = adopted or (self._empty_indexes(), None, None)
+        adopted = self._adopt_index_checkpoint()
+        indexes, replay_after = adopted or (self._empty_indexes(), None)
         self.graph, self.attribute_index, self.temporal_index, self.spatial_index, self.statistics = indexes
         # The DAG-shape collector the statistics own (repro.core stays
         # import-independent of repro.lineage; see make_closure).
@@ -640,30 +597,21 @@ class PassStore(LineageOracle):
         for pname in self.backend.removed_pnames():
             if pname in self.graph:
                 self.graph.mark_removed(pname)
-        if labelling is not None and not tail:
-            self.closure = labelling
-            self._labelling_stored = True
-            self._closure_restore_report = {"mode": "full", "reason": None}
-            return
-        if labelling is not None:
-            # (the replay reached the graph only: the labels do not cover the tail)
-            self._closure_restore_report["reason"] = "records past the checkpoint"
-        self.closure = _strategy_over(closure, self.graph)
+        # (never a caller's instance itself: rebinding its graph would
+        # corrupt any other store sharing it)
+        self.closure = make_closure(closure, self.graph) if isinstance(closure, str) else closure.for_graph(self.graph)
 
     # ------------------------------------------------------------------
     # Index checkpoint (docs/STORAGE.md, "Open path")
     # ------------------------------------------------------------------
-    def _adopt_index_checkpoint(
-        self, closure: ClosureStrategy | str
-    ) -> Optional[Tuple[tuple, int, Optional[ClosureStrategy]]]:
+    def _adopt_index_checkpoint(self) -> Optional[Tuple[tuple, int]]:
         """The indexes an earlier session checkpointed, if they still describe the backend.
 
-        Returns ``(indexes, marker, labelling)`` -- the five structures of
-        :meth:`_empty_indexes`, filled, the backend marker of the last
-        record they cover, and the ``closure`` strategy over the filled
-        graph with its checkpointed labels (``None`` when the checkpoint
-        holds none of that strategy's) -- or ``None`` with the reason
-        recorded; the caller then replays.  Refusing is always safe,
+        Returns ``(indexes, marker)`` -- the five structures of
+        :meth:`_empty_indexes`, filled, and the backend marker of the
+        last record they cover -- or ``None`` with the reason recorded;
+        the caller then replays.  A ``closure`` section written by older
+        code is not read.  Refusing is always safe,
         adopting never executes anything the blob holds: it is zlib over
         JSON.
         """
@@ -717,33 +665,23 @@ class PassStore(LineageOracle):
             spatial_index.restore(state["spatial"], digests)
             statistics.restore(state["statistics"])
             statistics.graph.restore(state["graph_statistics"], nodes)
-            labelling = None
-            section = state.get("closure")
-            wanted = closure if isinstance(closure, str) else closure.name
-            if section is None:
-                self._closure_restore_report["reason"] = "checkpoint holds no labelling"
-            elif section["strategy"] != wanted:
-                self._closure_restore_report["reason"] = f"checkpoint holds the {section['strategy']} labelling"
-            else:
-                labelling = _strategy_over(closure, graph)
-                labelling.restore(section, nodes)
         except _MALFORMED as error:
             return refused(f"malformed checkpoint: {type(error).__name__}: {error}")
         report.update(mode="adopted", covered=count, reason=None)
-        return indexes, marker, labelling
+        return indexes, marker
 
     def persist_index_checkpoint(self) -> bool:
-        """Checkpoint the indexes and the closure's labelling; True when a blob was written.
+        """Checkpoint the indexes; True when a blob was written.
 
         A no-op unless the backend keeps a record order (a single SQLite
         file does; a volatile or sharded one does not) and the checkpoint
-        is stale: an index changed since it was written, or the closure
-        holds a labelling it does not.  So the façade calls it
-        unconditionally on ``close()``.  The write is O(store); records
-        are named by position in the backend's order.
+        is stale: an index changed since it was written.  So the façade
+        calls it unconditionally on ``close()``.  The write is O(store);
+        records are named by position in the backend's order.  The
+        closure's labelling is not part of it: the next open's first
+        lineage read builds it.
         """
-        stale = self._checkpoint_stale or (not self._labelling_stored and self.closure.has_snapshot())
-        order = self.backend.record_order() if stale else None
+        order = self.backend.record_order() if self._checkpoint_stale else None
         if order is None:
             return False
         digests, marker = order
@@ -770,25 +708,22 @@ class PassStore(LineageOracle):
             "statistics": self.statistics.checkpoint(),
             "graph_statistics": self.graph_stats.checkpoint(position_of),
         }
-        section = self.closure.snapshot(position_of)
-        if section is not None:
-            state["closure"] = section
         payload = zlib.compress(json.dumps(state, separators=(",", ":")).encode("utf-8"))
         stored = self.backend.put_index_blob(_CHECKPOINT_KEY, payload)
         if stored:
             self._checkpoint_stale = False
-            self._labelling_stored = section is not None
         return stored
 
     def rebuild_closure_index(self, strategy: Optional[str] = None) -> dict:
-        """Force-rebuild the closure index and checkpoint it; returns stats.
+        """Force-rebuild the closure index; returns stats.
 
         The administrative verb behind the daemon's async build job
         (and any operator who suspects a stale labelling): recompute the
         strategy's structures from the live graph, write the index
-        checkpoint when it is stale (:meth:`persist_index_checkpoint`),
-        and report the resulting :meth:`ClosureStrategy.index_stats`
-        plus whether this call wrote it.
+        checkpoint when it is stale (:meth:`persist_index_checkpoint`;
+        it holds no labelling), and report the resulting
+        :meth:`ClosureStrategy.index_stats` plus whether this call wrote
+        the checkpoint.
 
         ``strategy`` swaps the closure strategy *before* rebuilding --
         the daemon's ``rebuild_index`` job routes through here, so a
@@ -800,7 +735,6 @@ class PassStore(LineageOracle):
             switched_from = self.closure.name
             self.closure = make_closure(strategy, self.graph)
         self.closure.rebuild()
-        self._labelling_stored = False
         persisted = self.persist_index_checkpoint()
         stats = dict(self.closure.index_stats())
         stats["persisted"] = persisted
@@ -813,10 +747,11 @@ class PassStore(LineageOracle):
 
         The backend's storage profile (kind, shard layout, group-commit
         and parallel-scan counters) plus what the open did about the
-        index checkpoint and its closure section.
+        index checkpoint.  ``closure_restore`` reads the same on every
+        store: no open restores a labelling.
         """
         snapshot = self.backend.storage_stats()
-        snapshot["closure_restore"] = dict(self._closure_restore_report)
+        snapshot["closure_restore"] = {"mode": "none", "reason": "labelling built on the first lineage read"}
         snapshot["index_restore"] = dict(self._index_restore_report, deferred=self.unbuilt_sections())
         return snapshot
 
@@ -860,7 +795,7 @@ from repro.api.registry import ConnectionSpec, register_scheme  # noqa: E402
 def _store_from_spec(spec: ConnectionSpec, backend: Optional[StorageBackend]) -> PassStore:
     return PassStore(
         backend=backend,
-        closure=spec.text("closure", "labelled"),
+        closure=spec.text("closure", "interval"),
         indexed_attributes=spec.listing("indexed"),
         site=spec.text("site", "local"),
     )

@@ -242,10 +242,6 @@ class LocaleAwarePass(ArchitectureModel):
         home = self.home_of(pname)
         return self.topology.distance_km(origin_site, home)
 
-    def store_at(self, site: str):
-        """The local PASS store at ``site`` (used by tests and examples)."""
-        return self._stores.store(site)
-
 
 # ----------------------------------------------------------------------
 # PassClient façade registration (repro.api)

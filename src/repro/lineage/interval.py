@@ -32,19 +32,12 @@ first query after a batch either merges the dirty edges incrementally
 batch is large relative to the graph, rebuilds the decomposition
 outright.  Labels only tighten during incremental merges, so the
 worklist converges and the ``operations`` counter stays monotone.
-
-The labelling is also **persistable**: :meth:`snapshot` names the chains
-and labels by checkpoint position, and the store writes them as the
-``closure`` section of its index checkpoint.  The checkpoint's header
-proves which records the positions name, so :meth:`restore` only checks
-that the section is well formed; a store whose checkpoint is refused, or
-has records past it, rebuilds lazily on the first lineage read instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.closure import ClosureStrategy, register_strategy
 from repro.core.graph import ProvenanceGraph
@@ -89,8 +82,11 @@ class IntervalClosure(ClosureStrategy):
         self._dirty.append((child.digest, parent.digest))
 
     def rebuild(self) -> None:
-        """Force a full recompute of chains and interval labels now."""
-        self._rebuild()
+        """Recompute chains and labels from scratch in O(V + E + labels), now."""
+        self._build_in_bulk()
+        self._dirty.clear()
+        self._built = True
+        self.rebuilds += 1
 
     def _ensure_current(self) -> None:
         """Bring the labelling up to date with the graph (lazily)."""
@@ -98,12 +94,11 @@ class IntervalClosure(ClosureStrategy):
             return
         threshold = max(_REBUILD_MIN_BATCH, int(_REBUILD_FRACTION * max(1, len(self.graph))))
         if not self._built or len(self._dirty) > threshold:
-            self._rebuild()
+            self.rebuild()
         else:
             self._apply_dirty()
 
-    def _rebuild(self) -> None:
-        """Recompute chains and labels from scratch in O(V + E + labels)."""
+    def _label_every_node(self) -> None:
         graph = self.graph
         order = [pname.digest for pname in graph.topological_order()]
         self._chain_of = {}
@@ -122,9 +117,6 @@ class IntervalClosure(ClosureStrategy):
             for parent in graph.parents_of(digest):
                 self._merge_max(label, self._up[parent])
             self._up[digest] = label
-        self._dirty.clear()
-        self._built = True
-        self.rebuilds += 1
 
     def _assign_chain(self, digest: str) -> None:
         """Append ``digest`` to a chain whose tail is one of its parents, else open one."""
@@ -286,49 +278,6 @@ class IntervalClosure(ClosureStrategy):
         return sum(len(self._chains[chain]) - first for chain, first in labels.items()) - 1
 
     # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def has_snapshot(self) -> bool:
-        return self._built
-
-    def snapshot(self, position_of: Dict[str, int]) -> Optional[dict]:
-        if not self._built:
-            # Nothing has forced a labelling yet (no lineage query ran);
-            # persisting would mean building one just to write it out.
-            # The next open rebuilds lazily anyway -- skip.
-            return None
-        self._ensure_current()
-        down, up = self._down, self._up
-        return {
-            "strategy": self.name,
-            "chains": [[position_of[digest] for digest in chain] for chain in self._chains],
-            # per node, in position order: [chain, position, chain, position, ...]
-            "down": [_flat(down.get(digest)) for digest in position_of],
-            "up": [_flat(up.get(digest)) for digest in position_of],
-        }
-
-    def restore(self, section: dict, nodes: Sequence[str]) -> None:
-        chains = []
-        for listed in section["chains"]:
-            if listed and min(listed) < 0:
-                raise ValueError("negative position")
-            chains.append([nodes[at] for at in listed])
-        chain_of = {
-            digest: (chain_id, position)
-            for chain_id, chain in enumerate(chains)
-            for position, digest in enumerate(chain)
-        }
-        if len(chain_of) != sum(map(len, chains)):
-            raise ValueError("a node on two chains")
-        down = _labels(section["down"], nodes, chains)
-        up = _labels(section["up"], nodes, chains)
-        if down.keys() != chain_of.keys() or up.keys() != chain_of.keys():
-            raise ValueError("labels for other nodes than the chains hold")
-        self._chains, self._chain_of, self._down, self._up = chains, chain_of, down, up
-        self._dirty.clear()
-        self._built = True
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def index_stats(self) -> dict:
@@ -337,8 +286,7 @@ class IntervalClosure(ClosureStrategy):
             {
                 "built": self._built,
                 "chains": len(self._chains),
-                "label_entries": sum(len(v) for v in self._down.values())
-                + sum(len(v) for v in self._up.values()),
+                "label_entries": self._label_entries(),
                 "dirty_edges": len(self._dirty),
                 "rebuilds": self.rebuilds,
                 "incremental_merges": self.incremental_merges,
@@ -353,25 +301,6 @@ class IntervalClosure(ClosureStrategy):
         if pname not in self.graph:
             raise UnknownEntityError(f"unknown node {pname}")
 
+    def _label_entries(self) -> int:
+        return sum(len(v) for v in self._down.values()) + sum(len(v) for v in self._up.values())
 
-def _flat(label: Optional[Dict[int, int]]) -> List[int]:
-    """A label map as one flat ``[chain, position, ...]`` list (``[]`` for an unlabelled node)."""
-    return [value for pair in sorted(label.items()) for value in pair] if label else []
-
-
-def _labels(listed: list, nodes: Sequence[str], chains: List[List[str]]) -> Dict[str, Dict[int, int]]:
-    """The label maps of :meth:`IntervalClosure.snapshot`'s flat lists, checked against ``chains``."""
-    if len(listed) != len(nodes):
-        raise ValueError("one label list per node")
-    labels: Dict[str, Dict[int, int]] = {}
-    for digest, flat in zip(nodes, listed):
-        if not flat:
-            continue
-        if len(flat) % 2:
-            raise ValueError("a label list of odd length")
-        label = dict(zip(flat[::2], flat[1::2]))
-        for chain, position in label.items():
-            if chain < 0 or not 0 <= position < len(chains[chain]):
-                raise ValueError("a label past its chain")
-        labels[digest] = label
-    return labels

@@ -42,13 +42,6 @@ class PipelineResult:
             return []
         return self.outputs_by_stage[self.stages[-1]]
 
-    def all_outputs(self) -> List[TupleSet]:
-        """Every derived tuple set, across all stages, in stage order."""
-        outputs: List[TupleSet] = []
-        for stage in self.stages:
-            outputs.extend(self.outputs_by_stage[stage])
-        return outputs
-
     def count(self) -> int:
         """Total number of derived tuple sets."""
         return sum(len(outputs) for outputs in self.outputs_by_stage.values())

@@ -1,23 +1,16 @@
 """What the store learns from the queries and ingests it serves.
 
 One :class:`FeedbackCollector` rides on each
-:class:`~repro.core.pass_store.PassStore` and drives two mechanisms:
-
-* **Adaptive closure strategy switching.**  The DAG-shape summary
-  (node count, max depth) is checked every ``_CLOSURE_CHECK_INTERVAL``
-  fresh ingests; when the graph outgrows the labelled strategy's sweet
-  spot the store switches ``labelled -> interval`` through the same
-  ``rebuild_closure_index`` plumbing the daemon's async job uses (and
-  back, with hysteresis, should the graph be small and shallow).
-* **Hot-key result caching with precise ingest invalidation.**  Exact
-  repeats (same shape *and* constants) are counted; once a key is hot
-  its result -- the matching names, no records -- is cached, bounded
-  LRU, and invalidated precisely by the
-  stream engine's anchor index (:class:`~repro.stream.dispatch.DispatchIndex`)
-  from the post-commit ingest hook -- only an ingest that can match the
-  cached predicate evicts it.  Lineage queries are never cached: an
-  out-of-order ingest can make *old* records start matching, which no
-  anchor on the new record would catch.
+:class:`~repro.core.pass_store.PassStore` and drives one mechanism,
+**hot-key result caching with precise ingest invalidation**: exact
+repeats (same shape *and* constants) are counted; once a key is hot
+its result -- the matching names, no records -- is cached, bounded
+LRU, and invalidated precisely by the
+stream engine's anchor index (:class:`~repro.stream.dispatch.DispatchIndex`)
+from the post-commit ingest hook -- only an ingest that can match the
+cached predicate evicts it.  Lineage queries are never cached: an
+out-of-order ingest can make *old* records start matching, which no
+anchor on the new record would catch.
 
 Plans are not remembered at all: the planner prices every query from
 its own constants (:mod:`repro.query.planner`).  Everything here is
@@ -50,16 +43,6 @@ from repro.errors import ConfigurationError
 from repro.query.normalize import normalize, shape_key
 
 __all__ = ["FeedbackCollector", "ResultKey"]
-
-#: Check the DAG shape for a closure-strategy switch every N fresh ingests.
-_CLOSURE_CHECK_INTERVAL = 1024
-#: labelled -> interval once the graph is this big or deep ...
-_CLOSURE_NODES_INTERVAL = 8192
-_CLOSURE_DEPTH_INTERVAL = 96
-#: ... and back only well below (hysteresis; disjoint from the up
-#: thresholds so the strategies can never flap).
-_CLOSURE_NODES_LABELLED = 2048
-_CLOSURE_DEPTH_LABELLED = 24
 
 #: Result-cache bounds: entries, rows per entry, and how many repeats
 #: make a key "hot" enough to admit.
@@ -142,20 +125,13 @@ def _constants_token(predicate: Predicate) -> Optional[str]:
 
 
 class FeedbackCollector:
-    """Per-store closure-strategy advice and hot-key result cache."""
+    """Per-store hot-key result cache."""
 
-    def __init__(self, store) -> None:
+    def __init__(self) -> None:
         # Deferred: repro.stream's package __init__ reaches repro.api,
         # which is mid-import while repro.core.pass_store loads.
         from repro.stream.dispatch import DispatchIndex
 
-        self._store = store
-
-        # -- closure strategy advisor ---------------------------------
-        self._ingests_since_closure_check = 0
-        self._closure_switches = 0
-
-        # -- hot-key result cache -------------------------------------
         self._key_counts: "OrderedDict[str, int]" = OrderedDict()
         self._results: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
         self._invalidation = DispatchIndex()
@@ -163,40 +139,6 @@ class FeedbackCollector:
         self._result_misses = 0
         self._result_invalidations = 0
         self._result_evictions = 0
-
-    # ------------------------------------------------------------------
-    # Closure strategy advisor
-    # ------------------------------------------------------------------
-    def closure_check_due(self) -> bool:
-        """Amortized: true once per ``_CLOSURE_CHECK_INTERVAL`` fresh ingests."""
-        if self._ingests_since_closure_check < _CLOSURE_CHECK_INTERVAL:
-            return False
-        self._ingests_since_closure_check = 0
-        return True
-
-    def advise_closure(self, current: str) -> Optional[str]:
-        """The strategy the DAG shape calls for, or ``None`` to stay put.
-
-        Only ever advises between ``labelled`` and ``interval`` -- an
-        explicitly chosen naive/memoized strategy (experiments) is left
-        alone.  Thresholds are hysteretic: the up and down regions are
-        disjoint, so the store can never flap between strategies.
-        """
-        graph_stats = self._store.graph_stats
-        nodes = graph_stats.nodes
-        depth = graph_stats.max_depth
-        if current == "labelled" and (
-            nodes >= _CLOSURE_NODES_INTERVAL or depth >= _CLOSURE_DEPTH_INTERVAL
-        ):
-            return "interval"
-        if current == "interval" and (
-            nodes <= _CLOSURE_NODES_LABELLED and depth <= _CLOSURE_DEPTH_LABELLED
-        ):
-            return "labelled"
-        return None
-
-    def note_closure_switch(self) -> None:
-        self._closure_switches += 1
 
     # ------------------------------------------------------------------
     # Hot-key result cache
@@ -275,8 +217,7 @@ class FeedbackCollector:
     # Ingest-path maintenance (called from the store's post-commit hook)
     # ------------------------------------------------------------------
     def on_ingest(self, pname: PName, record: ProvenanceRecord) -> None:
-        """Precise invalidation + the closure-check counter for one fresh record."""
-        self._ingests_since_closure_check += 1
+        """Precise invalidation for one fresh record."""
         if self._results:
             for token in self._invalidation.candidates(record):
                 if self._results.pop(token, None) is not None:
@@ -296,7 +237,6 @@ class FeedbackCollector:
     def snapshot(self) -> dict:
         """The frozen ``stats()["planner"]["feedback"]`` block."""
         return {
-            "closure_switches": self._closure_switches,
             "hot_keys": self.hot_keys(),
             "result_cache": {
                 "entries": len(self._results),

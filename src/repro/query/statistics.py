@@ -117,10 +117,6 @@ class Statistics:
     # ------------------------------------------------------------------
     # Estimates
     # ------------------------------------------------------------------
-    def attribute_count(self, name: str) -> int:
-        """Records carrying attribute ``name``."""
-        return self.attribute_counts.get(name, 0)
-
     def distinct_count(self, name: str) -> int:
         """Distinct indexed values of attribute ``name``."""
         return self._attribute_index.cardinality(name)

@@ -232,14 +232,9 @@ class Monitor:
             store.observe_gauge(prefix + ".record_cache.entries", now, record_cache["entries"])
             for key in ("hits", "misses", "evictions"):
                 store.observe_counter(f"{prefix}.record_cache.{key}", now, record_cache[key])
-            # The feedback collector, as per-tenant series: closure
-            # switches and result-cache effectiveness.
-            feedback = tenant_store.feedback.snapshot()
-            prefix = f"daemon.{tenant_name}.planner"
-            store.observe_counter(prefix + ".closure_switches", now, feedback["closure_switches"])
-            store.observe_counter(
-                prefix + ".result_cache_hits", now, feedback["result_cache"]["hits"]
-            )
+            # The feedback collector's result-cache effectiveness, per tenant.
+            hits = tenant_store.feedback.snapshot()["result_cache"]["hits"]
+            store.observe_counter(f"daemon.{tenant_name}.planner.result_cache_hits", now, hits)
         if self.alert_engine is not None:
             try:
                 self.alert_engine.evaluate(now)

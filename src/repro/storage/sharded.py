@@ -224,9 +224,6 @@ class ShardedBackend(StorageBackend):
         """The per-shard backends, in shard order (tests and tooling)."""
         return tuple(self._shards)
 
-    def _shard_for(self, pname: PName) -> StorageBackend:
-        return self._shards[self.shard_of(pname.digest)]
-
     def _map_shards(self, fn, shard_ids: Sequence[int]) -> Dict[int, object]:
         """Run ``fn(shard_id)`` for each id, on the pool when it fans out."""
         shard_ids = list(shard_ids)

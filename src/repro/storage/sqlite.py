@@ -147,10 +147,6 @@ class SQLiteBackend(StorageBackend):
                 f"injected crash after {self._crash_after_writes} writes"
             )
 
-    def writes_performed(self) -> int:
-        """Number of write operations attempted (for recovery bookkeeping)."""
-        return self._writes_seen
-
     # ------------------------------------------------------------------
     # Provenance records
     # ------------------------------------------------------------------

@@ -156,12 +156,12 @@ class TestCostProfiles:
 class TestPendingLabels:
     """Labels over a populated graph wait for the first call that reads one."""
 
-    def _over_a_chain(self, depth=4):
+    def _over_a_chain(self, depth=4, strategy="labelled"):
         nodes = [_pname(f"p{i}") for i in range(depth + 1)]
         graph = ProvenanceGraph()
         for child, parent in zip(nodes[1:], nodes):
             graph.add_edge(child, parent)
-        return LabelledClosure(graph), nodes
+        return make_closure(strategy, graph), nodes
 
     def test_a_closure_over_an_empty_graph_is_never_pending(self):
         closure = LabelledClosure()
@@ -228,10 +228,12 @@ class TestPendingLabels:
             assert closure.descendants(node) == reference.descendants(node)
         assert closure.index_stats()["labels"] == "built"
 
-    def test_the_build_is_logged_and_traced(self, caplog):
+    @pytest.mark.parametrize("strategy, entries", [("labelled", 20), ("interval", 10)])
+    def test_the_build_is_logged_and_traced(self, caplog, strategy, entries):
+        """Every strategy's bulk build: one span, one INFO record."""
         from repro.obs import trace
 
-        closure, nodes = self._over_a_chain()
+        closure, nodes = self._over_a_chain(strategy=strategy)
         trace.enable()
         try:
             with caplog.at_level("INFO", logger="repro.core"):
@@ -242,4 +244,4 @@ class TestPendingLabels:
         assert names.count("closure.build_labels") == 1
         messages = [record.getMessage() for record in caplog.records if record.name == "repro.core"]
         assert len(messages) == 1
-        assert messages[0].startswith("closure labels built: nodes=5 label_entries=20 duration_ms=")
+        assert messages[0].startswith(f"closure labels built: nodes=5 label_entries={entries} duration_ms=")

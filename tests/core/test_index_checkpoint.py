@@ -376,14 +376,6 @@ def _duplicate_node(state):
     state["graph_statistics"]["depths"].append(0)
 
 
-def _label_past_the_nodes(state):
-    state["closure"]["chains"][0][0] = len(state["graph"]["parents"]) + 5
-
-
-def _non_list_chain(state):
-    state["closure"]["chains"][0] = 7
-
-
 REFUSALS = {
     "truncated zlib": (lambda body: body[: len(body) // 2], "checkpoint does not decompress"),
     "not zlib": (lambda body: b"\x00" + body, "checkpoint does not decompress"),
@@ -399,10 +391,6 @@ REFUSALS = {
     "wrong shape": (lambda body: edited(body, _wrong_shape), "malformed checkpoint: AttributeError"),
     "unequal columns": (lambda body: edited(body, _unequal_columns), "malformed checkpoint: ValueError"),
     "node listed twice": (lambda body: edited(body, _duplicate_node), "malformed checkpoint: ValueError"),
-    "labelling position past the nodes": (
-        lambda body: edited(body, _label_past_the_nodes), "malformed checkpoint: IndexError"
-    ),
-    "non-list chain": (lambda body: edited(body, _non_list_chain), "malformed checkpoint: TypeError"),
 }
 
 
@@ -410,7 +398,7 @@ REFUSALS = {
 def test_a_damaged_checkpoint_is_refused_and_replaced(tmp_path, damage):
     spoil, reason = REFUSALS[damage]
     path = tmp_path / "pass.db"
-    url = f"sqlite:///{path}?closure=interval"  # (so that the blob holds a labelling too)
+    url = f"sqlite:///{path}?closure=interval"
     with repro.connect(url) as client:
         made = populate(client)
         expected = answers(client, made)
@@ -426,8 +414,65 @@ def test_a_damaged_checkpoint_is_refused_and_replaced(tmp_path, damage):
     assert read_blob(path) != spoiled
     with repro.connect(url) as client:
         assert restore_report(client)["mode"] == "adopted"
-        assert client.stats()["storage"]["closure_restore"]["mode"] == "full"
         assert answers(client, made) == expected
+
+
+def _old_closure_section(state) -> dict:
+    """A ``closure`` section in the shape older code appended to the
+    checkpoint (chains and ``[chain, position, ...]`` labels named by node
+    position) that labels every node as its own one-node chain: well formed,
+    and wrong for any graph with an edge."""
+    nodes = len(state["graph"]["parents"])
+    return {
+        "strategy": "interval",
+        "chains": [[at] for at in range(nodes)],
+        "down": [[at, 0] for at in range(nodes)],
+        "up": [[at, 0] for at in range(nodes)],
+    }
+
+
+OLD_SECTIONS = {
+    "stale": lambda section: None,
+    "position past the nodes": lambda section: section["chains"][0].append(10_000),
+    "negative position": lambda section: section["chains"][0].append(-1),
+    "node on two chains": lambda section: section["chains"].append(section["chains"][0][:1]),
+    "non-list chain": lambda section: section["chains"].__setitem__(0, 7),
+    "label list missing": lambda section: section["down"].pop(),
+    "odd label list": lambda section: section["up"][0].append(0),
+    "label past its chain": lambda section: section["up"].__setitem__(0, [0, 99]),
+    "negative chain": lambda section: section["down"].__setitem__(0, [-1, 0]),
+    "chained node unlabelled": lambda section: section["down"].__setitem__(0, []),
+    "no up labels": lambda section: section.pop("up"),
+    "another strategy": lambda section: section.__setitem__("strategy", "labelled"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(OLD_SECTIONS))
+def test_an_old_closure_section_is_never_read_whatever_it_holds(tmp_path, damage):
+    """A checkpoint that older code wrote with a ``closure`` section is
+    adopted for its index sections, whether the section is stale or garbage:
+    the first lineage read builds the labelling from the graph, and the next
+    checkpoint written leaves the section out."""
+    path = tmp_path / "pass.db"
+    url = f"sqlite:///{path}"
+    with repro.connect(url) as client:
+        made = populate(client)
+        expected = answers(client, made)
+
+    def with_old_section(state):
+        section = _old_closure_section(state)
+        OLD_SECTIONS[damage](section)
+        state["closure"] = section
+
+    write_blob(path, edited(read_blob(path), with_old_section))
+    with repro.connect(url) as client:
+        assert restore_report(client)["mode"] == "adopted"
+        assert client.stats()["storage"]["closure_restore"]["mode"] == "none"
+        assert client.stats()["closure"]["built"] is False
+        assert answers(client, made) == expected
+        assert client.stats()["closure"]["rebuilds"] == 1
+        client.publish(_tuple_set(9, 0, [made["merged"].pname]))
+    assert "closure" not in json.loads(zlib.decompress(read_blob(path)))
 
 
 def test_changed_indexed_attributes_refuse_the_checkpoint(tmp_path):
@@ -522,29 +567,29 @@ def test_a_clean_open_query_close_cycle_writes_nothing(tmp_path):
 
 @pytest.mark.parametrize("strategy", ["interval", "labelled"])
 def test_a_clean_close_neither_hashes_nor_rewrites_the_labelling(tmp_path, strategy):
-    """A read-only session leaves the labelling it restored where it is, and
-    a session that changes it writes one checkpoint, labelling included."""
+    """A read-only session writes nothing, lineage reads and all, and a
+    session that adds an edge writes one checkpoint, which holds no labelling."""
     url = f"sqlite:///{tmp_path / 'pass.db'}?closure={strategy}"
     sets = chains(2, 5)
     with repro.connect(url) as client:
         client.publish_many(sets[:8])
-        client.descendants(sets[0].pname)  # an interval labelling to persist
-    restored = "full" if strategy == "interval" else "none"
+        client.descendants(sets[0].pname)
     for _ in range(2):
         client = repro.connect(url)
-        assert client.stats()["storage"]["closure_restore"]["mode"] == restored
+        assert client.stats()["storage"]["closure_restore"]["mode"] == "none"
         assert client.ancestors(sets[4].pname).total == 4
         backend, puts = client.store.backend, client.store.backend.stats.puts
         client.close()
         assert backend.stats.puts == puts
-    # a session that adds an edge writes its labelling again, and the next open adopts it
+    # a session that adds an edge writes the checkpoint again
     with repro.connect(url) as client:
         client.publish_many(sets[8:])
         assert client.ancestors(sets[-1].pname).total == 4
         backend, puts = client.store.backend, client.store.backend.stats.puts
-    assert backend.stats.puts == puts + 1  # the index checkpoint, which carries the labelling
+    assert backend.stats.puts == puts + 1  # the index checkpoint
+    assert "closure" not in json.loads(zlib.decompress(read_blob(tmp_path / "pass.db")))
     with repro.connect(url) as client:
-        assert client.stats()["storage"]["closure_restore"]["mode"] == restored
+        assert client.stats()["storage"]["closure_restore"]["mode"] == "none"
         assert client.descendants(sets[5].pname).total == 4
 
 
@@ -599,7 +644,7 @@ def labels(client) -> tuple:
 
 def test_a_session_without_lineage_reads_never_builds_the_labels(tmp_path):
     path = tmp_path / "pass.db"
-    url = f"sqlite:///{path}"
+    url = f"sqlite:///{path}?closure=labelled"
     sets = chains(2, 6)
     with repro.connect(url) as client:
         client.publish_many(sets[:8])
@@ -631,7 +676,7 @@ def test_a_session_without_lineage_reads_never_builds_the_labels(tmp_path):
 @pytest.mark.parametrize("first_read", ["ancestors", "derived_from", "explain"])
 def test_a_replayed_open_leaves_the_labels_pending_too(tmp_path, first_read):
     path = tmp_path / "pass.db"
-    url = f"sqlite:///{path}"
+    url = f"sqlite:///{path}?closure=labelled"
     sets = chains(2, 6)
     with repro.connect(url) as client:
         client.publish_many(sets)
@@ -651,7 +696,7 @@ def test_a_replayed_open_leaves_the_labels_pending_too(tmp_path, first_read):
 
 
 def test_rebuilding_the_lineage_index_builds_pending_labels_now(tmp_path):
-    url = f"sqlite:///{tmp_path / 'pass.db'}"
+    url = f"sqlite:///{tmp_path / 'pass.db'}?closure=labelled"
     sets = chains(2, 6)
     with repro.connect(url) as client:
         client.publish_many(sets)
@@ -668,7 +713,7 @@ def test_rebuilding_the_lineage_index_builds_pending_labels_now(tmp_path):
 
 
 def test_a_descendant_watch_fires_on_the_first_publish_after_an_open(tmp_path):
-    url = f"sqlite:///{tmp_path / 'pass.db'}"
+    url = f"sqlite:///{tmp_path / 'pass.db'}?closure=labelled"
     sets = chains(1, 4)
     with repro.connect(url) as client:
         client.publish_many(sets[:3])
@@ -725,10 +770,13 @@ def test_an_open_leaves_the_collector_as_it_found_it(tmp_path, collector):
         assert gc.isenabled() is collector
 
 
-def test_the_load_and_the_label_build_run_with_the_collector_paused(tmp_path, monkeypatch):
-    from repro.core.closure import LabelledClosure
+@pytest.mark.parametrize("strategy, step, steps", [("labelled", "_propagate", 2), ("interval", "_assign_chain", 3)])
+def test_the_load_and_the_label_build_run_with_the_collector_paused(tmp_path, monkeypatch, strategy, step, steps):
+    """``step`` is a unit of the strategy's label build, run ``steps`` times over three sets."""
+    from repro.core.closure import make_closure
 
-    url = f"sqlite:///{tmp_path / 'pass.db'}"
+    labelling = type(make_closure(strategy))
+    url = f"sqlite:///{tmp_path / 'pass.db'}?closure={strategy}"
     sets = chains(1, 3)
     with repro.connect(url) as client:
         client.publish_many(sets)
@@ -742,13 +790,15 @@ def test_the_load_and_the_label_build_run_with_the_collector_paused(tmp_path, mo
         return wrapper
 
     monkeypatch.setattr(SQLiteBackend, "removed_pnames", recorded(SQLiteBackend.removed_pnames))
-    monkeypatch.setattr(LabelledClosure, "_propagate", recorded(LabelledClosure._propagate))
+    monkeypatch.setattr(labelling, step, recorded(getattr(labelling, step)))
     assert gc.isenabled()
     with repro.connect(url) as client:
         client.ancestors(sets[2].pname)
-        assert seen == [("removed_pnames", False), ("_propagate", False), ("_propagate", False)]
-        client.publish(_tuple_set(0, 3, [sets[2].pname]))  # an ordinary write is not a bulk load
-        assert seen[-1] == ("_propagate", True)
+        assert seen == [("removed_pnames", False)] + [(step, False)] * steps
+        late = _tuple_set(0, 3, [sets[2].pname])
+        client.publish(late)  # an ordinary write is not a bulk load ...
+        client.ancestors(late.pname)  # ... nor is the merge of its edge
+        assert seen[-1] == (step, True)
 
 
 def _garbage_file(path):
@@ -785,63 +835,64 @@ def test_an_open_that_raises_leaves_the_collector_as_it_found_it(tmp_path, colle
 # (g) strategies that were lazy already open as they did
 # ----------------------------------------------------------------------
 def test_interval_and_sharded_opens_report_what_they_always_did(tmp_path):
-    """The interval labelling rides the one checkpoint and is adopted only with
-    it, tail-free; a sharded store keeps no checkpoint and labels lazily."""
+    """No open restores a labelling: over a clean checkpoint, one with a
+    tail, a replay or shards, the default strategy opens unbuilt and its
+    first lineage read builds it once."""
+    not_restored = {"mode": "none", "reason": "labelling built on the first lineage read"}
+
+    def built(client) -> tuple:
+        closure = client.stats()["closure"]
+        return closure["built"], closure["rebuilds"]
+
     sets = chains(3, 5)
     path = tmp_path / "pass.db"
-    url = f"sqlite:///{path}?closure=interval"
+    url = f"sqlite:///{path}"
     with repro.connect(url) as client:
         client.publish_many(sets[:10])
-        client.descendants(sets[0].pname)  # a labelling to persist
+        client.descendants(sets[0].pname)
     with sqlite3.connect(path) as connection:
         assert connection.execute("SELECT name FROM index_blobs").fetchall() == [(KEY,)]
+    assert "closure" not in json.loads(zlib.decompress(read_blob(path)))
     with repro.connect(url) as client:
-        storage = client.stats()["storage"]
-        assert storage["closure_restore"] == {"mode": "full", "reason": None}
+        assert client.stats()["storage"]["closure_restore"] == not_restored
         closure = client.stats()["closure"]
         assert "labels" not in closure and "label_builds" not in closure
         assert (closure["built"], closure["rebuilds"], closure["dirty_edges"], closure["label_entries"]) == (
-            True, 0, 0, 20,
+            False, 0, 0, 0,
         )
         client.publish_many(sets[10:])
         assert client.stats()["closure"]["dirty_edges"] == 4
         assert client.ancestors(sets[-1].pname).total == 4
         closure = client.stats()["closure"]
-        assert (closure["rebuilds"], closure["incremental_merges"], closure["label_entries"]) == (0, 4, 30)
-    # a record past the checkpoint: the indexes are adopted, the labels rebuilt on the first read
+        assert (closure["rebuilds"], closure["incremental_merges"], closure["label_entries"]) == (1, 0, 30)
+    # a record past the checkpoint: the indexes are adopted, the labels built on the first read
     late = _tuple_set(2, 5, [sets[-1].pname])
     backend = SQLiteBackend(path)
     backend.put_record(late.provenance)
     backend.close()
     with repro.connect(url) as client:
         assert restore_report(client)["tail"] == 1
-        assert client.stats()["storage"]["closure_restore"] == {
-            "mode": "none", "reason": "records past the checkpoint",
-        }
-        assert client.stats()["closure"]["built"] is False
+        assert client.stats()["storage"]["closure_restore"] == not_restored
+        assert built(client) == (False, 0)
         assert client.ancestors(late.pname).total == 5
-        assert client.stats()["closure"]["rebuilds"] == 1
-    # the checkpoint gone: replayed, and rebuilt on the first read
+        assert built(client) == (True, 1)
+    # the checkpoint gone: replayed, and built on the first read
     write_blob(path, None)
     with repro.connect(url) as client:
-        assert client.stats()["storage"]["closure_restore"] == {
-            "mode": "none", "reason": "index checkpoint not adopted",
-        }
-        assert client.stats()["closure"]["built"] is False
+        assert client.stats()["storage"]["closure_restore"] == not_restored
+        assert built(client) == (False, 0)
         assert client.ancestors(sets[-1].pname).total == 4
-        assert client.stats()["closure"]["rebuilds"] == 1
+        assert built(client) == (True, 1)
     # a sharded store: the default strategy, its labels built on the first read after an open
     sharded = f"sqlite:///{tmp_path / 'sharded.db'}?shards=2"
     with repro.connect(sharded) as client:
         client.publish_many(sets)
         client.descendants(sets[0].pname)
     with repro.connect(sharded) as client:
-        assert client.stats()["storage"]["closure_restore"] == {
-            "mode": "none", "reason": "index checkpoint not adopted",
-        }
-        assert labels(client)[:2] == ("pending", 0)
+        assert client.stats()["storage"]["closure_restore"] == not_restored
+        assert built(client) == (False, 0)
         assert client.ancestors(sets[-1].pname).total == 4
-        assert labels(client)[:2] == ("built", 1)
+        assert built(client) == (True, 1)
 
 
 def _benchmark_restore_modes() -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import zlib
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core import ProvenanceRecord
 from repro.core.closure import make_closure
 from repro.errors import UnknownEntityError
 from repro.lineage import IntervalClosure
+from repro.storage import SQLiteBackend
 from repro.storage.memory import MemoryBackend
 
 
@@ -153,106 +155,38 @@ class TestEstimates:
             assert closure.estimate_descendants(node) == len(closure.descendants(node))
 
 
-class TestPersistence:
-    """The labelling as a section of the index checkpoint: nodes named by position."""
-
-    def _chain_closure(self, depth=20):
-        nodes = [_pname(f"c{i}") for i in range(depth)]
-        edges = [(nodes[i + 1], nodes[i]) for i in range(depth - 1)]
-        return _build(edges), nodes
+class TestDerivedLabelling:
+    """The labelling is derived state: no checkpoint carries it, and the
+    first lineage read after an open builds it from the graph."""
 
     @staticmethod
-    def _positions(closure):
-        nodes = sorted(closure.graph.node_digests())
-        return {digest: position for position, digest in enumerate(nodes)}, nodes
-
-    def test_unbuilt_index_has_nothing_to_snapshot(self):
-        """No query ever ran -> nothing worth persisting (next open rebuilds lazily)."""
-        closure, _ = self._chain_closure()
-        assert not closure.has_snapshot()
-        assert closure.snapshot(self._positions(closure)[0]) is None
-
-    def test_snapshot_round_trip(self):
-        closure, nodes = self._chain_closure()
-        closure.descendants(nodes[0])  # force the labelling to exist
-        loner = _pname("loner")
-        closure.add_node(loner)  # a node no edge reaches: unlabelled, listed empty
-        position_of, digests = self._positions(closure)
-        section = json.loads(json.dumps(closure.snapshot(position_of)))
-        assert section["strategy"] == "interval"
-        assert section["down"][position_of[loner.digest]] == []
-
-        twin = IntervalClosure(closure.graph)
-        twin.restore(section, digests)
-        assert twin.rebuilds == 0  # restored, not rebuilt
-        for node in [*nodes, loner]:
-            assert twin.ancestors(node) == closure.ancestors(node)
-            assert twin.descendants(node) == closure.descendants(node)
-        assert twin.rebuilds == 0
-        assert twin.snapshot(position_of) == section
-        # edges after the restore merge into the adopted labels
-        extra = _pname("extra")
-        for twin_or_original in (twin, closure):
-            twin_or_original.add_node(extra)
-            twin_or_original.add_edge(extra, nodes[-1])
-            twin_or_original.add_edge(nodes[0], loner)
-        assert twin.ancestors(extra) == closure.ancestors(extra) == {*nodes, loner}
-        assert (twin.rebuilds, twin.incremental_merges) == (0, 2)
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda section: section["chains"][0].append(10_000),
-            lambda section: section["chains"][0].append(-1),
-            lambda section: section["chains"].append(section["chains"][0][:1]),
-            lambda section: section["chains"].__setitem__(0, 7),
-            lambda section: section["down"].pop(),
-            lambda section: section["up"][0].append(0),
-            lambda section: section["up"].__setitem__(0, [0, 99]),
-            lambda section: section["down"].__setitem__(0, [-1, 0]),
-            lambda section: section["down"].__setitem__(0, []),
-            lambda section: section.pop("up"),
-        ],
-        ids=[
-            "position past the nodes", "negative position", "node on two chains", "non-list chain",
-            "label list missing", "odd label list", "label past its chain", "negative chain",
-            "chained node unlabelled", "no up labels",
-        ],
-    )
-    def test_restore_refuses_garbage(self, damage):
-        closure, nodes = self._chain_closure()
-        closure.descendants(nodes[0])
-        position_of, digests = self._positions(closure)
-        section = closure.snapshot(position_of)
-        damage(section)
-        twin = IntervalClosure(closure.graph)
-        with pytest.raises((ValueError, TypeError, LookupError)):
-            twin.restore(section, digests)
-        assert not twin.has_snapshot()  # left as made: it builds on its first read
-        assert twin.ancestors(nodes[-1]) == set(nodes[:-1])
-        assert twin.rebuilds == 1
-
-    def test_store_persists_and_restores_through_backend(self, tmp_path):
-        from repro.core.pass_store import PassStore
-        from repro.storage import SQLiteBackend
-
-        store = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"), closure="interval")
+    def _chain(store, length=10):
+        """Ingest a derivation chain of ``length`` records; the last one's name."""
         previous = None
-        for i in range(10):
-            record = ProvenanceRecord(
-                {"label": f"p{i}"}, ancestors=[previous] if previous else []
-            )
+        for i in range(length):
+            record = ProvenanceRecord({"label": f"p{i}"}, ancestors=[previous] if previous else [])
             previous = store.ingest_record(record)
+        return previous
+
+    def test_a_reopened_store_builds_its_labelling_on_the_first_read(self, tmp_path):
+        from repro.core.pass_store import PassStore
+
+        store = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"))
+        last = self._chain(store)
         assert store.descendants(store.pnames()[0])  # force the build
         assert store.persist_index_checkpoint()
         assert not store.persist_index_checkpoint()  # nothing changed since
         store.backend.close()
 
-        reopened = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"), closure="interval")
-        assert reopened.storage_snapshot()["closure_restore"] == {"mode": "full", "reason": None}
-        assert reopened.closure.rebuilds == 0  # adopted the section
-        assert len(reopened.ancestors(previous)) == 9
-        assert reopened.closure.rebuilds == 0
+        reopened = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"))
+        assert reopened.storage_snapshot()["index_restore"]["mode"] == "adopted"
+        assert reopened.storage_snapshot()["closure_restore"]["mode"] == "none"
+        assert reopened.closure.rebuilds == 0  # the open built nothing
+        assert len(reopened.ancestors(last)) == 9
+        assert reopened.closure.rebuilds == 1
+        later = reopened.ingest_record(ProvenanceRecord({"label": "p10"}, ancestors=[last]))
+        assert len(reopened.ancestors(later)) == 10  # merged into the built labels
+        assert (reopened.closure.rebuilds, reopened.closure.incremental_merges) == (1, 1)
         reopened.backend.close()
 
     def test_a_memory_backend_carries_no_labelling_across_stores(self):
@@ -260,22 +194,28 @@ class TestPersistence:
         from repro.core.pass_store import PassStore
 
         backend = MemoryBackend()
-        store = PassStore(backend=backend, closure="interval")
-        previous = None
-        for i in range(10):
-            record = ProvenanceRecord({"label": f"p{i}"}, ancestors=[previous] if previous else [])
-            previous = store.ingest_record(record)
+        store = PassStore(backend=backend)
+        last = self._chain(store)
         assert store.descendants(store.pnames()[0])
         assert not store.persist_index_checkpoint()
-        second = PassStore(backend=backend, closure="interval")
+        second = PassStore(backend=backend)
         assert second.storage_snapshot()["closure_restore"]["mode"] == "none"
-        assert len(second.ancestors(previous)) == 9
+        assert len(second.ancestors(last)) == 9
         assert second.closure.rebuilds == 1
 
-    def test_labelled_strategy_has_nothing_to_persist(self):
-        closure = make_closure("labelled")
-        closure.add_node(_pname("only"))
-        assert not closure.has_snapshot()
-        assert closure.snapshot({_pname("only").digest: 0}) is None
-        with pytest.raises(ValueError):
-            closure.restore({"strategy": "labelled"}, [_pname("only").digest])
+    @pytest.mark.parametrize("strategy", ["interval", "labelled", "naive", "memoized"])
+    def test_no_strategy_writes_its_labelling_into_the_checkpoint(self, tmp_path, strategy):
+        from repro.core.pass_store import PassStore
+
+        store = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"), closure=strategy)
+        last = self._chain(store)
+        assert len(store.ancestors(last)) == 9  # whatever the strategy keeps is built now
+        assert store.persist_index_checkpoint()
+        store.backend.close()
+
+        reopened = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"), closure=strategy)
+        state = json.loads(zlib.decompress(reopened.backend.get_index_blob("index:checkpoint")))
+        assert "closure" not in state
+        assert reopened.storage_snapshot()["closure_restore"]["mode"] == "none"
+        assert len(reopened.ancestors(last)) == 9
+        reopened.backend.close()

@@ -93,17 +93,19 @@ class TestLocalExplain:
             assert explain.path_kind == "lineage-descendants"
             assert explain.actual_rows == len(chain) - 1
 
-    def test_sqlite_reopen_restores_the_persisted_labelling(self, tmp_path, chainload):
+    def test_sqlite_reopen_builds_the_labelling_on_the_first_read(self, tmp_path, chainload):
         chain, unrelated = chainload
-        url = f"sqlite:///{tmp_path}/pass.db?closure=interval"
+        url = f"sqlite:///{tmp_path}/pass.db"
         with connect(url) as client:
             client.publish_many(chain + [unrelated])
-            client.descendants(chain[0])  # force the index build before close()
+            client.descendants(chain[0])
         with connect(url) as client:
-            assert client.store.closure.rebuilds == 0  # snapshot adopted, no re-walk
+            assert client.store.closure.rebuilds == 0  # the open built nothing
             taint = client.descendants(chain[0])
             assert taint.total == len(chain) - 1
-            assert client.store.closure.rebuilds == 0
+            assert client.store.closure.rebuilds == 1
+            assert client.descendants(chain[1]).total == len(chain) - 2
+            assert client.store.closure.rebuilds == 1
 
     def test_lineage_and_attribute_conjunction_uses_index_intersection(self):
         root = _tuple_set(0)
@@ -281,14 +283,13 @@ def _assert_pages(client, sets, parents, reads, where: str) -> None:
         assert page.total == len(full), where
 
 
-def _trip_the_automatic_switch(client) -> None:
-    """Make the next publish find a DAG summary that wants ``interval`` (tests/query/test_feedback.py)."""
+def _switch_by_hand(client) -> None:
+    """Move the store off its default strategy, as an operator's rebuild job does."""
     store = client.store
-    assert store.closure.name == "labelled"
-    store.feedback._ingests_since_closure_check = 10_000
-    store.graph_stats.nodes = 9000
-    client.publish(_tuple_set(424242, city="boston"))
     assert store.closure.name == "interval"
+    client.rebuild_lineage_index(strategy="labelled")
+    client.publish(_tuple_set(424242, city="boston"))
+    assert store.closure.name == "labelled"
 
 
 class TestGeneratedPaging:
@@ -306,9 +307,9 @@ class TestGeneratedPaging:
             with connect(url) as client:
                 for index in publish_order:
                     client.publish(sets[index])
-                _assert_pages(client, sets, parents, reads, "labelled, as published")
-                _trip_the_automatic_switch(client)
-                _assert_pages(client, sets, parents, reads, "after the automatic switch")
+                _assert_pages(client, sets, parents, reads, "interval, as published")
+                _switch_by_hand(client)
+                _assert_pages(client, sets, parents, reads, "after a switch by hand")
             if durable:
                 with connect(url) as client:
                     _assert_pages(client, sets, parents, reads, "reopened")

@@ -101,7 +101,6 @@ INDEX_RESTORE_KEYS = frozenset({"mode", "covered", "tail", "bytes", "reason", "d
 #: planner block rides (local stores and the pass:// daemon)
 PLANNER_FEEDBACK_KEYS = frozenset(
     {
-        "closure_switches",
         "hot_keys",
         "result_cache",
     }
@@ -179,8 +178,8 @@ class TestGoldenKeys:
             assert storage["per_shard"][0]["shard"] == 0
 
     def test_planner_feedback_block_keeps_its_documented_schema(self, exercised):
-        """The feedback block is frozen: the closure-switch counter plus
-        the hot-key result-cache facts -- identical shape on every target
+        """The feedback block is frozen: the hot-key result-cache facts --
+        identical shape on every target
         that carries a planner, and the planner block holds nothing else
         but the statistics."""
         target, client = exercised
@@ -194,8 +193,8 @@ class TestGoldenKeys:
         assert set(stats["planner"]) == {"statistics", "feedback"}
 
     def test_closure_block_keeps_its_documented_schema(self, exercised):
-        """Per strategy; a store that was never reopened has its labels
-        ``built`` by zero builds, and no time is ever in the block."""
+        """Per strategy; every target runs ``interval``, whose labelling
+        no lineage read has built here, and no time is ever in the block."""
         target, client = exercised
         stats = client.stats()
         if target in MODEL_TARGETS:
@@ -203,8 +202,8 @@ class TestGoldenKeys:
             return
         closure = stats["closure"]
         assert set(closure) == CLOSURE_BLOCK_KEYS[closure["strategy"]]
-        assert closure["strategy"] == "labelled"  # sharded or not
-        assert (closure["labels"], closure["label_builds"]) == ("built", 0)
+        assert closure["strategy"] == "interval"  # sharded or not
+        assert (closure["built"], closure["rebuilds"]) == (False, 0)
 
     @pytest.mark.parametrize("strategy", sorted(CLOSURE_BLOCK_KEYS))
     def test_closure_block_per_strategy(self, strategy, workload_sets):

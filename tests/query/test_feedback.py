@@ -1,13 +1,14 @@
 """Tests for what the store learns from its traffic.
 
 Covers fresh per-query planning (no plan outlives its query's
-constants), the two feedback mechanisms -- closure strategy switching
-and hot-key result caching -- and the result cache's key: two different
-questions must never share one.
+constants), the one feedback mechanism -- hot-key result caching -- and
+the result cache's key: two different questions must never share one;
+and the one way a store's closure strategy changes, by hand.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_planner_parity import _resolve, predicates
@@ -370,107 +371,19 @@ class TestResultCacheKeys:
             assert asked.setdefault(key.token, canonical) == canonical
 
 
-class TestClosureSwitching:
-    def _force_check(self, store: PassStore, nodes: int, depth: int) -> None:
-        """Make the next single ingest run the amortized shape check
-        against a synthetic DAG summary."""
-        store.feedback._ingests_since_closure_check = 10_000
-        store.graph_stats.nodes = nodes
-        store.graph_stats.max_depth = depth
-
-    @staticmethod
-    def _switches_logged(caplog) -> list:
-        return [
-            record.getMessage()
-            for record in caplog.records
-            if record.name == "repro.core" and record.getMessage().startswith("closure strategy switched")
-        ]
-
-    def test_switches_labelled_to_interval_on_big_graphs(self, caplog):
-        store = PassStore()
-        _populate(store, 10)
-        assert store.closure.name == "labelled"
-        self._force_check(store, nodes=9000, depth=10)
-        with caplog.at_level("INFO", logger="repro.core"):
-            store.ingest(TupleSet([], _record(HOT, 9000)))
-            store.ingest(TupleSet([], _record(HOT, 9001)))
-        assert store.closure.name == "interval"
-        assert store.feedback.snapshot()["closure_switches"] == 1
-        # the publish that paid for the rebuild says so, once
-        (message,) = self._switches_logged(caplog)
-        assert message.startswith(f"closure strategy switched: from=labelled to=interval nodes={len(store.graph) - 1} duration_ms=")
-
-    def test_an_automatic_switch_rebuilds_now_and_checkpoints_at_close(self, tmp_path, caplog):
-        """The publish that trips the switch builds the index; ``close()`` checkpoints it."""
-        import repro
-
-        url = f"sqlite:///{tmp_path}/pass.db"
-        client = repro.connect(url)
-        store = client.store
-        _populate(store, 10)
-        before = store.backend.stats.puts
-        store.ingest(TupleSet([], _record(HOT, 8999)))
-        puts_of_a_publish = store.backend.stats.puts - before
-        self._force_check(store, nodes=9000, depth=10)
-        before = store.backend.stats.puts
-        with caplog.at_level("INFO", logger="repro.core"):
-            store.ingest(TupleSet([], _record(HOT, 9000)))
-        assert store.closure.name == "interval"
-        assert store.closure.index_stats()["rebuilds"] == 1  # built inside that publish
-        assert store.backend.stats.puts - before == puts_of_a_publish  # and nothing written for it
-        assert store.backend.get_index_blob("index:checkpoint") is None
-        (message,) = self._switches_logged(caplog)
-        assert message.startswith("closure strategy switched: from=labelled to=interval nodes=12 duration_ms=")
-        assert float(message.rsplit("duration_ms=", 1)[1]) >= 0.0
-        client.close()
-        with repro.connect(url + "?closure=interval") as reopened:
-            assert reopened.stats()["storage"]["closure_restore"]["mode"] == "full"
-            assert reopened.store.closure.index_stats()["rebuilds"] == 0
-
-    def test_hysteresis_keeps_middling_graphs_put(self, caplog):
-        store = PassStore()
-        _populate(store, 10)
-        self._force_check(store, nodes=5000, depth=50)
-        with caplog.at_level("INFO", logger="repro.core"):
-            store.ingest(TupleSet([], _record(HOT, 9000)))
-        assert self._switches_logged(caplog) == []
-        assert store.closure.name == "labelled"
-        assert store.feedback.advise_closure("interval") is None
-        assert store.feedback.advise_closure("labelled") is None
-
-    def test_switches_back_with_hysteresis(self):
-        store = PassStore()
-        store.rebuild_closure_index(strategy="interval")
-        _populate(store, 10)
-        self._force_check(store, nodes=100, depth=2)
-        store.ingest(TupleSet([], _record(HOT, 9000)))
-        assert store.closure.name == "labelled"
-
-    def test_never_advises_away_from_experimental_strategies(self):
-        store = PassStore()
-        assert store.feedback.advise_closure("naive") is None
-        assert store.feedback.advise_closure("memoized") is None
-
-    def test_sharded_stores_switch_like_any_other(self):
-        from repro.storage.sharded import ShardedBackend
-
-        store = PassStore(backend=ShardedBackend(shards=2, kind="memory"))
-        _populate(store, 10)
-        assert store.closure.name == "labelled"
-        self._force_check(store, nodes=9000, depth=10)
-        store.ingest(TupleSet([], _record(HOT, 9000)))
-        assert store.closure.name == "interval"
-        assert store.feedback.snapshot()["closure_switches"] == 1
-
-    def test_rebuild_reports_the_switch(self):
-        store = PassStore()
-        _populate(store, 20)
-        stats = store.rebuild_closure_index(strategy="interval")
-        assert stats["switched_from"] == "labelled"
-        assert store.closure.name == "interval"
-        # Lineage still answers correctly through the new strategy.
-        parent = TupleSet([], _record(HOT, 100))
-        child = TupleSet([], _record(HOT, 101, ancestors=(parent.pname,)))
-        store.ingest(parent)
-        store.ingest(child)
-        assert parent.pname in store.closure.ancestors(child.pname)
+@pytest.mark.parametrize(
+    "start, strategy",
+    [("interval", "labelled"), ("interval", "naive"), ("interval", "memoized"), ("labelled", "interval")],
+)
+def test_rebuild_reports_the_switch(start, strategy):
+    store = PassStore(closure=start)
+    _populate(store, 20)
+    stats = store.rebuild_closure_index(strategy=strategy)
+    assert stats["switched_from"] == start
+    assert store.closure.name == strategy
+    # Lineage still answers correctly through the new strategy.
+    parent = TupleSet([], _record(HOT, 100))
+    child = TupleSet([], _record(HOT, 101, ancestors=(parent.pname,)))
+    store.ingest(parent)
+    store.ingest(child)
+    assert parent.pname in store.closure.ancestors(child.pname)

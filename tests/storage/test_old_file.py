@@ -278,7 +278,7 @@ def _parent_layout_file(path, sets):
     """A file as the code before the closure section wrote it: a format-1 index
     checkpoint without a ``closure`` key, beside a ``closure:interval`` blob in
     that code's own format (digest-keyed JSON under a graph fingerprint)."""
-    with connect(f"sqlite:///{path}") as client:  # labelled: its checkpoint holds no labelling
+    with connect(f"sqlite:///{path}") as client:  # (no checkpoint today's code writes holds a labelling)
         client.publish_many(sets)
     digests = [tuple_set.pname.digest for tuple_set in sets]
     crc = 0
@@ -301,28 +301,81 @@ def _parent_layout_file(path, sets):
     return body
 
 
-def test_a_parent_layout_file_rebuilds_its_labelling_once_and_checkpoints_it(tmp_path):
-    """The old labelling blob is left unread, like the ``ancestry`` table: the
-    first lineage read builds the labels, and the next close puts them in
-    the one checkpoint, which the open after adopts."""
-    path = tmp_path / "parent.db"
+def _six_steps():
+    """Six sets on one derivation chain, parents first."""
     sets, previous = [], None
     for step in range(6):
         record = ProvenanceRecord({"domain": "traffic", "step": step}, ancestors=[previous] if previous else [])
         sets.append(TupleSet([], record))
         previous = record.pname()
+    return sets
+
+
+NOT_RESTORED = {"mode": "none", "reason": "labelling built on the first lineage read"}
+
+
+def test_a_parent_layout_file_leaves_its_labelling_blob_unread(tmp_path):
+    """The old labelling blob is left unread, like the ``ancestry`` table: the
+    first lineage read after each open builds the labels."""
+    path = tmp_path / "parent.db"
+    sets = _six_steps()
     old_blob = _parent_layout_file(path, sets)
     url = f"sqlite:///{path}?closure=interval"
 
     with connect(url) as client:
         storage = client.stats()["storage"]
         assert storage["index_restore"]["mode"] == "adopted"
-        assert storage["closure_restore"] == {"mode": "none", "reason": "checkpoint holds no labelling"}
+        assert storage["closure_restore"] == NOT_RESTORED
         assert client.ancestors(sets[-1].pname).records == sorted(ts.pname for ts in sets[:-1])
         assert client.descendants(sets[2].pname).total == 3
         assert client.stats()["closure"]["rebuilds"] == 1
     with connect(url) as client:
-        assert client.stats()["storage"]["closure_restore"] == {"mode": "full", "reason": None}
         assert client.ancestors(sets[-1].pname).total == 5
-        assert client.stats()["closure"]["rebuilds"] == 0
     assert dict(_rows(path, "index_blobs"))["closure:interval"] == old_blob
+
+
+#: the ``closure`` section the code before today's appended to the index
+#: checkpoint of a ``?closure=interval`` store over :func:`_six_steps`, once
+#: a lineage read had built it: chains and labels named by checkpoint position
+OLD_CLOSURE_SECTION = {
+    "strategy": "interval",
+    "chains": [[0, 1, 2, 3, 4, 5]],
+    "down": [[0, 0], [0, 1], [0, 2], [0, 3], [0, 4], [0, 5]],
+    "up": [[0, 0], [0, 1], [0, 2], [0, 3], [0, 4], [0, 5]],
+}
+
+
+def _checkpoint(path) -> dict:
+    return json.loads(zlib.decompress(dict(_rows(path, "index_blobs"))["index:checkpoint"]))
+
+
+def test_a_checkpoint_with_a_closure_section_opens_and_drops_it(tmp_path):
+    """A file as the code before today's wrote it: today's checkpoint, byte
+    for byte, with :data:`OLD_CLOSURE_SECTION` appended.  It is adopted for
+    its index sections, the labelling is built by the first lineage read,
+    and the next close that writes the checkpoint leaves the section out."""
+    path = tmp_path / "sectioned.db"
+    sets = _six_steps()
+    with connect(f"sqlite:///{path}") as client:
+        client.publish_many(sets)
+    state = dict(_checkpoint(path), closure=OLD_CLOSURE_SECTION)
+    connection = sqlite3.connect(path)
+    body = zlib.compress(json.dumps(state, separators=(",", ":")).encode("utf-8"))
+    connection.execute("UPDATE index_blobs SET body = ? WHERE name = 'index:checkpoint'", (body,))
+    connection.commit()
+    connection.close()
+
+    def lineage(client) -> list:
+        return [(client.ancestors(ts.pname).records, client.descendants(ts.pname).records) for ts in sets]
+
+    with connect("memory://") as twin:
+        twin.publish_many(sets)
+        expected = lineage(twin)
+    with connect(f"sqlite:///{path}?closure=interval") as client:
+        storage = client.stats()["storage"]
+        assert storage["index_restore"]["mode"] == "adopted"
+        assert storage["closure_restore"] == NOT_RESTORED
+        assert lineage(client) == expected
+        assert client.stats()["closure"]["rebuilds"] == 1
+        client.publish(TupleSet([], ProvenanceRecord({"domain": "traffic", "step": 6}, ancestors=[sets[-1].pname])))
+    assert "closure" not in _checkpoint(path)

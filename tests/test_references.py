@@ -1,6 +1,6 @@
 """References resolve: a path the docs, the CI workflow or the verify skill
-quotes names a file that exists, and a stats block the docs print has the
-keys the live one has.
+quotes names a file that exists (and a ``path.py::Name`` a definition in
+it), and a stats block the docs print has the keys the live one has.
 
 Deleting or renaming a script without its doc line fails here, so "where
 is that number from" cannot point at nothing; removing a stats key without
@@ -24,6 +24,23 @@ SOURCES = sorted((REPO / "docs").rglob("*.md")) + [CI, REPO / ".claude" / "skill
 
 #: a repo path: one of the five top-level directories, then anything path-like
 QUOTED = re.compile(r"(?<![\w/.-])(?:benchmarks|tests|src|docs|examples)/[\w./-]*")
+#: what may follow a quoted ``.py`` path: ``::A`` or ``::A::B``
+MEMBER = re.compile(r"::(\w+)(?:::(\w+))?")
+
+
+def defines(path: Path, names: list) -> bool:
+    """True when ``path`` defines ``names[0]`` at top level and each next name inside the one before.
+
+    Read with ``ast``, never imported: a class or a function, as pytest collects them.
+    """
+    scope = ast.parse(path.read_text(encoding="utf-8")).body
+    for name in names:
+        kinds = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        found = next((node for node in scope if isinstance(node, kinds) and node.name == name), None)
+        if found is None:
+            return False
+        scope = found.body
+    return True
 
 
 def dangling_paths(text: str) -> list:
@@ -33,8 +50,11 @@ def dangling_paths(text: str) -> list:
         if text[match.end() : match.end() + 1] in ("*", "<", "{", "$"):
             path = path.rsplit("/", 1)[0]  # a pattern (``out/layers-seed<N>.json``): its directory must exist
         path = path.rstrip("./-")  # the sentence's own full stop
+        member = MEMBER.match(text, match.end()) if path.endswith(".py") else None
         if not (REPO / path).exists():
             missing.append(path)
+        elif member and not defines(REPO / path, [name for name in member.groups() if name]):
+            missing.append(path + member.group(0))
     return missing
 
 
@@ -61,6 +81,15 @@ def test_the_checker_bites_on_a_seeded_dangling_path():
     text = "see `benchmarks/gone_script.py`, tests/api/test_client_matrix.py::TestBatchedPublish and docs/*.md."
     assert dangling_paths(text) == ["benchmarks/gone_script.py"]
     assert dangling_paths("spans go to `benchmarks/layers/out/spans-<workload>.json`") == []
+    members = (
+        "tests/test_references.py::defines, tests/test_references.py::gone_function, "
+        "tests/api/test_client_matrix.py::TestBatchedPublish::test_gone and "
+        "tests/test_properties.py::TestIndexCheckpointProperties[interval]."
+    )
+    assert dangling_paths(members) == [
+        "tests/test_references.py::gone_function",
+        "tests/api/test_client_matrix.py::TestBatchedPublish::test_gone",
+    ]
     workflow = "  run: PYTHONPATH=src python -m pytest tests/obs tests/gone -q\n  run: python scripts/gone.py --quick\n"
     assert dangling_commands(workflow) == ["tests/gone", "scripts/gone.py"]
 
