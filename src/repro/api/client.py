@@ -454,7 +454,7 @@ class LocalClient(PassClient):
         self.metrics.register_provider(
             "planner",
             lambda: {
-                "statistics": self.store.statistics.snapshot(),
+                "statistics": self.store.planner_statistics(),
                 "feedback": self.store.feedback.snapshot(),
             },
         )

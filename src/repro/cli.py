@@ -785,7 +785,7 @@ def _lineage_report(args, out, client, derived) -> int:
         print(f"graph nodes/edges: {graph['nodes']} / {graph['edges']}", file=out)
         print(f"derivation depth:  max {graph['max_depth']}  mean {graph['mean_depth']}", file=out)
         print(f"fan-in:            max {graph['max_fan_in']}  mean {graph['mean_fan_in']}", file=out)
-        print(f"expected reach:    {graph['expected_reach']} (planner estimate)", file=out)
+        print(f"expected reach:    {graph['expected_reach']}", file=out)
         print(f"closure strategy:  {closure.get('strategy', '?')}", file=out)
         for key in ("chains", "labels", "label_entries", "label_builds", "rebuilds", "incremental_merges", "dirty_edges"):
             if key in closure:

@@ -132,18 +132,17 @@ class ClosureStrategy(ABC):
         return ancestor.digest in self.ancestor_digests(descendant)
 
     # -- planner estimates ------------------------------------------------
-    def estimate_ancestors(self, pname: PName) -> Optional[int]:
-        """Cheap ancestor-count estimate for the query planner, or ``None``.
+    def estimate_ancestors(self, pname: PName) -> int:
+        """How many ancestors ``pname`` has, for the query planner.
 
-        ``None`` means "this strategy cannot estimate without doing the
-        query"; the planner then falls back to the store's graph
-        statistics.  Strategies with materialized labels answer exactly.
+        Exact on every strategy: this one counts by walking; strategies
+        with materialized labels override it to count their labels.
         """
-        return None
+        return len(self.ancestor_digests(pname))
 
-    def estimate_descendants(self, pname: PName) -> Optional[int]:
-        """Cheap descendant-count estimate for the query planner, or ``None``."""
-        return None
+    def estimate_descendants(self, pname: PName) -> int:
+        """How many descendants ``pname`` has (as :meth:`estimate_ancestors`)."""
+        return len(self.descendant_digests(pname))
 
     def rebuild(self) -> None:
         """Recompute the strategy's auxiliary structures from the graph.
@@ -271,14 +270,6 @@ class MemoizedClosure(ClosureStrategy):
         cache[pname.digest] = seen
         return seen
 
-    def estimate_ancestors(self, pname: PName) -> Optional[int]:
-        hit = self._ancestor_cache.get(pname.digest)
-        return None if hit is None else len(hit)
-
-    def estimate_descendants(self, pname: PName) -> Optional[int]:
-        hit = self._descendant_cache.get(pname.digest)
-        return None if hit is None else len(hit)
-
     def _on_edge(self, child: PName, parent: PName) -> None:
         # Invalidate ancestor sets of the child and everything below it,
         # and descendant sets of the parent and everything above it.
@@ -351,17 +342,15 @@ class LabelledClosure(ClosureStrategy):
         self.operations += 1
         return ancestor.digest in self._ancestor_labels.get(descendant.digest, set())
 
-    def estimate_ancestors(self, pname: PName) -> Optional[int]:
+    def estimate_ancestors(self, pname: PName) -> int:
         if self._pending:
             self._build_labels()
-        labels = self._ancestor_labels.get(pname.digest)
-        return None if labels is None else len(labels)
+        return len(self._ancestor_labels.get(pname.digest, ()))
 
-    def estimate_descendants(self, pname: PName) -> Optional[int]:
+    def estimate_descendants(self, pname: PName) -> int:
         if self._pending:
             self._build_labels()
-        labels = self._descendant_labels.get(pname.digest)
-        return None if labels is None else len(labels)
+        return len(self._descendant_labels.get(pname.digest, ()))
 
     def rebuild(self) -> None:
         """Drop every label set and build them now (also the pre-warm after an open)."""

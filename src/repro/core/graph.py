@@ -303,7 +303,7 @@ class ProvenanceGraph:
         return memo[start]
 
     def ancestry_depth_distribution(self) -> Dict[int, int]:
-        """Histogram of node depth -> count; used by evaluation reports.
+        """Histogram of node depth -> count, the store's one definition of depth.
 
         One memo is shared across the whole sweep, so the sweep is
         O(V + E) rather than the O(V * E) a per-node recomputation costs.
@@ -314,6 +314,29 @@ class ProvenanceGraph:
             depth = self._depth_into(digest, memo)
             histogram[depth] = histogram.get(depth, 0) + 1
         return dict(sorted(histogram.items()))
+
+    def shape(self) -> dict:
+        """The DAG's shape as ``stats()`` reports it, read off the graph now (O(V + E)).
+
+        Node and edge counts, fan-in, the depth histogram of
+        :meth:`ancestry_depth_distribution`, and ``expected_reach``: mean
+        depth times mean fan-in (at least 1), plus one, capped at the node
+        count -- a rough size of an average lineage probe's closure.
+        """
+        nodes, edges = len(self._parents), self.edge_count()
+        histogram = self.ancestry_depth_distribution()
+        mean_depth = sum(depth * count for depth, count in histogram.items()) / nodes if nodes else 0.0
+        mean_fan_in = edges / nodes if nodes else 0.0
+        return {
+            "nodes": nodes,
+            "edges": edges,
+            "max_depth": max(histogram, default=0),
+            "max_fan_in": max(map(len, self._parents.values()), default=0),
+            "mean_depth": round(mean_depth, 3),
+            "mean_fan_in": round(mean_fan_in, 3),
+            "expected_reach": min(nodes, round(mean_depth * max(1.0, mean_fan_in)) + 1) if nodes else 0,
+            "depth_histogram": histogram,
+        }
 
     def topological_order(self) -> List[PName]:
         """Nodes ordered parents-before-children (raw data first)."""

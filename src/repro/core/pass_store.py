@@ -58,7 +58,6 @@ from repro.query.executor import execute as _execute_plan
 from repro.query.explain import Explain
 from repro.query.feedback import FeedbackCollector
 from repro.query.planner import QueryPlanner
-from repro.query.statistics import Statistics
 from repro.storage.backend import StorageBackend
 from repro.storage.memory import MemoryBackend
 
@@ -173,17 +172,16 @@ class PassStore(LineageOracle):
         self._abstraction_rules: List[AbstractionRule] = []
         # Post-commit ingest observers (the repro.stream engine hooks in
         # here).  Hooks fire strictly after the backend write, the graph
-        # and closure edges, every index, and the statistics collector
-        # have all committed -- an observer that turns around and queries
-        # the store sees the new record fully ingested, never half-way.
+        # and closure edges, every index and the record count have all
+        # committed -- an observer that turns around and queries the
+        # store sees the new record fully ingested, never half-way.
         self._ingest_hooks: List[Callable[[PName, ProvenanceRecord], None]] = []
 
     def _empty_indexes(self) -> tuple:
         attribute_index = AttributeIndex(self._indexed_attributes)
         temporal_index = TemporalIndex()
         spatial_index = SpatialIndex()
-        statistics = Statistics(attribute_index, temporal_index, spatial_index)
-        return ProvenanceGraph(), attribute_index, temporal_index, spatial_index, statistics
+        return ProvenanceGraph(), attribute_index, temporal_index, spatial_index
 
     # ------------------------------------------------------------------
     # Ingest
@@ -267,6 +265,7 @@ class PassStore(LineageOracle):
         for record, _ in fresh:
             self._index_record(record.pname(), record)
         self.stats.ingested += len(fresh)
+        self.record_count += len(fresh)
         # Hooks fire only after the *whole* batch (backend transaction and
         # every record's indexes/graph edges) has committed, so a hook that
         # queries the store mid-batch cannot observe a torn batch either.
@@ -295,8 +294,6 @@ class PassStore(LineageOracle):
         location = record.get("location")
         if isinstance(location, GeoPoint):
             self.spatial_index.add(pname, location)
-        self.statistics.observe(record)
-        self.graph_stats.observe(pname, record.ancestors)
         self._checkpoint_stale = True
 
     # ------------------------------------------------------------------
@@ -306,8 +303,8 @@ class PassStore(LineageOracle):
         """Register an observer called after each *fresh* record commits.
 
         The hook runs strictly post-commit: backend, provenance graph,
-        closure, all indexes and statistics are already updated when it
-        fires, so the hook may query the store.  Idempotent re-ingests
+        closure, all indexes and the record count are already updated
+        when it fires, so the hook may query the store.  Idempotent re-ingests
         of already-stored records do not fire (nothing new landed).
         """
         self._ingest_hooks.append(hook)
@@ -575,10 +572,7 @@ class PassStore(LineageOracle):
         """
         adopted = self._adopt_index_checkpoint()
         indexes, replay_after = adopted or (self._empty_indexes(), None)
-        self.graph, self.attribute_index, self.temporal_index, self.spatial_index, self.statistics = indexes
-        # The DAG-shape collector the statistics own (repro.core stays
-        # import-independent of repro.lineage; see make_closure).
-        self.graph_stats = self.statistics.graph
+        self.graph, self.attribute_index, self.temporal_index, self.spatial_index = indexes
         # (a SQLite file reopened after a crash has rows past its checkpoint)
         replay = self.backend.iter_records() if replay_after is None else self.backend.iter_records(replay_after)
         tail = 0
@@ -591,6 +585,8 @@ class PassStore(LineageOracle):
             self._index_attributes(pname, record)
             tail += 1
         self._index_restore_report["tail"] = tail
+        # What the planner prices a full scan at: one more per fresh record from here.
+        self.record_count = self._index_restore_report["covered"] + tail
         if replay_after is None and tail:
             self._index_restore_report["mode"] = "replayed"
         # One read of the markers, not one statement per record.
@@ -607,11 +603,12 @@ class PassStore(LineageOracle):
     def _adopt_index_checkpoint(self) -> Optional[Tuple[tuple, int]]:
         """The indexes an earlier session checkpointed, if they still describe the backend.
 
-        Returns ``(indexes, marker)`` -- the five structures of
+        Returns ``(indexes, marker)`` -- the four structures of
         :meth:`_empty_indexes`, filled, and the backend marker of the
         last record they cover -- or ``None`` with the reason recorded;
-        the caller then replays.  A ``closure`` section written by older
-        code is not read.  Refusing is always safe,
+        the caller then replays.  The ``closure``, ``statistics`` and
+        ``graph_statistics`` sections older code wrote are not read.
+        Refusing is always safe,
         adopting never executes anything the blob holds: it is zlib over
         JSON.
         """
@@ -656,15 +653,12 @@ class PassStore(LineageOracle):
         if _names_crc(digests) != state.get("names_crc"):
             return refused("checkpoint describes another file's records")
         indexes = self._empty_indexes()
-        graph, attribute_index, temporal_index, spatial_index, statistics = indexes
+        graph, attribute_index, temporal_index, spatial_index = indexes
         try:
-            nodes = digests + [PName(str(digest)).digest for digest in bare]
-            graph.restore(state["graph"], nodes)
+            graph.restore(state["graph"], digests + [PName(str(digest)).digest for digest in bare])
             attribute_index.restore(state["attributes"], digests)
             temporal_index.restore(state["temporal"], digests)
             spatial_index.restore(state["spatial"], digests)
-            statistics.restore(state["statistics"])
-            statistics.graph.restore(state["graph_statistics"], nodes)
         except _MALFORMED as error:
             return refused(f"malformed checkpoint: {type(error).__name__}: {error}")
         report.update(mode="adopted", covered=count, reason=None)
@@ -705,8 +699,6 @@ class PassStore(LineageOracle):
             "attributes": self.attribute_index.snapshot(position_of),
             "temporal": self.temporal_index.snapshot(position_of),
             "spatial": self.spatial_index.snapshot(position_of),
-            "statistics": self.statistics.checkpoint(),
-            "graph_statistics": self.graph_stats.checkpoint(position_of),
         }
         payload = zlib.compress(json.dumps(state, separators=(",", ":")).encode("utf-8"))
         stored = self.backend.put_index_blob(_CHECKPOINT_KEY, payload)
@@ -754,6 +746,27 @@ class PassStore(LineageOracle):
         snapshot["closure_restore"] = {"mode": "none", "reason": "labelling built on the first lineage read"}
         snapshot["index_restore"] = dict(self._index_restore_report, deferred=self.unbuilt_sections())
         return snapshot
+
+    def planner_statistics(self) -> dict:
+        """The ``stats()["planner"]["statistics"]`` block, read where each value lives.
+
+        The record count the planner prices a full scan at; per attribute
+        (``annotation:`` names aside) the distinct values the attribute
+        index holds; the sizes and time span of the temporal and spatial
+        indexes; and the graph's :meth:`~repro.core.graph.ProvenanceGraph.shape`.
+        No read builds a deferred section.  O(V + E) for the graph's depths.
+        """
+        index = self.attribute_index
+        attributes = [name for name in index.indexed_attributes() if not name.startswith("annotation:")]
+        return {
+            "record_count": self.record_count,
+            "attributes": len(attributes),
+            "distinct_counts": {name: index.cardinality(name) for name in attributes},
+            "windowed_records": len(self.temporal_index),
+            "located_records": len(self.spatial_index),
+            "time_span": self.temporal_index.span(),
+            "graph": self.graph.shape(),
+        }
 
     def unbuilt_sections(self) -> List[str]:
         """The checkpointed index sections no probe has built yet, sorted.

@@ -107,6 +107,8 @@ class SpatialIndex:
         if not len(lats) == len(lons) == len(positions):
             raise ValueError("point columns of unequal length")
         check_positions(positions, len(digests))
+        if len(set(positions)) != len(positions):
+            raise ValueError("a record located twice")
         _check_degrees(lats, 90.0, "latitude")
         _check_degrees(lons, 180.0, "longitude")
         self._section = (lats, lons, positions, digests)
@@ -177,8 +179,8 @@ def _check_degrees(values: Sequence, limit: float, name: str) -> None:
 class _UnbuiltSpatialIndex(SpatialIndex):
     """A restored :class:`SpatialIndex` before its first probe.
 
-    :meth:`add` keeps the move for the build; a probe, a length or a
-    snapshot builds the checked section, replays the kept moves in order,
+    :meth:`add` keeps the move for the build; a probe or a snapshot
+    builds the checked section, replays the kept moves in order,
     and turns the object into a plain :class:`SpatialIndex` -- from then
     on no call goes through this class.
     """
@@ -214,8 +216,9 @@ class _UnbuiltSpatialIndex(SpatialIndex):
             self.add(pname, location)
 
     def __len__(self) -> int:
-        self._build()
-        return len(self)
+        # (the section names each record once, checked; the kept moves are
+        # of fresh records, which it does not cover)
+        return len(self._section[2]) + len(self._tail)
 
     def snapshot(self, position_of: Dict[str, int]) -> dict:
         self._build()

@@ -19,14 +19,15 @@ easy to verify.
 An index restored from a checkpoint is checked whole and left unbuilt
 (an :class:`_UnbuiltTemporalIndex`) until its first probe builds it and
 it becomes a plain :class:`TemporalIndex` again; writes that reach it
-first wait for that build.
+first wait for that build.  Its length and span are read off the checked
+section and those writes, building nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from operator import sub
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.attributes import Timestamp
 from repro.core.provenance import PName
@@ -60,6 +61,12 @@ class TemporalIndex:
 
     def __len__(self) -> int:
         return len(self._intervals)
+
+    def span(self) -> Optional[Tuple[float, float]]:
+        """(earliest start, latest end) in seconds over every interval, or None when empty."""
+        if not self._intervals:
+            return None
+        return self._intervals[0][0], max(end for _, end, _ in self._intervals)
 
     def snapshot(self, position_of: Dict[str, int]) -> dict:
         """The intervals column by column, each PName named by ``position_of`` its digest."""
@@ -144,6 +151,15 @@ class _UnbuiltTemporalIndex(TemporalIndex):
 
     def __len__(self) -> int:
         return len(self._section[2]) + len(self._tail)
+
+    def span(self) -> Optional[Tuple[float, float]]:
+        starts, ends = self._section[:2]
+        if not (starts or self._tail):
+            return None
+        return (
+            min([*starts, *(start for start, _, _ in self._tail)]),
+            max([*ends, *(end for _, end, _ in self._tail)]),
+        )
 
     def _build(self) -> None:
         starts, ends, positions, digests, max_duration = self._section

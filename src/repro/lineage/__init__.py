@@ -11,10 +11,7 @@ scale:
   (``connect("memory://?closure=interval")``): O(labels) membership,
   output-sensitive enumeration, O(V * k) memory instead of the labelled
   strategy's O(V^2) sets, maintained lazily from a dirty set and
-  persisted as the ``closure`` section of the store's index checkpoint.
-* :class:`~repro.lineage.stats.GraphStatistics` -- ingest-maintained
-  depth-histogram / fan-out statistics the cost-based planner prices
-  lineage probes with.
+  built on the first lineage read after an open (never checkpointed).
 * The planner-facing access paths
   :class:`~repro.query.paths.LineageAncestorsProbe` and
   :class:`~repro.query.paths.LineageDescendantsProbe` (re-exported here;
@@ -29,11 +26,9 @@ invariants, and guidance on choosing a closure strategy.
 """
 
 from repro.lineage.interval import IntervalClosure
-from repro.lineage.stats import GraphStatistics
 from repro.query.paths import LineageAncestorsProbe, LineageDescendantsProbe
 
 __all__ = [
-    "GraphStatistics",
     "IntervalClosure",
     "LineageAncestorsProbe",
     "LineageDescendantsProbe",

@@ -259,7 +259,7 @@ class IntervalClosure(ClosureStrategy):
     # ------------------------------------------------------------------
     # Planner estimates (exact, O(labels) each)
     # ------------------------------------------------------------------
-    def estimate_ancestors(self, pname: PName) -> Optional[int]:
+    def estimate_ancestors(self, pname: PName) -> int:
         if pname not in self.graph:
             return 0
         self._ensure_current()
@@ -268,7 +268,7 @@ class IntervalClosure(ClosureStrategy):
             return 0
         return sum(last + 1 for last in labels.values()) - 1  # minus self
 
-    def estimate_descendants(self, pname: PName) -> Optional[int]:
+    def estimate_descendants(self, pname: PName) -> int:
         if pname not in self.graph:
             return 0
         self._ensure_current()

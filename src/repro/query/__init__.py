@@ -8,13 +8,10 @@ the read path:
 
 * :mod:`repro.query.normalize` -- predicate canonicalization and the
   value-free shape keys explain output reports,
-* :mod:`repro.query.statistics` -- ingest-maintained statistics feeding
-  the cost model,
 * :mod:`repro.query.paths` -- the physical access paths (index probes,
   scans, intersections, unions),
 * :mod:`repro.query.planner` -- the cost-based path choice, made per query,
-* :mod:`repro.query.feedback` -- closure-strategy advice and the hot-key
-  result cache,
+* :mod:`repro.query.feedback` -- the hot-key result cache,
 * :mod:`repro.query.executor` -- execution, honest accounting and
   :class:`~repro.query.explain.Explain` output.
 
@@ -40,7 +37,6 @@ from repro.query.paths import (
     TemporalOverlapProbe,
 )
 from repro.query.planner import Plan, QueryPlanner
-from repro.query.statistics import Statistics
 
 __all__ = [
     "AccessPath",
@@ -55,7 +51,6 @@ __all__ = [
     "QueryPlanner",
     "RangeProbe",
     "SpatialRadiusProbe",
-    "Statistics",
     "TemporalOverlapProbe",
     "execute",
     "normalize",

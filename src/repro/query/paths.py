@@ -2,9 +2,9 @@
 
 Each path knows three things:
 
-* how to *estimate* its result cardinality from the store's
-  :class:`~repro.query.statistics.Statistics` and index metadata without
-  fetching a single record,
+* how to *estimate* its result cardinality from the store's record
+  count, index metadata and closure strategy without fetching a single
+  record,
 * how to *probe* the store's indexes for the candidate names -- digest
   strings, the form every index, the graph and the backends are keyed
   by; the executor's readers wrap what they hand out,
@@ -106,7 +106,7 @@ class FullScanPath(AccessPath):
         return "full scan over all records"
 
     def estimate(self, store) -> int:
-        return store.statistics.record_count
+        return store.record_count
 
     def probe(self, store) -> Set[str]:  # pragma: no cover - executor special-cases
         return {pname.digest for pname, _ in store.backend.iter_records()}
@@ -316,12 +316,7 @@ class _LineageProbe(AccessPath):
             if self.direction == "ancestors"
             else store.closure.estimate_descendants
         )
-        estimated = estimator(self.focus)
-        if estimated is None:
-            # Strategy cannot answer cheaply: price from the store's
-            # depth-histogram / fan-out statistics instead.
-            estimated = store.graph_stats.expected_reach()
-        return estimated + (1 if self.include_self else 0)
+        return estimator(self.focus) + (1 if self.include_self else 0)
 
     def probe(self, store) -> Set[str]:
         with trace.span(

@@ -7,7 +7,7 @@ Given a :class:`~repro.core.query.Query`, the planner:
    answer -- and builds a candidate access path for each
    (:mod:`repro.query.paths`),
 3. estimates each candidate's cardinality -- once -- from the store's
-   :class:`~repro.query.statistics.Statistics` and index metadata,
+   record count, index metadata and closure strategy,
 4. picks the cheapest path, upgrading to an index intersection when a
    second conjunct is selective enough to pay for its probe.
 
@@ -109,8 +109,7 @@ class QueryPlanner:
         predicate = normalize(query.predicate) if key is None else key.predicate
         shape = shape_key(predicate) if key is None else key.shape
         if force_full_scan:
-            record_count = self._store.statistics.record_count
-            return Plan(query, predicate, FullScanPath(), shape, record_count, predicate)
+            return Plan(query, predicate, FullScanPath(), shape, self._store.record_count, predicate)
         path, estimated_rows, residual = self._choose_path(predicate)
         return Plan(query, predicate, path, shape, estimated_rows, residual)
 
@@ -132,7 +131,7 @@ class QueryPlanner:
         :class:`Plan`).
         """
         store = self._store
-        record_count = store.statistics.record_count
+        record_count = store.record_count
         options: List[Tuple[int, AccessPath, Predicate]] = []
         for conjunct in self._conjuncts_of(predicate):
             path = self._sargable(conjunct)

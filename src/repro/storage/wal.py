@@ -10,7 +10,7 @@ a recovery procedure that repairs them.
 
 * every intended operation (``put_record``, ``put_payload``,
   ``mark_removed``, and ``put_index_blob`` for the store's one index
-  checkpoint, closure labelling included) is appended as one JSON line
+  checkpoint) is appended as one JSON line
   with a CRC;
 * a crash can be injected after any append, leaving the log ahead of the
   backing store (the normal WAL situation) or tearing the final line
@@ -146,7 +146,7 @@ class WriteAheadLog:
     def log_put_index_blob(self, name: str, payload: bytes) -> WalEntry:
         """Log an intent to persist an auxiliary index snapshot.
 
-        The index checkpoint (closure labelling included) is recovered
+        The index checkpoint is recovered
         like any other acknowledged write: replay re-installs the blob,
         and the store's checkpoint header check decides whether it still
         describes the recovered records.

@@ -1,7 +1,7 @@
 """The index checkpoint: a reopen that adopts it answers like one that replays.
 
 ``LocalClient.close()`` writes the store's derived state (postings, edges,
-intervals, points, statistics) as one zlib-over-JSON blob; the next open
+intervals, points) as one zlib-over-JSON blob; the next open
 adopts it when its header still describes the file and replays only the
 rows past it.  These tests hold adoption to replay and to ``memory://``,
 count the tail after a crash, and walk every reason a blob is refused.
@@ -115,7 +115,7 @@ def answers(client, made: dict) -> dict:
     store = client.store
     found["removed"] = [store.is_removed(tuple_set.pname) for tuple_set in sets]
     found["graph_removed"] = [store.graph.is_removed(tuple_set.pname) for tuple_set in sets]
-    found["statistics"] = store.statistics.snapshot()
+    found["statistics"] = store.planner_statistics()
     found["index_entries"] = store.attribute_index.entry_count()
     found["distinct_tags"] = store.attribute_index.distinct_values("tags")
     found["invariants"] = store.verify_invariants()
@@ -203,6 +203,48 @@ def test_adoption_replay_and_memory_give_the_same_answers(tmp_path, suffix):
     with repro.connect(url) as adopted:
         assert restore_report(adopted)["mode"] == "adopted"
         assert answers(adopted, made) == expected
+
+
+def test_one_depth_per_store_whatever_the_ingest_order_or_open_path(tmp_path):
+    """A -> P -> C, then P annotated: the rewrite moves P's row past C's, so
+    the replay after a session that never closed meets C before its parent.
+    Depth is read off the graph, so the reopened store reports what its
+    ``memory://`` twin and the graph itself do."""
+    path = tmp_path / "pass.db"
+    a = _tuple_set(0, 0)
+    p = _tuple_set(0, 1, [a.pname])
+    c = _tuple_set(0, 2, [p.pname])
+    twin, client = repro.connect("memory://"), repro.connect(f"sqlite:///{path}")
+    for each in (twin, client):
+        for tuple_set in (a, p, c):
+            each.publish(tuple_set)
+        each.store.annotate(p.pname, repro.Annotation("quality", "good"))
+    client.store.backend._connection.close()  # the process dies here: no checkpoint
+    with twin, repro.connect(f"sqlite:///{path}") as reopened:
+        assert restore_report(reopened)["mode"] == "replayed"
+        statistics = reopened.stats()["planner"]["statistics"]
+        assert statistics == twin.stats()["planner"]["statistics"]
+        assert statistics["graph"]["depth_histogram"] == reopened.store.graph.ancestry_depth_distribution()
+        assert (statistics["graph"]["max_depth"], statistics["graph"]["depth_histogram"]) == (2, {0: 1, 1: 1, 2: 1})
+
+
+def test_stats_on_an_adopted_store_builds_no_section(tmp_path):
+    """The statistics block is read off the sections as checked, and the
+    writes kept for them, and equals the ``memory://`` twin's."""
+    path = tmp_path / "pass.db"
+    late = [_tuple_set(9, 0), _tuple_set(9, 1)]
+    with repro.connect("memory://") as memory:
+        populate(memory)
+        memory.publish_many(late)
+        expected = memory.stats()["planner"]["statistics"]
+    with repro.connect(f"sqlite:///{path}") as client:
+        populate(client)
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.publish_many(late)
+        deferred = client.store.unbuilt_sections()
+        assert deferred == every_section(*ATTRIBUTES, "annotation:quality", "annotation:reviewed")
+        assert client.stats()["planner"]["statistics"] == expected
+        assert client.store.unbuilt_sections() == deferred
 
 
 def test_records_are_named_by_position_never_by_digest(tmp_path):
@@ -373,7 +415,6 @@ def _bad_header(state):
 def _duplicate_node(state):
     state["bare"].append(state["bare"][0])
     state["graph"]["parents"].append([])
-    state["graph_statistics"]["depths"].append(0)
 
 
 REFUSALS = {
@@ -473,6 +514,49 @@ def test_an_old_closure_section_is_never_read_whatever_it_holds(tmp_path, damage
         assert client.stats()["closure"]["rebuilds"] == 1
         client.publish(_tuple_set(9, 0, [made["merged"].pname]))
     assert "closure" not in json.loads(zlib.decompress(read_blob(path)))
+
+
+def _old_statistics_sections(state) -> None:
+    """``statistics`` and ``graph_statistics`` in the shape older code wrote
+    them next to the index sections (counters, and one depth per node
+    position), with values that fit no store: they must not be read."""
+    nodes = len(state["graph"]["parents"])
+    state["statistics"] = {
+        "record_count": 10_000,
+        "attribute_counts": {"domain": 10_000},
+        "window": [-1.0, 1.0],
+        "windowed_count": 10_000,
+        "located_count": 10_000,
+    }
+    state["graph_statistics"] = {"depths": [7] * nodes, "edges": 10_000, "max_fan_in": 99}
+
+
+def test_old_statistics_sections_are_never_read(tmp_path):
+    """A checkpoint that older code wrote with its statistics sections is
+    adopted for its index sections; the statistics are read off those, the
+    record count is what the open covered plus its tail, and the next
+    checkpoint written leaves both sections out."""
+    path = tmp_path / "pass.db"
+    url = f"sqlite:///{path}"
+    late = _tuple_set(9, 0, [chains()[4].pname])
+    with repro.connect("memory://") as memory:
+        made = populate(memory)
+        memory.publish(late)
+        expected = answers(memory, made), memory.stats()["planner"]["statistics"]
+    with repro.connect(url) as client:
+        populate(client)
+    write_blob(path, edited(read_blob(path), _old_statistics_sections))
+    client = repro.connect(url)
+    client.publish(late)
+    client.store.backend._connection.close()  # the process dies here: the old blob stays
+    with repro.connect(url) as client:
+        report = restore_report(client)
+        assert (report["mode"], report["covered"], report["tail"]) == ("adopted", 20, 1)
+        statistics = client.stats()["planner"]["statistics"]
+        assert statistics["record_count"] == report["covered"] + report["tail"] == len(client.store)
+        assert (answers(client, made), statistics) == expected
+        client.publish(_tuple_set(9, 1))
+    assert not {"statistics", "graph_statistics"} & set(json.loads(zlib.decompress(read_blob(path))))
 
 
 def test_changed_indexed_attributes_refuse_the_checkpoint(tmp_path):
@@ -609,7 +693,7 @@ def test_a_dirty_close_writes_the_blob_an_eager_open_would(tmp_path):
         with repro.connect(f"sqlite:///{file}") as client:
             store = client.store
             if eager:
-                store.attribute_index.entry_count(), len(store.spatial_index)
+                store.attribute_index.entry_count(), store.spatial_index.within_radius(PLACES[0], 0.0)
                 store.temporal_index.estimate_overlapping(Timestamp(0.0), Timestamp(0.0))
                 assert store.unbuilt_sections() == []
             client.publish_many(late)

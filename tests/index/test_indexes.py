@@ -202,6 +202,19 @@ class TestTemporalIndex:
         index, _ = self._populated()
         assert len(index) == 5
 
+    def test_a_restored_index_counts_and_spans_without_building(self):
+        index, names = self._populated()
+        order = sorted(names.values())
+        restored = TemporalIndex()
+        restored.restore(index.snapshot({digest: at for at, digest in enumerate(order)}), order)
+        late = _record(window="late")
+        restored.add(late.pname(), Timestamp(-50.0), Timestamp(900.0))
+        assert (len(restored), restored.span(), restored.built) == (6, (-50.0, 900.0), False)
+        restored.overlapping(Timestamp(0.0), Timestamp(0.0))
+        assert (len(restored), restored.span(), restored.built) == (6, (-50.0, 900.0), True)
+        assert index.span() == (0.0, 500.0)
+        assert TemporalIndex().span() is None
+
 
 class TestSpatialIndex:
     LONDON = GeoPoint(51.5074, -0.1278)
@@ -300,3 +313,21 @@ class TestSpatialIndex:
             assert restored.within_radius(centre, radius) == index.within_radius(centre, radius)
             assert restored.estimate_within(centre, radius) == index.estimate_within(centre, radius)
         assert len(restored) == 4
+
+    def test_a_restored_index_counts_without_building(self):
+        index, names = self._populated()
+        order = sorted(names.values())
+        restored = SpatialIndex()
+        restored.restore(index.snapshot({digest: at for at, digest in enumerate(order)}), order)
+        restored.add(_record(place="late").pname(), self.BOSTON)
+        assert (len(restored), restored.built) == (4, False)
+        restored.within_radius(self.LONDON, 1.0)
+        assert (len(restored), restored.built) == (4, True)
+
+    def test_a_section_that_locates_a_record_twice_is_refused(self):
+        index, names = self._populated()
+        order = sorted(names.values())
+        state = index.snapshot({digest: at for at, digest in enumerate(order)})
+        state["positions"][1] = state["positions"][0]
+        with pytest.raises(ValueError, match="a record located twice"):
+            SpatialIndex().restore(state, order)

@@ -111,6 +111,15 @@ RESULT_CACHE_KEYS = frozenset(
     {"entries", "hits", "misses", "invalidations", "evictions"}
 )
 
+#: the frozen sub-schema of stats()["planner"]["statistics"], and of its
+#: graph block: every value is read off the indexes and the graph when asked
+PLANNER_STATISTICS_KEYS = frozenset(
+    {"record_count", "attributes", "distinct_counts", "windowed_records", "located_records", "time_span", "graph"}
+)
+GRAPH_SHAPE_KEYS = frozenset(
+    {"nodes", "edges", "max_depth", "max_fan_in", "mean_depth", "mean_fan_in", "expected_reach", "depth_histogram"}
+)
+
 #: stats()["closure"] per strategy.  Only ``labelled`` has labels that an
 #: open can leave pending, so only it reports ``labels`` / ``label_builds``;
 #: the others omit both (``interval`` says ``built`` / ``rebuilds`` of its own).
@@ -191,6 +200,18 @@ class TestGoldenKeys:
         assert set(feedback["result_cache"]) == RESULT_CACHE_KEYS
         assert feedback["result_cache"]["misses"] >= 1
         assert set(stats["planner"]) == {"statistics", "feedback"}
+
+    def test_planner_statistics_block_keeps_its_schema(self, exercised):
+        """Exactly its keys, and its graph block exactly its own, on every
+        target that carries a planner."""
+        target, client = exercised
+        stats = client.stats()
+        if "planner" not in stats:
+            pytest.skip("architecture models carry no planner block")
+        statistics = stats["planner"]["statistics"]
+        assert set(statistics) == PLANNER_STATISTICS_KEYS
+        assert set(statistics["graph"]) == GRAPH_SHAPE_KEYS
+        assert statistics["record_count"] == stats["records"]
 
     def test_closure_block_keeps_its_documented_schema(self, exercised):
         """Per strategy; every target runs ``interval``, whose labelling

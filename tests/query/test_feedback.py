@@ -260,8 +260,8 @@ class TestResultCache:
 
 
 class TestStatisticsWithoutRefresh:
-    """Ingest-time statistics are the ones a rebuild would produce, and
-    queries never touch them."""
+    """The statistics, read off the indexes and the graph when asked, are
+    the ones a recount produces, and queries never touch them."""
 
     def test_ingest_time_attribute_counts_equal_a_recount(self):
         store = _shifted_store()
@@ -271,18 +271,18 @@ class TestStatisticsWithoutRefresh:
         for pname in store.pnames():
             for name in store.get_record(pname).attributes:
                 recount[name] = recount.get(name, 0) + 1
-        assert store.statistics.attribute_counts == recount
-        assert store.statistics.record_count == len(store.pnames()) == 1801
+        index = store.attribute_index
+        names = [name for name in index.indexed_attributes() if not name.startswith("annotation:")]
+        assert {name: index.attribute_entry_count(name) for name in names} == recount
+        assert store.record_count == len(store.pnames()) == 1801
 
     def test_queries_leave_the_statistics_as_they_found_them(self):
         store = _shifted_store()
         _flood(store, 1000, 800)
-        before = store.statistics.snapshot()
-        graph_before = store.graph_stats.snapshot()
+        before = store.planner_statistics()
         for probe in range(200):
             store.query_explain(_narrow(probe % 80))
-        assert store.statistics.snapshot() == before
-        assert store.graph_stats.snapshot() == graph_before
+        assert store.planner_statistics() == before
 
     def test_parents_first_ingest_records_exact_depths(self):
         store = PassStore()
@@ -291,20 +291,23 @@ class TestStatisticsWithoutRefresh:
         child = TupleSet([], _record("city-003", 2, ancestors=(parent.pname,)))
         for tuple_set in (grand, parent, child):
             store.ingest(tuple_set)
-        assert store.graph_stats.max_depth == 2
-        assert store.graph_stats.depth_histogram == {0: 1, 1: 1, 2: 1}
-        assert store.graph_stats.depth_of(child.pname) == 2
+        graph = store.planner_statistics()["graph"]
+        assert graph["max_depth"] == 2
+        assert graph["depth_histogram"] == {0: 1, 1: 1, 2: 1}
+        assert store.graph.depth(child.pname) == 2
 
-    def test_child_first_ingest_understates_depth_but_not_lineage(self):
-        """Nothing recomputes depths, so child-first lineage keeps the
-        understated depth fixed at ingest; the answers stay exact."""
+    def test_child_first_ingest_reports_the_exact_depth(self):
+        """Depth is read off the graph as it stands, so child-first lineage
+        reports the same depths as parents-first; the answers stay exact."""
         store = PassStore()
         grand = TupleSet([], _record("city-001", 0))
         parent = TupleSet([], _record("city-002", 1, ancestors=(grand.pname,)))
         child = TupleSet([], _record("city-003", 2, ancestors=(parent.pname,)))
         for tuple_set in (child, parent, grand):
             store.ingest(tuple_set)
-        assert store.graph_stats.max_depth == 1
+        graph = store.planner_statistics()["graph"]
+        assert graph["max_depth"] == 2
+        assert graph["depth_histogram"] == {0: 1, 1: 1, 2: 1}
         assert store.ancestors(child.pname) == {parent.pname, grand.pname}
         found = store.query(Q.derived_from(grand.pname))
         assert set(found) == {parent.pname, child.pname}

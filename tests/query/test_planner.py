@@ -342,8 +342,8 @@ class TestExplainSurface:
 
 
 class TestStatistics:
-    def test_ingest_maintained_counters(self, store):
-        snapshot = store.statistics.snapshot()
+    def test_counters_read_off_the_indexes(self, store):
+        snapshot = store.planner_statistics()
         assert snapshot["record_count"] == 200
         assert snapshot["windowed_records"] == 200
         assert snapshot["located_records"] == 200
@@ -385,7 +385,7 @@ class TestStatistics:
         store.backend.close()
 
         reopened = PassStore(backend=make_backend("sqlite", path=path))
-        assert reopened.statistics.record_count == 25
+        assert reopened.record_count == 25
         explain = reopened.explain(AttributeEquals("sequence", 7))
         assert explain.path_kind == "attr-eq"
         assert explain.actual_rows == 1

@@ -552,9 +552,9 @@ class TestIndexCheckpointProperties:
         ``close()`` (checkpoint written when stale) or by an injected crash
         (none written; an op the crash cut short is retried in the next
         session): every reopen -- adopted with a tail, adopted clean, or
-        refused and replayed -- answers like the ``memory://`` twin.  Under
-        ``interval`` the checkpoint carries the labelling too, adopted only
-        by a reopen with no tail."""
+        refused and replayed -- answers like the ``memory://`` twin and reports
+        the same planner statistics, depths included.  No checkpoint carries
+        a labelling: the first lineage read after each reopen builds it."""
         path = tmp_path_factory.mktemp("checkpoint") / "pass.db"
         url = f"sqlite:///{path}?closure={closure}"
         published = []
@@ -594,9 +594,8 @@ class TestIndexCheckpointProperties:
                 assert durable.store.graph.is_removed(pname) == memory.store.graph.is_removed(pname)
                 assert durable.store.ancestors(pname) == memory.store.ancestors(pname)
                 assert durable.store.descendants(pname) == memory.store.descendants(pname)
-            counted = [c.store.statistics for c in (durable, memory)]
-            assert counted[0].attribute_counts == counted[1].attribute_counts
-            assert counted[0].graph.nodes == counted[1].graph.nodes
+            counted = [client.stats()["planner"]["statistics"] for client in (durable, memory)]
+            assert counted[0] == counted[1]
             assert durable.store.attribute_index.entry_count() == memory.store.attribute_index.entry_count()
             assert durable.store.verify_invariants() == []
 
