@@ -15,11 +15,15 @@ disappearing, which is what PASS property P4 requires.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from itertools import chain, compress
+from operator import not_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.errors import CycleError, UnknownEntityError
+from repro.index.sections import check_positions, column
 
 __all__ = ["ProvenanceGraph"]
 
@@ -94,15 +98,16 @@ class ProvenanceGraph:
         self._removed.add(pname.digest)
 
     def snapshot(self, position_of: Dict[str, int]) -> dict:
-        """Every node's parents, node by node in position order.
+        """Every node's parents, node by node in position order, as two ``int64`` columns.
 
         ``position_of`` numbers exactly this graph's nodes from 0, and
-        lists them in that order.  The removal marks are not part: the
-        backend keeps those itself.
+        lists them in that order: ``counts`` holds how many parents each
+        has, ``parents`` their positions, node after node, each node's
+        sorted.  The removal marks are not part: the backend keeps those
+        itself.
         """
-        return {
-            "parents": [sorted(position_of[parent] for parent in self._parents[digest]) for digest in position_of]
-        }
+        listed = [sorted(map(position_of.__getitem__, self._parents[digest])) for digest in position_of]
+        return {"counts": array("q", map(len, listed)), "parents": array("q", chain.from_iterable(listed))}
 
     def restore(self, state: dict, digests: Sequence[str]) -> None:
         """Adopt a :meth:`snapshot` into this empty graph; ``digests[position]`` names a node.
@@ -111,31 +116,38 @@ class ProvenanceGraph:
         form a DAG and ``ValueError``/``TypeError``/``LookupError`` on
         other state that no snapshot produces; the graph then stays empty.
         """
-        listed = state["parents"]
+        counts = column(state["counts"], "q")
+        listed = check_positions(state["parents"], len(digests))
         parents: Dict[str, Set[str]] = {digest: set() for digest in digests}
         children: Dict[str, Set[str]] = {digest: set() for digest in digests}
-        if not len(listed) == len(digests) == len(parents):
-            raise ValueError("one parent list per node, and no node twice")
-        for child, positions in zip(digests, listed):
-            if not positions:
+        if not len(counts) == len(digests) == len(parents):
+            raise ValueError("one parent count per node, and no node twice")
+        if counts and min(counts) < 0:
+            raise ValueError("negative parent count")
+        if sum(counts) != len(listed):
+            raise ValueError("parent counts do not add up to the parents listed")
+        at = 0
+        for child, count in zip(digests, counts):
+            if not count:
                 continue
-            if min(positions) < 0:
-                raise ValueError("negative position")
-            for at in positions:
-                parents[child].add(digests[at])
-                children[digests[at]].add(child)
+            found = parents[child]
+            for parent in map(digests.__getitem__, listed[at : at + count]):
+                found.add(parent)
+                children[parent].add(child)
+            at += count
         # Kahn's algorithm: whatever is never freed of its parents sits on a cycle.
         # (topological_order() would do, at four times the cost: it sorts and wraps
         # every node for its callers, and this runs inside every adopted open.)
-        waiting = {digest: len(found) for digest, found in parents.items()}
-        free = [digest for digest, count in waiting.items() if not count]
-        freed = 0
+        waiting = dict(zip(digests, map(len, parents.values())))
+        free = list(compress(digests, map(not_, counts)))
+        freed = len(free)
         while free:
-            freed += 1
             for child in children[free.pop()]:
-                waiting[child] -= 1
-                if not waiting[child]:
+                left = waiting[child] - 1
+                waiting[child] = left
+                if not left:
                     free.append(child)
+                    freed += 1
         if freed != len(parents):
             raise CycleError("checkpointed edges would create a provenance cycle")
         self._parents, self._children = parents, children

@@ -51,6 +51,7 @@ from repro.errors import (
     UnknownEntityError,
 )
 from repro.index.attribute_index import AttributeIndex
+from repro.index.sections import pack, read_columns, read_header
 from repro.obs import trace
 from repro.index.spatial_index import SpatialIndex
 from repro.index.temporal_index import TemporalIndex
@@ -67,7 +68,7 @@ _LOGGER = logging.getLogger("repro.core")
 
 #: the index checkpoint's name in the backend's blob table, and its layout number
 _CHECKPOINT_KEY = "index:checkpoint"
-_CHECKPOINT_FORMAT = 1
+_CHECKPOINT_FORMAT = 2
 #: what a ``restore()`` raises on state that no ``snapshot()`` produces
 _MALFORMED = (PassError, ValueError, TypeError, LookupError, AttributeError)
 
@@ -608,9 +609,11 @@ class PassStore(LineageOracle):
         last record they cover -- or ``None`` with the reason recorded;
         the caller then replays.  The ``closure``, ``statistics`` and
         ``graph_statistics`` sections older code wrote are not read.
-        Refusing is always safe,
-        adopting never executes anything the blob holds: it is zlib over
-        JSON.
+        Refusing is always safe, adopting never executes anything the
+        blob holds: it is one zlib stream of a JSON header line and the
+        packed columns it lists (:mod:`repro.index.sections`).  A blob
+        of older code (format 1, zlib over JSON) has no line break; it
+        is read whole as a header and refused for its format.
         """
         report = self._index_restore_report
 
@@ -627,12 +630,12 @@ class PassStore(LineageOracle):
         report["bytes"] = len(blob)
         try:
             # Bounded, so that a hostile blob cannot inflate without limit;
-            # a real one inflates about four times.
+            # a real one inflates about six times.
             inflater = zlib.decompressobj()
-            text = inflater.decompress(blob, 64 * len(blob) + (1 << 20))
+            body = inflater.decompress(blob, 64 * len(blob) + (1 << 20))
             if not inflater.eof:
                 return refused("checkpoint does not decompress: truncated or oversized")
-            state = json.loads(text)
+            state, columns = read_header(body)
         except zlib.error as error:
             return refused(f"checkpoint does not decompress: {error}")
         except (ValueError, RecursionError):
@@ -655,6 +658,7 @@ class PassStore(LineageOracle):
         indexes = self._empty_indexes()
         graph, attribute_index, temporal_index, spatial_index = indexes
         try:
+            read_columns(state, columns)
             graph.restore(state["graph"], digests + [PName(str(digest)).digest for digest in bare])
             attribute_index.restore(state["attributes"], digests)
             temporal_index.restore(state["temporal"], digests)
@@ -700,7 +704,7 @@ class PassStore(LineageOracle):
             "temporal": self.temporal_index.snapshot(position_of),
             "spatial": self.spatial_index.snapshot(position_of),
         }
-        payload = zlib.compress(json.dumps(state, separators=(",", ":")).encode("utf-8"))
+        payload = zlib.compress(pack(state))
         stored = self.backend.put_index_blob(_CHECKPOINT_KEY, payload)
         if stored:
             self._checkpoint_stale = False

@@ -31,8 +31,9 @@ and what it defers*).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -46,7 +47,7 @@ from repro.core.attributes import (
 )
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.errors import ConfigurationError
-from repro.index.sections import check_positions
+from repro.index.sections import check_positions, column
 
 __all__ = ["AttributeIndex"]
 
@@ -72,9 +73,10 @@ class AttributeIndex:
         # attribute's checkpointed section is unbuilt (the key keeps the
         # checkpoint's order for the next snapshot)
         self._postings: Dict[str, Optional[Dict[str, Set[str]]]] = {}
-        # attribute -> (its checkpointed section, the writes that reached
-        # it since, in order): what the first probe of it builds from
-        self._unbuilt: Dict[str, Tuple[Dict[str, list], List[Tuple[AttributeValue, str]]]] = {}
+        # attribute -> (its checkpointed section: bucket keys, the set of
+        # them, bucket sizes and positions; the writes that reached it
+        # since, in order): what the first probe of it builds from
+        self._unbuilt: Dict[str, Tuple[tuple, List[Tuple[AttributeValue, str]]]] = {}
         # the digests a checkpointed section's positions name
         self._section_digests: Sequence[str] = ()
         # attribute -> the canonical encoding of every distinct value, in
@@ -168,9 +170,9 @@ class AttributeIndex:
 
     def _keep_pending(self, name: str, encoded: str, value: AttributeValue, digest: str) -> None:
         """A write to an unbuilt attribute: kept for the build, which applies it."""
-        section, tail = self._unbuilt[name]
+        (_, known, _, _), tail = self._unbuilt[name]
         tail.append((value, digest))
-        if isinstance(value, tuple) and encoded not in section:
+        if isinstance(value, tuple) and encoded not in known:
             # entered now, where a built index enters a new list value, so
             # that the next snapshot lists list values in write order
             self._list_values.setdefault(name, {}).setdefault(encoded, value)
@@ -185,10 +187,11 @@ class AttributeIndex:
         pending = self._unbuilt.pop(attribute, None)
         if pending is None:
             return {}
-        section, tail = pending
-        digests = self._section_digests
+        (keys, _, sizes, positions), tail = pending
+        named = list(map(self._section_digests.__getitem__, positions))
+        ends = list(accumulate(sizes))
         postings = self._postings[attribute] = {
-            encoded: {digests[at] for at in positions} for encoded, positions in section.items()
+            encoded: set(named[start:end]) for encoded, start, end in zip(keys, [0, *ends], ends)
         }
         entries = sum(map(len, postings.values()))
         self._attr_entries[attribute] = entries
@@ -205,16 +208,26 @@ class AttributeIndex:
     # Checkpoint (the store persists it so that a reopen need not replay)
     # ------------------------------------------------------------------
     def snapshot(self, position_of: Dict[str, int]) -> dict:
-        """The postings as JSON-ready data, each PName named by ``position_of`` its digest.
+        """The postings, each PName named by ``position_of`` its digest.
 
-        Unbuilt attributes are built first.  The sorted views are left
-        out: the first range lookup rebuilds them, as it does after a
-        replay.
+        Per attribute its bucket ``keys`` (canonical encodings, in the
+        postings' order), their ``sizes`` and the ``positions`` of every
+        bucket, bucket after bucket and each sorted; the two columns are
+        ``int64``.  Unbuilt attributes are built first.  The sorted views
+        are left out: the first range lookup rebuilds them, as it does
+        after a replay.
         """
         self._build_all()
         return {
             "postings": {
-                name: {encoded: sorted(position_of[d] for d in bucket) for encoded, bucket in buckets.items()}
+                name: {
+                    "keys": list(buckets),
+                    "sizes": array("q", map(len, buckets.values())),
+                    "positions": array(
+                        "q",
+                        chain.from_iterable(sorted(map(position_of.__getitem__, bucket)) for bucket in buckets.values()),
+                    ),
+                }
                 for name, buckets in self._postings.items()
             },
             "lists": {
@@ -236,13 +249,19 @@ class AttributeIndex:
         for name, section in state["postings"].items():
             if not self.covers(name):
                 raise ValueError(f"postings for {name!r}, which this index does not cover")
-            # (a bucket that is no list raises here, as building it would)
-            positions = list(chain.from_iterable(section.values()))
-            if not all(section.values()):
+            keys, sizes = section["keys"], column(section["sizes"], "q")
+            positions = check_positions(section["positions"], len(digests))
+            if not isinstance(keys, list) or set(map(type, keys)) - {str}:
+                raise TypeError("posting keys must be a list of strings")
+            known = set(keys)
+            if not len(keys) == len(known) == len(sizes):
+                raise ValueError("one size per posting key, and no key twice")
+            if sizes and min(sizes) <= 0:
                 raise ValueError("empty posting bucket")
-            check_positions(positions, len(digests))
+            if sum(sizes) != len(positions):
+                raise ValueError("posting sizes do not add up to the positions listed")
             postings[name] = None
-            unbuilt[name] = (section, [])
+            unbuilt[name] = ((keys, known, sizes, positions), [])
         list_values = {
             name: {encoded: tuple(self._decode_for_sort(item) for item in items) for encoded, items in values.items()}
             for name, values in state["lists"].items()
@@ -370,8 +389,10 @@ class AttributeIndex:
         postings = self._postings.get(attribute)
         if postings is not None:
             return len(postings)
-        section, tail = self._unbuilt.get(attribute, ({}, ()))
-        return len(section.keys() | {canonical_encode(value) for value, _ in tail})
+        if attribute not in self._unbuilt:
+            return 0
+        (_, known, _, _), tail = self._unbuilt[attribute]
+        return len(known | {canonical_encode(value) for value, _ in tail})
 
     # ------------------------------------------------------------------
     # Internals

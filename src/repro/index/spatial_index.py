@@ -27,12 +27,13 @@ first wait for that build.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.attributes import GeoPoint
 from repro.core.provenance import PName
 from repro.errors import ConfigurationError
-from repro.index.sections import check_positions
+from repro.index.sections import check_positions, column
 
 __all__ = ["SpatialIndex"]
 
@@ -91,11 +92,14 @@ class SpatialIndex:
         return len(self._points)
 
     def snapshot(self, position_of: Dict[str, int]) -> dict:
-        """The points column by column, each PName named by ``position_of`` its digest."""
+        """The points column by column, each PName named by ``position_of`` its digest.
+
+        ``lats`` and ``lons`` are ``float64`` columns, ``positions`` ``int64``.
+        """
         return {
-            "lats": [point.latitude for point in self._points.values()],
-            "lons": [point.longitude for point in self._points.values()],
-            "positions": [position_of[digest] for digest in self._points],
+            "lats": array("d", [point.latitude for point in self._points.values()]),
+            "lons": array("d", [point.longitude for point in self._points.values()]),
+            "positions": array("q", [position_of[digest] for digest in self._points]),
         }
 
     def restore(self, state: dict, digests: Sequence[str]) -> None:
@@ -103,10 +107,10 @@ class SpatialIndex:
 
         Raises, and changes nothing, on state that no snapshot produces.
         """
-        lats, lons, positions = state["lats"], state["lons"], state["positions"]
+        lats, lons = column(state["lats"], "d"), column(state["lons"], "d")
+        positions = check_positions(state["positions"], len(digests))
         if not len(lats) == len(lons) == len(positions):
             raise ValueError("point columns of unequal length")
-        check_positions(positions, len(digests))
         if len(set(positions)) != len(positions):
             raise ValueError("a record located twice")
         _check_degrees(lats, 90.0, "latitude")
@@ -169,8 +173,8 @@ class SpatialIndex:
 
 
 def _check_degrees(values: Sequence, limit: float, name: str) -> None:
-    """Raise what a :class:`GeoPoint` of any of ``values`` outside ±``limit`` would
-    (``TypeError`` for a value that is no number)."""
+    """Raise what a :class:`GeoPoint` of any of ``values`` (a ``float64`` column)
+    outside ±``limit``, or nan, would."""
     if values and (min(values) < -limit or max(values) > limit or any(map(math.isnan, values))):
         outside = next(value for value in values if not -limit <= value <= limit)
         raise ConfigurationError(f"{name} out of range: {outside}")

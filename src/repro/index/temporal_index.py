@@ -25,14 +25,16 @@ section and those writes, building nothing.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
+from math import isnan
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.attributes import Timestamp
 from repro.core.provenance import PName
 from repro.errors import ConfigurationError
-from repro.index.sections import check_positions
+from repro.index.sections import check_positions, column
 
 __all__ = ["TemporalIndex"]
 
@@ -69,11 +71,14 @@ class TemporalIndex:
         return self._intervals[0][0], max(end for _, end, _ in self._intervals)
 
     def snapshot(self, position_of: Dict[str, int]) -> dict:
-        """The intervals column by column, each PName named by ``position_of`` its digest."""
+        """The intervals column by column, each PName named by ``position_of`` its digest.
+
+        ``starts`` and ``ends`` are ``float64`` columns, ``positions`` ``int64``.
+        """
         return {
-            "starts": [start for start, _, _ in self._intervals],
-            "ends": [end for _, end, _ in self._intervals],
-            "positions": [position_of[digest] for _, _, digest in self._intervals],
+            "starts": array("d", [start for start, _, _ in self._intervals]),
+            "ends": array("d", [end for _, end, _ in self._intervals]),
+            "positions": array("q", [position_of[digest] for _, _, digest in self._intervals]),
         }
 
     def restore(self, state: dict, digests: Sequence[str]) -> None:
@@ -81,13 +86,13 @@ class TemporalIndex:
 
         Raises, and changes nothing, on state that no snapshot produces.
         """
-        starts, ends, positions = state["starts"], state["ends"], state["positions"]
+        starts, ends = column(state["starts"], "d"), column(state["ends"], "d")
+        positions = check_positions(state["positions"], len(digests))
         if not len(starts) == len(ends) == len(positions):
             raise ValueError("interval columns of unequal length")
-        check_positions(positions, len(digests))
-        starts, ends = list(map(float, starts)), list(map(float, ends))
         durations = list(map(sub, ends, starts))
-        if durations and not min(durations) >= 0:
+        # (a nan bound makes a nan duration, which min() may pass over)
+        if durations and not (min(durations) >= 0 and not any(map(isnan, durations))):
             raise ValueError("interval end precedes its start")
         self._section = (starts, ends, positions, digests, max(durations, default=0.0))
         self._tail: List[Tuple[float, float, str]] = []

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import sqlite3
 import time
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -271,11 +272,12 @@ class SQLiteBackend(StorageBackend):
 
     def record_order(self, upto: Optional[int] = None) -> Tuple[List[str], int]:
         self._check_open()
-        rows = self._connection.execute(
-            "SELECT rowid, pname FROM records WHERE rowid <= ? ORDER BY rowid",
-            (_MAX_ROWID if upto is None else upto,),
-        ).fetchall()
-        return [digest for _, digest in rows], (rows[-1][0] if rows else 0)
+        upto = _MAX_ROWID if upto is None else upto
+        # Names alone, flattened in C; the marker from one more statement.
+        rows = self._connection.execute("SELECT pname FROM records WHERE rowid <= ? ORDER BY rowid", (upto,))
+        digests = list(chain.from_iterable(rows))
+        (marker,) = self._connection.execute("SELECT MAX(rowid) FROM records WHERE rowid <= ?", (upto,)).fetchone()
+        return digests, marker or 0
 
     def record_count(self) -> int:
         self._check_open()

@@ -1,7 +1,8 @@
 """The index checkpoint: a reopen that adopts it answers like one that replays.
 
 ``LocalClient.close()`` writes the store's derived state (postings, edges,
-intervals, points) as one zlib-over-JSON blob; the next open
+intervals, points) as one zlib blob, a JSON header line and packed
+columns; the next open
 adopts it when its header still describes the file and replays only the
 rows past it.  These tests hold adoption to replay and to ``memory://``,
 count the tail after a crash, and walk every reason a blob is refused.
@@ -14,6 +15,8 @@ import importlib.util
 import json
 import sqlite3
 import zlib
+from array import array
+from itertools import accumulate, chain
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,7 @@ from repro.api.client import LocalClient
 from repro.core import GeoPoint, PassStore, ProvenanceRecord, SensorReading, Timestamp, TupleSet
 from repro.core.provenance import PName
 from repro.errors import CrashInjectedError
+from repro.index.sections import pack, read_columns, read_header
 from repro.storage import SQLiteBackend
 
 KEY = "index:checkpoint"
@@ -138,10 +142,59 @@ def write_blob(path, body) -> None:
             connection.execute("INSERT INTO index_blobs VALUES (?, ?)", (KEY, body))
 
 
+#: the columns of each point and interval section, and their types
+COLUMNS = {
+    "temporal": {"starts": "d", "ends": "d", "positions": "q"},
+    "spatial": {"lats": "d", "lons": "d", "positions": "q"},
+}
+
+
+def _view(body: bytes) -> dict:
+    """A stored blob as plain lists, each section in the shape format 1 stored
+    it: one parent list per node, ``{key: positions}`` per attribute."""
+    state = read_columns(*read_header(zlib.decompress(body)))
+    counts, parents = state["graph"]["counts"], state["graph"]["parents"]
+    state["graph"] = {"parents": [parents[end - count:end].tolist() for count, end in zip(counts, accumulate(counts))]}
+    for name, section in state["attributes"]["postings"].items():
+        sizes, positions = section["sizes"], section["positions"]
+        listed = [positions[end - size:end].tolist() for size, end in zip(sizes, accumulate(sizes))]
+        state["attributes"]["postings"][name] = dict(zip(section["keys"], listed))
+    for section in COLUMNS:
+        state[section] = {name: values.tolist() for name, values in state[section].items()}
+    return state
+
+
+def _packed(view: dict) -> bytes:
+    """The blob of a :func:`_view`: each section that still has its shape back
+    in columns, anything an edit left in another shape as it is."""
+    state = dict(view)
+    graph = state["graph"]
+    state["graph"] = {"counts": array("q", map(len, graph["parents"])), "parents": array("q", chain(*graph["parents"]))}
+    postings = state["attributes"]["postings"]
+    if isinstance(postings, dict):
+        state["attributes"] = dict(state["attributes"], postings={
+            name: {
+                "keys": list(buckets),
+                "sizes": array("q", map(len, buckets.values())),
+                "positions": array("q", chain(*buckets.values())),
+            }
+            for name, buckets in postings.items()
+        })
+    for section, codes in COLUMNS.items():
+        if section in state:
+            state[section] = {name: array(codes[name], values) for name, values in state[section].items()}
+    return zlib.compress(pack(state))
+
+
 def edited(body: bytes, edit) -> bytes:
-    state = json.loads(zlib.decompress(body))
+    state = _view(body)
     edit(state)
-    return zlib.compress(json.dumps(state).encode("utf-8"))
+    return _packed(state)
+
+
+def stored_header(path) -> dict:
+    """The header line of the blob stored at ``path``."""
+    return read_header(zlib.decompress(read_blob(path)))[0]
 
 
 def restore_report(client) -> dict:
@@ -251,7 +304,7 @@ def test_records_are_named_by_position_never_by_digest(tmp_path):
     path = tmp_path / "pass.db"
     with repro.connect(f"sqlite:///{path}") as client:
         made = populate(client)
-    text = zlib.decompress(read_blob(path)).decode("utf-8")
+    text = zlib.decompress(read_blob(path)).decode("latin-1")
     for tuple_set in made["sets"]:
         assert tuple_set.pname.digest not in text
     # the one node that is no record has no position to go by
@@ -417,6 +470,21 @@ def _duplicate_node(state):
     state["graph"]["parents"].append([])
 
 
+def _inflated(edit):
+    """A damage made to the inflated stream: header line and columns as stored."""
+    return lambda body: zlib.compress(edit(zlib.decompress(body)))
+
+
+def _unknown_type(stream: bytes) -> bytes:
+    header, columns = read_header(stream)
+    header["columns"][0][1] = "x"
+    return json.dumps(header).encode("utf-8") + b"\n" + bytes(columns)
+
+
+def _nan_latitude(state):
+    state["spatial"]["lats"][0] = float("nan")
+
+
 REFUSALS = {
     "truncated zlib": (lambda body: body[: len(body) // 2], "checkpoint does not decompress"),
     "not zlib": (lambda body: b"\x00" + body, "checkpoint does not decompress"),
@@ -432,6 +500,11 @@ REFUSALS = {
     "wrong shape": (lambda body: edited(body, _wrong_shape), "malformed checkpoint: AttributeError"),
     "unequal columns": (lambda body: edited(body, _unequal_columns), "malformed checkpoint: ValueError"),
     "node listed twice": (lambda body: edited(body, _duplicate_node), "malformed checkpoint: ValueError"),
+    "column shorter than its header says": (_inflated(lambda stream: stream[:-8]), "malformed checkpoint: ValueError"),
+    "bytes after the last column": (_inflated(lambda stream: stream + bytes(8)), "malformed checkpoint: ValueError"),
+    "unknown column type": (_inflated(_unknown_type), "malformed checkpoint: ValueError"),
+    "header without columns": (_inflated(lambda stream: stream.split(b"\n")[0]), "malformed checkpoint: ValueError"),
+    "nan latitude": (lambda body: edited(body, _nan_latitude), "malformed checkpoint: ConfigurationError"),
 }
 
 
@@ -454,6 +527,23 @@ def test_a_damaged_checkpoint_is_refused_and_replaced(tmp_path, damage):
         assert answers(client, made) == expected
     assert read_blob(path) != spoiled
     with repro.connect(url) as client:
+        assert restore_report(client)["mode"] == "adopted"
+        assert answers(client, made) == expected
+
+
+def test_the_other_byte_order_branch_writes_and_adopts_the_same_blob(tmp_path, monkeypatch):
+    """Columns are stored little-endian whatever the host: forced down the
+    branch a big-endian host takes, a close writes the same bytes and an open
+    adopts them to the same answers."""
+    natural, forced = tmp_path / "natural.db", tmp_path / "forced.db"
+    with repro.connect(f"sqlite:///{natural}") as client:
+        made = populate(client)
+        expected = answers(client, made)
+    monkeypatch.setattr("repro.index.sections.BYTE_ORDER", "big")
+    with repro.connect(f"sqlite:///{forced}") as client:
+        populate(client)
+    assert read_blob(forced) == read_blob(natural)
+    with repro.connect(f"sqlite:///{forced}") as client:
         assert restore_report(client)["mode"] == "adopted"
         assert answers(client, made) == expected
 
@@ -490,10 +580,11 @@ OLD_SECTIONS = {
 
 @pytest.mark.parametrize("damage", sorted(OLD_SECTIONS))
 def test_an_old_closure_section_is_never_read_whatever_it_holds(tmp_path, damage):
-    """A checkpoint that older code wrote with a ``closure`` section is
-    adopted for its index sections, whether the section is stale or garbage:
-    the first lineage read builds the labelling from the graph, and the next
-    checkpoint written leaves the section out."""
+    """A checkpoint carrying the ``closure`` section older code wrote (at
+    format 2 an extra header key) is adopted for its index sections, whether
+    the section is stale or garbage: the first lineage read builds the
+    labelling from the graph, and the next checkpoint written leaves the
+    section out.  (A format-1 file is refused whole: see below.)"""
     path = tmp_path / "pass.db"
     url = f"sqlite:///{path}"
     with repro.connect(url) as client:
@@ -513,7 +604,7 @@ def test_an_old_closure_section_is_never_read_whatever_it_holds(tmp_path, damage
         assert answers(client, made) == expected
         assert client.stats()["closure"]["rebuilds"] == 1
         client.publish(_tuple_set(9, 0, [made["merged"].pname]))
-    assert "closure" not in json.loads(zlib.decompress(read_blob(path)))
+    assert "closure" not in stored_header(path)
 
 
 def _old_statistics_sections(state) -> None:
@@ -532,10 +623,11 @@ def _old_statistics_sections(state) -> None:
 
 
 def test_old_statistics_sections_are_never_read(tmp_path):
-    """A checkpoint that older code wrote with its statistics sections is
-    adopted for its index sections; the statistics are read off those, the
-    record count is what the open covered plus its tail, and the next
-    checkpoint written leaves both sections out."""
+    """A checkpoint carrying the statistics sections older code wrote (at
+    format 2 extra header keys) is adopted for its index sections; the
+    statistics are read off those, the record count is what the open
+    covered plus its tail, and the next checkpoint written leaves both
+    sections out."""
     path = tmp_path / "pass.db"
     url = f"sqlite:///{path}"
     late = _tuple_set(9, 0, [chains()[4].pname])
@@ -556,7 +648,48 @@ def test_old_statistics_sections_are_never_read(tmp_path):
         assert statistics["record_count"] == report["covered"] + report["tail"] == len(client.store)
         assert (answers(client, made), statistics) == expected
         client.publish(_tuple_set(9, 1))
-    assert not {"statistics", "graph_statistics"} & set(json.loads(zlib.decompress(read_blob(path))))
+    assert not {"statistics", "graph_statistics"} & set(stored_header(path))
+
+
+#: the blob the code before the packed columns wrote for ``chains(1, 3)``, inflated
+FORMAT_1 = (
+    b'{"format":1,"indexed":null,"covered":3,"count":3,"names_crc":3591467855,"bare":[],"graph":{"parents":[[],[0],'
+    b'[1]]},"attributes":{"postings":{"domain":{"s:traffic":[0,1,2]},"city":{"s:london":[0,1,2]},"sensor":{"s:s0":'
+    b'[0,1,2]},"sequence":{"i:0":[0],"i:1":[1],"i:2":[2]},"window_start":{"t:0.0":[0],"t:60.0":[1],"t:120.0":[2]},'
+    b'"window_end":{"t:90.0":[0],"t:150.0":[1],"t:210.0":[2]},"location":{"g:51.5,-0.12":[0,1,2]},"tags":{"l:[s:raw'
+    b';i:0]":[0],"l:[s:derived;i:0]":[1,2]}},"lists":{"tags":{"l:[s:raw;i:0]":["s:raw","i:0"],"l:[s:derived;i:0]":'
+    b'["s:derived","i:0"]}}},"temporal":{"starts":[0.0,60.0,120.0],"ends":[90.0,150.0,210.0],"positions":[0,1,2]},'
+    b'"spatial":{"lats":[51.5,51.5,51.5],"lons":[-0.12,-0.12,-0.12],"positions":[0,1,2]}}'
+)
+
+
+def _one_probe_per_section(sets) -> list:
+    return [
+        Q.attr("tags") == ("derived", 0), Q.attr("sequence").between(1, 2), Q.between(100.0, 130.0),
+        Q.near(PLACES[0], 1.0), Q.derived_from(sets[0].pname),
+    ]
+
+
+def test_a_format_1_file_is_replayed_once_and_rewritten(tmp_path):
+    """A file the code before the packed columns closed: its blob has no line
+    break, so it is read whole as a header and refused for its format, the
+    open replays to the ``memory://`` twin's answers, and the close writes
+    format 2, which the next open adopts."""
+    path = tmp_path / "pass.db"
+    sets = chains(1, 3)
+    with repro.connect("memory://") as memory:
+        memory.publish_many(sets)
+        expected = [sorted(p.digest for p in memory.query(q).records) for q in _one_probe_per_section(sets)]
+    with repro.connect(f"sqlite:///{path}") as client:
+        client.publish_many(sets)
+    write_blob(path, zlib.compress(FORMAT_1))
+    for mode, reason in (("replayed", "checkpoint format 1, this code reads 2"), ("adopted", None)):
+        with repro.connect(f"sqlite:///{path}") as client:
+            report = restore_report(client)
+            assert (report["mode"], report["reason"]) == (mode, reason)
+            found = [sorted(p.digest for p in client.query(q).records) for q in _one_probe_per_section(sets)]
+            assert found == expected
+        assert stored_header(path)["format"] == 2
 
 
 def test_changed_indexed_attributes_refuse_the_checkpoint(tmp_path):
@@ -671,7 +804,7 @@ def test_a_clean_close_neither_hashes_nor_rewrites_the_labelling(tmp_path, strat
         assert client.ancestors(sets[-1].pname).total == 4
         backend, puts = client.store.backend, client.store.backend.stats.puts
     assert backend.stats.puts == puts + 1  # the index checkpoint
-    assert "closure" not in json.loads(zlib.decompress(read_blob(tmp_path / "pass.db")))
+    assert "closure" not in stored_header(tmp_path / "pass.db")
     with repro.connect(url) as client:
         assert client.stats()["storage"]["closure_restore"]["mode"] == "none"
         assert client.descendants(sets[5].pname).total == 4
@@ -936,7 +1069,7 @@ def test_interval_and_sharded_opens_report_what_they_always_did(tmp_path):
         client.descendants(sets[0].pname)
     with sqlite3.connect(path) as connection:
         assert connection.execute("SELECT name FROM index_blobs").fetchall() == [(KEY,)]
-    assert "closure" not in json.loads(zlib.decompress(read_blob(path)))
+    assert "closure" not in stored_header(path)
     with repro.connect(url) as client:
         assert client.stats()["storage"]["closure_restore"] == not_restored
         closure = client.stats()["closure"]

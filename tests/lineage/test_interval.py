@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 import zlib
 
@@ -11,6 +10,7 @@ import pytest
 from repro.core import ProvenanceRecord
 from repro.core.closure import make_closure
 from repro.errors import UnknownEntityError
+from repro.index.sections import read_header
 from repro.lineage import IntervalClosure
 from repro.storage import SQLiteBackend
 from repro.storage.memory import MemoryBackend
@@ -214,7 +214,7 @@ class TestDerivedLabelling:
         store.backend.close()
 
         reopened = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"), closure=strategy)
-        state = json.loads(zlib.decompress(reopened.backend.get_index_blob("index:checkpoint")))
+        state = read_header(zlib.decompress(reopened.backend.get_index_blob("index:checkpoint")))[0]
         assert "closure" not in state
         assert reopened.storage_snapshot()["closure_restore"]["mode"] == "none"
         assert len(reopened.ancestors(last)) == 9

@@ -22,6 +22,7 @@ from repro.api import connect
 from repro.core import GeoPoint, PassStore, ProvenanceRecord, SensorReading, Timestamp, TupleSet
 from repro.core.provenance import Agent, Annotation, PName
 from repro.core.query import AttributeEquals
+from repro.index.sections import pack, read_columns, read_header
 from repro.storage import SQLiteBackend
 
 OLD_SCHEMA = """
@@ -346,7 +347,7 @@ OLD_CLOSURE_SECTION = {
 
 
 def _checkpoint(path) -> dict:
-    return json.loads(zlib.decompress(dict(_rows(path, "index_blobs"))["index:checkpoint"]))
+    return read_columns(*read_header(zlib.decompress(dict(_rows(path, "index_blobs"))["index:checkpoint"])))
 
 
 def test_a_checkpoint_with_a_closure_section_opens_and_drops_it(tmp_path):
@@ -360,7 +361,7 @@ def test_a_checkpoint_with_a_closure_section_opens_and_drops_it(tmp_path):
         client.publish_many(sets)
     state = dict(_checkpoint(path), closure=OLD_CLOSURE_SECTION)
     connection = sqlite3.connect(path)
-    body = zlib.compress(json.dumps(state, separators=(",", ":")).encode("utf-8"))
+    body = zlib.compress(pack(state))
     connection.execute("UPDATE index_blobs SET body = ? WHERE name = 'index:checkpoint'", (body,))
     connection.commit()
     connection.close()
