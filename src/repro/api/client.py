@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import time
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -112,6 +113,18 @@ def _observe_op(op: str, fn):
 
     observed._observed = True
     return observed
+
+
+def _weakly(method):
+    """``method``, called through a weak reference to its object.
+
+    For what a client registers with its own registry or health checks: a
+    bound method there would make client -> registry -> method -> client a
+    cycle, and a closed client (with its store) would then wait for the
+    cyclic collector instead of going with its last reference.
+    """
+    ref = weakref.WeakMethod(method)
+    return lambda *args: ref()(*args)
 
 
 def _lift_query_limit(queryish, limit: Optional[int]):
@@ -443,23 +456,22 @@ class LocalClient(PassClient):
         # closure index, stream engine, sim) registers as a provider, and
         # the façade's op wrapper records rates/latency into the same
         # registry under "obs".
+        # (The providers hold the store, never the client: see _weakly.)
         self.metrics = MetricsRegistry()
-        self.metrics.register_provider("site", lambda: self.store.site)
-        self.metrics.register_provider("records", lambda: len(self.store))
-        self.metrics.register_provider("store", self.store.stats.snapshot)
-        self.metrics.register_provider(
-            "backend", lambda: self.store.backend.stats.snapshot()
-        )
-        self.metrics.register_provider("storage", self.store.storage_snapshot)
+        self.metrics.register_provider("site", lambda: store.site)
+        self.metrics.register_provider("records", lambda: len(store))
+        self.metrics.register_provider("store", store.stats.snapshot)
+        self.metrics.register_provider("backend", lambda: store.backend.stats.snapshot())
+        self.metrics.register_provider("storage", store.storage_snapshot)
         self.metrics.register_provider(
             "planner",
             lambda: {
-                "statistics": self.store.planner_statistics(),
-                "feedback": self.store.feedback.snapshot(),
+                "statistics": store.planner_statistics(),
+                "feedback": store.feedback.snapshot(),
             },
         )
-        self.metrics.register_provider("closure", lambda: self.store.closure.index_stats())
-        self.metrics.register_provider("stream", self._stream_stats)
+        self.metrics.register_provider("closure", lambda: store.closure.index_stats())
+        self.metrics.register_provider("stream", _weakly(self._stream_stats))
         self.metrics.register_provider(
             "sim",
             lambda: SimReport.disabled_snapshot("local store: no simulated network"),
@@ -576,7 +588,7 @@ class LocalClient(PassClient):
         return [
             obs_health.storage_check(self.store),
             obs_health.closure_check(self.store),
-            obs_health.subscription_check(self.subscriptions),
+            obs_health.subscription_check(_weakly(self.subscriptions)),
             obs_health.trace_ring_check(),
         ]
 
@@ -633,8 +645,8 @@ class ModelClient(PassClient):
         # simulator; stream/sim/obs complete the uniform schema.
         self.metrics = MetricsRegistry()
         self.metrics.register_provider("traffic", self.model.traffic_snapshot)
-        self.metrics.register_provider("stream", self._stream_stats)
-        self.metrics.register_provider("sim", self._sim_snapshot)
+        self.metrics.register_provider("stream", _weakly(self._stream_stats))
+        self.metrics.register_provider("sim", _weakly(self._sim_snapshot))
 
     def _stream_engine(self, create: bool) -> Optional[StreamEngine]:
         if self._stream is None and create:

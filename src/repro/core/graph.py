@@ -11,6 +11,11 @@ The graph is append-only in the sense that edges are never rewritten --
 provenance, once recorded, is immutable -- but *nodes* may be marked
 removed (the underlying data was deleted) without their edges
 disappearing, which is what PASS property P4 requires.
+
+The adjacency is held in the shapes that immutability allows: a node's
+parents are a tuple, fixed when its record is indexed; its children are
+a list, made at its first child; every other node shares the empty
+tuple.  Most nodes are raw captures or leaves, so most share it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from array import array
 from collections import deque
 from itertools import chain, compress
 from operator import not_
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.errors import CycleError, UnknownEntityError
@@ -27,8 +32,12 @@ from repro.index.sections import check_positions, column
 
 __all__ = ["ProvenanceGraph"]
 
-#: shared empty adjacency set handed out for unknown digests (read-only)
-_NO_EDGES: Set[str] = set()
+#: the adjacency of a node without parents (or children), and of an unknown
+#: digest: one empty tuple, shared by them all
+_NO_EDGES: Tuple[str, ...] = ()
+
+#: a node's parents (a tuple) or children (a list); read-only to callers
+Adjacency = Union[Tuple[str, ...], List[str]]
 
 
 class ProvenanceGraph:
@@ -40,8 +49,10 @@ class ProvenanceGraph:
     """
 
     def __init__(self) -> None:
-        self._parents: Dict[str, Set[str]] = {}
-        self._children: Dict[str, Set[str]] = {}
+        #: every node's parents; the node set is this dict's keys
+        self._parents: Dict[str, Tuple[str, ...]] = {}
+        #: the children of the nodes that have any
+        self._children: Dict[str, List[str]] = {}
         self._removed: Set[str] = set()
 
     # ------------------------------------------------------------------
@@ -49,9 +60,7 @@ class ProvenanceGraph:
     # ------------------------------------------------------------------
     def add_node(self, pname: PName) -> None:
         """Ensure a node exists (idempotent)."""
-        digest = pname.digest
-        self._parents.setdefault(digest, set())
-        self._children.setdefault(digest, set())
+        self._parents.setdefault(pname.digest, _NO_EDGES)
 
     def add_record(self, record: ProvenanceRecord) -> None:
         """Add a provenance record's node and all of its ancestry edges.
@@ -69,23 +78,31 @@ class ProvenanceGraph:
         """Record that ``child`` was derived from ``parent``.
 
         Raises :class:`~repro.errors.CycleError` if the edge would make
-        ``parent`` reachable from itself.
+        ``parent`` reachable from itself.  Adding an edge the graph holds
+        changes nothing.
         """
-        if child.digest == parent.digest:
+        child_digest, parent_digest = child.digest, parent.digest
+        if child_digest == parent_digest:
             raise CycleError("a data set cannot be derived from itself")
-        self.add_node(child)
-        self.add_node(parent)
+        parents = self._parents.setdefault(child_digest, _NO_EDGES)
+        self._parents.setdefault(parent_digest, _NO_EDGES)
+        if parent_digest in parents:
+            return
         # The edge child->parent creates a cycle iff child is already an
         # ancestor of parent -- which takes a child of its own: a set
         # nothing derives from yet (every newly published one) needs no walk.
-        if self._children[child.digest] and self._reaches(
-            parent.digest, child.digest, self._parents
-        ):
+        if child_digest in self._children and self._reaches(parent_digest, child_digest, self._parents):
             raise CycleError(
                 f"edge {child.short} -> {parent.short} would create a provenance cycle"
             )
-        self._parents[child.digest].add(parent.digest)
-        self._children[parent.digest].add(child.digest)
+        # (a record's parents arrive together, so the tuple is rebuilt a
+        # few times at most, while the record is indexed)
+        self._parents[child_digest] = parents + (parent_digest,)
+        children = self._children.get(parent_digest)
+        if children is None:
+            self._children[parent_digest] = [child_digest]
+        else:
+            children.append(child_digest)
 
     def mark_removed(self, pname: PName) -> None:
         """Mark a node's underlying data as removed.
@@ -112,37 +129,44 @@ class ProvenanceGraph:
     def restore(self, state: dict, digests: Sequence[str]) -> None:
         """Adopt a :meth:`snapshot` into this empty graph; ``digests[position]`` names a node.
 
+        Builds the shapes :meth:`add_edge` does: a tuple of parents per
+        node that has any, a list of children per node that has any.
         Raises :class:`~repro.errors.CycleError` when the edges do not
         form a DAG and ``ValueError``/``TypeError``/``LookupError`` on
-        other state that no snapshot produces; the graph then stays empty.
+        other state that no snapshot produces, a parent listed twice for
+        one node among it; the graph then stays empty.
         """
         counts = column(state["counts"], "q")
         listed = check_positions(state["parents"], len(digests))
-        parents: Dict[str, Set[str]] = {digest: set() for digest in digests}
-        children: Dict[str, Set[str]] = {digest: set() for digest in digests}
+        parents: Dict[str, Tuple[str, ...]] = dict.fromkeys(digests, _NO_EDGES)
         if not len(counts) == len(digests) == len(parents):
             raise ValueError("one parent count per node, and no node twice")
         if counts and min(counts) < 0:
             raise ValueError("negative parent count")
         if sum(counts) != len(listed):
             raise ValueError("parent counts do not add up to the parents listed")
+        named = list(map(digests.__getitem__, listed))
+        children: Dict[str, List[str]] = {}
         at = 0
-        for child, count in zip(digests, counts):
-            if not count:
-                continue
-            found = parents[child]
-            for parent in map(digests.__getitem__, listed[at : at + count]):
-                found.add(parent)
-                children[parent].add(child)
+        for child, count in compress(zip(digests, counts), counts):
+            found = parents[child] = tuple(named[at : at + count])
             at += count
+            if count > 1 and len(set(found)) < count:
+                raise ValueError("a parent listed twice for one node")
+            for parent in found:
+                siblings = children.get(parent)
+                if siblings is None:
+                    children[parent] = [child]
+                else:
+                    siblings.append(child)
         # Kahn's algorithm: whatever is never freed of its parents sits on a cycle.
         # (topological_order() would do, at four times the cost: it sorts and wraps
         # every node for its callers, and this runs inside every adopted open.)
-        waiting = dict(zip(digests, map(len, parents.values())))
+        waiting = dict(zip(digests, counts))
         free = list(compress(digests, map(not_, counts)))
         freed = len(free)
         while free:
-            for child in children[free.pop()]:
+            for child in children.get(free.pop(), _NO_EDGES):
                 left = waiting[child] - 1
                 waiting[child] = left
                 if not left:
@@ -178,7 +202,7 @@ class ProvenanceGraph:
     def children(self, pname: PName) -> List[PName]:
         """Immediate descendants (data sets derived directly from this one)."""
         self._require(pname)
-        return [PName(d) for d in sorted(self._children[pname.digest])]
+        return [PName(d) for d in sorted(self._children.get(pname.digest, _NO_EDGES))]
 
     def roots(self) -> List[PName]:
         """Nodes with no parents: raw captures."""
@@ -186,7 +210,7 @@ class ProvenanceGraph:
 
     def leaves(self) -> List[PName]:
         """Nodes with no children: the most-derived data sets."""
-        return [PName(d) for d in sorted(self._children) if not self._children[d]]
+        return [PName(d) for d in sorted(self._parents) if d not in self._children]
 
     def edge_count(self) -> int:
         """Total number of derivation edges."""
@@ -197,8 +221,8 @@ class ProvenanceGraph:
     # ------------------------------------------------------------------
     # The PName-returning accessors above sort and wrap on every call,
     # which is right for user-facing code but too slow for the closure
-    # engines that walk the whole graph.  These views hand out the raw
-    # adjacency sets; callers must treat them as read-only.
+    # engines that walk the whole graph.  These views hand out the
+    # graph's own adjacency, without a copy.
 
     def node_digests(self) -> Iterable[str]:
         """Every node digest (a live view; do not mutate the graph while iterating)."""
@@ -208,12 +232,22 @@ class ProvenanceGraph:
         """Digests of the nodes marked removed (a live view; read-only)."""
         return self._removed
 
-    def parents_of(self, digest: str) -> Set[str]:
-        """Immediate ancestor digests of ``digest`` (empty for unknown nodes)."""
+    def parents_of(self, digest: str) -> Tuple[str, ...]:
+        """Immediate ancestor digests of ``digest``, each once, in the order they were added.
+
+        The graph's own tuple (immutable, as a record's ancestry is); the
+        shared empty tuple for a raw node or an unknown digest.
+        """
         return self._parents.get(digest, _NO_EDGES)
 
-    def children_of(self, digest: str) -> Set[str]:
-        """Immediate descendant digests of ``digest`` (empty for unknown nodes)."""
+    def children_of(self, digest: str) -> Adjacency:
+        """Immediate descendant digests of ``digest``, each once, in the order they were added.
+
+        The graph's own list, which grows as children arrive: read it,
+        never change it, and take a copy to keep it past the next write.
+        The shared empty tuple for a node nothing derives from or an
+        unknown digest.
+        """
         return self._children.get(digest, _NO_EDGES)
 
     # ------------------------------------------------------------------
@@ -386,7 +420,7 @@ class ProvenanceGraph:
     @staticmethod
     def _walk(
         start: str,
-        adjacency: Dict[str, Set[str]],
+        adjacency: Dict[str, Adjacency],
         max_depth: Optional[int],
     ) -> Set[str]:
         seen: Set[str] = set()
@@ -402,7 +436,7 @@ class ProvenanceGraph:
         seen.discard(start)
         return seen
 
-    def _reaches(self, start: str, target: str, adjacency: Dict[str, Set[str]]) -> bool:
+    def _reaches(self, start: str, target: str, adjacency: Dict[str, Adjacency]) -> bool:
         if start == target:
             return True
         seen = {start}

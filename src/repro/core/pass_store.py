@@ -167,7 +167,6 @@ class PassStore(LineageOracle):
             (time.perf_counter() - started) * 1000.0,
             len(self.unbuilt_sections()),
         )
-        self.planner = QueryPlanner(self)
         # The hot-key result cache (repro.query.feedback).
         self.feedback = FeedbackCollector()
         self._abstraction_rules: List[AbstractionRule] = []
@@ -177,6 +176,16 @@ class PassStore(LineageOracle):
         # committed -- an observer that turns around and queries the
         # store sees the new record fully ingested, never half-way.
         self._ingest_hooks: List[Callable[[PName, ProvenanceRecord], None]] = []
+
+    @property
+    def planner(self) -> QueryPlanner:
+        """A planner for this store, made per query.
+
+        A plan remembers nothing between queries, so nothing is lost; a
+        planner kept here would refer back to the store, and a closed
+        store would then wait for the cyclic collector (docs/STORAGE.md).
+        """
+        return QueryPlanner(self)
 
     def _empty_indexes(self) -> tuple:
         attribute_index = AttributeIndex(self._indexed_attributes)
@@ -704,7 +713,9 @@ class PassStore(LineageOracle):
             "temporal": self.temporal_index.snapshot(position_of),
             "spatial": self.spatial_index.snapshot(position_of),
         }
-        payload = zlib.compress(pack(state))
+        # Level 1: about a seventh of the default level's time, for a blob
+        # a few per cent larger (docs/STORAGE.md, "Cost of the write").
+        payload = zlib.compress(pack(state), 1)
         stored = self.backend.put_index_blob(_CHECKPOINT_KEY, payload)
         if stored:
             self._checkpoint_stale = False

@@ -32,6 +32,22 @@ BYTE_ORDER = sys.byteorder
 _WIDTHS = {"q": 8, "d": 8}
 
 
+def _header_of(node: dict, path: List[str], columns: List[Tuple[List[str], array]]) -> dict:
+    """``node`` without its arrays, which go to ``columns`` with their key paths.
+
+    (A module function, not a closure over ``columns``: a nested function
+    that calls itself is a reference cycle, and would keep every column
+    alive until the cyclic collector runs.)
+    """
+    header = {}
+    for key, value in node.items():
+        if isinstance(value, array):
+            columns.append(([*path, key], value))
+        else:
+            header[key] = _header_of(value, [*path, key], columns) if isinstance(value, dict) else value
+    return header
+
+
 def pack(state: dict) -> bytes:
     """``state`` as one header line and its columns, ready to compress.
 
@@ -41,17 +57,7 @@ def pack(state: dict) -> bytes:
     ``int64`` ones, then the ``float64`` ones.
     """
     columns: List[Tuple[List[str], array]] = []
-
-    def header_of(node: dict, path: List[str]) -> dict:
-        header = {}
-        for key, value in node.items():
-            if isinstance(value, array):
-                columns.append(([*path, key], value))
-            else:
-                header[key] = header_of(value, [*path, key]) if isinstance(value, dict) else value
-        return header
-
-    header = header_of(state, [])
+    header = _header_of(state, [], columns)
     columns.sort(key=lambda entry: list(_WIDTHS).index(entry[1].typecode))
     header["columns"] = [[path, values.typecode, len(values)] for path, values in columns]
     body = [json.dumps(header, separators=(",", ":")).encode("utf-8"), b"\n"]

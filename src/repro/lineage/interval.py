@@ -25,6 +25,11 @@ downstream).  Every node then carries two compressed label maps:
 
 Memory is O(V * k) worst case (k = number of chains) but the maps are
 sparse: a node only carries entries for chains its closure touches.
+Every node's labels name its own chain at its own position, and most
+name nothing else (a node whose ancestors all sit on its own chain);
+such a label is *implied* by ``chain_of`` and not stored.  One accessor,
+:meth:`IntervalClosure._label`, hands out stored and implied labels
+alike, and counting (``label_entries``, ``operations``) sees both.
 
 Maintenance is **lazy**: edge insertions append to a dirty set; the
 first query after a batch either merges the dirty edges incrementally
@@ -65,9 +70,10 @@ class IntervalClosure(ClosureStrategy):
         self._chain_of: Dict[str, Tuple[int, int]] = {}
         #: chain id -> node digests in upstream-to-downstream order
         self._chains: List[List[str]] = []
-        #: digest -> {chain id: min position reachable downstream (incl. self)}
+        #: digest -> {chain id: min position reachable downstream (incl. self)},
+        #: stored only where it names more than the node's own chain
         self._down: Dict[str, Dict[int, int]] = {}
-        #: digest -> {chain id: max position reachable upstream (incl. self)}
+        #: digest -> {chain id: max position reachable upstream (incl. self)}, as ``_down``
         self._up: Dict[str, Dict[int, int]] = {}
         #: edges inserted since the labels were last made current
         self._dirty: List[Tuple[str, str]] = []
@@ -105,18 +111,21 @@ class IntervalClosure(ClosureStrategy):
         self._chains = []
         for digest in order:
             self._assign_chain(digest)
-        self._down = {}
+        chain_of, label_of = self._chain_of, self._label
+        self._down = down = {}
         for digest in reversed(order):
-            label = dict((self._chain_of[digest],))  # {own chain: own position}
+            label = dict((chain_of[digest],))  # {own chain: own position}
             for child in graph.children_of(digest):
-                self._merge_min(label, self._down[child])
-            self._down[digest] = label
-        self._up = {}
+                self._merge_min(label, label_of(down, child))
+            if len(label) > 1:
+                down[digest] = label
+        self._up = up = {}
         for digest in order:
-            label = dict((self._chain_of[digest],))
+            label = dict((chain_of[digest],))
             for parent in graph.parents_of(digest):
-                self._merge_max(label, self._up[parent])
-            self._up[digest] = label
+                self._merge_max(label, label_of(up, parent))
+            if len(label) > 1:
+                up[digest] = label
 
     def _assign_chain(self, digest: str) -> None:
         """Append ``digest`` to a chain whose tail is one of its parents, else open one."""
@@ -149,9 +158,7 @@ class IntervalClosure(ClosureStrategy):
             queue = deque(sorted(d for d, degree in in_degree.items() if degree == 0))
             while queue:
                 digest = queue.popleft()
-                self._assign_chain(digest)
-                self._down[digest] = dict((self._chain_of[digest],))
-                self._up[digest] = dict((self._chain_of[digest],))
+                self._assign_chain(digest)  # (its labels are implied until a merge widens them)
                 for child in sorted(self.graph.children_of(digest)):
                     if child in in_degree:
                         in_degree[child] -= 1
@@ -163,8 +170,8 @@ class IntervalClosure(ClosureStrategy):
         #    so the worklists converge.
         for child, parent in edges:
             self.incremental_merges += 1
-            self._propagate(parent, self._down[child], self._down, up=True)
-            self._propagate(child, self._up[parent], self._up, up=False)
+            self._propagate(parent, self._label(self._down, child), self._down, up=True)
+            self._propagate(child, self._label(self._up, parent), self._up, up=False)
 
     def _propagate(
         self,
@@ -175,14 +182,20 @@ class IntervalClosure(ClosureStrategy):
     ) -> None:
         merge = self._merge_min if up else self._merge_max
         step = self.graph.parents_of if up else self.graph.children_of
-        if not merge(labels[start], source):
+        # A merge that changes a label adds another chain to it (the own
+        # entry never moves), so a changed label is always one to store.
+        target = self._label(labels, start)
+        if not merge(target, source):
             return
+        labels[start] = target
         work = deque([start])
         while work:
             digest = work.popleft()
             current = labels[digest]
             for neighbour in step(digest):
-                if merge(labels[neighbour], current):
+                target = self._label(labels, neighbour)
+                if merge(target, current):
+                    labels[neighbour] = target
                     work.append(neighbour)
 
     def _merge_min(self, target: Dict[int, int], source: Dict[int, int]) -> bool:
@@ -217,7 +230,7 @@ class IntervalClosure(ClosureStrategy):
         self._require(pname)
         self._ensure_current()
         self.operations += 1
-        labels = self._up.get(pname.digest)
+        labels = self._label(self._up, pname.digest)
         if not labels:
             return []
         own_chain, _ = self._chain_of[pname.digest]
@@ -231,7 +244,7 @@ class IntervalClosure(ClosureStrategy):
         self._require(pname)
         self._ensure_current()
         self.operations += 1
-        labels = self._down.get(pname.digest)
+        labels = self._label(self._down, pname.digest)
         if not labels:
             return []
         own_chain, _ = self._chain_of[pname.digest]
@@ -249,7 +262,7 @@ class IntervalClosure(ClosureStrategy):
         self._ensure_current()
         self.operations += 1
         target = self._chain_of.get(descendant.digest)
-        labels = self._down.get(ancestor.digest)
+        labels = self._label(self._down, ancestor.digest)
         if target is None or labels is None:
             return False
         chain, position = target
@@ -263,7 +276,7 @@ class IntervalClosure(ClosureStrategy):
         if pname not in self.graph:
             return 0
         self._ensure_current()
-        labels = self._up.get(pname.digest)
+        labels = self._label(self._up, pname.digest)
         if not labels:
             return 0
         return sum(last + 1 for last in labels.values()) - 1  # minus self
@@ -272,7 +285,7 @@ class IntervalClosure(ClosureStrategy):
         if pname not in self.graph:
             return 0
         self._ensure_current()
-        labels = self._down.get(pname.digest)
+        labels = self._label(self._down, pname.digest)
         if not labels:
             return 0
         return sum(len(self._chains[chain]) - first for chain, first in labels.items()) - 1
@@ -301,6 +314,21 @@ class IntervalClosure(ClosureStrategy):
         if pname not in self.graph:
             raise UnknownEntityError(f"unknown node {pname}")
 
+    def _label(self, labels: Dict[str, Dict[int, int]], digest: str) -> Optional[Dict[int, int]]:
+        """``digest``'s label in ``labels`` (``_down`` or ``_up``), stored or implied.
+
+        An implied label is a new ``{own chain: own position}``, which the
+        caller may widen and store; ``None`` for a node with no chain yet.
+        """
+        label = labels.get(digest)
+        if label is None:
+            own = self._chain_of.get(digest)
+            if own is not None:
+                label = dict((own,))
+        return label
+
     def _label_entries(self) -> int:
-        return sum(len(v) for v in self._down.values()) + sum(len(v) for v in self._up.values())
+        # (every node with a chain has one label each way: implied ones hold one entry)
+        implied = 2 * len(self._chain_of) - len(self._down) - len(self._up)
+        return implied + sum(map(len, self._down.values())) + sum(map(len, self._up.values()))
 

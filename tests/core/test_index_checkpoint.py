@@ -449,6 +449,12 @@ def _close_a_cycle(state):
     parents[parents[child][0]].append(child)
 
 
+def _list_a_parent_twice(state):
+    parents = state["graph"]["parents"]
+    child = next(at for at, listed in enumerate(parents) if listed)
+    parents[child].append(parents[child][0])
+
+
 def _drop_a_section(state):
     del state["spatial"]
 
@@ -496,6 +502,7 @@ REFUSALS = {
     "position past the records": (lambda body: edited(body, _point_past_the_records), "malformed checkpoint: IndexError"),
     "negative position": (lambda body: edited(body, _point_before_the_records), "malformed checkpoint: ValueError"),
     "cyclic edge list": (lambda body: edited(body, _close_a_cycle), "malformed checkpoint: CycleError"),
+    "parent listed twice": (lambda body: edited(body, _list_a_parent_twice), "malformed checkpoint: ValueError"),
     "missing section": (lambda body: edited(body, _drop_a_section), "malformed checkpoint: KeyError"),
     "wrong shape": (lambda body: edited(body, _wrong_shape), "malformed checkpoint: AttributeError"),
     "unequal columns": (lambda body: edited(body, _unequal_columns), "malformed checkpoint: ValueError"),

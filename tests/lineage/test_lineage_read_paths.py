@@ -319,18 +319,20 @@ class TestDepthSatellite:
     """Satellite: deep chains no longer blow the recursion limit."""
 
     def test_depth_is_iterative_on_1500_deep_chains(self):
+        from array import array
+
         from repro.core.graph import ProvenanceGraph
 
         depth = 1_500  # far beyond the default recursion limit
         names = [ProvenanceRecord({"i": i}).pname() for i in range(depth)]
         graph = ProvenanceGraph()
-        graph.add_node(names[0])
-        for i in range(1, depth):
-            graph.add_node(names[i])
-            # Bypass the O(depth) cycle check per edge: build adjacency
-            # directly, as a backend rebuild of a known-acyclic graph would.
-            graph._parents[names[i].digest].add(names[i - 1].digest)
-            graph._children[names[i - 1].digest].add(names[i].digest)
+        # Bypass the O(depth) cycle check per edge: adopt the chain's
+        # columns, as a backend rebuild of a known-acyclic graph would
+        # (node i's one parent is node i - 1).
+        graph.restore(
+            {"counts": array("q", [0] + [1] * (depth - 1)), "parents": array("q", range(depth - 1))},
+            [name.digest for name in names],
+        )
         assert graph.depth(names[-1]) == depth - 1
         histogram = graph.ancestry_depth_distribution()
         assert histogram == {d: 1 for d in range(depth)}
