@@ -57,7 +57,7 @@ def _paginate(pnames: Sequence, limit: Optional[int], offset: int) -> Tuple[list
     """Slice a full answer into a page; returns ``(page, total)``.
 
     (The answer's names are PNames, or a local store's digests, which
-    its client wraps once the page is cut.)
+    its client names by the graph's PNames once the page is cut.)
 
     Every paged call of every client ends here (a ``pass://`` call does
     on the daemon, which answers the error typed), so this is where a
@@ -491,7 +491,9 @@ class LocalClient(PassClient):
             # strategies (naive/memoized) would turn every ingest into a
             # BFS per watch, so they keep the engine's O(edges) label
             # inheritance instead.
-            oracle = self.store.is_ancestor if self.store.closure.fast_reachability else None
+            # (held weakly: store -> hook -> engine -> oracle -> store would
+            # otherwise keep an unclosed client's store for the collector)
+            oracle = _weakly(self.store.is_ancestor) if self.store.closure.fast_reachability else None
             self._stream = StreamEngine(lineage_oracle=oracle)
             self.store.add_ingest_hook(self._stream.on_ingest)
         return self._stream
@@ -523,12 +525,13 @@ class LocalClient(PassClient):
     ) -> Result:
         lowered, limit = _lift_query_limit(query, limit)
         digests, explain = self.store.query_explain(lowered)
-        # Names stay digest strings until here: only the page is wrapped.
+        # Names stay digest strings until here: only the page is named,
+        # by the graph's one PName per node.
         page, total = _paginate(digests, limit, offset)
         cost = self._local_cost()
         cost.rows_scanned = explain.rows_scanned
         return Result(
-            records=[PName(digest) for digest in page], cost=cost, total=total, offset=offset, explain=explain
+            records=list(map(self.store.graph.name_of, page)), cost=cost, total=total, offset=offset, explain=explain
         )
 
     def explain(self, query=None, *, origin: Optional[str] = None) -> Explain:
@@ -558,10 +561,10 @@ class LocalClient(PassClient):
         return self._lineage_page(found, limit, offset)
 
     def _lineage_page(self, found: List[str], limit: Optional[int], offset: int) -> Result:
-        # As in query(): digest strings until here, only the page is wrapped.
+        # As in query(): digest strings until here, only the page is named.
         page, total = _paginate(sorted(found), limit, offset)
         return Result(
-            records=[PName(digest) for digest in page], cost=self._local_cost(), total=total, offset=offset
+            records=list(map(self.store.graph.name_of, page)), cost=self._local_cost(), total=total, offset=offset
         )
 
     def locate(self, pname, origin: Optional[str] = None) -> Result:

@@ -62,7 +62,8 @@ class ClosureStrategy(ABC):
     ``operations`` counter tracks how many node visits / set updates the
     strategy performed, which is what experiment E3 reports.  A strategy
     implements the digest-level pair ``ancestor_digests`` /
-    ``descendant_digests``; the ``Set[PName]`` answers wrap those here.
+    ``descendant_digests``; the ``Set[PName]`` answers name those here
+    by the graph's own names (:meth:`ProvenanceGraph.name_of`).
     """
 
     #: short machine-readable name used by benchmarks and reports
@@ -120,12 +121,12 @@ class ClosureStrategy(ABC):
         """The digest of every transitive descendant of ``pname`` (as :meth:`ancestor_digests`)."""
 
     def ancestors(self, pname: PName) -> Set[PName]:
-        """All transitive ancestors of ``pname``."""
-        return {PName(digest) for digest in self.ancestor_digests(pname)}
+        """All transitive ancestors of ``pname``, by their graph-held names."""
+        return set(map(self.graph.name_of, self.ancestor_digests(pname)))
 
     def descendants(self, pname: PName) -> Set[PName]:
-        """All transitive descendants of ``pname``."""
-        return {PName(digest) for digest in self.descendant_digests(pname)}
+        """All transitive descendants of ``pname``, by their graph-held names."""
+        return set(map(self.graph.name_of, self.descendant_digests(pname)))
 
     def reachable(self, ancestor: PName, descendant: PName) -> bool:
         """True when ``descendant`` was (transitively) derived from ``ancestor``."""

@@ -16,6 +16,14 @@ The adjacency is held in the shapes that immutability allows: a node's
 parents are a tuple, fixed when its record is indexed; its children are
 a list, made at its first child; every other node shares the empty
 tuple.  Most nodes are raw captures or leaves, so most share it.
+
+Inside the store a node is named by its digest string; a :class:`PName`
+is made only for what an answer hands out.  The graph keeps one per
+node, minted by :meth:`ProvenanceGraph.name_of` the first time the node
+is handed out and held until the graph goes, so every query page and
+lineage page that names a node hands out that same object, and a caller
+who holds its pages holds no copies.  Nothing on the write path (nor
+:meth:`~ProvenanceGraph.restore`) fills the table.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ class ProvenanceGraph:
         #: the children of the nodes that have any
         self._children: Dict[str, List[str]] = {}
         self._removed: Set[str] = set()
+        #: the one PName of each node handed out so far (see :meth:`name_of`)
+        self._names: Dict[str, PName] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -184,6 +194,21 @@ class ProvenanceGraph:
 
     def __len__(self) -> int:
         return len(self._parents)
+
+    def name_of(self, digest: str) -> PName:
+        """The node's one :class:`PName`, made the first time it is handed out.
+
+        Every answer hands out this object for the node, so a page costs
+        a dict lookup per row, not a new object.  Raises
+        :class:`~repro.errors.UnknownEntityError` for a digest that is not
+        a node.
+        """
+        name = self._names.get(digest)
+        if name is None:
+            if digest not in self._parents:
+                raise UnknownEntityError(f"unknown node {digest!r}")
+            name = self._names[digest] = PName(digest)
+        return name
 
     def nodes(self) -> Iterator[PName]:
         """Iterate over every node in the graph."""

@@ -431,7 +431,7 @@ class PassStore(LineageOracle):
         whatever the path did not answer exactly is evaluated on them.
         """
         digests, _ = self.query_explain(query)
-        return [PName(digest) for digest in digests]
+        return list(map(self.graph.name_of, digests))
 
     def query_records(self, query: Query | Predicate) -> List[Tuple[PName, ProvenanceRecord]]:
         """Like :meth:`query` but returns ``(PName, record)`` pairs.
@@ -440,7 +440,7 @@ class PassStore(LineageOracle):
         them, when an index answered alone) are fetched here, once each.
         """
         digests, fetched, _ = self._execute(query)
-        pnames = [PName(digest) for digest in digests]
+        pnames = list(map(self.graph.name_of, digests))
         missing = [pname for pname in pnames if pname.digest not in fetched]
         if missing:
             fetched.update((pname.digest, record) for pname, record in self.backend.get_records(missing))
@@ -452,9 +452,10 @@ class PassStore(LineageOracle):
         """Planned execution returning ``(digests, Explain)``.
 
         The matches come as the executor names them, by digest string;
-        callers wrap what they hand out (:meth:`query` all of it, the
-        façade a page).  ``force_full_scan`` bypasses the planner's path
-        choice (parity tests and benchmark baselines use it).
+        callers name what they hand out by the graph's own PNames
+        (:meth:`query` all of it, the façade a page).  ``force_full_scan``
+        bypasses the planner's path choice (parity tests and benchmark
+        baselines use it).
         """
         digests, _, explain = self._execute(query, force_full_scan)
         return digests, explain

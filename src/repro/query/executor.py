@@ -13,8 +13,9 @@ it two jobs beyond producing names:
   with the rows actually scanned and matched.
 
 Names travel as digest strings, the form the indexes, the graph and the
-backends are keyed by; a ``PName`` is made only for a record that must
-be fetched, and by the readers of :func:`execute` for what they return.
+backends are keyed by; a record that must be fetched is asked for by the
+graph's own ``PName`` of its node (``graph.name_of``), as the readers of
+:func:`execute` name what they return.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def execute(
                 # The bulk fetch keeps durable backends at one statement
                 # per chunk instead of one per candidate; a name the store
                 # holds no record for (a closure can yield one) drops out.
-                candidates = store.backend.get_records(plan.path.pnames(names))
+                candidates = store.backend.get_records(list(map(store.graph.name_of, names)))
         store.stats.records_scanned += rows_scanned
 
         fetched: Dict[str, ProvenanceRecord] = {}

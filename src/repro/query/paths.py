@@ -23,7 +23,7 @@ performance does.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
 from repro.core.attributes import AttributeValue, GeoPoint, Timestamp
 from repro.core.provenance import PName
@@ -77,10 +77,6 @@ class AccessPath(ABC):
 
         The set may be an index's own bucket: read it, never mutate it.
         """
-
-    def pnames(self, digests: Sequence[str]) -> List[PName]:
-        """``digests`` (hits of the last :meth:`probe`) wrapped for a backend fetch."""
-        return [PName(digest) for digest in digests]
 
     @property
     def probe_count(self) -> int:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.core import ProvenanceGraph, ProvenanceRecord
+from repro.core import PName, ProvenanceGraph, ProvenanceRecord
 from repro.errors import CycleError, UnknownEntityError
 
 
@@ -241,3 +241,45 @@ class TestRemoval:
         graph = ProvenanceGraph()
         with pytest.raises(UnknownEntityError):
             graph.mark_removed(_pname("missing"))
+
+
+class TestNameTable:
+    """``name_of``: one PName per node, made at its first hand-out."""
+
+    def test_a_node_is_handed_out_as_one_object_equal_to_a_fresh_pname(self, diamond_graph):
+        graph, names = diamond_graph
+        digest = names["left"].digest
+        name = graph.name_of(digest)
+        assert graph.name_of(digest) is name
+        fresh = PName(digest)
+        assert name is not fresh
+        assert name == fresh and hash(name) == hash(fresh) and repr(name) == repr(fresh)
+        ordered = sorted(map(graph.name_of, graph.node_digests()))
+        assert ordered == sorted(PName(d) for d in graph.node_digests())
+
+    def test_a_digest_that_is_no_node_raises_and_is_not_kept(self, chain_graph):
+        graph, _ = chain_graph
+        missing = _pname("missing").digest
+        for _ in range(2):
+            with pytest.raises(UnknownEntityError):
+                graph.name_of(missing)
+        assert missing not in graph._names
+
+    def test_nothing_on_the_write_path_fills_the_table(self, chain_graph):
+        graph, names = chain_graph
+        graph.add_record(ProvenanceRecord({"label": "e"}, ancestors=(names["d"],)))
+        graph.mark_removed(names["a"])
+        assert graph._names == {}
+        assert graph.name_of(names["a"].digest) == names["a"]  # a removed node is still named
+        assert list(graph._names) == [names["a"].digest]
+
+    def test_restore_leaves_the_table_empty(self, diamond_graph):
+        graph, _ = diamond_graph
+        digests = sorted(graph.node_digests())
+        for digest in digests:
+            graph.name_of(digest)
+        restored = ProvenanceGraph()
+        restored.restore(graph.snapshot({digest: at for at, digest in enumerate(digests)}), digests)
+        assert len(restored) == len(graph)
+        assert restored._names == {}
+        assert restored.name_of(digests[0]) is not graph.name_of(digests[0])

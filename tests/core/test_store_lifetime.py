@@ -135,3 +135,20 @@ def test_a_wrapped_store_outlives_its_client_and_is_freed_after_it(tmp_path):
     store.backend.close()
     del store
     assert _alive(watched) == []
+
+
+def test_an_unclosed_client_that_subscribed_frees_its_store():
+    """The stream engine reaches the store only weakly: store -> ingest hook ->
+    engine -> lineage oracle is no cycle, so a client dropped without
+    ``close()`` after a query and a descendants subscription still lets its
+    store go by reference counting."""
+    client = repro.connect("memory://")
+    sets = _tuple_sets()
+    assert client.store.closure.fast_reachability  # the store is the engine's oracle
+    watches = [client.subscribe(Q.attr("city") == "oslo"), client.subscribe_descendants(sets[0].pname)]
+    client.publish_many(sets)
+    assert client.query(Q.attr("city") == "london").total == len(sets) // 2
+    assert len(watches[1].drain()) == len(sets) - 1
+    watched = _watched(client)
+    del client, watches
+    assert _alive(watched) == []

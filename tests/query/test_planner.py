@@ -145,22 +145,26 @@ class TestPathSelection:
         assert explain.used_index
 
     def test_a_lineage_answer_wraps_each_name_once(self, store, monkeypatch):
-        """The probe keeps the closure's digests; the fetch makes the PNames,
-        one per name (wrapping in the closure and again for the fetch cost 3 us
-        a query)."""
+        """The probe keeps the closure's digests; the fetch names them by the
+        graph's PNames, each made once for the graph's life (wrapping in the
+        closure and again for the fetch cost 3 us a query)."""
         root = ProvenanceRecord({"domain": "traffic", "stage": "raw-y"})
         derived = [
             ProvenanceRecord({"domain": "traffic", "stage": "derived-y", "step": step}, ancestors=(root.pname(),))
             for step in range(6)
         ]
         store.ingest_many([TupleSet([], record) for record in (root, *derived)])
-        store.descendants(root.pname())  # labels built before counting
+        store.descendant_digests(root.pname())  # labels built before counting
         made = []
         validate = PName.__post_init__
         monkeypatch.setattr(PName, "__post_init__", lambda self: made.append(self.digest) or validate(self))
         digests, explain = store.query_explain(DerivedFrom(root.pname()))
         assert explain.path_kind == "lineage-descendants"
         assert sorted(made) == digests == sorted(record.pname().digest for record in derived)
+        # Asked again -- or through the Set[PName] answer -- nothing is made.
+        assert store.query_explain(DerivedFrom(root.pname()))[0] == digests
+        assert store.descendants(root.pname()) == {record.pname() for record in derived}
+        assert len(made) == len(derived)
 
     def test_unselective_equality_answers_from_the_index(self, store):
         # Every record is domain=traffic.  The probe is exact, so its bucket
