@@ -165,10 +165,6 @@ class AbstractionEngine:
         self._resolver = resolver
         self._rules = list(rules)
 
-    def add_rule(self, rule: AbstractionRule) -> None:
-        """Append a rule; rules are consulted in insertion order."""
-        self._rules.append(rule)
-
     def report(self, focus: PName, max_depth: Optional[int] = None) -> AbstractedLineage:
         """Produce the abstracted ancestry report for ``focus``.
 
@@ -187,37 +183,37 @@ class AbstractionEngine:
                     depth_limit = rule.max_depth
 
         result = AbstractedLineage(focus=focus)
+        graph = self._graph
         visited: Set[str] = {focus.digest}
-        frontier: List[tuple] = [(parent, 1) for parent in self._graph.parents(focus)]
+        # (parents in digest order, popped last-first: the report's order)
+        frontier: List[tuple] = [(parent, 1) for parent in sorted(graph.parents_of(focus.digest))]
         while frontier:
-            pname, depth = frontier.pop()
-            if pname.digest in visited:
+            digest, depth = frontier.pop()
+            if digest in visited:
                 continue
-            visited.add(pname.digest)
+            visited.add(digest)
 
             if depth_limit is not None and depth > depth_limit:
-                result.hidden_count += 1
-                # Everything above it is also hidden.
-                for ancestor in self._graph.ancestors(pname):
-                    if ancestor.digest not in visited:
-                        visited.add(ancestor.digest)
-                        result.hidden_count += 1
+                # It and everything above it are hidden.
+                result.hidden_count += 1 + self._hide_ancestors(digest, visited)
                 continue
 
-            record = self._resolver(pname)
-            summary = self._first_summary(pname, record)
+            pname = graph.name_of(digest)
+            summary = self._first_summary(pname, self._resolver(pname))
             if summary is not None:
                 result.summaries[pname] = summary
-                for ancestor in self._graph.ancestors(pname):
-                    if ancestor.digest not in visited:
-                        visited.add(ancestor.digest)
-                        result.hidden_count += 1
+                result.hidden_count += self._hide_ancestors(digest, visited)
                 continue
 
             result.expanded.append(pname)
-            for parent in self._graph.parents(pname):
-                frontier.append((parent, depth + 1))
+            frontier.extend((parent, depth + 1) for parent in sorted(graph.parents_of(digest)))
         return result
+
+    def _hide_ancestors(self, digest: str, visited: Set[str]) -> int:
+        """Mark the ancestors of ``digest`` not yet visited as visited; how many there were."""
+        hidden = self._graph.walk(digest, up=True) - visited
+        visited |= hidden
+        return len(hidden)
 
     def _first_summary(self, pname: PName, record: Optional[ProvenanceRecord]) -> Optional[str]:
         for rule in self._rules:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from repro.errors import ConfigurationError
 
@@ -83,10 +83,6 @@ class Timestamp:
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return cls(dt.timestamp())
-
-    def to_datetime(self) -> datetime:
-        """Return the equivalent timezone-aware UTC datetime."""
-        return datetime.fromtimestamp(self.seconds, tz=timezone.utc)
 
     def __add__(self, delta_seconds: float) -> "Timestamp":
         return Timestamp(self.seconds + float(delta_seconds))
@@ -231,11 +227,3 @@ def ensure_attribute_map(attributes: dict) -> dict:
             raise ConfigurationError(f"attribute names must be non-empty strings, got {name!r}")
         result[name] = coerce_value(raw)
     return result
-
-
-def merge_attribute_maps(maps: Sequence[dict]) -> dict:
-    """Merge several attribute maps, later maps winning on conflicts."""
-    merged: dict = {}
-    for mapping in maps:
-        merged.update(ensure_attribute_map(mapping))
-    return merged

@@ -8,14 +8,15 @@ or XML-based name-to-value schemes are not sufficient".
 This module implements three strategies with different cost profiles and
 a common interface, so the PASS store (and experiment E3) can swap them
 (a fourth, the interval/chain reachability index, lives in
-:mod:`repro.lineage` and registers itself here under ``"interval"``):
+:mod:`repro.lineage`); :func:`make_closure` makes any of the four by name:
 
 * :class:`NaiveClosure` -- answer each query with a fresh BFS over the
   provenance graph.  This is what a plain relational scheme would do
   with repeated self-joins: cheap to maintain, expensive to query on
   deep lineage.
-* :class:`MemoizedClosure` -- BFS, but cache per-node ancestor sets and
-  invalidate them when new edges arrive.  Good for read-heavy phases.
+* :class:`MemoizedClosure` -- the same walk, but cache per-node ancestor
+  sets and invalidate them when new edges arrive.  Good for read-heavy
+  phases.
 * :class:`LabelledClosure` -- maintain full ancestor/descendant label
   sets incrementally on edge insertion (a reachability-labelling
   approach).  Queries are set lookups; updates pay the propagation cost.
@@ -32,7 +33,6 @@ from __future__ import annotations
 import logging
 import time
 from abc import ABC, abstractmethod
-from collections import deque
 from typing import Dict, List, Optional, Set
 
 from repro.core.bulk import collector_paused
@@ -46,9 +46,12 @@ __all__ = [
     "NaiveClosure",
     "MemoizedClosure",
     "LabelledClosure",
+    "STRATEGY_NAMES",
     "make_closure",
-    "register_strategy",
 ]
+
+#: the name of every strategy, as :func:`make_closure` takes it
+STRATEGY_NAMES = ("naive", "memoized", "labelled", "interval")
 
 _LOGGER = logging.getLogger("repro.core")
 
@@ -91,21 +94,6 @@ class ClosureStrategy(ABC):
     def reset_counters(self) -> None:
         """Zero the operation counter (benchmarks call this between phases)."""
         self.operations = 0
-
-    def for_graph(self, graph: ProvenanceGraph) -> "ClosureStrategy":
-        """A strategy of the same class bound to ``graph``.
-
-        A strategy instance carries auxiliary state derived from *its*
-        graph (caches, reachability labels), so a store never adopts a
-        caller's instance directly -- rebinding ``.graph`` under an
-        instance shared with another store would silently corrupt both.
-        Instead the store asks for a sibling bound to its own graph.
-        Subclasses whose constructor takes more than the graph must
-        override this.
-        """
-        if self.graph is graph:
-            return self
-        return type(self)(graph)
 
     # -- queries ---------------------------------------------------------
     @abstractmethod
@@ -177,6 +165,18 @@ class ClosureStrategy(ABC):
     def _label_every_node(self) -> None:
         """Label every node of the graph as it stands (a strategy with labels overrides this)."""
 
+    def _walk(self, pname: PName, up: bool) -> Set[str]:
+        """Walk the graph from ``pname``: the one BFS the walking strategies answer through.
+
+        Counts one operation per node the walk visits, ``pname``'s own
+        included, and returns :meth:`ProvenanceGraph.walk`'s new set.
+        """
+        if pname not in self.graph:
+            raise UnknownEntityError(f"unknown node {pname}")
+        reached = self.graph.walk(pname.digest, up)
+        self.operations += 1 + len(reached)
+        return reached
+
     # -- reporting ---------------------------------------------------------
     def index_stats(self) -> dict:
         """Facts about the strategy's auxiliary structures (CLI / stats())."""
@@ -201,25 +201,10 @@ class NaiveClosure(ClosureStrategy):
     name = "naive"
 
     def ancestor_digests(self, pname: PName) -> List[str]:
-        return self._bfs(pname, up=True)
+        return list(self._walk(pname, up=True))
 
     def descendant_digests(self, pname: PName) -> List[str]:
-        return self._bfs(pname, up=False)
-
-    def _bfs(self, pname: PName, up: bool) -> List[str]:
-        if pname not in self.graph:
-            raise UnknownEntityError(f"unknown node {pname}")
-        step = self.graph.parents if up else self.graph.children
-        seen: Set[str] = set()
-        frontier = deque([pname])
-        while frontier:
-            node = frontier.popleft()
-            self.operations += 1
-            for neighbour in step(node):
-                if neighbour.digest not in seen:
-                    seen.add(neighbour.digest)
-                    frontier.append(neighbour)
-        return list(seen)
+        return list(self._walk(pname, up=False))
 
 
 class MemoizedClosure(ClosureStrategy):
@@ -251,34 +236,21 @@ class MemoizedClosure(ClosureStrategy):
         self._descendant_cache.clear()
 
     def _cached(self, pname: PName, up: bool) -> Set[str]:
-        if pname not in self.graph:
-            raise UnknownEntityError(f"unknown node {pname}")
         cache = self._ancestor_cache if up else self._descendant_cache
-        hit = cache.get(pname.digest)
+        hit = cache.get(pname.digest)  # (only a node is ever cached)
         if hit is not None:
             self.operations += 1
             return hit
-        step = self.graph.parents if up else self.graph.children
-        seen: Set[str] = set()
-        frontier = deque([pname])
-        while frontier:
-            node = frontier.popleft()
-            self.operations += 1
-            for neighbour in step(node):
-                if neighbour.digest not in seen:
-                    seen.add(neighbour.digest)
-                    frontier.append(neighbour)
-        cache[pname.digest] = seen
-        return seen
+        reached = cache[pname.digest] = self._walk(pname, up)
+        return reached
 
     def _on_edge(self, child: PName, parent: PName) -> None:
         # Invalidate ancestor sets of the child and everything below it,
         # and descendant sets of the parent and everything above it.
-        stale_down = {child.digest} | {p.digest for p in self.graph.descendants(child)}
-        stale_up = {parent.digest} | {p.digest for p in self.graph.ancestors(parent)}
-        for digest in stale_down:
+        walk = self.graph.walk
+        for digest in (child.digest, *walk(child.digest, up=False)):
             self._ancestor_cache.pop(digest, None)
-        for digest in stale_up:
+        for digest in (parent.digest, *walk(parent.digest, up=True)):
             self._descendant_cache.pop(digest, None)
 
 
@@ -409,41 +381,13 @@ class LabelledClosure(ClosureStrategy):
             self.operations += len(self._descendant_labels[target]) - before + 1
 
 
-_STRATEGIES = {
-    NaiveClosure.name: NaiveClosure,
-    MemoizedClosure.name: MemoizedClosure,
-    LabelledClosure.name: LabelledClosure,
-}
-
-
-def register_strategy(cls):
-    """Register a :class:`ClosureStrategy` subclass under its ``name``.
-
-    Usable as a class decorator; :mod:`repro.lineage` registers the
-    ``interval`` engine this way so the core layer never has to import
-    the lineage package at module load.
-    """
-    _STRATEGIES[cls.name] = cls
-    return cls
-
-
 def make_closure(name: str, graph: Optional[ProvenanceGraph] = None) -> ClosureStrategy:
-    """Instantiate a closure strategy by name.
+    """A new strategy of one of the :data:`STRATEGY_NAMES`, over ``graph`` (default: a new, empty one)."""
+    # (imported here: the interval engine subclasses ClosureStrategy, so
+    # repro.lineage imports this module, never the other way at load)
+    from repro.lineage.interval import IntervalClosure
 
-    Shipped names: ``naive`` / ``memoized`` / ``labelled`` / ``interval``
-    (the last provided by :mod:`repro.lineage`, loaded on demand).
-    """
-    factory = _STRATEGIES.get(name)
-    if factory is None:
-        # The interval engine registers itself on import; load it lazily
-        # here so repro.core never imports repro.lineage at module load
-        # (the reverse import -- interval subclassing ClosureStrategy --
-        # is the one that must be eager).
-        import repro.lineage  # noqa: F401
-
-        factory = _STRATEGIES.get(name)
-    if factory is None:
-        raise UnknownEntityError(
-            f"unknown closure strategy {name!r}; choose from {sorted(_STRATEGIES)}"
-        )
-    return factory(graph)
+    for strategy in (NaiveClosure, MemoizedClosure, LabelledClosure, IntervalClosure):
+        if strategy.name == name:
+            return strategy(graph)
+    raise UnknownEntityError(f"unknown closure strategy {name!r}; choose from {sorted(STRATEGY_NAMES)}")

@@ -17,12 +17,13 @@ parents are a tuple, fixed when its record is indexed; its children are
 a list, made at its first child; every other node shares the empty
 tuple.  Most nodes are raw captures or leaves, so most share it.
 
-Inside the store a node is named by its digest string; a :class:`PName`
-is made only for what an answer hands out.  The graph keeps one per
-node, minted by :meth:`ProvenanceGraph.name_of` the first time the node
-is handed out and held until the graph goes, so every query page and
-lineage page that names a node hands out that same object, and a caller
-who holds its pages holds no copies.  Nothing on the write path (nor
+Inside the store a node is named by its digest string, and every
+answer the graph gives is digests; a :class:`PName` is made only for
+what an answer hands out.  The graph keeps one per node, minted by
+:meth:`ProvenanceGraph.name_of` the first time the node is handed out
+and held until the graph goes, so every query page and lineage page
+that names a node hands out that same object, and a caller who holds
+its pages holds no copies.  Nothing on the write path (nor
 :meth:`~ProvenanceGraph.restore`) fills the table.
 """
 
@@ -32,7 +33,7 @@ from array import array
 from collections import deque
 from itertools import chain, compress
 from operator import not_
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.errors import CycleError, UnknownEntityError
@@ -170,8 +171,8 @@ class ProvenanceGraph:
                 else:
                     siblings.append(child)
         # Kahn's algorithm: whatever is never freed of its parents sits on a cycle.
-        # (topological_order() would do, at four times the cost: it sorts and wraps
-        # every node for its callers, and this runs inside every adopted open.)
+        # (topological_order() would do, at the cost of its sorts, and this runs
+        # inside every adopted open.)
         waiting = dict(zip(digests, counts))
         free = list(compress(digests, map(not_, counts)))
         freed = len(free)
@@ -210,44 +211,20 @@ class ProvenanceGraph:
             name = self._names[digest] = PName(digest)
         return name
 
-    def nodes(self) -> Iterator[PName]:
-        """Iterate over every node in the graph."""
-        for digest in self._parents:
-            yield PName(digest)
-
     def is_removed(self, pname: PName) -> bool:
         """True when the node's underlying data was marked removed."""
         return pname.digest in self._removed
-
-    def parents(self, pname: PName) -> List[PName]:
-        """Immediate ancestors (the data sets this one was derived from)."""
-        self._require(pname)
-        return [PName(d) for d in sorted(self._parents[pname.digest])]
-
-    def children(self, pname: PName) -> List[PName]:
-        """Immediate descendants (data sets derived directly from this one)."""
-        self._require(pname)
-        return [PName(d) for d in sorted(self._children.get(pname.digest, _NO_EDGES))]
-
-    def roots(self) -> List[PName]:
-        """Nodes with no parents: raw captures."""
-        return [PName(d) for d in sorted(self._parents) if not self._parents[d]]
-
-    def leaves(self) -> List[PName]:
-        """Nodes with no children: the most-derived data sets."""
-        return [PName(d) for d in sorted(self._parents) if d not in self._children]
 
     def edge_count(self) -> int:
         """Total number of derivation edges."""
         return sum(len(parents) for parents in self._parents.values())
 
     # ------------------------------------------------------------------
-    # Digest-level views (index maintenance hot paths)
+    # Adjacency, by digest
     # ------------------------------------------------------------------
-    # The PName-returning accessors above sort and wrap on every call,
-    # which is right for user-facing code but too slow for the closure
-    # engines that walk the whole graph.  These views hand out the
-    # graph's own adjacency, without a copy.
+    # Every answer below is digests: the graph's own adjacency, without a
+    # copy, or a new set or list.  A caller that hands a node out names it
+    # by :meth:`name_of`.
 
     def node_digests(self) -> Iterable[str]:
         """Every node digest (a live view; do not mutate the graph while iterating)."""
@@ -278,76 +255,60 @@ class ProvenanceGraph:
     # ------------------------------------------------------------------
     # Reachability (transitive closure)
     # ------------------------------------------------------------------
-    def ancestors(self, pname: PName, max_depth: Optional[int] = None) -> Set[PName]:
-        """Every data set this one was (transitively) derived from.
+    def walk(self, digest: str, up: bool) -> Set[str]:
+        """Every digest reachable from ``digest`` along parent (``up``) or child edges.
 
-        ``max_depth`` bounds how many generations back to walk; ``None``
-        walks to the raw roots.
+        The one lineage walk: the walking closure strategies, the
+        memoized strategy's invalidation, :meth:`raw_sources` and the
+        abstraction report all answer through it.  A new set, never
+        holding ``digest`` itself (the graph is acyclic); empty for an
+        unknown digest.
         """
-        self._require(pname)
-        return {PName(d) for d in self._walk(pname.digest, self._parents, max_depth)}
+        step = (self._parents if up else self._children).get
+        seen: Set[str] = set()
+        frontier = deque([digest])
+        while frontier:
+            for neighbour in step(frontier.popleft(), _NO_EDGES):
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    frontier.append(neighbour)
+        return seen
 
-    def descendants(self, pname: PName, max_depth: Optional[int] = None) -> Set[PName]:
-        """Every data set (transitively) derived from this one.
-
-        This is the paper's taint query: "if a problem is found with the
-        original data ... all downstream data is tainted and must be
-        locatable."
-        """
-        self._require(pname)
-        return {PName(d) for d in self._walk(pname.digest, self._children, max_depth)}
-
-    def raw_sources(self, pname: PName) -> Set[PName]:
-        """The raw (rootless) ancestors of a data set.
+    def raw_sources(self, digest: str) -> Set[str]:
+        """The raw (parentless) ancestors of ``digest``; a raw node is its own sole source.
 
         "Find all the raw data from which this data set was derived."
         """
-        self._require(pname)
-        candidates = self._walk(pname.digest, self._parents, None)
-        if not self._parents.get(pname.digest):
-            # A raw data set is its own (sole) raw source.
-            candidates = candidates | {pname.digest}
-        return {PName(digest) for digest in candidates if not self._parents.get(digest)}
+        parents = self._parents
+        if not parents.get(digest):
+            return {digest}
+        return {ancestor for ancestor in self.walk(digest, up=True) if not parents[ancestor]}
 
-    def is_ancestor(self, candidate: PName, of: PName) -> bool:
-        """True when ``candidate`` is a (transitive) ancestor of ``of``."""
-        self._require(candidate)
-        self._require(of)
-        return self._reaches(of.digest, candidate.digest, self._parents)
+    def path(self, descendant: str, ancestor: str) -> Optional[List[str]]:
+        """One shortest derivation path from ``descendant`` back to ``ancestor``.
 
-    def path(self, descendant: PName, ancestor: PName) -> Optional[List[PName]]:
-        """One derivation path from ``descendant`` back to ``ancestor``.
-
-        Returns the list of PNames from descendant (inclusive) to
-        ancestor (inclusive), or ``None`` when no path exists.  Used to
-        "show me what I need to reproduce this result".
+        The digests from descendant (inclusive) to ancestor (inclusive),
+        or ``None`` when no path exists.  Used to "show me what I need to
+        reproduce this result".
         """
-        self._require(descendant)
-        self._require(ancestor)
-        target = ancestor.digest
-        queue = deque([descendant.digest])
-        came_from: Dict[str, Optional[str]] = {descendant.digest: None}
+        queue = deque([descendant])
+        came_from: Dict[str, Optional[str]] = {descendant: None}
         while queue:
             current = queue.popleft()
-            if current == target:
-                path = []
+            if current == ancestor:
+                path: List[str] = []
                 node: Optional[str] = current
                 while node is not None:
-                    path.append(PName(node))
+                    path.append(node)
                     node = came_from[node]
                 # ``path`` runs ancestor -> descendant; callers expect the
                 # derivation order descendant -> ancestor.
                 return path[::-1]
-            for parent in self._parents.get(current, ()):
+            for parent in self._parents.get(current, _NO_EDGES):
                 if parent not in came_from:
                     came_from[parent] = current
                     queue.append(parent)
         return None
-
-    def depth(self, pname: PName) -> int:
-        """Length of the longest derivation chain below this node (0 = raw)."""
-        self._require(pname)
-        return self._depth_into(pname.digest, {})
 
     def _depth_into(self, start: str, memo: Dict[str, int]) -> int:
         """Longest-chain depth of ``start``, folded into a shared ``memo``.
@@ -409,58 +370,28 @@ class ProvenanceGraph:
             "depth_histogram": histogram,
         }
 
-    def topological_order(self) -> List[PName]:
-        """Nodes ordered parents-before-children (raw data first)."""
+    def topological_order(self) -> List[str]:
+        """Every node digest, parents before children (raw data first).
+
+        Kahn's algorithm with its ties broken by digest: the roots in
+        digest order, then each node's children in digest order, so the
+        order (and the chains the interval strategy cuts from it) is the
+        same for the same graph however it was built.
+        """
         in_degree = {digest: len(parents) for digest, parents in self._parents.items()}
-        queue = deque(sorted(d for d, deg in in_degree.items() if deg == 0))
-        order: List[PName] = []
-        while queue:
-            digest = queue.popleft()
-            order.append(PName(digest))
-            for child in sorted(self._children.get(digest, ())):
+        order = sorted(digest for digest, degree in in_degree.items() if not degree)
+        for digest in order:  # (the list grows as children are freed)
+            for child in sorted(self._children.get(digest, _NO_EDGES)):
                 in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    queue.append(child)
+                if not in_degree[child]:
+                    order.append(child)
         if len(order) != len(self._parents):  # pragma: no cover - defensive
             raise CycleError("provenance graph contains a cycle")
         return order
 
-    def subgraph_edges(self, pnames: Iterable[PName]) -> List[Tuple[PName, PName]]:
-        """Edges (child, parent) with both endpoints in ``pnames``."""
-        wanted = {p.digest for p in pnames}
-        edges = []
-        for child in sorted(wanted & set(self._parents)):
-            for parent in sorted(self._parents[child]):
-                if parent in wanted:
-                    edges.append((PName(child), PName(parent)))
-        return edges
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _require(self, pname: PName) -> None:
-        if pname.digest not in self._parents:
-            raise UnknownEntityError(f"unknown node {pname}")
-
-    @staticmethod
-    def _walk(
-        start: str,
-        adjacency: Dict[str, Adjacency],
-        max_depth: Optional[int],
-    ) -> Set[str]:
-        seen: Set[str] = set()
-        frontier = deque([(start, 0)])
-        while frontier:
-            digest, depth = frontier.popleft()
-            if max_depth is not None and depth >= max_depth:
-                continue
-            for neighbour in adjacency.get(digest, ()):
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append((neighbour, depth + 1))
-        seen.discard(start)
-        return seen
-
     def _reaches(self, start: str, target: str, adjacency: Dict[str, Adjacency]) -> bool:
         if start == target:
             return True

@@ -40,12 +40,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.core.abstraction import AbstractedLineage, AbstractionEngine, AbstractionRule
 from repro.core.attributes import GeoPoint, Timestamp
 from repro.core.bulk import collector_paused
-from repro.core.closure import ClosureStrategy, make_closure
+from repro.core.closure import STRATEGY_NAMES, make_closure
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import Annotation, PName, ProvenanceRecord
 from repro.core.query import LineageOracle, Predicate, Query
 from repro.core.tupleset import SensorReading, TupleSet, readings_from_json, readings_to_bytes
 from repro.errors import (
+    ConfigurationError,
     DuplicateProvenanceError,
     PassError,
     UnknownEntityError,
@@ -119,8 +120,9 @@ class PassStore(LineageOracle):
     backend:
         Where records and payloads live (default: in-memory).
     closure:
-        Transitive-closure strategy, by instance or by name
-        (``"naive"`` / ``"memoized"`` / ``"labelled"`` / ``"interval"``).
+        Transitive-closure strategy, by name
+        (``"naive"`` / ``"memoized"`` / ``"labelled"`` / ``"interval"``;
+        an instance is refused: it holds state derived from its own graph).
         Default is the interval strategy (:mod:`repro.lineage`), the
         service closure; the other three are chosen by hand (experiment
         E3, test oracles), and nothing switches a store's strategy but
@@ -135,10 +137,14 @@ class PassStore(LineageOracle):
     def __init__(
         self,
         backend: Optional[StorageBackend] = None,
-        closure: ClosureStrategy | str = "interval",
+        closure: str = "interval",
         indexed_attributes: Optional[Iterable[str]] = None,
         site: str = "local",
     ) -> None:
+        if not isinstance(closure, str):
+            raise ConfigurationError(
+                f"closure must be a strategy name, one of {', '.join(STRATEGY_NAMES)}; got {type(closure).__name__}"
+            )
         self.backend = backend if backend is not None else MemoryBackend()
         self.site = site
         self.stats = StoreStatistics()
@@ -359,10 +365,6 @@ class PassStore(LineageOracle):
             return []
         return self._decode_readings(payload)
 
-    def get_tuple_set(self, pname: PName) -> TupleSet:
-        """Reassemble a full tuple set (readings + provenance)."""
-        return TupleSet(self.get_readings(pname), self.get_record(pname))
-
     def pnames(self) -> List[PName]:
         """Every PName known to the store."""
         return [pname for pname, _ in self.backend.iter_records()]
@@ -505,20 +507,27 @@ class PassStore(LineageOracle):
 
     def _lineage(self, enumerate_closure, span_name: str, pname: PName):
         self.stats.lineage_queries += 1
-        if pname not in self.graph:
-            raise UnknownEntityError(f"unknown data set {pname}")
+        self._require(pname)
         with trace.span(span_name, attrs={"focus": pname.short}):
             return enumerate_closure(pname)
 
     def raw_sources(self, pname: PName) -> Set[PName]:
         """The raw (underived) data sets at the bottom of ``pname``'s lineage."""
         self.stats.lineage_queries += 1
-        return self.graph.raw_sources(pname)
+        self._require(pname)
+        return set(map(self.graph.name_of, self.graph.raw_sources(pname.digest)))
 
     def derivation_path(self, descendant: PName, ancestor: PName) -> Optional[List[PName]]:
         """One derivation path between two data sets ("what do I need to reproduce this")."""
         self.stats.lineage_queries += 1
-        return self.graph.path(descendant, ancestor)
+        self._require(descendant)
+        self._require(ancestor)
+        path = self.graph.path(descendant.digest, ancestor.digest)
+        return None if path is None else list(map(self.graph.name_of, path))
+
+    def _require(self, pname: PName) -> None:
+        if pname not in self.graph:
+            raise UnknownEntityError(f"unknown data set {pname}")
 
     # ------------------------------------------------------------------
     # Abstraction (Section V)
@@ -571,7 +580,7 @@ class PassStore(LineageOracle):
                 violations.append(f"removed data set {pname.short} lost its provenance record")
         return violations
 
-    def _load_from_backend(self, closure: ClosureStrategy | str) -> None:
+    def _load_from_backend(self, closure: str) -> None:
         """Indexes, graph and closure strategy for what the backend already holds.
 
         A durable backend may hold the indexes of an earlier session
@@ -604,9 +613,7 @@ class PassStore(LineageOracle):
         for pname in self.backend.removed_pnames():
             if pname in self.graph:
                 self.graph.mark_removed(pname)
-        # (never a caller's instance itself: rebinding its graph would
-        # corrupt any other store sharing it)
-        self.closure = make_closure(closure, self.graph) if isinstance(closure, str) else closure.for_graph(self.graph)
+        self.closure = make_closure(closure, self.graph)
 
     # ------------------------------------------------------------------
     # Index checkpoint (docs/STORAGE.md, "Open path")

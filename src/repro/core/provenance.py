@@ -250,10 +250,6 @@ class ProvenanceRecord:
                     return annotation.value
         return default
 
-    def has_ancestor(self, pname: PName) -> bool:
-        """True when ``pname`` is an *immediate* ancestor of this record."""
-        return any(ancestor.digest == pname.digest for ancestor in self._ancestors)
-
     def is_raw(self) -> bool:
         """True for raw captures (no ancestors): the leaves of the lineage DAG."""
         return not self._ancestors

@@ -364,11 +364,8 @@ class ArchitectureModel(ABC):
 
         def neighbours_at(site: str) -> List[PName]:
             graph = stores.store(site).graph
-            neighbours: List[PName] = []
-            for node in frontier:
-                if node in graph:
-                    neighbours.extend(graph.parents(node) if up else graph.children(node))
-            return neighbours
+            step = graph.parents_of if up else graph.children_of
+            return [graph.name_of(neighbour) for node in frontier for neighbour in step(node.digest)]
 
         while frontier:
             rounds += 1

@@ -213,12 +213,6 @@ class CentralizedWarehouse(ArchitectureModel):
                 broken += 1
         return broken
 
-    def dangling_fraction(self) -> float:
-        """Fraction of locate answers that would currently dangle."""
-        if not self._data_location:
-            return 0.0
-        return len(self._broken_links) / len(self._data_location)
-
 
 # ----------------------------------------------------------------------
 # PassClient façade registration (repro.api)

@@ -147,13 +147,9 @@ class DistributedDatabase(ArchitectureModel):
                     contacted.add(site)
                     with fanout.branch():
                         self.network.send(origin_site, site, 128, "closure-step")
-                        store = self._stores.store(site)
-                        if node in store.graph:
-                            neighbours = (
-                                store.graph.parents(node) if up else store.graph.children(node)
-                            )
-                        else:
-                            neighbours = []
+                        graph = self._stores.store(site).graph
+                        step = graph.parents_of if up else graph.children_of
+                        neighbours = list(map(graph.name_of, step(node.digest)))
                         self.network.send(
                             site, origin_site, POINTER_BYTES * max(1, len(neighbours)), "closure-reply"
                         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from repro.core.provenance import PName, ProvenanceRecord
+from repro.core.provenance import PName
 from repro.core.query import (
     And,
     AttributeContains,
@@ -46,7 +46,6 @@ from repro.distributed.base import (
     SiteStores,
     estimate_record_bytes,
 )
-from repro.errors import UnknownEntityError
 from repro.net.simulator import NetworkSimulator
 from repro.net.topology import Topology
 
@@ -85,19 +84,6 @@ def _rename_predicate(predicate: Predicate, mapping: Mapping[str, str]) -> Predi
     return predicate
 
 
-def _rename_record(record: ProvenanceRecord, mapping: Mapping[str, str]) -> ProvenanceRecord:
-    """Store-side schema translation applied when a record is ingested at a site."""
-    if not mapping:
-        return record
-    renamed = {mapping.get(name, name): value for name, value in record.attributes.items()}
-    return ProvenanceRecord(
-        attributes=renamed,
-        ancestors=record.ancestors,
-        agents=record.agents,
-        annotations=record.annotations,
-    )
-
-
 class FederatedDatabase(ArchitectureModel):
     """Autonomous per-site databases behind a mediating query translator.
 
@@ -131,12 +117,6 @@ class FederatedDatabase(ArchitectureModel):
         }
         self.translation_ms = translation_ms
         self._data_location: Dict[str, str] = {}
-
-    def schema_for(self, site: str) -> Dict[str, str]:
-        """The attribute-renaming map a site applies to global names."""
-        if site not in self._schemas:
-            raise UnknownEntityError(f"unknown site {site!r}")
-        return dict(self._schemas[site])
 
     # ------------------------------------------------------------------
     # Interface

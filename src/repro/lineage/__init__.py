@@ -7,8 +7,9 @@ sufficient."  This package is the engine that takes that requirement to
 scale:
 
 * :class:`~repro.lineage.interval.IntervalClosure` -- an interval/chain
-  reachability index registered as the ``"interval"`` closure strategy
-  (``connect("memory://?closure=interval")``): O(labels) membership,
+  reachability index, the ``"interval"`` closure strategy of
+  :func:`~repro.core.closure.make_closure` and the default of every
+  store (``connect("memory://?closure=interval")``): O(labels) membership,
   output-sensitive enumeration, O(V * k) memory instead of the labelled
   strategy's O(V^2) sets, maintained lazily from a dirty set and
   built on the first lineage read after an open (never checkpointed).

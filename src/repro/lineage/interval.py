@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.closure import ClosureStrategy, register_strategy
+from repro.core.closure import ClosureStrategy
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import PName
 from repro.errors import UnknownEntityError
@@ -57,7 +57,6 @@ _REBUILD_FRACTION = 0.25
 _REBUILD_MIN_BATCH = 512
 
 
-@register_strategy
 class IntervalClosure(ClosureStrategy):
     """Chain-decomposition reachability labelling with lazy maintenance."""
 
@@ -106,7 +105,7 @@ class IntervalClosure(ClosureStrategy):
 
     def _label_every_node(self) -> None:
         graph = self.graph
-        order = [pname.digest for pname in graph.topological_order()]
+        order = graph.topological_order()
         self._chain_of = {}
         self._chains = []
         for digest in order:

@@ -317,10 +317,6 @@ class NetworkSimulator:
         """True once the per-message log overflowed and was dropped."""
         return not self._keep_log
 
-    def log_dropped(self) -> int:
-        """Messages not retained in the log (0 until truncation)."""
-        return self._log_dropped
-
     def snapshot(self) -> dict:
         """Traffic counters plus log-retention facts (one-stop report dict)."""
         facts = self.stats.snapshot()
@@ -337,12 +333,3 @@ class NetworkSimulator:
         self._log.clear()
         self._log_dropped = 0
         self._keep_log = True
-
-    def messages_between(self, source: str, destination: str) -> int:
-        """How many messages went from ``source`` to ``destination``.
-
-        Only the ``BY_LINK_CAP`` first-seen links are tracked
-        individually; an untracked link reports 0 even though its
-        messages are in the aggregate counters.
-        """
-        return self.stats.by_link.get((source, destination), 0)

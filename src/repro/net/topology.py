@@ -142,9 +142,3 @@ class Topology:
         if not candidates:
             raise UnknownEntityError("topology has no sites of the requested kind")
         return min(candidates, key=lambda site: site.location.distance_km(location))
-
-    def neighbours_by_distance(self, name: str) -> List[Site]:
-        """Every other site, nearest first."""
-        origin = self.site(name)
-        others = [site for site in self.sites() if site.name != name]
-        return sorted(others, key=lambda site: site.location.distance_km(origin.location))

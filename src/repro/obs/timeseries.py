@@ -33,7 +33,7 @@ import threading
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import HistogramState, MetricsRegistry
+from repro.obs.metrics import HistogramState
 
 __all__ = ["TimeSeriesStore"]
 
@@ -109,22 +109,6 @@ class TimeSeriesStore:
             delta = state if earlier is None else state.delta(earlier)
             series.last_cumulative = state
             series.observe(self._slot(t), delta)
-
-    def sample_registry(self, registry: MetricsRegistry, t: float, prefix: str = "") -> None:
-        """Scrape every instrument in ``registry`` into series at ``t``.
-
-        Counters and histograms record cumulatively (the store derives
-        rates/deltas); gauges record their current read when numeric.
-        """
-        counters, gauges, histograms = registry.instruments()
-        for name, counter in counters.items():
-            self.observe_counter(prefix + name, t, counter.value)
-        for name, gauge in gauges.items():
-            value = gauge.read()
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self.observe_gauge(prefix + name, t, value)
-        for name, histogram in histograms.items():
-            self.observe_histogram(prefix + name, t, histogram.state())
 
     # -- reading ---------------------------------------------------------
     def names(self) -> List[str]:

@@ -128,18 +128,3 @@ class TaintAnalysis:
         for pname in produced:
             tainted |= self._store.descendants(pname)
         return tainted
-
-    def untainted(self, universe: Sequence[PName], tainted: Set[PName]) -> List[PName]:
-        """The complement: data sets in ``universe`` that are not tainted."""
-        tainted_digests = {pname.digest for pname in tainted}
-        return [pname for pname in universe if pname.digest not in tainted_digests]
-
-    def taint_report(self, suspect: PName) -> Dict[str, object]:
-        """A small report used by examples: counts and the raw sources involved."""
-        tainted = self.tainted_by_data(suspect)
-        return {
-            "suspect": suspect.short,
-            "tainted_count": len(tainted),
-            "store_size": len(self._store),
-            "fraction": len(tainted) / max(1, len(self._store)),
-        }

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.attributes import Timestamp
 from repro.core.pass_store import PassStore
 from repro.core.provenance import Agent, PName, ProvenanceRecord
-from repro.core.query import And, AttributeEquals
 from repro.core.tupleset import TupleSet
 from repro.errors import ConfigurationError, UnknownEntityError
 
@@ -209,11 +208,6 @@ class VersionedRepository:
     # ------------------------------------------------------------------
     # Provenance-level views (cross-checks for experiment E4)
     # ------------------------------------------------------------------
-    def revisions_by_author(self, author: str) -> List[PName]:
-        """All revision records authored by ``author``, via the PASS store."""
-        return self.store.query(
-            And((AttributeEquals("repository", self.name), AttributeEquals("author", author)))
-        )
 
     def revision_lineage(self, path: str) -> Set[PName]:
         """The ancestor closure of the head revision: the file's full history."""

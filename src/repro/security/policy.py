@@ -130,10 +130,6 @@ class PolicyEngine:
         self._protected = set(protected_domains or ())
         self._audit: List[_AuditEntry] = []
 
-    def add_rule(self, rule: AccessRule) -> None:
-        """Append a rule (evaluated after existing ones)."""
-        self._rules.append(rule)
-
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------

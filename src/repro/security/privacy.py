@@ -40,13 +40,6 @@ class AggregationReport:
     suppressed_inputs: int = 0
     groups_published: int = 0
 
-    def suppression_rate(self) -> float:
-        """Fraction of groups withheld for falling below the k threshold."""
-        total = self.groups_published + self.suppressed_groups
-        if total == 0:
-            return 0.0
-        return self.suppressed_groups / total
-
 
 class PrivacyAggregator:
     """Aggregates sensitive tuple sets into k-anonymous summaries.
@@ -167,12 +160,3 @@ class PrivacyAggregator:
                 )
             )
         return TupleSet(readings, record)
-
-    # ------------------------------------------------------------------
-    # Verification helpers (used by tests)
-    # ------------------------------------------------------------------
-    def leaks_identity(self, aggregate: TupleSet) -> bool:
-        """True when an aggregate still carries any identifying attribute."""
-        return any(
-            aggregate.provenance.get(name) is not None for name in self.identifying_attributes
-        )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Callable, Dict, Iterator, Mapping, Optional
 
 from repro.core.attributes import AttributeValue, GeoPoint, Timestamp
 from repro.core.tupleset import SensorReading
@@ -40,9 +40,7 @@ class SensorSpec:
     model:
         Hardware model name.
     hardware_revision / firmware_version:
-        Revisions recorded in provenance; upgrading either mid-deployment
-        is a provenance-visible event (see
-        :meth:`SensorNode.upgrade_firmware`).
+        Revisions recorded in provenance.
     sample_period_seconds:
         Nominal seconds between readings.
     """
@@ -82,36 +80,6 @@ class SensorNode:
         self._value_model = value_model
         self._jitter_fraction = jitter_fraction
         self._failure_rate = failure_rate
-        self._firmware_history: List[tuple] = [(Timestamp(0.0), spec.firmware_version)]
-
-    # ------------------------------------------------------------------
-    # Provenance-visible maintenance events
-    # ------------------------------------------------------------------
-    def upgrade_firmware(self, when: Timestamp, version: str) -> None:
-        """Record a firmware upgrade at ``when``.
-
-        Subsequent readings report the new version; the history is what
-        an annotation like "software on the sensor devices was upgraded"
-        captures.
-        """
-        if not version:
-            raise ConfigurationError("firmware version must be non-empty")
-        self._firmware_history.append((when, version))
-        self._firmware_history.sort(key=lambda item: item[0].seconds)
-
-    def firmware_at(self, when: Timestamp) -> str:
-        """Firmware version in effect at ``when``."""
-        current = self._firmware_history[0][1]
-        for changed_at, version in self._firmware_history:
-            if changed_at.seconds <= when.seconds:
-                current = version
-            else:
-                break
-        return current
-
-    def firmware_history(self) -> List[tuple]:
-        """The full (timestamp, version) upgrade history."""
-        return list(self._firmware_history)
 
     # ------------------------------------------------------------------
     # Reading generation
@@ -147,17 +115,6 @@ class SensorNode:
                     location=self.location,
                 )
             elapsed += period
-
-    def provenance_attributes(self) -> Dict[str, AttributeValue]:
-        """Attributes describing this device, for inclusion in provenance."""
-        return {
-            "sensor_id": self.sensor_id,
-            "sensor_type": self.spec.sensor_type,
-            "sensor_model": self.spec.model,
-            "hardware_revision": self.spec.hardware_revision,
-            "firmware_version": self.spec.firmware_version,
-            "location": self.location,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SensorNode({self.sensor_id}, {self.spec.sensor_type})"

@@ -94,9 +94,6 @@ class SimReport:
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
-    def ok_records(self) -> List[SimOpRecord]:
-        return [record for record in self.records if record.ok]
-
     def failed(self) -> int:
         return sum(1 for record in self.records if not record.ok)
 

@@ -8,10 +8,8 @@ a recovery procedure that repairs them.
 
 :class:`WriteAheadLog` is a deliberately small, file-based redo log:
 
-* every intended operation (``put_record``, ``put_payload``,
-  ``mark_removed``, and ``put_index_blob`` for the store's one index
-  checkpoint) is appended as one JSON line
-  with a CRC;
+* every intended record write (``put_record``) is appended as one JSON
+  line with a CRC;
 * a crash can be injected after any append, leaving the log ahead of the
   backing store (the normal WAL situation) or tearing the final line
   (simulating a partial sector write);
@@ -34,7 +32,7 @@ from repro.storage.backend import StorageBackend
 
 __all__ = ["WalEntry", "ReplayReport", "WriteAheadLog"]
 
-_OPS = {"put_record", "put_payload", "mark_removed", "put_index_blob"}
+_OPS = {"put_record"}
 
 
 @dataclass(frozen=True)
@@ -43,11 +41,9 @@ class WalEntry:
 
     sequence: int
     operation: str
-    #: the PName digest the operation targets -- or, for
-    #: ``put_index_blob``, the blob's name (index snapshots are keyed by
-    #: name, not by record identity)
+    #: the PName digest the operation targets
     pname: str
-    payload: Optional[str] = None  # JSON record text or hex payload bytes
+    payload: Optional[str] = None  # JSON record text
 
     def encode(self) -> str:
         """Encode as a single JSON line with a trailing CRC32 field."""
@@ -99,10 +95,6 @@ class ReplayReport:
     skipped_corrupt: int = 0
     skipped_duplicate: int = 0
 
-    def total_seen(self) -> int:
-        """Total log lines examined."""
-        return self.applied + self.skipped_corrupt + self.skipped_duplicate
-
 
 class WriteAheadLog:
     """Append-only redo log for a storage backend.
@@ -134,24 +126,6 @@ class WriteAheadLog:
     def log_put_record(self, record: ProvenanceRecord) -> WalEntry:
         """Log an intent to store a provenance record."""
         return self._append("put_record", record.pname().digest, record.to_json())
-
-    def log_put_payload(self, pname: PName, payload: bytes) -> WalEntry:
-        """Log an intent to store a tuple-set payload."""
-        return self._append("put_payload", pname.digest, payload.hex())
-
-    def log_mark_removed(self, pname: PName) -> WalEntry:
-        """Log an intent to mark a data set removed."""
-        return self._append("mark_removed", pname.digest, None)
-
-    def log_put_index_blob(self, name: str, payload: bytes) -> WalEntry:
-        """Log an intent to persist an auxiliary index snapshot.
-
-        The index checkpoint is recovered
-        like any other acknowledged write: replay re-installs the blob,
-        and the store's checkpoint header check decides whether it still
-        describes the recovered records.
-        """
-        return self._append("put_index_blob", name, payload.hex())
 
     def inject_torn_write(self) -> None:
         """Make the *next* appended entry be written only partially.
@@ -190,8 +164,7 @@ class WriteAheadLog:
     def replay(self, backend: StorageBackend) -> ReplayReport:
         """Re-apply intact log entries to ``backend``.
 
-        Entries whose effect is already present (same record stored, same
-        payload stored, already marked removed) are counted as
+        Entries whose record is already stored are counted as
         duplicates; corrupt or torn lines are skipped.  The result is a
         backend state consistent with every *acknowledged* write, which
         is exactly the recovery guarantee the paper's reliability
@@ -211,46 +184,17 @@ class WriteAheadLog:
         backend.flush()
         return report
 
-    def truncate(self) -> None:
-        """Empty the log (called after a successful checkpoint)."""
-        with open(self._path, "w", encoding="utf-8"):
-            pass
-        self._sequence = 0
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _apply(self, entry: WalEntry, backend: StorageBackend) -> bool:
-        if entry.operation == "put_index_blob":
-            # Index blobs are keyed by name, not by a PName digest.
-            if entry.payload is None:
-                raise RecoveryError("put_index_blob entry missing its snapshot body")
-            blob = bytes.fromhex(entry.payload)
-            if backend.get_index_blob(entry.pname) == blob:
-                return False
-            return backend.put_index_blob(entry.pname, blob)
-        pname = PName(entry.pname)
-        if entry.operation == "put_record":
-            if entry.payload is None:
-                raise RecoveryError("put_record entry missing its record body")
-            record = ProvenanceRecord.from_json(entry.payload)
-            if backend.has_record(pname):
-                return False
-            backend.put_record(record)
-            return True
-        if entry.operation == "put_payload":
-            if entry.payload is None:
-                raise RecoveryError("put_payload entry missing its payload body")
-            if backend.get_payload(pname) is not None:
-                return False
-            backend.put_payload(pname, bytes.fromhex(entry.payload))
-            return True
-        if entry.operation == "mark_removed":
-            if backend.is_removed(pname):
-                return False
-            backend.mark_removed(pname)
-            return True
-        raise RecoveryError(f"unknown WAL operation {entry.operation!r}")
+        if entry.payload is None:
+            raise RecoveryError("put_record entry missing its record body")
+        record = ProvenanceRecord.from_json(entry.payload)
+        if backend.has_record(PName(entry.pname)):
+            return False
+        backend.put_record(record)
+        return True
 
     def _read_lines(self) -> List[str]:
         if not self._path.exists():

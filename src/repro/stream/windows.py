@@ -229,7 +229,3 @@ class WindowAggregator:
         for start in sorted(self._open):
             payloads.extend(self._emit(start))
         return payloads
-
-    def open_windows(self) -> int:
-        """How many windows currently hold state."""
-        return len(self._open)

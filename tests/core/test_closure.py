@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ProvenanceGraph, ProvenanceRecord
-from repro.core.closure import LabelledClosure, MemoizedClosure, NaiveClosure, make_closure
+from repro.core.closure import (
+    STRATEGY_NAMES,
+    LabelledClosure,
+    MemoizedClosure,
+    NaiveClosure,
+    make_closure,
+)
 from repro.errors import UnknownEntityError
 
 STRATEGIES = ["naive", "memoized", "labelled"]
@@ -53,6 +59,23 @@ class TestFactory:
     def test_make_closure_unknown_name(self):
         with pytest.raises(UnknownEntityError):
             make_closure("btree")
+
+    def test_an_unknown_name_is_refused_with_every_choice_named(self):
+        with pytest.raises(UnknownEntityError) as refused:
+            make_closure("btree")
+        for name in STRATEGY_NAMES:
+            assert repr(name) in str(refused.value)
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_a_strategy_made_by_name_answers_over_the_graph_it_was_given(self, strategy, names, edges):
+        graph = ProvenanceGraph()
+        for child, parent in edges:
+            graph.add_edge(child, parent)
+        closure = make_closure(strategy, graph)
+        assert closure.name == strategy
+        assert closure.graph is graph
+        assert closure.ancestors(names["top"]) == {names["mid"], names["raw1"], names["raw2"]}
+        assert closure.descendants(names["raw1"]) == {names["mid"], names["top"], names["side"]}
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -133,6 +156,44 @@ class TestCostProfiles:
         closure.add_node(extra)
         closure.add_edge(nodes[0], extra)
         assert extra in closure.ancestors(nodes[-1])
+
+    def test_a_walk_counts_each_node_it_visits_once(self, names, edges):
+        closure = _build("naive", edges)
+        closure.reset_counters()
+        closure.ancestors(names["top"])  # top, mid, raw1, raw2
+        assert closure.operations == 4
+        closure.descendants(names["raw1"])  # raw1, mid, side, top
+        assert closure.operations == 8
+        closure.ancestors(names["raw2"])  # a root visits only itself
+        assert closure.operations == 9
+
+    def test_memoized_hit_counts_one_operation(self):
+        closure, nodes = self._chain("memoized", 12)
+        closure.reset_counters()
+        closure.ancestors(nodes[-1])
+        assert closure.operations == 13
+        closure.ancestors(nodes[-1])
+        assert closure.operations == 14
+
+    def test_memoized_new_edge_keeps_entries_it_cannot_change(self):
+        closure, nodes = self._chain("memoized", 5)
+        other = [_pname(f"other{i}") for i in range(3)]
+        for node in other:
+            closure.add_node(node)
+        closure.add_edge(other[1], other[0])
+        closure.add_edge(other[2], other[1])
+        closure.ancestors(nodes[-1])
+        closure.ancestors(other[-1])
+        closure.descendants(nodes[0])
+        extra = _pname("extra-leaf")
+        closure.add_node(extra)
+        closure.add_edge(extra, nodes[2])
+        closure.reset_counters()
+        assert closure.ancestors(other[-1]) == {other[0], other[1]}
+        assert closure.ancestors(nodes[-1]) == set(nodes[:-1])
+        assert closure.operations == 2  # neither ancestor set was dropped
+        assert extra in closure.descendants(nodes[0])
+        assert closure.operations > 3  # the root's descendant set was
 
     def test_labelled_query_cost_constant_in_depth(self):
         shallow, shallow_nodes = self._chain("labelled", 5)
@@ -223,7 +284,7 @@ class TestPendingLabels:
         closure._ancestor_labels[_pname("c").digest] = {_pname("c").digest}  # corrupted by hand
         assert closure.ancestors(_pname("c")) != reference.ancestors(_pname("c"))
         closure.rebuild()
-        for node in closure.graph.nodes():
+        for node in map(closure.graph.name_of, closure.graph.node_digests()):
             assert closure.ancestors(node) == reference.ancestors(node)
             assert closure.descendants(node) == reference.descendants(node)
         assert closure.index_stats()["labels"] == "built"

@@ -52,7 +52,7 @@ class TestConstruction:
         child = parent.derive({"label": "child"})
         graph.add_record(child)
         assert parent.pname() in graph
-        assert graph.parents(child.pname()) == [parent.pname()]
+        assert graph.parents_of(child.pname().digest) == (parent.pname().digest,)
 
     def test_self_edge_rejected(self):
         graph = ProvenanceGraph()
@@ -67,8 +67,19 @@ class TestConstruction:
 
     def test_unknown_node_queries_raise(self):
         graph = ProvenanceGraph()
+        missing = _pname("missing")
         with pytest.raises(UnknownEntityError):
-            graph.parents(_pname("missing"))
+            graph.name_of(missing.digest)
+        graph.add_node(missing)
+        assert graph.name_of(missing.digest) == missing
+
+    def test_an_unknown_digest_has_no_edges_and_no_name(self):
+        graph = ProvenanceGraph()
+        missing = _pname("missing").digest
+        assert graph.parents_of(missing) == graph.children_of(missing) == ()
+        assert graph.walk(missing, up=True) == graph.walk(missing, up=False) == set()
+        with pytest.raises(UnknownEntityError):
+            graph.name_of(missing)
 
 
 def _cycle_edges(length: int):
@@ -99,10 +110,10 @@ class TestCycleCheck:
         for child, parent in order[:-1]:
             graph.add_edge(child, parent)
         child, parent = order[-1]
-        assert graph.children(child), "whatever closes a cycle already has a child"
+        assert graph.children_of(child.digest), "whatever closes a cycle already has a child"
         with pytest.raises(CycleError):
             graph.add_edge(child, parent)
-        assert parent not in graph.parents(child)
+        assert parent.digest not in graph.parents_of(child.digest)
         assert len(graph.topological_order()) == len(order)
 
     def test_every_insertion_order_of_a_3_cycle_is_refused(self):
@@ -149,81 +160,103 @@ class TestCycleCheck:
         assert store.ancestors(leaf.pname()) == {root.pname(), middle.pname()}
 
 
+def _digests(names, *labels):
+    return {names[label].digest for label in labels}
+
+
 class TestTraversal:
     def test_parents_and_children(self, diamond_graph):
         graph, names = diamond_graph
-        assert set(graph.parents(names["merged"])) == {names["left"], names["right"]}
-        assert set(graph.children(names["raw"])) == {names["left"], names["right"]}
+        assert set(graph.parents_of(names["merged"].digest)) == _digests(names, "left", "right")
+        assert set(graph.children_of(names["raw"].digest)) == _digests(names, "left", "right")
 
     def test_ancestors_full(self, chain_graph):
         graph, names = chain_graph
-        assert graph.ancestors(names["d"]) == {names["a"], names["b"], names["c"]}
-
-    def test_ancestors_depth_limited(self, chain_graph):
-        graph, names = chain_graph
-        assert graph.ancestors(names["d"], max_depth=1) == {names["c"]}
-        assert graph.ancestors(names["d"], max_depth=2) == {names["b"], names["c"]}
+        assert graph.walk(names["d"].digest, up=True) == _digests(names, "a", "b", "c")
 
     def test_descendants(self, chain_graph):
         graph, names = chain_graph
-        assert graph.descendants(names["a"]) == {names["b"], names["c"], names["d"]}
+        assert graph.walk(names["a"].digest, up=False) == _digests(names, "b", "c", "d")
 
     def test_diamond_ancestors_deduplicated(self, diamond_graph):
         graph, names = diamond_graph
-        assert graph.ancestors(names["merged"]) == {names["raw"], names["left"], names["right"]}
+        assert graph.walk(names["merged"].digest, up=True) == _digests(names, "raw", "left", "right")
 
     def test_roots_and_leaves(self, diamond_graph):
         graph, names = diamond_graph
-        assert graph.roots() == [names["raw"]] or set(graph.roots()) == {names["raw"]}
-        assert set(graph.leaves()) == {names["merged"]}
-
-    def test_raw_sources(self, diamond_graph):
-        graph, names = diamond_graph
-        assert graph.raw_sources(names["merged"]) == {names["raw"]}
-
-    def test_raw_source_of_root_is_itself(self, diamond_graph):
-        graph, names = diamond_graph
-        assert graph.raw_sources(names["raw"]) == {names["raw"]}
+        roots = {d for d in graph.node_digests() if not graph.parents_of(d)}
+        leaves = {d for d in graph.node_digests() if not graph.children_of(d)}
+        assert roots == _digests(names, "raw")
+        assert leaves == _digests(names, "merged")
 
     def test_is_ancestor(self, chain_graph):
         graph, names = chain_graph
-        assert graph.is_ancestor(names["a"], of=names["d"])
-        assert not graph.is_ancestor(names["d"], of=names["a"])
+        assert names["a"].digest in graph.walk(names["d"].digest, up=True)
+        assert names["d"].digest not in graph.walk(names["a"].digest, up=True)
+        assert graph.path(names["a"].digest, names["d"].digest) is None
+
+    def test_raw_sources(self, diamond_graph):
+        graph, names = diamond_graph
+        assert graph.raw_sources(names["merged"].digest) == _digests(names, "raw")
+
+    def test_raw_source_of_root_is_itself(self, diamond_graph):
+        graph, names = diamond_graph
+        assert graph.raw_sources(names["raw"].digest) == _digests(names, "raw")
 
     def test_path_chain(self, chain_graph):
         graph, names = chain_graph
-        path = graph.path(names["d"], names["a"])
-        assert path[0] == names["d"]
-        assert path[-1] == names["a"]
-        assert len(path) == 4
+        path = graph.path(names["d"].digest, names["a"].digest)
+        assert path == [names[label].digest for label in "dcba"]
+
+    def test_raw_sources_of_a_node_with_two_roots(self, diamond_graph):
+        graph, names = diamond_graph
+        second = _pname("second-raw")
+        graph.add_edge(names["right"], second)
+        assert graph.raw_sources(names["merged"].digest) == {names["raw"].digest, second.digest}
+        assert graph.raw_sources(names["left"].digest) == _digests(names, "raw")
+
+    def test_path_to_itself_is_the_node_alone(self, chain_graph):
+        graph, names = chain_graph
+        assert graph.path(names["c"].digest, names["c"].digest) == [names["c"].digest]
 
     def test_path_missing(self, diamond_graph):
         graph, names = diamond_graph
         other = _pname("unrelated")
         graph.add_node(other)
-        assert graph.path(names["merged"], other) is None
-
-    def test_depth(self, chain_graph):
-        graph, names = chain_graph
-        assert graph.depth(names["a"]) == 0
-        assert graph.depth(names["d"]) == 3
+        assert graph.path(names["merged"].digest, other.digest) is None
 
     def test_depth_distribution(self, chain_graph):
         graph, names = chain_graph
         assert graph.ancestry_depth_distribution() == {0: 1, 1: 1, 2: 1, 3: 1}
 
+    def test_depth(self, chain_graph):
+        graph, names = chain_graph
+        assert graph.shape()["max_depth"] == 3
+        graph.add_edge(_pname("e"), names["a"])  # a second node one step below the root
+        assert graph.shape()["max_depth"] == 3
+        assert graph.ancestry_depth_distribution() == {0: 1, 1: 2, 2: 1, 3: 1}
+
+    def test_topological_order_of_an_empty_graph_is_empty(self):
+        assert ProvenanceGraph().topological_order() == []
+
+    def test_topological_order_is_the_same_however_the_graph_was_built(self, diamond_graph):
+        graph, names = diamond_graph
+        rebuilt = ProvenanceGraph()
+        rebuilt.add_edge(names["merged"], names["right"])
+        rebuilt.add_edge(names["merged"], names["left"])
+        rebuilt.add_edge(names["right"], names["raw"])
+        rebuilt.add_edge(names["left"], names["raw"])
+        assert rebuilt.topological_order() == graph.topological_order()
+
     def test_topological_order(self, diamond_graph):
         graph, names = diamond_graph
         order = graph.topological_order()
-        position = {pname.digest: index for index, pname in enumerate(order)}
+        assert sorted(order) == sorted(graph.node_digests())
+        position = {digest: index for index, digest in enumerate(order)}
         assert position[names["raw"].digest] < position[names["left"].digest]
         assert position[names["left"].digest] < position[names["merged"].digest]
-
-    def test_subgraph_edges(self, diamond_graph):
-        graph, names = diamond_graph
-        edges = graph.subgraph_edges([names["merged"], names["left"]])
-        assert (names["merged"], names["left"]) in edges
-        assert len(edges) == 1
+        # ties broken by digest: the two middle nodes in digest order
+        assert order[1:3] == sorted(_digests(names, "left", "right"))
 
     def test_edge_count(self, diamond_graph):
         graph, _ = diamond_graph
@@ -235,7 +268,7 @@ class TestRemoval:
         graph, names = chain_graph
         graph.mark_removed(names["a"])
         assert graph.is_removed(names["a"])
-        assert graph.ancestors(names["d"]) == {names["a"], names["b"], names["c"]}
+        assert graph.walk(names["d"].digest, up=True) == _digests(names, "a", "b", "c")
 
     def test_mark_removed_unknown_node(self):
         graph = ProvenanceGraph()

@@ -25,6 +25,7 @@ from repro.core import (
     TupleSet,
 )
 from repro.errors import (
+    ConfigurationError,
     CrashInjectedError,
     DuplicateProvenanceError,
     ProvenanceError,
@@ -140,9 +141,10 @@ class TestIngest:
     def test_get_tuple_set_round_trip(self, store):
         ts = _tuple_set("a")
         store.ingest(ts)
-        rebuilt = store.get_tuple_set(ts.pname)
+        rebuilt = TupleSet(store.get_readings(ts.pname), store.get_record(ts.pname))
         assert rebuilt.pname == ts.pname
         assert len(rebuilt) == len(ts)
+        assert rebuilt.readings == ts.readings
 
     def test_get_unknown_record_raises(self, store):
         with pytest.raises(UnknownEntityError):
@@ -291,6 +293,21 @@ class TestLineage:
         assert path[0] == sets[-1].pname
         assert path[-1] == sets[0].pname
 
+    def test_raw_sources_and_paths_hand_out_the_graph_held_names(self, store):
+        sets = self._chain(store, depth=3)
+        (source,) = store.raw_sources(sets[-1].pname)
+        assert source is store.graph.name_of(sets[0].pname.digest)
+        path = store.derivation_path(sets[-1].pname, sets[0].pname)
+        assert path == [ts.pname for ts in reversed(sets)]
+        assert all(name is store.graph.name_of(name.digest) for name in path)
+
+    def test_derivation_path_of_unknown_node_raises(self, store):
+        sets = self._chain(store, depth=1)
+        with pytest.raises(UnknownEntityError):
+            store.derivation_path(_tuple_set("ghost").pname, sets[0].pname)
+        with pytest.raises(UnknownEntityError):
+            store.derivation_path(sets[-1].pname, _tuple_set("ghost").pname)
+
     def test_is_ancestor_for_unknown_nodes_is_false(self, store):
         assert not store.is_ancestor(_tuple_set("x").pname, _tuple_set("y").pname)
 
@@ -306,22 +323,29 @@ class TestLineage:
             answers[strategy] = store.ancestors(sets[-1].pname)
         assert answers["naive"] == answers["memoized"] == answers["labelled"]
 
-    def test_shared_closure_instance_is_not_corrupted(self):
-        """Passing one strategy instance to two stores must not alias state."""
+    def test_a_strategy_instance_is_refused_by_name(self):
+        """A store makes its own strategy by name: an instance holds state of another graph."""
         from repro.core.closure import LabelledClosure
 
-        shared = LabelledClosure()
-        first = PassStore(closure=shared)
-        second = PassStore(closure=shared)
-        # Each store got its own sibling bound to its own graph.
-        assert first.closure is not shared and second.closure is not shared
+        with pytest.raises(ConfigurationError) as refused:
+            PassStore(closure=LabelledClosure())
+        for name in ("naive", "memoized", "labelled", "interval"):
+            assert name in str(refused.value)
+        assert PassStore(closure="labelled").closure.name == "labelled"
+
+    def test_an_unknown_strategy_name_is_refused(self):
+        with pytest.raises(UnknownEntityError, match="btree"):
+            PassStore(closure="btree")
+
+    def test_shared_closure_instance_is_not_corrupted(self):
+        """Two stores given one strategy name each make their own strategy over their own graph."""
+        first = PassStore(closure="labelled")
+        second = PassStore(closure="labelled")
         assert first.closure is not second.closure
         assert first.closure.graph is first.graph
         assert second.closure.graph is second.graph
-        # The caller's instance keeps its own (empty) graph untouched.
         first.ingest(_tuple_set("a"))
         second.ingest(_tuple_set("b"))
-        assert len(shared.graph) == 0
         assert _tuple_set("b").pname not in first.graph
         assert _tuple_set("a").pname not in second.graph
 

@@ -104,7 +104,7 @@ class TestDerivation:
     def test_derive_links_ancestor(self):
         parent = _record()
         child = parent.derive({"stage": "filtered"}, agent=Agent("program", "filter", "1.0"))
-        assert child.has_ancestor(parent.pname())
+        assert child.ancestors == (parent.pname(),)
         assert not child.is_raw()
         assert parent.is_raw()
 
@@ -112,14 +112,13 @@ class TestDerivation:
         parent = _record()
         other = _record(city="boston")
         child = parent.derive({"stage": "merged"}, extra_ancestors=(other.pname(),))
-        assert child.has_ancestor(parent.pname())
-        assert child.has_ancestor(other.pname())
+        assert set(child.ancestors) == {parent.pname(), other.pname()}
 
     def test_merge_provenance_lists_every_parent(self):
         parents = [_record(city=c) for c in ("london", "boston", "seattle")]
         merged = merge_provenance({"stage": "merged"}, parents, agent=Agent("program", "m", "1"))
         for parent in parents:
-            assert merged.has_ancestor(parent.pname())
+            assert parent.pname() in merged.ancestors
 
     def test_merge_provenance_requires_parents(self):
         with pytest.raises(ProvenanceError):

@@ -86,7 +86,7 @@ class TestTupleSet:
             attributes={"stage": "filtered", "domain": "traffic"},
             agent=Agent("program", "filter", "1.0"),
         )
-        assert derived.provenance.has_ancestor(sample_tuple_set.pname)
+        assert sample_tuple_set.pname in derived.provenance.ancestors
         assert len(derived) == 1
 
     def test_summary_fields(self, sample_tuple_set):

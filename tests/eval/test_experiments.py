@@ -75,6 +75,27 @@ class TestClaimShapes:
         labelled = next(r for r in rows if r["depth"] == deepest and r["strategy"] == "labelled")
         assert labelled["node_visits"] < naive["node_visits"]
 
+    def test_e3_counts_every_strategy_exactly(self, results):
+        """Every strategy's node visits, to the visit: a change to a walk shows here."""
+        rows = [
+            (row["depth"], row["strategy"], row["queries"], row["node_visits"])
+            for row in results["E3"].row_dicts()
+        ]
+        assert rows == [
+            (4, "naive", 8, 30),
+            (4, "memoized", 8, 30),
+            (4, "labelled", 8, 8),
+            (4, "interval", 8, 61),
+            (16, "naive", 20, 204),
+            (16, "memoized", 20, 204),
+            (16, "labelled", 20, 20),
+            (16, "interval", 20, 307),
+            (64, "naive", 68, 2340),
+            (64, "memoized", 68, 2340),
+            (64, "labelled", 68, 68),
+            (64, "interval", 68, 2731),
+        ]
+
     def test_e4_all_query_suites_answered(self, results):
         rows = results["E4"].row_dicts()
         suites = {row["suite"] for row in rows}

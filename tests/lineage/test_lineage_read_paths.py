@@ -333,36 +333,5 @@ class TestDepthSatellite:
             {"counts": array("q", [0] + [1] * (depth - 1)), "parents": array("q", range(depth - 1))},
             [name.digest for name in names],
         )
-        assert graph.depth(names[-1]) == depth - 1
         histogram = graph.ancestry_depth_distribution()
         assert histogram == {d: 1 for d in range(depth)}
-
-
-class TestWalIndexBlobs:
-    """Satellite: the labelling participates in WAL-based recovery."""
-
-    def test_replay_restores_index_blobs(self, tmp_path):
-        from repro.storage.memory import MemoryBackend
-        from repro.storage.wal import WriteAheadLog
-
-        wal = WriteAheadLog(tmp_path / "pass.wal")
-        wal.log_put_index_blob("closure:interval", b'{"format":1}')
-        backend = MemoryBackend()
-        report = wal.replay(backend)
-        assert report.applied == 1
-        assert backend.get_index_blob("closure:interval") == b'{"format":1}'
-        # Replaying again is a no-op: the effect is already present.
-        assert wal.replay(backend).skipped_duplicate == 1
-
-    def test_torn_blob_entry_is_discarded(self, tmp_path):
-        from repro.storage.memory import MemoryBackend
-        from repro.storage.wal import WriteAheadLog
-
-        wal = WriteAheadLog(tmp_path / "pass.wal")
-        wal.inject_torn_write()
-        wal.log_put_index_blob("closure:interval", b"x" * 64)
-        backend = MemoryBackend()
-        report = wal.replay(backend)
-        assert report.applied == 0
-        assert report.skipped_corrupt == 1
-        assert backend.get_index_blob("closure:interval") is None

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.obs import Histogram, MetricsRegistry, TimeSeriesStore, openmetrics
+from repro.obs import Histogram, TimeSeriesStore, openmetrics
 from repro.obs.export import metric_name
 
 
@@ -110,27 +110,6 @@ class TestHistogramSeries:
     def test_quantile_without_data_is_none(self):
         store = TimeSeriesStore()
         assert store.quantile("missing", 0.5) is None
-
-
-class TestSampleRegistry:
-    def test_scrapes_every_instrument_kind(self):
-        registry = MetricsRegistry()
-        registry.counter("reqs").inc(3)
-        registry.gauge("depth").set(7)
-        registry.histogram("ms").observe(12.0)
-        store = TimeSeriesStore(interval_s=1.0, retention=10)
-        store.sample_registry(registry, 0.0, prefix="node.")
-        assert store.names() == ["node.depth", "node.ms", "node.reqs"]
-        assert store.kind("node.reqs") == "counter"
-        assert store.kind("node.depth") == "gauge"
-        assert store.kind("node.ms") == "histogram"
-
-    def test_non_numeric_gauges_are_skipped(self):
-        registry = MetricsRegistry()
-        registry.gauge("label", fn=lambda: "blue")
-        store = TimeSeriesStore()
-        store.sample_registry(registry, 0.0)
-        assert store.names() == []
 
 
 class TestSnapshot:

@@ -68,24 +68,6 @@ class TestSensorNode:
         with pytest.raises(ConfigurationError):
             list(_node().readings(Timestamp(0.0), 0.0, random.Random(1)))
 
-    def test_firmware_history(self):
-        node = _node()
-        node.upgrade_firmware(Timestamp(100.0), "2.0")
-        node.upgrade_firmware(Timestamp(500.0), "3.0")
-        assert node.firmware_at(Timestamp(0.0)) == "1.0"
-        assert node.firmware_at(Timestamp(250.0)) == "2.0"
-        assert node.firmware_at(Timestamp(9999.0)) == "3.0"
-        assert len(node.firmware_history()) == 3
-
-    def test_firmware_upgrade_requires_version(self):
-        with pytest.raises(ConfigurationError):
-            _node().upgrade_firmware(Timestamp(1.0), "")
-
-    def test_provenance_attributes(self):
-        attributes = _node().provenance_attributes()
-        assert attributes["sensor_type"] == "thermometer"
-        assert attributes["location"] == LOCATION
-
 
 class TestSensorNetwork:
     def _network(self, nodes=2):

@@ -130,7 +130,7 @@ class TestSchedules:
         )
         assert len(report.schedule_applied) == 2
         assert report.failed() > 0, "no publish hit the partition window"
-        ok_records = report.ok_records()
+        ok_records = [record for record in report.records if record.ok]
         assert ok_records, "heal never restored publishing"
         # Ops landing inside the partition window fail (in flight or at
         # capture); everything issued after the heal succeeds again.

@@ -121,7 +121,7 @@ class TestTumblingWindows:
         aggregator.observe(_record(0.0))
         aggregator.observe(_record(10.0))
         assert aggregator.flush() == [(0.0, 100.0, None, 2.0, 2)]
-        assert aggregator.open_windows() == 0
+        assert aggregator.flush() == []  # nothing left open
 
 
 class TestSlidingWindows:

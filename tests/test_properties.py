@@ -117,7 +117,7 @@ class TestProvenanceIdentityProperties:
         record = ProvenanceRecord(attributes)
         derived = record.derive(attributes)
         assert derived.pname() != record.pname()
-        assert derived.has_ancestor(record.pname())
+        assert record.pname() in derived.ancestors
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +257,8 @@ class TestGraphProperties:
             graph.add_edge(child, parent)
         present = [node for node in nodes if node in graph]
         for node in present:
-            for ancestor in graph.ancestors(node):
-                assert node in graph.descendants(ancestor)
+            for ancestor in graph.walk(node.digest, up=True):
+                assert node.digest in graph.walk(ancestor, up=False)
 
 
 # ----------------------------------------------------------------------
