@@ -408,15 +408,12 @@ class PassClient(ABC):
     def refresh(self) -> None:
         """Flush any propagation the target delays (soft-state refresh); no-op elsewhere."""
 
-    def rebuild_lineage_index(self, strategy: Optional[str] = None) -> Dict[str, object]:
+    def rebuild_lineage_index(self) -> Dict[str, object]:
         """Force-rebuild the target's closure index; returns its stats.
 
         Local stores recompute synchronously (and write the index
         checkpoint if it is stale); the remote client submits the
-        daemon's async build job and polls it to completion.
-        ``strategy`` switches the closure strategy (``"labelled"`` /
-        ``"interval"`` / ...) before rebuilding -- the one way a store's
-        strategy changes after it is opened.  Targets
+        daemon's async build job and polls it to completion.  Targets
         without a rebuildable index raise
         :class:`~repro.errors.IndexError_`.
         """
@@ -484,17 +481,12 @@ class LocalClient(PassClient):
         if self._stream is None and create:
             # The store's post-commit hook feeds the engine, so standing
             # queries see every ingest -- including ones made directly on
-            # client.store or by another wrapper of the same store.  When
-            # the closure answers reachability from materialized labels
-            # (labelled/interval), the store is the lineage oracle and
-            # descendant watches ride the shared index; graph-walking
-            # strategies (naive/memoized) would turn every ingest into a
-            # BFS per watch, so they keep the engine's O(edges) label
-            # inheritance instead.
+            # client.store or by another wrapper of the same store.  The
+            # store is the lineage oracle: descendant watches ride its
+            # interval index.
             # (held weakly: store -> hook -> engine -> oracle -> store would
             # otherwise keep an unclosed client's store for the collector)
-            oracle = _weakly(self.store.is_ancestor) if self.store.closure.fast_reachability else None
-            self._stream = StreamEngine(lineage_oracle=oracle)
+            self._stream = StreamEngine(lineage_oracle=_weakly(self.store.is_ancestor))
             self.store.add_ingest_hook(self._stream.on_ingest)
         return self._stream
 
@@ -595,8 +587,8 @@ class LocalClient(PassClient):
             obs_health.trace_ring_check(),
         ]
 
-    def rebuild_lineage_index(self, strategy: Optional[str] = None) -> Dict[str, object]:
-        return self.store.rebuild_closure_index(strategy=strategy)
+    def rebuild_lineage_index(self) -> Dict[str, object]:
+        return self.store.rebuild_closure_index()
 
     def close(self) -> None:
         if self._closed:

@@ -25,7 +25,7 @@ Three subcommands cover what a user wants from a terminal:
   reachability index (``repro.lineage``): ``ancestors`` pages through a
   data set's closure, ``path`` prints one derivation path back to a raw
   source, and ``stats`` reports the graph shape (depth histogram,
-  fan-in) plus the closure strategy's index statistics,
+  fan-in) plus the interval closure's index statistics,
 * ``simulate`` -- publish a generated workload through ``--clients N``
   concurrent closed-loop clients over the discrete-event kernel
   (``repro.sim``) against an architecture model, optionally applying a
@@ -239,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--store",
             default="memory://",
-            help="connect() URL of the target (default: memory://); "
-            "?closure= picks the strategy (default: interval)",
+            help="connect() URL of the target (default: memory://)",
         )
         if name in ("ancestors", "path"):
             sub.add_argument(
@@ -787,7 +786,7 @@ def _lineage_report(args, out, client, derived) -> int:
         print(f"fan-in:            max {graph['max_fan_in']}  mean {graph['mean_fan_in']}", file=out)
         print(f"expected reach:    {graph['expected_reach']}", file=out)
         print(f"closure strategy:  {closure.get('strategy', '?')}", file=out)
-        for key in ("chains", "labels", "label_entries", "label_builds", "rebuilds", "incremental_merges", "dirty_edges"):
+        for key in ("chains", "label_entries", "rebuilds", "incremental_merges", "dirty_edges"):
             if key in closure:
                 print(f"  {key}: {closure[key]}", file=out)
         busiest = sorted(graph["depth_histogram"].items())[-5:]

@@ -6,9 +6,10 @@ as well as efficient recursive or transitive queries.  Simple relational
 or XML-based name-to-value schemes are not sufficient".
 
 This module implements three strategies with different cost profiles and
-a common interface, so the PASS store (and experiment E3) can swap them
-(a fourth, the interval/chain reachability index, lives in
-:mod:`repro.lineage`); :func:`make_closure` makes any of the four by name:
+a common interface; a fourth, the interval/chain reachability index in
+:mod:`repro.lineage`, is the one every PASS store runs.  The other three
+live for experiment E3 and as test oracles, and :func:`make_closure`
+makes any of the four by name:
 
 * :class:`NaiveClosure` -- answer each query with a fresh BFS over the
   provenance graph.  This is what a plain relational scheme would do
@@ -23,9 +24,10 @@ a common interface, so the PASS store (and experiment E3) can swap them
 
 All strategies answer the same three questions: the ancestor set, the
 descendant set, and pairwise reachability.  A labelling is derived
-state: no strategy serialises it, and one made over a populated graph
-(a store opening over its records) is built in bulk by its first read,
-the same way for every strategy (:meth:`ClosureStrategy._build_in_bulk`).
+state: no strategy serialises it, and one over a populated graph is
+built in bulk, the same way for every strategy
+(:meth:`ClosureStrategy._build_in_bulk`) -- ``labelled`` when it is
+made, ``interval`` (a store opening over its records) by its first read.
 """
 
 from __future__ import annotations
@@ -71,11 +73,6 @@ class ClosureStrategy(ABC):
 
     #: short machine-readable name used by benchmarks and reports
     name = "abstract"
-    #: True when :meth:`reachable` answers from materialized labels
-    #: (O(labels) per probe) rather than walking the graph.  Consumers
-    #: on hot paths -- the stream engine's per-ingest descendant-watch
-    #: matching -- only route through the strategy when this holds.
-    fast_reachability = False
 
     def __init__(self, graph: Optional[ProvenanceGraph] = None) -> None:
         self.graph = graph if graph is not None else ProvenanceGraph()
@@ -119,29 +116,6 @@ class ClosureStrategy(ABC):
     def reachable(self, ancestor: PName, descendant: PName) -> bool:
         """True when ``descendant`` was (transitively) derived from ``ancestor``."""
         return ancestor.digest in self.ancestor_digests(descendant)
-
-    # -- planner estimates ------------------------------------------------
-    def estimate_ancestors(self, pname: PName) -> int:
-        """How many ancestors ``pname`` has, for the query planner.
-
-        Exact on every strategy: this one counts by walking; strategies
-        with materialized labels override it to count their labels.
-        """
-        return len(self.ancestor_digests(pname))
-
-    def estimate_descendants(self, pname: PName) -> int:
-        """How many descendants ``pname`` has (as :meth:`estimate_ancestors`)."""
-        return len(self.descendant_digests(pname))
-
-    def rebuild(self) -> None:
-        """Recompute the strategy's auxiliary structures from the graph.
-
-        The administrative "rebuild the index now" verb (exposed end to
-        end as the daemon's async build job).  Strategies without
-        materialized state have nothing to recompute, so the default is
-        a no-op; strategies that cache (memoized) or label (interval)
-        drop/refresh their structures here.
-        """
 
     def _build_in_bulk(self) -> None:
         """Run :meth:`_label_every_node` the one way a labelling is built in bulk.
@@ -229,12 +203,6 @@ class MemoizedClosure(ClosureStrategy):
     def descendant_digests(self, pname: PName) -> List[str]:
         return list(self._cached(pname, up=False))
 
-    def rebuild(self) -> None:
-        # Rebuilding a cache means starting it cold; entries repopulate
-        # on demand against the current graph.
-        self._ancestor_cache.clear()
-        self._descendant_cache.clear()
-
     def _cached(self, pname: PName, up: bool) -> Set[str]:
         cache = self._ancestor_cache if up else self._descendant_cache
         hit = cache.get(pname.digest)  # (only a node is ever cached)
@@ -265,31 +233,23 @@ class LabelledClosure(ClosureStrategy):
     for transitive closure queries").
 
     Made over an empty graph the labels are kept edge by edge from the
-    start.  Made over a populated one they are *pending* until the first
-    ``ancestors`` / ``descendants`` / ``reachable`` / ``estimate_*`` call
-    (or :meth:`rebuild`) builds them in one pass, once; ``index_stats()``
-    reports which and never forces the build (``docs/LINEAGE.md``).
+    start; made over a populated one they are built in one pass by the
+    constructor.
     """
 
     name = "labelled"
-    fast_reachability = True
 
     def __init__(self, graph: Optional[ProvenanceGraph] = None) -> None:
         super().__init__(graph)
         self._ancestor_labels: Dict[str, Set[str]] = {}
         self._descendant_labels: Dict[str, Set[str]] = {}
-        # Over a graph that arrives populated (a store opening over its
-        # records) the labels are *pending*: writes reach the graph only,
-        # and the first call that reads a label builds them all.  An open
-        # that publishes and queries attributes never pays for them.
-        self._pending = len(self.graph) > 0
-        self.label_builds = 0
+        if len(self.graph):
+            self._build_in_bulk()
 
     def add_node(self, pname: PName) -> None:
         super().add_node(pname)
-        if not self._pending:
-            self._ancestor_labels.setdefault(pname.digest, set())
-            self._descendant_labels.setdefault(pname.digest, set())
+        self._ancestor_labels.setdefault(pname.digest, set())
+        self._descendant_labels.setdefault(pname.digest, set())
 
     def ancestor_digests(self, pname: PName) -> List[str]:
         return self._labels_of(pname, up=True)
@@ -300,8 +260,6 @@ class LabelledClosure(ClosureStrategy):
     def _labels_of(self, pname: PName, up: bool) -> List[str]:
         if pname not in self.graph:
             raise UnknownEntityError(f"unknown node {pname}")
-        if self._pending:
-            self._build_labels()
         self.operations += 1
         labels = self._ancestor_labels if up else self._descendant_labels
         # A copy: whatever a caller does with it, the label set stays as built.
@@ -310,42 +268,13 @@ class LabelledClosure(ClosureStrategy):
     def reachable(self, ancestor: PName, descendant: PName) -> bool:
         if descendant not in self.graph or ancestor not in self.graph:
             raise UnknownEntityError("unknown node in reachability query")
-        if self._pending:
-            self._build_labels()
         self.operations += 1
         return ancestor.digest in self._ancestor_labels.get(descendant.digest, set())
-
-    def estimate_ancestors(self, pname: PName) -> int:
-        if self._pending:
-            self._build_labels()
-        return len(self._ancestor_labels.get(pname.digest, ()))
-
-    def estimate_descendants(self, pname: PName) -> int:
-        if self._pending:
-            self._build_labels()
-        return len(self._descendant_labels.get(pname.digest, ()))
-
-    def rebuild(self) -> None:
-        """Drop every label set and build them now (also the pre-warm after an open)."""
-        self._build_labels()
-
-    def index_stats(self) -> dict:
-        facts = super().index_stats()
-        facts["label_entries"] = self._label_entries()
-        facts["labels"] = "pending" if self._pending else "built"
-        facts["label_builds"] = self.label_builds
-        return facts
 
     def _label_entries(self) -> int:
         return sum(len(s) for s in self._ancestor_labels.values()) + sum(
             len(s) for s in self._descendant_labels.values()
         )
-
-    def _build_labels(self) -> None:
-        """Every label set, from the graph as it stands; the labels are current afterwards."""
-        self._build_in_bulk()
-        self._pending = False
-        self.label_builds += 1
 
     def _label_every_node(self) -> None:
         # (on the graph's digest-level views: this is most of the cost)
@@ -357,8 +286,6 @@ class LabelledClosure(ClosureStrategy):
                 self._propagate(child, parent)
 
     def _on_edge(self, child: PName, parent: PName) -> None:
-        if self._pending:
-            return
         self._ancestor_labels.setdefault(child.digest, set())
         self._descendant_labels.setdefault(child.digest, set())
         self._ancestor_labels.setdefault(parent.digest, set())

@@ -20,8 +20,9 @@ efficient support for transitive closure queries."
   :class:`~repro.index.temporal_index.TemporalIndex` and
   :class:`~repro.index.spatial_index.SpatialIndex` for multi-dimensional
   lookups,
-* a :class:`~repro.core.graph.ProvenanceGraph` plus a pluggable
-  :class:`~repro.core.closure.ClosureStrategy` for recursive queries,
+* a :class:`~repro.core.graph.ProvenanceGraph` plus the interval
+  closure (:class:`~repro.lineage.interval.IntervalClosure`) for
+  recursive queries,
 * and the :mod:`repro.core.query` evaluation machinery.
 
 The store is the building block of everything above it: the distributed
@@ -40,22 +41,21 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.core.abstraction import AbstractedLineage, AbstractionEngine, AbstractionRule
 from repro.core.attributes import GeoPoint, Timestamp
 from repro.core.bulk import collector_paused
-from repro.core.closure import STRATEGY_NAMES, make_closure
 from repro.core.graph import ProvenanceGraph
 from repro.core.provenance import Annotation, PName, ProvenanceRecord
 from repro.core.query import LineageOracle, Predicate, Query
 from repro.core.tupleset import SensorReading, TupleSet, readings_from_json, readings_to_bytes
 from repro.errors import (
-    ConfigurationError,
     DuplicateProvenanceError,
     PassError,
     UnknownEntityError,
 )
 from repro.index.attribute_index import AttributeIndex
 from repro.index.sections import pack, read_columns, read_header
-from repro.obs import trace
 from repro.index.spatial_index import SpatialIndex
 from repro.index.temporal_index import TemporalIndex
+from repro.lineage.interval import IntervalClosure
+from repro.obs import trace
 from repro.query.executor import execute as _execute_plan
 from repro.query.explain import Explain
 from repro.query.feedback import FeedbackCollector
@@ -119,14 +119,6 @@ class PassStore(LineageOracle):
     ----------
     backend:
         Where records and payloads live (default: in-memory).
-    closure:
-        Transitive-closure strategy, by name
-        (``"naive"`` / ``"memoized"`` / ``"labelled"`` / ``"interval"``;
-        an instance is refused: it holds state derived from its own graph).
-        Default is the interval strategy (:mod:`repro.lineage`), the
-        service closure; the other three are chosen by hand (experiment
-        E3, test oracles), and nothing switches a store's strategy but
-        :meth:`rebuild_closure_index`.
     indexed_attributes:
         Restrict the attribute index to these names (``None`` = all).
     site:
@@ -137,14 +129,9 @@ class PassStore(LineageOracle):
     def __init__(
         self,
         backend: Optional[StorageBackend] = None,
-        closure: str = "interval",
         indexed_attributes: Optional[Iterable[str]] = None,
         site: str = "local",
     ) -> None:
-        if not isinstance(closure, str):
-            raise ConfigurationError(
-                f"closure must be a strategy name, one of {', '.join(STRATEGY_NAMES)}; got {type(closure).__name__}"
-            )
         self.backend = backend if backend is not None else MemoryBackend()
         self.site = site
         self.stats = StoreStatistics()
@@ -162,7 +149,7 @@ class PassStore(LineageOracle):
         started = time.perf_counter()
         # Everything a load allocates stays live (repro.core.bulk).
         with collector_paused():
-            self._load_from_backend(closure)
+            self._load_from_backend()
         report = self._index_restore_report
         _LOGGER.info(
             "store opened: mode=%s covered=%d tail=%d reason=%s duration_ms=%.3f deferred=%d",
@@ -580,13 +567,13 @@ class PassStore(LineageOracle):
                 violations.append(f"removed data set {pname.short} lost its provenance record")
         return violations
 
-    def _load_from_backend(self, closure: str) -> None:
-        """Indexes, graph and closure strategy for what the backend already holds.
+    def _load_from_backend(self) -> None:
+        """Indexes, graph and interval closure for what the backend already holds.
 
         A durable backend may hold the indexes of an earlier session
         (docs/STORAGE.md, "Open path"); otherwise they start empty and
         every record is replayed into them.  Either way the records fill
-        the *graph*, and the strategy is made over the filled graph
+        the *graph*, and the closure is made over the filled graph
         afterwards: its labelling is derived state, never checkpointed,
         and built by the first lineage read rather than by the open.
         """
@@ -613,7 +600,7 @@ class PassStore(LineageOracle):
         for pname in self.backend.removed_pnames():
             if pname in self.graph:
                 self.graph.mark_removed(pname)
-        self.closure = make_closure(closure, self.graph)
+        self.closure = IntervalClosure(self.graph)
 
     # ------------------------------------------------------------------
     # Index checkpoint (docs/STORAGE.md, "Open path")
@@ -729,32 +716,19 @@ class PassStore(LineageOracle):
             self._checkpoint_stale = False
         return stored
 
-    def rebuild_closure_index(self, strategy: Optional[str] = None) -> dict:
+    def rebuild_closure_index(self) -> dict:
         """Force-rebuild the closure index; returns stats.
 
         The administrative verb behind the daemon's async build job
-        (and any operator who suspects a stale labelling): recompute the
-        strategy's structures from the live graph, write the index
-        checkpoint when it is stale (:meth:`persist_index_checkpoint`;
-        it holds no labelling), and report the resulting
-        :meth:`ClosureStrategy.index_stats` plus whether this call wrote
-        the checkpoint.
-
-        ``strategy`` swaps the closure strategy *before* rebuilding --
-        the daemon's ``rebuild_index`` job routes through here, so a
-        requested switch is observable the same way on every connect
-        target.
+        (and any operator who suspects a stale labelling): relabel the
+        live graph, write the index checkpoint when it is stale
+        (:meth:`persist_index_checkpoint`; it holds no labelling), and
+        report the closure's ``index_stats()`` plus whether this call
+        wrote the checkpoint.
         """
-        switched_from = None
-        if strategy is not None and strategy != self.closure.name:
-            switched_from = self.closure.name
-            self.closure = make_closure(strategy, self.graph)
         self.closure.rebuild()
-        persisted = self.persist_index_checkpoint()
-        stats = dict(self.closure.index_stats())
-        stats["persisted"] = persisted
-        if switched_from is not None:
-            stats["switched_from"] = switched_from
+        stats = self.closure.index_stats()
+        stats["persisted"] = self.persist_index_checkpoint()
         return stats
 
     def storage_snapshot(self) -> dict:
@@ -831,7 +805,6 @@ from repro.api.registry import ConnectionSpec, register_scheme  # noqa: E402
 def _store_from_spec(spec: ConnectionSpec, backend: Optional[StorageBackend]) -> PassStore:
     return PassStore(
         backend=backend,
-        closure=spec.text("closure", "interval"),
         indexed_attributes=spec.listing("indexed"),
         site=spec.text("site", "local"),
     )

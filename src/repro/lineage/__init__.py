@@ -8,8 +8,8 @@ scale:
 
 * :class:`~repro.lineage.interval.IntervalClosure` -- an interval/chain
   reachability index, the ``"interval"`` closure strategy of
-  :func:`~repro.core.closure.make_closure` and the default of every
-  store (``connect("memory://?closure=interval")``): O(labels) membership,
+  :func:`~repro.core.closure.make_closure` and the closure every store
+  runs: O(labels) membership,
   output-sensitive enumeration, O(V * k) memory instead of the labelled
   strategy's O(V^2) sets, maintained lazily from a dirty set and
   built on the first lineage read after an open (never checkpointed).
@@ -23,7 +23,8 @@ scale:
   every per-site store inside the distributed architecture models.
 
 See ``docs/LINEAGE.md`` for the index design, its maintenance
-invariants, and guidance on choosing a closure strategy.
+invariants, and why the other three strategies stay (experiment E3 and
+the test oracles).
 """
 
 from repro.lineage.interval import IntervalClosure

@@ -61,7 +61,6 @@ class IntervalClosure(ClosureStrategy):
     """Chain-decomposition reachability labelling with lazy maintenance."""
 
     name = "interval"
-    fast_reachability = True
 
     def __init__(self, graph: Optional[ProvenanceGraph] = None) -> None:
         super().__init__(graph)

@@ -3,7 +3,7 @@
 Each path knows three things:
 
 * how to *estimate* its result cardinality from the store's record
-  count, index metadata and closure strategy without fetching a single
+  count, index metadata and interval closure without fetching a single
   record,
 * how to *probe* the store's indexes for the candidate names -- digest
   strings, the form every index, the graph and the backends are keyed
@@ -281,10 +281,9 @@ class SpatialRadiusProbe(AccessPath):
 class _LineageProbe(AccessPath):
     """Common machinery of the two lineage reachability probes.
 
-    The probe asks the store's closure engine for one output-sensitive
-    enumeration instead of testing reachability per stored record; with
-    the :mod:`repro.lineage` interval index that is O(answer), and even
-    the naive strategy pays one BFS instead of one per record.  The
+    The probe asks the store's closure, the :mod:`repro.lineage`
+    interval index, for one output-sensitive enumeration, O(answer),
+    instead of testing reachability per stored record.  The
     probe is *exact*: a stored record is in the probe set iff it matches
     the lineage conjunct, so the executor never re-evaluates it.  It is
     not *index-only*: the closure also names ancestors known by their

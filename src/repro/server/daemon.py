@@ -571,22 +571,20 @@ class PassDaemon:
     def _handle_subscriptions(self, connection: _Connection) -> list:
         return [sub.stats() for sub in connection.subscriptions.values()]
 
-    def _handle_rebuild_index(self, connection: _Connection, strategy=None) -> dict:
+    def _handle_rebuild_index(self, connection: _Connection) -> dict:
         tenant = connection.tenant
         task_id = f"task-{next(self._job_ids)}"
         job = {"task_id": task_id, "status": "pending"}
         tenant.jobs[task_id] = job
-        self._loop.create_task(self._run_rebuild(tenant, job, strategy))
+        self._loop.create_task(self._run_rebuild(tenant, job))
         return {"task_id": task_id, "status": "pending"}
 
-    async def _run_rebuild(
-        self, tenant: _Tenant, job: dict, strategy: Optional[str] = None
-    ) -> None:
+    async def _run_rebuild(self, tenant: _Tenant, job: dict) -> None:
         job["status"] = "running"
         # Yield once so a fast poller can genuinely observe "running".
         await asyncio.sleep(0)
         try:
-            job["stats"] = tenant.client.rebuild_lineage_index(strategy=strategy)
+            job["stats"] = tenant.client.rebuild_lineage_index()
             job["status"] = "completed"
         except Exception as error:
             job["status"] = "failed"

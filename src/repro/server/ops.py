@@ -71,7 +71,6 @@ FIELD_CODECS = {
     "name": TEXT,
     "sub": TEXT,
     "task_id": TEXT,
-    "strategy": TEXT,
     "limit": INTEGER,
     "offset": INTEGER,
     "pname": PNAME,
@@ -185,7 +184,7 @@ _ROWS = (
     Op("unsubscribe", "sub", FLAG, "bool", CONNECTION),
     Op("subscriptions", "", JSON, "list of subscription stats", CONNECTION),
     Op("flush_windows", "", COUNT, "windows closed (events already pushed)"),
-    Op("rebuild_index", "strategy?", JSON, '`{task_id, status: "pending"}`', CONNECTION),
+    Op("rebuild_index", "", JSON, '`{task_id, status: "pending"}`', CONNECTION),
     Op("task_status", "task_id", JSON, "`{task_id, status, stats?/error?}`", CONNECTION),
 )
 OPS: Dict[str, Op] = {op.name: op for op in _ROWS}

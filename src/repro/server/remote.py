@@ -390,23 +390,16 @@ class RemoteClient(PassClient):
     # ------------------------------------------------------------------
     # Async index build
     # ------------------------------------------------------------------
-    def submit_rebuild(self, strategy: Optional[str] = None) -> str:
-        """Kick off the daemon's closure-index rebuild; returns its task id.
-
-        ``strategy`` asks the daemon to switch the tenant store's closure
-        strategy before rebuilding (the adaptive engine's switch verb,
-        available remotely through the same job plumbing).
-        """
-        return self._invoke("rebuild_index", strategy=strategy)["task_id"]
+    def submit_rebuild(self) -> str:
+        """Kick off the daemon's closure-index rebuild; returns its task id."""
+        return self._invoke("rebuild_index")["task_id"]
 
     def job_status(self, task_id: str) -> Dict[str, object]:
         """One poll of an async job: status plus stats/error when finished."""
         return self._invoke("task_status", task_id=task_id)
 
-    def rebuild_lineage_index(
-        self, strategy: Optional[str] = None, poll_interval: float = 0.02
-    ) -> Dict[str, object]:
-        task_id = self.submit_rebuild(strategy=strategy)
+    def rebuild_lineage_index(self, poll_interval: float = 0.02) -> Dict[str, object]:
+        task_id = self.submit_rebuild()
         deadline = time.monotonic() + self.timeout
         while True:
             job = self.job_status(task_id)

@@ -22,16 +22,15 @@ Three subscription kinds:
 * **lineage** -- :meth:`StreamEngine.subscribe_descendants` watches a
   PName and fires a :class:`~repro.stream.subscription.LineageEvent`
   whenever a new (transitive) descendant is published.  When the engine
-  is given a ``lineage_oracle`` (the local façade passes the store's
-  ``is_ancestor`` whenever the closure strategy has
-  ``fast_reachability`` -- labelled or the :mod:`repro.lineage`
-  interval index), each ingested record is checked against the watched
-  nodes directly -- no engine-side edge or label bookkeeping at all.
-  Without an oracle (graph-walking closures, and the distributed
-  models, where no single component holds the whole graph) the engine
-  falls back to incremental label inheritance: each new record inherits
-  the watch labels of its immediate ancestors.  Either way the trigger
-  never re-walks the provenance graph per ingest.
+  is given a ``lineage_oracle`` (the local façade always passes the
+  store's ``is_ancestor``, answered by its :mod:`repro.lineage` interval
+  index), each ingested record is checked against the watched nodes
+  directly -- no engine-side edge or label bookkeeping at all.  Without
+  an oracle (the distributed models, where no single component holds
+  the whole graph) the engine falls back to incremental label
+  inheritance: each new record inherits the watch labels of its
+  immediate ancestors.  Either way the trigger never re-walks the
+  provenance graph per ingest.
 
 The engine is storage-agnostic: :meth:`on_ingest` is fed by a
 ``PassStore`` post-commit hook locally and by the architecture models'

@@ -280,20 +280,3 @@ class TestRunQueryMatrix:
         # Soft state refuses transitive closure; the matrix reports it, not crashes.
         assert by_target["soft-state://"]["taint"] == "unsupported"
         assert by_target["centralized://"]["publish_messages"] > 0
-
-
-@pytest.mark.parametrize(
-    "url, sets, strategy",
-    [
-        ("memory://?closure=interval", 1_100, "interval"),  # a small, shallow graph
-        ("sqlite:///{}?closure=labelled", 8_200, "labelled"),  # a big one
-    ],
-)
-def test_an_explicit_closure_choice_is_kept(tmp_path, url, sets, strategy):
-    """Whatever the graph grows into, a store runs the strategy its URL names, across a reopen too."""
-    url = url.format(tmp_path / "pass.db")
-    with connect(url) as client:
-        client.publish_many([TupleSet([], ProvenanceRecord({"serial": serial})) for serial in range(sets)])
-        assert client.stats()["closure"]["strategy"] == strategy
-    with connect(url) as client:
-        assert client.stats()["closure"]["strategy"] == strategy

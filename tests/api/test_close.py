@@ -11,16 +11,19 @@ from repro.core import ProvenanceRecord, TupleSet
 from repro.errors import StorageError
 
 
-@pytest.mark.parametrize("closure", ["interval", "labelled"])
-def test_close_releases_the_backend_when_a_checkpoint_write_raises(tmp_path, closure):
-    """A read-only connection makes the closure checkpoint (``interval``) or the
-    index checkpoint (any strategy) raise ``sqlite3.OperationalError``, which is
-    no ``PassError``: it reaches the caller, and the connection is closed first."""
-    client = repro.connect(f"sqlite:///{tmp_path / 'pass.db'}?closure={closure}")
+@pytest.mark.parametrize("read_first", [True, False], ids=["built", "unbuilt"])
+def test_close_releases_the_backend_when_a_checkpoint_write_raises(tmp_path, read_first):
+    """A read-only connection makes the index checkpoint raise
+    ``sqlite3.OperationalError``, which is no ``PassError``: it reaches the
+    caller, and the connection is closed first, whether or not a lineage
+    read built the labelling."""
+    client = repro.connect(f"sqlite:///{tmp_path / 'pass.db'}")
     root = ProvenanceRecord({"domain": "x", "label": "root"})
     child = root.derive({"domain": "x", "label": "child"})
     client.publish_many([TupleSet([], root), TupleSet([], child)])
-    assert client.ancestors(child.pname()).records == [root.pname()]  # the labelling now exists
+    if read_first:
+        assert client.ancestors(child.pname()).records == [root.pname()]  # the labelling now exists
+    assert client.stats()["closure"]["built"] is read_first
     backend = client.store.backend
     backend._connection.execute("PRAGMA query_only=ON")
 

@@ -16,10 +16,10 @@ from repro.storage.sqlite import SQLiteBackend
 
 class TestParseUrl:
     def test_scheme_path_and_params(self):
-        spec = parse_url("sqlite:///pass.db?closure=naive")
+        spec = parse_url("sqlite:///pass.db?site=gateway")
         assert spec.scheme == "sqlite"
         assert spec.path == "/pass.db"
-        assert spec.params == {"closure": "naive"}
+        assert spec.params == {"site": "gateway"}
 
     def test_missing_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -48,8 +48,8 @@ class TestParseUrl:
         assert parse_url("sqlite:////var/lib/pass.db").database_path() == "/var/lib/pass.db"
 
     def test_unconsumed_tracking(self):
-        spec = parse_url("memory://?closure=naive&bogus=1")
-        spec.text("closure")
+        spec = parse_url("memory://?site=gateway&bogus=1")
+        spec.text("site")
         assert spec.unconsumed() == ["bogus"]
 
 
@@ -61,6 +61,21 @@ class TestConnectStrictness:
     def test_unknown_parameter(self):
         with pytest.raises(ConfigurationError, match="unknown parameter"):
             connect("memory://?sties=32")
+
+    @pytest.mark.parametrize("url", ["memory://?closure=interval", "sqlite:///{}?closure=labelled"])
+    def test_a_closure_choice_is_an_unknown_parameter(self, tmp_path, monkeypatch, url):
+        """Every store runs the interval closure; a SQLite file opened for the URL is closed again."""
+        opened = []
+        init = SQLiteBackend.__init__
+
+        def spy(backend, *args, **kwargs):
+            opened.append(backend)
+            init(backend, *args, **kwargs)
+
+        monkeypatch.setattr(SQLiteBackend, "__init__", spy)
+        with pytest.raises(ConfigurationError, match=r"unknown parameter\(s\) \['closure'\]"):
+            connect(url.format(tmp_path / "pass.db"))
+        assert [backend._closed for backend in opened] == ([True] if url.startswith("sqlite") else [])
 
     def test_bad_parameter_value(self):
         with pytest.raises(ConfigurationError):
@@ -101,9 +116,9 @@ class TestConnectConstruction:
         assert client.target == "local"
 
     def test_memory_options(self):
-        client = connect("memory://?closure=naive&site=gateway&indexed=city,domain")
+        client = connect("memory://?site=gateway&indexed=city,domain")
         assert client.store.site == "gateway"
-        assert client.store.closure.name == "naive"
+        assert client.store.closure.name == "interval"
         assert client.store.attribute_index.covers("city")
         assert not client.store.attribute_index.covers("patient")
 

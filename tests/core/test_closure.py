@@ -1,4 +1,4 @@
-"""Tests for the transitive-closure strategies (naive, memoized, labelled)."""
+"""Tests for the transitive-closure strategies (naive, memoized, labelled, interval)."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.core.closure import (
 )
 from repro.errors import UnknownEntityError
 
-STRATEGIES = ["naive", "memoized", "labelled"]
+STRATEGIES = list(STRATEGY_NAMES)
 
 
 def _pname(label: str):
@@ -214,91 +214,107 @@ class TestCostProfiles:
         assert closure.descendants(a) == {b, c}
 
 
-class TestPendingLabels:
-    """Labels over a populated graph wait for the first call that reads one."""
+class TestBulkBuiltLabels:
+    """Labels over a populated graph are built in one bulk pass."""
 
-    def _over_a_chain(self, depth=4, strategy="labelled"):
+    def _chain_graph(self, depth=4):
         nodes = [_pname(f"p{i}") for i in range(depth + 1)]
         graph = ProvenanceGraph()
         for child, parent in zip(nodes[1:], nodes):
             graph.add_edge(child, parent)
-        return make_closure(strategy, graph), nodes
+        return graph, nodes
 
-    def test_a_closure_over_an_empty_graph_is_never_pending(self):
+    def test_bulk_and_edge_by_edge_labels_are_the_same_labels(self):
+        graph, nodes = self._chain_graph(depth=9)
+        bulk = LabelledClosure(graph)
+        eager = LabelledClosure()
+        for child, parent in zip(nodes[1:], nodes):
+            eager.add_edge(child, parent)
+        assert bulk._label_entries() == eager._label_entries()
+        assert bulk._ancestor_labels == eager._ancestor_labels
+        assert bulk._descendant_labels == eager._descendant_labels
+
+    def test_a_closure_made_over_an_empty_graph_keeps_its_labels_edge_by_edge(self):
         closure = LabelledClosure()
-        assert closure.index_stats()["labels"] == "built"
-        a, b = _pname("a"), _pname("b")
+        a, b, c = _pname("a"), _pname("b"), _pname("c")
         closure.add_node(a)
+        assert closure._label_entries() == 0  # a node is not in its own labels
         closure.add_edge(b, a)
-        facts = closure.index_stats()
-        assert (facts["labels"], facts["label_builds"], facts["label_entries"]) == ("built", 0, 2)
+        closure.add_edge(c, b)
+        assert closure._label_entries() == 6  # {a}, {a, b} up; {b, c}, {c} down
+        closure.reset_counters()
+        assert closure.ancestors(c) == {a, b}
+        assert closure.operations == 1  # a lookup, no propagation
 
-    def test_writes_while_pending_reach_the_graph_only(self):
-        closure, nodes = self._over_a_chain()
+    @pytest.mark.parametrize(
+        "strategy, read",
+        [("labelled", read) for read in ("ancestors", "descendants", "reachable")]
+        + [
+            ("interval", read)
+            for read in (
+                "ancestors", "descendants", "reachable", "estimate_ancestors", "estimate_descendants", "rebuild",
+            )
+        ],
+    )
+    def test_the_first_label_read_builds_once_and_the_second_builds_nothing(self, strategy, read):
+        """``labelled`` builds when made over a populated graph, ``interval`` on its
+        first read; either way one bulk build, then edge-by-edge maintenance."""
+        graph, nodes = self._chain_graph()
+        closure = make_closure(strategy, graph)
+        builds = []
+        bulk = closure._label_every_node
+        closure._label_every_node = lambda: builds.append(bulk())
+        late = _pname("late")
+        closure.add_edge(late, nodes[-1])
+        argument = {"reachable": (nodes[0], late), "rebuild": ()}.get(read, (late,))
+        getattr(closure, read)(*argument)
+        assert len(builds) == (strategy == "interval")  # ``labelled`` built when made
+        assert closure.ancestors(late) == set(nodes)
+        assert closure.descendants(nodes[0]) == set(nodes[1:]) | {late}
+        assert closure.reachable(nodes[0], late)
+        if strategy == "interval":
+            assert closure.estimate_ancestors(late) == len(nodes)
+            assert closure.estimate_descendants(nodes[0]) == len(nodes)
+            assert closure.index_stats()["rebuilds"] == 1
+        later = _pname("later")
+        closure.add_edge(later, late)
+        assert closure.ancestors(later) == set(nodes) | {late}
+        assert len(builds) == (strategy == "interval")
+
+    def test_writes_before_the_first_interval_read_are_only_queued(self):
+        graph, nodes = self._chain_graph()
+        closure = make_closure("interval", graph)
         late = _pname("late")
         closure.add_node(late)
         closure.add_edge(late, nodes[-1])
         assert late in closure.graph
         facts = closure.index_stats()  # never forces the build
-        assert (facts["labels"], facts["label_builds"], facts["label_entries"]) == ("pending", 0, 0)
+        assert (facts["built"], facts["dirty_edges"], facts["rebuilds"], facts["label_entries"]) == (False, 1, 0, 0)
         assert closure.operations == 0
 
-    @pytest.mark.parametrize(
-        "read",
-        ["ancestors", "descendants", "reachable", "estimate_ancestors", "estimate_descendants", "rebuild"],
-    )
-    def test_the_first_label_read_builds_once_and_the_second_builds_nothing(self, read):
-        closure, nodes = self._over_a_chain()
-        late = _pname("late")
-        closure.add_edge(late, nodes[-1])  # written while pending: must be in the build
-        argument = {"reachable": (nodes[0], late), "rebuild": ()}.get(read, (late,))
-        getattr(closure, read)(*argument)
-        assert closure.index_stats()["labels"] == "built"
-        assert closure.label_builds == 1
-        built = closure.operations
-        assert closure.estimate_ancestors(late) == len(nodes)
-        assert closure.estimate_descendants(nodes[0]) == len(nodes)
-        assert closure.reachable(nodes[0], late)
-        assert closure.ancestors(late) == set(nodes)
-        assert closure.label_builds == 1
-        assert closure.operations == built + 2  # two lookups, no propagation
-        # and from here on maintenance is incremental
-        later = _pname("later")
-        closure.add_edge(later, late)
-        assert closure.ancestors(later) == set(nodes) | {late}
-        assert closure.label_builds == 1
-
-    def test_lazy_and_edge_by_edge_labels_are_the_same_labels(self):
-        lazy, nodes = self._over_a_chain(depth=9)
-        eager = LabelledClosure()
-        for child, parent in zip(nodes[1:], nodes):
-            eager.add_edge(child, parent)
-        lazy.rebuild()
-        assert lazy.index_stats()["label_entries"] == eager.index_stats()["label_entries"]
-        assert lazy._ancestor_labels == eager._ancestor_labels
-        assert lazy._descendant_labels == eager._descendant_labels
-
-    def test_rebuild_recomputes_labels_that_went_wrong(self):
-        closure = _build("labelled", [(_pname("b"), _pname("a")), (_pname("c"), _pname("b"))])
+    def test_an_interval_rebuild_recomputes_labels_that_went_wrong(self):
+        closure = _build("interval", [(_pname("b"), _pname("a")), (_pname("c"), _pname("b"))])
         reference = NaiveClosure(closure.graph)
-        closure._ancestor_labels[_pname("c").digest] = {_pname("c").digest}  # corrupted by hand
+        assert closure.ancestors(_pname("c")) == reference.ancestors(_pname("c"))
+        closure._up[_pname("c").digest] = {}  # corrupted by hand
         assert closure.ancestors(_pname("c")) != reference.ancestors(_pname("c"))
         closure.rebuild()
         for node in map(closure.graph.name_of, closure.graph.node_digests()):
             assert closure.ancestors(node) == reference.ancestors(node)
             assert closure.descendants(node) == reference.descendants(node)
-        assert closure.index_stats()["labels"] == "built"
+        assert closure.index_stats()["rebuilds"] == 2
 
     @pytest.mark.parametrize("strategy, entries", [("labelled", 20), ("interval", 10)])
     def test_the_build_is_logged_and_traced(self, caplog, strategy, entries):
-        """Every strategy's bulk build: one span, one INFO record."""
+        """Every strategy's bulk build (``labelled``'s when made, ``interval``'s
+        on its first read): one span, one INFO record."""
         from repro.obs import trace
 
-        closure, nodes = self._over_a_chain(strategy=strategy)
+        graph, nodes = self._chain_graph()
         trace.enable()
         try:
             with caplog.at_level("INFO", logger="repro.core"):
-                closure.ancestors(nodes[-1])
+                make_closure(strategy, graph).ancestors(nodes[-1])
             names = [span.name for span in trace.drain()]
         finally:
             trace.disable()

@@ -28,6 +28,7 @@ from repro.core import GeoPoint, PassStore, ProvenanceRecord, SensorReading, Tim
 from repro.core.provenance import PName
 from repro.errors import CrashInjectedError
 from repro.index.sections import pack, read_columns, read_header
+from repro.lineage.interval import IntervalClosure
 from repro.storage import SQLiteBackend
 
 KEY = "index:checkpoint"
@@ -519,7 +520,7 @@ REFUSALS = {
 def test_a_damaged_checkpoint_is_refused_and_replaced(tmp_path, damage):
     spoil, reason = REFUSALS[damage]
     path = tmp_path / "pass.db"
-    url = f"sqlite:///{path}?closure=interval"
+    url = f"sqlite:///{path}"
     with repro.connect(url) as client:
         made = populate(client)
         expected = answers(client, made)
@@ -754,7 +755,7 @@ def test_sharded_and_memory_stores_replay_and_say_why(tmp_path):
         assert client.store.backend.stats.gets == gets
 
 
-@pytest.mark.parametrize("target", ["memory://?closure=interval", "memory://?shards=2&closure=interval"])
+@pytest.mark.parametrize("target", ["memory://", "memory://?shards=2"])
 def test_closing_a_store_with_no_record_order_puts_nothing(target):
     """A labelling is checkpointed where the indexes are, and these keep no checkpoint."""
     with repro.connect(target) as client:
@@ -789,11 +790,10 @@ def test_a_clean_open_query_close_cycle_writes_nothing(tmp_path):
         assert client.store.graph.is_removed(made["sets"][2].pname)
 
 
-@pytest.mark.parametrize("strategy", ["interval", "labelled"])
-def test_a_clean_close_neither_hashes_nor_rewrites_the_labelling(tmp_path, strategy):
+def test_a_clean_close_neither_hashes_nor_rewrites_the_labelling(tmp_path):
     """A read-only session writes nothing, lineage reads and all, and a
     session that adds an edge writes one checkpoint, which holds no labelling."""
-    url = f"sqlite:///{tmp_path / 'pass.db'}?closure={strategy}"
+    url = f"sqlite:///{tmp_path / 'pass.db'}"
     sets = chains(2, 5)
     with repro.connect(url) as client:
         client.publish_many(sets[:8])
@@ -863,81 +863,79 @@ def test_a_record_written_under_the_store_is_not_claimed(tmp_path):
 # ----------------------------------------------------------------------
 def labels(client) -> tuple:
     closure = client.stats()["closure"]
-    return closure["labels"], closure["label_builds"], closure["label_entries"]
+    return closure["built"], closure["rebuilds"], closure["label_entries"]
 
 
 def test_a_session_without_lineage_reads_never_builds_the_labels(tmp_path):
     path = tmp_path / "pass.db"
-    url = f"sqlite:///{path}?closure=labelled"
+    url = f"sqlite:///{path}"
     sets = chains(2, 6)
     with repro.connect(url) as client:
         client.publish_many(sets[:8])
-        assert labels(client) == ("built", 0, 32)  # a new file: kept edge by edge, never pending
+        assert labels(client) == (False, 0, 0)  # a new file too
     with repro.connect(url) as client:
         assert restore_report(client)["mode"] == "adopted"
-        assert labels(client) == ("pending", 0, 0)
+        assert labels(client) == (False, 0, 0)
         client.publish(sets[8])  # derived: an edge into the adopted graph
         client.publish(_tuple_set(4, 0))  # raw
         client.publish_many(sets[9:])
         assert len(client.query(Q.attr("sensor") == "s1").records) == 6
         assert client.query(Q.attr("sequence").between(100, 103), limit=2).total == 4
-        assert labels(client) == ("pending", 0, 0)
+        assert labels(client) == (False, 0, 0)
         assert client.store.closure.operations == 0
     with repro.connect(url) as client:
-        # the pending session checkpointed its graph all the same
+        # the unbuilt session checkpointed its graph all the same
         report = restore_report(client)
         assert (report["mode"], report["covered"], report["tail"]) == ("adopted", 13, 0)
-        assert labels(client) == ("pending", 0, 0)
+        assert labels(client) == (False, 0, 0)
         assert sorted(p.digest for p in client.ancestors(sets[-1].pname).records) == sorted(
             s.pname.digest for s in sets[6:11]
         )
-        assert labels(client) == ("built", 1, 60)
+        assert labels(client) == (True, 1, 26)
         client.descendants(sets[0].pname)
         assert client.query(Q.derived_from(sets[0].pname)).total == 5
-        assert labels(client) == ("built", 1, 60)
+        assert labels(client) == (True, 1, 26)
 
 
 @pytest.mark.parametrize("first_read", ["ancestors", "derived_from", "explain"])
-def test_a_replayed_open_leaves_the_labels_pending_too(tmp_path, first_read):
+def test_a_replayed_open_leaves_the_labels_unbuilt_too(tmp_path, first_read):
     path = tmp_path / "pass.db"
-    url = f"sqlite:///{path}?closure=labelled"
+    url = f"sqlite:///{path}"
     sets = chains(2, 6)
     with repro.connect(url) as client:
         client.publish_many(sets)
     write_blob(path, None)
     with repro.connect(url) as client:
         assert restore_report(client)["mode"] == "replayed"
-        assert labels(client) == ("pending", 0, 0)
+        assert labels(client) == (False, 0, 0)
         if first_read == "ancestors":
             assert client.ancestors(sets[5].pname).total == 5
         elif first_read == "derived_from":
             assert client.query(Q.derived_from(sets[6].pname)).total == 5
         else:
             assert client.explain(Q.derived_from(sets[6].pname)).path_kind == "lineage-descendants"
-        assert labels(client) == ("built", 1, 60)
+        assert labels(client) == (True, 1, 24)
         assert client.descendants(sets[0].pname).total == 5
-        assert labels(client) == ("built", 1, 60)
+        assert labels(client) == (True, 1, 24)
 
 
-def test_rebuilding_the_lineage_index_builds_pending_labels_now(tmp_path):
-    url = f"sqlite:///{tmp_path / 'pass.db'}?closure=labelled"
+def test_rebuilding_the_lineage_index_builds_the_labels_now(tmp_path):
+    url = f"sqlite:///{tmp_path / 'pass.db'}"
     sets = chains(2, 6)
     with repro.connect(url) as client:
         client.publish_many(sets)
     with repro.connect(url) as client:
         stats = client.rebuild_lineage_index()
-        assert (stats["labels"], stats["label_builds"], stats["label_entries"]) == ("built", 1, 60)
+        assert (stats["built"], stats["rebuilds"], stats["label_entries"]) == (True, 1, 24)
         client.ancestors(sets[5].pname)
-        assert labels(client) == ("built", 1, 60)
+        assert labels(client) == (True, 1, 24)
         # ... and run again it recomputes them, which is what the verb promises
-        client.store.closure._descendant_labels[sets[0].pname.digest].clear()
-        assert client.descendants(sets[0].pname).total == 0
-        assert client.rebuild_lineage_index()["label_builds"] == 2
+        assert client.rebuild_lineage_index()["rebuilds"] == 2
         assert client.descendants(sets[0].pname).total == 5
 
 
 def test_a_descendant_watch_fires_on_the_first_publish_after_an_open(tmp_path):
-    url = f"sqlite:///{tmp_path / 'pass.db'}?closure=labelled"
+    url = f"sqlite:///{tmp_path / 'pass.db'}"
     sets = chains(1, 4)
     with repro.connect(url) as client:
         client.publish_many(sets[:3])
@@ -945,11 +943,11 @@ def test_a_descendant_watch_fires_on_the_first_publish_after_an_open(tmp_path):
         seen = []
         client.subscribe_descendants(sets[0].pname, callback=seen.append)
         assert client.stats()["stream"]["lineage_matching"] == "shared-index"
-        assert labels(client)[0] == "pending"
+        assert labels(client)[0] is False
         client.publish(_tuple_set(5, 0))  # unrelated: asks the closure, matches nothing
         client.publish(sets[3])
         assert [event.pname for event in seen] == [sets[3].pname]
-        assert labels(client) == ("built", 1, 12)
+        assert labels(client) == (True, 1, 10)
 
 
 def test_the_open_is_logged_once_with_what_it_did(tmp_path, caplog):
@@ -994,13 +992,10 @@ def test_an_open_leaves_the_collector_as_it_found_it(tmp_path, collector):
         assert gc.isenabled() is collector
 
 
-@pytest.mark.parametrize("strategy, step, steps", [("labelled", "_propagate", 2), ("interval", "_assign_chain", 3)])
-def test_the_load_and_the_label_build_run_with_the_collector_paused(tmp_path, monkeypatch, strategy, step, steps):
-    """``step`` is a unit of the strategy's label build, run ``steps`` times over three sets."""
-    from repro.core.closure import make_closure
-
-    labelling = type(make_closure(strategy))
-    url = f"sqlite:///{tmp_path / 'pass.db'}?closure={strategy}"
+def test_the_load_and_the_label_build_run_with_the_collector_paused(tmp_path, monkeypatch):
+    """``_assign_chain`` is a unit of the label build, run once per set."""
+    step, steps = "_assign_chain", 3
+    url = f"sqlite:///{tmp_path / 'pass.db'}"
     sets = chains(1, 3)
     with repro.connect(url) as client:
         client.publish_many(sets)
@@ -1014,7 +1009,7 @@ def test_the_load_and_the_label_build_run_with_the_collector_paused(tmp_path, mo
         return wrapper
 
     monkeypatch.setattr(SQLiteBackend, "removed_pnames", recorded(SQLiteBackend.removed_pnames))
-    monkeypatch.setattr(labelling, step, recorded(getattr(labelling, step)))
+    monkeypatch.setattr(IntervalClosure, step, recorded(getattr(IntervalClosure, step)))
     assert gc.isenabled()
     with repro.connect(url) as client:
         client.ancestors(sets[2].pname)
@@ -1080,7 +1075,6 @@ def test_interval_and_sharded_opens_report_what_they_always_did(tmp_path):
     with repro.connect(url) as client:
         assert client.stats()["storage"]["closure_restore"] == not_restored
         closure = client.stats()["closure"]
-        assert "labels" not in closure and "label_builds" not in closure
         assert (closure["built"], closure["rebuilds"], closure["dirty_edges"], closure["label_entries"]) == (
             False, 0, 0, 0,
         )
@@ -1129,7 +1123,7 @@ def _benchmark_restore_modes() -> dict:
 
 
 @pytest.mark.parametrize(
-    "target", ["memory://", "sqlite:///{}", "sqlite:///{}?closure=interval", "sqlite:///{}?shards=2"]
+    "target", ["memory://", "sqlite:///{}", "sqlite:///{}?shards=2"]
 )
 def test_every_restore_mode_is_one_the_benchmark_decodes(tmp_path, target):
     """The benchmark turns ``closure_restore.mode`` into a number by this table:

@@ -25,7 +25,6 @@ from repro.core import (
     TupleSet,
 )
 from repro.errors import (
-    ConfigurationError,
     CrashInjectedError,
     DuplicateProvenanceError,
     ProvenanceError,
@@ -315,32 +314,15 @@ class TestLineage:
         with pytest.raises(UnknownEntityError):
             store.ancestors(_tuple_set("ghost").pname)
 
-    def test_closure_strategy_choice_does_not_change_answers(self):
-        answers = {}
-        for strategy in ("naive", "memoized", "labelled"):
-            store = PassStore(closure=strategy)
-            sets = self._chain(store, depth=5)
-            answers[strategy] = store.ancestors(sets[-1].pname)
-        assert answers["naive"] == answers["memoized"] == answers["labelled"]
-
-    def test_a_strategy_instance_is_refused_by_name(self):
-        """A store makes its own strategy by name: an instance holds state of another graph."""
-        from repro.core.closure import LabelledClosure
-
-        with pytest.raises(ConfigurationError) as refused:
-            PassStore(closure=LabelledClosure())
-        for name in ("naive", "memoized", "labelled", "interval"):
-            assert name in str(refused.value)
-        assert PassStore(closure="labelled").closure.name == "labelled"
-
-    def test_an_unknown_strategy_name_is_refused(self):
-        with pytest.raises(UnknownEntityError, match="btree"):
-            PassStore(closure="btree")
+    def test_a_closure_choice_is_refused(self):
+        """Every store runs the interval closure; there is no strategy to pass."""
+        with pytest.raises(TypeError, match="closure"):
+            PassStore(closure="naive")
 
     def test_shared_closure_instance_is_not_corrupted(self):
-        """Two stores given one strategy name each make their own strategy over their own graph."""
-        first = PassStore(closure="labelled")
-        second = PassStore(closure="labelled")
+        """Two stores each make their own closure over their own graph."""
+        first = PassStore()
+        second = PassStore()
         assert first.closure is not second.closure
         assert first.closure.graph is first.graph
         assert second.closure.graph is second.graph

@@ -144,8 +144,8 @@ def test_an_unclosed_client_that_subscribed_frees_its_store():
     store go by reference counting."""
     client = repro.connect("memory://")
     sets = _tuple_sets()
-    assert client.store.closure.fast_reachability  # the store is the engine's oracle
     watches = [client.subscribe(Q.attr("city") == "oslo"), client.subscribe_descendants(sets[0].pname)]
+    assert client.stats()["stream"]["lineage_matching"] == "shared-index"  # the store is the engine's oracle
     client.publish_many(sets)
     assert client.query(Q.attr("city") == "london").total == len(sets) // 2
     assert len(watches[1].drain()) == len(sets) - 1

@@ -12,7 +12,9 @@ import sys
 import pytest
 from report_capture import FIXTURE, capture
 
+from repro.core.closure import STRATEGY_NAMES
 from repro.eval import run_experiment
+from repro.eval.experiments_core import _build_chain_store, _closure_over
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,27 @@ class TestClaimShapes:
             (64, "labelled", 68, 68),
             (64, "interval", 68, 2731),
         ]
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_e3_runs_each_strategy_over_the_graph_its_store_built(self, strategy):
+        """E3 makes its strategies outside any store: each walks the graph the store's ingest built."""
+        store = _build_chain_store(depth=4)
+        closure = _closure_over(store, strategy)
+        assert sorted(closure.graph.node_digests()) == sorted(store.graph.node_digests())
+        for digest in store.graph.node_digests():
+            assert sorted(closure.graph.parents_of(digest)) == sorted(store.graph.parents_of(digest))
+        for pname in store.pnames():
+            assert closure.ancestors(pname) == store.closure.ancestors(pname)
+
+    def test_e3_counts_interval_as_the_store_closure_does(self):
+        """E3's ``interval`` rows are what a store's own closure counts for the same reads."""
+        store = _build_chain_store(depth=16)
+        closure = _closure_over(store, "interval")
+        for counted in (closure, store.closure):
+            counted.reset_counters()
+            for pname in store.pnames():
+                counted.ancestors(pname)
+        assert closure.operations == store.closure.operations
 
     def test_e4_all_query_suites_answered(self, results):
         rows = results["E4"].row_dicts()

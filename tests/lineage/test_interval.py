@@ -50,10 +50,10 @@ class TestFactoryAndRegistry:
     def test_registered_as_interval(self):
         assert isinstance(make_closure("interval"), IntervalClosure)
 
-    def test_store_accepts_interval_by_name(self):
+    def test_every_store_runs_interval(self):
         from repro.core.pass_store import PassStore
 
-        assert PassStore(closure="interval").closure.name == "interval"
+        assert type(PassStore().closure) is IntervalClosure
 
 
 class TestCorrectness:
@@ -203,17 +203,19 @@ class TestDerivedLabelling:
         assert len(second.ancestors(last)) == 9
         assert second.closure.rebuilds == 1
 
-    @pytest.mark.parametrize("strategy", ["interval", "labelled", "naive", "memoized"])
-    def test_no_strategy_writes_its_labelling_into_the_checkpoint(self, tmp_path, strategy):
+    @pytest.mark.parametrize("read_first", [True, False], ids=["built", "unbuilt"])
+    def test_the_labelling_is_not_written_into_the_checkpoint(self, tmp_path, read_first):
         from repro.core.pass_store import PassStore
 
-        store = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"), closure=strategy)
+        store = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"))
         last = self._chain(store)
-        assert len(store.ancestors(last)) == 9  # whatever the strategy keeps is built now
+        if read_first:
+            assert len(store.ancestors(last)) == 9  # the labelling is built now
+        assert store.closure.index_stats()["built"] is read_first
         assert store.persist_index_checkpoint()
         store.backend.close()
 
-        reopened = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"), closure=strategy)
+        reopened = PassStore(backend=SQLiteBackend(tmp_path / "pass.db"))
         state = read_header(zlib.decompress(reopened.backend.get_index_blob("index:checkpoint")))[0]
         assert "closure" not in state
         assert reopened.storage_snapshot()["closure_restore"]["mode"] == "none"

@@ -63,7 +63,7 @@ def _lineage_kinds(explain) -> set:
 
 
 class TestLocalExplain:
-    @pytest.mark.parametrize("url", ["memory://", "memory://?closure=interval"])
+    @pytest.mark.parametrize("url", ["memory://", "memory://?shards=2"])
     def test_derived_from_plans_as_lineage_probe(self, url, chainload):
         chain, unrelated = chainload
         with connect(url) as client:
@@ -86,7 +86,7 @@ class TestLocalExplain:
 
     def test_sqlite_serves_lineage_from_the_index(self, tmp_path, chainload):
         chain, unrelated = chainload
-        url = f"sqlite:///{tmp_path}/pass.db?closure=interval"
+        url = f"sqlite:///{tmp_path}/pass.db"
         with connect(url) as client:
             client.publish_many(chain + [unrelated])
             explain = client.explain(Q.find(Q.derived_from(chain[0])))
@@ -218,12 +218,12 @@ class TestLineagePagination:
                 assert client.descendants(chain[0]).records == first
 
 
-    @pytest.mark.parametrize("closure", ["naive", "memoized", "labelled", "interval"])
-    def test_an_include_self_probe_leaves_the_closure_alone(self, closure, chainload):
-        """The probe adds the focus to *its* candidates, never to the strategy's labels."""
+    @pytest.mark.parametrize("url", ["memory://", "memory://?shards=2", "sqlite:///{}"])
+    def test_an_include_self_probe_leaves_the_closure_alone(self, tmp_path, url, chainload):
+        """The probe adds the focus to *its* candidates, never to the closure's labels."""
         chain, unrelated = chainload
         middle = chain[2]
-        with connect(f"memory://?closure={closure}") as client:
+        with connect(url.format(tmp_path / "pass.db")) as client:
             client.publish_many(chain + [unrelated])
             for _ in range(2):
                 assert middle.pname in client.query(Q.derived_from(middle, include_self=True)).records
@@ -283,17 +283,8 @@ def _assert_pages(client, sets, parents, reads, where: str) -> None:
         assert page.total == len(full), where
 
 
-def _switch_by_hand(client) -> None:
-    """Move the store off its default strategy, as an operator's rebuild job does."""
-    store = client.store
-    assert store.closure.name == "interval"
-    client.rebuild_lineage_index(strategy="labelled")
-    client.publish(_tuple_set(424242, city="boston"))
-    assert store.closure.name == "labelled"
-
-
 class TestGeneratedPaging:
-    """A page is a slice of the *sorted* full answer, whichever strategy and store serve it."""
+    """A page is a slice of the *sorted* full answer, whichever store serves it."""
 
     @given(case=lineage_cases(), durable=st.booleans())
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -307,9 +298,7 @@ class TestGeneratedPaging:
             with connect(url) as client:
                 for index in publish_order:
                     client.publish(sets[index])
-                _assert_pages(client, sets, parents, reads, "interval, as published")
-                _switch_by_hand(client)
-                _assert_pages(client, sets, parents, reads, "after a switch by hand")
+                _assert_pages(client, sets, parents, reads, "as published")
             if durable:
                 with connect(url) as client:
                     _assert_pages(client, sets, parents, reads, "reopened")

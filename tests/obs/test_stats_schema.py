@@ -120,17 +120,10 @@ GRAPH_SHAPE_KEYS = frozenset(
     {"nodes", "edges", "max_depth", "max_fan_in", "mean_depth", "mean_fan_in", "expected_reach", "depth_histogram"}
 )
 
-#: stats()["closure"] per strategy.  Only ``labelled`` has labels that an
-#: open can leave pending, so only it reports ``labels`` / ``label_builds``;
-#: the others omit both (``interval`` says ``built`` / ``rebuilds`` of its own).
-CLOSURE_BLOCK_KEYS = {
-    "labelled": frozenset({"strategy", "operations", "label_entries", "labels", "label_builds"}),
-    "interval": frozenset(
-        {"strategy", "operations", "built", "chains", "label_entries", "dirty_edges", "rebuilds", "incremental_merges"}
-    ),
-    "memoized": frozenset({"strategy", "operations"}),
-    "naive": frozenset({"strategy", "operations"}),
-}
+#: stats()["closure"]: every store runs the ``interval`` closure
+CLOSURE_BLOCK_KEYS = frozenset(
+    {"strategy", "operations", "built", "chains", "label_entries", "dirty_edges", "rebuilds", "incremental_merges"}
+)
 
 
 class TestGoldenKeys:
@@ -214,25 +207,27 @@ class TestGoldenKeys:
         assert statistics["record_count"] == stats["records"]
 
     def test_closure_block_keeps_its_documented_schema(self, exercised):
-        """Per strategy; every target runs ``interval``, whose labelling
-        no lineage read has built here, and no time is ever in the block."""
+        """Every target runs ``interval``, whose labelling no lineage read
+        has built here, and no time is ever in the block."""
         target, client = exercised
         stats = client.stats()
         if target in MODEL_TARGETS:
             assert "closure" not in stats  # architecture models carry no closure block
             return
         closure = stats["closure"]
-        assert set(closure) == CLOSURE_BLOCK_KEYS[closure["strategy"]]
+        assert set(closure) == CLOSURE_BLOCK_KEYS
         assert closure["strategy"] == "interval"  # sharded or not
         assert (closure["built"], closure["rebuilds"]) == (False, 0)
 
-    @pytest.mark.parametrize("strategy", sorted(CLOSURE_BLOCK_KEYS))
-    def test_closure_block_per_strategy(self, strategy, workload_sets):
+    @pytest.mark.parametrize("url", ["memory://", "memory://?shards=2", "sqlite:///{}"])
+    def test_closure_block_after_a_lineage_read(self, tmp_path, url, workload_sets):
         raw, derived = workload_sets
-        with connect(f"memory://?closure={strategy}") as client:
+        with connect(url.format(tmp_path / "pass.db")) as client:
             client.publish_many(raw + derived)
             client.ancestors(derived[-1].pname)
-            assert set(client.stats()["closure"]) == CLOSURE_BLOCK_KEYS[strategy]
+            closure = client.stats()["closure"]
+            assert set(closure) == CLOSURE_BLOCK_KEYS
+            assert (closure["built"], closure["rebuilds"]) == (True, 1)
 
     def test_obs_block_has_the_registry_shape(self, exercised):
         _, client = exercised

@@ -2,13 +2,11 @@
 
 Covers fresh per-query planning (no plan outlives its query's
 constants), the one feedback mechanism -- hot-key result caching -- and
-the result cache's key: two different questions must never share one;
-and the one way a store's closure strategy changes, by hand.
+the result cache's key: two different questions must never share one.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_planner_parity import _resolve, predicates
@@ -371,21 +369,3 @@ class TestResultCacheKeys:
                 continue
             canonical = _canonical(normalize(key.predicate))
             assert asked.setdefault(key.token, canonical) == canonical
-
-
-@pytest.mark.parametrize(
-    "start, strategy",
-    [("interval", "labelled"), ("interval", "naive"), ("interval", "memoized"), ("labelled", "interval")],
-)
-def test_rebuild_reports_the_switch(start, strategy):
-    store = PassStore(closure=start)
-    _populate(store, 20)
-    stats = store.rebuild_closure_index(strategy=strategy)
-    assert stats["switched_from"] == start
-    assert store.closure.name == strategy
-    # Lineage still answers correctly through the new strategy.
-    parent = TupleSet([], _record(HOT, 100))
-    child = TupleSet([], _record(HOT, 101, ancestors=(parent.pname,)))
-    store.ingest(parent)
-    store.ingest(child)
-    assert parent.pname in store.closure.ancestors(child.pname)

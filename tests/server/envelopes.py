@@ -146,7 +146,7 @@ def _session(client) -> None:
     client.flush_windows()
     client.unsubscribe(watch)
     client.unsubscribe("sub-404")
-    tasks = [client.submit_rebuild(), client.submit_rebuild(strategy="interval")]
+    tasks = [client.submit_rebuild(), client.submit_rebuild()]
     time.sleep(0.2)  # one poll each, after the jobs have certainly finished
     for task in tasks:
         assert client.job_status(task)["status"] == "completed"

@@ -278,6 +278,9 @@ def test_rebuild_job_runs_through_the_status_machine():
             assert job["stats"]["strategy"]
             # The blocking wrapper reaches the same completed stats.
             assert client.rebuild_lineage_index()["strategy"] == job["stats"]["strategy"]
+            # Every store runs the interval closure: the verb takes no strategy.
+            with pytest.raises(ProtocolError, match="rebuild_index: unknown field 'strategy'"):
+                client._call("rebuild_index", strategy="labelled")
     finally:
         daemon.stop()
 

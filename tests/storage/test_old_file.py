@@ -321,7 +321,7 @@ def test_a_parent_layout_file_leaves_its_labelling_blob_unread(tmp_path):
     path = tmp_path / "parent.db"
     sets = _six_steps()
     old_blob = _parent_layout_file(path, sets)
-    url = f"sqlite:///{path}?closure=interval"
+    url = f"sqlite:///{path}"
 
     with connect(url) as client:
         storage = client.stats()["storage"]
@@ -336,7 +336,7 @@ def test_a_parent_layout_file_leaves_its_labelling_blob_unread(tmp_path):
 
 
 #: the ``closure`` section the code before today's appended to the index
-#: checkpoint of a ``?closure=interval`` store over :func:`_six_steps`, once
+#: checkpoint of an ``interval`` store over :func:`_six_steps`, once
 #: a lineage read had built it: chains and labels named by checkpoint position
 OLD_CLOSURE_SECTION = {
     "strategy": "interval",
@@ -372,7 +372,7 @@ def test_a_checkpoint_with_a_closure_section_opens_and_drops_it(tmp_path):
     with connect("memory://") as twin:
         twin.publish_many(sets)
         expected = lineage(twin)
-    with connect(f"sqlite:///{path}?closure=interval") as client:
+    with connect(f"sqlite:///{path}") as client:
         storage = client.stats()["storage"]
         assert storage["index_restore"]["mode"] == "adopted"
         assert storage["closure_restore"] == NOT_RESTORED

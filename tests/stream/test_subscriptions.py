@@ -296,14 +296,14 @@ class TestLineageTriggers:
         assert [e.record.get("sequence") for e in subscription.drain()] == [1]
 
     def test_graph_walking_closures_keep_label_inheritance(self):
-        """A naive-closure store must not pay a BFS per ingest per watch."""
-        with connect("memory://?closure=naive") as naive_client:
+        """A model target, where no one store holds the graph, must not walk it per ingest per watch."""
+        with connect("centralized://") as model_client:
             root = _tuple_set(0)
-            naive_client.publish(root)
-            subscription = naive_client.subscribe_descendants(root)
-            engine = naive_client._stream_engine(create=False)
+            model_client.publish(root)
+            subscription = model_client.subscribe_descendants(root)
+            engine = model_client._stream_engine(create=False)
             assert engine.stats()["lineage_matching"] == "label-inheritance"
-            naive_client.publish(_tuple_set(1, parents=[root.pname]))
+            model_client.publish(_tuple_set(1, parents=[root.pname]))
             assert [e.record.get("sequence") for e in subscription.drain()] == [1]
 
     def test_lineage_edge_map_is_capped_visibly(self):

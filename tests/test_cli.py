@@ -323,7 +323,7 @@ class TestLineageCommand:
                 "--hours",
                 "0.5",
                 "--store",
-                "memory://?closure=interval",
+                "memory://",
             ],
             out=out,
         )
