@@ -39,7 +39,7 @@ from repro.core.pass_store import PassStore
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.core.tupleset import TupleSet
 from repro.distributed.base import ArchitectureModel, OperationResult
-from repro.errors import ConfigurationError, PassError, QueryError
+from repro.errors import ConfigurationError, NetworkError, PassError, QueryError, UnsupportedQueryError
 from repro.net.topology import Topology
 from repro.obs import MetricsRegistry, trace
 from repro.obs import health as obs_health
@@ -125,6 +125,36 @@ def _weakly(method):
     """
     ref = weakref.WeakMethod(method)
     return lambda *args: ref()(*args)
+
+
+def _ancestry_oracle(model: ArchitectureModel, origin: str):
+    """``is_ancestor(watched, candidate)`` answered by ``model``'s own ``ancestors``.
+
+    One operation per published record, however many watches ask: only
+    the ancestry of the record in hand is kept, keyed by the model's
+    publish count, so a set published again is asked again.  It runs inside the
+    publish's trace, so its messages are that publish's cost.  A query
+    the network cannot complete (a partition) fires nothing for the
+    record and counts in ``notifications_suppressed``.  The model is
+    held weakly: model -> engine -> oracle -> model would be a cycle.
+    """
+    target = weakref.ref(model)
+    in_hand_key, in_hand = None, set()
+
+    def is_ancestor(watched: PName, candidate: PName) -> bool:
+        nonlocal in_hand_key, in_hand
+        model = target()
+        key = (model.published, candidate.digest)
+        if key != in_hand_key:
+            try:
+                in_hand = {p.digest for p in model.ancestors(candidate, origin).pnames}
+            except NetworkError:
+                model.notifications_suppressed += 1
+                in_hand = set()
+            in_hand_key = key
+        return watched.digest in in_hand
+
+    return is_ancestor
 
 
 def _lift_query_limit(queryish, limit: Optional[int]):
@@ -295,28 +325,25 @@ class PassClient(ABC):
     ) -> Subscription:
         """Fire whenever a new (transitive) descendant of ``pname`` is published.
 
-        The lineage trigger is fed incrementally from publish-time
-        ancestry edges -- no transitive-closure query runs per ingest.
-        Registration itself runs one closure query against the target
-        (when it supports lineage) so descent through *pre-existing*
-        intermediates is caught too.
+        Each publish is checked against the watch by the target's own
+        closure: the local store's reachability index, or on an
+        architecture model one ``ancestors`` operation per published
+        record while a watch is live, charged to that publish's cost.
+        So descent through sets published earlier, in any order, fires.
+        A target that cannot answer closure queries refuses the watch
+        with :class:`~repro.errors.UnsupportedQueryError`.
         """
-        engine = self._stream_engine(create=True)
-        site = self._subscriber_site(origin)
-        # An engine matching through a shared reachability index answers
-        # "is this a descendant of the watch?" directly; only the
-        # label-inheritance fallback needs the closure-seed backfill.
-        known = (
-            self._lineage_backfill(pname, site) if engine.needs_lineage_backfill else []
-        )
-        return engine.subscribe_descendants(
+        if not self.supports_lineage:
+            raise UnsupportedQueryError(
+                f"target {self.target!r} answers no closure queries, so it cannot watch descendants"
+            )
+        return self._stream_engine(create=True).subscribe_descendants(
             pname,
             callback=callback,
-            site=site,
+            site=self._subscriber_site(origin),
             maxsize=maxsize,
             overflow=overflow,
             name=name,
-            known_descendants=known,
         )
 
     def unsubscribe(self, subscription) -> bool:
@@ -354,10 +381,6 @@ class PassClient(ABC):
     def _subscriber_site(self, origin: Optional[str]) -> Optional[str]:
         """Which site a subscription's deliveries are addressed to."""
         return origin
-
-    def _lineage_backfill(self, pname, site: Optional[str]) -> List[PName]:
-        """The target's *current* descendants of ``pname`` (watch-label seed)."""
-        return []
 
     def _stream_stats(self) -> Dict[str, object]:
         """The ``stream`` block of :meth:`stats`.
@@ -492,12 +515,6 @@ class LocalClient(PassClient):
 
     def _subscriber_site(self, origin: Optional[str]) -> Optional[str]:
         return origin if origin is not None else self.store.site
-
-    def _lineage_backfill(self, pname, site: Optional[str]) -> List[PName]:
-        pname = coerce_pname(pname)
-        if pname not in self.store.graph:
-            return []  # watching a not-yet-published pname is fine
-        return self._lineage_page(self.store.descendant_digests(pname), None, 0).records
 
     def publish(self, tuple_set: TupleSet, origin: Optional[str] = None) -> Result:
         pname = self.store.ingest(tuple_set)
@@ -645,7 +662,9 @@ class ModelClient(PassClient):
 
     def _stream_engine(self, create: bool) -> Optional[StreamEngine]:
         if self._stream is None and create:
-            self._stream = StreamEngine()
+            self._stream = StreamEngine(
+                lineage_oracle=_ancestry_oracle(self.model, self.default_origin)
+            )
             # The model matches on its publish path and charges one
             # simulated "notify" message per delivery (kind "notify" in
             # the traffic stats), making dissemination cost comparable
@@ -660,18 +679,6 @@ class ModelClient(PassClient):
                 f"subscriber site {site!r} is not in the topology ({self.topology.site_names})"
             )
         return site
-
-    def _lineage_backfill(self, pname, site: Optional[str]) -> List[PName]:
-        if not self.model.supports_lineage:
-            return []  # post-registration descent still fires via seen edges
-        try:
-            # A real closure query issued from the subscriber's own site,
-            # charged as such in the traffic stats: registering a late
-            # lineage watch is not free on a model.
-            origin = site if site is not None else self.default_origin
-            return list(self.model.descendants(coerce_pname(pname), origin).pnames)
-        except PassError:
-            return []  # unknown/unpublished watch target: nothing to seed
 
     # -- origin selection -----------------------------------------------
     def _origin_for(self, tuple_set: TupleSet) -> str:

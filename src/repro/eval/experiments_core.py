@@ -185,29 +185,26 @@ def run_e2(hours: float = 3.0) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # E3 -- transitive closure strategies
 # ----------------------------------------------------------------------
-def _build_chain_store(depth: int, fan_in: int = 4) -> PassStore:
-    """A store holding `fan_in` raw sets rolled up repeatedly to `depth` levels."""
+def _chain_records(depth: int, fan_in: int = 4) -> List[ProvenanceRecord]:
+    """The records of `fan_in` raw sets rolled up repeatedly to `depth` levels, in derivation order."""
     workload = VolcanoWorkload(seed=3, stations=fan_in)
-    raw = workload.tuple_sets(hours=1.0)[: fan_in]
-    store = PassStore()
-    for tuple_set in raw:
-        store.ingest(tuple_set)
-    current = raw
+    current = workload.tuple_sets(hours=1.0)[: fan_in]
+    records = [tuple_set.provenance for tuple_set in current]
     for level in range(depth):
         rollup = RollupOperator(f"rollup-l{level}", version="1.0")
-        merged = rollup.apply_many(current)
-        store.ingest(merged)
-        current = [merged]
-    return store
+        current = [rollup.apply_many(current)]
+        records.append(current[0].provenance)
+    return records
 
 
-def _closure_over(store: PassStore, strategy_name: str) -> ClosureStrategy:
-    """A ``strategy_name`` closure fed ``store``'s records, in digest order, by
-    the add_node/add_edge sequence the store's ingest feeds its own closure."""
+def _closure_over(records: Sequence[ProvenanceRecord], strategy_name: str) -> ClosureStrategy:
+    """A ``strategy_name`` closure fed ``records``, in digest order, by the
+    add_node/add_edge sequence a store's ingest feeds its own closure."""
     closure = make_closure(strategy_name)
-    for pname in sorted(store.pnames(), key=lambda p: p.digest):
+    for record in sorted(records, key=lambda r: r.pname().digest):
+        pname = record.pname()
         closure.add_node(pname)
-        for ancestor in store.get_record(pname).ancestors:
+        for ancestor in record.ancestors:
             closure.add_node(ancestor)
             closure.add_edge(pname, ancestor)
     return closure
@@ -225,10 +222,10 @@ def run_e3(depths: Sequence[int] = (4, 16, 64), fan_in: int = 4) -> ExperimentRe
         headers=["depth", "strategy", "queries", "node_visits", "elapsed_ms"],
     )
     for depth in depths:
-        base_store = _build_chain_store(depth, fan_in)
-        pnames = base_store.pnames()
+        records = _chain_records(depth, fan_in)
+        pnames = [record.pname() for record in records]
         for strategy_name in ("naive", "memoized", "labelled", "interval"):
-            closure = _closure_over(base_store, strategy_name)
+            closure = _closure_over(records, strategy_name)
             closure.reset_counters()
             started = time.perf_counter()
             queries = 0

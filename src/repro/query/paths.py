@@ -305,7 +305,7 @@ class _LineageProbe(AccessPath):
 
     def estimate(self, store) -> int:
         if self.focus not in store.graph:
-            return 1 if self.include_self else 0
+            return 0  # the probe yields nothing, the focus included
         estimator = (
             store.closure.estimate_ancestors
             if self.direction == "ancestors"

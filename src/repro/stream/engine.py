@@ -21,16 +21,13 @@ Three subscription kinds:
   :class:`~repro.stream.subscription.WindowEvent` per closed window,
 * **lineage** -- :meth:`StreamEngine.subscribe_descendants` watches a
   PName and fires a :class:`~repro.stream.subscription.LineageEvent`
-  whenever a new (transitive) descendant is published.  When the engine
-  is given a ``lineage_oracle`` (the local façade always passes the
-  store's ``is_ancestor``, answered by its :mod:`repro.lineage` interval
-  index), each ingested record is checked against the watched nodes
-  directly -- no engine-side edge or label bookkeeping at all.  Without
-  an oracle (the distributed models, where no single component holds
-  the whole graph) the engine falls back to incremental label
-  inheritance: each new record inherits the watch labels of its
-  immediate ancestors.  Either way the trigger never re-walks the
-  provenance graph per ingest.
+  whenever a new (transitive) descendant is published.  Every ingested
+  record is checked against the watched nodes through the engine's
+  ``lineage_oracle`` -- the target's own closure: the local store's
+  ``is_ancestor``, or on an architecture model one ``ancestors``
+  operation per record.  The engine keeps no edges or labels of its
+  own, so descent through a set published before its own parent fires
+  exactly as the target's closure answers it.
 
 The engine is storage-agnostic: :meth:`on_ingest` is fed by a
 ``PassStore`` post-commit hook locally and by the architecture models'
@@ -43,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.dsl import as_query, coerce_pname
 from repro.core.provenance import PName, ProvenanceRecord
@@ -66,14 +63,6 @@ __all__ = ["StreamEngine", "Delivery"]
 #: the architecture models charge one ``notify`` message for each.
 Delivery = Tuple[Subscription, object]
 
-#: ceiling on the lineage edge map kept for late watches.  Eager label
-#: propagation (live watches) is unaffected past the cap; only a *later*
-#: ``subscribe_descendants`` loses engine-side history beyond it, and the
-#: façade's ``known_descendants`` backfill covers that wherever the
-#: target can answer closure queries.  The truncation is surfaced in
-#: ``stats()`` -- never silent.
-CHILDREN_SEEN_MAX_EDGES = 250_000
-
 
 class StreamEngine:
     """Holds standing subscriptions and matches ingested records against them.
@@ -86,11 +75,9 @@ class StreamEngine:
         dispatch index against).  Match results are identical either
         way; only the work differs.
     lineage_oracle:
-        Optional ``is_ancestor(watched, candidate) -> bool`` callable.
-        When given, descendant watches are answered through it (the
-        shared reachability index) and the engine keeps no edge/label
-        maps of its own; when absent, incremental label inheritance is
-        used.  Match results are identical either way.
+        ``is_ancestor(watched, candidate) -> bool``, the target's closure.
+        Every descendant watch is answered through it; an engine made
+        without one serves query and window subscriptions only.
     """
 
     def __init__(
@@ -108,19 +95,6 @@ class StreamEngine:
         #: lineage subscriptions by id (the oracle match path iterates
         #: exactly these, never the full subscription table)
         self._lineage_subs: Dict[str, Subscription] = {}
-        #: record digest -> ids of lineage subscriptions whose watched
-        #: node is an ancestor of (or is) that record
-        self._taint: Dict[str, set] = {}
-        #: digest -> digests of children among the records seen *while a
-        #: lineage watch was active*; lets a late watch label descent that
-        #: arrived through intermediates published after the first watch.
-        #: Not populated without lineage interest (it would duplicate the
-        #: whole provenance edge set in engine memory for nothing) -- the
-        #: façade's ``known_descendants`` backfill covers earlier history.
-        self._children_seen: Dict[str, set] = {}
-        self._children_seen_edges = 0
-        self._children_seen_capped = False
-        self._lineage_sub_count = 0
         # cumulative totals of unsubscribed subscriptions, so the
         # engine-level deliveries/dropped counters never run backwards
         self._retired_delivered = 0
@@ -133,16 +107,6 @@ class StreamEngine:
         self.window_events = 0
         self.lineage_events = 0
         self.callback_errors = 0
-
-    @property
-    def needs_lineage_backfill(self) -> bool:
-        """Whether descendant watches need a closure seed at registration.
-
-        With a lineage oracle the shared index answers descent through
-        pre-existing intermediates by itself; only the label-inheritance
-        fallback needs the caller to supply ``known_descendants``.
-        """
-        return self._lineage_oracle is None
 
     # ------------------------------------------------------------------
     # Registration
@@ -212,18 +176,17 @@ class StreamEngine:
         maxsize: int = 256,
         overflow: str = "drop-oldest",
         name: Optional[str] = None,
-        known_descendants: Optional[Iterable[PName]] = None,
     ) -> Subscription:
         """Fire whenever a new (transitive) descendant of ``watched`` is published.
 
-        Only *new* publishes fire events, but descent must be detectable
-        through intermediates that already exist: the watch label is
-        seeded onto every descendant this engine has already seen, plus
-        any ``known_descendants`` the caller's storage layer supplies
-        (the façade passes the store/model's current descendant set, so
-        a watch registered late still catches grandchildren of
-        pre-existing children).
+        Only *new* publishes fire events; whether one descends from
+        ``watched`` is the oracle's answer at its publish, so descent
+        through intermediates published earlier (in any order) counts.
         """
+        if self._lineage_oracle is None:
+            raise UnsupportedQueryError(
+                "this stream engine has no lineage oracle; it serves query subscriptions only"
+            )
         pname = coerce_pname(watched)
         with self._lock:
             seq = next(self._ids)
@@ -240,23 +203,6 @@ class StreamEngine:
             subscription.seq = seq
             self._subs[subscription.id] = subscription
             self._lineage_subs[subscription.id] = subscription
-            self._lineage_sub_count += 1
-            if self._lineage_oracle is None:
-                # Label-inheritance fallback: seed the watch label onto
-                # everything already known to descend from the watch.
-                known = list(known_descendants or ())  # may be a one-shot iterable
-                self._taint.setdefault(pname.digest, set()).add(subscription.id)
-                for descendant in known:
-                    self._taint.setdefault(descendant.digest, set()).add(subscription.id)
-                # Propagate the label through descent seen before registration.
-                frontier = [pname.digest] + [descendant.digest for descendant in known]
-                while frontier:
-                    digest = frontier.pop()
-                    for child in self._children_seen.get(digest, ()):
-                        labels = self._taint.setdefault(child, set())
-                        if subscription.id not in labels:
-                            labels.add(subscription.id)
-                            frontier.append(child)
             return subscription
 
     def unsubscribe(self, subscription) -> bool:
@@ -273,18 +219,7 @@ class StreamEngine:
                 self._query_sub_count -= 1
                 self._index.remove(subscription_id)
             else:
-                self._lineage_sub_count -= 1
-                self._lineage_subs.pop(subscription_id, None)
-                if self._lineage_sub_count == 0:
-                    # No watchers left: drop the label and edge maps
-                    # entirely (a later watch re-seeds history through
-                    # the façade's known_descendants backfill).
-                    self._taint.clear()
-                    self._children_seen.clear()
-                    self._children_seen_edges = 0
-                else:
-                    for labels in self._taint.values():
-                        labels.discard(subscription_id)
+                del self._lineage_subs[subscription_id]
             if found.queue is not None:
                 found.queue.close()
             return True
@@ -343,37 +278,12 @@ class StreamEngine:
                         events, (subscription, MatchEvent(subscription.id, pname, record))
                     )
 
-            # Lineage triggers.  With an oracle, ask the shared
-            # reachability index directly (O(watches) probes, no engine
-            # state); otherwise the new record inherits its ancestors'
-            # watch labels, so descent is detected in O(edges).
-            labels: set = set()
-            if self._lineage_sub_count and self._lineage_oracle is not None:
-                # O(watches), not O(all subscriptions): content/window
-                # subscriptions stay behind the dispatch index's pruning.
-                for subscription in self._lineage_subs.values():
-                    if self._lineage_oracle(subscription.watched, pname):
-                        labels.add(subscription.id)
-            elif self._lineage_sub_count:
-                for ancestor in record.ancestors:
-                    if self._children_seen_edges < CHILDREN_SEEN_MAX_EDGES:
-                        bucket = self._children_seen.setdefault(ancestor.digest, set())
-                        if pname.digest not in bucket:
-                            bucket.add(pname.digest)
-                            self._children_seen_edges += 1
-                    else:
-                        self._children_seen_capped = True
-                    hit = self._taint.get(ancestor.digest)
-                    if hit:
-                        labels |= hit
-            if labels:
-                if self._lineage_oracle is None:
-                    self._taint.setdefault(pname.digest, set()).update(labels)
-                watchers = sorted(
-                    (self._subs[sid] for sid in labels if sid in self._subs),
-                    key=_registration_order,
-                )
-                for subscription in watchers:
+            # Lineage triggers: O(watches) oracle probes, not O(all
+            # subscriptions) -- content/window subscriptions stay behind
+            # the dispatch index's pruning.  The table is in registration
+            # order, so watches fire as registered.
+            for subscription in self._lineage_subs.values():
+                if self._lineage_oracle(subscription.watched, pname):
                     self.lineage_events += 1
                     self._emit(
                         events,
@@ -453,7 +363,7 @@ class StreamEngine:
                 s.delivered for s in self._subs.values()
             )
             dropped = self._retired_dropped + sum(s.dropped for s in self._subs.values())
-            facts = {
+            return {
                 "subscriptions": len(self._subs),
                 "records_seen": self.records_seen,
                 "candidates_checked": self.candidates_checked,
@@ -464,14 +374,8 @@ class StreamEngine:
                 "callback_errors": self.callback_errors,
                 "window_events": self.window_events,
                 "lineage_events": self.lineage_events,
-                "lineage_matching": (
-                    "shared-index" if self._lineage_oracle is not None else "label-inheritance"
-                ),
                 "dispatch_index": self._index.stats(),
             }
-            if self._children_seen_capped:
-                facts["lineage_edges_capped"] = True  # late-watch history truncated
-            return facts
 
 
 def _registration_order(subscription: Subscription) -> int:

@@ -145,10 +145,29 @@ def test_an_unclosed_client_that_subscribed_frees_its_store():
     client = repro.connect("memory://")
     sets = _tuple_sets()
     watches = [client.subscribe(Q.attr("city") == "oslo"), client.subscribe_descendants(sets[0].pname)]
-    assert client.stats()["stream"]["lineage_matching"] == "shared-index"  # the store is the engine's oracle
     client.publish_many(sets)
     assert client.query(Q.attr("city") == "london").total == len(sets) // 2
     assert len(watches[1].drain()) == len(sets) - 1
     watched = _watched(client)
     del client, watches
+    assert _alive(watched) == []
+
+
+def test_an_unclosed_model_client_that_watched_descendants_is_freed():
+    """A model's engine asks the model's own ``ancestors`` and holds the model
+    only weakly: model -> engine -> lineage oracle is no cycle, so a model
+    client dropped without ``close()`` after a descendants watch goes by
+    reference counting, with its model and engine."""
+    client = repro.connect("centralized://")
+    sets = _tuple_sets()
+    watch = client.subscribe_descendants(sets[0].pname)
+    client.publish_many(sets)
+    assert len(watch.drain()) == len(sets) - 1
+    engine = client._stream_engine(create=False)
+    watched = {
+        "client": weakref.ref(client),
+        "model": weakref.ref(client.model),
+        "engine": weakref.ref(engine),
+    }
+    del client, watch, engine
     assert _alive(watched) == []

@@ -12,9 +12,17 @@ import sys
 import pytest
 from report_capture import FIXTURE, capture
 
+from repro.core import PassStore, TupleSet
 from repro.core.closure import STRATEGY_NAMES
 from repro.eval import run_experiment
-from repro.eval.experiments_core import _build_chain_store, _closure_over
+from repro.eval.experiments_core import _chain_records, _closure_over
+
+
+def _store_of(records):
+    """A store that ingested ``records`` (as data-less sets) in derivation order."""
+    store = PassStore()
+    store.ingest_many([TupleSet([], record) for record in records])
+    return store
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +109,9 @@ class TestClaimShapes:
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_e3_runs_each_strategy_over_the_graph_its_store_built(self, strategy):
         """E3 makes its strategies outside any store: each walks the graph the store's ingest built."""
-        store = _build_chain_store(depth=4)
-        closure = _closure_over(store, strategy)
+        records = _chain_records(depth=4)
+        store = _store_of(records)
+        closure = _closure_over(records, strategy)
         assert sorted(closure.graph.node_digests()) == sorted(store.graph.node_digests())
         for digest in store.graph.node_digests():
             assert sorted(closure.graph.parents_of(digest)) == sorted(store.graph.parents_of(digest))
@@ -111,8 +120,9 @@ class TestClaimShapes:
 
     def test_e3_counts_interval_as_the_store_closure_does(self):
         """E3's ``interval`` rows are what a store's own closure counts for the same reads."""
-        store = _build_chain_store(depth=16)
-        closure = _closure_over(store, "interval")
+        records = _chain_records(depth=16)
+        store = _store_of(records)
+        closure = _closure_over(records, "interval")
         for counted in (closure, store.closure):
             counted.reset_counters()
             for pname in store.pnames():

@@ -142,6 +142,8 @@ class TestLocalExplain:
             explain = client.explain(Q.find(Q.derived_from(ghost)))
             assert explain.path_kind == "lineage-descendants"
             assert explain.actual_rows == 0
+            with_self = client.explain(Q.find(Q.derived_from(ghost, include_self=True)))
+            assert with_self.estimated_rows == with_self.actual_rows == 0
 
 
 class TestDistributedExplain:

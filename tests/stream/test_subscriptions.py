@@ -251,19 +251,6 @@ class TestLineageTriggers:
         events = subscription.drain()
         assert [e.pname for e in events] == [grandchild.pname]
 
-    def test_known_descendants_accepts_a_one_shot_iterable(self, client):
-        """A generator seed must not be half-consumed (it is read twice)."""
-        engine = client._stream_engine(create=True)
-        root = _tuple_set(0)
-        child = _tuple_set(1, parents=[root.pname])
-        client.publish_many([root, child])
-        subscription = engine.subscribe_descendants(
-            root.pname, known_descendants=(p for p in [child.pname])
-        )
-        client.publish(_tuple_set(2, parents=[child.pname]))
-        events = subscription.drain()
-        assert [e.record.get("sequence") for e in events] == [2]
-
     def test_unsubscribe_lineage(self, client):
         root = _tuple_set(0)
         client.publish(root)
@@ -289,60 +276,42 @@ class TestLineageTriggers:
         client.publish(root)
         subscription = client.subscribe_descendants(root)
         client.publish(_tuple_set(1, parents=[root.pname]))
-        engine = client._stream_engine(create=False)
-        assert engine.stats()["lineage_matching"] == "shared-index"
-        assert engine._children_seen == {}  # no engine-side bookkeeping at all
-        assert engine._taint == {}
         assert [e.record.get("sequence") for e in subscription.drain()] == [1]
 
-    def test_graph_walking_closures_keep_label_inheritance(self):
-        """A model target, where no one store holds the graph, must not walk it per ingest per watch."""
+    def test_a_model_watch_costs_one_ancestry_query_per_publish(self):
+        """Every watch on a model asks the model's own closure, once per publish."""
+
+        def lineage_queries(model_client):
+            by_kind = model_client.stats()["traffic"]["by_kind"]
+            return by_kind.get("lineage-query", {}).get("messages", 0)
+
         with connect("centralized://") as model_client:
             root = _tuple_set(0)
             model_client.publish(root)
-            subscription = model_client.subscribe_descendants(root)
-            engine = model_client._stream_engine(create=False)
-            assert engine.stats()["lineage_matching"] == "label-inheritance"
-            model_client.publish(_tuple_set(1, parents=[root.pname]))
-            assert [e.record.get("sequence") for e in subscription.drain()] == [1]
+            unwatched = model_client.publish(_tuple_set(1, parents=[root.pname]))
+            assert lineage_queries(model_client) == 0  # nothing asks before the first watch
+            first = model_client.subscribe_descendants(root)
+            second = model_client.subscribe_descendants(root)
+            assert lineage_queries(model_client) == 0  # registering asks nothing either
+            published = model_client.publish(_tuple_set(2, parents=[root.pname]))
+            assert lineage_queries(model_client) == 1  # two watches, one query
+            # The query and its answer are each publish's own cost; a hit adds one notify per watch.
+            quiet = model_client.publish(_tuple_set(9))
+            assert quiet.cost.messages == unwatched.cost.messages + 2
+            assert published.cost.messages == quiet.cost.messages + 2
+            assert [e.record.get("sequence") for e in first.drain()] == [2]
+            assert [e.record.get("sequence") for e in second.drain()] == [2]
+            model_client.unsubscribe(first)
+            model_client.unsubscribe(second)
+            after = lineage_queries(model_client)
+            model_client.publish(_tuple_set(3, parents=[root.pname]))
+            assert lineage_queries(model_client) == after  # none after the last unsubscribe
 
-    def test_lineage_edge_map_is_capped_visibly(self):
-        """The label-inheritance fallback (no oracle) caps its edge map loudly."""
-        from repro.stream import engine as engine_module
+    def test_an_engine_without_an_oracle_refuses_descendant_watches(self):
         from repro.stream.engine import StreamEngine
 
-        engine = StreamEngine()  # no lineage oracle: the distributed-model path
-        assert engine.stats()["lineage_matching"] == "label-inheritance"
-        root = _tuple_set(0)
-        engine.subscribe_descendants(root.pname)
-        original = engine_module.CHILDREN_SEEN_MAX_EDGES
-        engine_module.CHILDREN_SEEN_MAX_EDGES = 1
-        try:
-            for child in (_tuple_set(1, parents=[root.pname]), _tuple_set(2, parents=[root.pname])):
-                engine.on_ingest(child.pname, child.provenance)
-        finally:
-            engine_module.CHILDREN_SEEN_MAX_EDGES = original
-        facts = engine.stats()
-        assert facts.get("lineage_edges_capped") is True  # truncation is never silent
-
-    def test_last_lineage_unsubscribe_releases_edge_tracking(self):
-        """No watchers left -> the fallback engine drops its label and edge maps."""
-        from repro.stream.engine import StreamEngine
-
-        engine = StreamEngine()
-        root = _tuple_set(0)
-        engine.on_ingest(root.pname, root.provenance)
-        subscription = engine.subscribe_descendants(root.pname)
-        child = _tuple_set(1, parents=[root.pname])
-        engine.on_ingest(child.pname, child.provenance)
-        assert engine._children_seen  # tracked while the watch was live
-        engine.unsubscribe(subscription)
-        assert engine._children_seen == {}
-        assert engine._taint == {}
-        # And ingest stops recording edges entirely without lineage interest.
-        grandchild = _tuple_set(2, parents=[root.pname])
-        engine.on_ingest(grandchild.pname, grandchild.provenance)
-        assert engine._children_seen == {}
+        with pytest.raises(UnsupportedQueryError):
+            StreamEngine().subscribe_descendants(_tuple_set(0).pname)
 
 
 class TestStoreLevelIngests:
