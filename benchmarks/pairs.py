@@ -11,11 +11,18 @@ side's quartiles, the pairs the change won and both verdicts of the
 ``choosing-metrics`` guide land in ``benchmarks/results/BENCH_layers.json``
 beside this file.  There is nothing to configure: run length, metrics and
 bounds are the benchmark's (``BENCHMARK.json`` of the change checkout).
+
+Before the first run every ``__pycache__`` directory under both
+checkouts' ``src/`` and ``benchmarks/`` is deleted: ``setup_s`` counts the
+interpreter's imports, so a side that starts with compiled bytecode reads
+faster set-up than one that must compile first.  Both sides then compile
+on their own first run and reuse that cache for the rest.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -87,6 +94,9 @@ def main(argv: list) -> int:
         return 2
     sides = {"parent": Path(parent).resolve(), "change": Path(change).resolve()}
     seeds = list(range(first, last + 1))
+    for checkout in sides.values():
+        for cache in [*checkout.glob("src/**/__pycache__"), *checkout.glob("benchmarks/**/__pycache__")]:
+            shutil.rmtree(cache)
     declared = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     document = {
         "host": host_environment(),

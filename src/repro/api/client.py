@@ -30,7 +30,7 @@ import time
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.dsl import as_query, coerce_pname
 from repro.api.results import Cost, Result
@@ -38,7 +38,7 @@ from repro.core.attributes import GeoPoint
 from repro.core.pass_store import PassStore
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.core.tupleset import TupleSet
-from repro.distributed.base import ArchitectureModel, OperationResult
+from repro.distributed.base import ArchitectureModel
 from repro.errors import ConfigurationError, NetworkError, PassError, QueryError, UnsupportedQueryError
 from repro.net.topology import Topology
 from repro.obs import MetricsRegistry, trace

@@ -23,7 +23,7 @@ visibility).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.attributes import AttributeValue, GeoPoint
 from repro.core.provenance import PName

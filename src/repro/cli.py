@@ -1,62 +1,43 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three subcommands cover what a user wants from a terminal:
+Every subcommand is a thin veneer over the library:
 
-* ``experiments`` -- run one or more of the E1-E14 experiments and print
-  their regenerated tables (optionally writing them to a file),
-* ``workload`` -- generate a synthetic workload, publish it into a
-  ``connect()`` target (``--store memory://`` by default) and print a
-  summary (sanity-checking a deployment's shape before writing code
-  against it),
-* ``query`` -- run a simple ``name=value`` attribute query through the
-  PassClient façade against a freshly generated workload,
-* ``explain`` -- run a query the same way and print the planner's
-  EXPLAIN: the access path chosen, estimated vs. actual rows, rows
-  scanned and result-cache status.  Beyond ``name=value``, the predicate
-  grammar accepts ``name<=v``/``name>=v``/``name<v``/``name>v`` ranges
-  and ``name~substring``; ``--window START,END`` and
-  ``--near LAT,LON,KM`` AND in the temporal and spatial fast paths,
-* ``watch`` -- register the same predicate grammar as a *standing*
-  query (``repro.stream``) and tail its matches live while the
-  generated workload streams into the target; ``--every SECONDS``
-  switches to window aggregation (``--aggregate``, ``--value-attr``,
-  ``--group-by``, ``--slide``),
-* ``lineage`` -- inspect provenance lineage through the shared
-  reachability index (``repro.lineage``): ``ancestors`` pages through a
-  data set's closure, ``path`` prints one derivation path back to a raw
-  source, and ``stats`` reports the graph shape (depth histogram,
-  fan-in) plus the interval closure's index statistics,
+* ``experiments`` -- run the E1-E14 experiments and print their tables
+  (``--output`` also writes them to a file),
+* ``workload`` -- generate a synthetic workload, publish it into a target
+  and summarise it,
+* ``query`` / ``explain`` -- run a query against a generated workload and
+  print its matches, or the planner's EXPLAIN: the access path chosen,
+  estimated vs. actual rows, rows scanned and result-cache status,
+* ``watch`` -- register the query as a standing one (``repro.stream``) and
+  tail its matches, or with ``--every SECONDS`` its window aggregates,
+  while the generated workload streams into the target,
+* ``trace`` -- run the workload and query traced (``repro.obs``) and
+  export the span tree as Chrome trace-event JSON; with a ``pass://``
+  store the tree stitches across the wire into the daemon,
+* ``lineage ancestors|path|stats`` -- page through a data set's closure,
+  print one derivation path back to a raw source, or report the graph
+  shape and the closure's index statistics (``repro.lineage``),
 * ``simulate`` -- publish a generated workload through ``--clients N``
   concurrent closed-loop clients over the discrete-event kernel
-  (``repro.sim``) against an architecture model, optionally applying a
-  ``--schedule churn.json`` of timed partition/heal/churn events, and
-  print latency percentiles plus per-site utilization,
-* ``serve`` -- run the provenance service daemon (``repro.server``) in
-  the foreground; remote clients then reach the same façade through
-  ``connect("pass://host:port")``.  ``--log-level`` controls the
-  structured access log, ``--slow-query-ms`` arms the slow-query log,
-  ``--metrics-port`` serves plain-HTTP OpenMetrics/health endpoints,
-  ``--alert-rules FILE`` loads alert rules and ``--sample-interval``
-  tunes (or, at 0, disables) the time-series sampler,
-* ``top`` -- live daemon introspection: poll a running daemon's
-  ``metrics`` op and render per-tenant op rates, latency percentiles,
-  active subscriptions and the slow-query ring; ``--json`` emits one
-  JSON line per refresh and the watch survives a daemon restart
-  (``--reconnect-attempts``),
-* ``healthcheck`` -- probe a target's ``health`` checks and exit
-  0 / 1 / 2 for ok / degraded / failing (3 when unreachable),
-* ``alerts`` -- show a daemon's alert rules, what is firing, and the
-  recent firing/resolved transitions,
-* ``trace`` -- run a traced workload + query (``repro.obs``) and export
-  the span tree as Chrome trace-event JSON (load it in
-  ``chrome://tracing`` or Perfetto); with a ``pass://`` store the tree
-  stitches across the wire into the daemon.
+  (``repro.sim``) against an architecture model, optionally under a
+  ``--schedule`` of timed partition/heal/churn events,
+* ``serve`` -- run the provenance daemon (``repro.server``) in the
+  foreground, with its access log, slow-query log, OpenMetrics/health
+  endpoint, alert rules and time-series sampler,
+* ``top`` / ``healthcheck`` / ``alerts`` -- introspect a running daemon:
+  live per-tenant op rates and latencies, a health probe exiting 0 / 1 / 2
+  for ok / degraded / failing (3 when unreachable), and its alert rules.
 
-The CLI is a thin veneer over the library; everything it does is
-available programmatically, and the storage/architecture target is a
-``--store`` URL (``memory://``, ``sqlite:///pass.db``,
-``centralized://``, ``dht://?sites=32``, ...) exactly as accepted by
-:func:`repro.api.connect`.
+``query``, ``explain``, ``watch`` and ``trace`` share one predicate
+grammar.  A term is ``name=value``, ``name<=v``, ``name>=v``,
+``name<v``, ``name>v`` or ``name~substring``, split at its leftmost
+operator, with the value read as an int, else a float, else text; terms,
+``--window START,END`` and ``--near LAT,LON,KM`` are ANDed.  Each shared
+flag group (the generated workload, the target, the predicate, the daemon
+address) is declared once, and the target is a ``--store`` URL
+(``memory://``, ``sqlite:///pass.db``, ``centralized://``,
+``dht://?sites=32``, ...) exactly as :func:`repro.api.connect` accepts it.
 """
 
 from __future__ import annotations
@@ -64,7 +45,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.api import Q, connect
 from repro.eval import format_experiment, run_all
@@ -91,97 +72,78 @@ _WORKLOADS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser for the ``repro`` CLI (exposed for testing)."""
+    # The shared flag groups.  argparse hands a parent's Action objects to
+    # every child, so a set_defaults() on one subcommand would change that
+    # flag's default for all of them: none may.
+    generated = argparse.ArgumentParser(add_help=False)
+    generated.add_argument("domain", choices=sorted(_WORKLOADS), help="which domain to simulate")
+    generated.add_argument("--hours", type=float, default=1.0, help="simulated duration")
+    generated.add_argument("--seed", type=int, default=0, help="workload seed")
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--store", default="memory://", help="connect() URL of the target (default: memory://)")
+    predicate = argparse.ArgumentParser(add_help=False)
+    predicate.add_argument(
+        "predicates", nargs="*", help="predicates, e.g. city=london stage=raw sequence>=10 name~cam"
+    )
+    predicate.add_argument(
+        "--window",
+        default=None,
+        metavar="START,END",
+        help="AND a time-window overlap (seconds), e.g. --window 0,1800",
+    )
+    predicate.add_argument(
+        "--near",
+        default=None,
+        metavar="LAT,LON,KM",
+        help="AND a geographic radius, e.g. --near 51.5,-0.12,5",
+    )
+    daemon = argparse.ArgumentParser(add_help=False)
+    daemon.add_argument("url", help="daemon URL, e.g. pass://127.0.0.1:7100")
+    daemon.add_argument("--token", default=None, help="auth token for a tokened daemon")
+    daemon.add_argument("--tenant", default=None, help="tenant name (open daemons only)")
+    daemon.add_argument("--json", action="store_true", help="print JSON instead of the text layout")
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Provenance-Aware Sensor Data Storage (PASS) reproduction tools",
     )
     subcommands = parser.add_subparsers(dest="command", required=True)
 
-    experiments = subcommands.add_parser(
-        "experiments", help="run evaluation experiments (E1-E14) and print their tables"
+    def command(name, run, help, parents=()):
+        sub = subcommands.add_parser(name, help=help, parents=list(parents))
+        sub.set_defaults(run=run)
+        return sub
+
+    experiments = command(
+        "experiments", _cmd_experiments, "run evaluation experiments (E1-E14) and print their tables"
     )
     experiments.add_argument(
         "ids", nargs="*", default=None, help="experiment ids, e.g. E1 E12 (default: all)"
     )
-    experiments.add_argument(
-        "--output", default=None, help="also write the report to this file"
-    )
+    experiments.add_argument("--output", default=None, help="also write the report to this file")
 
-    workload = subcommands.add_parser(
-        "workload", help="generate a synthetic workload and summarise it"
+    command(
+        "workload", _cmd_workload, "generate a synthetic workload and summarise it", (generated, target)
     )
-    workload.add_argument("domain", choices=sorted(_WORKLOADS), help="which domain to simulate")
-    workload.add_argument("--hours", type=float, default=1.0, help="simulated duration")
-    workload.add_argument("--seed", type=int, default=0, help="workload seed")
-    workload.add_argument(
-        "--store",
-        default="memory://",
-        help="connect() URL of the publish target (default: memory://)",
+    query = command(
+        "query",
+        _cmd_query,
+        "run a query against a freshly generated workload",
+        (generated, predicate, target),
     )
-
-    query = subcommands.add_parser(
-        "query", help="run an attribute query against a freshly generated workload"
-    )
-    query.add_argument("domain", choices=sorted(_WORKLOADS))
-    query.add_argument("predicate", help="attribute query of the form name=value")
-    query.add_argument("--hours", type=float, default=1.0)
-    query.add_argument("--seed", type=int, default=0)
     query.add_argument("--limit", type=int, default=10, help="maximum records to print")
-    query.add_argument(
-        "--store",
-        default="memory://",
-        help="connect() URL of the query target (default: memory://)",
+    command(
+        "explain",
+        _cmd_explain,
+        "run a query and print the planner's EXPLAIN output",
+        (generated, predicate, target),
     )
 
-    explain = subcommands.add_parser(
-        "explain", help="run a query and print the planner's EXPLAIN output"
-    )
-    explain.add_argument("domain", choices=sorted(_WORKLOADS))
-    explain.add_argument(
-        "predicates",
-        nargs="*",
-        help="predicates, e.g. city=london stage=raw sequence>=10 name~cam",
-    )
-    explain.add_argument(
-        "--window",
-        default=None,
-        metavar="START,END",
-        help="AND a time-window overlap (seconds), e.g. --window 0,1800",
-    )
-    explain.add_argument(
-        "--near",
-        default=None,
-        metavar="LAT,LON,KM",
-        help="AND a geographic radius, e.g. --near 51.5,-0.12,5",
-    )
-    explain.add_argument("--hours", type=float, default=1.0)
-    explain.add_argument("--seed", type=int, default=0)
-    explain.add_argument(
-        "--store",
-        default="memory://",
-        help="connect() URL of the target (default: memory://)",
-    )
-
-    watch = subcommands.add_parser(
-        "watch", help="subscribe to a standing query and tail its matches live"
-    )
-    watch.add_argument("domain", choices=sorted(_WORKLOADS))
-    watch.add_argument(
-        "predicates",
-        nargs="*",
-        help="standing predicates, e.g. city=london stage=raw sequence>=10",
-    )
-    watch.add_argument(
-        "--window",
-        default=None,
-        metavar="START,END",
-        help="AND a time-window overlap (seconds), e.g. --window 0,1800",
-    )
-    watch.add_argument(
-        "--near",
-        default=None,
-        metavar="LAT,LON,KM",
-        help="AND a geographic radius, e.g. --near 51.5,-0.12,5",
+    watch = command(
+        "watch",
+        _cmd_watch,
+        "subscribe to a standing query and tail its matches live",
+        (generated, predicate, target),
     )
     watch.add_argument(
         "--every",
@@ -213,18 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="record attribute partitioning each window into per-group aggregates",
     )
-    watch.add_argument("--hours", type=float, default=1.0)
-    watch.add_argument("--seed", type=int, default=0)
     watch.add_argument("--limit", type=int, default=20, help="maximum events to print")
-    watch.add_argument(
-        "--store",
-        default="memory://",
-        help="connect() URL of the target (default: memory://)",
-    )
 
-    lineage = subcommands.add_parser(
-        "lineage",
-        help="inspect provenance lineage through the reachability index (repro.lineage)",
+    lineage = command(
+        "lineage", _cmd_lineage, "inspect provenance lineage through the reachability index (repro.lineage)"
     )
     lineage_commands = lineage.add_subparsers(dest="lineage_command", required=True)
     for name, description in (
@@ -232,15 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("path", "one derivation path from a derived data set back to a raw source"),
         ("stats", "graph shape and reachability-index statistics"),
     ):
-        sub = lineage_commands.add_parser(name, help=description)
-        sub.add_argument("domain", choices=sorted(_WORKLOADS))
-        sub.add_argument("--hours", type=float, default=1.0)
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument(
-            "--store",
-            default="memory://",
-            help="connect() URL of the target (default: memory://)",
-        )
+        sub = lineage_commands.add_parser(name, help=description, parents=[generated, target])
         if name in ("ancestors", "path"):
             sub.add_argument(
                 "--focus",
@@ -252,18 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--limit", type=int, default=20, help="page size (default: 20)")
             sub.add_argument("--offset", type=int, default=0, help="page offset (default: 0)")
 
-    serve = subcommands.add_parser(
-        "serve",
-        help="run the provenance service daemon (repro.server) in the foreground",
+    serve = command(
+        "serve", _cmd_serve, "run the provenance service daemon (repro.server) in the foreground", (target,)
     )
     serve.add_argument("--host", default="127.0.0.1", help="listen address (default: 127.0.0.1)")
     serve.add_argument(
         "--port", type=int, default=7100, help="listen port (default: 7100; 0 = ephemeral)"
-    )
-    serve.add_argument(
-        "--store",
-        default="memory://",
-        help="connect() URL each tenant's store is opened with (default: memory://)",
     )
     serve.add_argument(
         "--token",
@@ -306,13 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="time-series sampling interval (default: 1.0; 0 disables the sampler)",
     )
 
-    top = subcommands.add_parser(
-        "top",
-        help="live daemon introspection: per-tenant op rates, latency percentiles",
+    top = command(
+        "top", _cmd_top, "live daemon introspection: per-tenant op rates, latency percentiles", (daemon,)
     )
-    top.add_argument("url", help="daemon URL, e.g. pass://127.0.0.1:7100")
-    top.add_argument("--token", default=None, help="auth token for a tokened daemon")
-    top.add_argument("--tenant", default=None, help="tenant name (open daemons only)")
     top.add_argument(
         "--interval", type=float, default=2.0, help="seconds between refreshes (default: 2)"
     )
@@ -327,65 +263,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--once", action="store_true", help="print one snapshot and exit (== --iterations 1)"
     )
     top.add_argument(
-        "--json",
-        action="store_true",
-        help="emit each snapshot as one JSON line instead of the screen layout",
-    )
-    top.add_argument(
         "--reconnect-attempts",
         type=int,
         default=5,
         metavar="N",
         help="retries (with backoff) if the daemon restarts mid-watch (default: 5)",
     )
-
-    healthcheck = subcommands.add_parser(
-        "healthcheck",
-        help="probe a daemon's health op; exit 0 ok / 1 degraded / 2 failing",
+    command(
+        "healthcheck", _cmd_healthcheck, "probe a daemon's health op; exit 0 ok / 1 degraded / 2 failing", (daemon,)
     )
-    healthcheck.add_argument("url", help="daemon URL, e.g. pass://127.0.0.1:7100")
-    healthcheck.add_argument("--token", default=None, help="auth token for a tokened daemon")
-    healthcheck.add_argument("--tenant", default=None, help="tenant name (open daemons only)")
-    healthcheck.add_argument("--json", action="store_true", help="print the full report as JSON")
-
-    alerts = subcommands.add_parser(
-        "alerts",
-        help="show a daemon's alert rules, firing alerts, and recent transitions",
+    command(
+        "alerts", _cmd_alerts, "show a daemon's alert rules, firing alerts, and recent transitions", (daemon,)
     )
-    alerts.add_argument("url", help="daemon URL, e.g. pass://127.0.0.1:7100")
-    alerts.add_argument("--token", default=None, help="auth token for a tokened daemon")
-    alerts.add_argument("--tenant", default=None, help="tenant name (open daemons only)")
-    alerts.add_argument("--json", action="store_true", help="print the full snapshot as JSON")
 
-    tracecmd = subcommands.add_parser(
+    tracecmd = command(
         "trace",
-        help="run a traced workload + query and export Chrome trace-event JSON",
-    )
-    tracecmd.add_argument("domain", choices=sorted(_WORKLOADS))
-    tracecmd.add_argument(
-        "predicates",
-        nargs="*",
-        help="predicates, e.g. city=london stage=raw sequence>=10 name~cam",
-    )
-    tracecmd.add_argument(
-        "--window",
-        default=None,
-        metavar="START,END",
-        help="AND a time-window overlap (seconds), e.g. --window 0,1800",
-    )
-    tracecmd.add_argument(
-        "--near",
-        default=None,
-        metavar="LAT,LON,KM",
-        help="AND a geographic radius, e.g. --near 51.5,-0.12,5",
-    )
-    tracecmd.add_argument("--hours", type=float, default=1.0)
-    tracecmd.add_argument("--seed", type=int, default=0)
-    tracecmd.add_argument(
-        "--store",
-        default="memory://",
-        help="connect() URL of the target (default: memory://); "
-        "a pass:// URL stitches the daemon's spans into the same tree",
+        _cmd_trace,
+        "run a traced workload + query and export Chrome trace-event JSON "
+        "(a pass:// --store stitches the daemon's spans into the same tree)",
+        (generated, predicate, target),
     )
     tracecmd.add_argument(
         "--output",
@@ -394,11 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the trace JSON here (default: print it)",
     )
 
-    simulate = subcommands.add_parser(
+    simulate = command(
         "simulate",
-        help="publish a workload through N concurrent simulated clients (repro.sim)",
+        _cmd_simulate,
+        "publish a workload through N concurrent simulated clients (repro.sim)",
+        (generated,),
     )
-    simulate.add_argument("domain", choices=sorted(_WORKLOADS), help="which domain to simulate")
     simulate.add_argument(
         "--store",
         default="centralized://",
@@ -407,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--clients", type=int, default=8, help="concurrent closed-loop clients (default: 8)"
     )
-    simulate.add_argument(
-        "--ops", type=int, default=None, help="cap on total tuple sets published"
-    )
+    simulate.add_argument("--ops", type=int, default=None, help="cap on total tuple sets published")
     simulate.add_argument(
         "--schedule",
         default=None,
@@ -428,11 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="propagation latency jitter fraction in [0, 1) (default: 0)",
     )
-    simulate.add_argument(
-        "--think-ms", type=float, default=0.0, help="client pause between operations"
-    )
-    simulate.add_argument("--hours", type=float, default=1.0)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--think-ms", type=float, default=0.0, help="client pause between operations")
     return parser
 
 
@@ -502,36 +393,38 @@ def _coerce_scalar(raw_value: str):
     return raw_value
 
 
-_CLI_OPERATORS = (
-    (">=", lambda name, value: Q.attr(name) >= value),
-    ("<=", lambda name, value: Q.attr(name) <= value),
-    (">", lambda name, value: Q.attr(name) > value),
-    ("<", lambda name, value: Q.attr(name) < value),
-    ("=", lambda name, value: Q.attr(name) == value),
-    ("~", lambda name, value: Q.attr(name).contains(str(value))),
-)
+_CLI_OPERATORS = {
+    ">=": lambda name, value: Q.attr(name) >= value,
+    "<=": lambda name, value: Q.attr(name) <= value,
+    ">": lambda name, value: Q.attr(name) > value,
+    "<": lambda name, value: Q.attr(name) < value,
+    "=": lambda name, value: Q.attr(name) == value,
+    "~": lambda name, value: Q.attr(name).contains(str(value)),
+}
 
 
-def _parse_cli_predicate(text: str):
-    """One ``name<op>value`` term, or None for malformed input.
+def _split_term(text: str):
+    """One ``name<op>value`` term as ``(name, op, value)``, or None for malformed input.
 
     The *leftmost* operator occurrence splits name from value (longest
     operator winning a tie), so values containing operator characters
-    (``note=x>y``) parse as the user wrote them.
+    (``note=x>y``) parse as the user wrote them.  An operator at position
+    0 would leave an empty attribute name, so it does not count.
     """
-    best = None
-    for op, build in _CLI_OPERATORS:
-        position = text.find(op)
-        if position <= 0:
-            continue  # no hit, or an empty attribute name
-        if best is None or position < best[0] or (position == best[0] and len(op) > len(best[1])):
-            best = (position, op, build)
-    if best is None:
+    hits = [(position, -len(op), op) for op in _CLI_OPERATORS if (position := text.find(op)) > 0]
+    if not hits:
         return None
-    position, op, build = best
-    name = text[:position]
-    raw_value = text[position + len(op):]
-    return build(name, _coerce_scalar(raw_value))
+    position, _, op = min(hits)
+    return text[:position], op, _coerce_scalar(text[position + len(op):])
+
+
+def _parse_cli_predicate(text: str):
+    """One ``name<op>value`` term as a predicate, or None for malformed input."""
+    term = _split_term(text)
+    if term is None:
+        return None
+    name, op, value = term
+    return _CLI_OPERATORS[op](name, value)
 
 
 def _build_explain_predicate(args):
@@ -848,14 +741,15 @@ def _lineage_report(args, out, client, derived) -> int:
 
 
 def _cmd_query(args, out) -> int:
-    if "=" not in args.predicate:
-        print("error: predicate must look like name=value", file=sys.stderr)
+    predicate, error = _build_explain_predicate(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    name, _, raw_value = args.predicate.partition("=")
-    value = _coerce_scalar(raw_value)
+    asked = [f"{name}{op}{value!r}" for name, op, value in map(_split_term, args.predicates)]
+    asked += [f"--{flag} {text}" for flag, text in (("window", args.window), ("near", args.near)) if text is not None]
     with _build_client(args.domain, args.hours, args.seed, args.store) as (_, client, *_):
-        answer = client.query(Q.attr(name) == value, limit=args.limit)
-        print(f"{answer.total} data sets match {name}={value!r}", file=out)
+        answer = client.query(predicate, limit=args.limit)
+        print(f"{answer.total} data sets match {' '.join(asked) or 'everything'}", file=out)
         for pname in answer:
             record = client.describe_record(pname)
             if record is None:
@@ -1174,33 +1068,14 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "experiments":
-        return _cmd_experiments(args, out)
-    if args.command == "workload":
-        return _cmd_workload(args, out)
-    if args.command == "query":
-        return _cmd_query(args, out)
-    if args.command == "explain":
-        return _cmd_explain(args, out)
-    if args.command == "watch":
-        return _cmd_watch(args, out)
-    if args.command == "lineage":
-        return _cmd_lineage(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "top":
-        return _cmd_top(args, out)
-    if args.command == "healthcheck":
-        return _cmd_healthcheck(args, out)
-    if args.command == "alerts":
-        return _cmd_alerts(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    if args.command == "simulate":
-        return _cmd_simulate(args, out)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    args, stray = parser.parse_known_args(argv)
+    # argparse fills the ``predicates`` positional from one run of
+    # arguments only, so a term typed after an option arrives here.
+    if stray and "predicates" in args and not any(text.startswith("-") for text in stray):
+        args.predicates += stray
+    elif stray:
+        parser.error(f"unrecognized arguments: {' '.join(stray)}")
+    return args.run(args, out)
 
 
 if __name__ == "__main__":  # pragma: no cover

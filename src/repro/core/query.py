@@ -28,7 +28,7 @@ belongs to the PASS store and the architecture models.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.core.attributes import (

@@ -24,7 +24,7 @@ actually produce:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.provenance import PName
 from repro.sim.stats import latency_summary, percentile

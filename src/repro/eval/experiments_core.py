@@ -19,7 +19,7 @@ from repro.core.closure import ClosureStrategy, make_closure
 from repro.core.naming import FilenameConvention, ProvenanceNaming
 from repro.core.pass_store import PassStore
 from repro.core.provenance import Agent, PName, ProvenanceRecord
-from repro.core.query import AttributeEquals, DerivedFrom, Query
+from repro.core.query import AttributeEquals, DerivedFrom
 from repro.core.tupleset import TupleSet, TupleSetWindower
 from repro.eval.criteria import precision_recall
 from repro.eval.result import ExperimentResult

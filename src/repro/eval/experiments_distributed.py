@@ -9,8 +9,7 @@ criterion the paper singles out for it is measured.
 from __future__ import annotations
 
 import random
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.attributes import Timestamp
 from repro.core.pass_store import PassStore
@@ -33,8 +32,7 @@ from repro.eval.scenario import (
     publish_all,
     standard_topology,
 )
-from repro.sensors.workloads import CITY_CENTRES, TrafficWorkload, WeatherWorkload
-from repro.storage.memory import MemoryBackend
+from repro.sensors.workloads import TrafficWorkload, WeatherWorkload
 from repro.storage.sqlite import SQLiteBackend
 from repro.storage.wal import WriteAheadLog
 

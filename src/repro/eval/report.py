@@ -8,7 +8,7 @@ and the benchmark output files.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 from repro.eval.result import ExperimentResult
 

@@ -9,7 +9,7 @@ them; tests assert on their rows; EXPERIMENTS.md quotes them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 __all__ = ["ExperimentResult"]
 

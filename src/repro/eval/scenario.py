@@ -11,7 +11,7 @@ and the models are always compared under identical conditions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import connect
 from repro.api.client import PassClient, wrap
@@ -29,7 +29,7 @@ from repro.distributed import (
     LocaleAwarePass,
     SoftStateIndex,
 )
-from repro.net import NetworkSimulator, Site, Topology
+from repro.net import Site, Topology
 from repro.sensors.workloads import CITY_CENTRES
 
 __all__ = [

@@ -24,7 +24,7 @@ import statistics
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.attributes import AttributeValue, Timestamp
-from repro.core.provenance import Agent, ProvenanceRecord, merge_provenance
+from repro.core.provenance import Agent, merge_provenance
 from repro.core.tupleset import SensorReading, TupleSet
 from repro.errors import ConfigurationError
 

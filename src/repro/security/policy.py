@@ -19,7 +19,7 @@ The policy model is deliberately simple and auditable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
 from repro.core.provenance import PName, ProvenanceRecord

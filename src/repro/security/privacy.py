@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attributes import AttributeValue, Timestamp
 from repro.core.provenance import Agent, merge_provenance

@@ -19,10 +19,10 @@ the data set's name.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.attributes import AttributeValue, GeoPoint, Timestamp
-from repro.core.provenance import Agent, ProvenanceRecord
+from repro.core.provenance import Agent
 from repro.core.tupleset import SensorReading, TupleSet, TupleSetWindower
 from repro.errors import ConfigurationError, UnknownEntityError
 from repro.sensors.node import SensorNode

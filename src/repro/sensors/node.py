@@ -16,8 +16,8 @@ bursts) without this module knowing about any of them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator
 
 from repro.core.attributes import AttributeValue, GeoPoint, Timestamp
 from repro.core.tupleset import SensorReading

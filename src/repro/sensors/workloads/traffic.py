@@ -28,7 +28,7 @@ from repro.core.query import (
     NearLocation,
     Query,
 )
-from repro.core.tupleset import SensorReading, TupleSet
+from repro.core.tupleset import TupleSet
 from repro.pipeline.operators import AggregateOperator, FilterOperator, MergeOperator
 from repro.sensors.network import SensorNetwork
 from repro.sensors.node import SensorNode, SensorSpec

@@ -19,7 +19,7 @@ import math
 import random
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.attributes import GeoPoint, Timestamp
+from repro.core.attributes import Timestamp
 from repro.core.query import And, AttributeEquals, AttributeRange, Query
 from repro.core.tupleset import TupleSet
 from repro.pipeline.operators import AggregateOperator, CalibrationOperator

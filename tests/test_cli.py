@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import pytest
 
@@ -55,6 +56,83 @@ class TestQueryCommand:
 
     def test_malformed_predicate_rejected(self):
         assert main(["query", "traffic", "city:london"], out=io.StringIO()) == 2
+
+
+class TestQueryAgreesWithExplain:
+    """``query`` and ``explain`` read one term grammar, so they count the same rows."""
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            ["reading_count>=100"],
+            ["reading_count<=116"],
+            ["reading_count>117"],
+            ["reading_count<117"],
+            ["city=london"],
+            ["owner~london"],
+            ["--window", "0,900"],
+        ],
+        ids=" ".join,
+    )
+    def test_query_total_is_explains_actual_rows(self, terms):
+        arguments = ["traffic", *terms, "--hours", "0.5"]
+        query_out, explain_out = io.StringIO(), io.StringIO()
+        assert main(["query", *arguments], out=query_out) == 0
+        assert main(["explain", *arguments], out=explain_out) == 0
+        total = int(re.match(r"(\d+) data sets match", query_out.getvalue()).group(1))
+        actual = int(re.search(r"actual rows: (\d+)", explain_out.getvalue()).group(1))
+        assert total == actual > 0
+
+    @pytest.mark.parametrize("command", ["query", "explain"])
+    def test_a_term_after_an_option_still_counts(self, command):
+        before, after = io.StringIO(), io.StringIO()
+        assert main([command, "traffic", "city=london", "--hours", "0.5", "owner~london"], out=before) == 0
+        assert main([command, "traffic", "--hours", "0.5", "city=london", "owner~london"], out=after) == 0
+        assert re.sub(r"duration: [\d.]+", "", before.getvalue()) == re.sub(r"duration: [\d.]+", "", after.getvalue())
+
+    def test_an_unknown_option_is_still_refused(self):
+        with pytest.raises(SystemExit) as exited:
+            main(["query", "traffic", "city=london", "--colour", "red"], out=io.StringIO())
+        assert exited.value.code == 2
+
+
+#: every subcommand, as the shortest command line that parses
+_EVERY_COMMAND = [
+    ["experiments"],
+    ["workload", "traffic"],
+    ["query", "traffic"],
+    ["explain", "traffic"],
+    ["watch", "traffic"],
+    ["lineage", "ancestors", "traffic"],
+    ["lineage", "path", "traffic"],
+    ["lineage", "stats", "traffic"],
+    ["serve"],
+    ["top", "pass://127.0.0.1:7100"],
+    ["healthcheck", "pass://127.0.0.1:7100"],
+    ["alerts", "pass://127.0.0.1:7100"],
+    ["trace", "traffic"],
+    ["simulate", "traffic"],
+]
+
+
+class TestSharedFlagGroups:
+    """A flag group is declared once and shared; no command may move another's default."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv in _EVERY_COMMAND if argv[0] not in ("experiments", "top", "healthcheck", "alerts")],
+        ids=" ".join,
+    )
+    def test_each_command_keeps_its_store_default(self, argv):
+        expected = "centralized://" if argv[0] == "simulate" else "memory://"
+        assert build_parser().parse_args(argv).store == expected
+
+    @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=" ".join)
+    def test_every_command_has_help(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*argv[: 2 if argv[0] == "lineage" else 1], "--help"], out=io.StringIO())
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro ")
 
 
 class TestExplainCommand:
