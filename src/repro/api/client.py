@@ -511,6 +511,9 @@ class LocalClient(PassClient):
             # otherwise keep an unclosed client's store for the collector)
             self._stream = StreamEngine(lineage_oracle=_weakly(self.store.is_ancestor))
             self.store.add_ingest_hook(self._stream.on_ingest)
+            # Run once, by close() or when the client is freed without one:
+            # a wrap()ped store outlives its client, hook and all.
+            self._detach_stream = weakref.finalize(self, self.store.remove_ingest_hook, self._stream.on_ingest)
         return self._stream
 
     def _subscriber_site(self, origin: Optional[str]) -> Optional[str]:
@@ -612,7 +615,7 @@ class LocalClient(PassClient):
             return
         self._closed = True
         if self._stream is not None:
-            self.store.remove_ingest_hook(self._stream.on_ingest)
+            self._detach_stream()
             for subscription in self._stream.subscriptions():
                 self._stream.unsubscribe(subscription)
             self._stream = None
@@ -670,6 +673,8 @@ class ModelClient(PassClient):
             # the traffic stats), making dissemination cost comparable
             # across the Section IV architectures.
             self.model.attach_stream_engine(self._stream)
+            # (run once, by close() or when the client is freed without one)
+            self._detach_stream = weakref.finalize(self, self.model.detach_stream_engine, self._stream)
         return self._stream
 
     def _subscriber_site(self, origin: Optional[str]) -> Optional[str]:
@@ -841,7 +846,7 @@ class ModelClient(PassClient):
             return
         self._closed = True
         if self._stream is not None:
-            self.model.detach_stream_engine(self._stream)
+            self._detach_stream()
             for subscription in self._stream.subscriptions():
                 self._stream.unsubscribe(subscription)
             self._stream = None

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -408,13 +409,15 @@ def _split_term(text: str):
 
     The *leftmost* operator occurrence splits name from value (longest
     operator winning a tie), so values containing operator characters
-    (``note=x>y``) parse as the user wrote them.  An operator at position
-    0 would leave an empty attribute name, so it does not count.
+    (``note=x>y``) parse as the user wrote them.  A term that starts with
+    an operator (``=value``, ``>=1``) has no attribute name: malformed.
     """
-    hits = [(position, -len(op), op) for op in _CLI_OPERATORS if (position := text.find(op)) > 0]
+    hits = [(position, -len(op), op) for op in _CLI_OPERATORS if (position := text.find(op)) >= 0]
     if not hits:
         return None
     position, _, op = min(hits)
+    if position == 0:
+        return None
     return text[:position], op, _coerce_scalar(text[position + len(op):])
 
 
@@ -752,15 +755,8 @@ def _cmd_query(args, out) -> int:
         print(f"{answer.total} data sets match {' '.join(asked) or 'everything'}", file=out)
         for pname in answer:
             record = client.describe_record(pname)
-            if record is None:
-                print(f"  {pname.short}", file=out)
-                continue
-            summary = ", ".join(
-                f"{key}={record.get(key)}"
-                for key in ("domain", "network", "stage", "window_start")
-                if record.get(key) is not None
-            )
-            print(f"  {pname.short}  {summary}", file=out)
+            suffix = f"  {_summarise_record(record)}" if record is not None else ""
+            print(f"  {pname.short}{suffix}", file=out)
         if answer.has_more:
             print(f"  ... and {answer.total - len(answer)} more", file=out)
         return 0
@@ -1075,7 +1071,17 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         args.predicates += stray
     elif stray:
         parser.error(f"unrecognized arguments: {' '.join(stray)}")
-    return args.run(args, out)
+    try:
+        code = args.run(args, out)
+        out.flush()  # (inside the try: a closed pipe may surface only at this flush)
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading (``repro query ... | head -1``): end
+        # quietly.  Standard output goes to the null device, so the
+        # interpreter's own flush at exit does not raise a second time.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -238,6 +238,7 @@ class PassStore(LineageOracle):
         """
         pnames: List[PName] = []
         fresh: List[Tuple[ProvenanceRecord, Optional[bytes]]] = []
+        attached: List[Tuple[PName, bytes]] = []
         batch_payloads: Dict[str, Optional[bytes]] = {}
         graph, has_record = self.graph, self.backend.has_record
         for record, payload in entries:
@@ -258,10 +259,12 @@ class PassStore(LineageOracle):
                 )
             # P4: a data set whose data was removed stays removed; only a
             # record known without payload (metadata-only ingest) gets the
-            # data attached now.
+            # data attached -- once every entry of the batch has passed P3.
             if known is None and not self.backend.is_removed(pname):
-                self.backend.put_payload(pname, payload)
+                attached.append((pname, payload))
                 batch_payloads[pname.digest] = payload
+        for pname, payload in attached:
+            self.backend.put_payload(pname, payload)
         if fresh:
             with trace.span("storage.put_batch", attrs={"records": len(fresh)}):
                 self.backend.put_batch(fresh)

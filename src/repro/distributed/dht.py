@@ -323,12 +323,12 @@ class DistributedHashTable(ArchitectureModel):
         result.notes.append("lineage resolved by per-edge routed lookups")
         return _WalkOracle(down, up)
 
-    @staticmethod
-    def _routable_equality(query: Query) -> Optional[Tuple[str, object]]:
+    def _routable_equality(self, query: Query) -> Optional[Tuple[str, object]]:
+        """The first equality conjunct on an attribute the ring indexes: only those have entries to route to."""
         predicate = query.predicate
         parts = predicate.parts if isinstance(predicate, And) else (predicate,)
         for part in parts:
-            if isinstance(part, AttributeEquals):
+            if isinstance(part, AttributeEquals) and part.name in self.indexed_attributes:
                 return part.name, part.value
         return None
 

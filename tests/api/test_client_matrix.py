@@ -108,7 +108,7 @@ def test_order_by_orders_by_value_not_by_canonical_text(url, request):
     for value in ORDERED_VALUES:
         tied = []
         for spelling in value if isinstance(value, list) else [value]:
-            # (found by ``domain``: one of the few attributes the DHT model indexes)
+            # (found by ``domain``, which the DHT model indexes and routes to; it floods the rest)
             attributes = {"domain": "ordering", "serial": len(sets)}
             if spelling is not None:
                 attributes["n"] = spelling
@@ -136,6 +136,13 @@ class TestProtocolAcrossTargets:
         answer = target.query(question)
         assert isinstance(answer, Result)
         assert answer.pname_set() == expected
+
+    def test_an_attribute_the_dht_does_not_index_matches_ground_truth(self, target, truth):
+        """``owner``: the DHT model indexes six attributes, not this one, so it must ask every node."""
+        question = Q.attr("owner") == "london-transport-authority"
+        expected = truth.query(question).pname_set()
+        assert len(expected) > 0
+        assert target.query(question).pname_set() == expected
 
     def test_ordered_query_matches_ground_truth(self, target, truth):
         """A store answers ``order_by`` in one order at any shard count, in

@@ -4,8 +4,12 @@
 intervals, points) as one zlib blob, a JSON header line and packed
 columns; the next open
 adopts it when its header still describes the file and replays only the
-rows past it.  These tests hold adoption to replay and to ``memory://``,
-count the tail after a crash, and walk every reason a blob is refused.
+rows past it.  The generated history of ``tests/test_store_machine.py``
+holds adoption to replay, to ``memory://`` and to a model, through crashes
+and every refusal an open can meet.  These tests hold what it does not
+see: every way a blob can be damaged, what older code wrote, the bytes a
+close writes, the labelling left to the first lineage read, the log line
+and the collector.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import pytest
 
 import repro
 from repro import Q
-from repro.api.client import LocalClient
 from repro.core import GeoPoint, PassStore, ProvenanceRecord, SensorReading, Timestamp, TupleSet
 from repro.core.provenance import PName
 from repro.errors import CrashInjectedError
@@ -211,77 +214,9 @@ def every_section(*attributes) -> list:
     return sorted(f"attributes:{name}" for name in attributes) + ["spatial", "temporal"]
 
 
-@pytest.fixture(params=["", "?indexed=city,sequence,annotation:quality"], ids=["all", "indexed"])
-def suffix(request):
-    return request.param
-
-
 # ----------------------------------------------------------------------
-# (a) adoption == replay == memory://
+# (a) what an adopted open and its close do
 # ----------------------------------------------------------------------
-def test_adoption_replay_and_memory_give_the_same_answers(tmp_path, suffix):
-    path = tmp_path / "pass.db"
-    url = f"sqlite:///{path}{suffix}"
-    with repro.connect("memory://" + suffix) as memory:
-        made = populate(memory)
-        expected = answers(memory, made)
-    assert expected["invariants"] == []
-    assert expected["removed"].count(True) == 1
-
-    with repro.connect(url) as first:
-        populate(first)
-        assert restore_report(first)["mode"] == "none"
-        assert answers(first, made) == expected
-    blob = read_blob(path)
-    assert blob is not None
-
-    with repro.connect(url) as adopted:
-        report = restore_report(adopted)
-        indexed = ["city", "sequence", "annotation:quality"]
-        if not suffix:
-            indexed = [*ATTRIBUTES, "annotation:quality", "annotation:reviewed"]
-        assert report == {
-            "mode": "adopted", "covered": 20, "tail": 0, "bytes": len(blob), "reason": None,
-            "deferred": every_section(*indexed),
-        }
-        assert answers(adopted, made) == expected
-
-    write_blob(path, None)
-    with repro.connect(url) as replayed:
-        report = restore_report(replayed)
-        assert (report["mode"], report["covered"], report["tail"]) == ("replayed", 0, 20)
-        assert report["reason"] == "no checkpoint stored"
-        assert answers(replayed, made) == expected
-    # the replay left the indexes newer than the (absent) checkpoint: close wrote one
-    assert read_blob(path) is not None
-    with repro.connect(url) as adopted:
-        assert restore_report(adopted)["mode"] == "adopted"
-        assert answers(adopted, made) == expected
-
-
-def test_one_depth_per_store_whatever_the_ingest_order_or_open_path(tmp_path):
-    """A -> P -> C, then P annotated: the rewrite moves P's row past C's, so
-    the replay after a session that never closed meets C before its parent.
-    Depth is read off the graph, so the reopened store reports what its
-    ``memory://`` twin and the graph itself do."""
-    path = tmp_path / "pass.db"
-    a = _tuple_set(0, 0)
-    p = _tuple_set(0, 1, [a.pname])
-    c = _tuple_set(0, 2, [p.pname])
-    twin, client = repro.connect("memory://"), repro.connect(f"sqlite:///{path}")
-    for each in (twin, client):
-        for tuple_set in (a, p, c):
-            each.publish(tuple_set)
-        each.store.annotate(p.pname, repro.Annotation("quality", "good"))
-    client.store.backend._connection.close()  # the process dies here: no checkpoint
-    with twin, repro.connect(f"sqlite:///{path}") as reopened:
-        assert restore_report(reopened)["mode"] == "replayed"
-        statistics = reopened.stats()["planner"]["statistics"]
-        assert statistics == twin.stats()["planner"]["statistics"]
-        assert statistics["graph"]["depth_histogram"] == reopened.store.graph.ancestry_depth_distribution()
-        assert (statistics["graph"]["max_depth"], statistics["graph"]["depth_histogram"]) == (2, {0: 1, 1: 1, 2: 1})
-
-
 def test_stats_on_an_adopted_store_builds_no_section(tmp_path):
     """The statistics block is read off the sections as checked, and the
     writes kept for them, and equals the ``memory://`` twin's."""
@@ -312,26 +247,6 @@ def test_records_are_named_by_position_never_by_digest(tmp_path):
     assert text.count(UNSTORED.digest) == 1
 
 
-def test_publishes_after_adoption_extend_the_adopted_indexes(tmp_path):
-    url = f"sqlite:///{tmp_path / 'pass.db'}"
-    extra = [_tuple_set(5, link) for link in range(3)]
-    with repro.connect("memory://") as memory:
-        made = populate(memory)
-        memory.publish_many(extra)
-        memory.store.annotate(made["sets"][8].pname, repro.Annotation("quality", "good"))
-        expected = answers(memory, made)
-    with repro.connect(url) as client:
-        populate(client)
-    with repro.connect(url) as client:
-        assert restore_report(client)["mode"] == "adopted"
-        client.publish_many(extra)
-        client.store.annotate(made["sets"][8].pname, repro.Annotation("quality", "good"))
-        assert answers(client, made) == expected
-    with repro.connect(url) as client:
-        assert restore_report(client)["covered"] == 23
-        assert answers(client, made) == expected
-
-
 def test_a_session_that_only_annotates_still_renews_the_checkpoint(tmp_path):
     path = tmp_path / "pass.db"
     sets = chains(1, 3)
@@ -348,89 +263,7 @@ def test_a_session_that_only_annotates_still_renews_the_checkpoint(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (b) crashes: the tail is what committed since the checkpoint
-# ----------------------------------------------------------------------
-def _crashing_client(path, writes: int) -> LocalClient:
-    return LocalClient(PassStore(SQLiteBackend(path, crash_after_writes=writes)))
-
-
-def test_a_crash_after_a_checkpoint_replays_only_what_committed_since(tmp_path):
-    path = tmp_path / "pass.db"
-    sets = chains(2, 6)
-    with repro.connect(f"sqlite:///{path}") as client:
-        client.publish_many(sets[:5])
-
-    # a publish is two writes (record, payload) in one transaction: the
-    # fourth publish is refused its second write and commits nothing
-    crashing = _crashing_client(path, writes=7)
-    assert restore_report(crashing)["mode"] == "adopted"
-    committed = []
-    with pytest.raises(CrashInjectedError):
-        for tuple_set in sets[5:]:
-            crashing.publish(tuple_set)
-            committed.append(tuple_set)
-    assert len(committed) == 3
-    crashing.close()  # on a dead backend: swallowed, nothing written
-
-    with repro.connect("memory://") as memory:
-        memory.publish_many(sets[:5] + committed)
-        expected = {p.digest for p in memory.query(Q.attr("sensor") == "s1").records}
-        lineage = {p.digest for p in memory.ancestors(committed[-1].pname).records}
-    with repro.connect(f"sqlite:///{path}") as client:
-        report = restore_report(client)
-        assert (report["mode"], report["covered"], report["tail"]) == ("adopted", 5, 3)
-        assert {p.digest for p in client.query(Q.attr("sensor") == "s1").records} == expected
-        assert {p.digest for p in client.ancestors(committed[-1].pname).records} == lineage
-        assert len(client.store) == 8
-        assert client.store.verify_invariants() == []
-    with repro.connect(f"sqlite:///{path}") as client:
-        assert restore_report(client) == {
-            "mode": "adopted", "covered": 8, "tail": 0, "bytes": len(read_blob(path)), "reason": None,
-            "deferred": every_section(*ATTRIBUTES),
-        }
-
-
-def test_an_annotation_that_outlived_its_session_refuses_the_checkpoint(tmp_path):
-    """``INSERT OR REPLACE`` moves the annotated record past the covered
-    rowid: fewer covered rows than the header counted, so the blob (which
-    lacks the annotation's posting) is not trusted."""
-    path = tmp_path / "pass.db"
-    sets = chains(1, 4)
-    with repro.connect(f"sqlite:///{path}") as client:
-        client.publish_many(sets)
-    crashing = _crashing_client(path, writes=1)
-    crashing.store.annotate(sets[1].pname, repro.Annotation("quality", "good"))
-    with pytest.raises(CrashInjectedError):
-        crashing.publish(_tuple_set(4, 0))
-    crashing.close()
-
-    with repro.connect(f"sqlite:///{path}") as client:
-        report = restore_report(client)
-        assert (report["mode"], report["tail"]) == ("replayed", 4)
-        assert report["reason"] == "covered row rewritten: 3 of 4 covered records remain"
-        found = client.query(Q.attr("annotation:quality") == "good").records
-        assert found == [sets[1].pname]
-    with repro.connect(f"sqlite:///{path}") as client:
-        assert restore_report(client)["mode"] == "adopted"
-        assert client.query(Q.attr("annotation:quality") == "good").records == [sets[1].pname]
-
-
-def test_the_last_covered_record_rewritten_is_noticed_too(tmp_path):
-    """The rewritten row takes a rowid past the old maximum, never the one it had."""
-    path = tmp_path / "pass.db"
-    sets = chains(1, 3)
-    with repro.connect(f"sqlite:///{path}") as client:
-        client.publish_many(sets)
-    crashing = _crashing_client(path, writes=1)
-    crashing.store.annotate(sets[-1].pname, repro.Annotation("quality", "good"))
-    crashing.store.backend._connection.close()  # the process dies here
-    with repro.connect(f"sqlite:///{path}") as client:
-        assert restore_report(client)["reason"].startswith("covered row rewritten")
-        assert client.query(Q.attr("annotation:quality") == "good").records == [sets[-1].pname]
-
-
-# ----------------------------------------------------------------------
-# (c) every reason a blob is refused
+# (b) a damaged blob, one older code wrote, and none at all
 # ----------------------------------------------------------------------
 def _break_format(state):
     state["format"] = 99
@@ -700,40 +533,6 @@ def test_a_format_1_file_is_replayed_once_and_rewritten(tmp_path):
         assert stored_header(path)["format"] == 2
 
 
-def test_changed_indexed_attributes_refuse_the_checkpoint(tmp_path):
-    path = tmp_path / "pass.db"
-    with repro.connect(f"sqlite:///{path}") as client:
-        made = populate(client)
-    narrowed = f"sqlite:///{path}?indexed=city"
-    with repro.connect("memory://?indexed=city") as memory:
-        populate(memory)
-        expected = answers(memory, made)
-    with repro.connect(narrowed) as client:
-        report = restore_report(client)
-        assert report["mode"] == "replayed"
-        assert report["reason"] == "indexed attributes changed since the checkpoint"
-        assert answers(client, made) == expected
-    with repro.connect(narrowed) as client:
-        assert restore_report(client)["mode"] == "adopted"
-        assert answers(client, made) == expected
-        assert client.store.attribute_index.indexed_attributes() == ["city"]
-
-
-def test_a_checkpoint_from_another_file_is_refused(tmp_path):
-    """Same record count, same covered rowid: only the names tell the files apart."""
-    mine, other = tmp_path / "mine.db", tmp_path / "other.db"
-    with repro.connect(f"sqlite:///{mine}") as client:
-        client.publish_many(chains(2, 3))
-    with repro.connect(f"sqlite:///{other}") as client:
-        client.publish_many([_tuple_set(chain, 0) for chain in range(10, 16)])
-    write_blob(mine, read_blob(other))
-    with repro.connect(f"sqlite:///{mine}") as client:
-        report = restore_report(client)
-        assert (report["mode"], report["tail"]) == ("replayed", 6)
-        assert report["reason"] == "checkpoint describes another file's records"
-        assert len(client.query(Q.attr("sensor") == "s1").records) == 3
-
-
 def test_sharded_and_memory_stores_replay_and_say_why(tmp_path):
     url = f"sqlite:///{tmp_path / 'pass.db'}?shards=2"
     with repro.connect(url) as client:
@@ -768,55 +567,8 @@ def test_closing_a_store_with_no_record_order_puts_nothing(target):
 
 
 # ----------------------------------------------------------------------
-# (d) a session that changes nothing writes nothing
+# (c) the blob a close writes
 # ----------------------------------------------------------------------
-def test_a_clean_open_query_close_cycle_writes_nothing(tmp_path):
-    path = tmp_path / "pass.db"
-    with repro.connect(f"sqlite:///{path}") as client:
-        made = populate(client)
-    blob = read_blob(path)
-    for _ in range(2):
-        client = repro.connect(f"sqlite:///{path}")
-        backend = client.store.backend
-        assert restore_report(client)["mode"] == "adopted"
-        answers(client, made)
-        client.store.remove_data(made["sets"][2].pname)  # markers are the backend's, not the checkpoint's
-        puts = backend.stats.puts
-        client.close()
-        assert backend.stats.puts == puts
-        assert read_blob(path) == blob
-    with repro.connect(f"sqlite:///{path}") as client:
-        assert client.store.is_removed(made["sets"][2].pname)
-        assert client.store.graph.is_removed(made["sets"][2].pname)
-
-
-def test_a_clean_close_neither_hashes_nor_rewrites_the_labelling(tmp_path):
-    """A read-only session writes nothing, lineage reads and all, and a
-    session that adds an edge writes one checkpoint, which holds no labelling."""
-    url = f"sqlite:///{tmp_path / 'pass.db'}"
-    sets = chains(2, 5)
-    with repro.connect(url) as client:
-        client.publish_many(sets[:8])
-        client.descendants(sets[0].pname)
-    for _ in range(2):
-        client = repro.connect(url)
-        assert client.stats()["storage"]["closure_restore"]["mode"] == "none"
-        assert client.ancestors(sets[4].pname).total == 4
-        backend, puts = client.store.backend, client.store.backend.stats.puts
-        client.close()
-        assert backend.stats.puts == puts
-    # a session that adds an edge writes the checkpoint again
-    with repro.connect(url) as client:
-        client.publish_many(sets[8:])
-        assert client.ancestors(sets[-1].pname).total == 4
-        backend, puts = client.store.backend, client.store.backend.stats.puts
-    assert backend.stats.puts == puts + 1  # the index checkpoint
-    assert "closure" not in stored_header(tmp_path / "pass.db")
-    with repro.connect(url) as client:
-        assert client.stats()["storage"]["closure_restore"]["mode"] == "none"
-        assert client.descendants(sets[5].pname).total == 4
-
-
 def test_a_dirty_close_writes_the_blob_an_eager_open_would(tmp_path):
     """Sections left unbuilt until the close snapshot as if the open had built
     them all: same bytes, list values written to unbuilt attributes included."""
@@ -843,23 +595,8 @@ def test_a_dirty_close_writes_the_blob_an_eager_open_would(tmp_path):
     assert read_blob(path) == read_blob(twin)
 
 
-def test_a_record_written_under_the_store_is_not_claimed(tmp_path):
-    """The store checkpoints what it indexed; a row it never saw is left to the next replay."""
-    path = tmp_path / "pass.db"
-    sets = chains(1, 3)
-    with repro.connect(f"sqlite:///{path}") as client:
-        client.publish_many(sets[:2])
-        client.store.backend.put_record(sets[2].provenance)
-        # ... and is what the write path's "unknown to the graph is fresh" may not meet
-        assert client.store.verify_invariants() == [f"stored record {sets[2].pname.short} is not a graph node"]
-    with repro.connect(f"sqlite:///{path}") as client:
-        assert restore_report(client)["mode"] == "replayed"
-        assert client.query(Q.attr("sequence") == 2).records == [sets[2].pname]
-        assert client.store.verify_invariants() == []
-
-
 # ----------------------------------------------------------------------
-# (e) an open leaves the closure labels to the first lineage read
+# (d) an open leaves the closure labels to the first lineage read
 # ----------------------------------------------------------------------
 def labels(client) -> tuple:
     closure = client.stats()["closure"]
@@ -962,7 +699,7 @@ def test_the_open_is_logged_once_with_what_it_did(tmp_path, caplog):
 
 
 # ----------------------------------------------------------------------
-# (f) the collector is as the caller had it, however the open ends
+# (e) the collector is as the caller had it, however the open ends
 # ----------------------------------------------------------------------
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
 def collector(request):
@@ -1050,7 +787,7 @@ def test_an_open_that_raises_leaves_the_collector_as_it_found_it(tmp_path, colle
 
 
 # ----------------------------------------------------------------------
-# (g) strategies that were lazy already open as they did
+# (f) strategies that were lazy already open as they did
 # ----------------------------------------------------------------------
 def test_interval_and_sharded_opens_report_what_they_always_did(tmp_path):
     """No open restores a labelling: over a clean checkpoint, one with a

@@ -17,7 +17,6 @@ from repro.core import (
     GeoPoint,
     IsRaw,
     PassStore,
-    PName,
     ProvenanceRecord,
     Query,
     SensorReading,
@@ -224,37 +223,6 @@ class TestAnnotations:
         assert any(a.key == "sensor-replaced" for a in record.annotations)
         assert store.query(AnnotationMatches("sensor-replaced", "cam-07")) == [ts.pname]
 
-    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "sqlite"])
-    def test_annotation_answers_attribute_predicates_before_and_after_reopen(
-        self, tmp_path, durable
-    ):
-        """``annotate`` says it indexes the annotation: ``annotation:<key>``
-        reads the latest one, by index probe and by full scan alike."""
-        def open_store():
-            return PassStore(backend=SQLiteBackend(tmp_path / "notes.db") if durable else None)
-
-        store = open_store()
-        noted, plain = _tuple_set("noted"), _tuple_set("plain")
-        store.ingest_many([noted, plain])
-        store.get_record(noted.pname)  # a warm read: annotate must reach it
-        store.annotate(noted.pname, Annotation("quality", "bad"))
-        store.annotate(noted.pname, Annotation("quality", "good"))
-        for reopened in range(2 if durable else 1):
-            if reopened:
-                store.backend.close()
-                store = open_store()
-            for force_full_scan in (False, True):
-                def answer(value):
-                    query = Query(AttributeEquals("annotation:quality", value))
-                    digests, _ = store.query_explain(query, force_full_scan=force_full_scan)
-                    return [PName(digest) for digest in digests]
-
-                assert answer("good") == [noted.pname]
-                assert answer("bad") == []  # superseded
-            assert store.attribute_index.lookup("annotation:quality", "good") == {noted.pname.digest}
-            assert store.get_record(noted.pname).get("annotation:quality") == "good"
-            assert store.get_record(plain.pname).get("annotation:quality") is None
-
     def test_an_attribute_wins_over_an_annotation_of_its_name(self):
         record = ProvenanceRecord({"annotation:quality": "attr", "label": "a"})
         pname = record.pname()
@@ -404,23 +372,6 @@ class TestPassProperties:
 
 
 class TestSQLiteBackedStore:
-    def test_sqlite_round_trip_and_rebuild(self, tmp_path):
-        path = tmp_path / "pass.db"
-        backend = SQLiteBackend(path)
-        store = PassStore(backend=backend)
-        parent = _tuple_set("parent")
-        store.ingest(parent)
-        child = TupleSet([], parent.provenance.derive({"stage": "derived", "domain": "traffic"}))
-        store.ingest(child)
-        store.remove_data(parent.pname)
-        backend.close()
-
-        reopened = PassStore(backend=SQLiteBackend(path))
-        assert len(reopened) == 2
-        assert reopened.is_removed(parent.pname)
-        assert reopened.ancestors(child.pname) == {parent.pname}
-        assert reopened.query(AttributeEquals("label", "parent")) == [parent.pname]
-
     def test_reopen_reads_the_removal_markers_once(self, tmp_path):
         """Not one ``is_removed`` statement per replayed record."""
         path = tmp_path / "markers.db"

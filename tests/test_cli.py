@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +60,25 @@ class TestQueryCommand:
 
     def test_malformed_predicate_rejected(self):
         assert main(["query", "traffic", "city:london"], out=io.StringIO()) == 2
+
+    def test_each_match_is_summarised_as_lineage_path_summarises_it(self):
+        out = io.StringIO()
+        assert main(["query", "traffic", "city=london", "--hours", "0.5", "--limit", "2"], out=out) == 0
+        matches = out.getvalue().splitlines()[1:3]
+        assert len(matches) == 2 and all(", city=london, " in line for line in matches)
+
+    @pytest.mark.parametrize("command", [["query", "reading_count>=100"], ["explain", "owner~london"]])
+    def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(self, command):
+        """``repro query ... | head -1``: the pipe is closed before the first line is written."""
+        source = str(Path(__file__).resolve().parent.parent / "src")
+        environment = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "repro", command[0], "traffic", command[1], "--hours", "0.25"]
+        process = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=environment)
+        process.stdout.close()
+        errors = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 1
+        assert errors == ""
 
 
 class TestQueryAgreesWithExplain:
@@ -200,6 +223,10 @@ class TestExplainCommand:
         assert _parse_cli_predicate("note=x>y") == AttributeEquals("note", "x>y")
         assert _parse_cli_predicate("name~a=b") == AttributeContains("name", "a=b")
         assert _parse_cli_predicate("=value") is None
+
+    @pytest.mark.parametrize("term", [">=1", "<5", "~london", "=london"])
+    def test_a_term_without_an_attribute_name_is_refused(self, term):
+        assert main(["explain", "traffic", term, "--hours", "0.25"], out=io.StringIO()) == 2
 
 
 class TestExperimentsCommand:
