@@ -263,11 +263,10 @@ class PassStore(LineageOracle):
             if known is None and not self.backend.is_removed(pname):
                 attached.append((pname, payload))
                 batch_payloads[pname.digest] = payload
-        for pname, payload in attached:
-            self.backend.put_payload(pname, payload)
-        if fresh:
+        if fresh or attached:
+            # One batch: the attached payloads commit with the fresh records, or nothing does.
             with trace.span("storage.put_batch", attrs={"records": len(fresh)}):
-                self.backend.put_batch(fresh)
+                self.backend.put_batch(fresh, attached)
         for record, _ in fresh:
             self._index_record(record.pname(), record)
         self.stats.ingested += len(fresh)

@@ -3,7 +3,7 @@
 One :class:`Op` row names an op, its ordered argument fields, its result
 codec and who serves it; a field name means the same thing in every op,
 so :data:`FIELD_CODECS` gives each its :class:`Codec` once.  The
-``RemoteClient`` stubs (:meth:`Op.encode_args`), the daemon's dispatch
+``RemoteClient`` stubs (:meth:`Op.encode_request`), the daemon's dispatch
 and argument checks (:meth:`Op.decode_args`, :attr:`Op.served_by`), the
 façade's observed-op list and the ``docs/SERVER.md`` table
 (:func:`operations_table`) all read the rows; ``docs/SERVER.md``
@@ -39,6 +39,13 @@ class Codec:
     json_type: Optional[type]
     to_wire: Callable = _same
     from_wire: Callable = _same
+    #: the sending side's JSON text of a value, written without building
+    #: the ``to_wire`` form; it must equal :meth:`text`'s default
+    to_text: Optional[Callable] = None
+
+    def text(self, value) -> str:
+        """The sending side's JSON text of ``value``: the compact dump of its ``to_wire`` form."""
+        return self.to_text(value) if self.to_text else protocol.compact_json(self.to_wire(value))
 
 
 def _optional(convert: Callable) -> Callable:
@@ -50,11 +57,12 @@ INTEGER = Codec(int)
 PNAME = Codec(str, lambda pname: coerce_pname(pname).digest, protocol.pname_from_wire)
 QUERY = Codec(dict, lambda query: protocol.query_to_wire(as_query(query)), protocol.query_from_wire)
 WINDOW = Codec(dict, protocol.window_to_wire, protocol.window_from_wire)
-TUPLE_SET = Codec(dict, protocol.tuple_set_to_wire, protocol.tuple_set_from_wire)
+TUPLE_SET = Codec(dict, protocol.tuple_set_to_wire, protocol.tuple_set_from_wire, protocol.tuple_set_text)
 TUPLE_SETS = Codec(
     list,
     lambda tuple_sets: [protocol.tuple_set_to_wire(item) for item in tuple_sets],
     lambda payloads: [protocol.tuple_set_from_wire(item) for item in payloads],
+    lambda tuple_sets: f'[{",".join(map(protocol.tuple_set_text, tuple_sets))}]',
 )
 RESULT = Codec(dict, protocol.result_to_wire, protocol.result_from_wire)
 EXPLAIN = Codec(dict, protocol.explain_to_wire, protocol.explain_from_wire)
@@ -118,8 +126,31 @@ class Op:
         )
         self._names = frozenset(field.name for field in self.fields)
 
+    def encode_request(self, request_id: int, values: Dict[str, object], trace: Optional[dict] = None) -> bytes:
+        """Client side: the request frame for keyword ``values``, written in one walk.
+
+        Byte for byte ``protocol.encode_frame({"id": request_id, "op": self.name,
+        "args": self.encode_args(values)})``, with ``"trace": trace`` appended when
+        a trace context rides along.  A name the table does not declare is sent
+        as it is, for the daemon to refuse.
+        """
+        args = [
+            f'"{field.name}":{field.codec.text(value)}'
+            for field in self.fields
+            if (value := values.get(field.name)) is not None
+        ]
+        if not self._names.issuperset(values):
+            dump = protocol.compact_json
+            args += [
+                f"{dump(name)}:{dump(value)}"
+                for name, value in values.items()
+                if name not in self._names
+            ]
+        return protocol.request_frame(request_id, self.name, ",".join(args), trace)
+
     def encode_args(self, values: Dict[str, object]) -> Dict[str, object]:
-        """Client side: keyword values -> wire arguments, in declared order.
+        """Keyword values -> wire arguments as a dict, in declared order: the
+        reference form :meth:`encode_request` writes as text.
 
         ``None`` means "not given" and is left off the envelope.
         """

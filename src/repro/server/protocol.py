@@ -52,7 +52,9 @@ from repro.core.provenance import (
     PName,
     ProvenanceRecord,
     json_name,
+    plain_json_text,
     value_from_json,
+    value_json_text,
     value_to_json,
 )
 from repro.core.query import (
@@ -84,7 +86,8 @@ from repro.api.results import Cost, Result
 
 __all__ = [
     "MAX_FRAME_BYTES", "WIRE_VERSION", "JSON_NAMES", "WIRE_TYPES", "WireType",
-    "encode_frame", "read_frame", "error_to_wire",
+    "compact_json", "encode_frame", "request_frame", "read_frame", "error_to_wire",
+    "tuple_set_text",
     "predicate_to_wire", "predicate_from_wire", "query_to_wire", "query_from_wire",
     "window_to_wire", "window_from_wire", "tuple_set_to_wire", "tuple_set_from_wire",
     "record_to_wire", "record_from_wire", "result_to_wire", "result_from_wire",
@@ -98,8 +101,10 @@ WIRE_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
-#: ``json.dumps(payload, separators=(",", ":"))``, built once rather than per frame
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+#: ``json.dumps(payload, separators=(",", ":"))``, built once rather than per frame: the
+#: wire's one generic encoder, which every frame's text equals
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_quote = json.encoder.encode_basestring_ascii
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +112,22 @@ _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 # ----------------------------------------------------------------------
 def encode_frame(payload: dict) -> bytes:
     """One wire frame: length prefix + compact JSON body."""
-    body = _compact_json(payload).encode("utf-8")
+    return _frame(compact_json(payload))
+
+
+def request_frame(request_id: int, op: str, args: str, trace: Optional[dict] = None) -> bytes:
+    """A request frame whose arguments are JSON text already: ``args`` holds the
+    members of the ``args`` object, the braces are added here.
+
+    Byte for byte ``encode_frame({"id": request_id, "op": op, "args": {...}})``,
+    with ``"trace": trace`` after ``args`` when a trace context rides along.
+    """
+    context = "" if trace is None else f',"trace":{compact_json(trace)}'
+    return _frame(f'{{"id":{request_id},"op":{_quote(op)},"args":{{{args}}}{context}}}')
+
+
+def _frame(text: str) -> bytes:
+    body = text.encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} cap")
     return _LENGTH.pack(len(body)) + body
@@ -203,6 +223,85 @@ def tuple_set_to_wire(tuple_set: TupleSet) -> dict:
         "provenance": record_to_wire(tuple_set.provenance),
         "readings": readings_to_json(tuple_set),
     }
+
+
+def tuple_set_text(tuple_set: TupleSet) -> str:
+    """``compact_json(tuple_set_to_wire(tuple_set))``, written straight from the set.
+
+    The request writer's form of a tuple set: record and readings in the
+    wire's key order (each dict's own order, not sorted as the stored forms
+    are), without the dict tree :func:`tuple_set_to_wire` builds for the
+    encoder to walk a second time.  tests/test_properties.py holds the two
+    equal byte for byte.  A set read from a stored payload decodes its
+    readings here, as :func:`tuple_set_to_wire` does: the payload's keys are
+    sorted and the wire's are not, so its bytes cannot be spliced in.
+    """
+    return f'{{"provenance":{_record_text(tuple_set.provenance)},"readings":{_readings_text(tuple_set)}}}'
+
+
+def _value_text(value) -> str:
+    """``compact_json(value_to_json(value))``.  The stored form's writer spells a scalar or a
+    :class:`Timestamp` / :class:`GeoPoint` as the wire does (a tagged value's keys are built in
+    sorted order); a tuple, or a dict or list :func:`value_to_json` passes through, is dumped
+    as built, because the stored form sorts the keys of any dict inside it."""
+    if isinstance(value, (tuple, dict, list)):
+        return compact_json(value_to_json(value))
+    return value_json_text(value)
+
+
+def _members_text(mapping) -> str:
+    """The members of a name -> value object in the mapping's order, braces left to the caller."""
+    return ",".join([f"{_quote(name)}:{_value_text(value)}" for name, value in mapping.items()])
+
+
+def _record_text(record: ProvenanceRecord) -> str:
+    """``compact_json(record.to_dict())``, in the order :meth:`~ProvenanceRecord.to_dict` builds it."""
+    agents = ",".join(
+        [
+            f'{{"kind":{plain_json_text(agent.kind)},"name":{plain_json_text(agent.name)},'
+            f'"version":{plain_json_text(agent.version)},"metadata":{{{_members_text(agent.metadata)}}}}}'
+            for agent in record.agents
+        ]
+    )
+    ancestors = ",".join([_quote(ancestor.digest) for ancestor in record.ancestors])
+    annotations = ",".join(
+        [
+            f'{{"key":{plain_json_text(ann.key)},"value":{_value_text(ann.value)},'
+            f'"author":{plain_json_text(ann.author)},"timestamp":{plain_json_text(ann.timestamp)}}}'
+            for ann in record.annotations
+        ]
+    )
+    return (
+        f'{{"attributes":{{{_members_text(record.attributes)}}},"ancestors":[{ancestors}],'
+        f'"agents":[{agents}],"annotations":[{annotations}]}}'
+    )
+
+
+def _readings_text(readings) -> str:
+    """``compact_json(readings_to_json(readings))``, built as ``readings_to_bytes`` builds
+    the stored payload: the part of an item that spells its sensor and place once per pair."""
+    parts: dict = {}
+    items = []
+    for reading in readings:
+        sensor_id, location = reading.sensor_id, reading.location
+        if type(sensor_id) is not str:
+            # Keys that compare equal (True, 1, 1.0) are spelled differently.
+            items.append(compact_json(readings_to_json((reading,))[0]))
+            continue
+        # The place by identity: equal points (0.0 and -0.0, 1 and 1.0) are too.
+        key = (sensor_id, id(location))
+        part = parts.get(key)
+        if part is None:
+            place = (
+                ""
+                if location is None
+                else f',"location":[{plain_json_text(location.latitude)},{plain_json_text(location.longitude)}]'
+            )
+            part = parts[key] = (f'{{"sensor_id":{_quote(sensor_id)},"timestamp":', place + "}")
+        head, tail = part
+        seconds = plain_json_text(reading.timestamp.seconds)
+        items.append(f'{head}{seconds},"values":{{{_members_text(reading.values)}}}{tail}')
+    return f'[{",".join(items)}]'
 
 
 def tuple_set_from_wire(payload) -> TupleSet:

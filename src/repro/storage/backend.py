@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.provenance import PName, ProvenanceRecord
 from repro.errors import StorageError
@@ -29,16 +30,17 @@ from repro.errors import StorageError
 __all__ = ["StorageBackend", "StorageStats", "validate_batch_payloads"]
 
 
-def validate_batch_payloads(entries) -> None:
+def validate_batch_payloads(entries, attached=()) -> None:
     """Reject a batch containing a non-bytes payload *before* any write.
 
     Shared by every ``put_batch`` implementation so an invalid entry
     fails the whole batch identically on all backends (no partial state).
     """
-    for record, payload in entries:
+    for owner, payload in chain(entries, attached):
         if payload is not None and not isinstance(payload, (bytes, bytearray)):
+            pname = owner if isinstance(owner, PName) else owner.pname()
             raise StorageError(
-                f"payload for {record.pname().short} must be bytes, "
+                f"payload for {pname.short} must be bytes, "
                 f"got {type(payload).__name__}"
             )
 
@@ -157,11 +159,16 @@ class StorageBackend(ABC):
         """How many independent partitions back this store (1 = unsharded)."""
         return 1
 
-    def put_batch(self, entries: "List[Tuple[ProvenanceRecord, Optional[bytes]]]") -> None:
+    def put_batch(
+        self,
+        entries: "List[Tuple[ProvenanceRecord, Optional[bytes]]]",
+        attached: Sequence[Tuple[PName, bytes]] = (),
+    ) -> None:
         """Persist several ``(record, payload)`` pairs as one batch.
 
-        ``payload`` may be ``None`` for metadata-only records.  The
-        default loops; durable backends override it to commit the whole
+        ``payload`` may be ``None`` for metadata-only records; ``attached``
+        gives records stored so (earlier) their payloads in the same batch.
+        The default loops; durable backends override it to commit the whole
         batch in a single transaction, which is what makes the façade's
         ``publish_many`` cheaper per tuple set than looped publishes.
 
@@ -171,12 +178,14 @@ class StorageBackend(ABC):
         identical visible behaviour to the transactional backends.
         """
         entries = list(entries)
-        validate_batch_payloads(entries)
+        validate_batch_payloads(entries, attached)
         started = time.perf_counter()
         for record, payload in entries:
             self.put_record(record)
             if payload is not None:
                 self.put_payload(record.pname(), payload)
+        for pname, payload in attached:
+            self.put_payload(pname, payload)
         self._note_group_commit(len(entries), (time.perf_counter() - started) * 1000.0)
 
     # -- payloads (the readings themselves) ----------------------------------

@@ -305,7 +305,7 @@ class ShardedBackend(StorageBackend):
         self._check_open()
         return sum(shard.record_count() for shard in self._shards)
 
-    def put_batch(self, entries) -> None:
+    def put_batch(self, entries, attached=()) -> None:
         """Group commit: the batch splits by shard and each shard's slice
         commits as one transaction, concurrently across shards.
 
@@ -316,16 +316,18 @@ class ShardedBackend(StorageBackend):
         """
         self._check_open()
         entries = list(entries)
-        validate_batch_payloads(entries)
-        split: Dict[int, list] = {}
+        validate_batch_payloads(entries, attached)
+        split: Dict[int, tuple] = {}
         for record, payload in entries:
             index = self.shard_of(record.pname().digest)
-            split.setdefault(index, []).append((record, payload))
+            split.setdefault(index, ([], []))[0].append((record, payload))
+        for pname, payload in attached:
+            split.setdefault(self.shard_of(pname.digest), ([], []))[1].append((pname, payload))
         started = time.perf_counter()
 
         def commit(index: int) -> None:
             with self._locks[index]:
-                self._shards[index].put_batch(split[index])
+                self._shards[index].put_batch(*split[index])
 
         self._map_shards(commit, sorted(split))
         self._note_group_commit(len(entries), (time.perf_counter() - started) * 1000.0)

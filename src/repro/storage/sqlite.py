@@ -167,8 +167,9 @@ class SQLiteBackend(StorageBackend):
         self._remember(digest, record)
         self.stats.puts += 1
 
-    def put_batch(self, entries) -> None:
-        """Commit a whole batch of records (and payloads) in one transaction.
+    def put_batch(self, entries, attached=()) -> None:
+        """Commit a whole batch of records (and payloads, ``attached`` ones
+        included) in one transaction.
 
         The crash-injection counter is charged up front for every write
         the batch would perform: the batch is atomic, so an injected
@@ -176,14 +177,17 @@ class SQLiteBackend(StorageBackend):
         """
         self._check_open()
         entries = list(entries)
-        validate_batch_payloads(entries)
+        validate_batch_payloads(entries, attached)
         for record, payload in entries:
             self._maybe_crash()
             if payload is not None:
                 self._maybe_crash()
+        for _ in attached:
+            self._maybe_crash()
         started = time.perf_counter()
         rows = [(record.pname().digest, record, payload) for record, payload in entries]
         payload_rows = [(digest, bytes(payload)) for digest, _, payload in rows if payload is not None]
+        payload_rows += [(pname.digest, bytes(payload)) for pname, payload in attached]
         with self._connection:
             self._connection.executemany(
                 "INSERT OR REPLACE INTO records (pname, body) VALUES (?, ?)",

@@ -429,6 +429,25 @@ class TestSQLiteBackedStore:
             assert reopened.backend.get_payload(ts.pname) is None
         assert reopened.verify_invariants() == []
 
+    def test_a_crash_attaching_readings_to_metadata_only_records_attaches_none(self, tmp_path):
+        path = tmp_path / "attach.db"
+        first, second = _tuple_set("first"), _tuple_set("second")
+        store = PassStore(SQLiteBackend(path))
+        store.ingest_record(first.provenance)
+        store.ingest_record(second.provenance)
+        store.backend.close()
+        # Two attachments, one batch: the crash at its second write loses both.
+        crashing = PassStore(SQLiteBackend(path, crash_after_writes=1))
+        with pytest.raises(CrashInjectedError):
+            crashing.ingest_many([first, second])
+
+        reopened = PassStore(SQLiteBackend(path))
+        assert reopened.get_readings(first.pname) == []
+        assert reopened.get_readings(second.pname) == []
+        reopened.ingest_many([first, second])
+        assert reopened.get_readings(first.pname) == first.readings
+        assert reopened.get_readings(second.pname) == second.readings
+
 
 # ----------------------------------------------------------------------
 # The duplicate check asks the graph first, the backend only about a name it knows

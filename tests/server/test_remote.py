@@ -10,9 +10,11 @@ compare.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -269,3 +271,208 @@ def test_a_refused_hello_releases_the_socket_and_its_reader_thread(collector_off
             connect(f"{guarded.address.url}?token=bad")
     assert len(made) == 1 and made[0].fileno() == -1
     assert readers() == before
+
+
+# ----------------------------------------------------------------------
+# Who reads the socket: each caller its own reply, or the listener while
+# a subscription is live
+# ----------------------------------------------------------------------
+def _listeners():
+    return [thread for thread in threading.enumerate() if thread.name == "pass-client-reader"]
+
+
+def _round_sets(tag: int):
+    """Four fresh sets whose windows the flush test expects: one closed by the watermark, one by the flush."""
+    return [
+        TupleSet(ts.readings, ProvenanceRecord({**ts.provenance.attributes, "round": tag})) for ts in _sets(4)
+    ]
+
+
+@pytest.mark.parametrize("delivery", ["queue", "callback"])
+def test_window_events_precede_their_flush_across_listener_switches(daemon, delivery):
+    before = _listeners()
+    with connect(f"{daemon.address.url}?tenant=switch-{delivery}") as remote:
+        _subscribe_twice(remote, delivery, before)
+
+
+def _subscribe_twice(remote, delivery: str, before) -> None:
+    for tag in range(2):
+        # No subscription: each call reads its own reply, and no listener runs.
+        remote.publish(_round_sets(10 + tag)[0])
+        remote.query(Q.attr("round") == 10 + tag)
+        remote.stats()
+        assert _listeners() == before
+
+        delivered = []
+        subscription = remote.subscribe(
+            Q.attr("round") == tag,
+            window=WindowSpec(size_seconds=600.0, aggregate="count"),
+            callback=(lambda event: delivered.append((event, threading.current_thread())))
+            if delivery == "callback"
+            else None,
+        )
+        remote.publish_many(_round_sets(tag))
+        assert remote.flush_windows() >= 1
+        # No sleep: the listener routed both events before the flush's reply.
+        if delivery == "queue":
+            delivered = [(event, None) for event in subscription.drain()]
+        else:
+            threads = {thread for _, thread in delivered}
+            assert [thread.name for thread in threads] == ["pass-client-reader"]
+            assert threads.isdisjoint({threading.current_thread()})
+        assert [event.count for event, _ in delivered] == [2, 2]
+
+        assert remote.unsubscribe(subscription) is True
+        assert _listeners() == before
+
+
+def test_a_callback_may_call_the_client_whose_listener_runs_it(daemon):
+    with connect(f"{daemon.address.url}?tenant=nested-call&timeout=5") as client:
+        described = []
+
+        def describe(event) -> None:
+            # Runs on the listener, the thread reading the socket: it must read this reply itself.
+            described.append(client.describe_record(event.pname).pname())
+
+        client.subscribe(Q.attr("city") == "london", callback=describe)
+        sets = _sets(2)
+        client.publish_many(sets)
+        deadline = time.monotonic() + 5
+        while not described and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert described == [sets[0].pname]
+        assert client.stats()["tenant"] == "nested-call"
+
+
+def test_threads_sharing_a_client_each_get_their_own_answers(daemon):
+    before = _listeners()
+    client = connect(f"{daemon.address.url}?tenant=shared-client")
+    failures = []
+
+    def worker(index: int) -> None:
+        try:
+            previous = None
+            published = []
+            for step in range(50):
+                kind = step % 4
+                if kind == 0:
+                    record = ProvenanceRecord(
+                        {"worker": index, "step": step}, ancestors=[previous] if previous is not None else []
+                    )
+                    tuple_set = TupleSet([SensorReading(f"w{index}", Timestamp(float(step)), {"v": step})], record)
+                    assert client.publish(tuple_set).records == [tuple_set.pname]
+                    published.append(tuple_set.pname)
+                    previous = tuple_set.pname
+                elif kind == 1:
+                    answer = client.query(Q.attr("worker") == index)
+                    assert sorted(answer.records) == sorted(published)
+                elif kind == 2:
+                    assert sorted(client.ancestors(previous).records) == sorted(published[:-1])
+                else:
+                    assert client.stats()["tenant"] == "shared-client"
+        except BaseException as error:  # reported on the main thread
+            failures.append((index, error))
+
+    threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: a lost hand-over shows as a wrong answer or a hang
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert _listeners() == before
+        assert client._replies == {}
+    finally:
+        client.close()
+
+
+class _SilentDaemon:
+    """A raw listening socket that answers ``hello`` and then reads every request and answers none."""
+
+    def __init__(self) -> None:
+        self._server = socket.socket()
+        self._server.bind(("127.0.0.1", 0))
+        self._server.listen(1)
+        self.url = f"pass://127.0.0.1:{self._server.getsockname()[1]}"
+        self.requests = 0
+        self._peer = None
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        self._peer, _ = self._server.accept()
+        with self._peer.makefile("rb") as reader:
+            hello = protocol.read_frame(reader)
+            result = {"wire_version": protocol.WIRE_VERSION, "tenant": "silent", "target": "remote+silent"}
+            self._peer.sendall(protocol.encode_frame({"id": hello["id"], "ok": True, "result": result}))
+            try:
+                while protocol.read_frame(reader) is not None:
+                    self.requests += 1
+            except OSError:
+                pass
+
+    def stop(self) -> None:
+        """Go away as a stopped daemon does: the connection reset, the port closed."""
+        if self._peer is not None:
+            with contextlib.suppress(OSError):
+                self._peer.shutdown(socket.SHUT_RDWR)
+        self._thread.join(5)
+        if self._peer is not None:
+            self._peer.close()
+        self._server.close()
+
+
+def test_a_silent_daemon_fails_the_call_at_its_timeout_and_every_later_call_at_once():
+    silent = _SilentDaemon()
+    client = connect(f"{silent.url}?timeout=1")
+    try:
+        started = time.monotonic()
+        with pytest.raises(NetworkError, match="did not answer within 1.0s"):
+            client.stats()
+        assert 0.9 <= time.monotonic() - started < 3.0
+        for call in (client.stats, lambda: client.query(Q.attr("city") == "london"), client.flush_windows):
+            started = time.monotonic()
+            with pytest.raises(NetworkError, match="did not answer within 1.0s"):
+                call()
+            assert time.monotonic() - started < 0.5
+    finally:
+        client.close()
+        silent.stop()
+
+
+def test_a_daemon_that_stops_under_two_waiting_threads_fails_both():
+    silent = _SilentDaemon()
+    client = connect(silent.url)  # the default 30 s timeout: only the stop may end the calls
+    outcomes = []
+
+    def call() -> None:
+        try:
+            client.stats()
+        except BaseException as error:
+            outcomes.append(error)
+
+    threads = [threading.Thread(target=call) for _ in range(2)]
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 5
+        while silent.requests < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert silent.requests == 2  # one thread reads, the other waits for it
+        started = time.monotonic()
+        silent.stop()
+        for thread in threads:
+            thread.join(5)
+        assert time.monotonic() - started < 5
+        assert [type(error) for error in outcomes] == [NetworkError, NetworkError]
+        with pytest.raises(NetworkError):
+            client.stats()
+    finally:
+        client.close()
+        silent.stop()

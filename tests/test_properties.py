@@ -38,7 +38,7 @@ from repro.core.tupleset import readings_from_json, readings_payload_from_json, 
 from repro.errors import CycleError, ProvenanceError
 from repro.index import AttributeIndex
 from repro.index.sections import pack, read_columns, read_header
-from repro.server import protocol
+from repro.server import ops, protocol
 from repro.storage import MemoryBackend, WalEntry, WriteAheadLog
 
 # ----------------------------------------------------------------------
@@ -716,6 +716,70 @@ class TestWireReadingsProperties:
         built = TupleSet(readings_from_json(first), record)
         assert built.payload is None
         assert PassStore._encode_readings(built) == sets[0].payload
+
+
+# ----------------------------------------------------------------------
+# A request is written in one walk: the text the dict form dumps to
+# ----------------------------------------------------------------------
+@st.composite
+def sent_tuple_sets(draw):
+    """Tuple sets as a client sends them: any values (tagged timestamps, places and
+    tuples included), readings with and without a place, any sensor ids (non-ASCII
+    ones too), non-finite floats, and now and then a set rebuilt from its stored payload."""
+    readings = draw(wide_readings())
+    record = draw(wide_records)
+    if draw(st.booleans()) and all(type(reading.sensor_id) is str for reading in readings):
+        event("rebuilt from a stored payload")
+        return TupleSet.from_payload(readings_to_bytes(readings), record)
+    return TupleSet(readings, record)
+
+
+traces = st.one_of(st.none(), st.fixed_dictionaries({"trace_id": any_text, "span_id": st.integers(0, 2**64)}))
+
+
+class TestRequestWriterProperties:
+    @settings(COMMON_SETTINGS, max_examples=300)
+    @given(tuple_set=sent_tuple_sets())
+    def test_a_tuple_set_is_written_as_its_dict_form_dumps(self, tuple_set):
+        assert protocol.tuple_set_text(tuple_set) == protocol.compact_json(protocol.tuple_set_to_wire(tuple_set))
+
+    @settings(COMMON_SETTINGS, max_examples=100)
+    @given(
+        tuple_sets=st.lists(sent_tuple_sets(), min_size=1, max_size=3),
+        origin=st.one_of(st.none(), any_text),
+        request_id=st.integers(1, 2**40),
+        context=traces,
+    )
+    def test_a_publish_frame_is_the_frame_of_its_envelope(self, tuple_sets, origin, request_id, context):
+        for op, values in (
+            ("publish", {"tuple_set": tuple_sets[0], "origin": origin}),
+            ("publish_many", {"tuple_sets": tuple_sets, "origin": origin}),
+        ):
+            row = ops.OPS[op]
+            envelope = {"id": request_id, "op": op, "args": row.encode_args(values)}
+            if context is not None:
+                envelope["trace"] = context
+            assert row.encode_request(request_id, values, context) == protocol.encode_frame(envelope)
+
+    def test_the_writer_on_the_cases_a_shortcut_gets_wrong(self):
+        here = GeoPoint(0.0, 1)
+        record = ProvenanceRecord(
+            {"b": True, "a": float("nan"), "é": (Timestamp(1), GeoPoint(-0.0, 2.0))},
+            agents=[repro.Agent("sensor", "cam", metadata={"z": 1, "y": Ratio(0.5)})],
+            annotations=[repro.Annotation("note", {"b": 1, "a": 2}, timestamp=float("inf"))],
+        )
+        readings = [
+            SensorReading("s", Timestamp(1), {"b": Count(2), "a": float("-inf")}, here),
+            SensorReading("s", Timestamp(2.0), {}, GeoPoint(-0.0, 1.0)),  # an equal place, spelled differently
+            SensorReading("ß", Timestamp(3.0), {"t": Label("x")}),
+            SensorReading(True, Timestamp(4.0), {}, here),  # True == 1: spelled apart
+            SensorReading(1, Timestamp(5.0), {}, here),
+        ]
+        tuple_set = TupleSet(readings, record)
+        assert protocol.tuple_set_text(tuple_set) == protocol.compact_json(protocol.tuple_set_to_wire(tuple_set))
+        assert protocol.tuple_set_text(tuple_set).startswith(
+            '{"provenance":{"attributes":{"b":true,"a":NaN,"\\u00e9":{"%s":"list","items":' % TAG
+        )
 
 
 # ----------------------------------------------------------------------
